@@ -19,10 +19,15 @@ import sys
 import time
 from pathlib import Path
 
+from gauge import NEIGHBOURS, Gauge
+from tracing import LAYERS
+
 BENCH_DIR = Path(__file__).resolve().parent
 SRC = BENCH_DIR.parent / "src"
 
 SETUP_REPEATS = 7
+# gauge samples after each set-up repetition
+SETUP_SAMPLES = 3
 # an untraced run completes at least this many operations, so that ten or
 # more latencies lie beyond op_ms_p90
 MIN_OPS = 100
@@ -36,11 +41,6 @@ END_TO_END = (
     ("op_ms_p50", "ms"),
     ("op_ms_p90", "ms"),
     ("peak_rss_mb", "MB"),
-)
-
-LAYER_NAMES = (
-    "ringmath", "bundles", "cartier", "graded", "filtration",
-    "flow", "witt", "serialize", "corpus",
 )
 
 # (metric, span group or counter, field): field is "calls", "self_s" or a
@@ -111,7 +111,7 @@ def _unit(metric):
 
 def per_layer_specs():
     specs = []
-    for layer in LAYER_NAMES:
+    for layer in LAYERS:
         specs += [("%s.busy_s" % layer, "s"), ("%s.self_s" % layer, "s")]
     specs += [(name, _unit(name)) for name, _, _ in GROUP_METRICS]
     specs.append(("corpus.generate.self_s", "s"))
@@ -119,25 +119,45 @@ def per_layer_specs():
     return specs
 
 
-def import_library():
-    """Import hdflow from this checkout's src, never from elsewhere; return
-    the import time."""
+def _fresh_import():
+    """Import the benchmark's workloads, and through them every hdflow
+    layer, as if for the first time; return (start, seconds taken)."""
+    for name in list(sys.modules):
+        if name in ("hdflow", "workloads", "oracles") or name.startswith("hdflow."):
+            del sys.modules[name]
+    t0 = time.perf_counter()
+    import workloads  # noqa: F401
+
+    return t0, time.perf_counter() - t0
+
+
+def import_library(gauge):
+    """Import hdflow from this checkout's src, never from elsewhere,
+    SETUP_REPEATS times afresh; return each import's (start, seconds).
+    The last import is the one the run uses."""
     if not (SRC / "hdflow" / "__init__.py").is_file():
         sys.exit("bench: no hdflow package under %s; run from a source checkout" % SRC)
     sys.path.insert(0, str(SRC))
-    t0 = time.perf_counter()
-    import workloads  # noqa: F401  (imports every hdflow layer)
+    gauge.sample(NEIGHBOURS)
+    times = []
+    for _ in range(SETUP_REPEATS):
+        times.append(_fresh_import())
+        gauge.sample(SETUP_SAMPLES)
     import hdflow
 
-    elapsed = time.perf_counter() - t0
     if Path(hdflow.__file__).resolve().parent != (SRC / "hdflow").resolve():
         sys.exit("bench: hdflow was imported from %s, not from %s" % (hdflow.__file__, SRC))
-    return elapsed
+    return times
+
+
+def scaled(gauge, timed):
+    """Scale (start, seconds) pairs to the gauge's reference speed."""
+    return [seconds * gauge.factors(t0)[0] for t0, seconds in timed]
 
 
 class Failure(Exception):
-    """A seeded operation exhausted the search budget, or the failing
-    operations changed between rounds."""
+    """The operations that exhausted the search budget changed between
+    rounds."""
 
 
 class RunState:
@@ -152,18 +172,19 @@ class RunState:
         self.failed = 0
 
 
-def run_rounds(ops, seconds, state, tracer=None, min_ops=0):
+def run_rounds(ops, seconds, state, tracer=None, min_ops=0, gauge=None):
     """Repeat whole rounds until `seconds` have passed and `min_ops`
     operations have completed; at least one round.
     Returns per-round wall and CPU times (sums over the round's timed
-    operations) and the latencies of completed operations."""
+    operations) and the latencies of completed operations, scaled to the
+    gauge's reference speed when a gauge is given (raw otherwise)."""
     from hdflow.errors import SearchBudgetExceeded
 
     clock, cpu = time.perf_counter, time.process_time
-    walls, cpus, latencies = [], [], []
+    records = []  # (round, start, wall, cpu, completed)
+    rounds = done = 0
     start = clock()
     while True:
-        round_wall = round_cpu = 0.0
         failing = set()
         for op in ops:
             arg = op.fresh_input()
@@ -178,34 +199,43 @@ def run_rounds(ops, seconds, state, tracer=None, min_ops=0):
             t1, c1 = clock(), cpu()
             if tracer is not None:
                 tracer.paused[0] = True
-            round_wall += t1 - t0
-            round_cpu += c1 - c0
+            records.append((rounds, t0, t1 - t0, c1 - c0, err is None))
             state.attempted += 1
             if err is not None:
-                if not op.may_fail:
-                    raise Failure("%s: seeded input exhausted the search budget: %s"
-                                  % (op.name, err))
                 state.failed += 1
                 failing.add(op.name)
                 state.failure_classes[op.name] = type(err).__name__
-                continue
-            latencies.append(t1 - t0)
-            op.check(out, state.first_round)
+            else:
+                done += 1
+                op.check(out, state.first_round)
+            if gauge is not None:
+                gauge.maybe_sample()
         if state.failing is None:
             state.failing = failing
         elif failing != state.failing:
             raise Failure("budget failures changed between rounds: %s vs %s"
                           % (sorted(failing), sorted(state.failing)))
         state.first_round = False
-        walls.append(round_wall)
-        cpus.append(round_cpu)
-        if clock() - start >= seconds and len(latencies) >= min_ops:
-            return walls, cpus, latencies
+        rounds += 1
+        if clock() - start >= seconds and done >= min_ops:
+            break
+    if gauge is not None:
+        gauge.sample()
+    walls, cpus, latencies = [0.0] * rounds, [0.0] * rounds, []
+    for k, t0, wall, cpu_time, completed in records:
+        fw, fc = gauge.factors(t0) if gauge is not None else (1.0, 1.0)
+        walls[k] += wall * fw
+        cpus[k] += cpu_time * fc
+        if completed:
+            latencies.append(wall * fw)
+    return walls, cpus, latencies
 
 
-def set_up(setup, seed):
+def set_up(setup, seed, gauge):
     """Generate the inputs and warm up on the first op of every kind; done
-    SETUP_REPEATS times, the last inputs are kept."""
+    SETUP_REPEATS times, the last inputs are kept.  Returns the ops and
+    each repetition's (start, seconds).  A budget failure in the warm-up
+    is left to the timed rounds, which count it."""
     from hdflow.errors import SearchBudgetExceeded
 
     times = []
@@ -219,16 +249,16 @@ def set_up(setup, seed):
                 try:
                     op.check(op.fn(op.fresh_input()), True)
                 except SearchBudgetExceeded:
-                    if not op.may_fail:
-                        raise
-        times.append(time.perf_counter() - t0)
+                    pass
+        times.append((t0, time.perf_counter() - t0))
+        gauge.sample(SETUP_SAMPLES)
     return ops, times
 
 
-def end_to_end(import_s, setup_times, walls, cpus, latencies):
+def end_to_end(import_times, setup_times, walls, cpus, latencies):
     p90 = statistics.quantiles(latencies, n=10)[8]
     return {
-        "setup_s": import_s + statistics.median(setup_times),
+        "setup_s": statistics.median(import_times) + statistics.median(setup_times),
         "wall_s": statistics.median(walls),
         "cpu_s": statistics.median(cpus),
         "op_ms_p50": 1000.0 * statistics.median(latencies),
@@ -241,7 +271,7 @@ def per_layer(setup_summary, traced_summary, rounds, untraced_walls, traced_wall
     s_names, s_layers, _ = setup_summary
     names, layers, counts = traced_summary
     out = {}
-    for layer in LAYER_NAMES:
+    for layer in LAYERS:
         if layer == "corpus":
             busy, own = s_layers[layer]
             busy, own = busy / SETUP_REPEATS, own / SETUP_REPEATS
@@ -274,7 +304,8 @@ def main(argv=None):
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
-    import_s = import_library()
+    gauge = Gauge()
+    import_times = import_library(gauge)
     from oracles import OracleMismatch
     from workloads import WORKLOADS
 
@@ -284,16 +315,18 @@ def main(argv=None):
     state = RunState()
     try:
         if not args.trace:
-            ops, setup_times = set_up(setup, args.seed)
-            walls, cpus, latencies = run_rounds(ops, args.seconds, state, min_ops=MIN_OPS)
-            metrics = end_to_end(import_s, setup_times, walls, cpus, latencies)
+            ops, setup_times = set_up(setup, args.seed, gauge)
+            walls, cpus, latencies = run_rounds(ops, args.seconds, state, min_ops=MIN_OPS,
+                                                gauge=gauge)
+            metrics = end_to_end(scaled(gauge, import_times), scaled(gauge, setup_times),
+                                 walls, cpus, latencies)
             units = dict(END_TO_END)
         else:
             from tracing import Tracer
 
             tracer = Tracer()
             tracer.install()
-            ops, _ = set_up(setup, args.seed)
+            ops, _ = set_up(setup, args.seed, gauge)
             setup_summary = tracer.summary()
             tracer.clear()
             tracer.uninstall()
@@ -311,9 +344,10 @@ def main(argv=None):
         sys.exit("bench: %s: check failed: %s" % (args.workload, exc))
 
     classes = sorted(set(state.failure_classes.values()))
-    print("bench: %s seed %d: %d attempted, %d failed %s %s"
+    print("bench: %s seed %d: %d attempted, %d failed %s %s; gauge kernel median %.3f ms"
           % (args.workload, args.seed, state.attempted, state.failed, classes,
-             sorted(state.failing or ())), file=sys.stderr)
+             sorted(state.failing or ()), 1000 * statistics.median(gauge.walls)),
+          file=sys.stderr)
     result = {
         "correct": True,
         "attempted": state.attempted,

@@ -1,6 +1,6 @@
 """The benchmark's own tests: a short run of every workload.
 
-    python3 bench/smoke.py [--seconds 0.5] [--seed 1] [--held-out-seed 4242]
+    python3 bench/smoke.py
 
 For each workload this checks that
   * the output has exactly the keys correct, attempted, failed, metrics, and
@@ -14,7 +14,6 @@ For each workload this checks that
 Exits nonzero, naming what broke, when any of these fails.
 """
 
-import argparse
 import json
 import subprocess
 import sys
@@ -23,6 +22,10 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+SECONDS = 0.5
+SEED = 1
+HELD_OUT_SEED = 4242
 
 
 def run(workload, seed, seconds, trace):
@@ -63,17 +66,12 @@ def deterministic(result):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seconds", type=float, default=0.5)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--held-out-seed", type=int, default=4242)
-    args = ap.parse_args()
     problems = []
     for workload in [w["name"] for w in SPEC["workloads"]]:
         try:
-            plain = run(workload, args.seed, args.seconds, 0)
+            plain = run(workload, SEED, SECONDS, 0)
             check_format(plain, SPEC["end_to_end"], workload)
-            traced = [run(workload, args.seed, args.seconds, 1) for _ in range(2)]
+            traced = [run(workload, SEED, SECONDS, 1) for _ in range(2)]
             for t in traced:
                 check_format(t, SPEC["per_layer"], workload + " traced")
             a, b = (deterministic(t) for t in traced)
@@ -81,7 +79,7 @@ def main():
             assert not diff, "%s: counts differ between traced runs: %s" % (workload, diff)
             shares = {r["failed"] / r["attempted"] for r in [plain] + traced}
             assert len(shares) == 1, "%s: failed share differs: %s" % (workload, shares)
-            other = run(workload, args.held_out_seed, args.seconds, 0)
+            other = run(workload, HELD_OUT_SEED, SECONDS, 0)
             check_format(other, SPEC["end_to_end"], workload + " held-out seed")
             print("ok   %-14s attempted %d failed %d" % (workload, plain["attempted"],
                                                         plain["failed"]))
