@@ -10,8 +10,8 @@ The inputs were chosen so the pinned bytes depend on solver details:
   * the p = 3 flow-step tuple has a grading comparison psi whose particular
     solution differs between the valuation-pivot Z/p^m solver and plain
     Gauss-Jordan elimination;
-  * the pack/unpack round trip reads eigenspaces and period maps off
-    reduced-echelon kernel bases over F_{p^2}.
+  * the graded isomorphisms and the Birkhoff factors are read off
+    reduced-echelon kernel bases, so they pin which basis comes back.
 """
 
 import hashlib
@@ -24,8 +24,13 @@ from hdflow.corpus import CorpusParams, generate
 from hdflow.bundles import Bundle
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.flow import PeriodicTuple, pack_endostructure, unpack_endostructure
-from hdflow.graded import GradedHiggsBundle, GradedMap, HodgeFiltration
-from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
+from hdflow.graded import (
+    GradedHiggsBundle,
+    GradedMap,
+    HodgeFiltration,
+    graded_higgs_isomorphic,
+)
+from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod, birkhoff_factorize
 from hdflow.serialize import (
     canonical_bytes,
     graded_to_json,
@@ -208,13 +213,45 @@ def _transport_bytes():
     return canonical_bytes(matrix_to_json(U))
 
 
+def _kernel_basis_bytes():
+    """Graded isomorphisms (a one-dimensional intertwiner space on A^1, and
+    an empty system on a ragged window over P^1) and a Birkhoff
+    factorization that needs a left null vector."""
+    d = Zmod(5)
+    line = AffineLine(d)
+    pieces = (Bundle.free(line, 2), Bundle.free(line, 1))
+    A = GradedHiggsBundle(pieces, ((_mat(d, [[1], [{1: 1}]]),),))
+    B = GradedHiggsBundle(pieces, ((_mat(d, [[2], [{0: 1, 1: 1}]]),),))
+    proj = ProjectiveLine(d)
+    split = Bundle.sum_of_lines(proj, (1, -1))
+    frame = _mat(d, [[1, {1: 1}], [0, 1]])
+    moved = Bundle(proj, 2, split.transition.mul(frame.inverse()))
+    C = GradedHiggsBundle((split,), ())
+    D = GradedHiggsBundle((moved,), ())
+    fact = birkhoff_factorize(_mat(d, [[1, {-1: 1}], [{1: 1}, 2]]))
+    doc = {
+        "iso-a1": [
+            [matrix_to_json(M) for M in per]
+            for per in graded_higgs_isomorphic(A, B).blocks
+        ],
+        "iso-p1": [
+            [matrix_to_json(M) for M in per]
+            for per in graded_higgs_isomorphic(C, D).blocks
+        ],
+        "birkhoff": [matrix_to_json(fact.P), fact.exponents, matrix_to_json(fact.Q)],
+    }
+    return canonical_bytes(doc)
+
+
 LIBRARY_CASES = {
+    "kernel-bases": _kernel_basis_bytes,
     "pack-unpack-round-trip": _pack_round_trip_bytes,
     "equivalence-intertwiner": _equivalence_bytes,
     "horizontal-transport": _transport_bytes,
 }
 
 LIBRARY_DIGESTS = {
+    "kernel-bases": "24f529b68afc1968d4b6dcdffe7aa372b4af21c574cb76f654a73f838b121f72",
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
     "horizontal-transport": "5e4608b5b225b4ecd83aa37c5ee0996a09fed5910cb9978a3a3342d7718785cd",
