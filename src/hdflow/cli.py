@@ -153,7 +153,7 @@ def _guard(fn):
     def inner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (HdflowError, AssertionError) as err:
+        except HdflowError as err:
             _fail(
                 "invariant",
                 "%s: %s" % (type(err).__name__, err),
@@ -162,13 +162,6 @@ def _guard(fn):
             )
 
     return inner
-
-
-def _flatten_checks(entries):
-    out = []
-    for name, passed, counterexample in entries:
-        out.append((name, passed, counterexample))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +237,7 @@ def _flow_input(doc):
 
 def _trace_certificates(trace, rule):
     """Per-step invariant recomputation, independent of the flow engine's
-    own in-line assertions."""
+    own in-line certificates."""
     p = trace.stages[0].higgs.domain.p
     certs = []
     all_ok = True
@@ -715,7 +708,7 @@ def check(suite, seed, p_opt, modulus_power, budget, out_path):
     params = _base_params(
         p=p_opt, modulus_power=modulus_power, seed=seed, budget=budget_value
     )
-    _emit(doc, out_path, ["check"], None, params, _flatten_checks(entries))
+    _emit(doc, out_path, ["check"], None, params, entries)
     raise SystemExit(EXIT_OK if not failed else EXIT_INVARIANT)
 
 

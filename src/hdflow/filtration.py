@@ -21,6 +21,7 @@ from math import ceil, floor
 
 from .bundles import Subbundle, hn_filtration
 from .errors import (
+    CertificateFailed,
     IterationBudgetExceeded,
     NotNablaSemistable,
     SearchBudgetExceeded,
@@ -30,7 +31,6 @@ from .errors import (
 from .graded import (
     DeRhamBundle,
     HodgeFiltration,
-    _field_elements,
     grade,
     is_transversal,
     reduce_filtration,
@@ -69,7 +69,7 @@ class _Budget:
 
 def _projective_vectors(field, nslots):
     """Nonzero coefficient vectors with leading entry one, in a fixed order."""
-    els = _field_elements(field)
+    els = list(field.elements())
     for lead in range(nslots):
         free = nslots - lead - 1
         for tail in product(els, repeat=free):
@@ -335,8 +335,14 @@ def is_nabla_semistable(flat):
     if tp[0] == tp[-1]:
         return True, None
     W = hn_filtration(bundle)[0]
-    assert _nabla_invariant(flat, W)
-    assert W.slope() > Fraction(bundle.degree(), bundle.rank)
+    if not _nabla_invariant(flat, W):
+        raise CertificateFailed(
+            "top split summand is not connection-invariant", part="nabla-invariant"
+        )
+    if W.slope() <= Fraction(bundle.degree(), bundle.rank):
+        raise CertificateFailed(
+            "top split summand does not destabilize", part="destabilizing-slope"
+        )
     return False, W
 
 
@@ -348,7 +354,7 @@ def xi_step(derham, grading=None, report=None, budget=DEFAULT_SEARCH_BUDGET):
     """One descent step: push the maximal destabilizer of the grading into
     the filtration.  The new step i+1 is the preimage of I^i under
     Fil^i -> Gr^i, i.e. Fil^{i+1} plus a lift of I^i through the adapted
-    frame; the short exact sequence bookkeeping is asserted grade by
+    frame; the short exact sequence bookkeeping is certified grade by
     grade."""
     flat = derham.flat
     fil = derham.filtration
@@ -379,17 +385,29 @@ def xi_step(derham, grading=None, report=None, budget=DEFAULT_SEARCH_BUDGET):
         for extra in parts[1:]:
             cols = cols.hstack(extra)
         S = Subbundle.from_chart0_span(bundle, cols)
-        assert fil.step(i).contains(S)
-        if old is not None:
-            assert S.contains(old)
-        assert S.rank == fil.rank_at(idx) + i_rank(i)
+        if not fil.step(i).contains(S):
+            raise CertificateFailed(
+                "new step %d escapes Fil^%d" % (idx, i), part="step-nested"
+            )
+        if old is not None and not S.contains(old):
+            raise CertificateFailed(
+                "new step %d loses Fil^%d" % (idx, idx), part="step-contains-old"
+            )
+        if S.rank != fil.rank_at(idx) + i_rank(i):
+            raise CertificateFailed(
+                "new step %d has rank %d" % (idx, S.rank), part="step-rank"
+            )
         steps.append(S)
     new_fil = HodgeFiltration(bundle, steps)
     for i in range(n + 1):
         lhs = new_fil.rank_at(i) - new_fil.rank_at(i + 1)
         rhs = (fil.rank_at(i) - fil.rank_at(i + 1) - i_rank(i)) + i_rank(i - 1)
-        assert lhs == rhs
-    assert is_transversal(flat, new_fil)
+        if lhs != rhs:
+            raise CertificateFailed(
+                "grade %d has rank %d, expected %d" % (i, lhs, rhs), part="graded-rank"
+            )
+    if not is_transversal(flat, new_fil):
+        raise CertificateFailed("new filtration is not transversal", part="transversal")
     return new_fil
 
 
@@ -410,12 +428,15 @@ def check_window_descent(log):
     its start; windows cut short by termination count as descended."""
     for a, b in zip(log, log[1:]):
         if _lex_gt(b.key, a.key):
-            raise AssertionError("lexicographic increase across a step")
+            raise CertificateFailed(
+                "lexicographic increase across a step", part="step-descent"
+            )
     for i, rec in enumerate(log):
         j = i + max(rec.level, 1)
         if j < len(log) and not _lex_gt(rec.key, log[j].key):
-            raise AssertionError(
-                "no strict descent within a level-%d window" % rec.level
+            raise CertificateFailed(
+                "no strict descent within a level-%d window" % rec.level,
+                part="window-descent",
             )
 
 

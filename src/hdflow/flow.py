@@ -49,9 +49,9 @@ from .ringmath import (
     GF,
     LaurentPoly,
     RingMatrix,
-    field_nullspace,
+    field_solve,
+    poly_kernel,
     poly_solve,
-    smith_form_poly,
 )
 
 DEFAULT_ISO_BUDGET = 200000
@@ -131,7 +131,7 @@ def _adopt_filtration(flat, fil_spec):
 def flow_step(G, policy=None, atlas=None, step_index=0):
     """One step: transform, filter per policy, take the graded object.
 
-    Degree scaling by p is asserted on projective models."""
+    Degree scaling by p is certified on projective models."""
     if policy is None:
         policy = FlowPolicy()
     G.validate()
@@ -145,17 +145,20 @@ def flow_step(G, policy=None, atlas=None, step_index=0):
             )
         fil = _adopt_filtration(H, policy.filtrations[step_index])
     nxt = grade(H, fil).graded
-    if G.curve.is_projective:
-        assert nxt.degree() == G.domain.p * G.degree()
+    if G.curve.is_projective and nxt.degree() != G.domain.p * G.degree():
+        raise CertificateFailed(
+            "step %d sends degree %d to %d" % (step_index, G.degree(), nxt.degree()),
+            part="degree-scaling",
+        )
     return H, fil, nxt
 
 
 def run_flow(G0, policy=None, atlas=None):
     """Iterate flow_step for policy.max_steps steps, record every stage,
-    assert degree scaling throughout, and attach a periodicity report.
+    certify degree scaling throughout, and attach a periodicity report.
 
     Canonical-policy flows started at a semistable graded object keep
-    every later graded term semistable; this is asserted per stage."""
+    every later graded term semistable; this is certified per stage."""
     if policy is None:
         policy = FlowPolicy()
     track_semistable = policy.rule == "canonical" and is_higgs_semistable(G0)[0]
@@ -163,9 +166,11 @@ def run_flow(G0, policy=None, atlas=None):
     cur = G0
     for i in range(policy.max_steps):
         H, fil, nxt = flow_step(cur, policy, atlas, step_index=i)
-        if track_semistable:
-            ok, _ = is_higgs_semistable(nxt)
-            assert ok
+        if track_semistable and not is_higgs_semistable(nxt)[0]:
+            raise CertificateFailed(
+                "graded term %d of a semistable flow is unstable" % (i + 1),
+                part="semistable-flow",
+            )
         stages.append(FlowStage(cur, H, fil, cur.degree(), cur.slope()))
         cur = nxt
     stages.append(FlowStage(cur, None, None, cur.degree(), cur.slope()))
@@ -242,8 +247,11 @@ def detect_period(trace, f_search=1, budget=DEFAULT_ISO_BUDGET):
                 continue
             phi = graded_higgs_isomorphic(terms[e + f], terms[e], budget=budget)
             if phi is not None:
-                if terms[e].curve.is_projective:
-                    assert terms[e].degree() == 0
+                if terms[e].curve.is_projective and terms[e].degree() != 0:
+                    raise CertificateFailed(
+                        "periodic term of degree %d" % terms[e].degree(),
+                        part="period-degree",
+                    )
                 return PeriodReport(e, f, phi)
     return None
 
@@ -286,8 +294,11 @@ class PeriodicTuple:
         self.phi.validate(stages[-1], stages[0])
         if not self.phi.is_isomorphism():
             raise ValueError("the period map fails to be an isomorphism")
-        if self.higgs.curve.is_projective:
-            assert self.higgs.degree() == 0
+        if self.higgs.curve.is_projective and self.higgs.degree() != 0:
+            raise CertificateFailed(
+                "periodic tuple of degree %d" % self.higgs.degree(),
+                part="period-degree",
+            )
         self._stages = tuple(stages)
         self._flats = tuple(flats)
         self._fils = tuple(fils)
@@ -622,26 +633,12 @@ def _summand_embeddings(K, total_rank, piece_ranks):
 # endomorphism unpacking
 
 
-def _poly_kernel(M):
-    """Kernel columns of a polynomial matrix, or None when injective."""
-    sf = smith_form_poly(M)
-    size = min(M.nrows, M.ncols)
-    free = []
-    for i in range(M.ncols):
-        di = sf.D.rows[i][i] if i < size else None
-        if di is None or di.is_zero():
-            free.append(i)
-    if not free:
-        return None
-    return sf.Vinv.columns(free)
-
-
 def _span_intersection_coords(B1, B2):
     """Columns u with B2 u in span(B1), spanning the intersection in B2's
     coordinates; None when the intersection is zero."""
     combined = B1.hstack(B2.neg())
-    ker = _poly_kernel(combined)
-    if ker is None:
+    ker = poly_kernel(combined)
+    if ker.ncols == 0:
         return None
     u = ker.submatrix(
         range(B1.ncols, B1.ncols + B2.ncols), range(ker.ncols)
@@ -677,7 +674,7 @@ def _eigenspace_columns(K, M, lam):
         ]
         for i in range(n)
     ]
-    basis = field_nullspace(shifted, K, n)
+    basis = field_solve(shifted, [K.zero] * n, K, n).kernel
     if not basis:
         return None
     return RingMatrix(

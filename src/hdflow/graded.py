@@ -24,7 +24,8 @@ from .errors import SearchBudgetExceeded, TransversalityViolated
 from .ringmath import (
     LaurentPoly,
     RingMatrix,
-    field_nullspace,
+    WindowSystem,
+    field_solve,
     poly_solve,
     unimodular_completion,
 )
@@ -420,12 +421,6 @@ def _identity_graded_map(A):
     )
 
 
-def _field_elements(d):
-    if hasattr(d, "elements"):
-        return list(d.elements())
-    return [d.coerce(k) for k in range(d.p)]
-
-
 def graded_higgs_isomorphic(A, B, budget=200000):
     """Search for a grade-preserving isomorphism intertwining the maps.
 
@@ -469,80 +464,36 @@ def graded_higgs_isomorphic(A, B, budget=200000):
             for k in range(len(B.maps))
         ]
 
-    # unknown layout: per grade, per entry, per monomial exponent
-    slots = []
-    for i, tp in enumerate(types):
-        for r in range(len(tp)):
-            for cidx in range(len(tp)):
-                top = tp[r] - tp[cidx]
-                for e in range(top + 1):
-                    slots.append((i, r, cidx, e))
-    total = len(slots)
-    index = {key: k for k, key in enumerate(slots)}
-
-    def unknown_matrix(i, coeffs):
-        tp = types[i]
-        rows = [
-            [LaurentPoly.zero(d) for _ in range(len(tp))]
-            for _ in range(len(tp))
-        ]
-        for r in range(len(tp)):
-            for cidx in range(len(tp)):
-                poly = {}
-                for e in range(max(0, tp[r] - tp[cidx]) + 1):
-                    key = (i, r, cidx, e)
-                    if key in index:
-                        v = coeffs[index[key]]
-                        if v != d.zero:
-                            poly[e] = v
-                rows[r][cidx] = LaurentPoly(d, poly)
-        return RingMatrix(d, rows)
+    # unknowns: per grade, per split-frame entry, the monomials up to the
+    # splitting gap
+    system = WindowSystem(
+        d,
+        [[[range(a - b + 1) for b in tp] for a in tp] for tp in types],
+    )
 
     # linear equations: phi^{k} theta_A^{k+1} = theta_B^{k+1} phi^{k+1},
     # expanded entrywise per monomial
-    equations = []
     for k in range(len(maps_A)):
         tgt_tp, src_tp = types[k], types[k + 1]
         for r in range(len(tgt_tp)):
             for cidx in range(len(src_tp)):
-                per_exp = {}
-
-                def add_term(exp, slot, value, per_exp=per_exp):
-                    if slot < 0 or value == d.zero:
-                        return
-                    row = per_exp.setdefault(exp, {})
-                    row[slot] = d.add(row.get(slot, d.zero), value)
-
                 for m in range(len(tgt_tp)):
-                    theta_entry = maps_A[k].entry(m, cidx)
-                    for te, tv in theta_entry.coeffs.items():
-                        for e in range(max(0, tgt_tp[r] - tgt_tp[m]) + 1):
-                            key = (k, r, m, e)
-                            if key in index:
-                                add_term(te + e, index[key], tv)
+                    for te, tv in maps_A[k].entry(m, cidx).coeffs.items():
+                        for e in system.windows[k][r][m]:
+                            system.add((k, r, cidx, te + e), (k, r, m, e), tv)
                 for m in range(len(src_tp)):
-                    theta_entry = maps_B[k].entry(r, m)
-                    for te, tv in theta_entry.coeffs.items():
-                        for e in range(max(0, src_tp[m] - src_tp[cidx]) + 1):
-                            key = (k + 1, m, cidx, e)
-                            if key in index:
-                                add_term(te + e, index[key], d.neg(tv))
-                equations.extend(per_exp.values())
-
-    rows = []
-    for eq in equations:
-        rows.append([eq.get(j, d.zero) for j in range(total)])
-    if rows:
-        kernel = field_nullspace(rows, d, total)
-    else:
-        kernel = [
-            [d.one if i == j else d.zero for j in range(total)]
-            for i in range(total)
-        ]
+                    for te, tv in maps_B[k].entry(r, m).coeffs.items():
+                        for e in system.windows[k + 1][m][cidx]:
+                            system.add(
+                                (k, r, cidx, te + e), (k + 1, m, cidx, e), d.neg(tv)
+                            )
+    rows, rhs = system.rows_and_rhs()
+    kernel = field_solve(rows, rhs, d, system.ncols).kernel
     if not kernel:
         return None
 
-    elements = _field_elements(d)
+    elements = list(d.elements())
+    total = system.ncols
     dim = len(kernel)
     tried = 0
     combo = [0] * dim
@@ -564,7 +515,7 @@ def graded_higgs_isomorphic(A, B, budget=200000):
                     coeffs[t_idx], d.mul(v, kernel[j][t_idx])
                 )
         if nonzero:
-            mats = [unknown_matrix(i, coeffs) for i in range(len(types))]
+            mats = system.matrices(coeffs)
             if all(
                 M.nrows == 0
                 or (M.det().degree() == 0 and M.det().is_unit())

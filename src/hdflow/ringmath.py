@@ -104,6 +104,10 @@ class Zmod:
     def serialize(self, a):
         return a % self.modulus
 
+    def elements(self):
+        """Residues 0..modulus-1 in increasing order."""
+        return iter(range(self.modulus))
+
 
 def _list_poly_mulmod(a, b, p, modulus):
     """Multiply in F_p[x]/(x^f + modulus(x)), dense coefficient tuples."""
@@ -300,10 +304,11 @@ class GF:
             powers.append(self.mul(powers[-1], a))
         for d in range(1, self.f + 1):
             rows = [[powers[i][coord] for i in range(d)] for coord in range(self.f)]
-            rhs = [(-powers[d][coord]) % self.p for coord in range(self.f)]
-            sol = _fp_solve(rows, rhs, self.p)
-            if sol is not None:
-                return tuple(sol)
+            rhs = [-powers[d][coord] for coord in range(self.f)]
+            try:
+                return tuple(field_solve(rows, rhs, Zmod(self.p), d).particular)
+            except NoSolution:
+                continue
         raise RuntimeError("minimal polynomial search failed (impossible)")
 
     def is_field_generator(self, a):
@@ -311,37 +316,6 @@ class GF:
 
     def serialize(self, a):
         return list(a)
-
-
-def _fp_solve(rows, rhs, p):
-    """One particular solution of a dense F_p system, or None."""
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    aug = [[rows[i][j] % p for j in range(m)] + [rhs[i] % p] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][m] % p:
-            return None
-    sol = [0] * m
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][m]
-    return sol
 
 
 def gf_conjugate(field, a, j):
@@ -1065,6 +1039,84 @@ class LinearSolution:
         self.kernel = kernel
 
 
+class WindowSystem:
+    """Linear equations whose unknowns are the coefficients of a list of
+    Laurent matrices on monomial windows.
+
+    windows[b][i][j] lists the exponents entry (i, j) of matrix b may carry;
+    unknown (b, i, j, e) is the coefficient of t^e there, and unknowns are
+    numbered block by block, row-major, exponents in window order.
+    Equations are named by sortable keys; coefficients accumulate in the
+    domain and dense rows come out in sorted key order.
+    """
+
+    def __init__(self, domain, windows):
+        self.domain = domain
+        self.windows = windows
+        self.index = {}
+        for b, block in enumerate(windows):
+            for i, row in enumerate(block):
+                for j, exps in enumerate(row):
+                    for e in exps:
+                        self.index[(b, i, j, e)] = len(self.index)
+        self.coeffs = {}
+        self.constants = {}
+
+    @classmethod
+    def square(cls, domain, sizes, exps):
+        """Square blocks of the given sizes, every entry on one window."""
+        return cls(domain, [[[exps] * n for _ in range(n)] for n in sizes])
+
+    @property
+    def ncols(self):
+        return len(self.index)
+
+    def add(self, eq, unknown, coef):
+        """Add coef times unknown (b, i, j, e) to the left side of eq."""
+        d = self.domain
+        coef = d.coerce(coef)
+        if coef == d.zero:
+            return
+        row = self.coeffs.setdefault(eq, {})
+        col = self.index[unknown]
+        row[col] = d.add(row.get(col, d.zero), coef)
+
+    def add_rhs(self, eq, value):
+        """Add value to the right side of eq."""
+        d = self.domain
+        self.constants[eq] = d.add(self.constants.get(eq, d.zero), d.coerce(value))
+
+    def rows_and_rhs(self):
+        """Dense rows and right-hand side, equations in sorted key order."""
+        zero = self.domain.zero
+        cols = range(self.ncols)
+        keys = sorted(set(self.coeffs) | set(self.constants))
+        rows = []
+        for key in keys:
+            row = self.coeffs.get(key, {})
+            rows.append([row.get(k, zero) for k in cols])
+        return rows, [self.constants.get(key, zero) for key in keys]
+
+    def matrices(self, vec):
+        """The unknown matrices with the coefficients of a solution vector."""
+        d = self.domain
+        out = []
+        for b, block in enumerate(self.windows):
+            out.append(
+                RingMatrix(
+                    d,
+                    [
+                        [
+                            LaurentPoly(d, {e: vec[self.index[(b, i, j, e)]] for e in exps})
+                            for j, exps in enumerate(row)
+                        ]
+                        for i, row in enumerate(block)
+                    ],
+                )
+            )
+        return out
+
+
 def solve_linear_mod(A, b, ring):
     """Solve A x = b over Z/p^m via diagonalization with valuation pivots.
 
@@ -1170,15 +1222,24 @@ def solve_linear_mod(A, b, ring):
     return LinearSolution(particular, kernel)
 
 
-def field_solve(rows, rhs, field):
-    """Particular solution of a dense system over a field domain; None if
-    unsolvable.  rows: list of lists of field elements; rhs: list."""
+def field_solve(rows, rhs, field, ncols):
+    """Solve a dense system over a field domain by Gauss-Jordan elimination.
+
+    rows: list of ncols-long lists of field elements; rhs: list.  Returns a
+    LinearSolution read off the reduced row echelon form, so both parts are
+    canonical: the particular solution is zero on the free columns, and
+    kernel vector k is one on the k-th free column and zero on the others.
+    Raises NoSolution when the system is inconsistent.
+    """
     n = len(rows)
-    m = len(rows[0]) if n else 0
-    aug = [[field.coerce(x) for x in rows[i]] + [field.coerce(rhs[i])] for i in range(n)]
+    aug = [
+        [field.coerce(x) for x in rows[i]] + [field.coerce(rhs[i])] for i in range(n)
+    ]
     pivots = []
     r = 0
-    for c in range(m):
+    for c in range(ncols):
+        if r == n:
+            break
         pr = next((i for i in range(r, n) if field.is_unit(aug[i][c])), None)
         if pr is None:
             continue
@@ -1191,48 +1252,19 @@ def field_solve(rows, rhs, field):
                 aug[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
         r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if field.is_unit(aug[i][m]):
-            return None
-    sol = [field.zero] * m
+    if any(field.is_unit(aug[i][ncols]) for i in range(r, n)):
+        raise NoSolution("no solution: inconsistent zero row")
+    particular = [field.zero] * ncols
     for i, c in enumerate(pivots):
-        sol[c] = aug[i][m]
-    return sol
-
-
-def field_nullspace(rows, field, ncols):
-    """Kernel basis of a dense matrix over a field domain."""
-    n = len(rows)
-    m = ncols
-    mat = [[field.coerce(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if field.is_unit(mat[i][c])), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(x, inv) for x in mat[r]]
-        for i in range(n):
-            if i != r and field.is_unit(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * m
+        particular[c] = aug[i][ncols]
+    kernel = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        v = [field.zero] * ncols
         v[fc] = field.one
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(mat[i][fc])
-        basis.append(v)
-    return basis
+            v[pc] = field.neg(aug[i][fc])
+        kernel.append(v)
+    return LinearSolution(particular, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -1304,9 +1336,9 @@ def birkhoff_factorize(G):
             for i in range(n)
         ]
         # left null vector: nullspace of the transpose
-        null = field_nullspace(
-            [[const_rows[i][j] for i in range(n)] for j in range(n)], d, n
-        )
+        null = field_solve(
+            [[const_rows[i][j] for i in range(n)] for j in range(n)], [d.zero] * n, d, n
+        ).kernel
         if not null:
             break
         c = null[0]

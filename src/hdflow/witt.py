@@ -34,7 +34,13 @@ from .errors import (
     TruncationBoundExceeded,
     WrongModulus,
 )
-from .ringmath import LaurentPoly, RingMatrix, Zmod, solve_linear_mod
+from .ringmath import (
+    LaurentPoly,
+    RingMatrix,
+    WindowSystem,
+    Zmod,
+    solve_linear_mod,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -566,45 +572,18 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None, budget=4000):
         lo, hi = _monomial_span([Ba, Bb], 1)
         min_exp = lo if min_exp is None else min_exp
         max_exp = hi + 1 if max_exp is None else max_exp
-    exps = list(range(min_exp, max_exp + 1))
-    unknowns = [(i, j, e) for i in range(rank) for j in range(rank) for e in exps]
-    index = {u: k for k, u in enumerate(unknowns)}
+    system = WindowSystem.square(ring, [rank], range(min_exp, max_exp + 1))
     p = ring.p
-
-    eq_rows = {}
-
-    def add(pos, exp, col, coef):
-        if coef % ring.modulus == 0:
-            return
-        key = (pos, exp)
-        row = eq_rows.setdefault(key, {})
-        row[col] = (row.get(col, 0) + coef) % ring.modulus
-
-    for (i, j, e), k in index.items():
-        add((i, j), e - 1, k, p * e)
+    for u in system.index:
+        _, i, j, e = u
+        system.add(((i, j), e - 1), u, p * e)
         for r in range(rank):
             for exp_b, cb in Ba.rows[r][i].coeffs.items():
-                add((r, j), e + exp_b, k, cb)
+                system.add(((r, j), e + exp_b), u, cb)
             for exp_b, cb in Bb.rows[j][r].coeffs.items():
-                add((i, r), e + exp_b, k, -cb)
-    keys = sorted(eq_rows.keys())
-    A_rows = [
-        [eq_rows[key].get(k, 0) for k in range(len(unknowns))] for key in keys
-    ]
-    b = [0] * len(keys)
-    sol = solve_linear_mod(A_rows, b, ring)
-
-    def build(vec):
-        rows = [
-            [LaurentPoly.zero(ring) for _ in range(rank)] for _ in range(rank)
-        ]
-        for (i, j, e), k in index.items():
-            c = vec[k] % ring.modulus
-            if c:
-                rows[i][j] = rows[i][j].add(
-                    LaurentPoly.monomial(ring, ring.coerce(c), e)
-                )
-        return RingMatrix(ring, rows)
+                system.add(((i, r), e + exp_b), u, -cb)
+    rows, rhs = system.rows_and_rhs()
+    sol = solve_linear_mod(rows, rhs, ring)
 
     def verify(L):
         defect = (
@@ -618,7 +597,7 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None, budget=4000):
         tried += 1
         if tried > budget:
             break
-        L = build(vec)
+        L = system.matrices(vec)[0]
         if verify(L):
             return L
     # invertibility is a dense condition on the solution lattice, so random
@@ -626,13 +605,13 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None, budget=4000):
     rng = random.Random(0)
     while tried < budget and gens:
         tried += 1
-        vec = [0] * len(unknowns)
+        vec = [0] * system.ncols
         for g in gens:
             c = rng.randrange(p)
             if c:
                 for k, x in enumerate(g):
                     vec[k] = (vec[k] + c * x) % ring.modulus
-        L = build(vec)
+        L = system.matrices(vec)[0]
         if verify(L):
             return L
     raise NoSolution("no invertible intertwiner on the given monomial window")
@@ -1166,71 +1145,39 @@ def _solve_grading_comparison(tup, theta_next, base_blocks, window, certificates
                         return None, False
     certificates["psi_residual"] = True
     lo, hi = window
-    exps = list(range(lo, hi + 1))
-    unknowns = []
-    for g, r in enumerate(ranks):
-        for i in range(r):
-            for j in range(r):
-                for e in exps:
-                    unknowns.append((g, i, j, e))
-    index = {u: k for k, u in enumerate(unknowns)}
-    tbar_next = [T.reduce_to(Zmod(p, 1)) for T in theta_next]
-    tbar = [T.reduce_to(Zmod(p, 1)) for T in tup.theta]
-    eq_rows = {}
-    rhs_map = {}
-
-    def add(eq, col, coef):
-        row = eq_rows.setdefault(eq, {})
-        row[col] = (row.get(col, 0) + coef) % field.modulus
-
-    for g in range(len(ranks) - 1):
-        D = defect[g]
+    system = WindowSystem.square(field, ranks, range(lo, hi + 1))
+    tbar_next = [T.reduce_to(field) for T in theta_next]
+    tbar = [T.reduce_to(field) for T in tup.theta]
+    for g, D in enumerate(defect):
         for i in range(ranks[g]):
             for j in range(ranks[g + 1]):
                 for e, c in D.rows[i][j].coeffs.items():
-                    key = (g, i, j, e)
-                    rhs_map[key] = (rhs_map.get(key, 0) + c // (p ** (n - 1))) % p
-        for i in range(ranks[g]):
-            for s in range(ranks[g]):
-                for e in exps:
-                    k = index[(g, i, s, e)]
-                    for j in range(ranks[g + 1]):
-                        for eb, cb in tbar_next[g].rows[s][j].coeffs.items():
-                            add((g, i, j, e + eb), k, cb)
-        for s in range(ranks[g + 1]):
-            for j in range(ranks[g + 1]):
-                for e in exps:
-                    k = index[(g + 1, s, j, e)]
-                    for i in range(ranks[g]):
-                        for eb, cb in tbar[g].rows[i][s].coeffs.items():
-                            add((g, i, j, e + eb), k, -cb)
-    keys = sorted(set(eq_rows.keys()) | set(rhs_map.keys()))
-    if keys:
-        A_rows = [
-            [eq_rows.get(key, {}).get(k, 0) for k in range(len(unknowns))]
-            for key in keys
-        ]
-        b = [(-rhs_map.get(key, 0)) % p for key in keys]
+                    system.add_rhs((g, i, j, e), -(c // (p ** (n - 1))))
+    # equation (g, i, j, e): the t^e coefficient of the (i, j) entry of
+    # delta_g theta'_g - theta_g delta_{g+1}
+    for u in system.index:
+        g, i, j, e = u
+        if g + 1 < len(ranks):
+            for k in range(ranks[g + 1]):
+                for eb, cb in tbar_next[g].rows[j][k].coeffs.items():
+                    system.add((g, i, k, e + eb), u, cb)
+        if g > 0:
+            for k in range(ranks[g - 1]):
+                for eb, cb in tbar[g - 1].rows[k][i].coeffs.items():
+                    system.add((g - 1, k, j, e + eb), u, -cb)
+    rows, rhs = system.rows_and_rhs()
+    if rows:
         try:
-            sol = solve_linear_mod(A_rows, b, field)
+            vec = solve_linear_mod(rows, rhs, field).particular
         except NoSolution:
             return None, False
-        vec = sol.particular
     else:
-        vec = [0] * len(unknowns)
-    blocks = []
+        vec = [0] * system.ncols
     scale = ring.coerce(p ** (n - 1))
-    for g, r in enumerate(ranks):
-        delta = RingMatrix.zeros(ring, r, r)
-        for i in range(r):
-            for j in range(r):
-                poly = LaurentPoly.zero(ring)
-                for e in exps:
-                    c = vec[index[(g, i, j, e)]] % p
-                    if c:
-                        poly = poly.add(LaurentPoly.monomial(ring, ring.coerce(c), e))
-                delta.rows[i][j] = poly
-        blocks.append(psi0[g].add(delta.scale_const(scale)))
+    blocks = [
+        P.add(delta.lift_to(ring).scale_const(scale))
+        for P, delta in zip(psi0, system.matrices(vec))
+    ]
     for g in range(len(ranks) - 1):
         if not blocks[g].mul(theta_next[g]).sub(tup.theta[g].mul(blocks[g + 1])).is_zero():
             return None, False
@@ -1304,58 +1251,38 @@ def horizontal_transport(flat, cols_a, cols_b, window=(-1, 2)):
     rank = flat.bundle.rank
     Abar = flat.A[0].reduce_to(field)
     lo, hi = window
-    exps = list(range(lo, hi + 1))
-    unknowns = [(i, j, e) for i in range(rank) for j in range(rank) for e in exps]
-    index = {u: k for k, u in enumerate(unknowns)}
-    eq_rows = {}
-    rhs_map = {}
-
-    def add(eq, col, coef):
-        row = eq_rows.setdefault(eq, {})
-        row[col] = (row.get(col, 0) + coef) % p
-
+    system = WindowSystem.square(field, [rank], range(lo, hi + 1))
     # horizontality: dS + Abar S - S Abar = 0 over the residue field
-    for (i, j, e), k in index.items():
-        add(("h", i, j, e - 1), k, e % p)
+    for u in system.index:
+        _, i, j, e = u
+        system.add(("h", i, j, e - 1), u, e)
         for r in range(rank):
             for eb, cb in Abar.rows[r][i].coeffs.items():
-                add(("h", r, j, e + eb), k, cb)
+                system.add(("h", r, j, e + eb), u, cb)
             for eb, cb in Abar.rows[j][r].coeffs.items():
-                add(("h", i, r, e + eb), k, -cb)
+                system.add(("h", i, r, e + eb), u, -cb)
     # transport: columns of a, plus p^(n-1) S a, must lie in the span of b;
     # the difference (a - b) is p^(n-1) times a residue matrix
     for ncol in range(cols_a.ncols):
         diff = cols_a.columns([ncol]).sub(cols_b.columns([ncol]))
-        red = {}
         for i in range(rank):
             for e, c in diff.rows[i][0].coeffs.items():
                 if c % (p ** (n - 1)):
                     return None
-                red[(i, e)] = (c // (p ** (n - 1))) % p
+                system.add_rhs(("t", ncol, i, e), -(c // (p ** (n - 1))))
         abar_col = cols_a.columns([ncol]).reduce_to(field)
-        for (i, j, e), k in index.items():
+        for u in system.index:
+            _, i, j, e = u
             for eb, cb in abar_col.rows[j][0].coeffs.items():
-                add(("t", ncol, i, e + eb), k, cb)
-        for (i, e), c in red.items():
-            key = ("t", ncol, i, e)
-            rhs_map[key] = (rhs_map.get(key, 0) + c) % p
-    keys = sorted(set(eq_rows.keys()) | set(rhs_map.keys()))
-    if not keys:
+                system.add(("t", ncol, i, e + eb), u, cb)
+    rows, rhs = system.rows_and_rhs()
+    if not rows:
         return None
-    A_rows = [
-        [eq_rows.get(key, {}).get(k, 0) for k in range(len(unknowns))]
-        for key in keys
-    ]
-    b = [(-rhs_map.get(key, 0)) % p for key in keys]
     try:
-        sol = solve_linear_mod(A_rows, b, field)
+        sol = solve_linear_mod(rows, rhs, field)
     except NoSolution:
         return None
-    S = RingMatrix.zeros(ring, rank, rank)
-    for (i, j, e), k in index.items():
-        c = sol.particular[k] % p
-        if c:
-            S.rows[i][j] = S.rows[i][j].add(LaurentPoly.monomial(ring, ring.coerce(c), e))
+    S = system.matrices(sol.particular)[0].lift_to(ring)
     U = RingMatrix.identity(ring, rank).add(
         S.scale_const(ring.coerce(p ** (n - 1)))
     )

@@ -16,6 +16,7 @@ from hdflow.bundles import (
 from hdflow.cartier import inverse_cartier_1
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import (
+    CertificateFailed,
     NotNablaSemistable,
     SearchBudgetExceeded,
     SemistableInput,
@@ -380,11 +381,11 @@ def test_window_descent_checks():
     mk = lambda mu, r, lvl: DescentRecord(Fraction(mu), r, lvl)
     check_window_descent([mk(3, 1, 1), mk(2, 1, 1), mk(1, 1, 1)])
     check_window_descent([mk(3, 2, 2), mk(3, 1, 2), mk(2, 2, 2)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateFailed):
         check_window_descent([mk(2, 1, 1), mk(3, 1, 1)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateFailed):
         check_window_descent([mk(2, 1, 1), mk(2, 1, 1)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateFailed):
         check_window_descent([mk(3, 2, 2), mk(3, 2, 2), mk(3, 2, 2)])
     # incomplete trailing window is not judged
     check_window_descent([mk(3, 2, 3), mk(3, 2, 3)])

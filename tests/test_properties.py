@@ -2,6 +2,8 @@
 substitution homomorphisms, unit inversion, and the linear solver, on
 randomized inputs drawn by hypothesis."""
 
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 from hdflow.ringmath import (
@@ -9,6 +11,7 @@ from hdflow.ringmath import (
     LaurentPoly,
     RingMatrix,
     Zmod,
+    field_solve,
     solve_linear_mod,
 )
 from hdflow.serialize import poly_from_json, poly_to_json
@@ -127,25 +130,52 @@ def test_matrix_multiplication_associates(ring, data):
     assert A.mul(B).mul(C) == A.mul(B.mul(C))
 
 
+# (solver, domain): the Z/p^m solver on every ring, Gauss-Jordan on fields
+SOLVER_CASES = [("mod", R) for R in RINGS] + [
+    ("field", Zmod(5)),
+    ("field", GF(3, 2)),
+]
+
+
+def _matvec(domain, A, x):
+    out = []
+    for row in A:
+        acc = domain.zero
+        for a, v in zip(row, x):
+            acc = domain.add(acc, domain.mul(a, v))
+        out.append(acc)
+    return out
+
+
 @settings(deadline=None, max_examples=60)
 @given(
-    st.sampled_from(RINGS),
+    st.sampled_from(SOLVER_CASES),
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=3),
     st.data(),
 )
-def test_linear_solver_output_verifies(ring, n, m, data):
-    mod = ring.modulus
-    cell = st.integers(min_value=0, max_value=mod - 1)
+def test_linear_solver_output_verifies(case, n, m, data):
+    kind, domain = case
+    elements = list(domain.elements())
+    cell = st.sampled_from(elements)
     A = [[data.draw(cell) for _ in range(m)] for _ in range(n)]
     x = [data.draw(cell) for _ in range(m)]
-    b = [sum(A[i][j] * x[j] for j in range(m)) % mod for i in range(n)]
-    sol = solve_linear_mod(A, b, ring)
-    got = [sum(A[i][j] * sol.particular[j] for j in range(m)) % mod for i in range(n)]
-    assert got == b
+    b = _matvec(domain, A, x)
+    if kind == "mod":
+        sol = solve_linear_mod(A, b, domain)
+    else:
+        sol = field_solve(A, b, domain, m)
+        # the homogeneous system has q^(ncols - rank) solutions, so the
+        # kernel basis must have ncols - rank vectors
+        homogeneous = sum(
+            1
+            for v in product(elements, repeat=m)
+            if _matvec(domain, A, v) == [domain.zero] * n
+        )
+        assert homogeneous == len(elements) ** len(sol.kernel)
+    assert _matvec(domain, A, sol.particular) == b
     for vec in sol.kernel:
-        image = [sum(A[i][j] * vec[j] for j in range(m)) % mod for i in range(n)]
-        assert image == [0] * n
+        assert _matvec(domain, A, vec) == [domain.zero] * n
 
 
 @settings(deadline=None)
