@@ -15,12 +15,13 @@ The inputs were chosen so the pinned bytes depend on solver details:
 """
 
 import hashlib
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from hdflow.cli import main
-from hdflow.corpus import CorpusParams, generate
+from hdflow.corpus import CorpusParams, generate, random_witt_tuple
 from hdflow.bundles import Bundle
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.flow import PeriodicTuple, pack_endostructure, unpack_endostructure
@@ -43,6 +44,9 @@ from hdflow.witt import (
     filtration_steps_from_flag,
     gn_construct,
     horizontal_transport,
+    local_filtered_lifting,
+    ptwist_matrix,
+    sharp_construct,
     w2_flow_step,
 )
 
@@ -243,7 +247,46 @@ def _kernel_basis_bytes():
     return canonical_bytes(doc)
 
 
+def _block_layout_bytes():
+    """Outputs assembled block by block from grade-block layouts: twisted
+    modules under a perturbed lifting and a frame change, the glued
+    transversal pieces, a p-twist, the total Higgs bundle of a graded P^1
+    instance, and a seeded lifting input."""
+    ring3, ring5 = Zmod(3, 2), Zmod(5, 2)
+    cases = [
+        gn_construct(
+            _tuple_p3(),
+            perturbation=_mat(ring3, [[1, {1: 2}, 0], [0, 2, 0], [{-1: 1}, 1, 2]]),
+            frame=_mat(ring3, [[1, 0, 0], [2, 1, 0], [1, {1: 4}, 1]]),
+        ),
+        gn_construct(
+            _tuple_p5(),
+            perturbation=_mat(ring5, [[2, 0, 0], [{1: 1}, 3, 0], [1, {2: 4}, 1]]),
+            frame=_mat(ring5, [[1, 0, 0], [{1: 3}, 1, 0], [2, 1, 1]]),
+        ),
+        sharp_construct(_tuple_p3()),
+        sharp_construct(_tuple_p5()),
+    ]
+    twisted = [[matrix_to_json(tw.lift), matrix_to_json(tw.module.matrix)] for tw in cases]
+    seeded = random_witt_tuple(random.Random(0), 5, 3, (1, 2, 1))
+    params = CorpusParams(p=5, rank=4, weight=2, count=2, seed=4)
+    totals = [G.total() for G in generate(params)]
+    doc = {
+        "twisted": twisted,
+        "ptwist": matrix_to_json(
+            ptwist_matrix(local_filtered_lifting(seeded), seeded.ranks)
+        ),
+        "totals": [
+            [[matrix_to_json(T) for T in H.theta], matrix_to_json(H.bundle.transition)]
+            for H in totals
+        ],
+        "witt-tuple": witt_tuple_to_json(seeded),
+    }
+    return canonical_bytes(doc)
+
+
 LIBRARY_CASES = {
+    "block-layout": _block_layout_bytes,
     "kernel-bases": _kernel_basis_bytes,
     "pack-unpack-round-trip": _pack_round_trip_bytes,
     "equivalence-intertwiner": _equivalence_bytes,
@@ -251,6 +294,7 @@ LIBRARY_CASES = {
 }
 
 LIBRARY_DIGESTS = {
+    "block-layout": "7420d281d84246bf321618d4a8e7e0740ae21049b5a41d285eb6c303fc4b0165",
     "kernel-bases": "24f529b68afc1968d4b6dcdffe7aa372b4af21c574cb76f654a73f838b121f72",
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
