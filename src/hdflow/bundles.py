@@ -95,6 +95,16 @@ def frobenius_pullback(obj):
     raise TypeError("no Frobenius pullback for %r" % (obj,))
 
 
+def chart1_map(M0, source, target):
+    """The chart-1 matrix forced by the chart-0 matrix M0 of a map from
+    source to target: ghat_target(s) M0(1/s) ghat_source(s)^-1.  A matrix
+    of 1-forms is this times the curve's jacobian factor."""
+    ghat_target = target.chart1_transition()
+    ghat_source = ghat_target if source is target else source.chart1_transition()
+    M1 = M0.substitute(LaurentPoly.var(source.domain, -1))
+    return ghat_target.mul(M1).mul(ghat_source.inverse())
+
+
 def change_frame_higgs(theta, Q, Qinv=None):
     """Q Theta Q^-1 for a frame change x' = Q x."""
     if Qinv is None:
@@ -201,12 +211,10 @@ class Bundle:
             raise ValueError("direct sum needs a shared curve")
         if not self.curve.is_projective:
             return Bundle(self.curve, self.rank + other.rank)
-        d = self.domain
-        top = self.transition.hstack(
-            RingMatrix.zeros(d, self.rank, other.rank)
+        g = RingMatrix.block_diagonal(
+            self.domain, [self.transition, other.transition]
         )
-        bot = RingMatrix.zeros(d, other.rank, self.rank).hstack(other.transition)
-        return Bundle(self.curve, self.rank + other.rank, top.vstack(bot))
+        return Bundle(self.curve, self.rank + other.rank, g)
 
     def twist(self, k):
         """Tensor with the degree-k line bundle."""
@@ -234,23 +242,22 @@ class SplitFrames:
         self.Phatinv = self.Phat.inverse()
         self.split_bundle = Bundle.sum_of_lines(bundle.curve, self.exponents)
 
-    def to_split_higgs(self, theta0, theta1):
-        """Transport chart Higgs matrices into the split frames."""
-        t0 = change_frame_higgs(theta0, self.Q, self.Qinv)
-        t1 = change_frame_higgs(theta1, self.Phatinv, self.Phat)
-        return t0, t1
-
-    def to_split_connection(self, a0, a1):
-        c0 = change_frame_connection(a0, self.Q, self.Qinv)
-        c1 = change_frame_connection(a1, self.Phatinv, self.Phat)
-        return c0, c1
-
     def from_split_chart0(self, columns):
         """Carry chart-0 column data from split coordinates back."""
         return self.Qinv.mul(columns)
 
     def from_split_chart1(self, columns):
         return self.Phat.mul(columns)
+
+
+def _higgs_chart1(bundle, theta0):
+    return chart1_map(theta0, bundle, bundle).scale(bundle.curve.jacobian_factor())
+
+
+def _connection_chart1(bundle, a0):
+    s_inv = LaurentPoly.var(bundle.domain, -1)
+    a0_hat = a0.substitute(s_inv).scale(bundle.curve.jacobian_factor())
+    return change_frame_connection(a0_hat, bundle.chart1_transition())
 
 
 class HiggsBundle:
@@ -271,11 +278,7 @@ class HiggsBundle:
         and must come out polynomial in s."""
         if not bundle.curve.is_projective:
             return cls(bundle, (theta0,))
-        d = bundle.domain
-        s_inv = LaurentPoly.var(d, -1)
-        ghat = bundle.chart1_transition()
-        jac = bundle.curve.jacobian_factor(d)
-        theta1 = ghat.mul(theta0.substitute(s_inv)).mul(ghat.inverse()).scale(jac)
+        theta1 = _higgs_chart1(bundle, theta0)
         if not theta1.is_polynomial():
             raise ValueError("Higgs matrix fails to extend over infinity")
         return cls(bundle, (theta0, theta1))
@@ -290,16 +293,7 @@ class HiggsBundle:
             if not T.is_polynomial():
                 raise ValueError("Higgs matrix has a pole")
         if self.bundle.curve.is_projective:
-            d = self.bundle.domain
-            s_inv = LaurentPoly.var(d, -1)
-            ghat = self.bundle.chart1_transition()
-            jac = self.bundle.curve.jacobian_factor(d)
-            want = (
-                ghat.mul(self.theta[0].substitute(s_inv))
-                .mul(ghat.inverse())
-                .scale(jac)
-            )
-            if want != self.theta[1]:
+            if _higgs_chart1(self.bundle, self.theta[0]) != self.theta[1]:
                 raise ValueError("Higgs matrices disagree on the overlap")
         return self
 
@@ -336,15 +330,7 @@ class FlatBundle:
     def from_chart0(cls, bundle, a0):
         if not bundle.curve.is_projective:
             return cls(bundle, (a0,))
-        d = bundle.domain
-        s_inv = LaurentPoly.var(d, -1)
-        ghat = bundle.chart1_transition()
-        ghat_inv = ghat.inverse()
-        jac = bundle.curve.jacobian_factor(d)
-        a1 = (
-            ghat.mul(a0.substitute(s_inv)).mul(ghat_inv).scale(jac)
-            .add(ghat.mul(ghat_inv.derivative()))
-        )
+        a1 = _connection_chart1(bundle, a0)
         if not a1.is_polynomial():
             raise ValueError("connection matrix fails to extend over infinity")
         return cls(bundle, (a0, a1))
@@ -354,16 +340,7 @@ class FlatBundle:
             if not M.is_polynomial():
                 raise ValueError("connection matrix has a pole")
         if self.bundle.curve.is_projective:
-            d = self.bundle.domain
-            s_inv = LaurentPoly.var(d, -1)
-            ghat = self.bundle.chart1_transition()
-            ghat_inv = ghat.inverse()
-            jac = self.bundle.curve.jacobian_factor(d)
-            want = (
-                ghat.mul(self.A[0].substitute(s_inv)).mul(ghat_inv).scale(jac)
-                .add(ghat.mul(ghat_inv.derivative()))
-            )
-            if want != self.A[1]:
+            if _connection_chart1(self.bundle, self.A[0]) != self.A[1]:
                 raise ValueError("connection matrices disagree on the overlap")
         return self
 
@@ -385,11 +362,7 @@ class BundleMap:
     def from_chart0(cls, source, target, phi0):
         if not source.curve.is_projective:
             return cls(source, target, (phi0,))
-        d = source.domain
-        s_inv = LaurentPoly.var(d, -1)
-        ghat_a = source.chart1_transition()
-        ghat_b = target.chart1_transition()
-        phi1 = ghat_b.mul(phi0.substitute(s_inv)).mul(ghat_a.inverse())
+        phi1 = chart1_map(phi0, source, target)
         if not phi1.is_polynomial():
             raise ValueError("map fails to extend over infinity")
         return cls(source, target, (phi0, phi1))
@@ -399,12 +372,7 @@ class BundleMap:
             if not M.is_polynomial():
                 raise ValueError("map matrix has a pole")
         if self.source.curve.is_projective:
-            d = self.source.domain
-            s_inv = LaurentPoly.var(d, -1)
-            ghat_a = self.source.chart1_transition()
-            ghat_b = self.target.chart1_transition()
-            want = ghat_b.mul(self.phi[0].substitute(s_inv)).mul(ghat_a.inverse())
-            if want != self.phi[1]:
+            if chart1_map(self.phi[0], self.source, self.target) != self.phi[1]:
                 raise ValueError("map matrices disagree on the overlap")
         return self
 

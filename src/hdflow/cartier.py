@@ -46,11 +46,6 @@ def check_nilpotency(higgs):
     return idx
 
 
-def frobenius_pullback_poly(f):
-    d = f.domain
-    return f.coeff_frobenius().substitute(LaurentPoly.var(d, d.p))
-
-
 def pullback_higgs_matrices(higgs):
     """Per-chart pullback of the Higgs matrices (no dF factor)."""
     return tuple(frobenius_pullback_matrix(T) for T in higgs.theta)

@@ -10,7 +10,7 @@ and every emitted instance passes its own validate().
 import random
 from dataclasses import dataclass
 
-from .bundles import Bundle, HiggsBundle
+from .bundles import Bundle, HiggsBundle, chart1_map
 from .curves import AffineLine, ProjectiveLine
 from .graded import GradedHiggsBundle
 from .ringmath import LaurentPoly, RingMatrix, Zmod
@@ -129,14 +129,7 @@ def _graded_instance(rng, params, ring, curve):
             rows.append(row)
         M0 = RingMatrix(ring, rows)
         if curve.is_projective:
-            s_inv = LaurentPoly.var(ring, -1)
-            M1 = (
-                pieces[k]
-                .chart1_transition()
-                .mul(M0.substitute(s_inv))
-                .mul(pieces[k + 1].chart1_transition().inverse())
-                .scale(curve.jacobian_factor(ring))
-            )
+            M1 = chart1_map(M0, pieces[k + 1], pieces[k]).scale(curve.jacobian_factor())
             maps.append((M0, M1))
         else:
             maps.append((M0,))
@@ -212,31 +205,21 @@ def random_witt_tuple(rng, p, n, ranks, deg=1):
         return LiftingInputTuple(ring, tuple(ranks), theta)
     down = Zmod(p, n - 1)
     psibar = tuple(_random_unimodular(rng, down, r) for r in ranks)
-    total = sum(ranks)
-    offs = []
-    run = 0
-    for r in ranks:
-        offs.append(run)
-        run += r
-    rows = [[LaurentPoly.zero(down) for _ in range(total)] for _ in range(total)]
-    for g in range(len(ranks) - 1):
-        blk = (
-            psibar[g]
-            .inverse()
-            .mul(theta[g].reduce_to(down))
-            .mul(psibar[g + 1])
-        )
-        for i in range(ranks[g]):
-            for j in range(ranks[g + 1]):
-                rows[offs[g] + i][offs[g + 1] + j] = blk.entry(i, j)
+    blocks = {
+        (g, g + 1): psibar[g].inverse().mul(theta[g].reduce_to(down)).mul(psibar[g + 1])
+        for g in range(len(ranks) - 1)
+    }
+    # draws in the order gc, then gr >= gc, then row, then column
     for gc in range(len(ranks)):
         for gr in range(gc, len(ranks)):
-            for i in range(ranks[gr]):
-                for j in range(ranks[gc]):
-                    rows[offs[gr] + i][offs[gc] + j] = random_poly(
-                        rng, down, deg
-                    )
-    abar = RingMatrix(down, rows)
+            blocks[(gr, gc)] = RingMatrix(
+                down,
+                [
+                    [random_poly(rng, down, deg) for _ in range(ranks[gc])]
+                    for _ in range(ranks[gr])
+                ],
+            )
+    abar = RingMatrix.from_blocks(down, ranks, ranks, blocks)
     return LiftingInputTuple(
         ring, tuple(ranks), theta, abar=abar, psibar=psibar
     )

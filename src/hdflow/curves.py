@@ -35,9 +35,6 @@ class ProjectiveLine:
     def __repr__(self):
         return "ProjectiveLine(%r)" % (self.domain,)
 
-    def with_domain(self, domain):
-        return ProjectiveLine(domain)
-
     def to_other_chart(self, poly):
         """Rewrite a Laurent polynomial in the other chart's coordinate
         (t -> 1/s; the change is an involution)."""
@@ -67,9 +64,6 @@ class AffineLine:
 
     def __repr__(self):
         return "AffineLine(%r)" % (self.domain,)
-
-    def with_domain(self, domain):
-        return AffineLine(domain)
 
 
 @dataclass(frozen=True)

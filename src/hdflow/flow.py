@@ -23,6 +23,7 @@ from .bundles import (
     Bundle,
     BundleMap,
     Subbundle,
+    chart1_map,
     frobenius_pullback_matrix,
 )
 from .cartier import inverse_cartier_1, inverse_cartier_1_on_map
@@ -40,7 +41,6 @@ from .graded import (
     GradedMap,
     HodgeFiltration,
     _identity_graded_map,
-    block_diag,
     grade,
     graded_higgs_isomorphic,
     reduce_filtration,
@@ -329,13 +329,11 @@ def compose_graded_maps(outer, inner):
 def total_map(phi, A, B):
     """The map of total Higgs bundles underlying a graded map, blocks laid
     out in grade order to match GradedHiggsBundle.total()."""
-    mats = []
-    for c in range(A.curve.ncharts):
-        M = None
-        for per in phi.blocks:
-            M = per[c] if M is None else block_diag(M, per[c])
-        mats.append(M)
-    return BundleMap(A.total().bundle, B.total().bundle, tuple(mats))
+    mats = tuple(
+        RingMatrix.block_diagonal(A.domain, [per[c] for per in phi.blocks])
+        for c in range(A.curve.ncharts)
+    )
+    return BundleMap(A.total().bundle, B.total().bundle, mats)
 
 
 def _transport_filtration(psi_graded, src_graded, tgt_graded, tgt_flat, fil):
@@ -457,14 +455,9 @@ def _frobenius_orbit(K, xi):
 def _scalar_block(K, scalars, ranks):
     """Block-diagonal constant matrix with scalars[i] on a rank-ranks[i]
     identity block."""
-    n = sum(ranks)
-    M = RingMatrix.zeros(K, n, n)
-    off = 0
-    for c, r in zip(scalars, ranks):
-        for k in range(r):
-            M.rows[off + k][off + k] = LaurentPoly.const(K, c)
-        off += r
-    return M
+    return RingMatrix.diagonal(
+        K, [LaurentPoly.const(K, c) for c, r in zip(scalars, ranks) for _ in range(r)]
+    )
 
 
 def direct_sum_graded(summands):
@@ -478,16 +471,15 @@ def direct_sum_graded(summands):
         for G in summands[1:]:
             P = P.direct_sum(G.pieces[j])
         pieces.append(P)
-    maps = []
-    for k in range(w):
-        per_chart = []
-        for c in range(summands[0].curve.ncharts):
-            M = None
-            for G in summands:
-                M = G.maps[k][c] if M is None else block_diag(M, G.maps[k][c])
-            per_chart.append(M)
-        maps.append(tuple(per_chart))
-    return GradedHiggsBundle(pieces, tuple(maps))
+    d = summands[0].domain
+    maps = tuple(
+        tuple(
+            RingMatrix.block_diagonal(d, [G.maps[k][c] for G in summands])
+            for c in range(summands[0].curve.ncharts)
+        )
+        for k in range(w)
+    )
+    return GradedHiggsBundle(pieces, maps)
 
 
 def pack_endostructure(T, xi, field=None, budget=DEFAULT_ISO_BUDGET):
@@ -531,25 +523,17 @@ def pack_endostructure(T, xi, field=None, budget=DEFAULT_ISO_BUDGET):
     rot_src = direct_sum_graded(stages[1 : f + 1])
     rot_blocks = []
     for j in range(w + 1):
-        per_chart = []
-        for c in range(ncharts):
-            nrows = big.pieces[j].rank
-            ncols = rot_src.pieces[j].rank
-            M = RingMatrix.zeros(K, nrows, ncols)
-            row_offs = [sum(piece_ranks[i][j] for i in range(i0)) for i0 in range(f)]
-            src_ranks = [stages[i + 1].pieces[j].rank for i in range(f)]
-            col_offs = [sum(src_ranks[:i0]) for i0 in range(f)]
-            for i in range(f - 1):
-                for k in range(src_ranks[i]):
-                    M.rows[row_offs[i + 1] + k][col_offs[i] + k] = (
-                        LaurentPoly.one(K)
-                    )
-            blk = phi_K.blocks[j][c]
-            for a in range(blk.nrows):
-                for b in range(blk.ncols):
-                    M.rows[row_offs[0] + a][col_offs[f - 1] + b] = blk.entry(a, b)
-            per_chart.append(M)
-        rot_blocks.append(tuple(per_chart))
+        row_sizes = [piece_ranks[i][j] for i in range(f)]
+        src_ranks = [stages[i + 1].pieces[j].rank for i in range(f)]
+        shift = {(i + 1, i): RingMatrix.identity(K, src_ranks[i]) for i in range(f - 1)}
+        rot_blocks.append(
+            tuple(
+                RingMatrix.from_blocks(
+                    K, row_sizes, src_ranks, {**shift, (0, f - 1): phi_K.blocks[j][c]}
+                )
+                for c in range(ncharts)
+            )
+        )
     rot = GradedMap(tuple(rot_blocks))
     rot.validate(rot_src, big)
     if not rot.is_isomorphism():
@@ -578,7 +562,20 @@ def pack_endostructure(T, xi, field=None, budget=DEFAULT_ISO_BUDGET):
     # block filtration on the transform of the sum
     H_big = inverse_cartier_1(big.total())
     level = max(fil.level for fil in T._fils)
-    embeds = _summand_embeddings(K, H_big.bundle.rank, piece_ranks)
+    # summand i's total coordinates inside the grade-major layout of the sum
+    grade_major = [piece_ranks[i][j] for j in range(w + 1) for i in range(f)]
+    embeds = [
+        RingMatrix.from_blocks(
+            K,
+            grade_major,
+            piece_ranks[i],
+            {
+                (j * f + i, j): RingMatrix.identity(K, piece_ranks[i][j])
+                for j in range(w + 1)
+            },
+        )
+        for i in range(f)
+    ]
     steps = []
     for k in range(1, level + 1):
         cols = None
@@ -603,30 +600,6 @@ def pack_endostructure(T, xi, field=None, budget=DEFAULT_ISO_BUDGET):
     return PackedEndostructure(
         carrier, s, xi, K, tuple(tuple(r) for r in piece_ranks)
     )
-
-
-def _summand_embeddings(K, total_rank, piece_ranks):
-    """Constant 0/1 matrices embedding each summand's total coordinates into
-    the grade-major layout of the direct sum."""
-    f = len(piece_ranks)
-    w1 = len(piece_ranks[0])
-    grade_offs = []
-    run = 0
-    for j in range(w1):
-        grade_offs.append(run)
-        run += sum(piece_ranks[i][j] for i in range(f))
-    out = []
-    for i in range(f):
-        rows = []
-        for j in range(w1):
-            base = grade_offs[j] + sum(piece_ranks[i2][j] for i2 in range(i))
-            for k in range(piece_ranks[i][j]):
-                rows.append(base + k)
-        M = RingMatrix.zeros(K, total_rank, len(rows))
-        for col, r in enumerate(rows):
-            M.rows[r][col] = LaurentPoly.one(K)
-        out.append(M)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -767,11 +740,9 @@ def unpack_endostructure(packed, budget=DEFAULT_ISO_BUDGET):
         G_i = GradedHiggsBundle(pieces, tuple(maps)).validate()
         summands.append(G_i)
         # total-coordinate embedding of the summand into big
-        tot = None
-        for j in range(w + 1):
-            B = subs[j].basis[0]
-            tot = B if tot is None else block_diag(tot, B)
-        embeds_total.append(tot)
+        embeds_total.append(
+            RingMatrix.block_diagonal(K, [V.basis[0] for V in subs])
+        )
 
     # filtrations: cut the packed filtration along the transformed
     # eigenspaces (eigenvalue orbit advances by one Frobenius twist)
@@ -871,14 +842,7 @@ def build_relative_frobenius(T, atlas=None, budget=DEFAULT_ISO_BUDGET):
                 "horizontality fails on chart %d" % c, part=2
             )
     if E0.curve.is_projective:
-        d = E0.domain
-        s_inv = LaurentPoly.var(d, -1)
-        want = (
-            H.bundle.chart1_transition()
-            .mul(charts[0].substitute(s_inv))
-            .mul(source.bundle.chart1_transition().inverse())
-        )
-        if want != charts[1]:
+        if chart1_map(charts[0], source.bundle, H.bundle) != charts[1]:
             raise CertificateFailed(
                 "chart matrices disagree across the gluing", part=3
             )

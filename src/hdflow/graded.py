@@ -18,6 +18,9 @@ from fractions import Fraction
 from .bundles import (
     Bundle,
     FlatBundle,
+    HiggsBundle,
+    change_frame_connection,
+    chart1_map,
     full_subbundle,
 )
 from .errors import SearchBudgetExceeded, TransversalityViolated
@@ -186,18 +189,10 @@ class GradedHiggsBundle:
             raise ValueError("grading weight exceeds p-2")
         if not self.curve.is_projective:
             return self
-        d = self.domain
-        s_inv = LaurentPoly.var(d, -1)
-        jac = self.curve.jacobian_factor(d)
+        jac = self.curve.jacobian_factor()
         for k, per_chart in enumerate(self.maps):
-            tgt_hat = self.pieces[k].chart1_transition()
-            src_hat = self.pieces[k + 1].chart1_transition()
-            want = (
-                tgt_hat.mul(per_chart[0].substitute(s_inv))
-                .mul(src_hat.inverse())
-                .scale(jac)
-            )
-            if want != per_chart[1]:
+            source, target = self.pieces[k + 1], self.pieces[k]
+            if chart1_map(per_chart[0], source, target).scale(jac) != per_chart[1]:
                 raise ValueError(
                     "grade-%d connecting map breaks the chart rule" % (k + 1)
                 )
@@ -206,31 +201,18 @@ class GradedHiggsBundle:
     def total(self):
         """The underlying Higgs bundle: block-diagonal transition in grade
         order 0..w, block-superdiagonal Higgs matrix."""
-        from .bundles import HiggsBundle
-
         d = self.domain
         ranks = [P.rank for P in self.pieces]
-        n = sum(ranks)
-        offs = []
-        run = 0
-        for r in ranks:
-            offs.append(run)
-            run += r
-        thetas = []
-        for c in range(self.curve.ncharts):
-            rows = [[LaurentPoly.zero(d) for _ in range(n)] for _ in range(n)]
-            for k, per_chart in enumerate(self.maps):
-                M = per_chart[c]
-                for i in range(M.nrows):
-                    for j in range(M.ncols):
-                        rows[offs[k] + i][offs[k + 1] + j] = M.entry(i, j)
-            thetas.append(RingMatrix(d, rows))
-        if not self.curve.is_projective:
-            return HiggsBundle(Bundle(self.curve, n), tuple(thetas))
+        thetas = tuple(
+            RingMatrix.from_blocks(
+                d, ranks, ranks, {(k, k + 1): per[c] for k, per in enumerate(self.maps)}
+            )
+            for c in range(self.curve.ncharts)
+        )
         g = None
-        for P in self.pieces:
-            g = P.transition if g is None else block_diag(g, P.transition)
-        return HiggsBundle(Bundle(self.curve, n, g), tuple(thetas))
+        if self.curve.is_projective:
+            g = RingMatrix.block_diagonal(d, [P.transition for P in self.pieces])
+        return HiggsBundle(Bundle(self.curve, self.rank, g), thetas)
 
     def __eq__(self, other):
         return (
@@ -238,13 +220,6 @@ class GradedHiggsBundle:
             and self.pieces == other.pieces
             and self.maps == other.maps
         )
-
-
-def block_diag(A, B):
-    d = A.domain
-    top = A.hstack(RingMatrix.zeros(d, A.nrows, B.ncols))
-    bot = RingMatrix.zeros(d, B.nrows, A.ncols).hstack(B)
-    return top.vstack(bot)
 
 
 class Grading:
@@ -303,12 +278,9 @@ def grade(flat, filtration):
     frames = tuple(
         _adapted_frame(filtration, c) for c in range(bundle.curve.ncharts)
     )
-    aprime = []
-    for c in range(bundle.curve.ncharts):
-        T = frames[c]
-        Tinv = T.inverse()
-        aprime.append(Tinv.mul(flat.A[c]).mul(T).add(Tinv.mul(T.derivative())))
-    aprime = tuple(aprime)
+    aprime = tuple(
+        change_frame_connection(A, T.inverse(), T) for A, T in zip(flat.A, frames)
+    )
 
     blocks = [
         list(range(filtration.rank_at(i + 1), filtration.rank_at(i)))
@@ -370,7 +342,6 @@ class GradedMap:
     def validate(self, A, B):
         if len(self.blocks) != len(A.pieces) or len(A.pieces) != len(B.pieces):
             raise ValueError("grade count mismatch")
-        d = A.domain
         for i, per_chart in enumerate(self.blocks):
             for c, M in enumerate(per_chart):
                 if M.nrows != B.pieces[i].rank or M.ncols != A.pieces[i].rank:
@@ -378,14 +349,8 @@ class GradedMap:
                 if not M.is_polynomial():
                     raise ValueError("block has a pole at grade %d" % i)
         if A.curve.is_projective:
-            s_inv = LaurentPoly.var(d, -1)
             for i, per_chart in enumerate(self.blocks):
-                want = (
-                    B.pieces[i].chart1_transition()
-                    .mul(per_chart[0].substitute(s_inv))
-                    .mul(A.pieces[i].chart1_transition().inverse())
-                )
-                if want != per_chart[1]:
+                if chart1_map(per_chart[0], A.pieces[i], B.pieces[i]) != per_chart[1]:
                     raise ValueError("grade-%d block breaks the chart rule" % i)
         for k in range(len(A.maps)):
             for c in range(A.curve.ncharts):
@@ -526,12 +491,7 @@ def graded_higgs_isomorphic(A, B, budget=200000):
                     phi0 = from_split_B[i].mul(M).mul(to_split_A[i])
                     per_chart = [phi0]
                     if A.curve.is_projective:
-                        s_inv = LaurentPoly.var(d, -1)
-                        phi1 = (
-                            B.pieces[i].chart1_transition()
-                            .mul(phi0.substitute(s_inv))
-                            .mul(A.pieces[i].chart1_transition().inverse())
-                        )
+                        phi1 = chart1_map(phi0, A.pieces[i], B.pieces[i])
                         per_chart.append(_expect_polynomial(phi1))
                     blocks.append(tuple(per_chart))
                 out = GradedMap(tuple(blocks))

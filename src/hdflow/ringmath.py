@@ -546,6 +546,15 @@ class LaurentPoly:
 # matrices
 
 
+def block_starts(sizes):
+    """Offsets of consecutive blocks of the given sizes, with the total size
+    last: block I spans [starts[I], starts[I + 1])."""
+    starts = [0]
+    for n in sizes:
+        starts.append(starts[-1] + n)
+    return starts
+
+
 class RingMatrix:
     """Dense matrix with LaurentPoly entries over a shared domain."""
 
@@ -586,6 +595,53 @@ class RingMatrix:
         return cls(
             domain,
             [[entries[i] if i == j else zero for j in range(n)] for i in range(n)],
+        )
+
+    @classmethod
+    def from_blocks(cls, domain, row_sizes, col_sizes, blocks):
+        """Matrix cut into blocks of the given row and column sizes; blocks
+        maps (I, J) to the block there, and absent blocks are zero."""
+        rs, cs = block_starts(row_sizes), block_starts(col_sizes)
+        M = cls.zeros(domain, rs[-1], cs[-1])
+        for (I, J), B in blocks.items():
+            if B.nrows != row_sizes[I] or (B.nrows and B.ncols != col_sizes[J]):
+                raise ValueError(
+                    "block (%d, %d) is %dx%d, the layout wants %dx%d"
+                    % (I, J, B.nrows, B.ncols, row_sizes[I], col_sizes[J])
+                )
+            for i, row in enumerate(B.rows):
+                M.rows[rs[I] + i][cs[J] : cs[J + 1]] = row
+        return M
+
+    @classmethod
+    def block_diagonal(cls, domain, blocks):
+        """The given blocks along the diagonal, zero elsewhere."""
+        return cls.from_blocks(
+            domain,
+            [B.nrows for B in blocks],
+            [B.ncols for B in blocks],
+            {(I, I): B for I, B in enumerate(blocks)},
+        )
+
+    def block(self, sizes, I, J):
+        """Block (I, J) of the square layout cut by sizes."""
+        starts = block_starts(sizes)
+        return RingMatrix(
+            self.domain,
+            [
+                row[starts[J] : starts[J + 1]]
+                for row in self.rows[starts[I] : starts[I + 1]]
+            ],
+        )
+
+    def is_block_lower(self, sizes, k):
+        """Every block (I, J) with J > I + k is zero."""
+        starts = block_starts(sizes)
+        return all(
+            e.is_zero()
+            for I in range(len(sizes))
+            for row in self.rows[starts[I] : starts[I + 1]]
+            for e in row[starts[min(I + k + 1, len(sizes))] :]
         )
 
     def entry(self, i, j):
@@ -768,10 +824,6 @@ class RingMatrix:
 
     def is_constant(self):
         return all(e.is_constant() for row in self.rows for e in row)
-
-    def max_degree(self):
-        degs = [e.degree() for row in self.rows for e in row if not e.is_zero()]
-        return max(degs) if degs else None
 
     def min_valuation(self):
         vals = [e.valuation() for row in self.rows for e in row if not e.is_zero()]

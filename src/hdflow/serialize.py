@@ -62,10 +62,6 @@ def write_atomic(path, data):
         raise
 
 
-def write_document(path, doc):
-    write_atomic(path, canonical_bytes(doc))
-
-
 def parse_bytes(data):
     """Parse JSON bytes; parse failures become SchemaError with the
     parser's line/column folded into the message and a root path."""
@@ -130,8 +126,8 @@ def require_tag(doc, expected_type, path="/"):
 
 
 def poly_to_json(f):
-    q = f.domain.modulus
-    return sorted([int(e), int(c) % q] for e, c in f.coeffs.items() if c % q)
+    d = f.domain
+    return sorted([int(e), d.serialize(c)] for e, c in f.coeffs.items())
 
 
 def poly_from_json(ring, data, path):

@@ -20,7 +20,7 @@ Conventions:
 import random
 from dataclasses import dataclass
 
-from .bundles import Bundle, FlatBundle, HiggsBundle
+from .bundles import Bundle, FlatBundle, HiggsBundle, change_frame_connection
 from .cartier import inverse_cartier_1
 from .curves import AffineLine, FrobeniusLifting
 from .errors import (
@@ -39,59 +39,20 @@ from .ringmath import (
     RingMatrix,
     WindowSystem,
     Zmod,
+    block_starts,
     solve_linear_mod,
 )
 
 
 # ---------------------------------------------------------------------------
-# block bookkeeping
-
-
-def _slices(ranks):
-    out = []
-    start = 0
-    for r in ranks:
-        out.append((start, start + r))
-        start += r
-    return out
-
-
-def _block(M, slices, i, j):
-    a, b = slices[i]
-    c, d = slices[j]
-    return M.submatrix(range(a, b), range(c, d))
-
-
-def _block_is_zero(M, slices, i, j):
-    return _block(M, slices, i, j).is_zero()
-
-
-def block_diag_matrix(ring, blocks):
-    """Assemble square blocks along the diagonal."""
-    n = sum(B.nrows for B in blocks)
-    rows = [[LaurentPoly.zero(ring) for _ in range(n)] for _ in range(n)]
-    at = 0
-    for B in blocks:
-        for i in range(B.nrows):
-            for j in range(B.ncols):
-                rows[at + i][at + j] = B.rows[i][j]
-        at += B.nrows
-    return RingMatrix(ring, rows)
+# block layouts
 
 
 def theta_total_matrix(ring, ranks, theta):
     """Total matrix of a graded map: the blocks one step below the diagonal
     in the grade-ascending layout, all other blocks zero."""
-    n = sum(ranks)
-    slices = _slices(ranks)
-    rows = [[LaurentPoly.zero(ring) for _ in range(n)] for _ in range(n)]
-    for g, T in enumerate(theta):
-        a, _ = slices[g]
-        c, _ = slices[g + 1]
-        for i in range(T.nrows):
-            for j in range(T.ncols):
-                rows[a + i][c + j] = T.rows[i][j]
-    return RingMatrix(ring, rows)
+    blocks = {(g, g + 1): T for g, T in enumerate(theta)}
+    return RingMatrix.from_blocks(ring, ranks, ranks, blocks)
 
 
 def ptwist_matrix(A, ranks):
@@ -99,26 +60,14 @@ def ptwist_matrix(A, ranks):
     filtered connection matrix is rescaled by p^(g'-g+1); the grade-lowering
     blocks beyond one step must already vanish."""
     ring = A.domain
-    p = ring.p
-    slices = _slices(ranks)
-    rows = [[LaurentPoly.zero(ring) for _ in range(A.ncols)] for _ in range(A.nrows)]
-    for gp in range(len(ranks)):
-        for g in range(len(ranks)):
-            e = gp - g + 1
-            blk = _block(A, slices, gp, g)
-            if e < 0:
-                if not blk.is_zero():
-                    raise TransversalityViolated(
-                        "connection matrix drops more than one grade"
-                    )
-                continue
-            scaled = blk.scale_const(ring.coerce(p ** e))
-            a, _ = slices[gp]
-            c, _ = slices[g]
-            for i in range(scaled.nrows):
-                for j in range(scaled.ncols):
-                    rows[a + i][c + j] = scaled.rows[i][j]
-    return RingMatrix(ring, rows)
+    if not A.is_block_lower(ranks, 1):
+        raise TransversalityViolated("connection matrix drops more than one grade")
+    blocks = {
+        (gp, g): A.block(ranks, gp, g).scale_const(ring.coerce(ring.p ** (gp - g + 1)))
+        for gp in range(len(ranks))
+        for g in range(min(gp + 2, len(ranks)))
+    }
+    return RingMatrix.from_blocks(ring, ranks, ranks, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +139,8 @@ def gamma_apply(A, ranks, m, hs, col):
     p = ring.p
     if len(hs) != p - 1 + m:
         raise ValueError("divided operator of weight m needs p-1+m derivations")
-    slices = _slices(ranks)
+    starts = block_starts(ranks)
+    slices = list(zip(starts, starts[1:]))
     rank = sum(ranks)
     state = {}
     for g, (a, b) in enumerate(slices):
@@ -265,18 +215,6 @@ class TwistedFlatModule:
     def gamma(self, m, hs, col):
         return gamma_apply(self.lift, self.ranks, m, hs, col)
 
-    def gamma_matrix(self, m, hs):
-        """Column-by-column evaluation on the basis (coefficient one)."""
-        cols = []
-        for k in range(self.rank):
-            e = RingMatrix.zeros(self.ring, self.rank, 1)
-            e.rows[k][0] = LaurentPoly.one(self.ring)
-            cols.append(self.gamma(m, hs, e))
-        out = cols[0]
-        for c in cols[1:]:
-            out = out.hstack(c)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # input data for one truncated-Witt step
@@ -328,13 +266,8 @@ class LiftingInputTuple:
             raise WrongModulus("de Rham matrix must live one level down")
         if self.abar.nrows != self.rank or self.abar.ncols != self.rank:
             raise ValueError("de Rham matrix shape mismatch")
-        slices = _slices(self.ranks)
-        for gp in range(len(self.ranks)):
-            for g in range(len(self.ranks)):
-                if gp < g - 1 and not _block_is_zero(self.abar, slices, gp, g):
-                    raise TransversalityViolated(
-                        "de Rham matrix drops more than one grade"
-                    )
+        if not self.abar.is_block_lower(self.ranks, 1):
+            raise TransversalityViolated("de Rham matrix drops more than one grade")
         self.psibar = tuple(self.psibar)
         if len(self.psibar) != len(self.ranks):
             raise ValueError("one comparison block per grade required")
@@ -346,7 +279,7 @@ class LiftingInputTuple:
             if not P.det().is_unit():
                 raise NonInvertible("comparison block at grade %d is singular" % g)
         for g in range(self.weight):
-            lhs = self.psibar[g].mul(_block(self.abar, slices, g, g + 1))
+            lhs = self.psibar[g].mul(self.abar.block(self.ranks, g, g + 1))
             rhs = self.theta[g].reduce_to(down).mul(self.psibar[g + 1])
             if not lhs.sub(rhs).is_zero():
                 raise CertificateFailed(
@@ -360,10 +293,8 @@ class LiftingInputTuple:
                 raise WrongModulus("frame matrix must live one level down")
             if W.nrows != self.rank or W.ncols != self.rank:
                 raise ValueError("frame matrix shape mismatch")
-            for gp in range(len(self.ranks)):
-                for g in range(len(self.ranks)):
-                    if gp < g and not _block_is_zero(W, slices, gp, g):
-                        raise ValueError("frame matrix must respect the flag")
+            if not W.is_block_lower(self.ranks, 0):
+                raise ValueError("frame matrix must respect the flag")
             if not W.det().is_unit():
                 raise NonInvertible("frame matrix is singular")
 
@@ -429,10 +360,8 @@ def adapted_dr_matrix(tup):
     """The one-level-down connection rewritten in the frame where the
     grading comparison becomes the identity: conjugation by the block
     diagonal of the comparison, plus the frame derivative term."""
-    down = tup.down_ring
-    Psi = block_diag_matrix(down, [P for P in tup.psibar])
-    PsiInv = Psi.inverse()
-    return Psi.mul(tup.abar).mul(PsiInv).add(Psi.mul(PsiInv.derivative()))
+    Psi = RingMatrix.block_diagonal(tup.down_ring, tup.psibar)
+    return change_frame_connection(tup.abar, Psi)
 
 
 def local_filtered_lifting(tup):
@@ -445,34 +374,15 @@ def local_filtered_lifting(tup):
     ring = tup.ring
     if tup.n == 1:
         return tup.theta_total()
-    slices = _slices(tup.ranks)
+    ranks = tup.ranks
     adapted = adapted_dr_matrix(tup)
-    rank = tup.rank
-    rows = [[LaurentPoly.zero(ring) for _ in range(rank)] for _ in range(rank)]
-    for gp in range(len(tup.ranks)):
-        for g in range(len(tup.ranks)):
-            if gp < g - 1:
-                continue
-            a, _ = slices[gp]
-            c, _ = slices[g]
-            if gp == g - 1:
-                blk = tup.theta[gp]
-            else:
-                blk = _block(adapted, slices, gp, g).lift_to(ring)
-            for i in range(blk.nrows):
-                for j in range(blk.ncols):
-                    rows[a + i][c + j] = blk.rows[i][j]
-    return RingMatrix(ring, rows)
-
-
-def _check_filtered_frame(Q, ranks):
-    slices = _slices(ranks)
-    for gp in range(len(ranks)):
-        for g in range(len(ranks)):
-            if gp < g and not _block_is_zero(Q, slices, gp, g):
-                raise ValueError("frame must respect the flag")
-    if not Q.det().is_unit():
-        raise NonInvertible("frame is singular")
+    blocks = {
+        (gp, g): adapted.block(ranks, gp, g).lift_to(ring)
+        for gp in range(len(ranks))
+        for g in range(gp + 1)
+    }
+    blocks.update({(g, g + 1): T for g, T in enumerate(tup.theta)})
+    return RingMatrix.from_blocks(ring, ranks, ranks, blocks)
 
 
 def gn_construct(tup, perturbation=None, frame=None):
@@ -489,20 +399,19 @@ def gn_construct(tup, perturbation=None, frame=None):
             raise ValueError("one-level inputs admit no lifting choices")
         if perturbation.domain != ring:
             raise WrongModulus("perturbation over the wrong ring")
-        slices = _slices(tup.ranks)
-        for gp in range(len(tup.ranks)):
-            for g in range(len(tup.ranks)):
-                if gp < g and not _block_is_zero(perturbation, slices, gp, g):
-                    raise ValueError(
-                        "lifting choices differ only on diagonal-and-below blocks"
-                    )
+        if not perturbation.is_block_lower(tup.ranks, 0):
+            raise ValueError(
+                "lifting choices differ only on diagonal-and-below blocks"
+            )
         A = A.add(perturbation.scale_const(ring.coerce(ring.p ** (tup.n - 1))))
     if frame is not None:
         if frame.domain != ring:
             raise WrongModulus("frame over the wrong ring")
-        _check_filtered_frame(frame, tup.ranks)
-        Qinv = frame.inverse()
-        A = Qinv.mul(A).mul(frame).add(Qinv.mul(frame.derivative()))
+        if not frame.is_block_lower(tup.ranks, 0):
+            raise ValueError("frame must respect the flag")
+        if not frame.det().is_unit():
+            raise NonInvertible("frame is singular")
+        A = change_frame_connection(A, frame.inverse(), frame)
     B = ptwist_matrix(A, tup.ranks)
     return TwistedFlatModule(ring, tup.ranks, A, PConnectionModule(ring, tup.rank, B))
 
@@ -518,31 +427,19 @@ def sharp_construct(tup):
     """
     ring = tup.ring
     p = ring.p
-    slices = _slices(tup.ranks)
-    rank = tup.rank
-    rows = [[LaurentPoly.zero(ring) for _ in range(rank)] for _ in range(rank)]
-    adapted = None if tup.n == 1 else adapted_dr_matrix(tup)
-    for g in range(len(tup.ranks)):
-        c, _ = slices[g]
-        if g > 0:
-            blk = tup.theta[g - 1]
-            a, _ = slices[g - 1]
-            for i in range(blk.nrows):
-                for j in range(blk.ncols):
-                    rows[a + i][c + j] = blk.rows[i][j]
-        if adapted is None:
-            continue
-        carry = p
-        for gp in range(g, len(tup.ranks)):
-            blk = _block(adapted, slices, gp, g).lift_to(ring)
-            a, _ = slices[gp]
-            for i in range(blk.nrows):
-                for j in range(blk.ncols):
-                    rows[a + i][c + j] = blk.rows[i][j].scale(ring.coerce(carry))
-            carry = (carry * p) % ring.modulus
-    B = RingMatrix(ring, rows)
+    ranks = tup.ranks
+    blocks = {(g, g + 1): T for g, T in enumerate(tup.theta)}
+    if tup.n > 1:
+        adapted = adapted_dr_matrix(tup)
+        for g in range(len(ranks)):
+            carry = p
+            for gp in range(g, len(ranks)):
+                blk = adapted.block(ranks, gp, g).lift_to(ring)
+                blocks[(gp, g)] = blk.scale_const(ring.coerce(carry))
+                carry = (carry * p) % ring.modulus
+    B = RingMatrix.from_blocks(ring, ranks, ranks, blocks)
     A = local_filtered_lifting(tup)
-    return TwistedFlatModule(ring, tup.ranks, A, PConnectionModule(ring, rank, B))
+    return TwistedFlatModule(ring, ranks, A, PConnectionModule(ring, tup.rank, B))
 
 
 def _monomial_span(matrices, pad):
@@ -818,7 +715,9 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
         basis.append(e)
     current = [e for e in basis]
     fact = 1
-    for j in range(0, top + 1):
+    # terms up to top are summed; terms past it, up to the static bound,
+    # must vanish
+    for j in range(max(top, bound - 1) + 1):
         if j:
             fact *= j
             current = [tw.nabla(one, c) for c in current]
@@ -835,30 +734,16 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
             coef_cols = [
                 tw.gamma(j + 1 - p, hs, e).scale_const(c) for e in basis
             ]
+        if j > top:
+            if any(not col.scale(zpow).is_zero() for col in coef_cols):
+                raise TruncationBoundExceeded(
+                    "terms past the requested bound do not vanish"
+                )
+            continue
         term = coef_cols[0]
         for col in coef_cols[1:]:
             term = term.hstack(col)
         G = G.add(term.substitute(image).scale(zpow))
-    if jmax is not None and jmax < bound - 1:
-        zp = zpow
-        cur = current
-        f = fact
-        for j in range(top + 1, bound):
-            f *= j
-            cur = [tw.nabla(one, c) for c in cur]
-            zp = zp.mul(z)
-            if j < p:
-                cols = [c.scale_const(ring.inv(ring.coerce(f))) for c in cur]
-            else:
-                c = taylor_coefficient(ring, j)
-                if c == 0:
-                    continue
-                hs = [one] * j
-                cols = [tw.gamma(j + 1 - p, hs, e).scale_const(c) for e in basis]
-            if any(not col.scale(zp).is_zero() for col in cols):
-                raise TruncationBoundExceeded(
-                    "terms past the requested bound do not vanish"
-                )
     return G
 
 
@@ -949,10 +834,10 @@ def _flag_reduction_ok(cols_list, ranks, down_ring):
     """Columns of each step must reduce into the coordinate flag with full
     rank: rows below the step's grade vanish mod p^(n-1) and the stacked
     diagonal blocks are invertible."""
-    slices = _slices(ranks)
+    starts = block_starts(ranks)
     for step, S in enumerate(cols_list, start=1):
         Sbar = S.reduce_to(down_ring)
-        cut = slices[step][0]
+        cut = starts[step]
         for i in range(cut):
             for j in range(Sbar.ncols):
                 if not Sbar.rows[i][j].is_zero():
@@ -981,10 +866,10 @@ def filtration_steps_from_flag(tup_or_ranks, ring, deformation=None):
     p^(n-1) times the given per-step matrices."""
     ranks = tup_or_ranks if isinstance(tup_or_ranks, tuple) else tup_or_ranks.ranks
     rank = sum(ranks)
-    slices = _slices(ranks)
+    starts = block_starts(ranks)
     out = []
     for step in range(1, len(ranks)):
-        start = slices[step][0]
+        start = starts[step]
         S = RingMatrix.zeros(ring, rank, rank - start)
         for j in range(rank - start):
             S.rows[start + j][j] = LaurentPoly.one(ring)
@@ -1036,11 +921,11 @@ def w2_flow_step(tup, fil_steps, lifting=None, psi_window=(-2, 4)):
     fil_steps = tuple(fil_steps)
     if len(fil_steps) != len(ranks) - 1:
         raise NoLiftedFiltration("one column matrix per filtration step required")
-    slices = _slices(ranks)
+    starts = block_starts(ranks)
     for step, S in enumerate(fil_steps, start=1):
         if S.domain != ring:
             raise WrongModulus("filtration columns over the wrong ring")
-        want = tup.rank - slices[step][0]
+        want = tup.rank - starts[step]
         if S.nrows != tup.rank or S.ncols != want:
             raise NoLiftedFiltration(
                 "filtration step %d has the wrong number of columns" % step
@@ -1055,23 +940,19 @@ def w2_flow_step(tup, fil_steps, lifting=None, psi_window=(-2, 4)):
     Qinv = Q.inverse()
     for step, S in enumerate(fil_steps, start=1):
         T = Qinv.mul(S)
-        cut = slices[step][0]
+        cut = starts[step]
         for i in range(cut):
             for j in range(T.ncols):
                 if not T.rows[i][j].is_zero():
                     raise NoLiftedFiltration(
                         "filtration steps are not nested in the adapted frame"
                     )
-    Aad = Qinv.mul(A2).mul(Q).add(Qinv.mul(Q.derivative()))
-    for gp in range(len(ranks)):
-        for g in range(len(ranks)):
-            if gp < g - 1 and not _block_is_zero(Aad, slices, gp, g):
-                raise TransversalityViolated(
-                    "filtration violates the one-step transversality bound"
-                )
-    theta_next = tuple(
-        _block(Aad, slices, g, g + 1) for g in range(len(ranks) - 1)
-    )
+    Aad = change_frame_connection(A2, Qinv, Q)
+    if not Aad.is_block_lower(ranks, 1):
+        raise TransversalityViolated(
+            "filtration violates the one-step transversality bound"
+        )
+    theta_next = tuple(Aad.block(ranks, g, g + 1) for g in range(len(ranks) - 1))
 
     certificates = {}
     rlift = _reduced_lifting(lifting, down)
@@ -1085,7 +966,7 @@ def w2_flow_step(tup, fil_steps, lifting=None, psi_window=(-2, 4)):
     if tup.frob_frame is not None:
         W = tup.frob_frame
         Winv = W.inverse()
-        moved = Winv.mul(canonical).mul(W).add(Winv.mul(W.derivative()))
+        moved = change_frame_connection(canonical, Winv, W)
         if not moved.sub(tup.abar).is_zero():
             raise CertificateFailed(
                 "stored frame does not carry the canonical matrix to the "
@@ -1093,7 +974,7 @@ def w2_flow_step(tup, fil_steps, lifting=None, psi_window=(-2, 4)):
                 part="frame",
             )
         base_blocks = [
-            tup.psibar[g].mul(_block(Winv, slices, g, g))
+            tup.psibar[g].mul(Winv.block(ranks, g, g))
             for g in range(len(ranks))
         ]
         certificates["baseline"] = "framed"
@@ -1203,7 +1084,7 @@ def filtration_lift_candidates(tup, lifting, coefficients, exponents):
     ring = tup.ring
     ranks = tup.ranks
     rank = sum(ranks)
-    slices = _slices(ranks)
+    starts = block_starts(ranks)
     grade_of = []
     for g, r in enumerate(ranks):
         grade_of.extend([g] * r)
@@ -1211,7 +1092,7 @@ def filtration_lift_candidates(tup, lifting, coefficients, exponents):
         (d, i)
         for d in range(rank)
         if grade_of[d] >= 1
-        for i in range(slices[grade_of[d]][0])
+        for i in range(starts[grade_of[d]])
     ]
     entries = [()]
     entries += [
@@ -1224,7 +1105,7 @@ def filtration_lift_candidates(tup, lifting, coefficients, exponents):
     for entry in entries:
         deltas = []
         for step in range(1, len(ranks)):
-            start = slices[step][0]
+            start = starts[step]
             D = RingMatrix.zeros(ring, rank, rank - start)
             for (d, i, c, e) in entry:
                 if d >= start:

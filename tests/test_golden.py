@@ -169,23 +169,11 @@ def _pack_round_trip_bytes():
     back = unpack_endostructure(pack_endostructure(T, K.gen, K))
     H = back.higgs
     doc = {
-        "pieces": [_gf_matrix_doc(P.transition) for P in H.pieces],
-        "maps": [[_gf_matrix_doc(M) for M in per] for per in H.maps],
-        "phi": [[_gf_matrix_doc(B) for B in per] for per in back.phi.blocks],
+        "pieces": [matrix_to_json(P.transition) for P in H.pieces],
+        "maps": [[matrix_to_json(M) for M in per] for per in H.maps],
+        "phi": [[matrix_to_json(B) for B in per] for per in back.phi.blocks],
     }
     return canonical_bytes(doc)
-
-
-def _gf_matrix_doc(M):
-    """The graded_to_json matrix layout with F_{p^f} coefficients written as
-    coordinate lists; graded_to_json itself takes Z/p^m coefficients only."""
-    return [
-        [
-            sorted([e, M.domain.serialize(c)] for e, c in M.entry(i, j).coeffs.items())
-            for j in range(M.ncols)
-        ]
-        for i in range(M.nrows)
-    ]
 
 
 def _equivalence_bytes():

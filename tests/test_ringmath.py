@@ -4,6 +4,7 @@ normal forms, and the two-sided monomial factorization of transitions."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdflow.errors import NoSolution, NonInvertible, NotDivisible
 from hdflow.ringmath import (
@@ -13,6 +14,7 @@ from hdflow.ringmath import (
     Zmod,
     WindowSystem,
     birkhoff_factorize,
+    block_starts,
     field_solve,
     gf_conjugate,
     poly_gcd,
@@ -309,6 +311,101 @@ def test_matrix_inverse_rejects_nonunit_det():
     M = RingMatrix(F, [[t.add(LaurentPoly.one(F))]])
     with pytest.raises(NonInvertible):
         M.inverse()
+
+
+def _const_matrix(F, rows):
+    return RingMatrix.from_scalars(F, rows)
+
+
+def test_block_starts():
+    assert block_starts([2, 0, 3]) == [0, 2, 2, 5]
+    assert block_starts([]) == [0]
+
+
+def test_from_blocks_absent_blocks_are_zero():
+    F = Zmod(5)
+    A = _const_matrix(F, [[1, 2], [3, 4]])
+    B = _const_matrix(F, [[2]])
+    M = RingMatrix.from_blocks(F, [2, 1], [2, 1], {(0, 0): A, (1, 1): B})
+    assert M == _const_matrix(F, [[1, 2, 0], [3, 4, 0], [0, 0, 2]])
+    assert M == RingMatrix.block_diagonal(F, [A, B])
+    assert RingMatrix.from_blocks(F, [2, 1], [1, 2], {}) == RingMatrix.zeros(F, 3, 3)
+
+
+def test_from_blocks_rectangular_and_zero_size_blocks():
+    F = Zmod(3)
+    C = _const_matrix(F, [[1, 2]])
+    M = RingMatrix.from_blocks(F, [1, 0, 2], [0, 2], {(0, 1): C})
+    assert (M.nrows, M.ncols) == (3, 2)
+    assert M == _const_matrix(F, [[1, 2], [0, 0], [0, 0]])
+    assert M.block([1, 0, 2], 1, 1).nrows == 0
+    empty_rows = RingMatrix(F, [])
+    assert RingMatrix.from_blocks(F, [1, 0], [2, 2], {(1, 0): empty_rows}) == (
+        RingMatrix.zeros(F, 1, 4)
+    )
+
+
+def test_from_blocks_rejects_wrong_shape():
+    F = Zmod(3)
+    with pytest.raises(ValueError):
+        RingMatrix.from_blocks(F, [2, 1], [2, 1], {(1, 0): _const_matrix(F, [[1]])})
+    with pytest.raises(ValueError):
+        RingMatrix.from_blocks(F, [2, 1], [2, 1], {(0, 1): _const_matrix(F, [[1, 1]])})
+
+
+def test_block_reads_the_layout():
+    F = Zmod(7)
+    M = _const_matrix(F, [[i * 4 + j for j in range(4)] for i in range(4)])
+    assert M.block([1, 2, 1], 1, 0) == _const_matrix(F, [[4], [8]])
+    assert M.block([1, 2, 1], 1, 2) == _const_matrix(F, [[7], [11]])
+    assert M.block([1, 2, 1], 2, 1) == _const_matrix(F, [[13, 14]])
+
+
+def test_is_block_lower_at_zero_and_one_step():
+    F = Zmod(3)
+    sizes = [1, 2, 1]
+    lower = _const_matrix(F, [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]])
+    assert lower.is_block_lower(sizes, 0)
+    assert lower.is_block_lower(sizes, 1)
+    one_up = lower.copy()
+    one_up.rows[0][1] = LaurentPoly.one(F)
+    assert not one_up.is_block_lower(sizes, 0)
+    assert one_up.is_block_lower(sizes, 1)
+    two_up = lower.copy()
+    two_up.rows[0][3] = LaurentPoly.one(F)
+    assert not two_up.is_block_lower(sizes, 1)
+    assert two_up.is_block_lower(sizes, 2)
+    # entries inside a diagonal block never count as above the diagonal
+    inside = lower.copy()
+    inside.rows[1][2] = LaurentPoly.one(F)
+    assert inside.is_block_lower(sizes, 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+    st.data(),
+)
+def test_blocks_reassemble_to_the_matrix(sizes, data):
+    F = Zmod(5, 2)
+    n = sum(sizes)
+    entries = st.dictionaries(
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=0, max_value=24),
+        max_size=3,
+    )
+    M = RingMatrix(
+        F,
+        [[LaurentPoly(F, data.draw(entries)) for _ in range(n)] for _ in range(n)],
+    )
+    blocks = {
+        (I, J): M.block(sizes, I, J)
+        for I in range(len(sizes))
+        for J in range(len(sizes))
+    }
+    back = RingMatrix.from_blocks(F, sizes, sizes, blocks)
+    assert (back.nrows, back.ncols) == (M.nrows, M.ncols)
+    assert back == M
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hdflow.corpus import CorpusParams, generate, random_witt_tuple
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.filtration import simpson_filtration
 from hdflow.graded import GradedHiggsBundle
-from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
+from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 from hdflow.serialize import (
     SCHEMA,
     SchemaError,
@@ -130,6 +130,21 @@ def test_matrix_roundtrip_and_shape_checks():
         matrix_from_json(ring, [[[], []], [[]]], "/")
     with pytest.raises(SchemaError):
         matrix_from_json(ring, [], "/")
+
+
+def test_matrix_encoding_over_extension_field():
+    K = GF(3, 2)
+    M = RingMatrix(
+        K,
+        [
+            [LaurentPoly(K, {0: (1, 2), -1: (0, 1)}), LaurentPoly.zero(K)],
+            [LaurentPoly.one(K), LaurentPoly(K, {2: (2, 0)})],
+        ],
+    )
+    assert matrix_to_json(M) == [
+        [[[-1, [0, 1]], [0, [1, 2]]], []],
+        [[[0, [1, 0]]], [[2, [2, 0]]]],
+    ]
 
 
 def test_all_residues_least_nonnegative():
