@@ -532,32 +532,37 @@ def witt_flow_step(input_path, out_path):
 # check suites
 
 
-def _suite_cocycle(rng, p_opt, m_opt, budget):
-    """Transport between transforms at three atlases composes exactly."""
+def _prime_trials(suite, count, p_opt, trial):
+    """Checks '<suite>-NN' of trial(p, i) for i < count, p cycling through
+    (p_opt,) or (3, 5, 7); trial returns the verdict and the fields its
+    counterexample adds to the trial number and p."""
     primes = (p_opt,) if p_opt else (3, 5, 7)
     checks = []
-    for trial in range(12):
-        p = primes[trial % len(primes)]
-        rank = rng.randint(2, 3)
-        curve_kind = "P1" if trial % 2 == 0 else "A1"
-        H = corpus.random_nilpotent_higgs(rng, p, rank, curve=curve_kind)
-        curve = H.bundle.curve
-        lifts = [corpus.random_lifting(rng, curve) for _ in range(3)]
-        t12, _, _ = lifting_change_transport(H, lifts[0], lifts[1])
-        t23, _, _ = lifting_change_transport(H, lifts[1], lifts[2])
-        t13, _, _ = lifting_change_transport(H, lifts[0], lifts[2])
-        ok = t13.phi == t23.compose(t12).phi
-        checks.append(
-            (
-                "cocycle-%02d" % trial,
-                ok,
-                None if ok else {"trial": trial, "p": p, "curve": curve_kind},
-            )
-        )
+    for i in range(count):
+        p = primes[i % len(primes)]
+        ok, fields = trial(p, i)
+        counterexample = None if ok else dict(fields, trial=i, p=p)
+        checks.append(("%s-%02d" % (suite, i), ok, counterexample))
     return checks
 
 
-def _suite_gamma_relations(rng, p_opt, m_opt, budget):
+def _suite_cocycle(rng, p_opt, m_opt):
+    """Transport between transforms at three atlases composes exactly."""
+
+    def trial(p, i):
+        rank = rng.randint(2, 3)
+        kind = ("P1", "A1")[i % 2]
+        H = corpus.random_nilpotent_higgs(rng, p, rank, curve=kind)
+        lifts = [corpus.random_lifting(rng, H.bundle.curve) for _ in range(3)]
+        t12, _, _ = lifting_change_transport(H, lifts[0], lifts[1])
+        t23, _, _ = lifting_change_transport(H, lifts[1], lifts[2])
+        t13, _, _ = lifting_change_transport(H, lifts[0], lifts[2])
+        return t13.phi == t23.compose(t12).phi, {"curve": kind}
+
+    return _prime_trials("cocycle", 12, p_opt, trial)
+
+
+def _suite_gamma_relations(rng, p_opt, m_opt):
     """The six divided-operator relations on random lifted tuples."""
     p = p_opt if p_opt else 3
     n = m_opt if m_opt else 2
@@ -583,77 +588,46 @@ def _suite_gamma_relations(rng, p_opt, m_opt, budget):
     return checks
 
 
-def _suite_p_curvature(rng, p_opt, m_opt, budget):
+def _suite_p_curvature(rng, p_opt, m_opt):
     """Transform p-curvature equals the pulled-back field, fixed sign."""
-    primes = (p_opt,) if p_opt else (3, 5, 7)
-    checks = []
-    for trial in range(10):
-        p = primes[trial % len(primes)]
+
+    def trial(p, i):
         rank = rng.randint(1, 3)
-        curve_kind = "P1" if trial % 2 == 0 else "A1"
-        H = corpus.random_nilpotent_higgs(rng, p, rank, curve=curve_kind)
+        kind = ("P1", "A1")[i % 2]
+        H = corpus.random_nilpotent_higgs(rng, p, rank, curve=kind)
         flat = inverse_cartier_1(H)
-        ok = p_curvature(flat) == p_curvature_prediction(H)
-        checks.append(
-            (
-                "p-curvature-%02d" % trial,
-                ok,
-                None if ok else {"trial": trial, "p": p, "curve": curve_kind},
-            )
-        )
-    return checks
+        return p_curvature(flat) == p_curvature_prediction(H), {"curve": kind}
+
+    return _prime_trials("p-curvature", 10, p_opt, trial)
 
 
-def _suite_degree_scaling(rng, p_opt, m_opt, budget):
+def _suite_degree_scaling(rng, p_opt, m_opt):
     """One transform multiplies the degree by p."""
-    primes = (p_opt,) if p_opt else (3, 5, 7)
-    checks = []
-    for trial in range(10):
-        p = primes[trial % len(primes)]
+
+    def trial(p, i):
         rank = rng.randint(1, 4)
         weight = rng.randint(0 if rank == 1 else 1, min(p - 2, rank - 1))
         params = corpus.CorpusParams(
-            p=p,
-            rank=rank,
-            weight=weight,
-            count=1,
-            seed=rng.randrange(2**30),
+            p=p, rank=rank, weight=weight, count=1, seed=rng.randrange(2**30)
         )
         G = corpus.generate(params)[0]
         flat = inverse_cartier_1(G.total())
-        ok = flat.bundle.degree() == p * G.degree()
-        checks.append(
-            (
-                "degree-scaling-%02d" % trial,
-                ok,
-                None
-                if ok
-                else {"trial": trial, "p": p, "degree": G.degree()},
-            )
-        )
-    return checks
+        return flat.bundle.degree() == p * G.degree(), {"degree": G.degree()}
+
+    return _prime_trials("degree-scaling", 10, p_opt, trial)
 
 
-def _suite_ov_sign(rng, p_opt, m_opt, budget):
+def _suite_ov_sign(rng, p_opt, m_opt):
     """The frozen sign convention against its mirror, both code paths."""
-    primes = (p_opt,) if p_opt else (3, 5, 7)
-    checks = []
-    for trial in range(10):
-        p = primes[trial % len(primes)]
+
+    def trial(p, i):
         rank = rng.randint(1, 3)
-        curve_kind = "P1" if trial % 2 == 0 else "A1"
-        H = corpus.random_nilpotent_higgs(rng, p, rank, curve=curve_kind)
-        lifting = corpus.random_lifting(rng, H.bundle.curve) if trial % 3 else None
-        report = ov_sign_check(H, lifting=lifting)
-        ok = report.passed
-        checks.append(
-            (
-                "ov-sign-%02d" % trial,
-                ok,
-                None if ok else {"trial": trial, "p": p, "curve": curve_kind},
-            )
-        )
-    return checks
+        kind = ("P1", "A1")[i % 2]
+        H = corpus.random_nilpotent_higgs(rng, p, rank, curve=kind)
+        lifting = corpus.random_lifting(rng, H.bundle.curve) if i % 3 else None
+        return ov_sign_check(H, lifting=lifting).passed, {"curve": kind}
+
+    return _prime_trials("ov-sign", 10, p_opt, trial)
 
 
 SUITES = {
@@ -692,7 +666,7 @@ def check(suite, seed, p_opt, modulus_power, budget, out_path):
         )
     budget_value = _resolve_budget(budget)
     rng = random.Random(seed)
-    entries = SUITES[suite](rng, p_opt, modulus_power, budget_value)
+    entries = SUITES[suite](rng, p_opt, modulus_power)
     failed = [e for e in entries if not e[1]]
     doc = {
         "schema": serialize.SCHEMA,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .bundles import Bundle, HiggsBundle, chart1_map
 from .curves import AffineLine, ProjectiveLine
 from .graded import GradedHiggsBundle
-from .ringmath import LaurentPoly, RingMatrix, Zmod
+from .ringmath import LaurentPoly, RingMatrix, Zmod, random_poly
 from .witt import LiftingInputTuple
 
 ALLOWED_PRIMES = (3, 5, 7)
@@ -63,17 +63,6 @@ def _composition(rng, total, parts):
     cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
     bounds = [0] + cuts + [total]
     return [b - a for a, b in zip(bounds, bounds[1:])]
-
-
-def random_poly(rng, ring, max_deg, min_deg=0):
-    if max_deg < min_deg:
-        return LaurentPoly.zero(ring)
-    f = LaurentPoly.zero(ring)
-    for e in range(min_deg, max_deg + 1):
-        c = rng.randrange(ring.modulus)
-        if c:
-            f = f.add(LaurentPoly.monomial(ring, ring.coerce(c), e))
-    return f
 
 
 def _random_unimodular(rng, ring, n, ops=4, max_deg=2):

@@ -145,31 +145,3 @@ class FrobeniusLifting:
         )
         fhat1 = f1_in_t.inverse_unit()
         return f0.sub(fhat1).p_divide(1, ring)
-
-    def serialize(self):
-        ring = self.curve.domain
-        return {
-            "curve": "P1" if self.curve.is_projective else "A1",
-            "p": ring.p,
-            "m": ring.m,
-            "liftings": [
-                {
-                    "chart": i,
-                    "h": sorted(
-                        [[e, c] for e, c in self.h[i].coeffs.items()]
-                    ),
-                }
-                for i in range(self.curve.ncharts)
-            ],
-        }
-
-    @classmethod
-    def deserialize(cls, data):
-        ring = Zmod(data["p"], data["m"])
-        curve = ProjectiveLine(ring) if data["curve"] == "P1" else AffineLine(ring)
-        hs = [LaurentPoly.zero(ring) for _ in range(curve.ncharts)]
-        for entry in data["liftings"]:
-            hs[entry["chart"]] = LaurentPoly(
-                ring, {int(e): ring.coerce(c) for e, c in entry["h"]}
-            )
-        return cls(curve, tuple(hs))

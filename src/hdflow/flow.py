@@ -183,20 +183,6 @@ def run_flow(G0, policy=None, atlas=None):
 # scalar extension
 
 
-def _extend_poly(f, K):
-    return LaurentPoly(K, {e: K.coerce(c) for e, c in f.coeffs.items()})
-
-
-def _extend_matrix(M, K):
-    return RingMatrix(
-        K,
-        [
-            [_extend_poly(M.entry(i, j), K) for j in range(M.ncols)]
-            for i in range(M.nrows)
-        ],
-    )
-
-
 def extend_graded(G, K):
     """Base change a graded Higgs bundle to a larger coefficient field with
     the same characteristic."""
@@ -208,21 +194,15 @@ def extend_graded(G, K):
     pieces = []
     for P in G.pieces:
         if curve.is_projective:
-            pieces.append(Bundle(curve, P.rank, _extend_matrix(P.transition, K)))
+            pieces.append(Bundle(curve, P.rank, P.transition.lift_to(K)))
         else:
             pieces.append(Bundle(curve, P.rank))
-    maps = tuple(
-        tuple(_extend_matrix(M, K) for M in per) for per in G.maps
-    )
+    maps = tuple(tuple(M.lift_to(K) for M in per) for per in G.maps)
     return GradedHiggsBundle(pieces, maps)
 
 
 def extend_graded_map(phi, K):
-    return GradedMap(
-        tuple(
-            tuple(_extend_matrix(M, K) for M in per) for per in phi.blocks
-        )
-    )
+    return GradedMap(tuple(tuple(M.lift_to(K) for M in per) for per in phi.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +563,7 @@ def pack_endostructure(T, xi, field=None, budget=DEFAULT_ISO_BUDGET):
             S = T._fils[i].step(k)
             if S is None:
                 continue
-            part = embeds[i].mul(_extend_matrix(S.basis[0], K))
+            part = embeds[i].mul(S.basis[0].lift_to(K))
             cols = part if cols is None else cols.hstack(part)
         if cols is None:
             break
@@ -811,7 +791,7 @@ class RelativeFrobenius:
     certificates: dict
 
 
-def build_relative_frobenius(T, atlas=None, budget=DEFAULT_ISO_BUDGET):
+def build_relative_frobenius(T, atlas=None):
     """Per-chart relative Frobenius of a one-periodic tuple.
 
     Certificates, all exact: (1) each chart matrix is invertible, (2) the

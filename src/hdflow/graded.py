@@ -12,6 +12,7 @@ The induced maps are O-linear and satisfy the Higgs-type chart rule with
 the piece transitions, which is re-verified exactly on construction.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -436,33 +437,19 @@ def graded_higgs_isomorphic(A, B, budget=200000):
         [[[range(a - b + 1) for b in tp] for a in tp] for tp in types],
     )
 
-    # linear equations: phi^{k} theta_A^{k+1} = theta_B^{k+1} phi^{k+1},
-    # expanded entrywise per monomial
+    # linear equations (k, r, c, e): the t^e coefficient of entry (r, c) of
+    # phi^{k} theta_A^{k+1} - theta_B^{k+1} phi^{k+1}
     for k in range(len(maps_A)):
-        tgt_tp, src_tp = types[k], types[k + 1]
-        for r in range(len(tgt_tp)):
-            for cidx in range(len(src_tp)):
-                for m in range(len(tgt_tp)):
-                    for te, tv in maps_A[k].entry(m, cidx).coeffs.items():
-                        for e in system.windows[k][r][m]:
-                            system.add((k, r, cidx, te + e), (k, r, m, e), tv)
-                for m in range(len(src_tp)):
-                    for te, tv in maps_B[k].entry(r, m).coeffs.items():
-                        for e in system.windows[k + 1][m][cidx]:
-                            system.add(
-                                (k, r, cidx, te + e), (k + 1, m, cidx, e), d.neg(tv)
-                            )
+        system.add_product((k,), k, right=maps_A[k])
+        system.add_product((k,), k + 1, left=maps_B[k], coef=-1)
     rows, rhs = system.rows_and_rhs()
     kernel = field_solve(rows, rhs, d, system.ncols).kernel
     if not kernel:
         return None
 
-    elements = list(d.elements())
     total = system.ncols
-    dim = len(kernel)
     tried = 0
-    combo = [0] * dim
-    while True:
+    for combo in itertools.product(d.elements(), repeat=len(kernel)):
         tried += 1
         if tried > budget:
             raise SearchBudgetExceeded(
@@ -470,8 +457,7 @@ def graded_higgs_isomorphic(A, B, budget=200000):
             )
         coeffs = [d.zero] * total
         nonzero = False
-        for j, pick in enumerate(combo):
-            v = elements[pick]
+        for j, v in enumerate(combo):
             if v == d.zero:
                 continue
             nonzero = True
@@ -497,15 +483,7 @@ def graded_higgs_isomorphic(A, B, budget=200000):
                 out = GradedMap(tuple(blocks))
                 out.validate(A, B)
                 return out
-        j = dim - 1
-        while j >= 0:
-            combo[j] += 1
-            if combo[j] < len(elements):
-                break
-            combo[j] = 0
-            j -= 1
-        if j < 0:
-            return None
+    return None
 
 
 def _expect_polynomial(M):

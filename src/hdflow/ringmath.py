@@ -542,6 +542,14 @@ class LaurentPoly:
         return LaurentPoly(target, dict(self.coeffs))
 
 
+def random_poly(rng, ring, max_deg, min_deg=0):
+    """Uniform residues mod ring.modulus as the coefficients of t^min_deg up
+    to t^max_deg, drawn lowest exponent first."""
+    return LaurentPoly(
+        ring, {e: rng.randrange(ring.modulus) for e in range(min_deg, max_deg + 1)}
+    )
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -742,6 +750,11 @@ class RingMatrix:
 
     def lift_to(self, target):
         return RingMatrix(target, [[e.lift_to(target) for e in row] for row in self.rows])
+
+    def p_divide(self, k, target):
+        return RingMatrix(
+            target, [[e.p_divide(k, target) for e in row] for row in self.rows]
+        )
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -1099,7 +1112,9 @@ class WindowSystem:
     unknown (b, i, j, e) is the coefficient of t^e there, and unknowns are
     numbered block by block, row-major, exponents in window order.
     Equations are named by sortable keys; coefficients accumulate in the
-    domain and dense rows come out in sorted key order.
+    domain and dense rows come out in sorted key order.  The add_* matrix
+    methods write whole products of X_b entrywise, equation
+    prefix + (i, j, e) taking the t^e coefficient of entry (i, j).
     """
 
     def __init__(self, domain, windows):
@@ -1137,6 +1152,47 @@ class WindowSystem:
         """Add value to the right side of eq."""
         d = self.domain
         self.constants[eq] = d.add(self.constants.get(eq, d.zero), d.coerce(value))
+
+    def add_derivative(self, prefix, b, coef=1):
+        """Add coef dX_b: its (i, j) entry's t^e coefficient goes to the left
+        side of equation prefix + (i, j, e)."""
+        d = self.domain
+        coef = d.coerce(coef)
+        for i, row in enumerate(self.windows[b]):
+            for j, exps in enumerate(row):
+                for e in exps:
+                    c = d.mul(coef, d.coerce(e))
+                    self.add(prefix + (i, j, e - 1), (b, i, j, e), c)
+
+    def add_product(self, prefix, b, left=None, right=None, coef=1):
+        """Add coef left X_b, or coef X_b right, to the left sides of the
+        equations prefix + (i, j, e), keyed like add_derivative."""
+        if (left is None) == (right is None):
+            raise ValueError("give exactly one of left and right")
+        d = self.domain
+        coef = d.coerce(coef)
+        for i, row in enumerate(self.windows[b]):
+            for j, exps in enumerate(row):
+                if left is not None:
+                    # X_b[i][j] meets left[r][i] in entry (r, j)
+                    terms = [((r, j), left.rows[r][i]) for r in range(left.nrows)]
+                else:
+                    terms = [((i, k), right.rows[j][k]) for k in range(right.ncols)]
+                for (r, k), f in terms:
+                    for eb, cb in f.coeffs.items():
+                        c = d.mul(coef, cb)
+                        for e in exps:
+                            self.add(prefix + (r, k, e + eb), (b, i, j, e), c)
+
+    def add_rhs_matrix(self, prefix, M, coef=1):
+        """Add coef M to the right sides, entry (i, j) at t^e going to
+        equation prefix + (i, j, e)."""
+        d = self.domain
+        coef = d.coerce(coef)
+        for i, row in enumerate(M.rows):
+            for j, f in enumerate(row):
+                for e, c in f.coeffs.items():
+                    self.add_rhs(prefix + (i, j, e), d.mul(coef, c))
 
     def rows_and_rhs(self):
         """Dense rows and right-hand side, equations in sorted key order."""

@@ -210,10 +210,17 @@ def _ring_and_curve(doc, path):
 
 
 def lifting_to_json(lifting):
-    doc = lifting.serialize()
-    doc["schema"] = SCHEMA
-    doc["type"] = "frobenius_lifting"
-    return doc
+    ring = lifting.curve.domain
+    return {
+        "schema": SCHEMA,
+        "type": "frobenius_lifting",
+        "curve": "P1" if lifting.curve.is_projective else "A1",
+        "p": ring.p,
+        "m": ring.m,
+        "liftings": [
+            {"chart": i, "h": poly_to_json(h)} for i, h in enumerate(lifting.h)
+        ],
+    }
 
 
 def lifting_from_json(doc, path="/"):

@@ -29,6 +29,7 @@ from .errors import (
     NoLiftedFiltration,
     NonInvertible,
     NoSolution,
+    NotDivisible,
     NotFree,
     TransversalityViolated,
     TruncationBoundExceeded,
@@ -40,8 +41,13 @@ from .ringmath import (
     WindowSystem,
     Zmod,
     block_starts,
+    random_poly,
     solve_linear_mod,
 )
+
+# Kernel generators and random combinations tried for an invertible
+# intertwiner before equivalence_check gives up.
+EQUIVALENCE_BUDGET = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +459,7 @@ def _monomial_span(matrices, pad):
     return lo - pad, hi + pad
 
 
-def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None, budget=4000):
+def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     """Explicit isomorphism intertwining two presentations of the twisted
     module: an invertible L with p dL + B_a L = L B_b, found by exact linear
     algebra over Z/p^n on a monomial window."""
@@ -471,14 +477,9 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None, budget=4000):
         max_exp = hi + 1 if max_exp is None else max_exp
     system = WindowSystem.square(ring, [rank], range(min_exp, max_exp + 1))
     p = ring.p
-    for u in system.index:
-        _, i, j, e = u
-        system.add(((i, j), e - 1), u, p * e)
-        for r in range(rank):
-            for exp_b, cb in Ba.rows[r][i].coeffs.items():
-                system.add(((r, j), e + exp_b), u, cb)
-            for exp_b, cb in Bb.rows[j][r].coeffs.items():
-                system.add(((i, r), e + exp_b), u, -cb)
+    system.add_derivative((), 0, p)
+    system.add_product((), 0, left=Ba)
+    system.add_product((), 0, right=Bb, coef=-1)
     rows, rhs = system.rows_and_rhs()
     sol = solve_linear_mod(rows, rhs, ring)
 
@@ -492,7 +493,7 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None, budget=4000):
     tried = 0
     for vec in gens:
         tried += 1
-        if tried > budget:
+        if tried > EQUIVALENCE_BUDGET:
             break
         L = system.matrices(vec)[0]
         if verify(L):
@@ -500,7 +501,7 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None, budget=4000):
     # invertibility is a dense condition on the solution lattice, so random
     # residue combinations of the generators find a unit quickly if one exists
     rng = random.Random(0)
-    while tried < budget and gens:
+    while tried < EQUIVALENCE_BUDGET and gens:
         tried += 1
         vec = [0] * system.ncols
         for g in gens:
@@ -521,7 +522,7 @@ def equivalence_gamma_check(tw_a, tw_b, L, rng, samples=3, m_values=(0, 1)):
     p = ring.p
     for _ in range(samples):
         for m in m_values:
-            hs = [_random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
+            hs = [random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
             v = _random_col(rng, ring, tw_a.rank, 2)
             lhs = L.mul(tw_b.gamma(m, hs, v))
             rhs = tw_a.gamma(m, hs, L.mul(v))
@@ -534,16 +535,8 @@ def equivalence_gamma_check(tw_a, tw_b, L, rng, samples=3, m_values=(0, 1)):
 # divided-operator relations
 
 
-def _random_poly(rng, ring, deg):
-    return LaurentPoly(
-        ring, {e: ring.coerce(rng.randrange(ring.modulus)) for e in range(deg + 1)}
-    )
-
-
 def _random_col(rng, ring, rank, deg):
-    return RingMatrix(
-        ring, [[_random_poly(rng, ring, deg)] for _ in range(rank)]
-    )
+    return RingMatrix(ring, [[random_poly(rng, ring, deg)] for _ in range(rank)])
 
 
 def gamma_relations_check(tw, rng=None, samples=2, m=1):
@@ -573,16 +566,16 @@ def gamma_relations_check(tw, rng=None, samples=2, m=1):
 
     for _ in range(samples):
         v = _random_col(rng, ring, tw.rank, 2)
-        f = _random_poly(rng, ring, 2)
+        f = random_poly(rng, ring, 2)
 
-        hs = [_random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
+        hs = [random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
         lhs = tw.gamma(m, hs, v).scale_const(ring.coerce(p ** m))
         if not lhs.sub(nab_chain(hs, v)).is_zero():
             report["scaling"] = False
 
         a = ring.coerce(rng.randrange(ring.modulus))
         b = ring.coerce(rng.randrange(ring.modulus))
-        extra = _random_poly(rng, ring, 2)
+        extra = random_poly(rng, ring, 2)
         slot = rng.randrange(p - 1 + m)
         mixed = list(hs)
         mixed[slot] = hs[slot].scale(a).add(extra.scale(b))
@@ -622,7 +615,7 @@ def gamma_relations_check(tw, rng=None, samples=2, m=1):
             report["swap"] = False
 
         m1, m2 = 0, m
-        both = [_random_poly(rng, ring, 2) for _ in range(2 * p - 2 + m1 + m2)]
+        both = [random_poly(rng, ring, 2) for _ in range(2 * p - 2 + m1 + m2)]
         inner = tw.gamma(m2, both[p - 1 + m1 :], v)
         lhs = tw.gamma(m1, both[: p - 1 + m1], inner)
         rhs = tw.gamma(p - 1 + m1 + m2, both, v).scale_const(
@@ -631,7 +624,7 @@ def gamma_relations_check(tw, rng=None, samples=2, m=1):
         if not lhs.sub(rhs).is_zero():
             report["merge"] = False
 
-        long_hs = [_random_poly(rng, ring, 2) for _ in range(p + m)]
+        long_hs = [random_poly(rng, ring, 2) for _ in range(p + m)]
         left = tw.gamma(m, long_hs[:-1], tw.nabla(long_hs[-1], v))
         mid = tw.nabla(long_hs[0], tw.gamma(m, long_hs[1:], v))
         right = tw.gamma(m + 1, long_hs, v).scale_const(ring.coerce(p))
@@ -899,7 +892,7 @@ class WittFlowStep:
     certificates: dict
 
 
-def w2_flow_step(tup, fil_steps, lifting=None, psi_window=(-2, 4)):
+def w2_flow_step(tup, fil_steps, lifting=None):
     """Run one flow step at full precision: transform, grade along the
     supplied filtration, and search for a grading comparison onto the input
     that reduces to the one-level-down comparison.
@@ -986,7 +979,7 @@ def w2_flow_step(tup, fil_steps, lifting=None, psi_window=(-2, 4)):
         certificates["baseline"] = "unpinned"
 
     psi, periodic = _solve_grading_comparison(
-        tup, theta_next, base_blocks, psi_window, certificates
+        tup, theta_next, base_blocks, certificates
     )
     return WittFlowStep(
         result.flat,
@@ -1000,10 +993,10 @@ def w2_flow_step(tup, fil_steps, lifting=None, psi_window=(-2, 4)):
     )
 
 
-def _solve_grading_comparison(tup, theta_next, base_blocks, window, certificates):
+def _solve_grading_comparison(tup, theta_next, base_blocks, certificates):
     """Blocks psi_g with psi_g theta'_g = theta_g psi_{g+1}, reducing to the
     given baseline one level down; linear in the p^(n-1)-corrections, so the
-    search is exact field linear algebra on a monomial window."""
+    search is exact field linear algebra on the monomial window t^-2..t^4."""
     ring = tup.ring
     p, n = ring.p, ring.m
     down = tup.down_ring
@@ -1014,38 +1007,26 @@ def _solve_grading_comparison(tup, theta_next, base_blocks, window, certificates
     else:
         base = base_blocks
     psi0 = [B.lift_to(ring) for B in base]
-    defect = []
-    for g in range(len(ranks) - 1):
-        D = psi0[g].mul(theta_next[g]).sub(tup.theta[g].mul(psi0[g + 1]))
-        defect.append(D)
-        for row in D.rows:
-            for e in row:
-                for c in e.coeffs.values():
-                    if c % (p ** (n - 1)):
-                        certificates["psi_residual"] = False
-                        return None, False
+    # psi0_g theta'_g - theta_g psi0_{g+1}, divided by p^(n-1)
+    try:
+        defect = [
+            psi0[g]
+            .mul(theta_next[g])
+            .sub(tup.theta[g].mul(psi0[g + 1]))
+            .p_divide(n - 1, field)
+            for g in range(len(ranks) - 1)
+        ]
+    except NotDivisible:
+        certificates["psi_residual"] = False
+        return None, False
     certificates["psi_residual"] = True
-    lo, hi = window
-    system = WindowSystem.square(field, ranks, range(lo, hi + 1))
-    tbar_next = [T.reduce_to(field) for T in theta_next]
-    tbar = [T.reduce_to(field) for T in tup.theta]
+    system = WindowSystem.square(field, ranks, range(-2, 5))
+    # equations (g, i, j, e): delta_g theta'_g - theta_g delta_{g+1} = -defect_g
+    # for the corrections psi_g = psi0_g + p^(n-1) delta_g
     for g, D in enumerate(defect):
-        for i in range(ranks[g]):
-            for j in range(ranks[g + 1]):
-                for e, c in D.rows[i][j].coeffs.items():
-                    system.add_rhs((g, i, j, e), -(c // (p ** (n - 1))))
-    # equation (g, i, j, e): the t^e coefficient of the (i, j) entry of
-    # delta_g theta'_g - theta_g delta_{g+1}
-    for u in system.index:
-        g, i, j, e = u
-        if g + 1 < len(ranks):
-            for k in range(ranks[g + 1]):
-                for eb, cb in tbar_next[g].rows[j][k].coeffs.items():
-                    system.add((g, i, k, e + eb), u, cb)
-        if g > 0:
-            for k in range(ranks[g - 1]):
-                for eb, cb in tbar[g - 1].rows[k][i].coeffs.items():
-                    system.add((g - 1, k, j, e + eb), u, -cb)
+        system.add_rhs_matrix((g,), D, -1)
+        system.add_product((g,), g, right=theta_next[g].reduce_to(field))
+        system.add_product((g,), g + 1, left=tup.theta[g].reduce_to(field), coef=-1)
     rows, rhs = system.rows_and_rhs()
     if rows:
         try:
@@ -1122,40 +1103,30 @@ def filtration_lift_candidates(tup, lifting, coefficients, exponents):
     return out
 
 
-def horizontal_transport(flat, cols_a, cols_b, window=(-1, 2)):
+def horizontal_transport(flat, cols_a, cols_b):
     """Automorphism 1 + p^(n-1) S of a flat module, horizontal and carrying
-    the first filtration onto the second; None when the bounded window
-    holds no such transport."""
+    the first filtration onto the second; None when S on the monomial window
+    t^-1..t^2 holds no such transport."""
     ring = flat.bundle.domain
     p, n = ring.p, ring.m
     field = Zmod(p, 1)
     rank = flat.bundle.rank
     Abar = flat.A[0].reduce_to(field)
-    lo, hi = window
-    system = WindowSystem.square(field, [rank], range(lo, hi + 1))
+    system = WindowSystem.square(field, [rank], range(-1, 3))
     # horizontality: dS + Abar S - S Abar = 0 over the residue field
-    for u in system.index:
-        _, i, j, e = u
-        system.add(("h", i, j, e - 1), u, e)
-        for r in range(rank):
-            for eb, cb in Abar.rows[r][i].coeffs.items():
-                system.add(("h", r, j, e + eb), u, cb)
-            for eb, cb in Abar.rows[j][r].coeffs.items():
-                system.add(("h", i, r, e + eb), u, -cb)
+    system.add_derivative(("h",), 0)
+    system.add_product(("h",), 0, left=Abar)
+    system.add_product(("h",), 0, right=Abar, coef=-1)
     # transport: columns of a, plus p^(n-1) S a, must lie in the span of b;
     # the difference (a - b) is p^(n-1) times a residue matrix
     for ncol in range(cols_a.ncols):
-        diff = cols_a.columns([ncol]).sub(cols_b.columns([ncol]))
-        for i in range(rank):
-            for e, c in diff.rows[i][0].coeffs.items():
-                if c % (p ** (n - 1)):
-                    return None
-                system.add_rhs(("t", ncol, i, e), -(c // (p ** (n - 1))))
-        abar_col = cols_a.columns([ncol]).reduce_to(field)
-        for u in system.index:
-            _, i, j, e = u
-            for eb, cb in abar_col.rows[j][0].coeffs.items():
-                system.add(("t", ncol, i, e + eb), u, cb)
+        col_a = cols_a.columns([ncol])
+        try:
+            diff = col_a.sub(cols_b.columns([ncol])).p_divide(n - 1, field)
+        except NotDivisible:
+            return None
+        system.add_rhs_matrix(("t", ncol), diff, -1)
+        system.add_product(("t", ncol), 0, right=col_a.reduce_to(field))
     rows, rhs = system.rows_and_rhs()
     if not rows:
         return None

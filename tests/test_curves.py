@@ -99,14 +99,3 @@ def test_lifting_requires_zmod_and_polynomial_h():
     R = Zmod(3)
     with pytest.raises(ValueError):
         FrobeniusLifting(AffineLine(R), (LaurentPoly(R, {-1: 1}),))
-
-
-def test_lifting_serialize_roundtrip():
-    R = Zmod(3, 2)
-    X = ProjectiveLine(R)
-    L = FrobeniusLifting(X, (LaurentPoly(R, {1: 4}), LaurentPoly(R, {2: 3})))
-    data = L.serialize()
-    assert data["curve"] == "P1" and data["p"] == 3 and data["m"] == 2
-    back = FrobeniusLifting.deserialize(data)
-    assert back.curve == X
-    assert back.h == L.h

@@ -20,6 +20,7 @@ from hdflow.ringmath import (
     poly_gcd,
     poly_kernel,
     poly_solve,
+    random_poly,
     saturation_basis,
     smith_form_poly,
     solve_linear_mod,
@@ -640,6 +641,130 @@ def test_window_system_matrices_read_back_the_unknowns():
     assert top.entry(0, 0) == LaurentPoly(F, {-1: 0, 0: 1})
     assert top.entry(1, 1) == LaurentPoly(F, {-1: 6, 0: 0})
     assert bottom.entry(0, 0) == LaurentPoly(F, {-1: 8, 0: 9})
+
+
+def _equation_values(system, vec):
+    """Each equation key with its left side at vec and its right side."""
+    d = system.domain
+    rows, rhs = system.rows_and_rhs()
+    keys = sorted(set(system.coeffs) | set(system.constants))
+    values = {}
+    for key, row, b in zip(keys, rows, rhs):
+        lhs = d.zero
+        for a, x in zip(row, vec):
+            lhs = d.add(lhs, d.mul(a, x))
+        values[key] = (lhs, b)
+    return values
+
+
+def _assert_matrix_equations(values, prefix, M, side):
+    """Equation prefix + (i, j, e) holds the t^e coefficient of M[i][j] on
+    the given side (0 left, 1 right); every other one is zero there."""
+    d = M.domain
+    want = {
+        prefix + (i, j, e): c
+        for i, row in enumerate(M.rows)
+        for j, f in enumerate(row)
+        for e, c in f.coeffs.items()
+    }
+    assert set(want) <= set(values)
+    for key, pair in values.items():
+        assert len(key) == len(prefix) + 3 and key[: len(prefix)] == prefix
+        assert pair[side] == want.get(key, d.zero)
+
+
+RAGGED = [[[range(2), range(0)], [range(-1, 1), range(3)]], [[[-1, 2]]]]
+
+
+def test_window_system_products_on_a_ragged_window():
+    F = Zmod(5)
+    M = RingMatrix(
+        F,
+        [
+            [LaurentPoly(F, {0: 2, 1: 3}), LaurentPoly(F, {-1: 1})],
+            [LaurentPoly.zero(F), LaurentPoly(F, {2: 4})],
+        ],
+    )
+    rng = random.Random(1)
+    for _ in range(5):
+        probe = WindowSystem(F, RAGGED)
+        vec = [rng.randrange(5) for _ in range(probe.ncols)]
+        X = probe.matrices(vec)[0]
+        for side, product in (("left", M.mul(X)), ("right", X.mul(M))):
+            system = WindowSystem(F, RAGGED)
+            system.add_product(("p",), 0, coef=2, **{side: M})
+            values = _equation_values(system, vec)
+            _assert_matrix_equations(values, ("p",), product.scale_const(2), 0)
+    with pytest.raises(ValueError):
+        WindowSystem(F, RAGGED).add_product((), 0, left=M, right=M)
+
+
+def test_window_system_derivative_scales_by_exponent_and_coefficient():
+    F = Zmod(3, 2)
+    system = WindowSystem(F, RAGGED)
+    system.add_derivative((), 1, 3)
+    vec = [1] * system.ncols
+    x = system.matrices(vec)[1]
+    values = _equation_values(system, vec)
+    # d(t^-1 + t^2) = -t^-2 + 2t, times 3 mod 9
+    assert values == {(0, 0, -2): (6, 0), (0, 0, 1): (6, 0)}
+    _assert_matrix_equations(values, (), x.derivative().scale_const(3), 0)
+
+
+def test_window_system_over_gf_with_a_field_coefficient():
+    F = GF(3, 2)
+    g = (1, 2)
+    M = RingMatrix(
+        F, [[LaurentPoly(F, {0: (0, 1)}), LaurentPoly(F, {1: (2, 2)})]]
+    )
+    system = WindowSystem.square(F, [2], range(2))
+    system.add_product(("q", 0), 0, left=M, coef=g)
+    system.add_rhs_matrix(("q", 0), M, g)
+    rng = random.Random(2)
+    vec = [F.coerce((rng.randrange(3), rng.randrange(3))) for _ in range(system.ncols)]
+    X = system.matrices(vec)[0]
+    values = _equation_values(system, vec)
+    scaled = M.scale_const(g)
+    _assert_matrix_equations(values, ("q", 0), M.mul(X).scale_const(g), 0)
+    _assert_matrix_equations(values, ("q", 0), scaled, 1)
+
+
+def test_window_system_keys_sort_by_entry_then_exponent():
+    F = Zmod(7)
+    A = RingMatrix(F, [[LaurentPoly(F, {0: 1, 1: 1})] * 2] * 2)
+    system = WindowSystem.square(F, [2], range(-1, 2))
+    system.add_product(("t", 1), 0, right=A.columns([0]))
+    system.add_product(("h",), 0, left=A)
+    keys = sorted(system.coeffs)
+    assert keys[0] == ("h", 0, 0, -1) and keys[-1] == ("t", 1, 1, 0, 2)
+    assert len(keys) == 2 * 2 * 4 + 2 * 4
+
+    # the solver's row order is the order of (entry, exponent) pairs, and of
+    # (row, exponent) pairs for a column product
+    def entry_then_exponent(k):
+        if k[0] == "h":
+            return (k[0], (k[1], k[2]), k[3])
+        return k[:3] + k[4:]
+
+    assert keys == sorted(keys, key=entry_then_exponent)
+
+
+def test_random_poly_draws_lowest_exponent_first():
+    R = Zmod(3, 2)
+    draws = random.Random(4)
+    want = {e: draws.randrange(9) for e in range(-1, 3)}
+    assert random_poly(random.Random(4), R, 2, -1) == LaurentPoly(R, want)
+    rng = random.Random(4)
+    assert random_poly(rng, R, 0, 1).is_zero()
+    assert rng.random() == random.Random(4).random()
+
+
+def test_matrix_p_divide_lands_in_the_target():
+    R, F = Zmod(3, 2), Zmod(3)
+    M = RingMatrix(R, [[LaurentPoly(R, {0: 3, 2: 6})]])
+    assert M.p_divide(1, F) == RingMatrix(F, [[LaurentPoly(F, {0: 1, 2: 2})]])
+    with pytest.raises(NotDivisible):
+        RingMatrix(R, [[LaurentPoly(R, {0: 4})]]).p_divide(1, F)
 
 
 # ---------------------------------------------------------------------------

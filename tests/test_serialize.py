@@ -256,9 +256,10 @@ def test_lifting_roundtrip_tagged():
     )
     doc = lifting_to_json(l)
     assert doc["type"] == "frobenius_lifting"
+    assert (doc["curve"], doc["p"], doc["m"]) == ("P1", 3, 2)
     back = lifting_from_json(doc)
     assert back.h == l.h
-    assert back.curve.is_projective
+    assert back.curve == curve
 
 
 # -- graded objects and filtrations ------------------------------------------
