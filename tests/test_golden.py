@@ -22,16 +22,26 @@ from click.testing import CliRunner
 
 from hdflow.cli import main
 from hdflow.corpus import CorpusParams, generate, random_witt_tuple
-from hdflow.bundles import Bundle
+from hdflow.bundles import Bundle, HiggsBundle, Subbundle, hn_filtration
+from hdflow.cartier import inverse_cartier_1
 from hdflow.curves import AffineLine, ProjectiveLine
+from hdflow.filtration import max_destabilizer_graded
 from hdflow.flow import PeriodicTuple, pack_endostructure, unpack_endostructure
 from hdflow.graded import (
     GradedHiggsBundle,
     GradedMap,
     HodgeFiltration,
+    grade,
     graded_higgs_isomorphic,
 )
-from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod, birkhoff_factorize
+from hdflow.ringmath import (
+    GF,
+    LaurentPoly,
+    RingMatrix,
+    Zmod,
+    birkhoff_factorize,
+    poly_kernel,
+)
 from hdflow.serialize import (
     canonical_bytes,
     graded_to_json,
@@ -273,7 +283,66 @@ def _block_layout_bytes():
     return canonical_bytes(doc)
 
 
+def _smith_layer_bytes():
+    """Outputs read off Smith forms over F_p[t]: saturated chart bases of
+    subbundle spans on P^1 corpus pieces, the HN filtration of a bundle of
+    splitting type (2, 0, -1) in twisted frames, maximal destabilizers of
+    two unstable corpus instances and of that bundle, the adapted frames
+    of a projective transform's grading, and a polynomial kernel."""
+    d3, d5 = Zmod(3), Zmod(5)
+
+    def bases(S):
+        return None if S is None else [matrix_to_json(B) for B in S.basis]
+
+    piece = generate(CorpusParams(p=3, rank=3, weight=1, count=1, seed=4))[0].pieces[1]
+    wide = generate(CorpusParams(p=5, rank=4, weight=1, count=1, seed=2))[0]
+    wide = max(wide.pieces, key=lambda P: P.rank)
+    spans = [
+        Subbundle.from_chart0_span(piece, _mat(d3, [[{-1: 1, 0: 2}], [{0: 1, 3: 1}]])),
+        Subbundle.from_chart0_span(
+            wide,
+            _mat(d5, [[{0: 1, 1: 2}, 1]] + [[{1: 3}, {-2: 1, 0: 4}]] * (wide.rank - 1)),
+        ),
+    ]
+
+    proj3 = ProjectiveLine(d3)
+    left = _mat(d3, [[1, 0, 0], [{-1: 2}, 1, 0], [{-2: 1}, {-1: 1}, 1]])
+    right = _mat(d3, [[1, {1: 1, 2: 2}, 0], [0, 1, 0], [{1: 2}, {0: 1, 1: 1}, 1]])
+    split = Bundle.sum_of_lines(proj3, (2, 0, -1))
+    twisted = Bundle(proj3, 3, left.mul(split.transition).mul(right))
+
+    unstable = [
+        generate(CorpusParams(p=3, rank=3, weight=1, count=1, seed=seed))[0]
+        for seed in (2, 6)
+    ]
+    unstable.append(GradedHiggsBundle((twisted,), ()))
+    reports = [max_destabilizer_graded(G) for G in unstable]
+
+    frame = _mat(d3, [[1, {1: 2}], [{0: 1, 1: 1}, {0: 1, 1: 2, 2: 2}]])
+    E = Bundle.sum_of_lines(proj3, (1, -1))
+    theta = _mat(d3, [[0, 1], [0, 0]])
+    E_new = Bundle(proj3, 2, E.transition.mul(frame.inverse()))
+    H = inverse_cartier_1(
+        HiggsBundle.from_chart0(E_new, frame.mul(theta).mul(frame.inverse()))
+    )
+    frames = grade(H, HodgeFiltration(H.bundle, [hn_filtration(H.bundle)[0]])).frames
+
+    M = _mat(d5, [[{0: 1, 1: 1}, {1: 1}, {0: 2, 2: 1}], [{0: 2, 1: 2}, {1: 2}, {0: 4, 2: 2}]])
+    doc = {
+        "spans": [bases(S) for S in spans],
+        "hn": [bases(S) for S in hn_filtration(twisted)],
+        "destabilizers": [
+            [[bases(S) for S in rep.pieces], str(rep.mu_max), rep.r_max]
+            for rep in reports
+        ],
+        "grading-frames": [matrix_to_json(T) for T in frames],
+        "kernel": matrix_to_json(poly_kernel(M)),
+    }
+    return canonical_bytes(doc)
+
+
 LIBRARY_CASES = {
+    "smith-layer": _smith_layer_bytes,
     "block-layout": _block_layout_bytes,
     "kernel-bases": _kernel_basis_bytes,
     "pack-unpack-round-trip": _pack_round_trip_bytes,
@@ -282,6 +351,7 @@ LIBRARY_CASES = {
 }
 
 LIBRARY_DIGESTS = {
+    "smith-layer": "fa225450363ce1c0531598af69dbfeeb62f48de58d46240392c15478e274b5f8",
     "block-layout": "7420d281d84246bf321618d4a8e7e0740ae21049b5a41d285eb6c303fc4b0165",
     "kernel-bases": "24f529b68afc1968d4b6dcdffe7aa372b4af21c574cb76f654a73f838b121f72",
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
