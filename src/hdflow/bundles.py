@@ -232,22 +232,10 @@ class SplitFrames:
     """
 
     def __init__(self, bundle, fact):
-        self.bundle = bundle
         self.exponents = list(fact.exponents)
         self.Q = fact.Q
         self.Qinv = fact.Q.inverse()
-        d = bundle.domain
-        s_inv = LaurentPoly.var(d, -1)
-        self.Phat = fact.P.substitute(s_inv)
-        self.Phatinv = self.Phat.inverse()
-        self.split_bundle = Bundle.sum_of_lines(bundle.curve, self.exponents)
-
-    def from_split_chart0(self, columns):
-        """Carry chart-0 column data from split coordinates back."""
-        return self.Qinv.mul(columns)
-
-    def from_split_chart1(self, columns):
-        return self.Phat.mul(columns)
+        self.Phat = fact.P.substitute(LaurentPoly.var(bundle.domain, -1))
 
 
 def _higgs_chart1(bundle, theta0):
@@ -442,20 +430,17 @@ class Subbundle:
         d = parent.domain
         if columns.ncols == 0:
             raise ZeroSubsheaf("empty generating set")
-        cleared = _clear_denominators(columns)
-        B0, rank = saturation_basis(cleared)
-        if rank == 0:
+        B0 = saturation_basis(_clear_denominators(columns))
+        if B0.ncols == 0:
             raise ZeroSubsheaf("generators span the zero subsheaf")
-        B0 = B0.columns(range(rank))
         if not parent.curve.is_projective:
             return cls(parent, (B0,))
         s_inv = LaurentPoly.var(d, -1)
         ghat = parent.chart1_transition()
         w = ghat.mul(B0.substitute(s_inv))
-        B1, rank1 = saturation_basis(_clear_denominators(w))
-        if rank1 != rank:
+        B1 = saturation_basis(_clear_denominators(w))
+        if B1.ncols != B0.ncols:
             raise ZeroSubsheaf("chart spans have different ranks")
-        B1 = B1.columns(range(rank1))
         return cls(parent, (B0, B1))
 
     def validate(self):
@@ -556,23 +541,8 @@ def hn_filtration(bundle):
         if cut == len(exps):
             steps.append(full_subbundle(bundle))
             break
-        cols = list(range(cut))
-        d = bundle.domain
-        sel = RingMatrix(
-            d,
-            [
-                [
-                    LaurentPoly.one(d) if j == c else LaurentPoly.zero(d)
-                    for c in cols
-                ]
-                for j in range(bundle.rank)
-            ],
-        )
-        B0 = sd.from_split_chart0(sel)
-        B1 = sd.from_split_chart1(sel)
-        B0, r0 = saturation_basis(_clear_denominators(B0))
-        B1, r1 = saturation_basis(_clear_denominators(B1))
-        steps.append(
-            Subbundle(bundle, (B0.columns(range(r0)), B1.columns(range(r1))))
-        )
+        sel = RingMatrix.identity(bundle.domain, bundle.rank).columns(range(cut))
+        B0 = saturation_basis(_clear_denominators(sd.Qinv.mul(sel)))
+        B1 = saturation_basis(_clear_denominators(sd.Phat.mul(sel)))
+        steps.append(Subbundle(bundle, (B0, B1)))
     return steps

@@ -279,8 +279,10 @@ def grade(flat, filtration):
     frames = tuple(
         _adapted_frame(filtration, c) for c in range(bundle.curve.ncharts)
     )
+    inverses = tuple(T.inverse() for T in frames)
     aprime = tuple(
-        change_frame_connection(A, T.inverse(), T) for A, T in zip(flat.A, frames)
+        change_frame_connection(A, Tinv, T)
+        for A, T, Tinv in zip(flat.A, frames, inverses)
     )
 
     blocks = [
@@ -299,7 +301,7 @@ def grade(flat, filtration):
     if bundle.curve.is_projective:
         s_inv = LaurentPoly.var(d, -1)
         ghat = bundle.chart1_transition()
-        gprime_hat = frames[1].inverse().mul(ghat).mul(frames[0].substitute(s_inv))
+        gprime_hat = inverses[1].mul(ghat).mul(frames[0].substitute(s_inv))
         for b in range(n + 1):
             for a in range(b):
                 chunk = gprime_hat.submatrix(blocks[a], blocks[b])

@@ -16,7 +16,7 @@ Conventions fixed here and relied on everywhere else:
     type of the transition matrix G and sum(a) = -(exponent of det G).
 """
 
-from .errors import NoSolution, NonInvertible, NotDivisible
+from .errors import CertificateFailed, NoSolution, NonInvertible, NotDivisible
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def _find_irreducible(p, f):
         mod = tuple(digits)
         if is_irreducible(mod):
             return mod
-    raise RuntimeError("no irreducible polynomial found (impossible)")
+    raise CertificateFailed("no irreducible modulus found", part="irreducible-modulus")
 
 
 def _prime_factors(n):
@@ -309,7 +309,7 @@ class GF:
                 return tuple(field_solve(rows, rhs, Zmod(self.p), d).particular)
             except NoSolution:
                 continue
-        raise RuntimeError("minimal polynomial search failed (impossible)")
+        raise CertificateFailed("no minimal polynomial", part="minimal-polynomial")
 
     def is_field_generator(self, a):
         return len(self.minimal_polynomial(a)) == self.f
@@ -877,15 +877,14 @@ def poly_gcd(a, b):
 
 
 class SmithForm:
-    """M = U * D * V over F[t]: U, V unimodular polynomial matrices with
-    polynomial inverses Uinv, Vinv; D diagonal with monic invariant factors."""
+    """L * M * R = D over F[t]: L, R unimodular polynomial matrices (the
+    accumulated row and column operations); D diagonal with monic invariant
+    factors, the first `rank` of them nonzero."""
 
-    def __init__(self, U, Uinv, D, V, Vinv, rank):
-        self.U = U
-        self.Uinv = Uinv
+    def __init__(self, L, D, R, rank):
+        self.L = L
         self.D = D
-        self.V = V
-        self.Vinv = Vinv
+        self.R = R
         self.rank = rank
 
     def invariant_factors(self):
@@ -895,7 +894,7 @@ class SmithForm:
 
 def smith_form_poly(M):
     """Smith normal form over F[t].  Left/right transforms are accumulated on
-    identities and inverted once at the end (unimodular, so exact)."""
+    identities as the elimination applies them."""
     d = M.domain
     if not d.is_field:
         raise ValueError("smith_form_poly needs a field coefficient domain")
@@ -937,10 +936,11 @@ def smith_form_poly(M):
     while True:
         guard += 1
         if guard > 2000:
-            raise RuntimeError("smith form failed to stabilize")
+            raise CertificateFailed(
+                "smith form failed to stabilize", part="smith-stabilization"
+            )
         k = 0
-        restart = False
-        while k < size and not restart:
+        while k < size:
             best = None
             for i in range(k, n):
                 for j in range(k, m):
@@ -1000,19 +1000,15 @@ def smith_form_poly(M):
         if fixed:
             break
 
-    rank = sum(
-        1 for k in range(size) if not A.rows[k][k].is_zero()
-    )
-    U = Lacc.inverse()
-    V = Racc.inverse()
-    return SmithForm(U, Lacc, A, V, Racc, rank)
+    rank = sum(1 for k in range(size) if not A.rows[k][k].is_zero())
+    return SmithForm(Lacc, A, Racc, rank)
 
 
 def poly_solve(M, v, laurent_denominators=False):
     """Solve M x = v over F[t] (v a matrix of columns); None if unsolvable.
     With laurent_denominators=True the solution may live in F[t, 1/t]."""
     sf = smith_form_poly(M)
-    w = sf.Uinv.mul(v)
+    w = sf.L.mul(v)
     d = M.domain
     size = min(M.nrows, M.ncols)
     y = RingMatrix.zeros(d, M.ncols, v.ncols)
@@ -1038,7 +1034,7 @@ def poly_solve(M, v, laurent_denominators=False):
                 y.rows[i][j] = q
             else:
                 return None
-    return sf.Vinv.mul(y)
+    return sf.R.mul(y)
 
 
 def _laurent_exact_div(w, di):
@@ -1059,35 +1055,28 @@ def _laurent_exact_div(w, di):
 def poly_kernel(M):
     """Basis (columns) of the kernel of M over F[t]."""
     sf = smith_form_poly(M)
-    d = M.domain
     size = min(M.nrows, M.ncols)
-    cols = [
-        j
-        for j in range(M.ncols)
-        if j >= size or sf.D.rows[j][j].is_zero()
-    ]
-    if not cols:
-        return RingMatrix.zeros(d, M.ncols, 0)
-    return sf.Vinv.columns(cols)
+    return sf.R.columns(
+        j for j in range(M.ncols) if j >= size or sf.D.rows[j][j].is_zero()
+    )
 
 
 def saturation_basis(M):
     """Basis of the saturation of the column span of M in the ambient free
-    F[t]-module: the first `rank` columns of U from the Smith form."""
+    F[t]-module: the first `rank` columns of L^-1 from the Smith form."""
     sf = smith_form_poly(M)
-    return sf.U.columns(range(sf.rank)), sf.rank
+    return sf.L.inverse().columns(range(sf.rank))
 
 
 def unimodular_completion(B):
     """Complete a saturated polynomial basis B to a square unimodular matrix
     [B | C] over F[t]."""
     sf = smith_form_poly(B)
-    d = B.domain
     for i in range(B.ncols):
         e = sf.D.rows[i][i]
         if e.is_zero() or e.degree() != 0:
             raise NonInvertible("basis not saturated; invariant factor %r" % e)
-    extra = sf.U.columns(range(B.ncols, B.nrows))
+    extra = sf.L.inverse().columns(range(B.ncols, B.nrows))
     return B.hstack(extra)
 
 
@@ -1277,7 +1266,7 @@ def solve_linear_mod(A, b, ring):
             f = a // piv  # exact: pivot has minimal valuation in the block
             if a % piv:
                 # entry with smaller valuation escaped: impossible by choice
-                raise RuntimeError("pivot valuation violated")
+                raise CertificateFailed("pivot valuation violated", part="pivot-column")
             M[i] = [(x - f * y) % mod for x, y in zip(M[i], M[k])]
             rhs[i] = (rhs[i] - f * rhs[k]) % mod
         for j in range(m):
@@ -1288,7 +1277,7 @@ def solve_linear_mod(A, b, ring):
                 continue
             f = a // piv
             if a % piv:
-                raise RuntimeError("pivot valuation violated")
+                raise CertificateFailed("pivot valuation violated", part="pivot-row")
             for row in M:
                 row[j] = (row[j] - f * row[k]) % mod
             for row in col:

@@ -227,13 +227,17 @@ def lifting_from_json(doc, path="/"):
     require_tag(doc, "frobenius_lifting", path)
     ring, curve = _ring_and_curve(doc, path)
     entries = _field(doc, "liftings", path, list)
-    hs = [LaurentPoly.zero(ring) for _ in range(curve.ncharts)]
+    hs = [None] * curve.ncharts
     for i, entry in enumerate(entries):
         here = "%s/liftings/%d" % (path.rstrip("/"), i)
         chart = _int_field(entry, "chart", here)
         if not 0 <= chart < curve.ncharts:
             raise SchemaError("chart index out of range", here + "/chart")
+        if hs[chart] is not None:
+            raise SchemaError("chart listed twice", here + "/chart")
         hs[chart] = poly_from_json(ring, _field(entry, "h", here, list), here + "/h")
+    if None in hs:
+        raise SchemaError("every chart needs a lifting", path.rstrip("/") + "/liftings")
     return FrobeniusLifting(curve, tuple(hs))
 
 

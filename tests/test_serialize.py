@@ -262,6 +262,17 @@ def test_lifting_roundtrip_tagged():
     assert back.curve == curve
 
 
+def test_lifting_rejects_repeated_and_missing_charts():
+    doc = {"schema": SCHEMA, "type": "frobenius_lifting", "curve": "P1", "p": 3, "m": 2}
+    twice = dict(doc, liftings=[{"chart": 0, "h": [[1, 2]]}, {"chart": 0, "h": [[2, 1]]}])
+    with pytest.raises(SchemaError) as err:
+        lifting_from_json(twice)
+    assert err.value.path == "/liftings/1/chart"
+    with pytest.raises(SchemaError) as err:
+        lifting_from_json(dict(doc, liftings=[]))
+    assert err.value.path == "/liftings"
+
+
 # -- graded objects and filtrations ------------------------------------------
 
 
