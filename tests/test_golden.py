@@ -22,10 +22,10 @@ from click.testing import CliRunner
 
 from hdflow.cli import main
 from hdflow.corpus import CorpusParams, generate, random_witt_tuple
-from hdflow.bundles import Bundle, HiggsBundle, Subbundle, hn_filtration
+from hdflow.bundles import Bundle, HiggsBundle, Subbundle, chart1_map, hn_filtration
 from hdflow.cartier import inverse_cartier_1
 from hdflow.curves import AffineLine, ProjectiveLine
-from hdflow.filtration import max_destabilizer_graded
+from hdflow.filtration import is_higgs_semistable, max_destabilizer_graded
 from hdflow.flow import PeriodicTuple, pack_endostructure, unpack_endostructure
 from hdflow.graded import (
     GradedHiggsBundle,
@@ -341,7 +341,76 @@ def _smith_layer_bytes():
     return canonical_bytes(doc)
 
 
+def _twisted_frames(G, left, right):
+    """The same graded object in new frames: rank-2 pieces get transition
+    left * g * right (left over F_p[1/t], right over F_p[t]) and the
+    connecting maps follow the chart-0 frame change."""
+    curve = G.curve
+    frames = []
+    pieces = []
+    for P in G.pieces:
+        if P.rank == 2:
+            frames.append(right)
+            pieces.append(Bundle(curve, 2, left.mul(P.transition).mul(right)))
+        else:
+            frames.append(RingMatrix.identity(G.domain, P.rank))
+            pieces.append(P)
+    maps = []
+    for k, (M0, _) in enumerate(G.maps):
+        M0 = frames[k].inverse().mul(M0).mul(frames[k + 1])
+        M1 = chart1_map(M0, pieces[k + 1], pieces[k]).scale(curve.jacobian_factor())
+        maps.append((M0, M1))
+    return GradedHiggsBundle(pieces, maps).validate()
+
+
+def _semistability_decisions_bytes():
+    """Semistability decisions at the default search budget: the first
+    witness and the maximal destabilizer (slope, rank and both chart bases
+    of every piece) of seeded rank-2 and rank-3 P^1 corpus instances, of
+    rank-3 box cells, and of one box cell re-expressed in twisted frames."""
+    instances = []
+    for p in (3, 5, 7):
+        for weight in (0, 1):
+            params = CorpusParams(
+                p=p, rank=2, weight=weight, count=6, seed=10 * p + weight, max_exp=3
+            )
+            instances.extend(generate(params))
+    instances.extend(
+        generate(CorpusParams(p=5, rank=3, weight=1, count=4, seed=51, max_exp=2))
+    )
+    box = [
+        generate(CorpusParams(p=p, rank=3, weight=weight, count=1, seed=0))[0]
+        for p, weight in ((3, 0), (3, 1), (5, 2), (7, 2))
+    ]
+    instances.extend(box)
+    d3 = Zmod(3)
+    instances.append(
+        _twisted_frames(
+            box[1],
+            _mat(d3, [[1, 0], [{-1: 2, -2: 1}, 1]]),
+            _mat(d3, [[1, {0: 1, 1: 2}], [0, 1]]),
+        )
+    )
+
+    def report(rep):
+        if rep is None:
+            return None
+        pieces = [
+            None if S is None else [matrix_to_json(B) for B in S.basis]
+            for S in rep.pieces
+        ]
+        return [pieces, str(rep.mu_max), rep.r_max]
+
+    doc = []
+    for G in instances:
+        ok, witness = is_higgs_semistable(G)
+        maximal = None if ok else max_destabilizer_graded(G)
+        doc.append([ok, report(witness), report(maximal)])
+    return canonical_bytes(doc)
+
+
 LIBRARY_CASES = {
+    "semistability-decisions": _semistability_decisions_bytes,
     "smith-layer": _smith_layer_bytes,
     "block-layout": _block_layout_bytes,
     "kernel-bases": _kernel_basis_bytes,
@@ -351,6 +420,7 @@ LIBRARY_CASES = {
 }
 
 LIBRARY_DIGESTS = {
+    "semistability-decisions": "61770d6ac73ddebf94c3c405822c11818e97da734c297a4d82b911f07d7401d5",
     "smith-layer": "fa225450363ce1c0531598af69dbfeeb62f48de58d46240392c15478e274b5f8",
     "block-layout": "7420d281d84246bf321618d4a8e7e0740ae21049b5a41d285eb6c303fc4b0165",
     "kernel-bases": "24f529b68afc1968d4b6dcdffe7aa372b4af21c574cb76f654a73f838b121f72",
