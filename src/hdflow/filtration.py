@@ -16,6 +16,7 @@ its second fundamental form lives in a negative-degree Hom space.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import ceil, floor
 
@@ -35,7 +36,7 @@ from .graded import (
     is_transversal,
     reduce_filtration,
 )
-from .ringmath import LaurentPoly, RingMatrix
+from .ringmath import LaurentPoly, RingMatrix, poly_gcd
 
 DEFAULT_SEARCH_BUDGET = 200000
 DEFAULT_MAX_ITER = 64
@@ -79,9 +80,18 @@ def _projective_vectors(field, nslots):
 
 
 class _LinePool:
-    """Lazily generated saturated line subbundles of one bundle, descending
-    by generation degree; deduplicated, each line recorded at its true
-    degree."""
+    """Lazily generated saturated line subbundles of one bundle, kept as
+    (degree, line) in descending degree.
+
+    In split coordinates E = O(b_1) + ... + O(b_n), a vector v enumerated
+    at degree d (leading entry one, deg v_j <= b_j - d) maps O(d) into E.
+    Its line is saturated of degree exactly d iff gcd(v_j) = 1 (no zero on
+    chart 0) and some v_j has degree exactly b_j - d (no zero at infinity);
+    its chart bases are then Qinv v and Phat w with w_j = s^(b_j - d)
+    v_j(1/s), the bytes a saturation would return.  Any other vector
+    saturates to a line of higher degree, which the pool kept earlier from
+    its own exact vector, so it is skipped after spending its budget
+    unit."""
 
     def __init__(self, bundle, budget):
         self.bundle = bundle
@@ -103,22 +113,27 @@ class _LinePool:
                 if cap >= 0
                 for e in range(cap + 1)
             ]
-            if not slots:
-                continue
             for vec in _projective_vectors(d, len(slots)):
                 self.budget.spend("line")
                 comps = [dict() for _ in self.tp]
-                for (j, e), v in zip(slots, vec):
-                    if v != d.zero:
-                        comps[j][e] = v
-                col = RingMatrix(d, [[LaurentPoly(d, c)] for c in comps])
-                S = Subbundle.from_chart0_span(
-                    self.bundle, self.sd.Qinv.mul(col)
-                )
-                if any(S.same_as(L) for L in self.lines):
+                for (j, e), c in zip(slots, vec):
+                    if c != d.zero:
+                        comps[j][e] = c
+                if not any(cap in comp for comp, cap in zip(comps, caps)):
                     continue
-                self.lines.append(S)
-        return [L for L in self.lines if L.degree() >= low]
+                v = [LaurentPoly(d, comp) for comp in comps]
+                if reduce(poly_gcd, v).degree() != 0:
+                    continue
+                w = [
+                    LaurentPoly(d, {cap - e: c for e, c in comp.items()})
+                    for comp, cap in zip(comps, caps)
+                ]
+                basis = (
+                    self.sd.Qinv.mul(RingMatrix(d, [[f] for f in v])),
+                    self.sd.Phat.mul(RingMatrix(d, [[f] for f in w])),
+                )
+                self.lines.append((dd, Subbundle(self.bundle, basis)))
+        return [S for deg, S in self.lines if deg >= low]
 
 
 def _invariant_chain(G, chosen):

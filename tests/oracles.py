@@ -213,3 +213,43 @@ def conjugate_higgs_frames(rng, higgs, ops=3, max_deg=1):
     E_new = Bundle(higgs.bundle.curve, n, g_new)
     theta0_new = change_frame_higgs(higgs.theta[0], Q)
     return HiggsBundle.from_chart0(E_new, theta0_new)
+
+
+class SaturatingLinePool:
+    """Reference for the destabilizer search's line pool: saturate every
+    enumerated vector with Smith forms and keep its line unless an earlier
+    line spans the same subsheaf.  Same constructor, vector order, budget
+    use and return value as the library pool."""
+
+    def __init__(self, bundle, budget):
+        self.bundle = bundle
+        self.budget = budget
+        self.tp = bundle.splitting_type()
+        self.sd = bundle.split_data()
+        self.lines = []
+        self.next_degree = self.tp[0]
+
+    def ensure(self, low):
+        from hdflow.bundles import Subbundle
+
+        d = self.bundle.domain
+        els = list(d.elements())
+        while self.next_degree >= low:
+            deg = self.next_degree
+            self.next_degree -= 1
+            slots = [
+                (j, e) for j, b in enumerate(self.tp) for e in range(b - deg + 1)
+            ]
+            for lead in range(len(slots)):
+                for tail in itertools.product(els, repeat=len(slots) - lead - 1):
+                    vec = [d.zero] * lead + [d.one] + list(tail)
+                    self.budget.spend("line")
+                    comps = [dict() for _ in self.tp]
+                    for (j, e), c in zip(slots, vec):
+                        if c != d.zero:
+                            comps[j][e] = c
+                    col = RingMatrix(d, [[LaurentPoly(d, c)] for c in comps])
+                    S = Subbundle.from_chart0_span(self.bundle, self.sd.Qinv.mul(col))
+                    if not any(S.same_as(L) for L in self.lines):
+                        self.lines.append(S)
+        return [L for L in self.lines if L.degree() >= low]

@@ -1,8 +1,8 @@
 """Every library function has a use.
 
 A function whose name appears nowhere but in its own definitions is dead:
-nothing in the library, its tests, the benchmark or the scripts calls it,
-so it is untested code that only looks like a feature.  Dunders and the
+nothing in the library, its tests or the benchmark calls it, so it is
+untested code that only looks like a feature.  Dunders and the
 command-line entry points (called by click, not by name) are exempt.
 """
 
@@ -15,7 +15,7 @@ import hdflow
 PACKAGE = Path(hdflow.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parents[1]
-SEARCHED = ("src", "tests", "bench", "scripts")
+SEARCHED = ("src", "tests", "bench")
 
 
 def _is_click_command(node):

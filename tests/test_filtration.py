@@ -25,6 +25,8 @@ from hdflow.errors import (
 from hdflow.filtration import (
     DescentRecord,
     DestabilizerReport,
+    _Budget,
+    _LinePool,
     check_window_descent,
     destabilizer_theta_closure,
     is_higgs_semistable,
@@ -41,7 +43,7 @@ from hdflow.graded import (
 )
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 
-from oracles import random_unimodular_poly
+from oracles import SaturatingLinePool, random_split_transition, random_unimodular_poly
 
 
 def upper_higgs(curve, exps, entry):
@@ -389,3 +391,47 @@ def test_window_descent_checks():
         check_window_descent([mk(3, 2, 2), mk(3, 2, 2), mk(3, 2, 2)])
     # incomplete trailing window is not judged
     check_window_descent([mk(3, 2, 3), mk(3, 2, 3)])
+
+
+# -- the line pool against the saturating reference --------------------------
+
+
+def _pool_bundles():
+    """Split and frame-twisted bundles with repeated exponents and negative
+    degrees at p = 3, 5, 7."""
+    rng = random.Random(11)
+    for p, exps in (
+        (3, (1, 0, 0)),
+        (3, (-1, -3)),
+        (5, (2, -1)),
+        (5, (-1, -2)),
+        (7, (0, -1)),
+        (7, (3,)),
+    ):
+        curve = ProjectiveLine(Zmod(p, 1))
+        yield Bundle.sum_of_lines(curve, exps)
+        yield Bundle(curve, len(exps), random_split_transition(rng, curve.domain, exps))
+
+
+def test_line_pool_matches_saturating_oracle():
+    for E in _pool_bundles():
+        p = E.domain.p
+        tp = E.splitting_type()
+        # the reference saturates every vector: stop near 100 of them
+        lows = []
+        vectors = 0
+        for low in range(tp[0], tp[-1] - 4, -1):
+            slots = sum(max(0, b - low + 1) for b in tp)
+            vectors += (p ** slots - 1) // (p - 1)
+            if vectors > 100:
+                break
+            lows.append(low)
+        assert len(lows) >= 2
+        budget, ref_budget = _Budget(10 ** 6), _Budget(10 ** 6)
+        pool, ref = _LinePool(E, budget), SaturatingLinePool(E, ref_budget)
+        for low in lows + [lows[0], lows[-1]]:
+            lines, want = pool.ensure(low), ref.ensure(low)
+            assert [S.basis for S in lines] == [S.basis for S in want]
+            assert [S.degree() for S in lines] == [S.degree() for S in want]
+            assert budget.used == ref_budget.used
+        assert [deg for deg, _ in pool.lines] == [S.degree() for S in ref.lines]
