@@ -2,12 +2,17 @@
 
 Elements of Z/p^m are plain ints in [0, p^m); elements of F_{p^f} are tuples
 of f ints in [0, p).  Both coefficient domains expose the same small protocol
-(zero/one/add/mul/neg/is_unit/inv/coeff_frobenius) so polynomials and matrices
-are generic over them.
+(zero/one/add/mul/neg/is_unit/inv/coeff_frobenius, and poly_add/poly_dot on
+whole coefficient dicts) so polynomials and matrices are generic over them.
 
 Conventions fixed here and relied on everywhere else:
   * Laurent polynomials are dicts {exponent: coefficient} with no zero
-    coefficients stored; the zero polynomial is the empty dict.
+    coefficients stored; the zero polynomial is the empty dict.  Every
+    coefficient is reduced (a least residue for Z/p^m).  LaurentPoly's
+    constructor enforces this; LaurentPoly._trusted skips the check.  Its
+    callers (LaurentPoly add, mul, neg, shift and derivative, and
+    RingMatrix.mul) build only reduced nonzero coefficients: the domains'
+    poly_add and poly_dot reduce every sum they store and drop zeros.
   * A unit of Z/p^m[t, 1/t] is (unit coefficient) * t^e plus p-nilpotent
     junk; inversion uses the finite geometric series.
   * birkhoff_factorize(G) returns (P, a, Q) with G = P*diag(t^-a_1..t^-a_r)*Q
@@ -62,6 +67,35 @@ class Zmod:
 
     def neg(self, a):
         return (-a) % self.modulus
+
+    def poly_add(self, f, g):
+        """Sum of two coefficient dicts, one reduction per touched exponent."""
+        out = dict(f)
+        for e, c in g.items():
+            s = (out.get(e, 0) + c) % self.modulus
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return out
+
+    def poly_dot(self, pairs):
+        """Sum of the products of (f, g) coefficient-dict pairs: plain int
+        sums per exponent, each reduced once, zeros dropped."""
+        sums = {}
+        get = sums.get
+        for f, g in pairs:
+            g = g.items()
+            for e1, c1 in f.items():
+                for e2, c2 in g:
+                    e = e1 + e2
+                    sums[e] = get(e, 0) + c1 * c2
+        out = {}
+        for e, s in sums.items():
+            s %= self.modulus
+            if s:
+                out[e] = s
+        return out
 
     def is_unit(self, a):
         return a % self.p != 0
@@ -265,6 +299,31 @@ class GF:
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
 
+    def poly_add(self, f, g):
+        """Zmod.poly_add through the field's own add."""
+        out = dict(f)
+        for e, c in g.items():
+            s = self.add(out.get(e, self.zero), c)
+            if s == self.zero:
+                del out[e]
+            else:
+                out[e] = s
+        return out
+
+    def poly_dot(self, pairs):
+        """Zmod.poly_dot through the field's own add and mul."""
+        out = {}
+        for f, g in pairs:
+            for e1, c1 in f.items():
+                for e2, c2 in g.items():
+                    e = e1 + e2
+                    s = self.add(out.get(e, self.zero), self.mul(c1, c2))
+                    if s == self.zero:
+                        del out[e]
+                    else:
+                        out[e] = s
+        return out
+
     def is_unit(self, a):
         return any(x % self.p for x in a)
 
@@ -345,6 +404,14 @@ class LaurentPoly:
                     cleaned[e] = c
         self.coeffs = cleaned
 
+    @staticmethod
+    def _trusted(domain, coeffs):
+        """Wrap a dict that already holds reduced, nonzero coefficients."""
+        out = object.__new__(LaurentPoly)
+        out.domain = domain
+        out.coeffs = coeffs
+        return out
+
     @classmethod
     def zero(cls, domain):
         return cls(domain, {})
@@ -404,34 +471,20 @@ class LaurentPoly:
 
     def add(self, other):
         d = self.domain
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = d.add(out.get(e, d.zero), c)
-            if s == d.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(d, out)
+        return LaurentPoly._trusted(d, d.poly_add(self.coeffs, other.coeffs))
 
     def sub(self, other):
         return self.add(other.neg())
 
     def neg(self):
         d = self.domain
-        return LaurentPoly(d, {e: d.neg(c) for e, c in self.coeffs.items()})
+        return LaurentPoly._trusted(d, {e: d.neg(c) for e, c in self.coeffs.items()})
 
     def mul(self, other):
         d = self.domain
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = d.add(out.get(e, d.zero), d.mul(c1, c2))
-                if s == d.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(d, out)
+        if not (self.coeffs and other.coeffs):
+            return LaurentPoly._trusted(d, {})
+        return LaurentPoly._trusted(d, d.poly_dot(((self.coeffs, other.coeffs),)))
 
     def scale(self, c):
         d = self.domain
@@ -439,7 +492,8 @@ class LaurentPoly:
         return LaurentPoly(d, {e: d.mul(v, c) for e, v in self.coeffs.items()})
 
     def shift(self, k):
-        return LaurentPoly(self.domain, {e + k: c for e, c in self.coeffs.items()})
+        d = self.domain
+        return LaurentPoly._trusted(d, {e + k: c for e, c in self.coeffs.items()})
 
     def power(self, n):
         if n < 0:
@@ -462,7 +516,7 @@ class LaurentPoly:
             v = d.mul(c, d.coerce(e))
             if v != d.zero:
                 out[e - 1] = v
-        return LaurentPoly(d, out)
+        return LaurentPoly._trusted(d, out)
 
     def substitute(self, image):
         """Composition self(image); image must be a Laurent unit whenever self
@@ -701,23 +755,18 @@ class RingMatrix:
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %r * %r" % (self, other))
-        zero = LaurentPoly.zero(self.domain)
+        d = self.domain
+        zero, trusted = LaurentPoly.zero(d), LaurentPoly._trusted
+        cols = [[e.coeffs for e in col] for col in zip(*other.rows)]
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc.add(a.mul(b))
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.domain, out)
+        for row in self.rows:
+            row = [(k, a.coeffs) for k, a in enumerate(row) if a.coeffs]
+            new = []
+            for col in cols:
+                pairs = [(a, col[k]) for k, a in row if col[k]]
+                new.append(trusted(d, d.poly_dot(pairs)) if pairs else zero)
+            out.append(new)
+        return RingMatrix(d, out)
 
     def scale(self, poly):
         return RingMatrix(self.domain, [[e.mul(poly) for e in row] for row in self.rows])
@@ -1241,6 +1290,8 @@ def solve_linear_mod(A, b, ring):
                     val = ring.valuation(a)
                     if best is None or val < best[2]:
                         best = (i, j, val)
+            if best is not None and best[2] == 0:
+                break  # a unit: no later entry can have a lower valuation
         if best is None:
             break
         bi, bj, val = best
@@ -1299,23 +1350,12 @@ def solve_linear_mod(A, b, ring):
     for i in range(len(diag), n):
         if rhs[i] % mod:
             raise NoSolution("no solution: inconsistent zero row")
-    free_cols = list(range(len(diag), m))
 
-    def col_map(vec):
-        return [
-            sum(col[r][j] * vec[j] for j in range(m)) % mod for r in range(m)
-        ]
-
-    particular = col_map(y)
-    kernel = []
-    for i, gen in kernel_dirs:
-        v = [0] * m
-        v[i] = gen
-        kernel.append(col_map(v))
-    for j in free_cols:
-        v = [0] * m
-        v[j] = 1
-        kernel.append(col_map(v))
+    particular = [sum(c * v for c, v in zip(row, y)) % mod for row in col]
+    # x = col*y on a unit direction y = gen*e_i is column i of col times gen;
+    # col's entries are already reduced, so a free column needs no product
+    kernel = [[row[i] * gen % mod for row in col] for i, gen in kernel_dirs]
+    kernel += [[row[j] for row in col] for j in range(len(diag), m)]
     return LinearSolution(particular, kernel)
 
 

@@ -7,7 +7,8 @@ desk-sized inputs inside the test suite.
 
 import itertools
 
-from hdflow.ringmath import LaurentPoly, RingMatrix
+from hdflow.errors import CertificateFailed, NoSolution
+from hdflow.ringmath import LaurentPoly, LinearSolution, RingMatrix
 
 
 def enumerate_solutions_mod(A, b, modulus, limit=10 ** 4):
@@ -38,6 +39,110 @@ def span_mod(particular, kernel, modulus, limit=10 ** 4):
                 v[i] = (v[i] + c * gen[i]) % modulus
         seen.add(tuple(v))
     return sorted(list(t) for t in seen)
+
+
+def schoolbook_mul(f, g):
+    """Laurent product through the domain protocol alone: one d.mul and one
+    d.add per pair of terms, a sum dropped whenever it returns to zero."""
+    d = f.domain
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            s = d.add(out.get(e, d.zero), d.mul(c1, c2))
+            if s == d.zero:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return LaurentPoly(d, out)
+
+
+def schoolbook_add(f, g):
+    """Laurent sum through the domain protocol, one d.add per term of g."""
+    d = f.domain
+    out = dict(f.coeffs)
+    for e, c in g.coeffs.items():
+        s = d.add(out.get(e, d.zero), c)
+        if s == d.zero:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return LaurentPoly(d, out)
+
+
+def solve_linear_mod_col_map(A, b, ring):
+    """The Z/p^m solver with every output read through the full column
+    transform: the same diagonalization as ringmath.solve_linear_mod (pivot
+    of least valuation, first in row-major order), then x = col * y for the
+    particular solution and for each unit direction of the kernel."""
+    n = len(A)
+    m = len(A[0]) if n else 0
+    p, mod = ring.p, ring.modulus
+    M = [[A[i][j] % mod for j in range(m)] for i in range(n)]
+    rhs = [bi % mod for bi in b]
+    col = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    diag = []
+    k = 0
+    while k < min(n, m):
+        best = None
+        for i in range(k, n):
+            for j in range(k, m):
+                a = M[i][j]
+                if a % mod:
+                    val = ring.valuation(a)
+                    if best is None or val < best[2]:
+                        best = (i, j, val)
+        if best is None:
+            break
+        bi, bj, val = best
+        M[k], M[bi] = M[bi], M[k]
+        rhs[k], rhs[bi] = rhs[bi], rhs[k]
+        if bj != k:
+            for row in M + col:
+                row[k], row[bj] = row[bj], row[k]
+        uinv = pow((M[k][k] // p ** val) % mod, -1, mod)
+        M[k] = [(uinv * x) % mod for x in M[k]]
+        rhs[k] = (uinv * rhs[k]) % mod
+        piv = p ** val
+        for i in range(n):
+            a = M[i][k]
+            if i == k or a % mod == 0:
+                continue
+            if a % piv:
+                raise CertificateFailed("pivot valuation violated", part="oracle")
+            M[i] = [(x - (a // piv) * y) % mod for x, y in zip(M[i], M[k])]
+            rhs[i] = (rhs[i] - (a // piv) * rhs[k]) % mod
+        for j in range(m):
+            a = M[k][j]
+            if j == k or a % mod == 0:
+                continue
+            if a % piv:
+                raise CertificateFailed("pivot valuation violated", part="oracle")
+            for row in M + col:
+                row[j] = (row[j] - (a // piv) * row[k]) % mod
+        diag.append(val)
+        k += 1
+    y = [0] * m
+    kernel_dirs = []
+    for i, val in enumerate(diag):
+        piv = p ** val
+        if rhs[i] % piv:
+            raise NoSolution("oracle: rhs has valuation below pivot")
+        y[i] = (rhs[i] // piv) % (mod // piv) if val < ring.m else 0
+        if val > 0:
+            kernel_dirs.append((i, (mod // piv) % mod))
+    if any(rhs[i] % mod for i in range(len(diag), n)):
+        raise NoSolution("oracle: inconsistent zero row")
+
+    def col_map(vec):
+        return [sum(col[r][j] * vec[j] for j in range(m)) % mod for r in range(m)]
+
+    def unit(j, gen):
+        return [gen if i == j else 0 for i in range(m)]
+
+    kernel = [col_map(unit(i, gen)) for i, gen in kernel_dirs]
+    kernel += [col_map(unit(j, 1)) for j in range(len(diag), m)]
+    return LinearSolution(col_map(y), kernel)
 
 
 def slow_pow(field, a, e):

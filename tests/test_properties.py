@@ -16,6 +16,8 @@ from hdflow.ringmath import (
 )
 from hdflow.serialize import poly_from_json, poly_to_json
 
+import oracles
+
 RINGS = [Zmod(3, 1), Zmod(5, 1), Zmod(7, 1), Zmod(3, 2), Zmod(5, 2)]
 FIELDS = [GF(3, 2), GF(3, 3), GF(5, 2)]
 
@@ -49,6 +51,77 @@ def test_laurent_ring_laws(data):
     assert f.mul(g) == g.mul(f)
     assert f.mul(g).mul(h) == f.mul(g.mul(h))
     assert f.mul(g.add(h)) == f.mul(g).add(f.mul(h))
+
+
+# every Z/p^m the Witt lifts reach, m up to 3
+WITT_RINGS = [Zmod(p, m) for p in (3, 5, 7) for m in (1, 2, 3)]
+
+
+@st.composite
+def wide_polys(draw, count, max_terms=30, rings=WITT_RINGS):
+    """Polynomials of up to max_terms terms on windows that start at a
+    negative or positive exponent and run from dense to several times wider
+    than the term count; Z/p^m coefficients are unreduced ints."""
+    ring = draw(st.sampled_from(rings))
+    if isinstance(ring, Zmod):
+        cell = st.integers(min_value=-2 * ring.modulus, max_value=2 * ring.modulus)
+    else:
+        cell = st.sampled_from(list(ring.elements()))
+    polys = []
+    for _ in range(count):
+        lo = draw(st.integers(min_value=-40, max_value=10))
+        width = draw(st.integers(min_value=0, max_value=3 * max_terms))
+        size = draw(st.integers(min_value=0, max_value=max_terms))
+        coeffs = draw(
+            st.dictionaries(
+                st.integers(min_value=lo, max_value=lo + width),
+                cell,
+                min_size=min(size, width + 1),
+                max_size=size,
+            )
+        )
+        polys.append(_poly(ring, coeffs))
+    return (ring, *polys)
+
+
+def _canonical(f):
+    return all(0 < c < f.domain.modulus for c in f.coeffs.values())
+
+
+@settings(deadline=None, max_examples=300)
+@given(wide_polys(2))
+def test_mul_and_add_match_the_schoolbook_loop(data):
+    ring, f, g = data
+    h = f.neg().add(g.scale(ring.p))  # shares f's support, cancels mod p^m
+    for x, y in ((f, g), (g, f), (f, h), (h, f)):
+        for got, want in (
+            (x.mul(y), oracles.schoolbook_mul(x, y)),
+            (x.add(y), oracles.schoolbook_add(x, y)),
+            (x.sub(y), oracles.schoolbook_add(x, y.neg())),
+        ):
+            assert got.coeffs == want.coeffs
+            assert _canonical(got)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    wide_polys(36, max_terms=8, rings=WITT_RINGS + FIELDS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+)
+def test_matrix_product_entries_match_the_schoolbook_loop(data, n, k, m):
+    ring, *polys = data
+    A = RingMatrix(ring, [polys[i * k : (i + 1) * k] for i in range(n)])
+    B = RingMatrix(ring, [polys[18 + j * m : 18 + (j + 1) * m] for j in range(k)])
+    C = A.mul(B)
+    for i in range(n):
+        for j in range(m):
+            want = LaurentPoly.zero(ring)
+            for s in range(k):
+                term = oracles.schoolbook_mul(A.rows[i][s], B.rows[s][j])
+                want = oracles.schoolbook_add(want, term)
+            assert C.rows[i][j].coeffs == want.coeffs
 
 
 @settings(deadline=None)

@@ -551,6 +551,47 @@ def test_solve_linear_mod_matches_exhaustive():
             assert ours == sorted(brute)
 
 
+def test_solve_linear_mod_kernel_columns_match_col_map_oracle():
+    # A = U V with the rows of V scaled by p^v: rank-deficient systems whose
+    # pivots take every valuation below m, so kernels mix p-power directions
+    # and free columns; every third right side is random and may be unsolvable
+    rng = random.Random(2024)
+    directions = set()
+    for p in (3, 5, 7):
+        for m in (2, 3):
+            R = Zmod(p, m)
+            mod = R.modulus
+            for trial in range(12):
+                n, k = rng.randint(1, 9), rng.randint(1, 9)
+                r = rng.randint(0, min(n, k))
+                U = [[rng.randrange(mod) for _ in range(r)] for _ in range(n)]
+                V = [
+                    [p ** rng.randrange(m) * rng.randrange(mod) for _ in range(k)]
+                    for _ in range(r)
+                ]
+                A = [
+                    [sum(U[i][s] * V[s][j] for s in range(r)) % mod for j in range(k)]
+                    for i in range(n)
+                ]
+                x = [rng.randrange(mod) for _ in range(k)]
+                b = [sum(a * v for a, v in zip(row, x)) % mod for row in A]
+                if trial % 3 == 2:
+                    b = [rng.randrange(mod) for _ in range(n)]
+                try:
+                    want = oracles.solve_linear_mod_col_map(A, b, R)
+                except NoSolution:
+                    with pytest.raises(NoSolution):
+                        solve_linear_mod(A, b, R)
+                    directions.add("unsolvable")
+                    continue
+                sol = solve_linear_mod(A, b, R)
+                assert sol.particular == want.particular
+                assert sol.kernel == want.kernel
+                for v in sol.kernel:
+                    directions.add("p-power" if all(c % p == 0 for c in v) else "free")
+    assert directions == {"p-power", "free", "unsolvable"}
+
+
 def test_field_solve_and_nullspace_gf9():
     F = GF(3, 2)
     x = F.gen
