@@ -140,9 +140,18 @@ def gamma_apply(A, ranks, m, hs, col):
     same expression without the slot drop (these are the steps already
     divided by p), and the final slot deficit is paid back as explicit
     p-powers on each graded coordinate.
+
+    Exactly p - 1 steps drop a slot, so the grade-g0 part ends in slot
+    g0 - (p - 1) and its row-grade-g coordinates are scaled by
+    p^(g - g0 + p - 1).  A part with g0 < p - n therefore vanishes mod p^n
+    in every row and is never propagated; when the top grade is below
+    p - n the operator is zero.  Such a part cannot fail the slot
+    certificate either, since its exponent is at least n on every row
+    grade; the certificate still runs on every propagated part, and only
+    coordinates whose exponent reaches n are skipped in the pay-back.
     """
     ring = A.domain
-    p = ring.p
+    p, n = ring.p, ring.m
     if len(hs) != p - 1 + m:
         raise ValueError("divided operator of weight m needs p-1+m derivations")
     starts = block_starts(ranks)
@@ -150,6 +159,8 @@ def gamma_apply(A, ranks, m, hs, col):
     rank = sum(ranks)
     state = {}
     for g, (a, b) in enumerate(slices):
+        if g < p - n:
+            continue
         rows = [[LaurentPoly.zero(ring)] for _ in range(rank)]
         seen = False
         for i in range(a, b):
@@ -176,6 +187,8 @@ def gamma_apply(A, ranks, m, hs, col):
         rows = [[LaurentPoly.zero(ring)] for _ in range(rank)]
         for g, (a, b) in enumerate(slices):
             e = g - s
+            if e >= n:
+                continue
             for i in range(a, b):
                 entry = comp.rows[i][0]
                 if entry.is_zero():
@@ -709,13 +722,14 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
     current = [e for e in basis]
     fact = 1
     # terms up to top are summed; terms past it, up to the static bound,
-    # must vanish
+    # must vanish; the nabla chain feeds only the terms below p
     for j in range(max(top, bound - 1) + 1):
         if j:
-            fact *= j
-            current = [tw.nabla(one, c) for c in current]
             zpow = zpow.mul(z)
         if j < p:
+            if j:
+                fact *= j
+                current = [tw.nabla(one, c) for c in current]
             coef_cols = [
                 c.scale_const(ring.inv(ring.coerce(fact))) for c in current
             ]

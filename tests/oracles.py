@@ -8,7 +8,7 @@ desk-sized inputs inside the test suite.
 import itertools
 
 from hdflow.errors import CertificateFailed, NoSolution
-from hdflow.ringmath import LaurentPoly, LinearSolution, RingMatrix
+from hdflow.ringmath import LaurentPoly, LinearSolution, RingMatrix, block_starts
 
 
 def enumerate_solutions_mod(A, b, modulus, limit=10 ** 4):
@@ -143,6 +143,45 @@ def solve_linear_mod_col_map(A, b, ring):
     kernel = [col_map(unit(i, gen)) for i, gen in kernel_dirs]
     kernel += [col_map(unit(j, 1)) for j in range(len(diag), m)]
     return LinearSolution(col_map(y), kernel)
+
+
+def unpruned_gamma_apply(A, ranks, m, hs, col):
+    """The divided operator with every grade propagated: each grade-g part
+    runs through all p - 1 + m steps, whatever its final p-power, and every
+    coordinate is paid back, a vanishing p-power included."""
+    ring = A.domain
+    p = ring.p
+    assert len(hs) == p - 1 + m
+    starts = block_starts(ranks)
+    slices = list(zip(starts, starts[1:]))
+    rank = sum(ranks)
+    state = {}
+    for g, (a, b) in enumerate(slices):
+        rows = [[LaurentPoly.zero(ring)] for _ in range(rank)]
+        for i in range(a, b):
+            rows[i] = [col.rows[i][0]]
+        state[g] = RingMatrix(ring, rows)
+    for r in range(p - 1 + m, 0, -1):
+        shift = 1 if r > m else 0
+        state = {
+            s - shift: comp.derivative().add(A.mul(comp)).scale(hs[r - 1])
+            for s, comp in state.items()
+        }
+    out = RingMatrix.zeros(ring, rank, 1)
+    for s, comp in state.items():
+        for g, (a, b) in enumerate(slices):
+            for i in range(a, b):
+                entry = comp.rows[i][0]
+                if entry.is_zero():
+                    continue
+                if g < s:
+                    raise CertificateFailed(
+                        "divided-operator state escaped its slot", part="gamma"
+                    )
+                out.rows[i][0] = out.rows[i][0].add(
+                    entry.scale(ring.coerce(p ** (g - s)))
+                )
+    return out
 
 
 def slow_pow(field, a, e):

@@ -308,14 +308,16 @@ def test_witt_flow_step_needs_level_two(tmp_path):
 
 
 def test_check_suites_pass():
-    for suite in (
-        "cocycle",
-        "gamma-relations",
-        "p-curvature",
-        "degree-scaling",
-        "ov-sign",
+    for suite, extra in (
+        ("cocycle", []),
+        ("gamma-relations", []),
+        # p = 5 draws a weight-3 shape, whose operator is nonzero mod 25
+        ("gamma-relations", ["--p", "5"]),
+        ("p-curvature", []),
+        ("degree-scaling", []),
+        ("ov-sign", []),
     ):
-        result = invoke(["check", "--suite", suite, "--seed", "3"])
+        result = invoke(["check", "--suite", suite, "--seed", "3"] + extra)
         assert result.exit_code == 0, (suite, result.output)
         doc = json.loads(result.output)
         assert doc["counts"]["failed"] == 0

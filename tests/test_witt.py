@@ -31,6 +31,7 @@ from hdflow.witt import (
     filtration_lift_candidates,
     filtration_steps_from_flag,
     fn_apply,
+    gamma_apply,
     gamma_relations_check,
     gn_construct,
     horizontal_transport,
@@ -47,7 +48,12 @@ from hdflow.witt import (
     w2_flow_step,
 )
 
-from oracles import random_graded_higgs, random_poly, random_unimodular_poly
+from oracles import (
+    random_graded_higgs,
+    random_poly,
+    random_unimodular_poly,
+    unpruned_gamma_apply,
+)
 
 
 def lp(ring, coeffs):
@@ -341,11 +347,91 @@ def test_divided_operator_vanishes_at_level_one():
 def test_divided_operator_relations_mod_nine_and_twenty_five():
     rng = random.Random(23)
     for ring, ranks in [(Zmod(3, 2), (1, 1)), (Zmod(3, 2), (2, 1)),
-                        (Zmod(5, 2), (1, 1, 1)), (Zmod(5, 2), (1, 2, 1))]:
+                        (Zmod(5, 2), (1, 1, 1)), (Zmod(5, 2), (1, 2, 1)),
+                        (Zmod(5, 2), (1, 1, 1, 1)), (Zmod(5, 3), (1, 2, 1))]:
         tup = random_input_tuple(rng, ring, ranks)
         tw = sharp_construct(tup)
         report = gamma_relations_check(tw, rng, samples=2, m=1)
         assert all(report.values()), (ring, ranks, report)
+        # a shape whose top grade reaches p - n has a nonzero operator, so
+        # the relations above compared more than zeros
+        zeros = [
+            tw.gamma(
+                1,
+                [random_poly(rng, ring, 2) for _ in range(ring.p)],
+                RingMatrix(ring, [[random_poly(rng, ring, 2)] for _ in range(tw.rank)]),
+            ).is_zero()
+            for _ in range(3)
+        ]
+        live = len(ranks) - 1 >= ring.p - ring.m
+        assert all(zeros) != live, (ring, ranks)
+
+
+def _graded_shapes(max_rank, max_weight):
+    """Every tuple of positive grade ranks with the given bounds."""
+    shapes = [(r,) for r in range(1, max_rank + 1)]
+    out = []
+    while shapes:
+        out.extend(shapes)
+        shapes = [
+            s + (r,)
+            for s in shapes
+            if len(s) <= max_weight
+            for r in range(1, max_rank - sum(s) + 1)
+        ]
+    return out
+
+
+def _random_one_step_lower(rng, ring, ranks):
+    """Random connection matrix whose blocks drop at most one grade."""
+    grade = [g for g, r in enumerate(ranks) for _ in range(r)]
+    return RingMatrix(
+        ring,
+        [
+            [
+                random_poly(rng, ring, 1) if gi >= gj - 1 else LaurentPoly.zero(ring)
+                for gj in grade
+            ]
+            for gi in grade
+        ],
+    )
+
+
+def test_pruned_divided_operator_matches_unpruned_oracle():
+    rng = random.Random(8)
+    live = 0
+    for p in (3, 5, 7):
+        shapes = _graded_shapes(4, p - 2)
+        for n in (1, 2, 3):
+            ring = Zmod(p, n)
+            for m in (0, 1, 2):
+                for ranks in shapes:
+                    rank = sum(ranks)
+                    A = _random_one_step_lower(rng, ring, ranks)
+                    hs = [random_poly(rng, ring, 1) for _ in range(p - 1 + m)]
+                    col = RingMatrix(
+                        ring, [[random_poly(rng, ring, 1)] for _ in range(rank)]
+                    )
+                    want = unpruned_gamma_apply(A, ranks, m, hs, col)
+                    assert gamma_apply(A, ranks, m, hs, col) == want, (p, n, m, ranks)
+                    if len(ranks) - 1 < p - n:
+                        assert want.is_zero(), (p, n, m, ranks)
+                    elif not want.is_zero():
+                        live += 1
+    assert live > 0
+
+
+def test_escaped_slot_certificate_fires_with_and_without_pruning():
+    # weight p: the top grade ends one slot up, and three one-step drops of
+    # the shift matrix carry it to grade zero, below its slot
+    ring = Zmod(3, 2)
+    ranks = (1, 1, 1, 1)
+    A = mat(ring, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    hs = [LaurentPoly.one(ring)] * 3
+    col = basis_col(ring, 4, 3)
+    for apply in (gamma_apply, unpruned_gamma_apply):
+        with pytest.raises(CertificateFailed, match="escaped its slot"):
+            apply(A, ranks, 1, hs, col)
 
 
 def test_level_bound_of_twisted_module():
