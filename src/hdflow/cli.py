@@ -567,8 +567,8 @@ def _suite_gamma_relations(rng, p_opt, m_opt):
 
     The operator vanishes mod p^n on a shape whose top grade is below
     p - n, so only shapes reaching p - n test more than zeros: at p = 5 the
-    weight-3 shape is the live one mod p^2, and no p = 7 shape of rank <= 4
-    has a live grade mod p^2 or p^3."""
+    weight-3 shape is the live one mod p^2, and at p = 7 only the weight-5
+    shape, of rank 6 and outside the corpus box, is live mod p^2 and p^3."""
     p = p_opt if p_opt else 3
     n = m_opt if m_opt else 2
     if p == 3:
@@ -576,7 +576,7 @@ def _suite_gamma_relations(rng, p_opt, m_opt):
     elif p == 5:
         shapes = ((1, 1), (2, 1), (1, 1, 1), (1, 1, 1, 1))
     else:
-        shapes = ((1, 1), (2, 1), (1, 1, 1))
+        shapes = ((1, 1), (2, 1), (1, 1, 1), (1,) * 6)
     checks = []
     for trial in range(6):
         ranks = shapes[trial % len(shapes)]

@@ -49,9 +49,9 @@ from .ringmath import (
     GF,
     LaurentPoly,
     RingMatrix,
-    field_solve,
     poly_kernel,
     poly_solve,
+    solve_linear_mod,
 )
 
 DEFAULT_ISO_BUDGET = 200000
@@ -627,7 +627,7 @@ def _eigenspace_columns(K, M, lam):
         ]
         for i in range(n)
     ]
-    basis = field_solve(shifted, [K.zero] * n, K, n).kernel
+    basis = solve_linear_mod(shifted, [K.zero] * n, K, n).kernel
     if not basis:
         return None
     return RingMatrix(

@@ -29,8 +29,8 @@ from .ringmath import (
     LaurentPoly,
     RingMatrix,
     WindowSystem,
-    field_solve,
     poly_solve,
+    solve_linear_mod,
     unimodular_completion,
 )
 
@@ -445,7 +445,7 @@ def graded_higgs_isomorphic(A, B, budget=200000):
         system.add_product((k,), k, right=maps_A[k])
         system.add_product((k,), k + 1, left=maps_B[k], coef=-1)
     rows, rhs = system.rows_and_rhs()
-    kernel = field_solve(rows, rhs, d, system.ncols).kernel
+    kernel = solve_linear_mod(rows, rhs, d, system.ncols).kernel
     if not kernel:
         return None
 

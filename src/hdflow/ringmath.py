@@ -2,8 +2,9 @@
 
 Elements of Z/p^m are plain ints in [0, p^m); elements of F_{p^f} are tuples
 of f ints in [0, p).  Both coefficient domains expose the same small protocol
-(zero/one/add/mul/neg/is_unit/inv/coeff_frobenius, and poly_add/poly_dot on
-whole coefficient dicts) so polynomials and matrices are generic over them.
+(zero/one/add/mul/neg/is_unit/inv/coeff_frobenius, poly_add/poly_dot on
+whole coefficient dicts, axpy on vectors) so polynomials, matrices and the
+constant solver are generic over them.
 
 Conventions fixed here and relied on everywhere else:
   * Laurent polynomials are dicts {exponent: coefficient} with no zero
@@ -96,6 +97,11 @@ class Zmod:
             if s:
                 out[e] = s
         return out
+
+    def axpy(self, x, f, y):
+        """The vector y + f x, on raw ints with one reduction per entry."""
+        mod = self.modulus
+        return [(b + f * a) % mod for a, b in zip(x, y)]
 
     def is_unit(self, a):
         return a % self.p != 0
@@ -324,6 +330,10 @@ class GF:
                         out[e] = s
         return out
 
+    def axpy(self, x, f, y):
+        """Zmod.axpy through the field's own add and mul."""
+        return [self.add(b, self.mul(f, a)) for a, b in zip(x, y)]
+
     def is_unit(self, a):
         return any(x % self.p for x in a)
 
@@ -365,7 +375,7 @@ class GF:
             rows = [[powers[i][coord] for i in range(d)] for coord in range(self.f)]
             rhs = [-powers[d][coord] for coord in range(self.f)]
             try:
-                return tuple(field_solve(rows, rhs, Zmod(self.p), d).particular)
+                return tuple(solve_linear_mod(rows, rhs, Zmod(self.p), d).particular)
             except NoSolution:
                 continue
         raise CertificateFailed("no minimal polynomial", part="minimal-polynomial")
@@ -1263,144 +1273,94 @@ class WindowSystem:
         return out
 
 
-def solve_linear_mod(A, b, ring):
-    """Solve A x = b over Z/p^m via diagonalization with valuation pivots.
+def _pivot_quotient(a, piv, part):
+    """a / piv for a pivot p^val of least valuation in its block: exact."""
+    if a % piv:
+        raise CertificateFailed("pivot valuation violated", part=part)
+    return a // piv
 
-    A: list of rows of ints; b: list of ints.  Returns LinearSolution with a
-    particular solution and a kernel basis generating all solutions; raises
-    NoSolution when none exists.
+
+def solve_linear_mod(rows, rhs, domain, ncols):
+    """Solve a dense system over Z/p^m or F_{p^f} by diagonalization.
+
+    rows: list of ncols-long lists of domain elements; rhs: list.  Returns a
+    LinearSolution with a particular solution and a kernel basis generating
+    all solutions; raises NoSolution when none exists.
+
+    Each step pivots on the first row holding a unit, at its leftmost unit;
+    failing that (only Z/p^m with m >= 2 has nonzero non-units) on an entry
+    of least p-adic valuation, first in row-major order.  Row operations
+    clear the pivot column below the pivot; column operations clear the
+    pivot row and are recorded in a transform x = C y whose columns are
+    read off as kernel vectors.
     """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    p, mod = ring.p, ring.modulus
-    M = [[A[i][j] % mod for j in range(m)] for i in range(n)]
-    # row ops applied to b; column ops tracked on an identity for back-mapping
-    rhs = [bi % mod for bi in b]
-    col = [[1 if i == j else 0 for j in range(m)] for i in range(m)]  # x = col*y
+    d = domain
+    zero, coerce, is_unit, axpy = d.zero, d.coerce, d.is_unit, d.axpy
+    n, m = len(rows), ncols
+    # augmented rows: column m holds the right-hand side
+    M = [[coerce(x) for x in row] + [coerce(r)] for row, r in zip(rows, rhs)]
+    C = [[d.one if i == j else zero for i in range(m)] for j in range(m)]
+
+    def block_entries(k):
+        # nonzero entries of the active block, in row-major order
+        for i in range(k, n):
+            for j, a in enumerate(M[i][k:m], k):
+                if a != zero:
+                    yield i, j, a
 
     diag = []
-    k = 0
-    size = min(n, m)
-    while k < size:
-        best = None
-        for i in range(k, n):
-            for j in range(k, m):
-                a = M[i][j]
-                if a % mod:
-                    val = ring.valuation(a)
-                    if best is None or val < best[2]:
-                        best = (i, j, val)
-            if best is not None and best[2] == 0:
-                break  # a unit: no later entry can have a lower valuation
+    for k in range(min(n, m)):
+        best = next(((i, j, 0) for i, j, a in block_entries(k) if is_unit(a)), None)
+        if best is None and not d.is_field:
+            for i, j, a in block_entries(k):
+                v = d.valuation(a)
+                if best is None or v < best[2]:
+                    best = (i, j, v)
+                    if v == 1:
+                        break  # the least valuation of a nonzero non-unit
         if best is None:
             break
         bi, bj, val = best
         M[k], M[bi] = M[bi], M[k]
-        rhs[k], rhs[bi] = rhs[bi], rhs[k]
         if bj != k:
-            for row in M:
+            for row in M[k:]:
                 row[k], row[bj] = row[bj], row[k]
-            for row in col:
-                row[k], row[bj] = row[bj], row[k]
-        # normalize pivot to p^val
-        unit = M[k][k] // (p ** val)
-        uinv = pow(unit % mod, -1, mod)
-        M[k] = [(uinv * x) % mod for x in M[k]]
-        rhs[k] = (uinv * rhs[k]) % mod
-        piv = p ** val
-        for i in range(n):
-            if i == k:
-                continue
-            a = M[i][k]
-            if a % mod == 0:
-                continue
-            f = a // piv  # exact: pivot has minimal valuation in the block
-            if a % piv:
-                # entry with smaller valuation escaped: impossible by choice
-                raise CertificateFailed("pivot valuation violated", part="pivot-column")
-            M[i] = [(x - f * y) % mod for x, y in zip(M[i], M[k])]
-            rhs[i] = (rhs[i] - f * rhs[k]) % mod
-        for j in range(m):
-            if j == k:
-                continue
-            a = M[k][j]
-            if a % mod == 0:
-                continue
-            f = a // piv
-            if a % piv:
-                raise CertificateFailed("pivot valuation violated", part="pivot-row")
-            for row in M:
-                row[j] = (row[j] - f * row[k]) % mod
-            for row in col:
-                row[j] = (row[j] - f * row[k]) % mod
+            C[k], C[bj] = C[bj], C[k]
+        # normalize the pivot to p^val
+        piv = d.p ** val
+        uinv = d.inv(M[k][k] // piv if val else M[k][k])
+        pivot_row = M[k] = [d.mul(uinv, x) for x in M[k]]
+        # rows below the pivot are zero left of column k: update their tails
+        tail = pivot_row[k:]
+        for row in M[k + 1 :]:
+            a = row[k]
+            if a != zero:
+                f = _pivot_quotient(a, piv, "pivot-column") if val else a
+                row[k:] = axpy(tail, d.neg(f), row[k:])
+        for j in range(k + 1, m):
+            a = pivot_row[j]
+            if a != zero:
+                f = _pivot_quotient(a, piv, "pivot-row") if val else a
+                C[j] = axpy(C[k], d.neg(f), C[j])
         diag.append(val)
-        k += 1
 
-    # solve diag(p^val) y = rhs
-    y = [0] * m
-    kernel_dirs = []
-    for i in range(len(diag)):
-        val = diag[i]
-        piv = p ** val
-        if rhs[i] % piv:
-            raise NoSolution("no solution: rhs has valuation below pivot")
-        y[i] = (rhs[i] // piv) % (mod // piv) if val < ring.m else 0
-        if val > 0:
-            kernel_dirs.append((i, (mod // piv) % mod))
-    for i in range(len(diag), n):
-        if rhs[i] % mod:
-            raise NoSolution("no solution: inconsistent zero row")
-
-    particular = [sum(c * v for c, v in zip(row, y)) % mod for row in col]
-    # x = col*y on a unit direction y = gen*e_i is column i of col times gen;
-    # col's entries are already reduced, so a free column needs no product
-    kernel = [[row[i] * gen % mod for row in col] for i, gen in kernel_dirs]
-    kernel += [[row[j] for row in col] for j in range(len(diag), m)]
-    return LinearSolution(particular, kernel)
-
-
-def field_solve(rows, rhs, field, ncols):
-    """Solve a dense system over a field domain by Gauss-Jordan elimination.
-
-    rows: list of ncols-long lists of field elements; rhs: list.  Returns a
-    LinearSolution read off the reduced row echelon form, so both parts are
-    canonical: the particular solution is zero on the free columns, and
-    kernel vector k is one on the k-th free column and zero on the others.
-    Raises NoSolution when the system is inconsistent.
-    """
-    n = len(rows)
-    aug = [
-        [field.coerce(x) for x in rows[i]] + [field.coerce(rhs[i])] for i in range(n)
-    ]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == n:
-            break
-        pr = next((i for i in range(r, n) if field.is_unit(aug[i][c])), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(x, inv) for x in aug[r]]
-        for i in range(n):
-            if i != r and field.is_unit(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if any(field.is_unit(aug[i][ncols]) for i in range(r, n)):
-        raise NoSolution("no solution: inconsistent zero row")
-    particular = [field.zero] * ncols
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][ncols]
+    # solve diag(p^val) y = rhs and map back through x = C y
+    particular = [zero] * m
     kernel = []
-    for fc in [c for c in range(ncols) if c not in pivots]:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(aug[i][fc])
-        kernel.append(v)
+    for i, val in enumerate(diag):
+        y = M[i][m]
+        if val:
+            piv = d.p ** val
+            if y % piv:
+                raise NoSolution("no solution: rhs has valuation below pivot")
+            y //= piv
+            gen = d.modulus // piv
+            kernel.append([d.mul(gen, c) for c in C[i]])
+        if y != zero:
+            particular = axpy(C[i], y, particular)
+    if any(M[i][m] != zero for i in range(len(diag), n)):
+        raise NoSolution("no solution: inconsistent zero row")
+    kernel += C[len(diag):]
     return LinearSolution(particular, kernel)
 
 
@@ -1473,7 +1433,7 @@ def birkhoff_factorize(G):
             for i in range(n)
         ]
         # left null vector: nullspace of the transpose
-        null = field_solve(
+        null = solve_linear_mod(
             [[const_rows[i][j] for i in range(n)] for j in range(n)], [d.zero] * n, d, n
         ).kernel
         if not null:

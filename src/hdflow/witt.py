@@ -494,7 +494,7 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     system.add_product((), 0, left=Ba)
     system.add_product((), 0, right=Bb, coef=-1)
     rows, rhs = system.rows_and_rhs()
-    sol = solve_linear_mod(rows, rhs, ring)
+    sol = solve_linear_mod(rows, rhs, ring, system.ncols)
 
     def verify(L):
         defect = (
@@ -1042,13 +1042,10 @@ def _solve_grading_comparison(tup, theta_next, base_blocks, certificates):
         system.add_product((g,), g, right=theta_next[g].reduce_to(field))
         system.add_product((g,), g + 1, left=tup.theta[g].reduce_to(field), coef=-1)
     rows, rhs = system.rows_and_rhs()
-    if rows:
-        try:
-            vec = solve_linear_mod(rows, rhs, field).particular
-        except NoSolution:
-            return None, False
-    else:
-        vec = [0] * system.ncols
+    try:
+        vec = solve_linear_mod(rows, rhs, field, system.ncols).particular
+    except NoSolution:
+        return None, False
     scale = ring.coerce(p ** (n - 1))
     blocks = [
         P.add(delta.lift_to(ring).scale_const(scale))
@@ -1145,7 +1142,7 @@ def horizontal_transport(flat, cols_a, cols_b):
     if not rows:
         return None
     try:
-        sol = solve_linear_mod(rows, rhs, field)
+        sol = solve_linear_mod(rows, rhs, field, system.ncols)
     except NoSolution:
         return None
     S = system.matrices(sol.particular)[0].lift_to(ring)

@@ -41,6 +41,61 @@ def span_mod(particular, kernel, modulus, limit=10 ** 4):
     return sorted(list(t) for t in seen)
 
 
+def gauss_jordan_solve(rows, rhs, field, ncols):
+    """Solve a dense system over a field domain by Gauss-Jordan elimination.
+
+    Pivots column by column on the first row holding a unit and reads the
+    LinearSolution off the reduced row echelon form: the particular
+    solution is zero on the free columns, and kernel vector k is one on the
+    k-th free column and zero on the others.
+    """
+    n = len(rows)
+    aug = [[field.coerce(x) for x in rows[i]] + [field.coerce(rhs[i])] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if field.is_unit(aug[i][c])), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = field.inv(aug[r][c])
+        aug[r] = [field.mul(x, inv) for x in aug[r]]
+        for i in range(n):
+            if i != r and field.is_unit(aug[i][c]):
+                f = aug[i][c]
+                aug[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(field.is_unit(aug[i][ncols]) for i in range(r, n)):
+        raise NoSolution("oracle: inconsistent zero row")
+    particular = [field.zero] * ncols
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i][ncols]
+    kernel = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(aug[i][fc])
+        kernel.append(v)
+    return LinearSolution(particular, kernel)
+
+
+def affine_span(domain, particular, kernel, limit=10 ** 4):
+    """The set particular + span of kernel over a finite domain, as tuples."""
+    elements = list(domain.elements())
+    assert len(elements) ** len(kernel) <= limit, "kernel span too large for the oracle"
+    seen = set()
+    for coeffs in itertools.product(elements, repeat=len(kernel)):
+        v = list(particular)
+        for c, gen in zip(coeffs, kernel):
+            v = [domain.add(x, domain.mul(c, g)) for x, g in zip(v, gen)]
+        seen.add(tuple(v))
+    return seen
+
+
 def schoolbook_mul(f, g):
     """Laurent product through the domain protocol alone: one d.mul and one
     d.add per pair of terms, a sum dropped whenever it returns to zero."""

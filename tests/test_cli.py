@@ -7,6 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
+from hdflow import witt
 from hdflow.cli import main
 from hdflow.corpus import CorpusParams, generate, random_witt_tuple
 from hdflow.cartier import inverse_cartier_1
@@ -323,6 +324,27 @@ def test_check_suites_pass():
         assert doc["counts"]["failed"] == 0
         assert doc["counts"]["passed"] == len(doc["checks"])
         assert doc["suite"] == suite
+
+
+@pytest.mark.parametrize("power", ["2", "3"])
+def test_check_gamma_relations_p7_compares_nonzero_outputs(power, monkeypatch):
+    # a p = 7 operator is nonzero mod p^n only on grades >= 7 - n, so the
+    # suite is live only if it draws the weight-5 shape
+    outputs = []
+    real = witt.gamma_apply
+
+    def spy(*args):
+        out = real(*args)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(witt, "gamma_apply", spy)
+    result = invoke(
+        ["check", "--suite", "gamma-relations", "--p", "7", "--modulus-power", power]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["counts"]["failed"] == 0
+    assert any(not out.is_zero() for out in outputs)
 
 
 def test_check_unknown_suite():

@@ -8,10 +8,13 @@ digest, even when every mathematical certificate still passes.
 
 The inputs were chosen so the pinned bytes depend on solver details:
   * the p = 3 flow-step tuple has a grading comparison psi whose particular
-    solution differs between the valuation-pivot Z/p^m solver and plain
-    Gauss-Jordan elimination;
-  * the graded isomorphisms and the Birkhoff factors are read off
-    reduced-echelon kernel bases, so they pin which basis comes back.
+    solution differs between the row-first pivots of solve_linear_mod and
+    plain Gauss-Jordan elimination;
+  * the graded isomorphisms are searched over a kernel basis and the
+    Birkhoff factors are built from a left null vector, both returned by
+    solve_linear_mod; on these inputs Gauss-Jordan returns the same
+    vectors, so those digests pin the search and the factorization, not
+    the pivot order.
 """
 
 import hashlib

@@ -15,7 +15,6 @@ from hdflow.ringmath import (
     WindowSystem,
     birkhoff_factorize,
     block_starts,
-    field_solve,
     gf_conjugate,
     poly_gcd,
     poly_kernel,
@@ -514,7 +513,7 @@ def test_saturation_and_completion():
 
 def test_solve_linear_mod_frozen_kernel_mod9():
     R = Zmod(3, 2)
-    sol = solve_linear_mod([[3]], [0], R)
+    sol = solve_linear_mod([[3]], [0], R, 1)
     assert sol.particular == [0]
     assert sol.kernel == [[3]]
 
@@ -522,12 +521,12 @@ def test_solve_linear_mod_frozen_kernel_mod9():
 def test_solve_linear_mod_frozen_no_solution_mod9():
     R = Zmod(3, 2)
     with pytest.raises(NoSolution):
-        solve_linear_mod([[3]], [1], R)
+        solve_linear_mod([[3]], [1], R, 1)
 
 
 def test_solve_linear_mod_divisible_rhs():
     R = Zmod(3, 2)
-    sol = solve_linear_mod([[3]], [6], R)
+    sol = solve_linear_mod([[3]], [6], R, 1)
     assert (3 * sol.particular[0]) % 9 == 6
     assert sol.kernel == [[3]]
 
@@ -544,9 +543,9 @@ def test_solve_linear_mod_matches_exhaustive():
             brute = oracles.enumerate_solutions_mod(A, b, R.modulus)
             if not brute:
                 with pytest.raises(NoSolution):
-                    solve_linear_mod(A, b, R)
+                    solve_linear_mod(A, b, R, cols)
                 continue
-            sol = solve_linear_mod(A, b, R)
+            sol = solve_linear_mod(A, b, R, cols)
             ours = oracles.span_mod(sol.particular, sol.kernel, R.modulus)
             assert ours == sorted(brute)
 
@@ -554,11 +553,12 @@ def test_solve_linear_mod_matches_exhaustive():
 def test_solve_linear_mod_kernel_columns_match_col_map_oracle():
     # A = U V with the rows of V scaled by p^v: rank-deficient systems whose
     # pivots take every valuation below m, so kernels mix p-power directions
-    # and free columns; every third right side is random and may be unsolvable
+    # and free columns; every third right side is random and may be unsolvable.
+    # m = 1 is the F_p path of the grading comparison and horizontal transport
     rng = random.Random(2024)
     directions = set()
     for p in (3, 5, 7):
-        for m in (2, 3):
+        for m in (1, 2, 3):
             R = Zmod(p, m)
             mod = R.modulus
             for trial in range(12):
@@ -581,10 +581,10 @@ def test_solve_linear_mod_kernel_columns_match_col_map_oracle():
                     want = oracles.solve_linear_mod_col_map(A, b, R)
                 except NoSolution:
                     with pytest.raises(NoSolution):
-                        solve_linear_mod(A, b, R)
+                        solve_linear_mod(A, b, R, k)
                     directions.add("unsolvable")
                     continue
-                sol = solve_linear_mod(A, b, R)
+                sol = solve_linear_mod(A, b, R, k)
                 assert sol.particular == want.particular
                 assert sol.kernel == want.kernel
                 for v in sol.kernel:
@@ -598,7 +598,7 @@ def test_field_solve_and_nullspace_gf9():
     rows = [[F.one, x], [x, F.neg(F.one)]]
     # second row is x * first row, so the system is rank 1
     rhs = [x, F.mul(x, x)]
-    sol = field_solve(rows, rhs, F, 2)
+    sol = solve_linear_mod(rows, rhs, F, 2)
     for row, want in zip(rows, rhs):
         acc = F.zero
         for c, s in zip(row, sol.particular):
@@ -616,24 +616,68 @@ def test_field_solve_and_nullspace_gf9():
 def test_field_solve_inconsistent():
     F = Zmod(3)
     with pytest.raises(NoSolution):
-        field_solve([[1], [1]], [1, 2], F, 1)
+        solve_linear_mod([[1], [1]], [1, 2], F, 1)
 
 
 def test_field_solve_empty_system_has_identity_kernel():
     F = GF(3, 2)
-    sol = field_solve([], [], F, 2)
+    sol = solve_linear_mod([], [], F, 2)
     assert sol.particular == [F.zero, F.zero]
     assert sol.kernel == [[F.one, F.zero], [F.zero, F.one]]
 
 
-def test_solvers_pick_different_particular_solutions():
-    # Gauss-Jordan pivots column by column and sets free columns to zero;
-    # the Z/p^m solver pivots on the first nonzero entry row by row.  The
-    # grading comparison of a flow step is the latter's choice.
+def test_solve_linear_mod_pins_row_first_pivots_over_f3():
+    # the solver pivots on the first row holding a unit, at its leftmost
+    # unit; Gauss-Jordan would pivot column by column and return the
+    # particular solution [1, 0, 1].  The grading comparison of a flow step
+    # is this solver's choice.
     F = Zmod(3)
     rows, rhs = [[0, 0, 1], [1, 1, 0]], [1, 1]
-    assert field_solve(rows, rhs, F, 3).particular == [1, 0, 1]
-    assert solve_linear_mod(rows, rhs, F).particular == [0, 1, 1]
+    sol = solve_linear_mod(rows, rhs, F, 3)
+    assert sol.particular == [0, 1, 1]
+    assert sol.kernel == [[1, 2, 0]]
+    assert oracles.gauss_jordan_solve(rows, rhs, F, 3).particular == [1, 0, 1]
+
+
+def test_solve_linear_mod_agrees_with_gauss_jordan_oracle():
+    # A = U V with inner size r: rank at most r, so many systems have a
+    # kernel; two right sides in five are random and may be unsolvable.
+    # Both solvers must agree on solvability, kernel size and solution set.
+    rng = random.Random(90)
+    seen = set()
+    for F in (Zmod(5), GF(3, 2)):
+        elements = list(F.elements())
+
+        def dot(u, v):
+            acc = F.zero
+            for a, c in zip(u, v):
+                acc = F.add(acc, F.mul(a, c))
+            return acc
+
+        for trial in range(40):
+            n, k = rng.randint(1, 4), rng.randint(1, 3)
+            r = rng.randint(0, min(n, k))
+            U = [[rng.choice(elements) for _ in range(r)] for _ in range(n)]
+            V = [[rng.choice(elements) for _ in range(k)] for _ in range(r)]
+            A = [[dot(row, [V[s][j] for s in range(r)]) for j in range(k)] for row in U]
+            x = [rng.choice(elements) for _ in range(k)]
+            b = [dot(row, x) for row in A]
+            if trial % 5 in (3, 4):
+                b = [rng.choice(elements) for _ in range(n)]
+            try:
+                want = oracles.gauss_jordan_solve(A, b, F, k)
+            except NoSolution:
+                with pytest.raises(NoSolution):
+                    solve_linear_mod(A, b, F, k)
+                seen.add("unsolvable")
+                continue
+            sol = solve_linear_mod(A, b, F, k)
+            assert len(sol.kernel) == len(want.kernel)
+            assert oracles.affine_span(F, sol.particular, sol.kernel) == (
+                oracles.affine_span(F, want.particular, want.kernel)
+            )
+            seen.add("kernel" if sol.kernel else "unique")
+    assert seen == {"unsolvable", "kernel", "unique"}
 
 
 def test_zmod_elements_are_increasing_residues():
