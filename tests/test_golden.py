@@ -27,7 +27,7 @@ from hdflow.cli import main
 from hdflow.corpus import CorpusParams, generate, random_witt_tuple
 from hdflow.bundles import Bundle, HiggsBundle, Subbundle, chart1_map, hn_filtration
 from hdflow.cartier import inverse_cartier_1
-from hdflow.curves import AffineLine, ProjectiveLine
+from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.filtration import is_higgs_semistable, max_destabilizer_graded
 from hdflow.flow import PeriodicTuple, pack_endostructure, unpack_endostructure
 from hdflow.graded import (
@@ -60,6 +60,7 @@ from hdflow.witt import (
     local_filtered_lifting,
     ptwist_matrix,
     sharp_construct,
+    taylor_transition,
     w2_flow_step,
 )
 
@@ -198,6 +199,36 @@ def _equivalence_bytes():
         gn_construct(tup), gn_construct(tup, frame=frame), min_exp=-1, max_exp=1
     )
     return canonical_bytes(matrix_to_json(L))
+
+
+def _default_window_equivalence_bytes():
+    """Intertwiner on equivalence_check's default window for a degree-1
+    unipotent flag-respecting frame change: p = 5, ranks (2, 2), n = 2,
+    drawn like the witt-lift benchmark's frame-change case at seed 1, whose
+    window system (397 equations, 240 unknowns) is that round's largest."""
+    rng = random.Random("witt-lift:1:5:2:(2, 2):0")
+    tup = random_witt_tuple(rng, 5, 2, (2, 2))
+    ring = tup.ring
+    frame = RingMatrix.identity(ring, 4)
+    for i in (2, 3):
+        for j in (0, 1):
+            frame.rows[i][j] = LaurentPoly(
+                ring, {e: rng.randrange(ring.modulus) for e in (0, 1)}
+            )
+    L = equivalence_check(gn_construct(tup), gn_construct(tup, frame=frame))
+    return canonical_bytes(matrix_to_json(L))
+
+
+def _taylor_transition_bytes():
+    """Taylor transition at p^3 between two non-standard liftings of the
+    Frobenius, on the glued module of a seeded ranks (1, 2) tuple over Z/27."""
+    tup = random_witt_tuple(random.Random(5), 3, 3, (1, 2))
+    ring = tup.ring
+    line = AffineLine(ring)
+    target = FrobeniusLifting(line, (LaurentPoly(ring, {0: 4, 1: 13, 2: 25}),))
+    source = FrobeniusLifting(line, (LaurentPoly(ring, {0: 20, 2: 7, 3: 1}),))
+    G = taylor_transition(sharp_construct(tup), target, source)
+    return canonical_bytes(matrix_to_json(G))
 
 
 def _transport_bytes():
@@ -419,6 +450,8 @@ LIBRARY_CASES = {
     "kernel-bases": _kernel_basis_bytes,
     "pack-unpack-round-trip": _pack_round_trip_bytes,
     "equivalence-intertwiner": _equivalence_bytes,
+    "equivalence-default-window": _default_window_equivalence_bytes,
+    "taylor-transition-p3": _taylor_transition_bytes,
     "horizontal-transport": _transport_bytes,
 }
 
@@ -429,6 +462,8 @@ LIBRARY_DIGESTS = {
     "kernel-bases": "24f529b68afc1968d4b6dcdffe7aa372b4af21c574cb76f654a73f838b121f72",
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
+    "equivalence-default-window": "fade237c52da0865d83e14f57ca60140381ef5bdd998455fb6862c88296c414f",
+    "taylor-transition-p3": "1de60a3b47d4bf0736726c1ce433d0fdd7938c70246fb960c98102dacaa4b8cf",
     "horizontal-transport": "5e4608b5b225b4ecd83aa37c5ee0996a09fed5910cb9978a3a3342d7718785cd",
 }
 
