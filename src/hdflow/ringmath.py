@@ -3,8 +3,9 @@
 Elements of Z/p^m are plain ints in [0, p^m); elements of F_{p^f} are tuples
 of f ints in [0, p).  Both coefficient domains expose the same small protocol
 (zero/one/add/mul/neg/is_unit/inv/coeff_frobenius, poly_add/poly_dot on
-whole coefficient dicts, axpy on vectors) so polynomials, matrices and the
-constant solver are generic over them.
+whole coefficient dicts, an in-place axpy y += f x on sparse vectors
+{index: entry}) so polynomials, matrices and the constant solver are generic
+over them.
 
 Conventions fixed here and relied on everywhere else:
   * Laurent polynomials are dicts {exponent: coefficient} with no zero
@@ -99,9 +100,16 @@ class Zmod:
         return out
 
     def axpy(self, x, f, y):
-        """The vector y + f x, on raw ints with one reduction per entry."""
+        """y += f x in place on sparse vectors {index: entry}: raw ints, one
+        reduction per entry of x, zeros dropped."""
         mod = self.modulus
-        return [(b + f * a) % mod for a, b in zip(x, y)]
+        get = y.get
+        for j, a in x.items():
+            s = (get(j, 0) + f * a) % mod
+            if s:
+                y[j] = s
+            else:
+                y.pop(j, None)
 
     def is_unit(self, a):
         return a % self.p != 0
@@ -332,7 +340,10 @@ class GF:
 
     def axpy(self, x, f, y):
         """Zmod.axpy through the field's own add and mul."""
-        return [self.add(b, self.mul(f, a)) for a, b in zip(x, y)]
+        for j, a in x.items():
+            y[j] = self.add(y.get(j, self.zero), self.mul(f, a))
+            if y[j] == self.zero:
+                del y[j]
 
     def is_unit(self, a):
         return any(x % self.p for x in a)
@@ -505,18 +516,6 @@ class LaurentPoly:
         d = self.domain
         return LaurentPoly._trusted(d, {e + k: c for e, c in self.coeffs.items()})
 
-    def power(self, n):
-        if n < 0:
-            return self.inverse_unit().power(-n)
-        out = LaurentPoly.one(self.domain)
-        base = self
-        while n:
-            if n & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            n >>= 1
-        return out
-
     def derivative(self):
         d = self.domain
         out = {}
@@ -531,18 +530,7 @@ class LaurentPoly:
     def substitute(self, image):
         """Composition self(image); image must be a Laurent unit whenever self
         has negative exponents (our uses: t -> t^p, t -> 1/t, polynomials)."""
-        d = self.domain
-        out = LaurentPoly.zero(d)
-        inv = None
-        for e, c in self.coeffs.items():
-            if e >= 0:
-                term = image.power(e).scale(c)
-            else:
-                if inv is None:
-                    inv = image.inverse_unit()
-                term = inv.power(-e).scale(c)
-            out = out.add(term)
-        return out
+        return _substitute([self], image)[0]
 
     def coeff_map(self, fn):
         return LaurentPoly(self.domain, {e: fn(c) for e, c in self.coeffs.items()})
@@ -604,6 +592,27 @@ class LaurentPoly:
     def lift_to(self, target):
         """Reinterpret least-residue coefficients in a larger ring."""
         return LaurentPoly(target, dict(self.coeffs))
+
+
+def _substitute(polys, image):
+    """Compose each polynomial with image through one table of the powers
+    image^e, built by repeated multiplication out to the extreme exponents
+    (by the inverse unit for negative e); each composite is one poly_dot."""
+    d = image.domain
+    exps = [e for f in polys for e in f.coeffs]
+    table = {0: {0: d.one}}
+    for sign, top in ((1, max(exps, default=0)), (-1, -min(exps, default=0))):
+        if top > 0:
+            step = (image if sign > 0 else image.inverse_unit()).coeffs
+            power = table[0]
+            for e in range(1, top + 1):
+                power = table[sign * e] = d.poly_dot(((power, step),))
+    return [
+        LaurentPoly._trusted(
+            d, d.poly_dot([({0: c}, table[e]) for e, c in f.coeffs.items()])
+        )
+        for f in polys
+    ]
 
 
 def random_poly(rng, ring, max_deg, min_deg=0):
@@ -794,7 +803,9 @@ class RingMatrix:
         return RingMatrix(self.domain, [[fn(e) for e in row] for row in self.rows])
 
     def substitute(self, image):
-        return self.map_entries(lambda e: e.substitute(image))
+        """Every entry composed with image, sharing one table of its powers."""
+        entries = iter(_substitute([e for row in self.rows for e in row], image))
+        return self.map_entries(lambda e: next(entries))
 
     def derivative(self):
         return self.map_entries(lambda e: e.derivative())
@@ -1281,7 +1292,7 @@ def _pivot_quotient(a, piv, part):
 
 
 def solve_linear_mod(rows, rhs, domain, ncols):
-    """Solve a dense system over Z/p^m or F_{p^f} by diagonalization.
+    """Solve a dense system over Z/p^m or F_{p^f} by sparse diagonalization.
 
     rows: list of ncols-long lists of domain elements; rhs: list.  Returns a
     LinearSolution with a particular solution and a kernel basis generating
@@ -1292,76 +1303,83 @@ def solve_linear_mod(rows, rhs, domain, ncols):
     of least p-adic valuation, first in row-major order.  Row operations
     clear the pivot column below the pivot; column operations clear the
     pivot row and are recorded in a transform x = C y whose columns are
-    read off as kernel vectors.
+    read off as kernel vectors.  Rows are eliminated as dicts {column:
+    entry} that never hold a zero, the right-hand side as column ncols, and
+    the columns of C are such dicts too: a step touches no zero entry.
     """
     d = domain
     zero, coerce, is_unit, axpy = d.zero, d.coerce, d.is_unit, d.axpy
     n, m = len(rows), ncols
-    # augmented rows: column m holds the right-hand side
-    M = [[coerce(x) for x in row] + [coerce(r)] for row, r in zip(rows, rhs)]
-    C = [[d.one if i == j else zero for i in range(m)] for j in range(m)]
-
-    def block_entries(k):
-        # nonzero entries of the active block, in row-major order
-        for i in range(k, n):
-            for j, a in enumerate(M[i][k:m], k):
-                if a != zero:
-                    yield i, j, a
+    M = [
+        {j: x for j, x in enumerate(map(coerce, [*row, r])) if x != zero}
+        for row, r in zip(rows, rhs)
+    ]
+    C = [{j: d.one} for j in range(m)]
 
     diag = []
+    start = 0  # rows k..start-1 hold no unit, nor will they: non-units are an ideal
     for k in range(min(n, m)):
-        best = next(((i, j, 0) for i, j, a in block_entries(k) if is_unit(a)), None)
+        best = None
+        for i in range(max(k, start), n):
+            units = [j for j, a in M[i].items() if j < m and is_unit(a)]
+            if units:
+                best = (0, i, min(units))
+                start = i + 1
+                break
+        else:
+            start = n
         if best is None and not d.is_field:
-            for i, j, a in block_entries(k):
-                v = d.valuation(a)
-                if best is None or v < best[2]:
-                    best = (i, j, v)
-                    if v == 1:
-                        break  # the least valuation of a nonzero non-unit
+            for i in range(k, n):
+                for j, a in M[i].items():
+                    if j < m:
+                        cand = (d.valuation(a), i, j)
+                        if best is None or cand < best:
+                            best = cand
+                if best is not None and best[0] == 1:
+                    break  # the least valuation of a nonzero non-unit
         if best is None:
             break
-        bi, bj, val = best
+        val, bi, bj = best
         M[k], M[bi] = M[bi], M[k]
         if bj != k:
             for row in M[k:]:
-                row[k], row[bj] = row[bj], row[k]
+                a, b = row.pop(k, zero), row.pop(bj, zero)
+                row.update((j, x) for j, x in ((k, b), (bj, a)) if x != zero)
             C[k], C[bj] = C[bj], C[k]
         # normalize the pivot to p^val
         piv = d.p ** val
         uinv = d.inv(M[k][k] // piv if val else M[k][k])
-        pivot_row = M[k] = [d.mul(uinv, x) for x in M[k]]
-        # rows below the pivot are zero left of column k: update their tails
-        tail = pivot_row[k:]
+        pivot_row = M[k] = {j: d.mul(uinv, x) for j, x in M[k].items()}
+        # rows below the pivot hold no entry left of column k
         for row in M[k + 1 :]:
-            a = row[k]
-            if a != zero:
+            a = row.get(k)
+            if a is not None:
                 f = _pivot_quotient(a, piv, "pivot-column") if val else a
-                row[k:] = axpy(tail, d.neg(f), row[k:])
-        for j in range(k + 1, m):
-            a = pivot_row[j]
-            if a != zero:
+                axpy(pivot_row, d.neg(f), row)
+        for j, a in pivot_row.items():
+            if k < j < m:
                 f = _pivot_quotient(a, piv, "pivot-row") if val else a
-                C[j] = axpy(C[k], d.neg(f), C[j])
+                axpy(C[k], d.neg(f), C[j])
         diag.append(val)
 
     # solve diag(p^val) y = rhs and map back through x = C y
-    particular = [zero] * m
-    kernel = []
+    particular, kernel = {}, []
     for i, val in enumerate(diag):
-        y = M[i][m]
+        y = M[i].get(m, zero)
         if val:
             piv = d.p ** val
             if y % piv:
                 raise NoSolution("no solution: rhs has valuation below pivot")
             y //= piv
             gen = d.modulus // piv
-            kernel.append([d.mul(gen, c) for c in C[i]])
+            kernel.append({j: d.mul(gen, c) for j, c in C[i].items()})
         if y != zero:
-            particular = axpy(C[i], y, particular)
-    if any(M[i][m] != zero for i in range(len(diag), n)):
+            axpy(C[i], y, particular)
+    if any(m in M[i] for i in range(len(diag), n)):
         raise NoSolution("no solution: inconsistent zero row")
-    kernel += C[len(diag):]
-    return LinearSolution(particular, kernel)
+    vecs = [particular] + kernel + C[len(diag) :]
+    vecs = [[v.get(j, zero) for j in range(m)] for v in vecs]
+    return LinearSolution(vecs[0], vecs[1:])
 
 
 # ---------------------------------------------------------------------------

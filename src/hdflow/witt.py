@@ -19,6 +19,7 @@ Conventions:
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .bundles import Bundle, FlatBundle, HiggsBundle, change_frame_connection
 from .cartier import inverse_cartier_1
@@ -31,6 +32,7 @@ from .errors import (
     NoSolution,
     NotDivisible,
     NotFree,
+    SearchBudgetExceeded,
     TransversalityViolated,
     TruncationBoundExceeded,
     WrongModulus,
@@ -475,7 +477,11 @@ def _monomial_span(matrices, pad):
 def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     """Explicit isomorphism intertwining two presentations of the twisted
     module: an invertible L with p dL + B_a L = L B_b, found by exact linear
-    algebra over Z/p^n on a monomial window."""
+    algebra over Z/p^n on a monomial window.
+
+    Raises NoSolution when no L on the window solves the equation, and
+    SearchBudgetExceeded, with the stage, work and window in its bounds,
+    when EQUIVALENCE_BUDGET candidates give no invertible one."""
     if tw_a.ring != tw_b.ring or tw_a.ranks != tw_b.ranks:
         raise ValueError("presentations of different modules")
     ring = tw_a.ring
@@ -496,25 +502,29 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     rows, rhs = system.rows_and_rhs()
     sol = solve_linear_mod(rows, rhs, ring, system.ncols)
 
-    def verify(L):
+    def intertwiner(vec):
+        # a vector that vanishes mod p gives det L = 0 mod p, not a unit
+        if not any(c % p for c in vec):
+            return None
+        L = system.matrices(vec)[0]
         defect = (
             L.derivative().scale_const(ring.coerce(p)).add(Ba.mul(L)).sub(L.mul(Bb))
         )
-        return defect.is_zero() and L.det().is_unit()
+        return L if defect.is_zero() and L.det().is_unit() else None
 
     gens = list(sol.kernel)
+    if not gens:
+        raise NoSolution("no intertwiner on the given monomial window")
     tried = 0
-    for vec in gens:
+    for vec in gens[:EQUIVALENCE_BUDGET]:
         tried += 1
-        if tried > EQUIVALENCE_BUDGET:
-            break
-        L = system.matrices(vec)[0]
-        if verify(L):
+        L = intertwiner(vec)
+        if L is not None:
             return L
     # invertibility is a dense condition on the solution lattice, so random
     # residue combinations of the generators find a unit quickly if one exists
     rng = random.Random(0)
-    while tried < EQUIVALENCE_BUDGET and gens:
+    while tried < EQUIVALENCE_BUDGET:
         tried += 1
         vec = [0] * system.ncols
         for g in gens:
@@ -522,10 +532,15 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
             if c:
                 for k, x in enumerate(g):
                     vec[k] = (vec[k] + c * x) % ring.modulus
-        L = system.matrices(vec)[0]
-        if verify(L):
+        L = intertwiner(vec)
+        if L is not None:
             return L
-    raise NoSolution("no invertible intertwiner on the given monomial window")
+    stage = "kernel" if len(gens) >= EQUIVALENCE_BUDGET else "random"
+    raise SearchBudgetExceeded(
+        "no invertible intertwiner within %d candidates" % tried,
+        bounds={"stage": stage, "tried": tried, "kernel": len(gens),
+                "window": (min_exp, max_exp)},
+    )
 
 
 def equivalence_gamma_check(tw_a, tw_b, L, rng, samples=3, m_values=(0, 1)):
@@ -714,12 +729,8 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
     rank = tw.rank
     G = RingMatrix.zeros(ring, rank, rank)
     zpow = LaurentPoly.one(ring)
-    basis = []
-    for k in range(rank):
-        e = RingMatrix.zeros(ring, rank, 1)
-        e.rows[k][0] = LaurentPoly.one(ring)
-        basis.append(e)
-    current = [e for e in basis]
+    current = RingMatrix.identity(ring, rank)
+    basis = [current.column(k) for k in range(rank)]
     fact = 1
     # terms up to top are summed; terms past it, up to the static bound,
     # must vanish; the nabla chain feeds only the terms below p
@@ -729,27 +740,21 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
         if j < p:
             if j:
                 fact *= j
-                current = [tw.nabla(one, c) for c in current]
-            coef_cols = [
-                c.scale_const(ring.inv(ring.coerce(fact))) for c in current
-            ]
+                current = tw.nabla(one, current)
+            term = current.scale_const(ring.inv(ring.coerce(fact)))
         else:
             c = taylor_coefficient(ring, j)
             if c == 0:
                 continue
             hs = [one] * j
-            coef_cols = [
-                tw.gamma(j + 1 - p, hs, e).scale_const(c) for e in basis
-            ]
+            cols = [tw.gamma(j + 1 - p, hs, e) for e in basis]
+            term = reduce(RingMatrix.hstack, cols).scale_const(c)
         if j > top:
-            if any(not col.scale(zpow).is_zero() for col in coef_cols):
+            if not term.scale(zpow).is_zero():
                 raise TruncationBoundExceeded(
                     "terms past the requested bound do not vanish"
                 )
             continue
-        term = coef_cols[0]
-        for col in coef_cols[1:]:
-            term = term.hstack(col)
         G = G.add(term.substitute(image).scale(zpow))
     return G
 

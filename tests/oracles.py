@@ -83,6 +83,105 @@ def gauss_jordan_solve(rows, rhs, field, ncols):
     return LinearSolution(particular, kernel)
 
 
+def _pivot_quotient(a, piv, part):
+    """a / piv for a pivot p^val of least valuation in its block: exact."""
+    if a % piv:
+        raise CertificateFailed("pivot valuation violated", part=part)
+    return a // piv
+
+
+def dense_solve_linear_mod(rows, rhs, domain, ncols):
+    """ringmath.solve_linear_mod as it was on dense rows, the reference for
+    its outputs: the same pivots and operations on full-width lists, whose
+    zeros every step touches.  Solve a dense system over Z/p^m or F_{p^f}
+    by diagonalization.
+
+    rows: list of ncols-long lists of domain elements; rhs: list.  Returns a
+    LinearSolution with a particular solution and a kernel basis generating
+    all solutions; raises NoSolution when none exists.
+
+    Each step pivots on the first row holding a unit, at its leftmost unit;
+    failing that (only Z/p^m with m >= 2 has nonzero non-units) on an entry
+    of least p-adic valuation, first in row-major order.  Row operations
+    clear the pivot column below the pivot; column operations clear the
+    pivot row and are recorded in a transform x = C y whose columns are
+    read off as kernel vectors.
+    """
+    d = domain
+    zero, coerce, is_unit = d.zero, d.coerce, d.is_unit
+
+    def axpy(x, f, y):
+        # the dense vector y + f x
+        return [d.add(b, d.mul(f, a)) for a, b in zip(x, y)]
+
+    n, m = len(rows), ncols
+    # augmented rows: column m holds the right-hand side
+    M = [[coerce(x) for x in row] + [coerce(r)] for row, r in zip(rows, rhs)]
+    C = [[d.one if i == j else zero for i in range(m)] for j in range(m)]
+
+    def block_entries(k):
+        # nonzero entries of the active block, in row-major order
+        for i in range(k, n):
+            for j, a in enumerate(M[i][k:m], k):
+                if a != zero:
+                    yield i, j, a
+
+    diag = []
+    for k in range(min(n, m)):
+        best = next(((i, j, 0) for i, j, a in block_entries(k) if is_unit(a)), None)
+        if best is None and not d.is_field:
+            for i, j, a in block_entries(k):
+                v = d.valuation(a)
+                if best is None or v < best[2]:
+                    best = (i, j, v)
+                    if v == 1:
+                        break  # the least valuation of a nonzero non-unit
+        if best is None:
+            break
+        bi, bj, val = best
+        M[k], M[bi] = M[bi], M[k]
+        if bj != k:
+            for row in M[k:]:
+                row[k], row[bj] = row[bj], row[k]
+            C[k], C[bj] = C[bj], C[k]
+        # normalize the pivot to p^val
+        piv = d.p ** val
+        uinv = d.inv(M[k][k] // piv if val else M[k][k])
+        pivot_row = M[k] = [d.mul(uinv, x) for x in M[k]]
+        # rows below the pivot are zero left of column k: update their tails
+        tail = pivot_row[k:]
+        for row in M[k + 1 :]:
+            a = row[k]
+            if a != zero:
+                f = _pivot_quotient(a, piv, "pivot-column") if val else a
+                row[k:] = axpy(tail, d.neg(f), row[k:])
+        for j in range(k + 1, m):
+            a = pivot_row[j]
+            if a != zero:
+                f = _pivot_quotient(a, piv, "pivot-row") if val else a
+                C[j] = axpy(C[k], d.neg(f), C[j])
+        diag.append(val)
+
+    # solve diag(p^val) y = rhs and map back through x = C y
+    particular = [zero] * m
+    kernel = []
+    for i, val in enumerate(diag):
+        y = M[i][m]
+        if val:
+            piv = d.p ** val
+            if y % piv:
+                raise NoSolution("no solution: rhs has valuation below pivot")
+            y //= piv
+            gen = d.modulus // piv
+            kernel.append([d.mul(gen, c) for c in C[i]])
+        if y != zero:
+            particular = axpy(C[i], y, particular)
+    if any(M[i][m] != zero for i in range(len(diag), n)):
+        raise NoSolution("no solution: inconsistent zero row")
+    kernel += C[len(diag):]
+    return LinearSolution(particular, kernel)
+
+
 def affine_span(domain, particular, kernel, limit=10 ** 4):
     """The set particular + span of kernel over a finite domain, as tuples."""
     elements = list(domain.elements())
@@ -250,6 +349,28 @@ def slow_pow(field, a, e):
 def slow_conjugate(field, a, j):
     """a^(p^j) with no Frobenius shortcut."""
     return slow_pow(field, a, field.p ** j)
+
+
+def laurent_power(f, n):
+    """f^n by binary powering, through the inverse unit when n < 0."""
+    if n < 0:
+        return laurent_power(f.inverse_unit(), -n)
+    out = LaurentPoly.one(f.domain)
+    base = f
+    while n:
+        if n & 1:
+            out = out.mul(base)
+        base = base.mul(base)
+        n >>= 1
+    return out
+
+
+def binary_power_substitute(f, image):
+    """f(image) term by term, every power of image by binary powering."""
+    out = LaurentPoly.zero(f.domain)
+    for e, c in f.coeffs.items():
+        out = out.add(laurent_power(image, e).scale(c))
+    return out
 
 
 def poly_eval(poly, point, domain):

@@ -250,9 +250,54 @@ def test_laurent_p_divide():
 def test_laurent_power_negative():
     F = Zmod(7)
     t = LaurentPoly.var(F)
-    assert t.power(-3) == LaurentPoly.var(F, -3)
+    assert oracles.laurent_power(t, -3) == LaurentPoly.var(F, -3)
     u = _tpoly(F, {1: 2})
-    assert u.power(-2).mul(u.power(2)) == LaurentPoly.one(F)
+    assert oracles.laurent_power(u, -2).mul(oracles.laurent_power(u, 2)) == (
+        LaurentPoly.one(F)
+    )
+
+
+def _substitution_images(rng, d):
+    """t^-1, t^p + p h, and a unit with a random unit coefficient at a random
+    exponent; over Z/p^m the unit carries nilpotent junk p * (random)."""
+    p = d.p
+    images = [LaurentPoly.var(d, -1)]
+    if isinstance(d, Zmod):
+        h = LaurentPoly(d, {e: rng.randrange(d.modulus) for e in range(3)})
+        images.append(LaurentPoly.var(d, p).add(h.scale(p)))
+        slot = rng.randrange(-2, 3)
+        junk = {e: p * rng.randrange(d.modulus) for e in range(-2, 3) if e != slot}
+        junk[slot] = 1 + rng.randrange(p - 1)
+        images.append(LaurentPoly(d, junk))
+    else:
+        images.append(LaurentPoly.var(d, p))
+        images.append(LaurentPoly.monomial(d, oracles.random_unit(rng, d), 2))
+    return images
+
+
+def test_substitute_matches_binary_power_oracle():
+    # entries with negative exponents and gaps, the zero matrix, and every
+    # image kind of the library: Frobenius lifts, the chart change t -> 1/t
+    # and Laurent units
+    rng = random.Random(61)
+    for d in (Zmod(3, 2), Zmod(5, 3), Zmod(7, 1), GF(3, 2)):
+        for image in _substitution_images(rng, d):
+            M = RingMatrix(
+                d,
+                [
+                    [oracles.random_laurent(rng, d, -3, 4) for _ in range(3)]
+                    for _ in range(2)
+                ],
+            )
+            M.rows[1][2] = LaurentPoly.zero(d)
+            M.rows[0][1] = LaurentPoly.monomial(d, d.one, -4)
+            want = M.map_entries(lambda e: oracles.binary_power_substitute(e, image))
+            assert M.substitute(image) == want
+            for row, want_row in zip(M.rows, want.rows):
+                for e, w in zip(row, want_row):
+                    assert e.substitute(image) == w
+            Z = RingMatrix.zeros(d, 2, 3)
+            assert Z.substitute(image) == Z
 
 
 def test_laurent_lift_and_reduce_roundtrip():
@@ -678,6 +723,120 @@ def test_solve_linear_mod_agrees_with_gauss_jordan_oracle():
             )
             seen.add("kernel" if sol.kernel else "unique")
     assert seen == {"unsolvable", "kernel", "unique"}
+
+
+def _matches_dense_oracle(rows, rhs, d, ncols):
+    """The sparse solver returns the dense oracle's particular solution and
+    kernel lists, in order, or raises NoSolution exactly when it does."""
+    try:
+        want = oracles.dense_solve_linear_mod(rows, rhs, d, ncols)
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            solve_linear_mod(rows, rhs, d, ncols)
+        return None
+    sol = solve_linear_mod(rows, rhs, d, ncols)
+    assert sol.particular == want.particular
+    assert sol.kernel == want.kernel
+    return sol
+
+
+def _equivalence_window_systems(p, n, seed):
+    """The window systems equivalence_check solves for a seeded tuple and a
+    unipotent flag-respecting frame change with degree-1 entries."""
+    from hdflow import witt
+    from hdflow.corpus import random_witt_tuple
+
+    rng = random.Random(seed)
+    tup = random_witt_tuple(rng, p, n, (1, 1))
+    ring = tup.ring
+    frame = RingMatrix.identity(ring, 2)
+    frame.rows[1][0] = LaurentPoly(ring, {0: rng.randrange(ring.modulus), 1: 1})
+    systems = []
+
+    def record(rows, rhs, d, ncols):
+        systems.append((rows, rhs, d, ncols))
+        return solve_linear_mod(rows, rhs, d, ncols)
+
+    saved = witt.solve_linear_mod
+    witt.solve_linear_mod = record
+    try:
+        witt.equivalence_check(witt.gn_construct(tup), witt.gn_construct(tup, frame=frame))
+    finally:
+        witt.solve_linear_mod = saved
+    return systems
+
+
+def _sparse_rows(rng, d, n, k, density, scales):
+    """n x k rows, each entry nonzero with the given density; column j is
+    scaled by scales[j] (a p-power over Z/p^m)."""
+    elements = list(d.elements())
+    return [
+        [
+            d.mul(d.coerce(scales[j]), rng.choice(elements))
+            if rng.random() < density
+            else d.zero
+            for j in range(k)
+        ]
+        for _ in range(n)
+    ]
+
+
+def test_solve_linear_mod_matches_dense_oracle():
+    seen = set()
+    # the frame-change systems of equivalence_check
+    for p in (3, 5, 7):
+        for n in (2, 3):
+            for rows, rhs, d, ncols in _equivalence_window_systems(p, n, 10 * p + n):
+                sol = _matches_dense_oracle(rows, rhs, d, ncols)
+                seen.add("window" if sol.kernel else "window-no-kernel")
+    # sparse systems over Z/p^m: column 0 is a p-multiple, so every unit
+    # pivot at the first step needs a column swap; columns scaled by higher
+    # p-powers leave blocks with no unit, which take non-unit pivots
+    rng = random.Random(77)
+    for p, m in ((3, 2), (3, 3), (5, 2), (7, 3)):
+        d = Zmod(p, m)
+        for trial in range(10):
+            n, k = rng.randint(2, 12), rng.randint(2, 12)
+            scales = [p] + [p ** rng.randrange(m) for _ in range(k - 1)]
+            rows = _sparse_rows(rng, d, n, k, 0.3, scales)
+            x = [rng.randrange(d.modulus) for _ in range(k)]
+            rhs = [sum(a * v for a, v in zip(row, x)) % d.modulus for row in rows]
+            if trial % 3 == 2:
+                rhs = [rng.randrange(d.modulus) for _ in range(n)]
+            sol = _matches_dense_oracle(rows, rhs, d, k)
+            if sol is None:
+                seen.add("inconsistent")
+                continue
+            if any(all(c % p == 0 for c in v) and any(v) for v in sol.kernel):
+                seen.add("non-unit pivot")
+            if any(d.is_unit(a) for row in rows for a in row):
+                seen.add("column swap")
+    # F_9, rank-deficient through repeated rows
+    F = GF(3, 2)
+    for trial in range(12):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _sparse_rows(rng, F, n, k, 0.5, [1] * k)
+        rows += [list(rows[0])] * (trial % 3)
+        rhs = [oracles.random_element(rng, F) for _ in rows]
+        sol = _matches_dense_oracle(rows, rhs, F, k)
+        seen.add("gf9" if sol is not None else "gf9-inconsistent")
+    # empty systems, zero rows, inconsistent zero rows
+    for d in (Zmod(3, 2), GF(3, 2)):
+        z, one = d.zero, d.one
+        _matches_dense_oracle([], [], d, 3)
+        _matches_dense_oracle([[z, z]], [z], d, 2)
+        _matches_dense_oracle([[z, z], [one, z]], [z, one], d, 2)
+        assert _matches_dense_oracle([[z, z]], [one], d, 2) is None
+        assert _matches_dense_oracle([[one, z], [one, z]], [z, one], d, 2) is None
+        _matches_dense_oracle([[one], [z]], [one, z], d, 1)
+    assert seen >= {
+        "window",
+        "inconsistent",
+        "non-unit pivot",
+        "column swap",
+        "gf9",
+        "gf9-inconsistent",
+    }
 
 
 def test_zmod_elements_are_increasing_residues():

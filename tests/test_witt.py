@@ -13,13 +13,16 @@ from hdflow.errors import (
     CertificateFailed,
     LevelTooHigh,
     NoLiftedFiltration,
+    NoSolution,
     NonInvertible,
     NotFree,
+    SearchBudgetExceeded,
     TransversalityViolated,
     TruncationBoundExceeded,
     WrongModulus,
 )
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
+from hdflow import witt
 from hdflow.witt import (
     LiftingInputTuple,
     PConnectionModule,
@@ -312,6 +315,46 @@ def test_equivalence_under_frame_change():
     L = equivalence_check(tw1, tw2)
     assert L.det().is_unit()
     assert equivalence_gamma_check(tw1, tw2, L, rng)
+
+
+def _rank_one_twist(ring, b):
+    """The rank-one twisted module with constant p-connection matrix (b)."""
+    B = mat(ring, [[b]])
+    return TwistedFlatModule(
+        ring, (1,), RingMatrix.zeros(ring, 1, 1), PConnectionModule(ring, 1, B)
+    )
+
+
+def test_equivalence_check_with_an_empty_kernel_has_no_solution():
+    # p dL = L: the t^e equation reads c_e = p (e+1) c_{e+1}, so every
+    # coefficient vanishes, from the top of the window down
+    ring = Zmod(3, 2)
+    with pytest.raises(NoSolution):
+        equivalence_check(_rank_one_twist(ring, 0), _rank_one_twist(ring, 1))
+
+
+def test_equivalence_check_budget_error_names_stage_work_and_window(monkeypatch):
+    # p dL = p L forces L = 0 mod p: the kernel on the default window
+    # [-1, 2] is four p-multiples and no candidate is invertible
+    ring = Zmod(3, 2)
+    tw_a, tw_b = _rank_one_twist(ring, 0), _rank_one_twist(ring, 3)
+    with pytest.raises(SearchBudgetExceeded) as err:
+        equivalence_check(tw_a, tw_b)
+    assert err.value.bounds == {
+        "stage": "random",
+        "tried": witt.EQUIVALENCE_BUDGET,
+        "kernel": 4,
+        "window": (-1, 2),
+    }
+    monkeypatch.setattr(witt, "EQUIVALENCE_BUDGET", 3)
+    with pytest.raises(SearchBudgetExceeded) as err:
+        equivalence_check(tw_a, tw_b, min_exp=0, max_exp=5)
+    assert err.value.bounds == {
+        "stage": "kernel",
+        "tried": 3,
+        "kernel": 6,
+        "window": (0, 5),
+    }
 
 
 # ---------------------------------------------------------------------------
