@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdflow import witt
+from hdflow.corpus import random_witt_tuple
 from hdflow.errors import NoSolution, NonInvertible, NotDivisible
 from hdflow.ringmath import (
     GF,
@@ -740,12 +742,9 @@ def _matches_dense_oracle(rows, rhs, d, ncols):
     return sol
 
 
-def _equivalence_window_systems(p, n, seed):
+def _equivalence_window_systems(monkeypatch, p, n, seed):
     """The window systems equivalence_check solves for a seeded tuple and a
     unipotent flag-respecting frame change with degree-1 entries."""
-    from hdflow import witt
-    from hdflow.corpus import random_witt_tuple
-
     rng = random.Random(seed)
     tup = random_witt_tuple(rng, p, n, (1, 1))
     ring = tup.ring
@@ -757,12 +756,10 @@ def _equivalence_window_systems(p, n, seed):
         systems.append((rows, rhs, d, ncols))
         return solve_linear_mod(rows, rhs, d, ncols)
 
-    saved = witt.solve_linear_mod
-    witt.solve_linear_mod = record
-    try:
-        witt.equivalence_check(witt.gn_construct(tup), witt.gn_construct(tup, frame=frame))
-    finally:
-        witt.solve_linear_mod = saved
+    with monkeypatch.context() as patched:
+        patched.setattr(witt, "solve_linear_mod", record)
+        tw, framed = witt.gn_construct(tup), witt.gn_construct(tup, frame=frame)
+        witt.equivalence_check(tw, framed)
     return systems
 
 
@@ -781,12 +778,13 @@ def _sparse_rows(rng, d, n, k, density, scales):
     ]
 
 
-def test_solve_linear_mod_matches_dense_oracle():
+def test_solve_linear_mod_matches_dense_oracle(monkeypatch):
     seen = set()
     # the frame-change systems of equivalence_check
     for p in (3, 5, 7):
         for n in (2, 3):
-            for rows, rhs, d, ncols in _equivalence_window_systems(p, n, 10 * p + n):
+            systems = _equivalence_window_systems(monkeypatch, p, n, 10 * p + n)
+            for rows, rhs, d, ncols in systems:
                 sol = _matches_dense_oracle(rows, rhs, d, ncols)
                 seen.add("window" if sol.kernel else "window-no-kernel")
     # sparse systems over Z/p^m: column 0 is a p-multiple, so every unit
