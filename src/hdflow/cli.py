@@ -26,7 +26,7 @@ from .cartier import (
 )
 from .errors import HdflowError
 from .filtration import is_higgs_semistable, simpson_filtration
-from .flow import FlowPolicy, detect_period, run_flow
+from .flow import FlowPolicy, run_flow
 from .graded import grade, is_transversal
 from .serialize import (
     SchemaError,
@@ -310,10 +310,11 @@ def flow_run(input_path, steps, policy, field_degree, budget, out_path):
         field_degree=field_degree,
         filtrations=fil_specs,
     )
-    trace = run_flow(G, policy_obj)
     budget_value = _resolve_budget(budget)
-    if budget_value is not None:
-        trace.periodicity = detect_period(trace, field_degree, budget=budget_value)
+    if budget_value is None:
+        trace = run_flow(G, policy_obj)
+    else:
+        trace = run_flow(G, policy_obj, budget=budget_value)
     certs, all_ok = _trace_certificates(trace, policy)
     doc = flow_trace_to_json(trace, certs)
     checks = []

@@ -280,48 +280,6 @@ def max_destabilizer_graded(G, budget=DEFAULT_SEARCH_BUDGET):
     return report
 
 
-def destabilizer_theta_closure(G):
-    """Heuristic destabilizer: close the per-piece maximal-slope subbundles
-    under the connecting maps and saturate.  A cross-check for the
-    enumeration, never authoritative."""
-    if not G.curve.is_projective:
-        return None
-    chosen = []
-    for P in G.pieces:
-        tp = P.splitting_type()
-        if tp[0] > G.slope():
-            chosen.append(hn_filtration(P)[0])
-        else:
-            chosen.append(None)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(G.maps)):
-            src = chosen[k + 1]
-            if src is None:
-                continue
-            image = G.maps[k][0].mul(src.basis[0])
-            if image.is_zero():
-                continue
-            tgt = chosen[k]
-            if tgt is None:
-                grown = Subbundle.from_chart0_span(G.pieces[k], image)
-                chosen[k] = grown
-                changed = True
-            elif not tgt.contains_chart0(image):
-                cols = tgt.basis[0].hstack(image)
-                chosen[k] = Subbundle.from_chart0_span(G.pieces[k], cols)
-                changed = True
-    ranks = sum(S.rank for S in chosen if S is not None)
-    if ranks == 0 or ranks == G.rank:
-        return None
-    deg = sum(S.degree() for S in chosen if S is not None)
-    mu = Fraction(deg, ranks)
-    if mu <= G.slope():
-        return None
-    return DestabilizerReport(tuple(chosen), mu, ranks)
-
-
 # ---------------------------------------------------------------------------
 # connection-semistability
 

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .filtration import is_higgs_semistable, simpson_filtration
 from .graded import (
+    DEFAULT_ISO_BUDGET,
     DeRhamBundle,
     GradedHiggsBundle,
     GradedMap,
@@ -53,8 +54,6 @@ from .ringmath import (
     poly_solve,
     solve_linear_mod,
 )
-
-DEFAULT_ISO_BUDGET = 200000
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +152,10 @@ def flow_step(G, policy=None, atlas=None, step_index=0):
     return H, fil, nxt
 
 
-def run_flow(G0, policy=None, atlas=None):
+def run_flow(G0, policy=None, atlas=None, budget=DEFAULT_ISO_BUDGET):
     """Iterate flow_step for policy.max_steps steps, record every stage,
-    certify degree scaling throughout, and attach a periodicity report.
+    certify degree scaling throughout, and attach a periodicity report
+    whose isomorphism searches try at most budget candidates each.
 
     Canonical-policy flows started at a semistable graded object keep
     every later graded term semistable; this is certified per stage."""
@@ -175,7 +175,7 @@ def run_flow(G0, policy=None, atlas=None):
         cur = nxt
     stages.append(FlowStage(cur, None, None, cur.degree(), cur.slope()))
     trace = FlowTrace(tuple(stages))
-    trace.periodicity = detect_period(trace, policy.field_degree)
+    trace.periodicity = detect_period(trace, policy.field_degree, budget)
     return trace
 
 
@@ -290,11 +290,6 @@ class PeriodicTuple:
             self.validate()
         return self._stages
 
-    def flats(self):
-        if self._flats is None:
-            self.validate()
-        return self._flats
-
 
 def compose_graded_maps(outer, inner):
     """Blockwise composite, outer after inner."""
@@ -333,7 +328,7 @@ def _transport_filtration(psi_graded, src_graded, tgt_graded, tgt_flat, fil):
     return H_src, new_fil
 
 
-def shift_tuple(T, budget=DEFAULT_ISO_BUDGET):
+def shift_tuple(T):
     """Rotate a periodic tuple to start one flow step later; the missing
     final filtration is the transport of Fil_0 through the period map."""
     stages = T.stages()
@@ -344,7 +339,7 @@ def shift_tuple(T, budget=DEFAULT_ISO_BUDGET):
         T.phi, stages[f], stages[0], flats[0], fils[0]
     )
     nxt = grade(H_last, fil_last).graded
-    phi_new = graded_higgs_isomorphic(nxt, stages[1], budget=budget)
+    phi_new = graded_higgs_isomorphic(nxt, stages[1])
     if phi_new is None:
         raise HdflowError("no intertwiner found for the shifted tuple")
     return PeriodicTuple(
@@ -352,7 +347,7 @@ def shift_tuple(T, budget=DEFAULT_ISO_BUDGET):
     ).validate()
 
 
-def lengthen_tuple(T, l, budget=DEFAULT_ISO_BUDGET):
+def lengthen_tuple(T, l):
     """Repeat the filtration data l times, transporting it along the
     accumulated period isomorphism; the period map becomes the folded
     composite."""
@@ -374,7 +369,7 @@ def lengthen_tuple(T, l, budget=DEFAULT_ISO_BUDGET):
             )
             all_fils.append(fil_cur)
             nxt = grade(H_cur, fil_cur).graded
-            psi = graded_higgs_isomorphic(nxt, stages[i + 1], budget=budget)
+            psi = graded_higgs_isomorphic(nxt, stages[i + 1])
             if psi is None:
                 raise HdflowError("no intertwiner found while lengthening")
             cur = nxt
@@ -382,7 +377,7 @@ def lengthen_tuple(T, l, budget=DEFAULT_ISO_BUDGET):
     return PeriodicTuple(T.higgs, tuple(all_fils), psi, T.atlas).validate()
 
 
-def tuples_isomorphic(T1, T2, budget=DEFAULT_ISO_BUDGET):
+def tuples_isomorphic(T1, T2):
     """Bounded tuple-isomorphism certificate: equal periods, matching
     filtration rank profiles, and an isomorphism of the starting graded
     objects; returns the certifying map or None."""
@@ -398,7 +393,7 @@ def tuples_isomorphic(T1, T2, budget=DEFAULT_ISO_BUDGET):
     ]
     if prof1 != prof2:
         return None
-    return graded_higgs_isomorphic(T1.higgs, T2.higgs, budget=budget)
+    return graded_higgs_isomorphic(T1.higgs, T2.higgs)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +457,7 @@ def direct_sum_graded(summands):
     return GradedHiggsBundle(pieces, maps)
 
 
-def pack_endostructure(T, xi, field=None, budget=DEFAULT_ISO_BUDGET):
+def pack_endostructure(T, xi, field=None):
     """Fold a period-f tuple into a one-periodic tuple over F_{p^f} with the
     multiplication endomorphism s; the commutation of s with the block
     rotation is verified as an exact matrix identity.
@@ -572,7 +567,7 @@ def pack_endostructure(T, xi, field=None, budget=DEFAULT_ISO_BUDGET):
     DeRhamBundle(H_big, fil_big).validate()
 
     out = grade(H_big, fil_big).graded
-    chi = graded_higgs_isomorphic(out, rot_src, budget=budget)
+    chi = graded_higgs_isomorphic(out, rot_src)
     if chi is None:
         raise HdflowError("no identification of the packed flow output")
     phi_packed = compose_graded_maps(rot, chi)
@@ -620,20 +615,16 @@ def _eigenspace_columns(K, M, lam):
     """Constant kernel basis of (M - lam) as a matrix, or None."""
     rows = _constant_entries(M)
     n = len(rows)
-    shifted = [
-        [
-            K.sub(rows[i][j], lam) if i == j else rows[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    basis = solve_linear_mod(shifted, [K.zero] * n, K, n).kernel
+    for i, row in enumerate(rows):
+        row[i] = K.sub(row[i], lam)
+    shifted = [{j: x for j, x in enumerate(row) if x != K.zero} for row in rows]
+    basis = solve_linear_mod(shifted, K, n).kernel
     if not basis:
         return None
     return RingMatrix(
         K,
         [
-            [LaurentPoly.const(K, v[i]) for v in basis]
+            [LaurentPoly.const(K, v.get(i, K.zero)) for v in basis]
             for i in range(n)
         ],
     )
@@ -649,7 +640,7 @@ def _restrict_map(basis_tgt, basis_src, M):
     return sol
 
 
-def unpack_endostructure(packed, budget=DEFAULT_ISO_BUDGET):
+def unpack_endostructure(packed):
     """Decompose a packed one-periodic tuple into eigenspaces of its
     endomorphism, recovering a tuple whose period is the field degree.
 
@@ -726,7 +717,6 @@ def unpack_endostructure(packed, budget=DEFAULT_ISO_BUDGET):
 
     # filtrations: cut the packed filtration along the transformed
     # eigenspaces (eigenvalue orbit advances by one Frobenius twist)
-    H_big = carrier._flats[0]
     fil_big = carrier._fils[0]
     fils = []
     flats = []
@@ -753,7 +743,7 @@ def unpack_endostructure(packed, budget=DEFAULT_ISO_BUDGET):
         if i == 0:
             chi = _identity_graded_map(cur)
         else:
-            chi = graded_higgs_isomorphic(cur, summands[i], budget=budget)
+            chi = graded_higgs_isomorphic(cur, summands[i])
             if chi is None:
                 raise BadMinimalPolynomial(
                     "stage %d fails to match its eigenspace" % i
@@ -763,7 +753,7 @@ def unpack_endostructure(packed, budget=DEFAULT_ISO_BUDGET):
         )
         out_fils.append(fil_cur)
         cur = grade(H_cur, fil_cur).graded
-    phi = graded_higgs_isomorphic(cur, summands[0], budget=budget)
+    phi = graded_higgs_isomorphic(cur, summands[0])
     if phi is None:
         raise BadMinimalPolynomial("the recovered tuple fails to close up")
     return PeriodicTuple(summands[0], tuple(out_fils), phi).validate()

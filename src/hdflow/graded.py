@@ -34,6 +34,10 @@ from .ringmath import (
     unimodular_completion,
 )
 
+# Candidates tried by graded_higgs_isomorphic, the one isomorphism search
+# behind period detection and the periodic-tuple operations.
+DEFAULT_ISO_BUDGET = 200000
+
 
 class HodgeFiltration:
     """Descending flag of saturated subbundles; steps hold Fil^1..Fil^n."""
@@ -389,7 +393,7 @@ def _identity_graded_map(A):
     )
 
 
-def graded_higgs_isomorphic(A, B, budget=200000):
+def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
     """Search for a grade-preserving isomorphism intertwining the maps.
 
     The unknowns are the split-frame entries of each grade block, with
@@ -444,12 +448,10 @@ def graded_higgs_isomorphic(A, B, budget=200000):
     for k in range(len(maps_A)):
         system.add_product((k,), k, right=maps_A[k])
         system.add_product((k,), k + 1, left=maps_B[k], coef=-1)
-    rows, rhs = system.rows_and_rhs()
-    kernel = solve_linear_mod(rows, rhs, d, system.ncols).kernel
+    kernel = solve_linear_mod(system.rows(), d, system.ncols).kernel
     if not kernel:
         return None
 
-    total = system.ncols
     tried = 0
     for combo in itertools.product(d.elements(), repeat=len(kernel)):
         tried += 1
@@ -457,17 +459,11 @@ def graded_higgs_isomorphic(A, B, budget=200000):
             raise SearchBudgetExceeded(
                 "isomorphism search exceeded %d candidates" % budget
             )
-        coeffs = [d.zero] * total
-        nonzero = False
-        for j, v in enumerate(combo):
-            if v == d.zero:
-                continue
-            nonzero = True
-            for t_idx in range(total):
-                coeffs[t_idx] = d.add(
-                    coeffs[t_idx], d.mul(v, kernel[j][t_idx])
-                )
-        if nonzero:
+        coeffs = {}
+        for v, gen in zip(combo, kernel):
+            if v != d.zero:
+                d.axpy(gen, v, coeffs)
+        if coeffs:
             mats = system.matrices(coeffs)
             if all(
                 M.nrows == 0

@@ -17,6 +17,11 @@ Conventions fixed here and relied on everywhere else:
     poly_add and poly_dot reduce every sum they store and drop zeros.
   * A unit of Z/p^m[t, 1/t] is (unit coefficient) * t^e plus p-nilpotent
     junk; inversion uses the finite geometric series.
+  * A constant linear system is a list of sparse rows {column: entry} of
+    reduced nonzero entries, the right-hand side at column ncols;
+    WindowSystem builds them, solve_linear_mod copies them before it
+    eliminates, and its particular solution and kernel vectors are zero-free
+    dicts over columns 0..ncols-1, combined by the domains' axpy.
   * birkhoff_factorize(G) returns (P, a, Q) with G = P*diag(t^-a_1..t^-a_r)*Q
     and a_1 >= ... >= a_r, where P is unimodular over polynomials in 1/t and
     Q is unimodular over polynomials in t.  The exponent list is the splitting
@@ -383,12 +388,16 @@ class GF:
         for _ in range(self.f):
             powers.append(self.mul(powers[-1], a))
         for d in range(1, self.f + 1):
-            rows = [[powers[i][coord] for i in range(d)] for coord in range(self.f)]
-            rhs = [-powers[d][coord] for coord in range(self.f)]
+            # coordinate rows of sum_i c_i a^i = -a^d, right side at column d
+            rows = []
+            for coord in range(self.f):
+                col = [powers[i][coord] for i in range(d)] + [-powers[d][coord] % self.p]
+                rows.append({i: c for i, c in enumerate(col) if c})
             try:
-                return tuple(solve_linear_mod(rows, rhs, Zmod(self.p), d).particular)
+                sol = solve_linear_mod(rows, Zmod(self.p), d).particular
             except NoSolution:
                 continue
+            return tuple(sol.get(i, 0) for i in range(d))
         raise CertificateFailed("no minimal polynomial", part="minimal-polynomial")
 
     def is_field_generator(self, a):
@@ -793,12 +802,6 @@ class RingMatrix:
     def scale_const(self, c):
         return RingMatrix(self.domain, [[e.scale(c) for e in row] for row in self.rows])
 
-    def transpose(self):
-        return RingMatrix(
-            self.domain,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
-
     def map_entries(self, fn):
         return RingMatrix(self.domain, [[fn(e) for e in row] for row in self.rows])
 
@@ -833,11 +836,6 @@ class RingMatrix:
             self.domain, [self.rows[i] + other.rows[i] for i in range(self.nrows)]
         )
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("vstack width mismatch")
-        return RingMatrix(self.domain, self.rows + other.rows)
-
     def submatrix(self, row_idx, col_idx):
         return RingMatrix(
             self.domain, [[self.rows[i][j] for j in col_idx] for i in row_idx]
@@ -845,9 +843,6 @@ class RingMatrix:
 
     def columns(self, col_idx):
         return self.submatrix(range(self.nrows), list(col_idx))
-
-    def column(self, j):
-        return self.columns([j])
 
     def det(self):
         n = self.nrows
@@ -1155,8 +1150,8 @@ def unimodular_completion(B):
 
 
 class LinearSolution:
-    """Particular solution plus a kernel basis, both lists of column vectors
-    (python lists of domain elements)."""
+    """Particular solution plus a kernel basis, each a sparse vector
+    {column: entry} over columns 0..ncols-1 that stores no zero."""
 
     def __init__(self, particular, kernel):
         self.particular = particular
@@ -1170,8 +1165,9 @@ class WindowSystem:
     windows[b][i][j] lists the exponents entry (i, j) of matrix b may carry;
     unknown (b, i, j, e) is the coefficient of t^e there, and unknowns are
     numbered block by block, row-major, exponents in window order.
-    Equations are named by sortable keys; coefficients accumulate in the
-    domain and dense rows come out in sorted key order.  The add_* matrix
+    Equations are named by sortable keys; each is one sparse row {column:
+    entry}, accumulated in the domain with the right-hand side at column
+    ncols, and rows() lists them in sorted key order.  The add_* matrix
     methods write whole products of X_b entrywise, equation
     prefix + (i, j, e) taking the t^e coefficient of entry (i, j).
     """
@@ -1186,7 +1182,6 @@ class WindowSystem:
                     for e in exps:
                         self.index[(b, i, j, e)] = len(self.index)
         self.coeffs = {}
-        self.constants = {}
 
     @classmethod
     def square(cls, domain, sizes, exps):
@@ -1201,16 +1196,13 @@ class WindowSystem:
         """Add coef times unknown (b, i, j, e) to the left side of eq."""
         d = self.domain
         coef = d.coerce(coef)
-        if coef == d.zero:
-            return
-        row = self.coeffs.setdefault(eq, {})
-        col = self.index[unknown]
-        row[col] = d.add(row.get(col, d.zero), coef)
+        if coef != d.zero:
+            d.axpy({self.index[unknown]: coef}, d.one, self.coeffs.setdefault(eq, {}))
 
     def add_rhs(self, eq, value):
         """Add value to the right side of eq."""
         d = self.domain
-        self.constants[eq] = d.add(self.constants.get(eq, d.zero), d.coerce(value))
+        d.axpy({self.ncols: d.coerce(value)}, d.one, self.coeffs.setdefault(eq, {}))
 
     def add_derivative(self, prefix, b, coef=1):
         """Add coef dX_b: its (i, j) entry's t^e coefficient goes to the left
@@ -1253,20 +1245,15 @@ class WindowSystem:
                 for e, c in f.coeffs.items():
                     self.add_rhs(prefix + (i, j, e), d.mul(coef, c))
 
-    def rows_and_rhs(self):
-        """Dense rows and right-hand side, equations in sorted key order."""
-        zero = self.domain.zero
-        cols = range(self.ncols)
-        keys = sorted(set(self.coeffs) | set(self.constants))
-        rows = []
-        for key in keys:
-            row = self.coeffs.get(key, {})
-            rows.append([row.get(k, zero) for k in cols])
-        return rows, [self.constants.get(key, zero) for key in keys]
+    def rows(self):
+        """The equations' sparse rows, in sorted key order."""
+        return [self.coeffs[key] for key in sorted(self.coeffs)]
 
     def matrices(self, vec):
-        """The unknown matrices with the coefficients of a solution vector."""
+        """The unknown matrices with the coefficients of a sparse solution
+        vector."""
         d = self.domain
+        get = vec.get
         out = []
         for b, block in enumerate(self.windows):
             out.append(
@@ -1274,7 +1261,9 @@ class WindowSystem:
                     d,
                     [
                         [
-                            LaurentPoly(d, {e: vec[self.index[(b, i, j, e)]] for e in exps})
+                            LaurentPoly(
+                                d, {e: get(self.index[(b, i, j, e)], d.zero) for e in exps}
+                            )
                             for j, exps in enumerate(row)
                         ]
                         for i, row in enumerate(block)
@@ -1291,29 +1280,28 @@ def _pivot_quotient(a, piv, part):
     return a // piv
 
 
-def solve_linear_mod(rows, rhs, domain, ncols):
-    """Solve a dense system over Z/p^m or F_{p^f} by sparse diagonalization.
+def solve_linear_mod(rows, domain, ncols):
+    """Solve a sparse system over Z/p^m or F_{p^f} by diagonalization.
 
-    rows: list of ncols-long lists of domain elements; rhs: list.  Returns a
-    LinearSolution with a particular solution and a kernel basis generating
-    all solutions; raises NoSolution when none exists.
+    rows: list of dicts {column: entry} of reduced nonzero entries, the
+    right-hand side at column ncols (absent when zero); each row is copied,
+    never changed.  Returns a LinearSolution with a particular solution and
+    a kernel basis generating all solutions; raises NoSolution when none
+    exists.
 
     Each step pivots on the first row holding a unit, at its leftmost unit;
     failing that (only Z/p^m with m >= 2 has nonzero non-units) on an entry
     of least p-adic valuation, first in row-major order.  Row operations
     clear the pivot column below the pivot; column operations clear the
     pivot row and are recorded in a transform x = C y whose columns are
-    read off as kernel vectors.  Rows are eliminated as dicts {column:
-    entry} that never hold a zero, the right-hand side as column ncols, and
-    the columns of C are such dicts too: a step touches no zero entry.
+    read off as kernel vectors.  The columns of C are sparse dicts too, and
+    the domain's axpy, which drops the zeros it makes, does every row and
+    column operation: a step touches no zero entry.
     """
     d = domain
-    zero, coerce, is_unit, axpy = d.zero, d.coerce, d.is_unit, d.axpy
-    n, m = len(rows), ncols
-    M = [
-        {j: x for j, x in enumerate(map(coerce, [*row, r])) if x != zero}
-        for row, r in zip(rows, rhs)
-    ]
+    zero, is_unit, axpy = d.zero, d.is_unit, d.axpy
+    M = [dict(row) for row in rows]
+    n, m = len(M), ncols
     C = [{j: d.one} for j in range(m)]
 
     diag = []
@@ -1371,15 +1359,13 @@ def solve_linear_mod(rows, rhs, domain, ncols):
             if y % piv:
                 raise NoSolution("no solution: rhs has valuation below pivot")
             y //= piv
-            gen = d.modulus // piv
-            kernel.append({j: d.mul(gen, c) for j, c in C[i].items()})
+            kernel.append({})
+            axpy(C[i], d.modulus // piv, kernel[-1])
         if y != zero:
             axpy(C[i], y, particular)
     if any(m in M[i] for i in range(len(diag), n)):
         raise NoSolution("no solution: inconsistent zero row")
-    vecs = [particular] + kernel + C[len(diag) :]
-    vecs = [[v.get(j, zero) for j in range(m)] for v in vecs]
-    return LinearSolution(vecs[0], vecs[1:])
+    return LinearSolution(particular, kernel + C[len(diag) :])
 
 
 # ---------------------------------------------------------------------------
@@ -1446,18 +1432,18 @@ def birkhoff_factorize(G):
     guard_max = det.degree() - init_sum + n + 2
     for _ in range(max(guard_max, 2)):
         vals = row_valuations()
-        const_rows = [
-            [M.rows[i][j].coeffs.get(vals[i], d.zero) for j in range(n)]
-            for i in range(n)
-        ]
-        # left null vector: nullspace of the transpose
-        null = solve_linear_mod(
-            [[const_rows[i][j] for i in range(n)] for j in range(n)], [d.zero] * n, d, n
-        ).kernel
+        # left null vector of the constant terms of the stripped rows: the
+        # nullspace of the transpose, whose row j holds column j's terms
+        const_cols = [{} for _ in range(n)]
+        for i in range(n):
+            for j, e in enumerate(M.rows[i]):
+                if vals[i] in e.coeffs:
+                    const_cols[j][i] = e.coeffs[vals[i]]
+        null = solve_linear_mod(const_cols, d, n).kernel
         if not null:
             break
         c = null[0]
-        support = [i for i in range(n) if d.is_unit(c[i])]
+        support = [i for i in range(n) if i in c]
         i0 = min(support, key=lambda i: (vals[i], i))
         new_row = [LaurentPoly.zero(d) for _ in range(n)]
         new_lrow = [LaurentPoly.zero(d) for _ in range(n)]

@@ -19,7 +19,6 @@ Conventions:
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 from .bundles import Bundle, FlatBundle, HiggsBundle, change_frame_connection
 from .cartier import inverse_cartier_1
@@ -133,11 +132,11 @@ class PConnectionModule:
         return True
 
 
-def gamma_apply(A, ranks, m, hs, col):
-    """Divided operator of order (p - 1 + m) on a section of the twisted
-    module, evaluated without ever dividing by p.
+def gamma_apply(A, ranks, m, hs, X):
+    """Divided operator of order (p - 1 + m) on the columns of X, each a
+    section of the twisted module, evaluated without ever dividing by p.
 
-    The section's grade-g part starts in slot g; the first p - 1 + m - m
+    A section's grade-g part starts in slot g; the first p - 1 + m - m
     steps apply h (d/dt + A) and drop one slot, the last m steps apply the
     same expression without the slot drop (these are the steps already
     divided by p), and the final slot deficit is paid back as explicit
@@ -158,20 +157,16 @@ def gamma_apply(A, ranks, m, hs, col):
         raise ValueError("divided operator of weight m needs p-1+m derivations")
     starts = block_starts(ranks)
     slices = list(zip(starts, starts[1:]))
-    rank = sum(ranks)
+    rank, k = sum(ranks), X.ncols
+    zero_row = [LaurentPoly.zero(ring)] * k
     state = {}
     for g, (a, b) in enumerate(slices):
         if g < p - n:
             continue
-        rows = [[LaurentPoly.zero(ring)] for _ in range(rank)]
-        seen = False
-        for i in range(a, b):
-            entry = col.rows[i][0]
-            if not entry.is_zero():
-                seen = True
-            rows[i] = [entry]
-        if seen:
-            state[g] = RingMatrix(ring, rows)
+        if any(not e.is_zero() for row in X.rows[a:b] for e in row):
+            state[g] = RingMatrix(
+                ring, [X.rows[i] if a <= i < b else zero_row for i in range(rank)]
+            )
     for r in range(p - 1 + m, 0, -1):
         h = hs[r - 1]
         shift = 1 if r > m else 0
@@ -184,22 +179,22 @@ def gamma_apply(A, ranks, m, hs, col):
             else:
                 new_state[key] = img
         state = new_state
-    out = RingMatrix.zeros(ring, rank, 1)
+    out = RingMatrix.zeros(ring, rank, k)
     for s, comp in state.items():
-        rows = [[LaurentPoly.zero(ring)] for _ in range(rank)]
+        rows = [zero_row] * rank
         for g, (a, b) in enumerate(slices):
             e = g - s
             if e >= n:
                 continue
-            for i in range(a, b):
-                entry = comp.rows[i][0]
-                if entry.is_zero():
-                    continue
-                if e < 0:
+            if e < 0:
+                if any(not x.is_zero() for row in comp.rows[a:b] for x in row):
                     raise CertificateFailed(
                         "divided-operator state escaped its slot", part="gamma"
                     )
-                rows[i] = [entry.scale(ring.coerce(p ** e))]
+                continue
+            c = ring.coerce(p ** e)
+            for i in range(a, b):
+                rows[i] = [x.scale(c) for x in comp.rows[i]]
         out = out.add(RingMatrix(ring, rows))
     return out
 
@@ -499,12 +494,11 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     system.add_derivative((), 0, p)
     system.add_product((), 0, left=Ba)
     system.add_product((), 0, right=Bb, coef=-1)
-    rows, rhs = system.rows_and_rhs()
-    sol = solve_linear_mod(rows, rhs, ring, system.ncols)
+    sol = solve_linear_mod(system.rows(), ring, system.ncols)
 
     def intertwiner(vec):
         # a vector that vanishes mod p gives det L = 0 mod p, not a unit
-        if not any(c % p for c in vec):
+        if not any(c % p for c in vec.values()):
             return None
         L = system.matrices(vec)[0]
         defect = (
@@ -526,12 +520,11 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     rng = random.Random(0)
     while tried < EQUIVALENCE_BUDGET:
         tried += 1
-        vec = [0] * system.ncols
+        vec = {}
         for g in gens:
             c = rng.randrange(p)
             if c:
-                for k, x in enumerate(g):
-                    vec[k] = (vec[k] + c * x) % ring.modulus
+                ring.axpy(g, c, vec)
         L = intertwiner(vec)
         if L is not None:
             return L
@@ -729,8 +722,7 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
     rank = tw.rank
     G = RingMatrix.zeros(ring, rank, rank)
     zpow = LaurentPoly.one(ring)
-    current = RingMatrix.identity(ring, rank)
-    basis = [current.column(k) for k in range(rank)]
+    ident = current = RingMatrix.identity(ring, rank)
     fact = 1
     # terms up to top are summed; terms past it, up to the static bound,
     # must vanish; the nabla chain feeds only the terms below p
@@ -746,9 +738,7 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
             c = taylor_coefficient(ring, j)
             if c == 0:
                 continue
-            hs = [one] * j
-            cols = [tw.gamma(j + 1 - p, hs, e) for e in basis]
-            term = reduce(RingMatrix.hstack, cols).scale_const(c)
+            term = tw.gamma(j + 1 - p, [one] * j, ident).scale_const(c)
         if j > top:
             if not term.scale(zpow).is_zero():
                 raise TruncationBoundExceeded(
@@ -1046,9 +1036,8 @@ def _solve_grading_comparison(tup, theta_next, base_blocks, certificates):
         system.add_rhs_matrix((g,), D, -1)
         system.add_product((g,), g, right=theta_next[g].reduce_to(field))
         system.add_product((g,), g + 1, left=tup.theta[g].reduce_to(field), coef=-1)
-    rows, rhs = system.rows_and_rhs()
     try:
-        vec = solve_linear_mod(rows, rhs, field, system.ncols).particular
+        vec = solve_linear_mod(system.rows(), field, system.ncols).particular
     except NoSolution:
         return None, False
     scale = ring.coerce(p ** (n - 1))
@@ -1143,11 +1132,11 @@ def horizontal_transport(flat, cols_a, cols_b):
             return None
         system.add_rhs_matrix(("t", ncol), diff, -1)
         system.add_product(("t", ncol), 0, right=col_a.reduce_to(field))
-    rows, rhs = system.rows_and_rhs()
+    rows = system.rows()
     if not rows:
         return None
     try:
-        sol = solve_linear_mod(rows, rhs, field, system.ncols)
+        sol = solve_linear_mod(rows, field, system.ncols)
     except NoSolution:
         return None
     S = system.matrices(sol.particular)[0].lift_to(ring)

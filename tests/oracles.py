@@ -6,9 +6,18 @@ desk-sized inputs inside the test suite.
 """
 
 import itertools
+from fractions import Fraction
 
+from hdflow.bundles import Subbundle, hn_filtration
 from hdflow.errors import CertificateFailed, NoSolution
-from hdflow.ringmath import LaurentPoly, LinearSolution, RingMatrix, block_starts
+from hdflow.filtration import DestabilizerReport
+from hdflow.ringmath import (
+    LaurentPoly,
+    LinearSolution,
+    RingMatrix,
+    block_starts,
+    solve_linear_mod,
+)
 
 
 def enumerate_solutions_mod(A, b, modulus, limit=10 ** 4):
@@ -81,6 +90,33 @@ def gauss_jordan_solve(rows, rhs, field, ncols):
             v[pc] = field.neg(aug[i][fc])
         kernel.append(v)
     return LinearSolution(particular, kernel)
+
+
+def solve_dense(rows, rhs, domain, ncols):
+    """solve_linear_mod on dense rows and a dense right side, its answers
+    read back as dense lists: rows go in as {column: entry} dicts without
+    zeros, the right side at column ncols, and each solution vector comes
+    back with its zeros filled in."""
+    zero = domain.zero
+    sparse = [
+        {j: x for j, x in enumerate(map(domain.coerce, [*row, r])) if x != zero}
+        for row, r in zip(rows, rhs)
+    ]
+    sol = solve_linear_mod(sparse, domain, ncols)
+
+    def dense(vec):
+        return [vec.get(j, zero) for j in range(ncols)]
+
+    return LinearSolution(dense(sol.particular), [dense(v) for v in sol.kernel])
+
+
+def dense_rows(rows, domain, ncols):
+    """The solver's sparse rows as dense rows and a dense right side."""
+    zero = domain.zero
+    return (
+        [[row.get(j, zero) for j in range(ncols)] for row in rows],
+        [row.get(ncols, zero) for row in rows],
+    )
 
 
 def _pivot_quotient(a, piv, part):
@@ -550,8 +586,6 @@ class SaturatingLinePool:
         self.next_degree = self.tp[0]
 
     def ensure(self, low):
-        from hdflow.bundles import Subbundle
-
         d = self.bundle.domain
         els = list(d.elements())
         while self.next_degree >= low:
@@ -573,3 +607,45 @@ class SaturatingLinePool:
                     if not any(S.same_as(L) for L in self.lines):
                         self.lines.append(S)
         return [L for L in self.lines if L.degree() >= low]
+
+
+def destabilizer_theta_closure(G):
+    """Heuristic destabilizer: close the per-piece maximal-slope subbundles
+    under the connecting maps and saturate.  A cross-check for the
+    enumeration, never authoritative."""
+    if not G.curve.is_projective:
+        return None
+    chosen = []
+    for P in G.pieces:
+        tp = P.splitting_type()
+        if tp[0] > G.slope():
+            chosen.append(hn_filtration(P)[0])
+        else:
+            chosen.append(None)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(G.maps)):
+            src = chosen[k + 1]
+            if src is None:
+                continue
+            image = G.maps[k][0].mul(src.basis[0])
+            if image.is_zero():
+                continue
+            tgt = chosen[k]
+            if tgt is None:
+                grown = Subbundle.from_chart0_span(G.pieces[k], image)
+                chosen[k] = grown
+                changed = True
+            elif not tgt.contains_chart0(image):
+                cols = tgt.basis[0].hstack(image)
+                chosen[k] = Subbundle.from_chart0_span(G.pieces[k], cols)
+                changed = True
+    ranks = sum(S.rank for S in chosen if S is not None)
+    if ranks == 0 or ranks == G.rank:
+        return None
+    deg = sum(S.degree() for S in chosen if S is not None)
+    mu = Fraction(deg, ranks)
+    if mu <= G.slope():
+        return None
+    return DestabilizerReport(tuple(chosen), mu, ranks)

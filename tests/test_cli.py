@@ -166,6 +166,24 @@ def test_flow_run_bad_flags(tmp_path):
     assert invoke(["flow", "run", "--input", str(tmp_path / "no.json")]).exit_code == 2
 
 
+def test_flow_run_budget_reaches_the_one_period_search(tmp_path, monkeypatch):
+    from hdflow import flow
+
+    G = generate(CorpusParams(p=3, rank=2, weight=1, count=1, seed=4, curve="A1"))[0]
+    path = write_doc(tmp_path, "a1.json", graded_to_json(G))
+    budgets = []
+    real = flow.detect_period
+
+    def spy(trace, f_search=1, budget=flow.DEFAULT_ISO_BUDGET):
+        budgets.append(budget)
+        return real(trace, f_search, budget)
+
+    monkeypatch.setattr(flow, "detect_period", spy)
+    result = invoke(["flow", "run", "--input", path, "--steps", "2", "--budget", "1"])
+    assert result.exit_code == 0, result.output
+    assert budgets == [1]
+
+
 # -- cartier apply -----------------------------------------------------------
 
 

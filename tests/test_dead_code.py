@@ -2,8 +2,11 @@
 
 A function whose name appears nowhere but in its own definitions is dead:
 nothing in the library, its tests or the benchmark calls it, so it is
-untested code that only looks like a feature.  Dunders and the
-command-line entry points (called by click, not by name) are exempt.
+untested code that only looks like a feature.  A method is reached only as
+an attribute (obj.name), so it counts as used only where some searched file
+accesses it that way; its name as a local variable, in a comment or in a
+string does not count.  Dunders and the command-line entry points (called
+by click, not by name) are exempt.
 """
 
 import ast
@@ -26,39 +29,64 @@ def _is_click_command(node):
     return False
 
 
+def _searched_files():
+    for top in SEARCHED:
+        yield from sorted((ROOT / top).rglob("*.py"))
+
+
 def _word_counts():
     counts = {}
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for word in re.findall(r"\w+", path.read_text()):
-                counts[word] = counts.get(word, 0) + 1
+    for path in _searched_files():
+        for word in re.findall(r"\w+", path.read_text()):
+            counts[word] = counts.get(word, 0) + 1
     return counts
+
+
+def _attribute_names():
+    names = set()
+    for path in _searched_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
 
 
 def test_searched_trees_are_found():
     assert all((ROOT / top).is_dir() for top in SEARCHED)
 
 
+FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _library_functions():
+    """(path, node, is_method) for every function defined in the library."""
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, FUNCTION_NODES)
+        }
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield path, node
+            if isinstance(node, FUNCTION_NODES):
+                yield path, node, id(node) in methods
 
 
 def test_every_function_is_used():
     counts = _word_counts()
+    attributes = _attribute_names()
     defs = {}
-    for _, node in _library_functions():
+    for _, node, _ in _library_functions():
         defs[node.name] = defs.get(node.name, 0) + 1
     unused = []
-    for path, node in _library_functions():
+    for path, node, is_method in _library_functions():
         name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
         if _is_click_command(node):
             continue
-        if counts.get(name, 0) <= defs[name]:
+        if name not in attributes if is_method else counts.get(name, 0) <= defs[name]:
             unused.append("%s:%d %s" % (path.name, node.lineno, name))
     assert unused == []

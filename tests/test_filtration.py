@@ -28,7 +28,6 @@ from hdflow.filtration import (
     _Budget,
     _LinePool,
     check_window_descent,
-    destabilizer_theta_closure,
     is_higgs_semistable,
     is_nabla_semistable,
     max_destabilizer_graded,
@@ -43,7 +42,12 @@ from hdflow.graded import (
 )
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 
-from oracles import SaturatingLinePool, random_split_transition, random_unimodular_poly
+from oracles import (
+    SaturatingLinePool,
+    destabilizer_theta_closure,
+    random_split_transition,
+    random_unimodular_poly,
+)
 
 
 def upper_higgs(curve, exps, entry):

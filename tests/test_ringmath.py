@@ -560,7 +560,7 @@ def test_saturation_and_completion():
 
 def test_solve_linear_mod_frozen_kernel_mod9():
     R = Zmod(3, 2)
-    sol = solve_linear_mod([[3]], [0], R, 1)
+    sol = oracles.solve_dense([[3]], [0], R, 1)
     assert sol.particular == [0]
     assert sol.kernel == [[3]]
 
@@ -568,12 +568,12 @@ def test_solve_linear_mod_frozen_kernel_mod9():
 def test_solve_linear_mod_frozen_no_solution_mod9():
     R = Zmod(3, 2)
     with pytest.raises(NoSolution):
-        solve_linear_mod([[3]], [1], R, 1)
+        oracles.solve_dense([[3]], [1], R, 1)
 
 
 def test_solve_linear_mod_divisible_rhs():
     R = Zmod(3, 2)
-    sol = solve_linear_mod([[3]], [6], R, 1)
+    sol = oracles.solve_dense([[3]], [6], R, 1)
     assert (3 * sol.particular[0]) % 9 == 6
     assert sol.kernel == [[3]]
 
@@ -590,9 +590,9 @@ def test_solve_linear_mod_matches_exhaustive():
             brute = oracles.enumerate_solutions_mod(A, b, R.modulus)
             if not brute:
                 with pytest.raises(NoSolution):
-                    solve_linear_mod(A, b, R, cols)
+                    oracles.solve_dense(A, b, R, cols)
                 continue
-            sol = solve_linear_mod(A, b, R, cols)
+            sol = oracles.solve_dense(A, b, R, cols)
             ours = oracles.span_mod(sol.particular, sol.kernel, R.modulus)
             assert ours == sorted(brute)
 
@@ -628,10 +628,10 @@ def test_solve_linear_mod_kernel_columns_match_col_map_oracle():
                     want = oracles.solve_linear_mod_col_map(A, b, R)
                 except NoSolution:
                     with pytest.raises(NoSolution):
-                        solve_linear_mod(A, b, R, k)
+                        oracles.solve_dense(A, b, R, k)
                     directions.add("unsolvable")
                     continue
-                sol = solve_linear_mod(A, b, R, k)
+                sol = oracles.solve_dense(A, b, R, k)
                 assert sol.particular == want.particular
                 assert sol.kernel == want.kernel
                 for v in sol.kernel:
@@ -645,7 +645,7 @@ def test_field_solve_and_nullspace_gf9():
     rows = [[F.one, x], [x, F.neg(F.one)]]
     # second row is x * first row, so the system is rank 1
     rhs = [x, F.mul(x, x)]
-    sol = solve_linear_mod(rows, rhs, F, 2)
+    sol = oracles.solve_dense(rows, rhs, F, 2)
     for row, want in zip(rows, rhs):
         acc = F.zero
         for c, s in zip(row, sol.particular):
@@ -663,12 +663,12 @@ def test_field_solve_and_nullspace_gf9():
 def test_field_solve_inconsistent():
     F = Zmod(3)
     with pytest.raises(NoSolution):
-        solve_linear_mod([[1], [1]], [1, 2], F, 1)
+        oracles.solve_dense([[1], [1]], [1, 2], F, 1)
 
 
 def test_field_solve_empty_system_has_identity_kernel():
     F = GF(3, 2)
-    sol = solve_linear_mod([], [], F, 2)
+    sol = oracles.solve_dense([], [], F, 2)
     assert sol.particular == [F.zero, F.zero]
     assert sol.kernel == [[F.one, F.zero], [F.zero, F.one]]
 
@@ -680,7 +680,7 @@ def test_solve_linear_mod_pins_row_first_pivots_over_f3():
     # is this solver's choice.
     F = Zmod(3)
     rows, rhs = [[0, 0, 1], [1, 1, 0]], [1, 1]
-    sol = solve_linear_mod(rows, rhs, F, 3)
+    sol = oracles.solve_dense(rows, rhs, F, 3)
     assert sol.particular == [0, 1, 1]
     assert sol.kernel == [[1, 2, 0]]
     assert oracles.gauss_jordan_solve(rows, rhs, F, 3).particular == [1, 0, 1]
@@ -715,10 +715,10 @@ def test_solve_linear_mod_agrees_with_gauss_jordan_oracle():
                 want = oracles.gauss_jordan_solve(A, b, F, k)
             except NoSolution:
                 with pytest.raises(NoSolution):
-                    solve_linear_mod(A, b, F, k)
+                    oracles.solve_dense(A, b, F, k)
                 seen.add("unsolvable")
                 continue
-            sol = solve_linear_mod(A, b, F, k)
+            sol = oracles.solve_dense(A, b, F, k)
             assert len(sol.kernel) == len(want.kernel)
             assert oracles.affine_span(F, sol.particular, sol.kernel) == (
                 oracles.affine_span(F, want.particular, want.kernel)
@@ -734,9 +734,9 @@ def _matches_dense_oracle(rows, rhs, d, ncols):
         want = oracles.dense_solve_linear_mod(rows, rhs, d, ncols)
     except NoSolution:
         with pytest.raises(NoSolution):
-            solve_linear_mod(rows, rhs, d, ncols)
+            oracles.solve_dense(rows, rhs, d, ncols)
         return None
-    sol = solve_linear_mod(rows, rhs, d, ncols)
+    sol = oracles.solve_dense(rows, rhs, d, ncols)
     assert sol.particular == want.particular
     assert sol.kernel == want.kernel
     return sol
@@ -752,9 +752,9 @@ def _equivalence_window_systems(monkeypatch, p, n, seed):
     frame.rows[1][0] = LaurentPoly(ring, {0: rng.randrange(ring.modulus), 1: 1})
     systems = []
 
-    def record(rows, rhs, d, ncols):
-        systems.append((rows, rhs, d, ncols))
-        return solve_linear_mod(rows, rhs, d, ncols)
+    def record(rows, d, ncols):
+        systems.append((rows, d, ncols))
+        return solve_linear_mod(rows, d, ncols)
 
     with monkeypatch.context() as patched:
         patched.setattr(witt, "solve_linear_mod", record)
@@ -784,8 +784,9 @@ def test_solve_linear_mod_matches_dense_oracle(monkeypatch):
     for p in (3, 5, 7):
         for n in (2, 3):
             systems = _equivalence_window_systems(monkeypatch, p, n, 10 * p + n)
-            for rows, rhs, d, ncols in systems:
-                sol = _matches_dense_oracle(rows, rhs, d, ncols)
+            for rows, d, ncols in systems:
+                dense, rhs = oracles.dense_rows(rows, d, ncols)
+                sol = _matches_dense_oracle(dense, rhs, d, ncols)
                 seen.add("window" if sol.kernel else "window-no-kernel")
     # sparse systems over Z/p^m: column 0 is a p-multiple, so every unit
     # pivot at the first step needs a column swap; columns scaled by higher
@@ -837,6 +838,46 @@ def test_solve_linear_mod_matches_dense_oracle(monkeypatch):
     }
 
 
+def _contract_systems(monkeypatch):
+    """(rows, domain, ncols) over Z/p^m, m >= 2: the window systems of
+    equivalence_check, and consistent sparse systems whose p-multiple first
+    column forces column swaps and whose p-power-scaled columns force
+    non-unit pivots."""
+    systems = _equivalence_window_systems(monkeypatch, 5, 2, 52)
+    systems += _equivalence_window_systems(monkeypatch, 3, 3, 33)
+    rng = random.Random(78)
+    for p, m in ((3, 2), (3, 3), (5, 2)):
+        d = Zmod(p, m)
+        for _ in range(12):
+            n, k = rng.randint(2, 10), rng.randint(2, 10)
+            scales = [p] + [p ** rng.randrange(m) for _ in range(k - 1)]
+            x = [rng.randrange(d.modulus) for _ in range(k)]
+            rows = []
+            for row in _sparse_rows(rng, d, n, k, 0.4, scales):
+                row = row + [sum(a * v for a, v in zip(row, x)) % d.modulus]
+                rows.append({j: a for j, a in enumerate(row) if a})
+            systems.append((rows, d, k))
+    return systems
+
+
+def test_solve_linear_mod_leaves_its_rows_unchanged(monkeypatch):
+    for rows, d, ncols in _contract_systems(monkeypatch):
+        before = [dict(row) for row in rows]
+        solve_linear_mod(rows, d, ncols)
+        assert rows == before
+
+
+def test_solve_linear_mod_returns_zero_free_vectors_over_zmod_pm(monkeypatch):
+    p_power_kernels = 0
+    for rows, d, ncols in _contract_systems(monkeypatch):
+        sol = solve_linear_mod(rows, d, ncols)
+        for vec in [sol.particular] + sol.kernel:
+            assert set(vec) <= set(range(ncols))
+            assert all(0 < x < d.modulus for x in vec.values()), vec
+        p_power_kernels += sum(all(x % d.p == 0 for x in v.values()) for v in sol.kernel)
+    assert p_power_kernels > 0
+
+
 def test_zmod_elements_are_increasing_residues():
     assert list(Zmod(5).elements()) == [0, 1, 2, 3, 4]
     assert list(Zmod(3, 2).elements()) == list(range(9))
@@ -869,15 +910,33 @@ def test_window_system_rows_sorted_and_accumulated_in_the_domain():
     system.add(("a", 0), (0, 0, 0, 0), 3)  # zero mod 3: no equation
     system.add(("a", 1), (0, 0, 0, 2), 1)
     system.add_rhs(("c", 0), 4)
-    rows, rhs = system.rows_and_rhs()
+    rows, rhs = oracles.dense_rows(system.rows(), F, system.ncols)
     assert rows == [[0, 0, 1], [0, 1, 0], [0, 0, 0]]
     assert rhs == [0, 0, 1]
+
+
+def test_window_system_rows_drop_entries_that_cancel():
+    R = Zmod(3, 2)
+    system = WindowSystem.square(R, [1], range(2))
+    system.add(("a",), (0, 0, 0, 0), 4)
+    system.add(("a",), (0, 0, 0, 0), 5)  # 4 + 5 = 0 mod 9
+    system.add(("a",), (0, 0, 0, 1), 3)
+    system.add_rhs(("a",), 2)
+    system.add_rhs(("a",), 7)
+    system.add_rhs(("b",), 9)  # an equation whose every entry is zero
+    assert system.rows() == [{1: 3}, {}]
+    F = GF(3, 2)
+    system = WindowSystem.square(F, [1], range(1))
+    system.add(("a",), (0, 0, 0, 0), (1, 2))
+    system.add(("a",), (0, 0, 0, 0), (2, 1))
+    system.add_rhs(("a",), (0, 1))
+    assert system.rows() == [{1: (0, 1)}]
 
 
 def test_window_system_matrices_read_back_the_unknowns():
     F = Zmod(7)
     system = WindowSystem.square(F, [2, 1], range(-1, 1))
-    vec = list(range(system.ncols))
+    vec = dict(enumerate(range(system.ncols)))
     top, bottom = system.matrices(vec)
     assert top.entry(0, 0) == LaurentPoly(F, {-1: 0, 0: 1})
     assert top.entry(1, 1) == LaurentPoly(F, {-1: 6, 0: 0})
@@ -887,8 +946,8 @@ def test_window_system_matrices_read_back_the_unknowns():
 def _equation_values(system, vec):
     """Each equation key with its left side at vec and its right side."""
     d = system.domain
-    rows, rhs = system.rows_and_rhs()
-    keys = sorted(set(system.coeffs) | set(system.constants))
+    rows, rhs = oracles.dense_rows(system.rows(), d, system.ncols)
+    keys = sorted(system.coeffs)
     values = {}
     for key, row, b in zip(keys, rows, rhs):
         lhs = d.zero
@@ -930,7 +989,7 @@ def test_window_system_products_on_a_ragged_window():
     for _ in range(5):
         probe = WindowSystem(F, RAGGED)
         vec = [rng.randrange(5) for _ in range(probe.ncols)]
-        X = probe.matrices(vec)[0]
+        X = probe.matrices(dict(enumerate(vec)))[0]
         for side, product in (("left", M.mul(X)), ("right", X.mul(M))):
             system = WindowSystem(F, RAGGED)
             system.add_product(("p",), 0, coef=2, **{side: M})
@@ -945,7 +1004,7 @@ def test_window_system_derivative_scales_by_exponent_and_coefficient():
     system = WindowSystem(F, RAGGED)
     system.add_derivative((), 1, 3)
     vec = [1] * system.ncols
-    x = system.matrices(vec)[1]
+    x = system.matrices(dict(enumerate(vec)))[1]
     values = _equation_values(system, vec)
     # d(t^-1 + t^2) = -t^-2 + 2t, times 3 mod 9
     assert values == {(0, 0, -2): (6, 0), (0, 0, 1): (6, 0)}
@@ -963,7 +1022,7 @@ def test_window_system_over_gf_with_a_field_coefficient():
     system.add_rhs_matrix(("q", 0), M, g)
     rng = random.Random(2)
     vec = [F.coerce((rng.randrange(3), rng.randrange(3))) for _ in range(system.ncols)]
-    X = system.matrices(vec)[0]
+    X = system.matrices(dict(enumerate(vec)))[0]
     values = _equation_values(system, vec)
     scaled = M.scale_const(g)
     _assert_matrix_equations(values, ("q", 0), M.mul(X).scale_const(g), 0)

@@ -457,6 +457,14 @@ def test_pruned_divided_operator_matches_unpruned_oracle():
                     )
                     want = unpruned_gamma_apply(A, ranks, m, hs, col)
                     assert gamma_apply(A, ranks, m, hs, col) == want, (p, n, m, ranks)
+                    # many columns at once, as taylor_transition applies it
+                    # to the identity: column by column the same operator
+                    X = col.hstack(RingMatrix.identity(ring, rank))
+                    wide = gamma_apply(A, ranks, m, hs, X)
+                    for j in range(X.ncols):
+                        assert wide.columns([j]) == unpruned_gamma_apply(
+                            A, ranks, m, hs, X.columns([j])
+                        ), (p, n, m, ranks, j)
                     if len(ranks) - 1 < p - n:
                         assert want.is_zero(), (p, n, m, ranks)
                     elif not want.is_zero():
