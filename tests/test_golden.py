@@ -24,7 +24,7 @@ import pytest
 from click.testing import CliRunner
 
 from hdflow.cli import main
-from hdflow.corpus import CorpusParams, generate, random_witt_tuple
+from hdflow.corpus import CorpusParams, generate, random_lifting, random_witt_tuple
 from hdflow.bundles import Bundle, HiggsBundle, Subbundle, chart1_map, hn_filtration
 from hdflow.cartier import inverse_cartier_1
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
@@ -229,6 +229,20 @@ def _taylor_transition_bytes():
     source = FrobeniusLifting(line, (LaurentPoly(ring, {0: 20, 2: 7, 3: 1}),))
     G = taylor_transition(sharp_construct(tup), target, source)
     return canonical_bytes(matrix_to_json(G))
+
+
+def _taylor_cocycle_bytes():
+    """The three Taylor transitions among three random liftings, at p = 5
+    and p^3, on one glued module of a seeded ranks (1, 2, 1) tuple over
+    Z/125: weight 2 reaches p - n, so the divided-operator terms are
+    nonzero, and all three calls share the module."""
+    rng = random.Random(12)
+    tup = random_witt_tuple(rng, 5, 3, (1, 2, 1))
+    line = AffineLine(tup.ring)
+    l0, l1, l2 = (random_lifting(rng, line) for _ in range(3))
+    tw = sharp_construct(tup)
+    pairs = ((l0, l1), (l1, l2), (l0, l2))
+    return canonical_bytes([matrix_to_json(taylor_transition(tw, a, b)) for a, b in pairs])
 
 
 def _transport_bytes():
@@ -452,6 +466,7 @@ LIBRARY_CASES = {
     "equivalence-intertwiner": _equivalence_bytes,
     "equivalence-default-window": _default_window_equivalence_bytes,
     "taylor-transition-p3": _taylor_transition_bytes,
+    "taylor-cocycle-p5-n3": _taylor_cocycle_bytes,
     "horizontal-transport": _transport_bytes,
 }
 
@@ -464,6 +479,7 @@ LIBRARY_DIGESTS = {
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
     "equivalence-default-window": "fade237c52da0865d83e14f57ca60140381ef5bdd998455fb6862c88296c414f",
     "taylor-transition-p3": "1de60a3b47d4bf0736726c1ce433d0fdd7938c70246fb960c98102dacaa4b8cf",
+    "taylor-cocycle-p5-n3": "75c04f75fc10af21a116afa33bc48312634efbdaeb171824e22f9cc5e0a016d4",
     "horizontal-transport": "5e4608b5b225b4ecd83aa37c5ee0996a09fed5910cb9978a3a3342d7718785cd",
 }
 
