@@ -467,7 +467,7 @@ def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
             mats = system.matrices(coeffs)
             if all(
                 M.nrows == 0
-                or (M.det().degree() == 0 and M.det().is_unit())
+                or ((det := M.det()).degree() == 0 and det.is_unit())
                 for M in mats
             ):
                 blocks = []

@@ -116,6 +116,12 @@ class Zmod:
             else:
                 y.pop(j, None)
 
+    def poly_derivative(self, f):
+        """Coefficient dict of the t-derivative: raw ints, one reduction per
+        coefficient, zeros dropped."""
+        mod = self.modulus
+        return {e - 1: v for e, c in f.items() if (v := c * e % mod)}
+
     def is_unit(self, a):
         return a % self.p != 0
 
@@ -350,6 +356,11 @@ class GF:
             if y[j] == self.zero:
                 del y[j]
 
+    def poly_derivative(self, f):
+        """Zmod.poly_derivative through the field's own mul."""
+        out = {e - 1: self.mul(c, self.coerce(e)) for e, c in f.items()}
+        return {e: v for e, v in out.items() if v != self.zero}
+
     def is_unit(self, a):
         return any(x % self.p for x in a)
 
@@ -518,8 +529,9 @@ class LaurentPoly:
 
     def scale(self, c):
         d = self.domain
-        c = d.coerce(c)
-        return LaurentPoly(d, {e: d.mul(v, c) for e, v in self.coeffs.items()})
+        out = {}
+        d.axpy(self.coeffs, d.coerce(c), out)
+        return LaurentPoly._trusted(d, out)
 
     def shift(self, k):
         d = self.domain
@@ -527,14 +539,7 @@ class LaurentPoly:
 
     def derivative(self):
         d = self.domain
-        out = {}
-        for e, c in self.coeffs.items():
-            if e == 0:
-                continue
-            v = d.mul(c, d.coerce(e))
-            if v != d.zero:
-                out[e - 1] = v
-        return LaurentPoly._trusted(d, out)
+        return LaurentPoly._trusted(d, d.poly_derivative(self.coeffs))
 
     def substitute(self, image):
         """Composition self(image); image must be a Laurent unit whenever self
@@ -659,6 +664,14 @@ class RingMatrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
 
+    @staticmethod
+    def _trusted(domain, rows):
+        """Wrap a fresh rectangular list of rows without copying it."""
+        out = object.__new__(RingMatrix)
+        out.domain, out.rows = domain, rows
+        out.nrows, out.ncols = len(rows), len(rows[0]) if rows else 0
+        return out
+
     @classmethod
     def from_scalars(cls, domain, rows):
         return cls(
@@ -760,7 +773,7 @@ class RingMatrix:
         return all(e.is_zero() for row in self.rows for e in row)
 
     def add(self, other):
-        return RingMatrix(
+        return RingMatrix._trusted(
             self.domain,
             [
                 [self.rows[i][j].add(other.rows[i][j]) for j in range(self.ncols)]
@@ -769,7 +782,7 @@ class RingMatrix:
         )
 
     def sub(self, other):
-        return RingMatrix(
+        return RingMatrix._trusted(
             self.domain,
             [
                 [self.rows[i][j].sub(other.rows[i][j]) for j in range(self.ncols)]
@@ -778,7 +791,7 @@ class RingMatrix:
         )
 
     def neg(self):
-        return RingMatrix(self.domain, [[e.neg() for e in row] for row in self.rows])
+        return self.map_entries(lambda e: e.neg())
 
     def mul(self, other):
         if self.ncols != other.nrows:
@@ -794,16 +807,16 @@ class RingMatrix:
                 pairs = [(a, col[k]) for k, a in row if col[k]]
                 new.append(trusted(d, d.poly_dot(pairs)) if pairs else zero)
             out.append(new)
-        return RingMatrix(d, out)
+        return RingMatrix._trusted(d, out)
 
     def scale(self, poly):
-        return RingMatrix(self.domain, [[e.mul(poly) for e in row] for row in self.rows])
+        return self.map_entries(lambda e: e.mul(poly))
 
     def scale_const(self, c):
-        return RingMatrix(self.domain, [[e.scale(c) for e in row] for row in self.rows])
+        return self.map_entries(lambda e: e.scale(c))
 
     def map_entries(self, fn):
-        return RingMatrix(self.domain, [[fn(e) for e in row] for row in self.rows])
+        return RingMatrix._trusted(self.domain, [[fn(e) for e in r] for r in self.rows])
 
     def substitute(self, image):
         """Every entry composed with image, sharing one table of its powers."""

@@ -18,7 +18,7 @@ Conventions:
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bundles import Bundle, FlatBundle, HiggsBundle, change_frame_connection
 from .cartier import inverse_cartier_1
@@ -41,6 +41,7 @@ from .ringmath import (
     RingMatrix,
     WindowSystem,
     Zmod,
+    _substitute,
     block_starts,
     random_poly,
     solve_linear_mod,
@@ -208,6 +209,7 @@ class TwistedFlatModule:
     ranks: tuple
     lift: RingMatrix
     module: PConnectionModule
+    _taylor: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def p(self):
@@ -230,6 +232,27 @@ class TwistedFlatModule:
 
     def gamma(self, m, hs, col):
         return gamma_apply(self.lift, self.ranks, m, hs, col)
+
+    def _taylor_terms(self, count):
+        """Divided Taylor terms T_j, j < count, built once: nabla^j/j! below p,
+        then p^(j+1-p)/j! times the weight j+1-p divided operator (None where
+        that coefficient vanishes mod p^n), all on the identity."""
+        ring, p, one = self.ring, self.p, LaurentPoly.one(self.ring)
+        if self._taylor is None:
+            current = RingMatrix.identity(ring, self.rank)
+            terms, fact = [current], 1
+            for j in range(1, p):
+                fact *= j
+                current = self.nabla(one, current)
+                terms.append(current.scale_const(ring.inv(ring.coerce(fact))))
+            self._taylor = terms
+        ident = self._taylor[0]
+        for j in range(len(self._taylor), count):
+            c = taylor_coefficient(ring, j)
+            self._taylor.append(
+                self.gamma(j + 1 - p, [one] * j, ident).scale_const(c) if c else None
+            )
+        return self._taylor[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -709,43 +732,36 @@ def fn_apply(tw, lifting=None):
 def taylor_transition(tw, lift_target, lift_source, jmax=None):
     """Transition between the Frobenius pullbacks under two liftings: the
     divided Taylor series in z = (F_source - F_target)/p, with the terms of
-    degree >= p carried by the divided operators.  Truncation stops at the
-    static bound; a smaller requested bound must be certified by the
-    vanishing of every dropped term."""
+    degree >= p carried by the divided operators.  The terms are per module,
+    built once and shared by every transition; the liftings enter only
+    through z and the substituted image.  Truncation stops at the static
+    bound; a smaller requested bound must be certified by the vanishing of
+    every dropped term."""
     ring = tw.ring
-    p, n = ring.p, ring.m
-    bound = truncation_bound(p, n)
+    bound = truncation_bound(ring.p, ring.m)
     z = lift_source.z_same_chart(lift_target, 0, ring)
     image = lift_target.frobenius_image(0, ring)
     top = bound - 1 if jmax is None else jmax
-    one = LaurentPoly.one(ring)
-    rank = tw.rank
-    G = RingMatrix.zeros(ring, rank, rank)
-    zpow = LaurentPoly.one(ring)
-    ident = current = RingMatrix.identity(ring, rank)
-    fact = 1
-    # terms up to top are summed; terms past it, up to the static bound,
-    # must vanish; the nabla chain feeds only the terms below p
-    for j in range(max(top, bound - 1) + 1):
+    kept, zpow = [], LaurentPoly.one(ring)
+    # terms past top, up to the static bound, must vanish
+    for j, term in enumerate(tw._taylor_terms(max(top, bound - 1) + 1)):
         if j:
             zpow = zpow.mul(z)
-        if j < p:
-            if j:
-                fact *= j
-                current = tw.nabla(one, current)
-            term = current.scale_const(ring.inv(ring.coerce(fact)))
-        else:
-            c = taylor_coefficient(ring, j)
-            if c == 0:
-                continue
-            term = tw.gamma(j + 1 - p, [one] * j, ident).scale_const(c)
+        if term is None:
+            continue
         if j > top:
             if not term.scale(zpow).is_zero():
                 raise TruncationBoundExceeded(
                     "terms past the requested bound do not vanish"
                 )
             continue
-        G = G.add(term.substitute(image).scale(zpow))
+        kept.append((term, zpow))
+    # one table of image powers for every entry of every kept term
+    flat = [e for term, _ in kept for row in term.rows for e in row]
+    entries = iter(_substitute(flat, image))
+    G = RingMatrix.zeros(ring, tw.rank, tw.rank)
+    for term, zpow in kept:
+        G = G.add(term.map_entries(lambda e: next(entries)).scale(zpow))
     return G
 
 

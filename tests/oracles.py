@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 
 from hdflow.bundles import Subbundle, hn_filtration
-from hdflow.errors import CertificateFailed, NoSolution
+from hdflow.errors import CertificateFailed, NoSolution, TruncationBoundExceeded
 from hdflow.filtration import DestabilizerReport
 from hdflow.ringmath import (
     LaurentPoly,
@@ -18,6 +18,7 @@ from hdflow.ringmath import (
     block_starts,
     solve_linear_mod,
 )
+from hdflow.witt import taylor_coefficient, truncation_bound
 
 
 def enumerate_solutions_mod(A, b, modulus, limit=10 ** 4):
@@ -260,6 +261,27 @@ def schoolbook_add(f, g):
     return LaurentPoly(d, out)
 
 
+def schoolbook_derivative(f):
+    """t-derivative through the domain protocol, one d.mul and one d.coerce
+    per coefficient."""
+    d = f.domain
+    out = {}
+    for e, c in f.coeffs.items():
+        if e == 0:
+            continue
+        v = d.mul(c, d.coerce(e))
+        if v != d.zero:
+            out[e - 1] = v
+    return LaurentPoly(d, out)
+
+
+def schoolbook_scale(f, c):
+    """f times a constant, one d.mul per coefficient."""
+    d = f.domain
+    c = d.coerce(c)
+    return LaurentPoly(d, {e: d.mul(v, c) for e, v in f.coeffs.items()})
+
+
 def solve_linear_mod_col_map(A, b, ring):
     """The Z/p^m solver with every output read through the full column
     transform: the same diagonalization as ringmath.solve_linear_mod (pivot
@@ -372,6 +394,47 @@ def unpruned_gamma_apply(A, ranks, m, hs, col):
                     entry.scale(ring.coerce(p ** (g - s)))
                 )
     return out
+
+
+def uncached_taylor_transition(tw, lift_target, lift_source, jmax=None):
+    """The Taylor transition with every term rebuilt on each call: the nabla
+    chain and each divided operator are recomputed, and each kept term is
+    substituted on its own, with its own table of image powers."""
+    ring = tw.ring
+    p, n = ring.p, ring.m
+    bound = truncation_bound(p, n)
+    z = lift_source.z_same_chart(lift_target, 0, ring)
+    image = lift_target.frobenius_image(0, ring)
+    top = bound - 1 if jmax is None else jmax
+    one = LaurentPoly.one(ring)
+    rank = tw.rank
+    G = RingMatrix.zeros(ring, rank, rank)
+    zpow = LaurentPoly.one(ring)
+    ident = current = RingMatrix.identity(ring, rank)
+    fact = 1
+    # terms up to top are summed; terms past it, up to the static bound,
+    # must vanish; the nabla chain feeds only the terms below p
+    for j in range(max(top, bound - 1) + 1):
+        if j:
+            zpow = zpow.mul(z)
+        if j < p:
+            if j:
+                fact *= j
+                current = tw.nabla(one, current)
+            term = current.scale_const(ring.inv(ring.coerce(fact)))
+        else:
+            c = taylor_coefficient(ring, j)
+            if c == 0:
+                continue
+            term = tw.gamma(j + 1 - p, [one] * j, ident).scale_const(c)
+        if j > top:
+            if not term.scale(zpow).is_zero():
+                raise TruncationBoundExceeded(
+                    "terms past the requested bound do not vanish"
+                )
+            continue
+        G = G.add(term.substitute(image).scale(zpow))
+    return G
 
 
 def slow_pow(field, a, e):

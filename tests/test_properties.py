@@ -205,6 +205,26 @@ def test_matrix_multiplication_associates(ring, data):
 SOLVER_CASES = RINGS + [GF(3, 2)]
 
 
+@settings(deadline=None, max_examples=200)
+@given(wide_polys(1, rings=SOLVER_CASES), st.data())
+def test_derivative_and_scale_match_the_schoolbook_loop(data, draw):
+    ring, f = data
+    if isinstance(ring, Zmod):
+        # an unreduced scalar, and p, which cancels every coefficient over
+        # Z/p and those divisible by p^(m-1) over Z/p^m
+        bound = 2 * ring.modulus
+        scalars = [draw.draw(st.integers(-bound, bound)), ring.p]
+    else:
+        scalars = [draw.draw(st.sampled_from(list(ring.elements())))]
+    got = f.derivative()
+    assert got.coeffs == oracles.schoolbook_derivative(f).coeffs
+    assert ring.zero not in got.coeffs.values()
+    for c in scalars:
+        got = f.scale(c)
+        assert got.coeffs == oracles.schoolbook_scale(f, c).coeffs
+        assert ring.zero not in got.coeffs.values()
+
+
 def _matvec(domain, A, x):
     out = []
     for row in A:

@@ -7,6 +7,7 @@ import pytest
 
 from hdflow.bundles import Bundle, HiggsBundle
 from hdflow.cartier import inverse_cartier_1, taylor_gluing_matrix
+from hdflow.corpus import random_lifting, random_witt_tuple
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.graded import GradedHiggsBundle
 from hdflow.errors import (
@@ -55,6 +56,7 @@ from oracles import (
     random_graded_higgs,
     random_poly,
     random_unimodular_poly,
+    uncached_taylor_transition,
     unpruned_gamma_apply,
 )
 
@@ -597,6 +599,120 @@ def test_taylor_truncation_stable_past_bound():
     assert taylor_transition(tw, l0, l1, jmax=truncation_bound(3, 2) + 3) == base
     with pytest.raises(TruncationBoundExceeded):
         taylor_transition(tw, l0, l1, jmax=1)
+
+
+# one low-weight shape and one of weight >= p - n per (p, n): on the second
+# the divided-operator terms of the Taylor series need not vanish
+TAYLOR_SHAPES = {
+    (3, 2): [(1, 1), (2, 1)],
+    (3, 3): [(2,), (1, 2)],
+    (5, 2): [(2, 1), (1, 1, 1, 1)],
+    (5, 3): [(1, 2), (1, 2, 1)],
+    (7, 2): [(1, 1), (1, 1, 1, 1, 1, 1)],
+    (7, 3): [(2, 1), (1, 1, 1, 1, 1)],
+}
+
+
+def _live_gamma_terms(tw):
+    """Degrees j >= p whose divided Taylor term is a nonzero matrix."""
+    ring, p = tw.ring, tw.p
+    one, ident = LaurentPoly.one(ring), RingMatrix.identity(ring, tw.rank)
+    return [
+        j
+        for j in range(p, truncation_bound(p, tw.n))
+        if taylor_coefficient(ring, j)
+        and not tw.gamma(j + 1 - p, [one] * j, ident).is_zero()
+    ]
+
+
+def _transition_or_raise(fn, tw, target, source, jmax):
+    try:
+        return fn(tw, target, source, jmax=jmax)
+    except TruncationBoundExceeded:
+        return TruncationBoundExceeded
+
+
+def test_taylor_transition_matches_uncached_oracle():
+    live = 0
+    for (p, n), shapes in TAYLOR_SHAPES.items():
+        bound = truncation_bound(p, n)
+        for ranks in shapes:
+            rng = random.Random("taylor:%d:%d:%s" % (p, n, ranks))
+            tup = random_witt_tuple(rng, p, n, ranks)
+            line = AffineLine(tup.ring)
+            lifts = [FrobeniusLifting.standard(line)]
+            lifts += [random_lifting(rng, line) for _ in range(2)]
+            # one module serves every call, in a shuffled order
+            tw = sharp_construct(tup)
+            calls = [
+                (a, b, jmax)
+                for a in range(3)
+                for b in range(3)
+                if a != b
+                for jmax in (None, bound + 3, 1)
+            ]
+            rng.shuffle(calls)
+            for a, b, jmax in calls:
+                args = (tw, lifts[a], lifts[b], jmax)
+                got = _transition_or_raise(taylor_transition, *args)
+                want = _transition_or_raise(uncached_taylor_transition, *args)
+                assert got == want, (p, n, ranks, a, b, jmax)
+                z = lifts[b].z_same_chart(lifts[a], 0, tup.ring)
+                if jmax == 1 and any(c % p for c in z.coeffs.values()):
+                    # a z that is not divisible by p leaves a nonzero term
+                    # past degree 1 on every seeded module here
+                    assert got is TruncationBoundExceeded, (p, n, ranks, a, b)
+            live += bool(_live_gamma_terms(tw))
+    assert live > 0
+
+
+def test_taylor_transition_output_does_not_alias_the_module_terms():
+    rng = random.Random(47)
+    tup = random_witt_tuple(rng, 5, 3, (1, 2, 1))
+    line = AffineLine(tup.ring)
+    l0, l1 = random_lifting(rng, line), random_lifting(rng, line)
+    tw = sharp_construct(tup)
+    want = uncached_taylor_transition(tw, l0, l1)
+    G = taylor_transition(tw, l0, l1)
+    assert G == want
+    # scribble on every entry in place, then on the rows themselves
+    for row in G.rows:
+        for e in row:
+            e.coeffs.clear()
+            e.coeffs[7] = 1
+        row[0] = LaurentPoly.one(tup.ring)
+    assert taylor_transition(tw, l0, l1) == want
+    assert taylor_transition(tw, l1, l0) == uncached_taylor_transition(tw, l1, l0)
+
+
+def test_taylor_terms_are_built_once_per_module(monkeypatch):
+    rng = random.Random(53)
+    p, n = 5, 3
+    tup = random_witt_tuple(rng, p, n, (1, 2, 1))
+    line = AffineLine(tup.ring)
+    l0, l1, l2 = (random_lifting(rng, line) for _ in range(3))
+    tw = sharp_construct(tup)
+    assert _live_gamma_terms(tw)
+    calls = {"gamma": 0, "nabla": 0, "substitute": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(witt, "gamma_apply", counted("gamma", witt.gamma_apply))
+    monkeypatch.setattr(
+        PConnectionModule, "apply", counted("nabla", PConnectionModule.apply)
+    )
+    monkeypatch.setattr(witt, "_substitute", counted("substitute", witt._substitute))
+    for target, source in ((l0, l1), (l1, l2), (l0, l2)):
+        taylor_transition(tw, target, source)
+    nonzero = [
+        j for j in range(p, truncation_bound(p, n)) if taylor_coefficient(tup.ring, j)
+    ]
+    assert calls == {"gamma": len(nonzero), "nabla": p - 1, "substitute": 3}
 
 
 # ---------------------------------------------------------------------------
