@@ -8,7 +8,7 @@ desk-sized inputs inside the test suite.
 import itertools
 from fractions import Fraction
 
-from hdflow.bundles import Subbundle, hn_filtration
+from hdflow.bundles import Subbundle, change_frame_connection, hn_filtration
 from hdflow.errors import CertificateFailed, NoSolution, TruncationBoundExceeded
 from hdflow.filtration import DestabilizerReport
 from hdflow.ringmath import (
@@ -435,6 +435,13 @@ def uncached_taylor_transition(tw, lift_target, lift_source, jmax=None):
             continue
         G = G.add(term.substitute(image).scale(zpow))
     return G
+
+
+def uncached_adapted_dr_matrix(tup):
+    """The adapted one-level-down connection rebuilt on every call, with the
+    whole block-diagonal comparison inverted by det plus adjugate."""
+    Psi = RingMatrix.block_diagonal(tup.down_ring, tup.psibar)
+    return change_frame_connection(tup.abar, Psi)
 
 
 def slow_pow(field, a, e):

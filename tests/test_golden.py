@@ -58,6 +58,7 @@ from hdflow.witt import (
     gn_construct,
     horizontal_transport,
     local_filtered_lifting,
+    mod_reduction_check,
     ptwist_matrix,
     sharp_construct,
     taylor_transition,
@@ -243,6 +244,33 @@ def _taylor_cocycle_bytes():
     tw = sharp_construct(tup)
     pairs = ((l0, l1), (l1, l2), (l0, l2))
     return canonical_bytes([matrix_to_json(taylor_transition(tw, a, b)) for a, b in pairs])
+
+
+def _witt_construct_bytes():
+    """Both twisted modules (lifting and p-connection matrices) and the
+    reduction certificate of two seeded tuples whose grading comparisons
+    have several blocks: p = 7, n = 2, ranks (2, 2) and p = 5, n = 3,
+    ranks (1, 2, 1)."""
+    doc = []
+    for seed, p, n, ranks in ((3, 7, 2, (2, 2)), (8, 5, 3, (1, 2, 1))):
+        tup = random_witt_tuple(random.Random(seed), p, n, ranks)
+        cert = mod_reduction_check(tup)
+        doc.append(
+            {
+                "modules": [
+                    [matrix_to_json(tw.lift), matrix_to_json(tw.module.matrix)]
+                    for tw in (gn_construct(tup), sharp_construct(tup))
+                ],
+                "reduction": [
+                    matrix_to_json(cert.matrix),
+                    cert.matches,
+                    cert.horizontal,
+                    cert.invertible,
+                    cert.char_p_agrees,
+                ],
+            }
+        )
+    return canonical_bytes(doc)
 
 
 def _transport_bytes():
@@ -467,6 +495,7 @@ LIBRARY_CASES = {
     "equivalence-default-window": _default_window_equivalence_bytes,
     "taylor-transition-p3": _taylor_transition_bytes,
     "taylor-cocycle-p5-n3": _taylor_cocycle_bytes,
+    "witt-construct": _witt_construct_bytes,
     "horizontal-transport": _transport_bytes,
 }
 
@@ -480,6 +509,7 @@ LIBRARY_DIGESTS = {
     "equivalence-default-window": "fade237c52da0865d83e14f57ca60140381ef5bdd998455fb6862c88296c414f",
     "taylor-transition-p3": "1de60a3b47d4bf0736726c1ce433d0fdd7938c70246fb960c98102dacaa4b8cf",
     "taylor-cocycle-p5-n3": "75c04f75fc10af21a116afa33bc48312634efbdaeb171824e22f9cc5e0a016d4",
+    "witt-construct": "804dd75cba5b3a0e90604881dec767e52639a46ad8d829002a9ace51371914a5",
     "horizontal-transport": "5e4608b5b225b4ecd83aa37c5ee0996a09fed5910cb9978a3a3342d7718785cd",
 }
 
