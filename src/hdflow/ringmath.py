@@ -729,7 +729,7 @@ class RingMatrix:
     def block(self, sizes, I, J):
         """Block (I, J) of the square layout cut by sizes."""
         starts = block_starts(sizes)
-        return RingMatrix(
+        return RingMatrix._trusted(
             self.domain,
             [
                 row[starts[J] : starts[J + 1]]
@@ -830,15 +830,17 @@ class RingMatrix:
         return self.map_entries(lambda e: e.coeff_frobenius())
 
     def reduce_to(self, target):
-        return RingMatrix(
+        return RingMatrix._trusted(
             target, [[e.reduce_to(target) for e in row] for row in self.rows]
         )
 
     def lift_to(self, target):
-        return RingMatrix(target, [[e.lift_to(target) for e in row] for row in self.rows])
+        return RingMatrix._trusted(
+            target, [[e.lift_to(target) for e in row] for row in self.rows]
+        )
 
     def p_divide(self, k, target):
-        return RingMatrix(
+        return RingMatrix._trusted(
             target, [[e.p_divide(k, target) for e in row] for row in self.rows]
         )
 
@@ -850,7 +852,7 @@ class RingMatrix:
         )
 
     def submatrix(self, row_idx, col_idx):
-        return RingMatrix(
+        return RingMatrix._trusted(
             self.domain, [[self.rows[i][j] for j in col_idx] for i in row_idx]
         )
 

@@ -476,6 +476,8 @@ def witt_tuple_to_json(tup):
         if tup.psibar is not None
         else None,
     }
+    if tup.frob_frame is not None:
+        doc["frob_frame"] = matrix_to_json(tup.frob_frame)
     return doc
 
 
@@ -522,19 +524,22 @@ def witt_tuple_from_json(doc, path="/"):
         )
         for g, M in enumerate(raw_theta)
     )
+    total = sum(ranks)
+
+    def down_square(key, raw):
+        if raw is None:
+            return None
+        where = path.rstrip("/") + "/" + key
+        if down is None:
+            raise SchemaError("%s must be null at modulus p^1" % key, where)
+        return matrix_from_json(down, raw, where, shape=(total, total))
+
     raw_abar = _field(doc, "abar", path)
     raw_psibar = _field(doc, "psibar", path)
-    abar = None
+    abar = down_square("abar", raw_abar)
+    # optional: written only for tuples that carry a Frobenius frame
+    frob_frame = down_square("frob_frame", doc.get("frob_frame"))
     psibar = None
-    if raw_abar is not None:
-        if down is None:
-            raise SchemaError(
-                "abar must be null at modulus p^1", path.rstrip("/") + "/abar"
-            )
-        total = sum(ranks)
-        abar = matrix_from_json(
-            down, raw_abar, path.rstrip("/") + "/abar", shape=(total, total)
-        )
     if raw_psibar is not None:
         if down is None:
             raise SchemaError(
@@ -556,7 +561,7 @@ def witt_tuple_from_json(doc, path="/"):
             for g, M in enumerate(raw_psibar)
         )
     try:
-        return LiftingInputTuple(ring, ranks, theta, abar=abar, psibar=psibar)
+        return LiftingInputTuple(ring, ranks, theta, abar, psibar, frob_frame)
     except Exception as err:
         raise SchemaError("tuple fails validation: %s" % err, path)
 

@@ -266,7 +266,8 @@ class LiftingInputTuple:
     grading comparison between them.
 
     theta[g] maps grade g+1 to grade g.  At n = 1 the de Rham data is absent
-    and the input degenerates to the graded Higgs module alone.
+    and the input degenerates to the graded Higgs module alone.  A tuple is
+    a value: do not reassign its fields after construction.
     """
 
     ring: Zmod
@@ -275,6 +276,7 @@ class LiftingInputTuple:
     abar: object = None
     psibar: object = None
     frob_frame: object = None
+    _adapted: RingMatrix = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.ring, Zmod):
@@ -398,9 +400,15 @@ def reduce_tuple(tup):
 def adapted_dr_matrix(tup):
     """The one-level-down connection rewritten in the frame where the
     grading comparison becomes the identity: conjugation by the block
-    diagonal of the comparison, plus the frame derivative term."""
-    Psi = RingMatrix.block_diagonal(tup.down_ring, tup.psibar)
-    return change_frame_connection(tup.abar, Psi)
+    diagonal of the comparison, plus the frame derivative term.  Computed
+    once, inverting the comparison block by block, and cached on the tuple:
+    do not mutate the returned matrix."""
+    if tup._adapted is None:
+        down = tup.down_ring
+        Psi = RingMatrix.block_diagonal(down, tup.psibar)
+        Psinv = RingMatrix.block_diagonal(down, [P.inverse() for P in tup.psibar])
+        tup._adapted = change_frame_connection(tup.abar, Psi, Psinv)
+    return tup._adapted
 
 
 def local_filtered_lifting(tup):
@@ -448,9 +456,11 @@ def gn_construct(tup, perturbation=None, frame=None):
             raise WrongModulus("frame over the wrong ring")
         if not frame.is_block_lower(tup.ranks, 0):
             raise ValueError("frame must respect the flag")
-        if not frame.det().is_unit():
-            raise NonInvertible("frame is singular")
-        A = change_frame_connection(A, frame.inverse(), frame)
+        try:
+            finv = frame.inverse()
+        except NonInvertible:
+            raise NonInvertible("frame is singular") from None
+        A = change_frame_connection(A, finv, frame)
     B = ptwist_matrix(A, tup.ranks)
     return TwistedFlatModule(ring, tup.ranks, A, PConnectionModule(ring, tup.rank, B))
 
@@ -953,9 +963,10 @@ def w2_flow_step(tup, fil_steps, lifting=None):
             "filtration does not reduce to the coordinate flag"
         )
     Q = _adapted_frame(fil_steps, ranks, ring)
-    if not Q.det().is_unit():
-        raise NoLiftedFiltration("filtration steps do not complete to a frame")
-    Qinv = Q.inverse()
+    try:
+        Qinv = Q.inverse()
+    except NonInvertible:
+        raise NoLiftedFiltration("filtration steps do not complete to a frame") from None
     for step, S in enumerate(fil_steps, start=1):
         T = Qinv.mul(S)
         cut = starts[step]

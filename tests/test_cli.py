@@ -26,7 +26,7 @@ from hdflow.serialize import (
     witt_tuple_to_json,
 )
 
-from test_witt import one_periodic_unit_tuple
+from test_witt import framed_unit_tuple, one_periodic_unit_tuple
 
 
 runner = CliRunner()
@@ -313,6 +313,16 @@ def test_witt_flow_step_one_periodic_example(tmp_path):
     assert doc["certificates"]["psi_grade0_identity"] is True
     assert doc["theta_next"] == [[[[[2, 1]]]]]
     assert doc["psi"] == [[[[[0, 1]]]], [[[[2, 1]]]]]
+
+
+def test_witt_flow_step_reads_the_frobenius_frame(tmp_path):
+    tup = framed_unit_tuple()
+    path = write_doc(tmp_path, "framed.json", witt_tuple_to_json(tup))
+    result = invoke(["witt", "flow-step", "--input", path])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["certificates"]["baseline"] == "framed"
+    assert doc["periodic"] is True
 
 
 def test_witt_flow_step_needs_level_two(tmp_path):

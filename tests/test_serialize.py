@@ -43,6 +43,7 @@ from hdflow.serialize import (
     witt_tuple_to_json,
     write_atomic,
 )
+from hdflow.witt import LiftingInputTuple
 
 from oracles import random_laurent, random_split_transition
 
@@ -369,6 +370,36 @@ def test_witt_tuple_rejects_level_mismatches():
     with pytest.raises(SchemaError) as err:
         witt_tuple_from_json(level1)
     assert err.value.path == "/abar"
+
+
+def test_witt_tuple_roundtrip_keeps_the_frobenius_frame():
+    rng = random.Random(24)
+    for p, n, ranks in [(5, 2, (2, 2)), (5, 3, (1, 2, 1))]:
+        tup = random_witt_tuple(rng, p, n, ranks)
+        down = tup.down_ring
+        # a random unipotent frame that respects the flag
+        frame = RingMatrix.identity(down, tup.rank)
+        for i in range(ranks[0], tup.rank):
+            for j in range(i):
+                frame.rows[i][j] = random_laurent(rng, down, -1, 1)
+        framed = LiftingInputTuple(
+            tup.ring, tup.ranks, tup.theta, tup.abar, tup.psibar, frame
+        )
+        doc = witt_tuple_to_json(framed)
+        assert "frob_frame" not in witt_tuple_to_json(tup)
+        back = witt_tuple_from_json(json.loads(canonical_bytes(doc)))
+        assert back == framed
+        assert back.frob_frame == frame
+        assert canonical_bytes(witt_tuple_to_json(back)) == canonical_bytes(doc)
+
+
+def test_witt_tuple_rejects_a_frobenius_frame_at_level_one():
+    rng = random.Random(25)
+    level1 = witt_tuple_to_json(random_witt_tuple(rng, 3, 1, (1, 1)))
+    level1["frob_frame"] = [[[[0, 1]], []], [[], [[0, 1]]]]
+    with pytest.raises(SchemaError) as err:
+        witt_tuple_from_json(level1)
+    assert err.value.path == "/frob_frame"
 
 
 def test_witt_tuple_rejects_incompatible_frames():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hdflow.bundles import Bundle, HiggsBundle
+from hdflow.bundles import Bundle, HiggsBundle, change_frame_connection
 from hdflow.cartier import inverse_cartier_1, taylor_gluing_matrix
 from hdflow.corpus import random_lifting, random_witt_tuple
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
@@ -56,6 +56,7 @@ from oracles import (
     random_graded_higgs,
     random_poly,
     random_unimodular_poly,
+    uncached_adapted_dr_matrix,
     uncached_taylor_transition,
     unpruned_gamma_apply,
 )
@@ -272,6 +273,69 @@ def test_lifting_reduces_to_adapted_matrix():
         assert A.reduce_to(tup.down_ring) == adapted_dr_matrix(tup)
 
 
+def _multi_block_tuples(rng):
+    """Seeded tuples with several comparison blocks, p in {3, 5, 7} and
+    n in {2, 3}, and the reduced tuple of each one at n = 3."""
+    for p in (3, 5, 7):
+        for n in (2, 3):
+            for ranks in ((2, 2), (1, 3), (1, 2, 1)):
+                if len(ranks) - 1 > p - 2:
+                    continue
+                tup = random_witt_tuple(rng, p, n, ranks)
+                yield tup
+                if n == 3:
+                    yield reduce_tuple(tup)
+
+
+def test_adapted_matrix_matches_uncached_oracle():
+    for tup in _multi_block_tuples(random.Random(61)):
+        A = adapted_dr_matrix(tup)
+        assert A == uncached_adapted_dr_matrix(tup)
+        assert adapted_dr_matrix(tup) is A
+
+
+def test_adapted_matrix_is_computed_once_per_tuple(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return change_frame_connection(*args)
+
+    monkeypatch.setattr(witt, "change_frame_connection", spy)
+    rng = random.Random(67)
+    for n, expected in ((2, 2), (3, 2)):
+        tup = random_witt_tuple(rng, 5, n, (1, 2, 1))
+        del calls[:]
+        gn_construct(tup)
+        sharp_construct(tup)
+        mod_reduction_check(tup)
+        if n == 2:
+            # one more for the adapted-frame conjugation of the output
+            w2_flow_step(tup, filtration_steps_from_flag(tup, tup.ring))
+        # n = 2: the tuple; n = 3: the tuple and its reduction
+        assert len(calls) == expected
+
+
+def test_constructions_do_not_alias_the_adapted_matrix():
+    rng = random.Random(71)
+    for tup in _multi_block_tuples(rng):
+        if tup.n == 1:
+            continue
+        zero = LaurentPoly.zero(tup.ring)
+        for M in (
+            gn_construct(tup).lift,
+            sharp_construct(tup).module.matrix,
+            local_filtered_lifting(tup),
+        ):
+            for row in M.rows:
+                row[:] = [zero] * len(row)
+        oracle = uncached_adapted_dr_matrix(tup)
+        assert adapted_dr_matrix(tup) == oracle
+        assert local_filtered_lifting(tup).reduce_to(tup.down_ring) == oracle
+        assert gn_construct(tup).lift == local_filtered_lifting(tup)
+        assert gn_construct(tup).module.matrix == sharp_construct(tup).module.matrix
+
+
 def test_sharp_agrees_with_lifting_twist():
     rng = random.Random(13)
     for ring in (Zmod(3, 2), Zmod(5, 2)):
@@ -317,6 +381,16 @@ def test_equivalence_under_frame_change():
     L = equivalence_check(tw1, tw2)
     assert L.det().is_unit()
     assert equivalence_gamma_check(tw1, tw2, L, rng)
+
+
+def test_gn_construct_rejects_a_singular_frame():
+    ring = Zmod(3, 2)
+    tup = random_input_tuple(random.Random(29), ring, (2, 1))
+    frame = RingMatrix.identity(ring, 3)
+    frame.rows[2][2] = lp(ring, {0: 3})
+    frame.rows[2][0] = lp(ring, {1: 1})
+    with pytest.raises(NonInvertible, match="frame is singular"):
+        gn_construct(tup, frame=frame)
 
 
 def _rank_one_twist(ring, b):
@@ -791,14 +865,21 @@ def test_flow_step_one_periodic_worked_instance():
     assert step.theta_next[0] == pulled
 
 
-def test_flow_step_framed_presentation():
+def framed_unit_tuple():
+    """Weight-one input over Z/9 whose de Rham side is the canonical matrix
+    moved by a stored Frobenius frame."""
     ring = Zmod(3, 2)
     down = Zmod(3, 1)
     theta = (mat(ring, [[1]]),)
     abar = mat(down, [[0, 1], [0, {-1: 1}]])
     psibar = (mat(down, [[1]]), mat(down, [[1]]))
     frame = mat(down, [[1, 0], [0, {-2: 1}]])
-    tup = LiftingInputTuple(ring, (1, 1), theta, abar, psibar, frame)
+    return LiftingInputTuple(ring, (1, 1), theta, abar, psibar, frame)
+
+
+def test_flow_step_framed_presentation():
+    tup = framed_unit_tuple()
+    ring = tup.ring
     steps = filtration_steps_from_flag(tup, ring)
     step = w2_flow_step(tup, steps)
     assert step.certificates["baseline"] == "framed"
@@ -826,6 +907,17 @@ def test_flow_step_requires_liftable_filtration():
     bad.rows[0][0] = LaurentPoly.one(ring)  # reduces onto grade 0, not the flag
     with pytest.raises(NoLiftedFiltration):
         w2_flow_step(tup, (bad,))
+
+
+def test_flow_step_rejects_steps_that_do_not_complete_to_a_frame():
+    ring = Zmod(5, 2)
+    tup = weight_two_unit_tuple(ring)
+    # step 1 swaps the last two flag vectors, so both steps lead with e_2:
+    # each reduces onto the flag, yet together with e_0 they span a plane
+    step1 = mat(ring, [[0, 0], [0, 1], [1, 0]])
+    step2 = mat(ring, [[0], [0], [1]])
+    with pytest.raises(NoLiftedFiltration, match="do not complete to a frame"):
+        w2_flow_step(tup, (step1, step2))
 
 
 def test_flow_step_weight_two_instance():
