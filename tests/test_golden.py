@@ -485,8 +485,58 @@ def _semistability_decisions_bytes():
     return canonical_bytes(doc)
 
 
+def _unitriangular(rng, ring, n, sign, lower):
+    """Seeded unitriangular matrix whose off-diagonal entries are
+    polynomials of degree <= 2 in t^sign."""
+    M = RingMatrix.identity(ring, n)
+    for i in range(n):
+        for j in range(n):
+            if (i > j) if lower else (i < j):
+                M.rows[i][j] = LaurentPoly(
+                    ring, {sign * e: rng.randrange(ring.modulus) for e in range(3)}
+                )
+    return M
+
+
+def _inverse_layer_bytes():
+    """Inverses read off eliminations and from the generic inverse: the
+    Birkhoff frames (Q, Q^-1 and Phat) of a rank-3 bundle at p = 5 and a
+    rank-4 bundle at p = 7, each a sum of lines seen through seeded frames
+    over F_p[1/t] and F_p[t], and the inverses of two seeded 4 x 4
+    unimodular matrices over Z/p^3 whose determinants are unit Laurent
+    polynomials with nilpotent parts."""
+    rng = random.Random(14)
+    split = []
+    for p, exps in ((5, (2, 0, -1)), (7, (3, 1, 1, -2))):
+        d = Zmod(p)
+        n = len(exps)
+        left = _unitriangular(rng, d, n, -1, True)
+        left = left.mul(_unitriangular(rng, d, n, -1, False))
+        right = _unitriangular(rng, d, n, 1, False)
+        right = right.mul(_unitriangular(rng, d, n, 1, True))
+        lines = Bundle.sum_of_lines(ProjectiveLine(d), exps)
+        sd = Bundle(lines.curve, n, left.mul(lines.transition).mul(right)).split_data()
+        frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, sd.Phat)]
+        split.append([sd.exponents] + frames)
+    inverses = []
+    for p in (3, 5):
+        ring = Zmod(p, 3)
+        units = RingMatrix.diagonal(
+            ring,
+            [
+                LaurentPoly(ring, {k: rng.randrange(1, p), k + 1: p * rng.randrange(p)})
+                for k in (-1, 0, 2, 1)
+            ],
+        )
+        M = _unitriangular(rng, ring, 4, 1, True).mul(units)
+        M = M.mul(_unitriangular(rng, ring, 4, 1, False))
+        inverses.append(matrix_to_json(M.inverse()))
+    return canonical_bytes({"split": split, "inverse": inverses})
+
+
 LIBRARY_CASES = {
     "semistability-decisions": _semistability_decisions_bytes,
+    "inverse-layer": _inverse_layer_bytes,
     "smith-layer": _smith_layer_bytes,
     "block-layout": _block_layout_bytes,
     "kernel-bases": _kernel_basis_bytes,
@@ -501,6 +551,7 @@ LIBRARY_CASES = {
 
 LIBRARY_DIGESTS = {
     "semistability-decisions": "61770d6ac73ddebf94c3c405822c11818e97da734c297a4d82b911f07d7401d5",
+    "inverse-layer": "723c87e036bd46017f4456222c0cd8892bffbb32c7daea3de4c07b34d69ab949",
     "smith-layer": "fa225450363ce1c0531598af69dbfeeb62f48de58d46240392c15478e274b5f8",
     "block-layout": "7420d281d84246bf321618d4a8e7e0740ae21049b5a41d285eb6c303fc4b0165",
     "kernel-bases": "24f529b68afc1968d4b6dcdffe7aa372b4af21c574cb76f654a73f838b121f72",
