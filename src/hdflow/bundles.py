@@ -234,7 +234,7 @@ class SplitFrames:
     def __init__(self, bundle, fact):
         self.exponents = list(fact.exponents)
         self.Q = fact.Q
-        self.Qinv = fact.Q.inverse()
+        self.Qinv = fact.Qinv
         self.Phat = fact.P.substitute(LaurentPoly.var(bundle.domain, -1))
 
 

@@ -22,7 +22,7 @@ Conventions fixed here and relied on everywhere else:
     WindowSystem builds them, solve_linear_mod copies them before it
     eliminates, and its particular solution and kernel vectors are zero-free
     dicts over columns 0..ncols-1, combined by the domains' axpy.
-  * birkhoff_factorize(G) returns (P, a, Q) with G = P*diag(t^-a_1..t^-a_r)*Q
+  * birkhoff_factorize(G) returns P, a, Q, Q^-1 with G = P*diag(t^-a_1..t^-a_r)*Q
     and a_1 >= ... >= a_r, where P is unimodular over polynomials in 1/t and
     Q is unimodular over polynomials in t.  The exponent list is the splitting
     type of the transition matrix G and sum(a) = -(exponent of det G).
@@ -455,7 +455,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, domain):
-        return cls(domain, {})
+        return cls._trusted(domain, {})
 
     @classmethod
     def const(cls, domain, c):
@@ -463,7 +463,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, domain):
-        return cls(domain, {0: domain.one})
+        return cls._trusted(domain, {0: domain.one})
 
     @classmethod
     def var(cls, domain, e=1):
@@ -682,20 +682,20 @@ class RingMatrix:
     def identity(cls, domain, n):
         one = LaurentPoly.one(domain)
         zero = LaurentPoly.zero(domain)
-        return cls(
+        return cls._trusted(
             domain, [[one if i == j else zero for j in range(n)] for i in range(n)]
         )
 
     @classmethod
     def zeros(cls, domain, nrows, ncols):
         zero = LaurentPoly.zero(domain)
-        return cls(domain, [[zero for _ in range(ncols)] for _ in range(nrows)])
+        return cls._trusted(domain, [[zero for _ in range(ncols)] for _ in range(nrows)])
 
     @classmethod
     def diagonal(cls, domain, entries):
         n = len(entries)
         zero = LaurentPoly.zero(domain)
-        return cls(
+        return cls._trusted(
             domain,
             [[entries[i] if i == j else zero for j in range(n)] for i in range(n)],
         )
@@ -859,58 +859,52 @@ class RingMatrix:
     def columns(self, col_idx):
         return self.submatrix(range(self.nrows), list(col_idx))
 
-    def det(self):
-        n = self.nrows
-        if n != self.ncols:
+    def _minors(self):
+        """(det, minor) from one memo table, seeded with the entries as 1 x 1
+        minors: minor(rows, cols) takes increasing index tuples of equal length
+        and expands along the first row, so det and the cofactors share work."""
+        if self.nrows != self.ncols:
             raise ValueError("det of non-square matrix")
-        if n == 0:
-            return LaurentPoly.one(self.domain)
-        memo = {}
+        d, rows, one = self.domain, self.rows, LaurentPoly.one(self.domain)
+        memo = {((i,), (j,)): e for i, row in enumerate(rows) for j, e in enumerate(row)}
 
-        def minor(start_row, cols_list):
-            key = (start_row, cols_list)
-            if key in memo:
-                return memo[key]
-            if len(cols_list) == 1:
-                val = self.rows[start_row][cols_list[0]]
-            else:
-                acc = LaurentPoly.zero(self.domain)
-                for pos, j in enumerate(cols_list):
-                    a = self.rows[start_row][j]
-                    if a.is_zero():
-                        continue
-                    rest = tuple(c for c in cols_list if c != j)
-                    term = a.mul(minor(start_row + 1, rest))
-                    if pos % 2:
-                        term = term.neg()
-                    acc = acc.add(term)
-                val = acc
-            memo[key] = val
-            return val
+        def minor(rs, cs):
+            if (rs, cs) not in memo:
+                pairs = []
+                for pos, j in enumerate(cs):
+                    a = rows[rs[0]][j]
+                    if a.coeffs:
+                        sub = minor(rs[1:], cs[:pos] + cs[pos + 1:])
+                        pairs.append(((a.neg() if pos % 2 else a).coeffs, sub.coeffs))
+                memo[rs, cs] = LaurentPoly._trusted(d, d.poly_dot(pairs)) if cs else one
+            return memo[rs, cs]
 
-        return minor(0, tuple(range(n)))
+        full = tuple(range(self.nrows))
+        return minor(full, full), minor
+
+    def det(self):
+        return self._minors()[0]
 
     def adjugate(self):
-        n = self.nrows
-        if n == 1:
-            return RingMatrix.identity(self.domain, 1)
-        out = RingMatrix.zeros(self.domain, n, n)
-        for i in range(n):
-            for j in range(n):
-                rows = [r for r in range(n) if r != i]
-                cols = [c for c in range(n) if c != j]
-                cof = self.submatrix(rows, cols).det()
-                if (i + j) % 2:
-                    cof = cof.neg()
-                out.rows[j][i] = cof
-        return out
+        return self._adjugate(self._minors()[1])
+
+    def _adjugate(self, minor):
+        full = tuple(range(self.nrows))
+
+        def cofactor(i, j):
+            c = minor(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
+            return c.neg() if (i + j) % 2 else c
+
+        return self._trusted(self.domain, [[cofactor(i, j) for i in full] for j in full])
 
     def inverse(self):
-        d = self.det()
-        if not d.is_unit():
-            raise NonInvertible("matrix determinant %r is not a unit" % d)
-        dinv = d.inverse_unit()
-        return self.adjugate().map_entries(lambda e: e.mul(dinv))
+        return self._inverse(*self._minors())
+
+    def _inverse(self, det, minor):
+        if not det.is_unit():
+            raise NonInvertible("matrix determinant %r is not a unit" % det)
+        dinv = det.inverse_unit()
+        return self._adjugate(minor).map_entries(lambda e: e.mul(dinv))
 
     def is_polynomial(self):
         return all(e.is_polynomial() for row in self.rows for e in row)
@@ -958,11 +952,12 @@ def poly_gcd(a, b):
 
 class SmithForm:
     """L * M * R = D over F[t]: L, R unimodular polynomial matrices (the
-    accumulated row and column operations); D diagonal with monic invariant
-    factors, the first `rank` of them nonzero."""
+    accumulated row and column operations), Linv = L^-1; D diagonal with
+    monic invariant factors, the first `rank` of them nonzero."""
 
-    def __init__(self, L, D, R, rank):
+    def __init__(self, L, Linv, D, R, rank):
         self.L = L
+        self.Linv = Linv
         self.D = D
         self.R = R
         self.rank = rank
@@ -973,8 +968,9 @@ class SmithForm:
 
 
 def smith_form_poly(M):
-    """Smith normal form over F[t].  Left/right transforms are accumulated on
-    identities as the elimination applies them."""
+    """Smith normal form over F[t].  L, R and L^-1 are accumulated on
+    identities as the elimination applies them; L^-1 takes each row
+    operation's inverse as a column operation."""
     d = M.domain
     if not d.is_field:
         raise ValueError("smith_form_poly needs a field coefficient domain")
@@ -983,12 +979,14 @@ def smith_form_poly(M):
     A = M.copy()
     n, m = A.nrows, A.ncols
     Lacc = RingMatrix.identity(d, n)   # row ops applied to identity: A = Lacc*M*Racc
+    Lcols = RingMatrix.identity(d, n).rows   # the columns of Lacc^-1
     Racc = RingMatrix.identity(d, m)
 
     def row_combine(i, j, q):
-        # row_i -= q * row_j
+        # row_i -= q * row_j; on Lacc^-1, col_j += q * col_i
         A.rows[i] = [A.rows[i][c].sub(q.mul(A.rows[j][c])) for c in range(m)]
         Lacc.rows[i] = [Lacc.rows[i][c].sub(q.mul(Lacc.rows[j][c])) for c in range(n)]
+        Lcols[j] = [a.add(q.mul(b)) for a, b in zip(Lcols[j], Lcols[i])]
 
     def col_combine(j, k, q):
         # col_j -= q * col_k
@@ -1000,6 +998,7 @@ def smith_form_poly(M):
     def row_swap(i, j):
         A.rows[i], A.rows[j] = A.rows[j], A.rows[i]
         Lacc.rows[i], Lacc.rows[j] = Lacc.rows[j], Lacc.rows[i]
+        Lcols[i], Lcols[j] = Lcols[j], Lcols[i]
 
     def col_swap(i, j):
         for r in range(n):
@@ -1007,9 +1006,12 @@ def smith_form_poly(M):
         for r in range(m):
             Racc.rows[r][i], Racc.rows[r][j] = Racc.rows[r][j], Racc.rows[r][i]
 
-    def row_scale(i, c):
+    def row_divide(i, lead):
+        # row_i /= lead; on Lacc^-1, col_i *= lead
+        c = d.inv(lead)
         A.rows[i] = [e.scale(c) for e in A.rows[i]]
         Lacc.rows[i] = [e.scale(c) for e in Lacc.rows[i]]
+        Lcols[i] = [e.scale(lead) for e in Lcols[i]]
 
     size = min(n, m)
     guard = 0
@@ -1063,7 +1065,7 @@ def smith_form_poly(M):
                     break
             lead = A.rows[k][k].coeffs[A.rows[k][k].degree()]
             if lead != d.one:
-                row_scale(k, d.inv(lead))
+                row_divide(k, lead)
             k += 1
         # enforce the divisibility chain
         fixed = True
@@ -1081,7 +1083,8 @@ def smith_form_poly(M):
             break
 
     rank = sum(1 for k in range(size) if not A.rows[k][k].is_zero())
-    return SmithForm(Lacc, A, Racc, rank)
+    Linv = RingMatrix._trusted(d, [list(row) for row in zip(*Lcols)])
+    return SmithForm(Lacc, Linv, A, Racc, rank)
 
 
 def poly_solve(M, v, laurent_denominators=False):
@@ -1145,7 +1148,7 @@ def saturation_basis(M):
     """Basis of the saturation of the column span of M in the ambient free
     F[t]-module: the first `rank` columns of L^-1 from the Smith form."""
     sf = smith_form_poly(M)
-    return sf.L.inverse().columns(range(sf.rank))
+    return sf.Linv.columns(range(sf.rank))
 
 
 def unimodular_completion(B):
@@ -1156,7 +1159,7 @@ def unimodular_completion(B):
         e = sf.D.rows[i][i]
         if e.is_zero() or e.degree() != 0:
             raise NonInvertible("basis not saturated; invariant factor %r" % e)
-    extra = sf.L.inverse().columns(range(B.ncols, B.nrows))
+    extra = sf.Linv.columns(range(B.ncols, B.nrows))
     return B.hstack(extra)
 
 
@@ -1389,12 +1392,13 @@ def solve_linear_mod(rows, domain, ncols):
 
 class BirkhoffFactorization:
     """G = P * diag(t^-a_1..t^-a_r) * Q, exponents descending; P unimodular
-    over polynomials in 1/t, Q unimodular over polynomials in t."""
+    over polynomials in 1/t, Q unimodular over polynomials in t, Qinv = Q^-1."""
 
-    def __init__(self, P, exponents, Q, domain):
+    def __init__(self, P, exponents, Q, Qinv, domain):
         self.P = P
         self.exponents = exponents
         self.Q = Q
+        self.Qinv = Qinv
         self.domain = domain
 
     def middle(self):
@@ -1419,7 +1423,9 @@ def birkhoff_factorize(G):
     null vector of that constant matrix yields a row operation with
     coefficients in F[1/t] (combining into the row of minimal valuation)
     that strictly raises that row's valuation.  The valuation sum is bounded
-    above by the exponent of det(G), so this terminates.
+    above by the exponent of det(G), so this terminates.  P comes from the
+    same elimination, each row operation's inverse applied as column
+    operations; Qinv from the minor table that certifies Q unimodular.
     """
     d = G.domain
     if not d.is_field:
@@ -1432,7 +1438,7 @@ def birkhoff_factorize(G):
         raise NonInvertible("determinant %r is not a unit monomial" % det)
 
     M = G.copy()
-    Linv = RingMatrix.identity(d, n)   # invariant: M = Linv * G, Linv over F[1/t]
+    Pcols = RingMatrix.identity(d, n).rows   # columns of P0: G = P0 * M, P0 over F[1/t]
 
     def row_valuations():
         vals = []
@@ -1461,36 +1467,38 @@ def birkhoff_factorize(G):
         support = [i for i in range(n) if i in c]
         i0 = min(support, key=lambda i: (vals[i], i))
         new_row = [LaurentPoly.zero(d) for _ in range(n)]
-        new_lrow = [LaurentPoly.zero(d) for _ in range(n)]
+        # row_i0 <- sum of w_i row_i; on P0, col_i0 /= c[i0], col_i -= w_i col_i0
+        cinv = d.inv(c[i0])
+        Pcols[i0] = [e.scale(cinv) for e in Pcols[i0]]
         for i in support:
             w = LaurentPoly.monomial(d, c[i], vals[i0] - vals[i])
             for j in range(n):
                 new_row[j] = new_row[j].add(w.mul(M.rows[i][j]))
-                new_lrow[j] = new_lrow[j].add(w.mul(Linv.rows[i][j]))
+            if i != i0:
+                Pcols[i] = [a.sub(w.mul(b)) for a, b in zip(Pcols[i], Pcols[i0])]
         M.rows[i0] = new_row
-        Linv.rows[i0] = new_lrow
     else:
         raise NonInvertible("birkhoff reduction failed to terminate")
 
     vals = row_valuations()
     exps = [-v for v in vals]
     Qrows = [[M.rows[i][j].shift(-vals[i]) for j in range(n)] for i in range(n)]
-    P0 = Linv.inverse()
 
     order = sorted(range(n), key=lambda i: (-exps[i], i))
-    P = RingMatrix(d, [[P0.rows[r][order[c]] for c in range(n)] for r in range(n)])
+    P = RingMatrix(d, [[Pcols[order[c]][r] for c in range(n)] for r in range(n)])
     Q = RingMatrix(d, [Qrows[order[r]] for r in range(n)])
     exponents = [exps[i] for i in order]
 
-    fact = BirkhoffFactorization(P, exponents, Q, d)
+    fact = BirkhoffFactorization(P, exponents, Q, None, d)
     if not fact.verify(G):
         raise NonInvertible("birkhoff re-multiplication check failed")
     if not _is_poly_in_inverse(P):
         raise NonInvertible("left factor escaped polynomials in 1/t")
     if not Q.is_polynomial():
         raise NonInvertible("right factor escaped polynomials in t")
-    for T in (P, Q):
-        dt = T.det()
+    detq, minor = Q._minors()
+    for dt in (P.det(), detq):
         if not (dt.is_constant() and d.is_unit(dt.constant_term())):
             raise NonInvertible("factor is not unimodular")
+    fact.Qinv = Q._inverse(detq, minor)
     return fact

@@ -9,13 +9,20 @@ import itertools
 from fractions import Fraction
 
 from hdflow.bundles import Subbundle, change_frame_connection, hn_filtration
-from hdflow.errors import CertificateFailed, NoSolution, TruncationBoundExceeded
+from hdflow.errors import (
+    CertificateFailed,
+    NoSolution,
+    NonInvertible,
+    TruncationBoundExceeded,
+)
 from hdflow.filtration import DestabilizerReport
 from hdflow.ringmath import (
+    BirkhoffFactorization,
     LaurentPoly,
     LinearSolution,
     RingMatrix,
     block_starts,
+    smith_form_poly,
     solve_linear_mod,
 )
 from hdflow.witt import taylor_coefficient, truncation_bound
@@ -527,6 +534,148 @@ def check_birkhoff(fact, G):
     if sum(fact.exponents) != -det.degree():
         return False
     return True
+
+
+def cofactor_det(M):
+    """Determinant by expansion along the first row, with a memo of its own
+    keyed by (first row, column tuple)."""
+    n = M.nrows
+    if n != M.ncols:
+        raise ValueError("det of non-square matrix")
+    if n == 0:
+        return LaurentPoly.one(M.domain)
+    memo = {}
+
+    def minor(start_row, cols_list):
+        key = (start_row, cols_list)
+        if key in memo:
+            return memo[key]
+        if len(cols_list) == 1:
+            val = M.rows[start_row][cols_list[0]]
+        else:
+            acc = LaurentPoly.zero(M.domain)
+            for pos, j in enumerate(cols_list):
+                a = M.rows[start_row][j]
+                if a.is_zero():
+                    continue
+                rest = tuple(c for c in cols_list if c != j)
+                term = a.mul(minor(start_row + 1, rest))
+                if pos % 2:
+                    term = term.neg()
+                acc = acc.add(term)
+            val = acc
+        memo[key] = val
+        return val
+
+    return minor(0, tuple(range(n)))
+
+
+def cofactor_adjugate(M):
+    """Adjugate with every cofactor a separate cofactor_det."""
+    n = M.nrows
+    if n == 1:
+        return RingMatrix.identity(M.domain, 1)
+    out = RingMatrix.zeros(M.domain, n, n)
+    for i in range(n):
+        for j in range(n):
+            rows = [r for r in range(n) if r != i]
+            cols = [c for c in range(n) if c != j]
+            cof = cofactor_det(M.submatrix(rows, cols))
+            if (i + j) % 2:
+                cof = cof.neg()
+            out.rows[j][i] = cof
+    return out
+
+
+def adjugate_inverse(M):
+    """Inverse as adjugate over determinant, the two computed separately."""
+    d = cofactor_det(M)
+    if not d.is_unit():
+        raise NonInvertible("matrix determinant %r is not a unit" % d)
+    dinv = d.inverse_unit()
+    return cofactor_adjugate(M).map_entries(lambda e: e.mul(dinv))
+
+
+def inverting_saturation_basis(M):
+    """The first `rank` columns of L^-1, inverting all of the Smith form's L."""
+    sf = smith_form_poly(M)
+    return adjugate_inverse(sf.L).columns(range(sf.rank))
+
+
+def inverting_unimodular_completion(B):
+    """[B | C] with C read off the inverse of the Smith form's whole L."""
+    sf = smith_form_poly(B)
+    for i in range(B.ncols):
+        e = sf.D.rows[i][i]
+        if e.is_zero() or e.degree() != 0:
+            raise NonInvertible("basis not saturated; invariant factor %r" % e)
+    extra = adjugate_inverse(sf.L).columns(range(B.ncols, B.nrows))
+    return B.hstack(extra)
+
+
+def inverting_birkhoff_factorize(G):
+    """Birkhoff factorization that accumulates P^-1 over the elimination and
+    inverts it at the end, then inverts Q for Qinv, both by det plus
+    adjugate."""
+    d = G.domain
+    if not d.is_field:
+        raise NonInvertible("birkhoff factorization requires field coefficients")
+    n = G.nrows
+    if n != G.ncols:
+        raise NonInvertible("matrix is not square")
+    det = cofactor_det(G)
+    if len(det.coeffs) != 1:
+        raise NonInvertible("determinant %r is not a unit monomial" % det)
+
+    M = G.copy()
+    Linv = RingMatrix.identity(d, n)   # invariant: M = Linv * G, Linv over F[1/t]
+
+    def row_valuations():
+        vals = []
+        for i in range(n):
+            row_vals = [e.valuation() for e in M.rows[i] if not e.is_zero()]
+            if not row_vals:
+                raise NonInvertible("zero row in an invertible matrix")
+            vals.append(min(row_vals))
+        return vals
+
+    init_sum = sum(row_valuations())
+    guard_max = det.degree() - init_sum + n + 2
+    for _ in range(max(guard_max, 2)):
+        vals = row_valuations()
+        const_cols = [{} for _ in range(n)]
+        for i in range(n):
+            for j, e in enumerate(M.rows[i]):
+                if vals[i] in e.coeffs:
+                    const_cols[j][i] = e.coeffs[vals[i]]
+        null = solve_linear_mod(const_cols, d, n).kernel
+        if not null:
+            break
+        c = null[0]
+        support = [i for i in range(n) if i in c]
+        i0 = min(support, key=lambda i: (vals[i], i))
+        new_row = [LaurentPoly.zero(d) for _ in range(n)]
+        new_lrow = [LaurentPoly.zero(d) for _ in range(n)]
+        for i in support:
+            w = LaurentPoly.monomial(d, c[i], vals[i0] - vals[i])
+            for j in range(n):
+                new_row[j] = new_row[j].add(w.mul(M.rows[i][j]))
+                new_lrow[j] = new_lrow[j].add(w.mul(Linv.rows[i][j]))
+        M.rows[i0] = new_row
+        Linv.rows[i0] = new_lrow
+    else:
+        raise NonInvertible("birkhoff reduction failed to terminate")
+
+    vals = row_valuations()
+    exps = [-v for v in vals]
+    Qrows = [[M.rows[i][j].shift(-vals[i]) for j in range(n)] for i in range(n)]
+    P0 = adjugate_inverse(Linv)
+
+    order = sorted(range(n), key=lambda i: (-exps[i], i))
+    P = RingMatrix(d, [[P0.rows[r][order[c]] for c in range(n)] for r in range(n)])
+    Q = RingMatrix(d, [Qrows[order[r]] for r in range(n)])
+    exponents = [exps[i] for i in order]
+    return BirkhoffFactorization(P, exponents, Q, adjugate_inverse(Q), d)
 
 
 def random_element(rng, domain):

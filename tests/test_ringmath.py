@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdflow import witt
+from hdflow.bundles import Bundle
 from hdflow.corpus import random_witt_tuple
+from hdflow.curves import ProjectiveLine
 from hdflow.errors import NoSolution, NonInvertible, NotDivisible
 from hdflow.ringmath import (
     GF,
@@ -342,6 +344,61 @@ def test_matrix_adjugate_identity_random():
             assert lhs == expect
 
 
+def _square_case(rng, domain, n, kind):
+    """A seeded n x n Laurent matrix: "unimodular" is lower times unit
+    diagonal times upper, the diagonal entries c t^k plus a nilpotent part
+    where the ring has one; "random" has random entries; "singular" repeats
+    a multiple of its first row (or is zero for n = 1)."""
+    def laurent():
+        return oracles.random_laurent(rng, domain, -1, 1)
+
+    M = RingMatrix(domain, [[laurent() for _ in range(n)] for _ in range(n)])
+    if kind == "unimodular":
+        lower, upper = RingMatrix.identity(domain, n), RingMatrix.identity(domain, n)
+        for i in range(n):
+            for j in range(i):
+                lower.rows[i][j], upper.rows[j][i] = laurent(), laurent()
+        units = []
+        for _ in range(n):
+            k = rng.randrange(-2, 3)
+            u = {k: oracles.random_unit(rng, domain)}
+            if getattr(domain, "m", 1) > 1:
+                u[k + 1] = domain.p * rng.randrange(domain.modulus)
+            units.append(LaurentPoly(domain, u))
+        M = lower.mul(RingMatrix.diagonal(domain, units)).mul(upper)
+    elif kind == "singular":
+        c = laurent()
+        M.rows[-1] = [c.mul(e) for e in M.rows[0]] if n > 1 else [LaurentPoly.zero(domain)]
+    return M
+
+
+@pytest.mark.parametrize(
+    "domain", [Zmod(3, 2), Zmod(5, 2), Zmod(3, 3), Zmod(5), Zmod(7), GF(3, 2)], ids=repr
+)
+def test_det_adjugate_and_inverse_match_cofactor_oracle(domain):
+    rng = random.Random(repr(domain))
+    raised = inverted = 0
+    for n in range(5):
+        for kind in ("unimodular", "random", "singular"):
+            for _ in range(3):
+                if kind == "singular" and n == 0:
+                    continue
+                M = _square_case(rng, domain, n, kind)
+                assert M.det() == oracles.cofactor_det(M)
+                assert M.adjugate() == oracles.cofactor_adjugate(M)
+                try:
+                    expect = oracles.adjugate_inverse(M)
+                except NonInvertible as exc:
+                    with pytest.raises(NonInvertible) as got:
+                        M.inverse()
+                    assert str(got.value) == str(exc)
+                    raised += 1
+                else:
+                    assert M.inverse() == expect
+                    inverted += 1
+    assert raised >= 12 and inverted >= 15
+
+
 def test_matrix_inverse_roundtrip():
     F = Zmod(3)
     rng = random.Random(29)
@@ -505,6 +562,28 @@ def test_smith_random_reconstruction():
                     for j in range(sf.D.ncols):
                         if i != j:
                             assert sf.D.rows[i][j].is_zero()
+
+
+@pytest.mark.parametrize("domain", [Zmod(3), Zmod(5), GF(3, 2)], ids=repr)
+def test_smith_inverse_saturation_and_completion_match_oracle(domain):
+    rng = random.Random(repr(domain))
+    for n, r in [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)]:
+        for trial in range(6):
+            M = RingMatrix(
+                domain,
+                [[oracles.random_poly(rng, domain, 2) for _ in range(r)] for _ in range(n)],
+            )
+            if trial % 3 == 1:  # rank deficient: last column a multiple of the first
+                f = oracles.random_poly(rng, domain, 1)
+                for row in M.rows:
+                    row[-1] = f.mul(row[0])
+            elif trial % 3 == 2:  # a common factor, so the span is not saturated
+                M = M.scale(LaurentPoly(domain, {0: domain.one, 1: domain.one}))
+            sf = smith_form_poly(M)
+            assert sf.L.mul(sf.Linv) == RingMatrix.identity(domain, n)
+            B = saturation_basis(M)
+            assert B == oracles.inverting_saturation_basis(M)
+            assert unimodular_completion(B) == oracles.inverting_unimodular_completion(B)
 
 
 def test_poly_solve_constructed_and_unsolvable():
@@ -1152,3 +1231,37 @@ def test_birkhoff_over_gf9():
         fact = birkhoff_factorize(G)
         assert oracles.check_birkhoff(fact, G)
         assert fact.exponents == exps
+
+
+def test_birkhoff_factors_match_inverting_oracle():
+    rng = random.Random(59)
+    for F in (Zmod(3), Zmod(5), GF(3, 2)):
+        for n in (2, 3, 4):
+            for _ in range(8):
+                exps = sorted((rng.randrange(-3, 4) for _ in range(n)), reverse=True)
+                G = oracles.random_split_transition(rng, F, exps)
+                fact = birkhoff_factorize(G)
+                expect = oracles.inverting_birkhoff_factorize(G)
+                assert fact.exponents == expect.exponents == exps
+                assert (fact.P, fact.Q, fact.Qinv) == (expect.P, expect.Q, expect.Qinv)
+
+
+def test_eliminations_make_no_inverse_call(monkeypatch):
+    calls = []
+    inverse = RingMatrix.inverse
+
+    def spy(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(RingMatrix, "inverse", spy)
+    rng = random.Random(61)
+    F = Zmod(5)
+    M = RingMatrix(F, [[oracles.random_poly(rng, F, 2) for _ in range(2)] for _ in range(3)])
+    unimodular_completion(saturation_basis(M))
+    G = oracles.random_split_transition(rng, F, [2, 0, -1])
+    birkhoff_factorize(G)
+    Bundle(ProjectiveLine(F), 3, G).split_data()
+    assert calls == []
+    G.inverse()
+    assert len(calls) == 1
