@@ -8,9 +8,14 @@ t^-a, so deg(E) = -(t-exponent of det g), and the splitting type is the
 descending exponent list of the two-sided monomial factorization of g.
 
 Matrix-valued fields attach one matrix per chart, written in that chart's
-own coordinate:
+own coordinate.  The chart rule is written once: ProjectiveLine's
+to_other_chart is the one substitution t -> 1/s, Bundle.to_chart1 reads
+chart-0 columns in chart 1 as ghat(s) cols(1/s) with ghat(s) = g(1/s),
+chart1_map gives the chart-1 matrix of a map and chart1_form that of a
+matrix of 1-forms:
+  * a map phi: E -> F has phi_1(s) = ghat_F(s) phi_0(1/s) ghat_E(s)^-1;
   * Higgs field theta = Theta(t) dt, O-linear, so
-    Theta_1(s) = -s^-2 * ghat(s) Theta_0(1/s) ghat(s)^-1   (ghat(s) = g(1/s));
+    Theta_1(s) = -s^-2 * ghat(s) Theta_0(1/s) ghat(s)^-1;
   * connection nabla = d + A(t) dt, with the gauge term
     A_1(s) = -s^-2 * ghat A_0(1/s) ghat^-1 + ghat * d(ghat^-1)/ds.
 
@@ -97,25 +102,23 @@ def frobenius_pullback(obj):
 
 def chart1_map(M0, source, target):
     """The chart-1 matrix forced by the chart-0 matrix M0 of a map from
-    source to target: ghat_target(s) M0(1/s) ghat_source(s)^-1.  A matrix
-    of 1-forms is this times the curve's jacobian factor."""
-    ghat_target = target.chart1_transition()
-    ghat_source = ghat_target if source is target else source.chart1_transition()
-    M1 = M0.substitute(LaurentPoly.var(source.domain, -1))
-    return ghat_target.mul(M1).mul(ghat_source.inverse())
+    source to target: ghat_target(s) M0(1/s) ghat_source(s)^-1."""
+    return target.to_chart1(M0).mul(source.chart1_transition().inverse())
 
 
-def change_frame_higgs(theta, Q, Qinv=None):
+def chart1_form(M0, source, target):
+    """The chart-1 matrix forced by the chart-0 matrix M0 of 1-forms with
+    values in maps from source to target: chart1_map times dt/ds."""
+    return chart1_map(M0, source, target).scale(target.curve.jacobian_factor())
+
+
+def change_frame_higgs(theta, Q, Qinv):
     """Q Theta Q^-1 for a frame change x' = Q x."""
-    if Qinv is None:
-        Qinv = Q.inverse()
     return Q.mul(theta).mul(Qinv)
 
 
-def change_frame_connection(A, Q, Qinv=None):
+def change_frame_connection(A, Q, Qinv):
     """Q A Q^-1 + Q dQ^-1/dt for a frame change x' = Q x."""
-    if Qinv is None:
-        Qinv = Q.inverse()
     return Q.mul(A).mul(Qinv).add(Q.mul(Qinv.derivative()))
 
 
@@ -182,7 +185,11 @@ class Bundle:
 
     def chart1_transition(self):
         """ghat(s) = g(1/s), the transition read in the chart-1 coordinate."""
-        return self.transition.substitute(LaurentPoly.var(self.domain, -1))
+        return self.curve.to_other_chart(self.transition)
+
+    def to_chart1(self, cols):
+        """Chart-0 columns of sections read in chart 1: ghat(s) cols(1/s)."""
+        return self.chart1_transition().mul(self.curve.to_other_chart(cols))
 
     def degree(self):
         if not self.curve.is_projective:
@@ -235,17 +242,14 @@ class SplitFrames:
         self.exponents = list(fact.exponents)
         self.Q = fact.Q
         self.Qinv = fact.Qinv
-        self.Phat = fact.P.substitute(LaurentPoly.var(bundle.domain, -1))
-
-
-def _higgs_chart1(bundle, theta0):
-    return chart1_map(theta0, bundle, bundle).scale(bundle.curve.jacobian_factor())
+        self.Phat = bundle.curve.to_other_chart(fact.P)
 
 
 def _connection_chart1(bundle, a0):
-    s_inv = LaurentPoly.var(bundle.domain, -1)
-    a0_hat = a0.substitute(s_inv).scale(bundle.curve.jacobian_factor())
-    return change_frame_connection(a0_hat, bundle.chart1_transition())
+    curve = bundle.curve
+    a0_hat = curve.to_other_chart(a0).scale(curve.jacobian_factor())
+    ghat = bundle.chart1_transition()
+    return change_frame_connection(a0_hat, ghat, ghat.inverse())
 
 
 class HiggsBundle:
@@ -266,7 +270,7 @@ class HiggsBundle:
         and must come out polynomial in s."""
         if not bundle.curve.is_projective:
             return cls(bundle, (theta0,))
-        theta1 = _higgs_chart1(bundle, theta0)
+        theta1 = chart1_form(theta0, bundle, bundle)
         if not theta1.is_polynomial():
             raise ValueError("Higgs matrix fails to extend over infinity")
         return cls(bundle, (theta0, theta1))
@@ -281,7 +285,7 @@ class HiggsBundle:
             if not T.is_polynomial():
                 raise ValueError("Higgs matrix has a pole")
         if self.bundle.curve.is_projective:
-            if _higgs_chart1(self.bundle, self.theta[0]) != self.theta[1]:
+            if chart1_form(self.theta[0], self.bundle, self.bundle) != self.theta[1]:
                 raise ValueError("Higgs matrices disagree on the overlap")
         return self
 
@@ -427,7 +431,6 @@ class Subbundle:
     @classmethod
     def from_chart0_span(cls, parent, columns):
         """Saturated subbundle generated by Laurent column spans on chart 0."""
-        d = parent.domain
         if columns.ncols == 0:
             raise ZeroSubsheaf("empty generating set")
         B0 = saturation_basis(_clear_denominators(columns))
@@ -435,10 +438,7 @@ class Subbundle:
             raise ZeroSubsheaf("generators span the zero subsheaf")
         if not parent.curve.is_projective:
             return cls(parent, (B0,))
-        s_inv = LaurentPoly.var(d, -1)
-        ghat = parent.chart1_transition()
-        w = ghat.mul(B0.substitute(s_inv))
-        B1 = saturation_basis(_clear_denominators(w))
+        B1 = saturation_basis(_clear_denominators(parent.to_chart1(B0)))
         if B1.ncols != B0.ncols:
             raise ZeroSubsheaf("chart spans have different ranks")
         return cls(parent, (B0, B1))
@@ -453,16 +453,14 @@ class Subbundle:
                 f.is_zero() or f.degree() != 0 for f in factors
             ):
                 raise ValueError("subbundle basis is not saturated")
-        if self.parent.curve.is_projective:
-            d = self.parent.domain
-            s_inv = LaurentPoly.var(d, -1)
-            ghat = self.parent.chart1_transition()
-            w = _clear_denominators(ghat.mul(self.basis[0].substitute(s_inv)))
+        parent = self.parent
+        if parent.curve.is_projective:
+            w = _clear_denominators(parent.to_chart1(self.basis[0]))
             if poly_solve(self.basis[1], w, laurent_denominators=True) is None:
                 raise ValueError("chart-0 span escapes the chart-1 span")
             back = _clear_denominators(
-                self.parent.transition.inverse().mul(
-                    self.basis[1].substitute(s_inv)
+                parent.transition.inverse().mul(
+                    parent.curve.to_other_chart(self.basis[1])
                 )
             )
             if poly_solve(self.basis[0], back, laurent_denominators=True) is None:
@@ -471,10 +469,7 @@ class Subbundle:
 
     def induced_transition(self):
         """ghat_S(s) with x_1 = ghat_S(s) x_0(1/s) in subbundle coordinates."""
-        d = self.parent.domain
-        s_inv = LaurentPoly.var(d, -1)
-        ghat = self.parent.chart1_transition()
-        w = ghat.mul(self.basis[0].substitute(s_inv))
+        w = self.parent.to_chart1(self.basis[0])
         h = poly_solve(self.basis[1], w, laurent_denominators=True)
         if h is None:
             raise ValueError("subbundle charts do not glue")

@@ -10,7 +10,7 @@ and every emitted instance passes its own validate().
 import random
 from dataclasses import dataclass
 
-from .bundles import Bundle, HiggsBundle, chart1_map
+from .bundles import Bundle, HiggsBundle, chart1_form
 from .curves import AffineLine, ProjectiveLine
 from .graded import GradedHiggsBundle
 from .ringmath import LaurentPoly, RingMatrix, Zmod, random_poly
@@ -118,8 +118,7 @@ def _graded_instance(rng, params, ring, curve):
             rows.append(row)
         M0 = RingMatrix(ring, rows)
         if curve.is_projective:
-            M1 = chart1_map(M0, pieces[k + 1], pieces[k]).scale(curve.jacobian_factor())
-            maps.append((M0, M1))
+            maps.append((M0, chart1_form(M0, pieces[k + 1], pieces[k])))
         else:
             maps.append((M0,))
     return GradedHiggsBundle(pieces, maps).validate()

@@ -35,10 +35,11 @@ class ProjectiveLine:
     def __repr__(self):
         return "ProjectiveLine(%r)" % (self.domain,)
 
-    def to_other_chart(self, poly):
-        """Rewrite a Laurent polynomial in the other chart's coordinate
-        (t -> 1/s; the change is an involution)."""
-        return poly.substitute(LaurentPoly.var(poly.domain, -1))
+    def to_other_chart(self, obj):
+        """Rewrite a Laurent polynomial or matrix in the other chart's
+        coordinate (t -> 1/s; the change is an involution).  The only place
+        the library substitutes 1/s for the coordinate."""
+        return obj.substitute(LaurentPoly.var(obj.domain, -1))
 
     def jacobian_factor(self, domain=None):
         """d(old coordinate)/d(new coordinate) written in the new coordinate:
@@ -141,7 +142,7 @@ class FrobeniusLifting:
         f0 = LaurentPoly.var(big, p).add(self.h_at(0, ring).lift_to(big).scale(p))
         h1 = self.h_at(1, ring).lift_to(big)
         f1_in_t = LaurentPoly.var(big, -p).add(
-            h1.substitute(LaurentPoly.var(big, -1)).scale(p)
+            self.curve.to_other_chart(h1).scale(p)
         )
         fhat1 = f1_in_t.inverse_unit()
         return f0.sub(fhat1).p_divide(1, ring)

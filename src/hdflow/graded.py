@@ -21,12 +21,12 @@ from .bundles import (
     FlatBundle,
     HiggsBundle,
     change_frame_connection,
+    chart1_form,
     chart1_map,
     full_subbundle,
 )
 from .errors import SearchBudgetExceeded, TransversalityViolated
 from .ringmath import (
-    LaurentPoly,
     RingMatrix,
     WindowSystem,
     poly_solve,
@@ -194,10 +194,9 @@ class GradedHiggsBundle:
             raise ValueError("grading weight exceeds p-2")
         if not self.curve.is_projective:
             return self
-        jac = self.curve.jacobian_factor()
         for k, per_chart in enumerate(self.maps):
             source, target = self.pieces[k + 1], self.pieces[k]
-            if chart1_map(per_chart[0], source, target).scale(jac) != per_chart[1]:
+            if chart1_form(per_chart[0], source, target) != per_chart[1]:
                 raise ValueError(
                     "grade-%d connecting map breaks the chart rule" % (k + 1)
                 )
@@ -276,14 +275,14 @@ def grade(flat, filtration):
     """Graded Higgs bundle of a transversal filtration, with the adapted
     frames exposed for later lifting of graded data."""
     bundle = flat.bundle
-    d = bundle.domain
     if not filtration.is_strict():
         raise ValueError("grade needs a strictly decreasing filtration")
     n = filtration.level
     frames = tuple(
         _adapted_frame(filtration, c) for c in range(bundle.curve.ncharts)
     )
-    inverses = tuple(T.inverse() for T in frames)
+    # a trivial filtration's frames are identities, their own inverses
+    inverses = frames if n == 0 else tuple(T.inverse() for T in frames)
     aprime = tuple(
         change_frame_connection(A, Tinv, T)
         for A, T, Tinv in zip(flat.A, frames, inverses)
@@ -303,9 +302,7 @@ def grade(flat, filtration):
                     )
 
     if bundle.curve.is_projective:
-        s_inv = LaurentPoly.var(d, -1)
-        ghat = bundle.chart1_transition()
-        gprime_hat = inverses[1].mul(ghat).mul(frames[0].substitute(s_inv))
+        gprime_hat = inverses[1].mul(bundle.to_chart1(frames[0]))
         for b in range(n + 1):
             for a in range(b):
                 chunk = gprime_hat.submatrix(blocks[a], blocks[b])
@@ -315,7 +312,9 @@ def grade(flat, filtration):
             Bundle(
                 bundle.curve,
                 len(blocks[i]),
-                gprime_hat.submatrix(blocks[i], blocks[i]).substitute(s_inv),
+                bundle.curve.to_other_chart(
+                    gprime_hat.submatrix(blocks[i], blocks[i])
+                ),
             )
             for i in range(n + 1)
         )

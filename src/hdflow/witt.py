@@ -477,17 +477,15 @@ def sharp_construct(tup):
     ring = tup.ring
     p = ring.p
     ranks = tup.ranks
+    A = local_filtered_lifting(tup)
     blocks = {(g, g + 1): T for g, T in enumerate(tup.theta)}
     if tup.n > 1:
-        adapted = adapted_dr_matrix(tup)
         for g in range(len(ranks)):
             carry = p
             for gp in range(g, len(ranks)):
-                blk = adapted.block(ranks, gp, g).lift_to(ring)
-                blocks[(gp, g)] = blk.scale_const(ring.coerce(carry))
+                blocks[(gp, g)] = A.block(ranks, gp, g).scale_const(ring.coerce(carry))
                 carry = (carry * p) % ring.modulus
     B = RingMatrix.from_blocks(ring, ranks, ranks, blocks)
-    A = local_filtered_lifting(tup)
     return TwistedFlatModule(ring, ranks, A, PConnectionModule(ring, tup.rank, B))
 
 

@@ -448,7 +448,7 @@ def uncached_adapted_dr_matrix(tup):
     """The adapted one-level-down connection rebuilt on every call, with the
     whole block-diagonal comparison inverted by det plus adjugate."""
     Psi = RingMatrix.block_diagonal(tup.down_ring, tup.psibar)
-    return change_frame_connection(tup.abar, Psi)
+    return change_frame_connection(tup.abar, Psi, Psi.inverse())
 
 
 def slow_pow(field, a, e):
@@ -786,7 +786,7 @@ def conjugate_higgs_frames(rng, higgs, ops=3, max_deg=1):
     Q = random_unimodular_poly(rng, d, n, ops=ops, max_deg=max_deg)
     g_new = higgs.bundle.transition.mul(Q.inverse())
     E_new = Bundle(higgs.bundle.curve, n, g_new)
-    theta0_new = change_frame_higgs(higgs.theta[0], Q)
+    theta0_new = change_frame_higgs(higgs.theta[0], Q, Q.inverse())
     return HiggsBundle.from_chart0(E_new, theta0_new)
 
 

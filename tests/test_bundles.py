@@ -12,11 +12,13 @@ from hdflow.bundles import (
     Subbundle,
     change_frame_connection,
     change_frame_higgs,
+    chart1_form,
     full_subbundle,
     hn_filtration,
     laurent_unit_exponent,
     nilpotent_matrix_exp,
 )
+from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import ExponentTooLarge, NonInvertible
 from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
@@ -327,6 +329,44 @@ def test_nilpotent_exp_multiplicative_for_commuting():
         assert lhs == rhs
 
 
+def test_chart_rule_matches_hand_written_formula():
+    # x_1(s) = g(1/s) x_0(1/s), and a matrix of 1-forms picks up dt/ds too;
+    # checked on the split pieces and total of a corpus instance at p = 5 and
+    # on that total seen through a random chart-0 frame (a non-diagonal g)
+    d = Zmod(5)
+    s_inv = LaurentPoly.var(d, -1)
+    jac = LaurentPoly(d, {-2: d.neg(d.one)})
+
+    def form_by_hand(M0, source, target):
+        ghat_target = target.transition.substitute(s_inv)
+        ghat_source = source.transition.substitute(s_inv)
+        M1 = ghat_target.mul(M0.substitute(s_inv)).mul(ghat_source.inverse())
+        return M1.scale(jac)
+
+    G = generate(CorpusParams(p=5, rank=4, weight=2, count=1, seed=18))[0]
+    assert [P.splitting_type() for P in G.pieces] == [[4], [1, -1], [-3]]
+    for k, (M0, M1) in enumerate(G.maps):
+        assert not M0.is_zero()
+        source, target = G.pieces[k + 1], G.pieces[k]
+        assert chart1_form(M0, source, target) == form_by_hand(M0, source, target)
+        assert chart1_form(M0, source, target) == M1
+    rng = random.Random(89)
+    split = G.total()
+    twisted = oracles.conjugate_higgs_frames(rng, split)
+    g = twisted.bundle.transition
+    off_diagonal = [g.entry(i, j) for i in range(4) for j in range(4) if i != j]
+    assert not all(e.is_zero() for e in off_diagonal)
+    for H in (split, twisted):
+        E = H.bundle
+        rows = [[oracles.random_laurent(rng, d, -2, 2) for _ in range(2)]
+                for _ in range(4)]
+        cols = RingMatrix(d, rows)
+        by_hand = E.transition.substitute(s_inv).mul(cols.substitute(s_inv))
+        assert E.to_chart1(cols) == by_hand
+        theta0 = H.theta[0]
+        assert chart1_form(theta0, E, E) == form_by_hand(theta0, E, E)
+
+
 def test_change_frame_connection_gauge_consistency():
     # gauge transforming by Q then validating the chart-1 formula agrees with
     # transporting the already-built chart-1 matrix
@@ -336,7 +376,7 @@ def test_change_frame_connection_gauge_consistency():
     E = Bundle.free(X, 2)
     F = FlatBundle.from_chart0(E, RingMatrix.zeros(d, 2, 2))
     Q = oracles.random_unimodular_poly(rng, d, 2)
-    A0_new = change_frame_connection(F.A[0], Q)
+    A0_new = change_frame_connection(F.A[0], Q, Q.inverse())
     # new bundle with transition g' = ghat-side unchanged: g Q^-1 in t coords
     gnew = E.transition.mul(Q.inverse())
     Enew = Bundle(X, 2, gnew)

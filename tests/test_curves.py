@@ -4,7 +4,7 @@ import pytest
 
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.errors import WrongModulus
-from hdflow.ringmath import LaurentPoly, Zmod
+from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 
 
 def test_coordinate_change_is_involution():
@@ -12,6 +12,9 @@ def test_coordinate_change_is_involution():
     X = ProjectiveLine(R)
     f = LaurentPoly(R, {2: 1, 0: 2, -1: 1})
     assert X.to_other_chart(X.to_other_chart(f)) == f
+    M = RingMatrix(R, [[f, LaurentPoly.var(R, 3)], [LaurentPoly.one(R), f.shift(-2)]])
+    assert X.to_other_chart(M).entry(0, 1) == LaurentPoly.var(R, -3)
+    assert X.to_other_chart(X.to_other_chart(M)) == M
 
 
 def test_jacobian_factor():
