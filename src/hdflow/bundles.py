@@ -70,8 +70,7 @@ def nilpotent_matrix_exp(M):
 def frobenius_pullback_matrix(M):
     """Coefficients through the domain Frobenius, coordinate to the p-th
     power."""
-    d = M.domain
-    return M.coeff_frobenius().substitute(LaurentPoly.var(d, d.p))
+    return M.coeff_frobenius().rescale(M.domain.p)
 
 
 def frobenius_pullback(obj):

@@ -37,9 +37,9 @@ class ProjectiveLine:
 
     def to_other_chart(self, obj):
         """Rewrite a Laurent polynomial or matrix in the other chart's
-        coordinate (t -> 1/s; the change is an involution).  The only place
-        the library substitutes 1/s for the coordinate."""
-        return obj.substitute(LaurentPoly.var(obj.domain, -1))
+        coordinate (t -> 1/s; the change is an involution that negates
+        exponents).  The only place the library inverts the coordinate."""
+        return obj.rescale(-1)
 
     def jacobian_factor(self, domain=None):
         """d(old coordinate)/d(new coordinate) written in the new coordinate:

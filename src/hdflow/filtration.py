@@ -91,7 +91,8 @@ class _LinePool:
     v_j(1/s), the bytes a saturation would return.  Any other vector
     saturates to a line of higher degree, which the pool kept earlier from
     its own exact vector, so it is skipped after spending its budget
-    unit."""
+    unit.  ensure hands out (degree, line) pairs: each line is saturated
+    of exact degree d by construction, so callers use both as they are."""
 
     def __init__(self, bundle, budget):
         self.bundle = bundle
@@ -133,7 +134,7 @@ class _LinePool:
                     self.sd.Phat.mul(RingMatrix(d, [[f] for f in w])),
                 )
                 self.lines.append((dd, Subbundle(self.bundle, basis)))
-        return [S for deg, S in self.lines if deg >= low]
+        return [(deg, S) for deg, S in self.lines if deg >= low]
 
 
 def _invariant_chain(G, chosen):
@@ -173,7 +174,10 @@ def _min_degree_for(target, total_rank, mu_floor):
 
 def _destabilizer_scan(G, budget_limit, first_hit):
     """Core enumeration shared by the semistability test and the maximal
-    destabilizer; returns the lex-best DestabilizerReport or None."""
+    destabilizer; returns the lex-best DestabilizerReport or None.  A pick's
+    one-line bunch is the pool's line with the pool's degree, exact because
+    the pool builds each line saturated of that degree; a larger bunch is
+    saturated as the span of its lines and its degree solved for."""
     if not G.curve.is_projective:
         return None
     mu_G = G.slope()
@@ -229,23 +233,22 @@ def _destabilizer_scan(G, budget_limit, first_hit):
             continue
         for pick in product(*grade_pools):
             budget.spend("span")
-            chosen = []
-            ok = True
+            chosen, deg, ok = [], 0, True
             for i, bunch in enumerate(pick):
-                if not bunch:
-                    chosen.append(None)
-                    continue
-                cols = bunch[0].basis[0]
-                for L in bunch[1:]:
-                    cols = cols.hstack(L.basis[0])
-                W = Subbundle.from_chart0_span(G.pieces[i], cols)
-                if W.rank != rho[i]:
-                    ok = False
-                    break
+                W, dd = None, 0
+                if len(bunch) == 1:
+                    dd, W = bunch[0]
+                elif bunch:
+                    cols = reduce(RingMatrix.hstack, [L.basis[0] for _, L in bunch])
+                    W = Subbundle.from_chart0_span(G.pieces[i], cols)
+                    if W.rank != rho[i]:
+                        ok = False
+                        break
+                    dd = W.degree()
                 chosen.append(W)
+                deg += dd
             if not ok:
                 continue
-            deg = sum(W.degree() for W in chosen if W is not None)
             mu = Fraction(deg, total)
             if mu <= mu_G:
                 continue

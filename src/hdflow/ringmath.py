@@ -543,8 +543,12 @@ class LaurentPoly:
 
     def substitute(self, image):
         """Composition self(image); image must be a Laurent unit whenever self
-        has negative exponents (our uses: t -> t^p, t -> 1/t, polynomials)."""
+        has negative exponents."""
         return _substitute([self], image)[0]
+
+    def rescale(self, k):
+        """self(t^k) for a nonzero integer k: the exponent map e -> k e."""
+        return LaurentPoly._trusted(self.domain, {k * e: c for e, c in self.coeffs.items()})
 
     def coeff_map(self, fn):
         return LaurentPoly(self.domain, {e: fn(c) for e, c in self.coeffs.items()})
@@ -823,6 +827,9 @@ class RingMatrix:
         entries = iter(_substitute([e for row in self.rows for e in row], image))
         return self.map_entries(lambda e: next(entries))
 
+    def rescale(self, k):
+        return self.map_entries(lambda e: e.rescale(k))
+
     def derivative(self):
         return self.map_entries(lambda e: e.derivative())
 
@@ -860,15 +867,16 @@ class RingMatrix:
         return self.submatrix(range(self.nrows), list(col_idx))
 
     def _minors(self):
-        """(det, minor) from one memo table, seeded with the entries as 1 x 1
-        minors: minor(rows, cols) takes increasing index tuples of equal length
-        and expands along the first row, so det and the cofactors share work."""
+        """minor(rows, cols) over one memo table seeded with the entries as
+        1 x 1 minors; it takes increasing index tuples of equal length and
+        expands along the first row, so det and the cofactors share work."""
         if self.nrows != self.ncols:
             raise ValueError("det of non-square matrix")
         d, rows, one = self.domain, self.rows, LaurentPoly.one(self.domain)
         memo = {((i,), (j,)): e for i, row in enumerate(rows) for j, e in enumerate(row)}
+        full = tuple(range(self.nrows))
 
-        def minor(rs, cs):
+        def minor(rs=full, cs=full):  # minor() is the determinant
             if (rs, cs) not in memo:
                 pairs = []
                 for pos, j in enumerate(cs):
@@ -879,14 +887,13 @@ class RingMatrix:
                 memo[rs, cs] = LaurentPoly._trusted(d, d.poly_dot(pairs)) if cs else one
             return memo[rs, cs]
 
-        full = tuple(range(self.nrows))
-        return minor(full, full), minor
+        return minor
 
     def det(self):
-        return self._minors()[0]
+        return self._minors()()
 
     def adjugate(self):
-        return self._adjugate(self._minors()[1])
+        return self._adjugate(self._minors())
 
     def _adjugate(self, minor):
         full = tuple(range(self.nrows))
@@ -898,7 +905,8 @@ class RingMatrix:
         return self._trusted(self.domain, [[cofactor(i, j) for i in full] for j in full])
 
     def inverse(self):
-        return self._inverse(*self._minors())
+        minor = self._minors()
+        return self._inverse(minor(), minor)
 
     def _inverse(self, det, minor):
         if not det.is_unit():
@@ -1496,7 +1504,8 @@ def birkhoff_factorize(G):
         raise NonInvertible("left factor escaped polynomials in 1/t")
     if not Q.is_polynomial():
         raise NonInvertible("right factor escaped polynomials in t")
-    detq, minor = Q._minors()
+    minor = Q._minors()
+    detq = minor()
     for dt in (P.det(), detq):
         if not (dt.is_constant() and d.is_unit(dt.constant_term())):
             raise NonInvertible("factor is not unimodular")

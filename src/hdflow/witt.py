@@ -276,6 +276,7 @@ class LiftingInputTuple:
     abar: object = None
     psibar: object = None
     frob_frame: object = None
+    _psidet: list = field(default=None, init=False, repr=False, compare=False)
     _adapted: RingMatrix = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -312,12 +313,14 @@ class LiftingInputTuple:
         self.psibar = tuple(self.psibar)
         if len(self.psibar) != len(self.ranks):
             raise ValueError("one comparison block per grade required")
+        self._psidet = []
         for g, P in enumerate(self.psibar):
             if P.domain != down:
                 raise WrongModulus("comparison block over the wrong ring")
             if P.nrows != self.ranks[g] or P.ncols != self.ranks[g]:
                 raise ValueError("comparison block shape mismatch at grade %d" % g)
-            if not P.det().is_unit():
+            self._psidet.append(P.det())
+            if not self._psidet[-1].is_unit():
                 raise NonInvertible("comparison block at grade %d is singular" % g)
         for g in range(self.weight):
             lhs = self.psibar[g].mul(self.abar.block(self.ranks, g, g + 1))
@@ -401,12 +404,13 @@ def adapted_dr_matrix(tup):
     """The one-level-down connection rewritten in the frame where the
     grading comparison becomes the identity: conjugation by the block
     diagonal of the comparison, plus the frame derivative term.  Computed
-    once, inverting the comparison block by block, and cached on the tuple:
-    do not mutate the returned matrix."""
+    once, dividing each block's adjugate by the determinant validation took,
+    and cached on the tuple: do not mutate the returned matrix."""
     if tup._adapted is None:
         down = tup.down_ring
         Psi = RingMatrix.block_diagonal(down, tup.psibar)
-        Psinv = RingMatrix.block_diagonal(down, [P.inverse() for P in tup.psibar])
+        inv = [P.adjugate().scale(d.inverse_unit()) for P, d in zip(tup.psibar, tup._psidet)]
+        Psinv = RingMatrix.block_diagonal(down, inv)
         tup._adapted = change_frame_connection(tup.abar, Psi, Psinv)
     return tup._adapted
 

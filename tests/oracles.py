@@ -15,7 +15,14 @@ from hdflow.errors import (
     NonInvertible,
     TruncationBoundExceeded,
 )
-from hdflow.filtration import DestabilizerReport
+from hdflow.filtration import (
+    DestabilizerReport,
+    _Budget,
+    _invariant_chain,
+    _lex_gt,
+    _LinePool,
+    _min_degree_for,
+)
 from hdflow.ringmath import (
     BirkhoffFactorization,
     LaurentPoly,
@@ -826,6 +833,90 @@ class SaturatingLinePool:
                     if not any(S.same_as(L) for L in self.lines):
                         self.lines.append(S)
         return [L for L in self.lines if L.degree() >= low]
+
+
+def saturating_destabilizer_scan(G, budget_limit, first_hit):
+    """Reference for the destabilizer scan: the same rank vectors, pool,
+    pick order and budget use, but every pick's bunch of lines, one-line
+    bunches included, is saturated afresh with from_chart0_span and its
+    degree solved for from the saturated charts."""
+    if not G.curve.is_projective:
+        return None
+    mu_G = G.slope()
+    tps = [P.splitting_type() for P in G.pieces]
+    global_low = min(min(tp) for tp in tps)
+    budget = _Budget(budget_limit)
+    pools = {}
+
+    vectors = []
+    for rho in itertools.product(*(range(P.rank + 1) for P in G.pieces)):
+        total = sum(rho)
+        if total == 0 or total == G.rank:
+            continue
+        ub = Fraction(sum(sum(tps[i][: rho[i]]) for i in range(len(rho))), total)
+        vectors.append((ub, total, rho))
+    vectors.sort(key=lambda v: (-v[0], -v[1], v[2]))
+
+    best = None
+    for ub, total, rho in vectors:
+        if ub <= mu_G:
+            break
+        if best is not None and not _lex_gt((ub, total), (best.mu_max, best.r_max)):
+            continue
+        target = None if best is None else (best.mu_max, best.r_max)
+        need = _min_degree_for(target, total, mu_G)
+        caps = []
+        for i, r in enumerate(rho):
+            caps.extend(tps[i][:r])
+        total_cap = sum(caps)
+        if total_cap < need:
+            continue
+        grade_pools = []
+        feasible = True
+        for i, r in enumerate(rho):
+            if r == 0:
+                grade_pools.append([()])
+                continue
+            low_i = max(global_low, need - (total_cap - min(tps[i][:r])))
+            if i not in pools:
+                pools[i] = _LinePool(G.pieces[i], budget)
+            lines = [S for _, S in pools[i].ensure(low_i)]
+            if len(lines) < r:
+                feasible = False
+                break
+            grade_pools.append(list(itertools.combinations(lines, r)))
+        if not feasible:
+            continue
+        for pick in itertools.product(*grade_pools):
+            budget.spend("span")
+            chosen = []
+            ok = True
+            for i, bunch in enumerate(pick):
+                if not bunch:
+                    chosen.append(None)
+                    continue
+                cols = bunch[0].basis[0]
+                for L in bunch[1:]:
+                    cols = cols.hstack(L.basis[0])
+                W = Subbundle.from_chart0_span(G.pieces[i], cols)
+                if W.rank != rho[i]:
+                    ok = False
+                    break
+                chosen.append(W)
+            if not ok:
+                continue
+            deg = sum(W.degree() for W in chosen if W is not None)
+            mu = Fraction(deg, total)
+            if mu <= mu_G:
+                continue
+            if best is not None and not _lex_gt((mu, total), (best.mu_max, best.r_max)):
+                continue
+            if not _invariant_chain(G, chosen):
+                continue
+            best = DestabilizerReport(tuple(chosen), mu, total)
+            if first_hit:
+                return best
+    return best
 
 
 def destabilizer_theta_closure(G):

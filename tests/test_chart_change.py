@@ -1,9 +1,9 @@
 """The chart change t -> 1/s is written in one place.
 
 Every object on the projective line reads in chart 1 through
-ProjectiveLine.to_other_chart, so the substitution of 1/s for the coordinate,
-a LaurentPoly.var call with exponent -1, appears in curves.py and in no other
-library module.
+ProjectiveLine.to_other_chart, so inverting the coordinate, whether by a
+LaurentPoly.var call with exponent -1 or by a rescale(-1) exponent map,
+appears in curves.py and in no other library module.
 """
 
 import ast
@@ -15,14 +15,18 @@ PACKAGE = Path(hdflow.__file__).resolve().parent
 
 
 def _inverse_coordinate_calls(path):
-    """Line numbers of the var(domain, -1) calls in one module."""
+    """Line numbers of the var(domain, -1) and rescale(-1) calls in one
+    module."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        if node.func.attr != "var":
+        if node.func.attr == "var":
+            exponent = node.args[1:2] + [k.value for k in node.keywords if k.arg == "e"]
+        elif node.func.attr == "rescale":
+            exponent = node.args[:1] + [k.value for k in node.keywords if k.arg == "k"]
+        else:
             continue
-        exponent = node.args[1:2] + [k.value for k in node.keywords if k.arg == "e"]
         for arg in exponent:
             try:
                 if ast.literal_eval(arg) == -1:

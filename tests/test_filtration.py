@@ -1,10 +1,12 @@
 """Tests for semistability, destabilizers, and the filtration descent."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from hdflow import bundles
 from hdflow.bundles import (
     Bundle,
     FlatBundle,
@@ -14,6 +16,7 @@ from hdflow.bundles import (
     hn_filtration,
 )
 from hdflow.cartier import inverse_cartier_1
+from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import (
     CertificateFailed,
@@ -23,6 +26,7 @@ from hdflow.errors import (
     WrongModulus,
 )
 from hdflow.filtration import (
+    DEFAULT_SEARCH_BUDGET,
     DescentRecord,
     DestabilizerReport,
     _Budget,
@@ -41,12 +45,14 @@ from hdflow.graded import (
     grade,
 )
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
+from hdflow.serialize import matrix_to_json
 
 from oracles import (
     SaturatingLinePool,
     destabilizer_theta_closure,
     random_split_transition,
     random_unimodular_poly,
+    saturating_destabilizer_scan,
 )
 
 
@@ -434,8 +440,86 @@ def test_line_pool_matches_saturating_oracle():
         budget, ref_budget = _Budget(10 ** 6), _Budget(10 ** 6)
         pool, ref = _LinePool(E, budget), SaturatingLinePool(E, ref_budget)
         for low in lows + [lows[0], lows[-1]]:
-            lines, want = pool.ensure(low), ref.ensure(low)
-            assert [S.basis for S in lines] == [S.basis for S in want]
-            assert [S.degree() for S in lines] == [S.degree() for S in want]
+            pairs, want = pool.ensure(low), ref.ensure(low)
+            assert [S.basis for _, S in pairs] == [S.basis for S in want]
+            assert [S.degree() for _, S in pairs] == [S.degree() for S in want]
+            assert [deg for deg, _ in pairs] == [S.degree() for S in want]
             assert budget.used == ref_budget.used
         assert [deg for deg, _ in pool.lines] == [S.degree() for S in ref.lines]
+        # the scan uses a pool line as the saturation of its own chart-0 basis
+        for _, S in pool.lines:
+            assert Subbundle.from_chart0_span(E, S.basis[0]).basis == S.basis
+
+
+# -- the destabilizer scan against the saturating reference ------------------
+
+
+def _report_bytes(rep):
+    if rep is None:
+        return None
+    return (
+        rep.mu_max,
+        rep.r_max,
+        [
+            None if S is None else [json.dumps(matrix_to_json(B)) for B in S.basis]
+            for S in rep.pieces
+        ],
+    )
+
+
+def _corpus_cases(ranks_weights, count):
+    for p in (3, 5, 7):
+        for rank, weight in ranks_weights:
+            seed = 40 + 10 * p + 3 * rank + weight
+            yield from generate(CorpusParams(p, rank, weight, count, seed))
+
+
+def test_scan_matches_saturating_oracle():
+    """The scan's reports equal the reference's, which saturates every pick,
+    on seeded corpus instances (rank <= 2, weight <= 1), on the line-pool
+    bundles, and on rank-3 bundles whose scans pick pairs of lines."""
+    curve = ProjectiveLine(Zmod(3, 1))
+    twist = random_split_transition(random.Random(5), curve.domain, (1, 1, -2))
+    rank_three = [Bundle.sum_of_lines(curve, (1, 1, -2)), Bundle(curve, 3, twist)]
+    cases = list(_corpus_cases(((1, 0), (2, 0), (2, 1)), 4))
+    cases += [one_grade(E) for E in list(_pool_bundles()) + rank_three]
+    budget = 10 ** 5
+    unstable = 0
+    for G in cases:
+        ok, witness = is_higgs_semistable(G, budget)
+        first = saturating_destabilizer_scan(G, budget, first_hit=True)
+        assert _report_bytes(witness) == _report_bytes(first)
+        assert ok == (first is None)
+        want = saturating_destabilizer_scan(G, budget, first_hit=False)
+        if want is None:
+            with pytest.raises(SemistableInput):
+                max_destabilizer_graded(G, budget)
+            continue
+        unstable += 1
+        assert _report_bytes(max_destabilizer_graded(G, budget)) == _report_bytes(want)
+    assert unstable >= 20
+    # the rank-3 cases reach bunches of two lines
+    assert any(
+        S is not None and S.rank == 2
+        for E in rank_three
+        for S in max_destabilizer_graded(one_grade(E), budget).pieces
+    )
+
+
+def test_single_line_picks_saturate_nothing(monkeypatch):
+    cases = list(_corpus_cases(((2, 0), (2, 1)), 3))
+    calls = []
+    saturate = bundles.saturation_basis
+
+    def spy(M):
+        calls.append(M)
+        return saturate(M)
+
+    monkeypatch.setattr(bundles, "saturation_basis", spy)
+    unstable = [G for G in cases if not is_higgs_semistable(G)[0]]
+    for G in unstable:
+        max_destabilizer_graded(G)
+    assert len(unstable) >= 5
+    assert calls == []
+    saturating_destabilizer_scan(unstable[0], DEFAULT_SEARCH_BUDGET, first_hit=False)
+    assert calls

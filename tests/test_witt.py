@@ -316,6 +316,31 @@ def test_adapted_matrix_is_computed_once_per_tuple(monkeypatch):
         assert len(calls) == expected
 
 
+def test_comparison_block_determinants_are_computed_once(monkeypatch):
+    """Validating a tuple takes each comparison block's determinant, and the
+    adapted matrix inverts the blocks with it instead of taking it again."""
+    built = list(_multi_block_tuples(random.Random(73)))
+    dets = []
+    minors = RingMatrix._minors
+
+    def spy(self):
+        minor = minors(self)
+
+        def counted(*args):
+            if not args:
+                dets.append(self)
+            return minor(*args)
+
+        return counted
+
+    monkeypatch.setattr(RingMatrix, "_minors", spy)
+    for old in built:
+        del dets[:]
+        tup = LiftingInputTuple(old.ring, old.ranks, old.theta, old.abar, old.psibar)
+        adapted_dr_matrix(tup)
+        assert [sum(D is P for D in dets) for P in tup.psibar] == [1] * len(tup.psibar)
+
+
 def test_constructions_do_not_alias_the_adapted_matrix():
     rng = random.Random(71)
     for tup in _multi_block_tuples(rng):
