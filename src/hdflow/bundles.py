@@ -147,8 +147,6 @@ class Bundle:
 
     @classmethod
     def free(cls, curve, rank):
-        if curve.is_projective:
-            return cls(curve, rank, RingMatrix.identity(curve.domain, rank))
         return cls(curve, rank)
 
     @classmethod

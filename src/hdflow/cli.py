@@ -652,10 +652,9 @@ SUITES = {
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--p", "p_opt", type=int, default=None)
 @click.option("--modulus-power", type=int, default=None)
-@click.option("--budget", type=int, default=None)
 @click.option("--out", "out_path", default=None)
 @_guard
-def check(suite, seed, p_opt, modulus_power, budget, out_path):
+def check(suite, seed, p_opt, modulus_power, out_path):
     """Run one named invariant suite, deterministically in the seed."""
     if suite not in SUITES:
         _fail(
@@ -672,7 +671,6 @@ def check(suite, seed, p_opt, modulus_power, budget, out_path):
             "args/p",
             EXIT_CONTRACT,
         )
-    budget_value = _resolve_budget(budget)
     rng = random.Random(seed)
     entries = SUITES[suite](rng, p_opt, modulus_power)
     failed = [e for e in entries if not e[1]]
@@ -687,9 +685,7 @@ def check(suite, seed, p_opt, modulus_power, budget, out_path):
             for name, passed, counterexample in entries
         ],
     }
-    params = _base_params(
-        p=p_opt, modulus_power=modulus_power, seed=seed, budget=budget_value
-    )
+    params = _base_params(p=p_opt, modulus_power=modulus_power, seed=seed)
     _emit(doc, out_path, ["check"], None, params, entries)
     raise SystemExit(EXIT_OK if not failed else EXIT_INVARIANT)
 

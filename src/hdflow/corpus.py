@@ -65,11 +65,11 @@ def _composition(rng, total, parts):
     return [b - a for a, b in zip(bounds, bounds[1:])]
 
 
-def _random_unimodular(rng, ring, n, ops=4, max_deg=2):
+def _random_unimodular(rng, ring, n):
     """Product of elementary row operations: unit diagonal scalings and
     polynomial shears, hence unimodular over the polynomial ring."""
     M = RingMatrix.identity(ring, n)
-    for _ in range(ops):
+    for _ in range(4):
         if n == 1 or rng.random() < 0.3:
             i = rng.randrange(n)
             u = rng.randrange(1, ring.p) + ring.p * rng.randrange(
@@ -85,7 +85,7 @@ def _random_unimodular(rng, ring, n, ops=4, max_deg=2):
             i, j = rng.sample(range(n), 2)
             E = RingMatrix.identity(ring, n)
             rows = [[E.entry(a, b) for b in range(n)] for a in range(n)]
-            rows[i][j] = random_poly(rng, ring, rng.randrange(max_deg + 1))
+            rows[i][j] = random_poly(rng, ring, rng.randrange(3))
             M = RingMatrix(ring, rows).mul(M)
     return M
 
@@ -151,11 +151,11 @@ def one_periodic_instances(p):
 # plain Higgs bundles (nilpotent by construction)
 
 
-def random_nilpotent_higgs(rng, p, rank, weight=None, curve="P1", max_exp=3):
+def random_nilpotent_higgs(rng, p, rank, curve="P1"):
     """A nilpotent Higgs bundle: the total object of a random graded
-    instance, frame-twisted on the affine line where frames are free."""
-    if weight is None:
-        weight = rng.randint(0 if rank == 1 else 1, min(p - 2, rank - 1))
+    instance with splitting exponents bounded by 3, frame-twisted on the
+    affine line where frames are free."""
+    weight = rng.randint(0 if rank == 1 else 1, min(p - 2, rank - 1))
     params = CorpusParams(
         p=p,
         rank=rank,
@@ -163,7 +163,7 @@ def random_nilpotent_higgs(rng, p, rank, weight=None, curve="P1", max_exp=3):
         count=1,
         seed=rng.randrange(2**30),
         curve=curve,
-        max_exp=max_exp,
+        max_exp=3,
     )
     inner = random.Random(params.seed)
     ring = Zmod(p, 1)
@@ -180,13 +180,13 @@ def random_nilpotent_higgs(rng, p, rank, weight=None, curve="P1", max_exp=3):
 # lifting input tuples for the truncated-Witt stage
 
 
-def random_witt_tuple(rng, p, n, ranks, deg=1):
+def random_witt_tuple(rng, p, n, ranks):
     """A valid lifting input: unit-determinant graded frames, the
     grade-raising part of the reduced connection forced compatible with
-    them, and free lower blocks."""
+    them, and free lower blocks, all drawn with entries of degree at most 1."""
     ring = Zmod(p, n)
     theta = tuple(
-        _nonzero_matrix(rng, ring, ranks[g], ranks[g + 1], deg)
+        _nonzero_matrix(rng, ring, ranks[g], ranks[g + 1])
         for g in range(len(ranks) - 1)
     )
     if n == 1:
@@ -203,7 +203,7 @@ def random_witt_tuple(rng, p, n, ranks, deg=1):
             blocks[(gr, gc)] = RingMatrix(
                 down,
                 [
-                    [random_poly(rng, down, deg) for _ in range(ranks[gc])]
+                    [random_poly(rng, down, 1) for _ in range(ranks[gc])]
                     for _ in range(ranks[gr])
                 ],
             )
@@ -213,11 +213,11 @@ def random_witt_tuple(rng, p, n, ranks, deg=1):
     )
 
 
-def _nonzero_matrix(rng, ring, nr, nc, deg):
+def _nonzero_matrix(rng, ring, nr, nc):
     while True:
         M = RingMatrix(
             ring,
-            [[random_poly(rng, ring, deg) for _ in range(nc)] for _ in range(nr)],
+            [[random_poly(rng, ring, 1) for _ in range(nc)] for _ in range(nr)],
         )
         if any(
             M.entry(i, j).coeffs for i in range(nr) for j in range(nc)

@@ -41,10 +41,10 @@ class ProjectiveLine:
         exponents).  The only place the library inverts the coordinate."""
         return obj.rescale(-1)
 
-    def jacobian_factor(self, domain=None):
+    def jacobian_factor(self):
         """d(old coordinate)/d(new coordinate) written in the new coordinate:
         dt/ds = -s^-2 (and symmetrically ds/dt = -t^-2)."""
-        d = domain if domain is not None else self.domain
+        d = self.domain
         return LaurentPoly(d, {-2: d.neg(d.one)})
 
 

@@ -416,14 +416,11 @@ def check_window_descent(log):
             )
 
 
-def simpson_filtration(
-    flat,
-    max_iter=DEFAULT_MAX_ITER,
-    budget=DEFAULT_SEARCH_BUDGET,
-):
+def simpson_filtration(flat, budget=DEFAULT_SEARCH_BUDGET):
     """Iterate the descent operator from the trivial filtration until the
     grading is semistable; requires connection-semistability up front, and
-    returns the reduced filtration together with the iteration log."""
+    returns the reduced filtration together with the iteration log.  More
+    than DEFAULT_MAX_ITER descent steps raise IterationBudgetExceeded."""
     ok, witness = is_nabla_semistable(flat)
     if not ok:
         raise NotNablaSemistable(
@@ -441,10 +438,10 @@ def simpson_filtration(
         rec = DescentRecord(report.mu_max, report.r_max, max(fil.level, 1))
         log.append(rec)
         check_window_descent(log)
-        if len(log) > max_iter:
+        if len(log) > DEFAULT_MAX_ITER:
             raise IterationBudgetExceeded(
                 "no semistable grading within %d steps; log %s"
-                % (max_iter, [(str(r.mu_max), r.r_max) for r in log])
+                % (DEFAULT_MAX_ITER, [(str(r.mu_max), r.r_max) for r in log])
             )
         fil = reduce_filtration(
             xi_step(

@@ -127,14 +127,14 @@ def _adopt_filtration(flat, fil_spec):
     return fil
 
 
-def flow_step(G, policy=None, atlas=None, step_index=0):
+def flow_step(G, policy=None, step_index=0):
     """One step: transform, filter per policy, take the graded object.
 
-    Degree scaling by p is certified on projective models."""
+    Degree scaling by p is certified."""
     if policy is None:
         policy = FlowPolicy()
     G.validate()
-    H = inverse_cartier_1(G.total(), lifting=atlas)
+    H = inverse_cartier_1(G.total())
     if policy.rule == "canonical":
         fil, _ = simpson_filtration(H)
     else:
@@ -144,7 +144,7 @@ def flow_step(G, policy=None, atlas=None, step_index=0):
             )
         fil = _adopt_filtration(H, policy.filtrations[step_index])
     nxt = grade(H, fil).graded
-    if G.curve.is_projective and nxt.degree() != G.domain.p * G.degree():
+    if nxt.degree() != G.domain.p * G.degree():
         raise CertificateFailed(
             "step %d sends degree %d to %d" % (step_index, G.degree(), nxt.degree()),
             part="degree-scaling",
@@ -152,7 +152,7 @@ def flow_step(G, policy=None, atlas=None, step_index=0):
     return H, fil, nxt
 
 
-def run_flow(G0, policy=None, atlas=None, budget=DEFAULT_ISO_BUDGET):
+def run_flow(G0, policy=None, budget=DEFAULT_ISO_BUDGET):
     """Iterate flow_step for policy.max_steps steps, record every stage,
     certify degree scaling throughout, and attach a periodicity report
     whose isomorphism searches try at most budget candidates each.
@@ -165,7 +165,7 @@ def run_flow(G0, policy=None, atlas=None, budget=DEFAULT_ISO_BUDGET):
     stages = []
     cur = G0
     for i in range(policy.max_steps):
-        H, fil, nxt = flow_step(cur, policy, atlas, step_index=i)
+        H, fil, nxt = flow_step(cur, policy, step_index=i)
         if track_semistable and not is_higgs_semistable(nxt)[0]:
             raise CertificateFailed(
                 "graded term %d of a semistable flow is unstable" % (i + 1),
@@ -227,7 +227,7 @@ def detect_period(trace, f_search=1, budget=DEFAULT_ISO_BUDGET):
                 continue
             phi = graded_higgs_isomorphic(terms[e + f], terms[e], budget=budget)
             if phi is not None:
-                if terms[e].curve.is_projective and terms[e].degree() != 0:
+                if terms[e].degree() != 0:
                     raise CertificateFailed(
                         "periodic term of degree %d" % terms[e].degree(),
                         part="period-degree",
@@ -248,10 +248,8 @@ class PeriodicTuple:
     higgs: GradedHiggsBundle
     filtrations: tuple
     phi: GradedMap
-    atlas: object = None
     _stages: tuple = dataclass_field(default=None, repr=False, compare=False)
     _flats: tuple = dataclass_field(default=None, repr=False, compare=False)
-    _fils: tuple = dataclass_field(default=None, repr=False, compare=False)
 
     @property
     def period(self):
@@ -265,7 +263,7 @@ class PeriodicTuple:
         fils = []
         cur = self.higgs
         for i in range(self.period):
-            H = inverse_cartier_1(cur.total(), lifting=self.atlas)
+            H = inverse_cartier_1(cur.total())
             fil = _adopt_filtration(H, self.filtrations[i])
             flats.append(H)
             fils.append(fil)
@@ -274,14 +272,13 @@ class PeriodicTuple:
         self.phi.validate(stages[-1], stages[0])
         if not self.phi.is_isomorphism():
             raise ValueError("the period map fails to be an isomorphism")
-        if self.higgs.curve.is_projective and self.higgs.degree() != 0:
+        if self.higgs.degree() != 0:
             raise CertificateFailed(
                 "periodic tuple of degree %d" % self.higgs.degree(),
                 part="period-degree",
             )
         self._stages = tuple(stages)
         self._flats = tuple(flats)
-        self._fils = tuple(fils)
         self.filtrations = tuple(fils)
         return self
 
@@ -332,7 +329,7 @@ def shift_tuple(T):
     """Rotate a periodic tuple to start one flow step later; the missing
     final filtration is the transport of Fil_0 through the period map."""
     stages = T.stages()
-    fils = T._fils
+    fils = T.filtrations
     flats = T._flats
     f = T.period
     H_last, fil_last = _transport_filtration(
@@ -343,7 +340,7 @@ def shift_tuple(T):
     if phi_new is None:
         raise HdflowError("no intertwiner found for the shifted tuple")
     return PeriodicTuple(
-        stages[1], tuple(fils[1:]) + (fil_last,), phi_new, T.atlas
+        stages[1], tuple(fils[1:]) + (fil_last,), phi_new
     ).validate()
 
 
@@ -356,7 +353,7 @@ def lengthen_tuple(T, l):
     if l == 1:
         return T
     stages = T.stages()
-    fils = list(T._fils)
+    fils = list(T.filtrations)
     flats = T._flats
     f = T.period
     all_fils = list(fils)
@@ -374,7 +371,7 @@ def lengthen_tuple(T, l):
                 raise HdflowError("no intertwiner found while lengthening")
             cur = nxt
         psi = compose_graded_maps(T.phi, psi)
-    return PeriodicTuple(T.higgs, tuple(all_fils), psi, T.atlas).validate()
+    return PeriodicTuple(T.higgs, tuple(all_fils), psi).validate()
 
 
 def tuples_isomorphic(T1, T2):
@@ -386,10 +383,10 @@ def tuples_isomorphic(T1, T2):
     T1.stages()
     T2.stages()
     prof1 = [
-        [fil.rank_at(i) for i in range(1, fil.level + 1)] for fil in T1._fils
+        [fil.rank_at(i) for i in range(1, fil.level + 1)] for fil in T1.filtrations
     ]
     prof2 = [
-        [fil.rank_at(i) for i in range(1, fil.level + 1)] for fil in T2._fils
+        [fil.rank_at(i) for i in range(1, fil.level + 1)] for fil in T2.filtrations
     ]
     if prof1 != prof2:
         return None
@@ -403,13 +400,12 @@ def tuples_isomorphic(T1, T2):
 @dataclass
 class PackedEndostructure:
     """One-periodic tuple over F_{p^f} carrying the scalar-block
-    endomorphism; summand_ranks records per-stage per-grade ranks."""
+    endomorphism."""
 
     carrier: PeriodicTuple
     endo: GradedMap
     xi: object
     field: object
-    summand_ranks: tuple
 
 
 def _frobenius_orbit(K, xi):
@@ -457,9 +453,9 @@ def direct_sum_graded(summands):
     return GradedHiggsBundle(pieces, maps)
 
 
-def pack_endostructure(T, xi, field=None):
-    """Fold a period-f tuple into a one-periodic tuple over F_{p^f} with the
-    multiplication endomorphism s; the commutation of s with the block
+def pack_endostructure(T, xi, K):
+    """Fold a period-f tuple into a one-periodic tuple over K = F_{p^f} with
+    the multiplication endomorphism s; the commutation of s with the block
     rotation is verified as an exact matrix identity.
 
     The element xi must generate the degree-f extension: its Frobenius
@@ -467,7 +463,6 @@ def pack_endostructure(T, xi, field=None):
     stages0 = T.stages()
     f = T.period
     p = T.higgs.domain.p
-    K = field if field is not None else GF(p, f)
     if K.p != p or K.f != f:
         raise ValueError("the packing field must be F_{p^period}")
     xi = K.coerce(xi)
@@ -536,7 +531,7 @@ def pack_endostructure(T, xi, field=None):
 
     # block filtration on the transform of the sum
     H_big = inverse_cartier_1(big.total())
-    level = max(fil.level for fil in T._fils)
+    level = max(fil.level for fil in T.filtrations)
     # summand i's total coordinates inside the grade-major layout of the sum
     grade_major = [piece_ranks[i][j] for j in range(w + 1) for i in range(f)]
     embeds = [
@@ -555,7 +550,7 @@ def pack_endostructure(T, xi, field=None):
     for k in range(1, level + 1):
         cols = None
         for i in range(f):
-            S = T._fils[i].step(k)
+            S = T.filtrations[i].step(k)
             if S is None:
                 continue
             part = embeds[i].mul(S.basis[0].lift_to(K))
@@ -572,9 +567,7 @@ def pack_endostructure(T, xi, field=None):
         raise HdflowError("no identification of the packed flow output")
     phi_packed = compose_graded_maps(rot, chi)
     carrier = PeriodicTuple(big, (fil_big,), phi_packed).validate()
-    return PackedEndostructure(
-        carrier, s, xi, K, tuple(tuple(r) for r in piece_ranks)
-    )
+    return PackedEndostructure(carrier, s, xi, K)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +710,7 @@ def unpack_endostructure(packed):
 
     # filtrations: cut the packed filtration along the transformed
     # eigenspaces (eigenvalue orbit advances by one Frobenius twist)
-    fil_big = carrier._fils[0]
+    fil_big = carrier.filtrations[0]
     fils = []
     flats = []
     for i in range(f):
@@ -781,7 +774,7 @@ class RelativeFrobenius:
     certificates: dict
 
 
-def build_relative_frobenius(T, atlas=None):
+def build_relative_frobenius(T):
     """Per-chart relative Frobenius of a one-periodic tuple.
 
     Certificates, all exact: (1) each chart matrix is invertible, (2) the
@@ -793,8 +786,7 @@ def build_relative_frobenius(T, atlas=None):
     stages = T.stages()
     E0, E1 = stages[0], stages[1]
     H = T._flats[0]
-    lifting = atlas if atlas is not None else T.atlas
-    source = inverse_cartier_1(E1.total(), lifting=lifting)
+    source = inverse_cartier_1(E1.total())
     phi_tot = total_map(T.phi, E1, E0)
     charts = tuple(frobenius_pullback_matrix(M) for M in phi_tot.phi)
 

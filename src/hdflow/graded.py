@@ -231,14 +231,13 @@ class Grading:
 
     frames[c] is the unimodular chart-c frame whose columns run through the
     filtration deepest-first: grade i occupies columns [rank Fil^{i+1},
-    rank Fil^i).  aprime[c] is the connection in the adapted frame.
+    rank Fil^i).
     """
 
-    def __init__(self, flat, filtration, frames, aprime, graded):
+    def __init__(self, flat, filtration, frames, graded):
         self.flat = flat
         self.filtration = filtration
         self.frames = frames
-        self.aprime = aprime
         self.graded = graded
 
     def block_cols(self, i):
@@ -246,10 +245,10 @@ class Grading:
             self.filtration.rank_at(i + 1), self.filtration.rank_at(i)
         )
 
-    def piece_to_ambient(self, i, cols, chart=0):
-        """Carry chart columns over a grade-i piece into the ambient bundle
+    def piece_to_ambient(self, i, cols):
+        """Carry chart-0 columns over a grade-i piece into the ambient bundle
         (a choice of lift through the quotient)."""
-        block = self.frames[chart].columns(self.block_cols(i))
+        block = self.frames[0].columns(self.block_cols(i))
         return block.mul(cols)
 
 
@@ -331,7 +330,7 @@ def grade(flat, filtration):
         for i in range(1, n + 1)
     )
     graded = GradedHiggsBundle(pieces, maps).validate()
-    return Grading(flat, filtration, frames, aprime, graded)
+    return Grading(flat, filtration, frames, graded)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +414,6 @@ def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
     if not A.curve.is_projective:
         types = [[0] * P.rank for P in A.pieces]
         to_split_A = [RingMatrix.identity(d, P.rank) for P in A.pieces]
-        to_split_B = list(to_split_A)
         from_split_B = list(to_split_A)
         maps_A = [m[0] for m in A.maps]
         maps_B = [m[0] for m in B.maps]
@@ -424,7 +422,6 @@ def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
         sd_A = [P.split_data() for P in A.pieces]
         sd_B = [P.split_data() for P in B.pieces]
         to_split_A = [sd.Q for sd in sd_A]
-        to_split_B = [sd.Q for sd in sd_B]
         from_split_B = [sd.Qinv for sd in sd_B]
         maps_A = [
             sd_A[k].Q.mul(A.maps[k][0]).mul(sd_A[k + 1].Qinv)

@@ -541,11 +541,6 @@ class LaurentPoly:
         d = self.domain
         return LaurentPoly._trusted(d, d.poly_derivative(self.coeffs))
 
-    def substitute(self, image):
-        """Composition self(image); image must be a Laurent unit whenever self
-        has negative exponents."""
-        return _substitute([self], image)[0]
-
     def rescale(self, k):
         """self(t^k) for a nonzero integer k: the exponent map e -> k e."""
         return LaurentPoly._trusted(self.domain, {k * e: c for e, c in self.coeffs.items()})

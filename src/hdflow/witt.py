@@ -366,7 +366,7 @@ class LiftingInputTuple:
         return theta_total_matrix(self.ring, self.ranks, self.theta)
 
 
-def tuple_from_graded(graded, abar=None, psibar=None, frob_frame=None):
+def tuple_from_graded(graded):
     """Flatten a graded Higgs bundle on the affine line into chart-local
     input data; projective inputs carry no global free presentation."""
     curve = graded.curve
@@ -374,7 +374,7 @@ def tuple_from_graded(graded, abar=None, psibar=None, frob_frame=None):
         raise NotFree("truncated-Witt inputs need one global chart")
     ranks = tuple(piece.rank for piece in graded.pieces)
     theta = tuple(maps[0] for maps in graded.maps)
-    return LiftingInputTuple(curve.domain, ranks, theta, abar, psibar, frob_frame)
+    return LiftingInputTuple(curve.domain, ranks, theta)
 
 
 def reduce_tuple(tup):
@@ -571,13 +571,13 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     )
 
 
-def equivalence_gamma_check(tw_a, tw_b, L, rng, samples=3, m_values=(0, 1)):
+def equivalence_gamma_check(tw_a, tw_b, L, rng):
     """The intertwiner also carries the divided operators across: checks
     L gamma_b(v) = gamma_a(L v) on sampled derivations and sections."""
     ring = tw_a.ring
     p = ring.p
-    for _ in range(samples):
-        for m in m_values:
+    for _ in range(3):
+        for m in (0, 1):
             hs = [random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
             v = _random_col(rng, ring, tw_a.rank, 2)
             lhs = L.mul(tw_b.gamma(m, hs, v))
@@ -781,25 +781,10 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
 # the composite transform and its reduction certificate
 
 
-@dataclass
-class WittTransformResult:
-    """Frobenius pullback of the glued twisted module, with the module."""
-
-    flat: FlatBundle
-    twisted: TwistedFlatModule
-
-
 def cn_inverse(tup, lifting=None):
     """Full-precision inverse transform: glue the transversal pieces into
     the twisted module, then pull back through the lifted Frobenius."""
-    tw = sharp_construct(tup)
-    return WittTransformResult(fn_apply(tw, lifting), tw)
-
-
-def _reduced_lifting(lifting, down_ring):
-    return FrobeniusLifting(
-        AffineLine(down_ring), (lifting.h_at(0, down_ring),)
-    )
+    return fn_apply(sharp_construct(tup), lifting)
 
 
 @dataclass
@@ -820,21 +805,16 @@ class WittReductionCert:
         return base and self.char_p_agrees
 
 
-def mod_reduction_check(tup, lifting=None):
+def mod_reduction_check(tup):
     """Certify that the full-precision transform reduces, matrix for matrix,
     to the transform of the reduced input; at the bottom level the reduced
     transform is also compared against the one-chart level-one transform."""
-    ring = tup.ring
     if tup.n == 1:
         raise WrongModulus("nothing below one level of precision")
-    curve = AffineLine(ring)
-    if lifting is None:
-        lifting = FrobeniusLifting.standard(curve)
     down = tup.down_ring
-    full = cn_inverse(tup, lifting).flat
+    full = cn_inverse(tup)
     rtup = reduce_tuple(tup)
-    rlift = _reduced_lifting(lifting, down)
-    base = cn_inverse(rtup, rlift).flat
+    base = cn_inverse(rtup)
     reduced = full.A[0].reduce_to(down)
     matches = reduced.sub(base.A[0]).is_zero()
     ident = RingMatrix.identity(down, tup.rank)
@@ -845,7 +825,7 @@ def mod_reduction_check(tup, lifting=None):
     if down.m == 1:
         total = rtup.theta_total()
         higgs = HiggsBundle.from_chart0(Bundle(AffineLine(down), tup.rank), total)
-        level_one = inverse_cartier_1(higgs, rlift)
+        level_one = inverse_cartier_1(higgs)
         char_p = base.A[0].sub(level_one.A[0]).is_zero()
     cert = WittReductionCert(ident, matches, horizontal, invertible, char_p)
     if not cert.ok:
@@ -915,13 +895,11 @@ def filtration_steps_from_flag(tup_or_ranks, ring, deformation=None):
 
 @dataclass
 class WittFlowStep:
-    """One full-precision flow step: the transform, the supplied filtration
-    in an adapted frame, the next graded Higgs blocks, and the grading
-    comparison that certifies one-periodicity when it exists."""
+    """One full-precision flow step: the transform, the next graded Higgs
+    blocks, and the grading comparison that certifies one-periodicity when
+    it exists."""
 
     flat: FlatBundle
-    twisted: TwistedFlatModule
-    frame: RingMatrix
     ranks: tuple
     theta_next: tuple
     psi: object
@@ -929,7 +907,7 @@ class WittFlowStep:
     certificates: dict
 
 
-def w2_flow_step(tup, fil_steps, lifting=None):
+def w2_flow_step(tup, fil_steps):
     """Run one flow step at full precision: transform, grade along the
     supplied filtration, and search for a grading comparison onto the input
     that reduces to the one-level-down comparison.
@@ -941,12 +919,9 @@ def w2_flow_step(tup, fil_steps, lifting=None):
     ring = tup.ring
     if tup.n < 2:
         raise WrongModulus("flow steps at full precision start at two levels")
-    curve = AffineLine(ring)
-    if lifting is None:
-        lifting = FrobeniusLifting.standard(curve)
     down = tup.down_ring
-    result = cn_inverse(tup, lifting)
-    A2 = result.flat.A[0]
+    flat = cn_inverse(tup)
+    A2 = flat.A[0]
     ranks = tup.ranks
     fil_steps = tuple(fil_steps)
     if len(fil_steps) != len(ranks) - 1:
@@ -986,7 +961,7 @@ def w2_flow_step(tup, fil_steps, lifting=None):
     theta_next = tuple(Aad.block(ranks, g, g + 1) for g in range(len(ranks) - 1))
 
     certificates = {}
-    rlift = _reduced_lifting(lifting, down)
+    rlift = FrobeniusLifting.standard(AffineLine(down))
     ubar = rlift.derivative_quotient(0, down)
     canonical = (
         tup.theta_total()
@@ -1019,16 +994,7 @@ def w2_flow_step(tup, fil_steps, lifting=None):
     psi, periodic = _solve_grading_comparison(
         tup, theta_next, base_blocks, certificates
     )
-    return WittFlowStep(
-        result.flat,
-        result.twisted,
-        Q,
-        ranks,
-        theta_next,
-        psi,
-        periodic,
-        certificates,
-    )
+    return WittFlowStep(flat, ranks, theta_next, psi, periodic, certificates)
 
 
 def _solve_grading_comparison(tup, theta_next, base_blocks, certificates):
@@ -1090,7 +1056,7 @@ def _solve_grading_comparison(tup, theta_next, base_blocks, certificates):
 # bounded uniqueness search for lifted filtrations
 
 
-def filtration_lift_candidates(tup, lifting, coefficients, exponents):
+def filtration_lift_candidates(tup, coefficients, exponents):
     """Sweep one-parameter deformations of the coordinate flag by p^(n-1)
     monomials, one flag direction and one ambient row at a time; the
     deformed direction is changed in every step that contains it, so the
@@ -1130,7 +1096,7 @@ def filtration_lift_candidates(tup, lifting, coefficients, exponents):
             deltas.append(D)
         steps = filtration_steps_from_flag(ranks, ring, deltas)
         try:
-            res = w2_flow_step(tup, steps, lifting)
+            res = w2_flow_step(tup, steps)
         except (NoLiftedFiltration, TransversalityViolated):
             res = None
         out.append((entry, steps, res))

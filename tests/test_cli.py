@@ -405,6 +405,16 @@ def test_check_prime_restriction_applies():
     assert doc["counts"]["failed"] == 0
 
 
+def test_check_ignores_the_search_budget(tmp_path, monkeypatch):
+    # no suite searches, so a malformed budget cannot stop one
+    monkeypatch.setenv("HDF_BUDGET", "junk")
+    out = str(tmp_path / "check.json")
+    result = invoke(["check", "--suite", "p-curvature", "--out", out])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert manifest["parameters"]["budget"] is None
+
+
 # -- gen-corpus --------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Every library function has a use.
+"""Every library function has a use, and every stored field is read.
 
 A function whose name appears nowhere but in its own definitions is dead:
 nothing in the library, its tests or the benchmark calls it, so it is
@@ -90,3 +90,67 @@ def test_every_function_is_used():
         if name not in attributes if is_method else counts.get(name, 0) <= defs[name]:
             unused.append("%s:%d %s" % (path.name, node.lineno, name))
     assert unused == []
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _library_fields():
+    """(path, line, class, name) for every dataclass field and every
+    attribute a library __init__ assigns on self."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if _is_dataclass(cls):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        yield path, node.lineno, cls.name, node.target.id
+            for fn in cls.body:
+                if not (isinstance(fn, FUNCTION_NODES) and fn.name == "__init__"):
+                    continue
+                for node in ast.walk(fn):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    ):
+                        yield path, node.lineno, cls.name, node.attr
+
+
+def _loaded_names():
+    """Attribute names read as obj.name or through getattr(obj, "name")."""
+    names = set()
+    for path in _searched_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                names.add(node.args[1].value)
+    return names
+
+
+def test_every_field_is_read():
+    """A stored value that nothing reads is dead state: every dataclass
+    field and every attribute an __init__ sets is read somewhere."""
+    loaded = _loaded_names()
+    unread = sorted(
+        "%s:%d %s.%s" % (path.name, line, cls, name)
+        for path, line, cls, name in _library_fields()
+        if name not in loaded
+    )
+    assert unread == []

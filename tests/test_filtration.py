@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hdflow import bundles
+from hdflow import bundles, filtration
 from hdflow.bundles import (
     Bundle,
     FlatBundle,
@@ -20,6 +20,7 @@ from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import (
     CertificateFailed,
+    IterationBudgetExceeded,
     NotNablaSemistable,
     SearchBudgetExceeded,
     SemistableInput,
@@ -386,6 +387,22 @@ def test_semistable_corpus_terminates_quickly():
     assert count >= 30
 
 
+def test_descent_stops_at_the_iteration_bound(monkeypatch):
+    # a connection-semistable bundle on the line has a constant splitting
+    # type (or lives on A^1), so its trivial grading is already semistable;
+    # the step is forced by a scan that reports a real destabilizer of an
+    # unstable grading, and the bound is read when the descent runs
+    d = Zmod(3, 1)
+    curve = ProjectiveLine(d)
+    report = max_destabilizer_graded(one_grade(Bundle.sum_of_lines(curve, (1, 0))))
+    monkeypatch.setattr(filtration, "_destabilizer_scan", lambda *args, **kw: report)
+    monkeypatch.setattr(filtration, "DEFAULT_MAX_ITER", 0)
+    flat = FlatBundle.from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
+    with pytest.raises(IterationBudgetExceeded) as err:
+        simpson_filtration(flat)
+    assert "within 0 steps; log [('1', 1)]" in str(err.value)
+
+
 # -- window descent bookkeeping ----------------------------------------------
 
 
@@ -393,12 +410,15 @@ def test_window_descent_checks():
     mk = lambda mu, r, lvl: DescentRecord(Fraction(mu), r, lvl)
     check_window_descent([mk(3, 1, 1), mk(2, 1, 1), mk(1, 1, 1)])
     check_window_descent([mk(3, 2, 2), mk(3, 1, 2), mk(2, 2, 2)])
-    with pytest.raises(CertificateFailed):
+    with pytest.raises(CertificateFailed) as err:
         check_window_descent([mk(2, 1, 1), mk(3, 1, 1)])
-    with pytest.raises(CertificateFailed):
+    assert err.value.part == "step-descent"
+    with pytest.raises(CertificateFailed) as err:
         check_window_descent([mk(2, 1, 1), mk(2, 1, 1)])
-    with pytest.raises(CertificateFailed):
+    assert err.value.part == "window-descent"
+    with pytest.raises(CertificateFailed) as err:
         check_window_descent([mk(3, 2, 2), mk(3, 2, 2), mk(3, 2, 2)])
+    assert err.value.part == "window-descent"
     # incomplete trailing window is not judged
     check_window_descent([mk(3, 2, 3), mk(3, 2, 3)])
 

@@ -71,7 +71,7 @@ def weight1_graded(curve, entry):
     if not curve.is_projective:
         return GradedHiggsBundle((g0, g1), ((M0,),))
     s_inv = LaurentPoly.var(d, -1)
-    jac = curve.jacobian_factor(d)
+    jac = curve.jacobian_factor()
     M1 = (
         g0.chart1_transition()
         .mul(M0.substitute(s_inv))
@@ -106,7 +106,7 @@ def random_graded_object(rng, curve, grade_ranks, gap=2):
         )
         if curve.is_projective:
             s_inv = LaurentPoly.var(d, -1)
-            jac = curve.jacobian_factor(d)
+            jac = curve.jacobian_factor()
             M1 = (
                 tgt.chart1_transition()
                 .mul(M0.substitute(s_inv))
@@ -365,7 +365,7 @@ def test_nontrivial_filtration_one_periodic():
     trace = run_flow(G, policy)
     assert (trace.periodicity.preperiod, trace.periodicity.period) == (0, 1)
     T = PeriodicTuple(G, (fil,), _identity_graded_map(G)).validate()
-    assert T._fils[0].level == 1
+    assert T.filtrations[0].level == 1
 
 
 def test_shift_and_lengthen_roundtrip():
@@ -458,10 +458,10 @@ def test_pack_unpack_with_filtration():
     ).validate()
     K = GF(3, 2)
     packed = pack_endostructure(T, K.gen, K)
-    assert packed.carrier._fils[0].level == 1
+    assert packed.carrier.filtrations[0].level == 1
     back = unpack_endostructure(packed)
     assert back.period == 2
-    assert [fil.level for fil in back._fils] == [1, 1]
+    assert [fil.level for fil in back.filtrations] == [1, 1]
     assert graded_higgs_isomorphic(back.higgs, extend_graded(G, K)) is not None
 
 

@@ -75,7 +75,7 @@ def single_map_graded(curve, exps, entry):
     if not curve.is_projective:
         return GradedHiggsBundle(pieces, ((m0,),))
     s_inv = LaurentPoly.var(d, -1)
-    jac = curve.jacobian_factor(d)
+    jac = curve.jacobian_factor()
     m1 = (
         pieces[0].chart1_transition()
         .mul(m0.substitute(s_inv))

@@ -201,8 +201,9 @@ def test_input_tuple_comparison_must_carry_connection():
     theta = (mat(ring, [[1]]),)
     abar = mat(down, [[0, {2: 1}], [0, 0]])
     bad_psibar = (mat(down, [[1]]), mat(down, [[{3: 1}]]))
-    with pytest.raises(CertificateFailed):
+    with pytest.raises(CertificateFailed) as err:
         LiftingInputTuple(ring, (1, 1), theta, abar, bad_psibar)
+    assert err.value.part == "psi-compat"
 
 
 def test_input_tuple_comparison_must_be_invertible():
@@ -583,8 +584,9 @@ def test_escaped_slot_certificate_fires_with_and_without_pruning():
     hs = [LaurentPoly.one(ring)] * 3
     col = basis_col(ring, 4, 3)
     for apply in (gamma_apply, unpruned_gamma_apply):
-        with pytest.raises(CertificateFailed, match="escaped its slot"):
+        with pytest.raises(CertificateFailed, match="escaped its slot") as err:
             apply(A, ranks, 1, hs, col)
+        assert err.value.part == "gamma"
 
 
 def test_level_bound_of_twisted_module():
@@ -823,7 +825,7 @@ def test_worked_transform_matrix():
     ring = Zmod(3, 2)
     tup = one_periodic_unit_tuple(ring)
     res = cn_inverse(tup)
-    assert res.flat.A[0] == mat(ring, [[0, {2: 1}], [0, {-1: 3}]])
+    assert res.A[0] == mat(ring, [[0, {2: 1}], [0, {-1: 3}]])
 
 
 def test_level_one_transform_matches_char_p():
@@ -842,7 +844,7 @@ def test_level_one_transform_matches_char_p():
                 total = theta_total_matrix(ring, ranks, theta)
                 higgs = HiggsBundle.from_chart0(Bundle(curve, sum(ranks)), total)
                 assert (
-                    cn_inverse(tup, lift).flat.A[0]
+                    cn_inverse(tup, lift).A[0]
                     == inverse_cartier_1(higgs, lift).A[0]
                 )
 
@@ -922,8 +924,9 @@ def test_flow_step_rejects_bad_frame():
     frame = mat(down, [[1, 0], [0, {-4: 1}]])
     tup = LiftingInputTuple(ring, (1, 1), theta, abar, psibar, frame)
     steps = filtration_steps_from_flag(tup, ring)
-    with pytest.raises(CertificateFailed):
+    with pytest.raises(CertificateFailed) as err:
         w2_flow_step(tup, steps)
+    assert err.value.part == "frame"
 
 
 def test_flow_step_requires_liftable_filtration():
@@ -969,7 +972,7 @@ def test_filtration_lifts_unique_modulo_horizontal_transport_weight_one():
     tup = one_periodic_unit_tuple(ring)
     flag = filtration_steps_from_flag(tup, ring)
     base = w2_flow_step(tup, flag)
-    cands = filtration_lift_candidates(tup, None, (1, 2), (0,))
+    cands = filtration_lift_candidates(tup, (1, 2), (0,))
     accepted = [(entry, steps) for entry, steps, res in cands if res is not None]
     assert len(accepted) == 3  # the flag and both constant deformations
     for entry, steps in accepted[1:]:
@@ -983,7 +986,7 @@ def test_filtration_lift_pinned_in_weight_two():
     tup = weight_two_unit_tuple(ring)
     flag = filtration_steps_from_flag(tup, ring)
     base = w2_flow_step(tup, flag)
-    cands = filtration_lift_candidates(tup, None, (1,), (0,))
+    cands = filtration_lift_candidates(tup, (1,), (0,))
     for entry, steps, res in cands:
         if not entry:
             assert res is not None
