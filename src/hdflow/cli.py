@@ -6,8 +6,9 @@ produce identical output bytes.  Exit codes are 0 when every asserted
 invariant holds, 1 when a mathematical invariant fails on well-formed
 input, and 2 for malformed documents or unusable flags; contract
 failures are reported as machine-readable error objects carrying a
-location path.  The HDF_BUDGET environment variable supplies a default
-search budget when --budget is absent.
+location path.  Only `flow run` searches, so only it takes --budget; the
+HDF_BUDGET environment variable supplies its budget when --budget is
+absent.
 """
 
 import functools
@@ -27,22 +28,19 @@ from .cartier import (
 from .errors import HdflowError
 from .filtration import is_higgs_semistable, simpson_filtration
 from .flow import FlowPolicy, run_flow
-from .graded import grade, is_transversal
+from .graded import DEFAULT_ISO_BUDGET, grade, is_transversal
 from .serialize import (
     SchemaError,
     canonical_bytes,
+    cartier_input_from_json,
     error_object,
     filtration_to_json,
     flat_from_json,
+    flow_input_from_json,
     flow_trace_to_json,
-    graded_from_json,
     graded_to_json,
-    higgs_from_json,
-    lifting_from_json,
-    matrix_from_json,
     matrix_to_json,
     parse_bytes,
-    require_tag,
     run_manifest,
     sha256_hex,
     witt_tuple_from_json,
@@ -75,24 +73,16 @@ def _fail(code, message, location, exit_code):
     raise SystemExit(exit_code)
 
 
-def _read_input(path):
+def _read_doc(path, loader):
+    """(input bytes, loader(parsed document)); an unreadable file or a
+    malformed document exits 2 with a located error object."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            data = handle.read()
     except OSError as err:
         _fail("contract", "cannot read input: %s" % err, "args/input", EXIT_CONTRACT)
-
-
-def _parse_doc(data):
     try:
-        return parse_bytes(data)
-    except SchemaError as err:
-        _fail("contract", err.message, err.path, EXIT_CONTRACT)
-
-
-def _load(doc, loader):
-    try:
-        return loader(doc)
+        return data, loader(parse_bytes(data))
     except SchemaError as err:
         _fail("contract", err.message, err.path, EXIT_CONTRACT)
 
@@ -129,9 +119,19 @@ def _base_params(**updates):
     return params
 
 
-def _emit(doc, out_path, command, input_bytes, parameters, checks):
+def _checks(certificates):
+    """Manifest checks of a certificate dict's boolean entries, by name."""
+    return [
+        (name, value, None)
+        for name, value in sorted(certificates.items())
+        if isinstance(value, bool)
+    ]
+
+
+def _emit(doc, out_path, command, input_bytes, parameters, checks, exit_code=None):
     """Write the artifact (stdout without --out, atomic file with it) and
-    its manifest alongside the file."""
+    its manifest alongside the file, then exit with exit_code, by default
+    0 when every check passed and 1 otherwise."""
     if out_path:
         write_atomic(out_path, canonical_bytes(doc))
         manifest = run_manifest(
@@ -144,6 +144,9 @@ def _emit(doc, out_path, command, input_bytes, parameters, checks):
         write_atomic(out_path + ".manifest.json", canonical_bytes(manifest))
     else:
         _print_doc(doc)
+    if exit_code is None:
+        exit_code = EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
+    raise SystemExit(exit_code)
 
 
 def _guard(fn):
@@ -197,50 +200,11 @@ def witt():
 # flow run
 
 
-class _SpanSpec:
-    def __init__(self, basis0):
-        self.basis = (basis0,)
-
-
-class _FiltrationSpec:
-    def __init__(self, steps):
-        self.steps = tuple(steps)
-
-
-def _flow_input(doc):
-    """Accept a bare graded document, or a wrapper that adds one supplied
-    filtration per step as chart-0 span matrices."""
-    kind = require_tag(doc, None)
-    if kind == "graded_higgs":
-        return graded_from_json(doc), ()
-    if kind != "flow_input":
-        raise SchemaError(
-            "flow run expects a 'graded_higgs' or 'flow_input' document",
-            "/type",
-        )
-    G = graded_from_json(serialize._field(doc, "graded", "/"), "/graded")
-    raw = serialize._field(doc, "filtrations", "/", list)
-    ring = G.domain
-    specs = []
-    for i, fil in enumerate(raw):
-        here = "/filtrations/%d" % i
-        steps_raw = serialize._field(fil, "steps", here, list)
-        steps = [
-            _SpanSpec(
-                matrix_from_json(ring, cols, "%s/steps/%d" % (here, j))
-            )
-            for j, cols in enumerate(steps_raw)
-        ]
-        specs.append(_FiltrationSpec(steps))
-    return G, tuple(specs)
-
-
 def _trace_certificates(trace, rule):
     """Per-step invariant recomputation, independent of the flow engine's
     own in-line certificates."""
     p = trace.stages[0].higgs.domain.p
     certs = []
-    all_ok = True
     for i, stage in enumerate(trace.stages):
         if stage.flat is None:
             certs.append(None)
@@ -265,9 +229,8 @@ def _trace_certificates(trace, rule):
             entry["graded_semistable"] = is_higgs_semistable(
                 trace.stages[i + 1].higgs
             )[0]
-        all_ok = all_ok and all(entry.values())
         certs.append(entry)
-    return certs, all_ok
+    return certs
 
 
 @flow.command("run")
@@ -294,8 +257,7 @@ def flow_run(input_path, steps, policy, field_degree, budget, out_path):
             "args/field-degree",
             EXIT_CONTRACT,
         )
-    data = _read_input(input_path)
-    G, fil_specs = _load(_parse_doc(data), _flow_input)
+    data, (G, fil_specs) = _read_doc(input_path, flow_input_from_json)
     if policy == "supplied" and len(fil_specs) < steps:
         _fail(
             "contract",
@@ -310,12 +272,9 @@ def flow_run(input_path, steps, policy, field_degree, budget, out_path):
         field_degree=field_degree,
         filtrations=fil_specs,
     )
-    budget_value = _resolve_budget(budget)
-    if budget_value is None:
-        trace = run_flow(G, policy_obj)
-    else:
-        trace = run_flow(G, policy_obj, budget=budget_value)
-    certs, all_ok = _trace_certificates(trace, policy)
+    budget = _resolve_budget(budget)
+    trace = run_flow(G, policy_obj, DEFAULT_ISO_BUDGET if budget is None else budget)
+    certs = _trace_certificates(trace, policy)
     doc = flow_trace_to_json(trace, certs)
     checks = []
     for i, entry in enumerate(certs):
@@ -335,29 +294,13 @@ def flow_run(input_path, steps, policy, field_degree, budget, out_path):
         field_degree=field_degree,
         steps=steps,
         policy=policy,
-        budget=budget_value,
+        budget=budget,
     )
     _emit(doc, out_path, ["flow", "run"], data, params, checks)
-    raise SystemExit(EXIT_OK if all_ok else EXIT_INVARIANT)
 
 
 # ---------------------------------------------------------------------------
 # cartier apply
-
-
-def _cartier_input(doc):
-    kind = require_tag(doc, None)
-    if kind == "higgs_bundle":
-        return higgs_from_json(doc), None
-    if kind != "cartier_input":
-        raise SchemaError(
-            "cartier apply expects a 'higgs_bundle' or 'cartier_input' document",
-            "/type",
-        )
-    H = higgs_from_json(serialize._field(doc, "higgs", "/"), "/higgs")
-    raw = serialize._field(doc, "lifting", "/")
-    lifting = None if raw is None else lifting_from_json(raw, "/lifting")
-    return H, lifting
 
 
 @cartier.command("apply")
@@ -366,8 +309,7 @@ def _cartier_input(doc):
 @_guard
 def cartier_apply(input_path, out_path):
     """Inverse transform of a nilpotent Higgs bundle, with validation."""
-    data = _read_input(input_path)
-    H, lifting = _load(_parse_doc(data), _cartier_input)
+    data, (H, lifting) = _read_doc(input_path, cartier_input_from_json)
     flat = inverse_cartier_1(H, lifting=lifting)
     p = H.bundle.domain.p
     validation = {
@@ -384,15 +326,8 @@ def cartier_apply(input_path, out_path):
         "flat": serialize.flat_to_json(flat),
         "validation": validation,
     }
-    checks = [
-        (name, value, None)
-        for name, value in sorted(validation.items())
-        if isinstance(value, bool)
-    ]
-    ok = all(passed for _, passed, _ in checks)
     params = _base_params(p=p, modulus_power=H.bundle.domain.m)
-    _emit(doc, out_path, ["cartier", "apply"], data, params, checks)
-    raise SystemExit(EXIT_OK if ok else EXIT_INVARIANT)
+    _emit(doc, out_path, ["cartier", "apply"], data, params, _checks(validation))
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +336,12 @@ def cartier_apply(input_path, out_path):
 
 @filtration.command("compute")
 @click.option("--input", "input_path", required=True, help="flat bundle JSON")
-@click.option("--budget", type=int, default=None)
 @click.option("--out", "out_path", default=None)
 @_guard
-def filtration_compute(input_path, budget, out_path):
+def filtration_compute(input_path, out_path):
     """Canonical filtration by iterated descent, with its iteration log."""
-    data = _read_input(input_path)
-    flat = _load(_parse_doc(data), flat_from_json)
-    budget_value = _resolve_budget(budget)
-    if budget_value is not None:
-        fil, log = simpson_filtration(flat, budget=budget_value)
-    else:
-        fil, log = simpson_filtration(flat)
+    data, flat = _read_doc(input_path, flat_from_json)
+    fil, log = simpson_filtration(flat)
     graded = grade(flat, fil).graded
     certificates = {
         "gr_semistable": is_higgs_semistable(graded)[0],
@@ -432,15 +361,8 @@ def filtration_compute(input_path, budget, out_path):
         ],
         "certificates": certificates,
     }
-    checks = [(name, value, None) for name, value in sorted(certificates.items())]
-    ok = all(passed for _, passed, _ in checks)
-    params = _base_params(
-        p=flat.bundle.domain.p,
-        modulus_power=flat.bundle.domain.m,
-        budget=budget_value,
-    )
-    _emit(doc, out_path, ["filtration", "compute"], data, params, checks)
-    raise SystemExit(EXIT_OK if ok else EXIT_INVARIANT)
+    params = _base_params(p=flat.bundle.domain.p, modulus_power=flat.bundle.domain.m)
+    _emit(doc, out_path, ["filtration", "compute"], data, params, _checks(certificates))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +376,7 @@ def filtration_compute(input_path, budget, out_path):
 @_guard
 def witt_lift(input_path, modulus_power, out_path):
     """Lift the tuple to its twisted flat module, two ways, and compare."""
-    data = _read_input(input_path)
-    tup = _load(_parse_doc(data), witt_tuple_from_json)
+    data, tup = _read_doc(input_path, witt_tuple_from_json)
     if modulus_power is not None and modulus_power != tup.n:
         _fail(
             "contract",
@@ -481,11 +402,8 @@ def witt_lift(input_path, modulus_power, out_path):
         "twisted": matrix_to_json(tw.module.matrix),
         "certificates": certificates,
     }
-    checks = [(name, value, None) for name, value in sorted(certificates.items())]
-    ok = all(passed for _, passed, _ in checks)
     params = _base_params(p=tup.p, modulus_power=tup.n)
-    _emit(doc, out_path, ["witt", "lift"], data, params, checks)
-    raise SystemExit(EXIT_OK if ok else EXIT_INVARIANT)
+    _emit(doc, out_path, ["witt", "lift"], data, params, _checks(certificates))
 
 
 @witt.command("flow-step")
@@ -494,8 +412,7 @@ def witt_lift(input_path, modulus_power, out_path):
 @_guard
 def witt_flow_step(input_path, out_path):
     """One flow step at modulus p^2 along the canonical flag filtration."""
-    data = _read_input(input_path)
-    tup = _load(_parse_doc(data), witt_tuple_from_json)
+    data, tup = _read_doc(input_path, witt_tuple_from_json)
     if tup.n != 2:
         _fail(
             "contract",
@@ -519,14 +436,10 @@ def witt_flow_step(input_path, out_path):
         "periodic": bool(step.periodic),
         "certificates": dict(step.certificates),
     }
-    checks = [
-        (name, value, None)
-        for name, value in sorted(step.certificates.items())
-        if isinstance(value, bool)
-    ]
     params = _base_params(p=tup.p, modulus_power=tup.n)
-    _emit(doc, out_path, ["witt", "flow-step"], data, params, checks)
-    raise SystemExit(EXIT_OK)
+    checks = _checks(step.certificates)
+    # the step reports its certificates; a failed one does not fail the run
+    _emit(doc, out_path, ["witt", "flow-step"], data, params, checks, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +600,6 @@ def check(suite, seed, p_opt, modulus_power, out_path):
     }
     params = _base_params(p=p_opt, modulus_power=modulus_power, seed=seed)
     _emit(doc, out_path, ["check"], None, params, entries)
-    raise SystemExit(EXIT_OK if not failed else EXIT_INVARIANT)
 
 
 # ---------------------------------------------------------------------------
@@ -728,21 +640,11 @@ def gen_corpus(p, rank, weight, count, seed, curve, out_path):
         },
         "instances": [graded_to_json(G) for G in instances],
     }
-    checks = [
-        (
-            "instance-%02d-valid" % i,
-            True,
-            None,
-        )
-        for i in range(len(instances))
-    ]
-    manifest_params = _base_params(p=p, seed=seed)
-    manifest_params["rank"] = rank
-    manifest_params["weight"] = weight
-    manifest_params["count"] = count
-    manifest_params["curve"] = curve
+    checks = [("instance-%02d-valid" % i, True, None) for i in range(len(instances))]
+    manifest_params = _base_params(
+        p=p, seed=seed, rank=rank, weight=weight, count=count, curve=curve
+    )
     _emit(doc, out_path, ["gen-corpus"], None, manifest_params, checks)
-    raise SystemExit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -89,9 +89,13 @@ def _typed(value, types, path, what):
     return value
 
 
+def _child(path, key):
+    return path.rstrip("/") + "/" + key
+
+
 def _field(obj, key, path, types=None):
     _typed(obj, dict, path, "document node")
-    child = path.rstrip("/") + "/" + key
+    child = _child(path, key)
     if key not in obj:
         raise SchemaError("missing field '%s'" % key, child)
     value = obj[key]
@@ -103,20 +107,26 @@ def _field(obj, key, path, types=None):
 def _int_field(obj, key, path):
     value = _field(obj, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(
-            "field '%s' must be an integer" % key, path.rstrip("/") + "/" + key
-        )
+        raise SchemaError("field '%s' must be an integer" % key, _child(path, key))
     return value
+
+
+def _checked(build, what, path):
+    """build(), with any failure reported as '<what> fails validation'."""
+    try:
+        return build()
+    except Exception as err:
+        raise SchemaError("%s fails validation: %s" % (what, err), path)
 
 
 def require_tag(doc, expected_type, path="/"):
     if _field(doc, "schema", path, str) != SCHEMA:
-        raise SchemaError("unsupported schema tag", path.rstrip("/") + "/schema")
+        raise SchemaError("unsupported schema tag", _child(path, "schema"))
     kind = _field(doc, "type", path, str)
     if expected_type is not None and kind != expected_type:
         raise SchemaError(
             "expected a '%s' document, found '%s'" % (expected_type, kind),
-            path.rstrip("/") + "/type",
+            _child(path, "type"),
         )
     return kind
 
@@ -187,26 +197,40 @@ def matrix_from_json(ring, data, path, shape=None):
     return RingMatrix(ring, rows)
 
 
+def _matrices(ring, raw, path, shapes, each):
+    """A list of matrices, one of each shape in turn; a list of the wrong
+    length is reported as needing one <each>."""
+    _typed(raw, list, path, "matrix list")
+    if len(raw) != len(shapes):
+        raise SchemaError("need one %s" % each, path)
+    return tuple(
+        matrix_from_json(ring, M, "%s/%d" % (path, i), shape=shape)
+        for i, (M, shape) in enumerate(zip(raw, shapes))
+    )
+
+
 # ---------------------------------------------------------------------------
 # curves and Frobenius liftings
 
 
-def _ring_and_curve(doc, path):
+def _ring(doc, path):
     p = _int_field(doc, "p", path)
     m = _int_field(doc, "m", path)
     if p < 2:
-        raise SchemaError("p must be a prime >= 2", path.rstrip("/") + "/p")
+        raise SchemaError("p must be a prime >= 2", _child(path, "p"))
     if m < 1:
-        raise SchemaError("m must be positive", path.rstrip("/") + "/m")
-    ring = Zmod(p, m)
+        raise SchemaError("m must be positive", _child(path, "m"))
+    return Zmod(p, m)
+
+
+def _curve(doc, path):
+    ring = _ring(doc, path)
     kind = _field(doc, "curve", path, str)
     if kind == "P1":
-        return ring, ProjectiveLine(ring)
+        return ProjectiveLine(ring)
     if kind == "A1":
-        return ring, AffineLine(ring)
-    raise SchemaError(
-        "curve must be 'P1' or 'A1'", path.rstrip("/") + "/curve"
-    )
+        return AffineLine(ring)
+    raise SchemaError("curve must be 'P1' or 'A1'", _child(path, "curve"))
 
 
 def lifting_to_json(lifting):
@@ -225,19 +249,20 @@ def lifting_to_json(lifting):
 
 def lifting_from_json(doc, path="/"):
     require_tag(doc, "frobenius_lifting", path)
-    ring, curve = _ring_and_curve(doc, path)
+    curve = _curve(doc, path)
     entries = _field(doc, "liftings", path, list)
     hs = [None] * curve.ncharts
     for i, entry in enumerate(entries):
-        here = "%s/liftings/%d" % (path.rstrip("/"), i)
+        here = _child(path, "liftings/%d" % i)
         chart = _int_field(entry, "chart", here)
         if not 0 <= chart < curve.ncharts:
             raise SchemaError("chart index out of range", here + "/chart")
         if hs[chart] is not None:
             raise SchemaError("chart listed twice", here + "/chart")
-        hs[chart] = poly_from_json(ring, _field(entry, "h", here, list), here + "/h")
+        h = _field(entry, "h", here, list)
+        hs[chart] = poly_from_json(curve.domain, h, here + "/h")
     if None in hs:
-        raise SchemaError("every chart needs a lifting", path.rstrip("/") + "/liftings")
+        raise SchemaError("every chart needs a lifting", _child(path, "liftings"))
     return FrobeniusLifting(curve, tuple(hs))
 
 
@@ -259,17 +284,17 @@ def _bundle_body(bundle):
     return body
 
 
-def _bundle_from_body(doc, path):
-    ring, curve = _ring_and_curve(doc, path)
+def _bundle_from_body(doc, path, curve):
+    """The bundle on curve with the rank and transition that doc gives."""
     rank = _int_field(doc, "rank", path)
     if rank < 1:
-        raise SchemaError("rank must be positive", path.rstrip("/") + "/rank")
+        raise SchemaError("rank must be positive", _child(path, "rank"))
     raw = _field(doc, "transition", path)
-    tpath = path.rstrip("/") + "/transition"
+    tpath = _child(path, "transition")
     if curve.is_projective:
         if raw is None:
             raise SchemaError("projective bundles need a transition", tpath)
-        g = matrix_from_json(ring, raw, tpath, shape=(rank, rank))
+        g = matrix_from_json(curve.domain, raw, tpath, shape=(rank, rank))
         if not g.det().is_unit():
             raise SchemaError("transition determinant is not a unit", tpath)
         return Bundle(curve, rank, g)
@@ -286,18 +311,17 @@ def bundle_to_json(bundle):
 
 def bundle_from_json(doc, path="/"):
     require_tag(doc, "bundle", path)
-    return _bundle_from_body(doc, path)
+    return _bundle_from_body(doc, path, _curve(doc, path))
 
 
-def _charts_field(doc, key, curve, ring, shape, path):
-    raw = _field(doc, key, path, list)
-    here = path.rstrip("/") + "/" + key
-    if len(raw) != curve.ncharts:
-        raise SchemaError("need one matrix per chart", here)
-    return tuple(
-        matrix_from_json(ring, M, "%s/%d" % (here, c), shape=shape)
-        for c, M in enumerate(raw)
-    )
+def _bundle_and_charts(doc, path, kind, key):
+    """The bundle of a '<kind>' document and its rank-by-rank matrices,
+    one per chart, under key."""
+    require_tag(doc, kind, path)
+    bundle = _bundle_from_body(doc, path, _curve(doc, path))
+    square = ((bundle.rank, bundle.rank),) * bundle.curve.ncharts
+    raw, here = _field(doc, key, path), _child(path, key)
+    return bundle, _matrices(bundle.curve.domain, raw, here, square, "matrix per chart")
 
 
 def higgs_to_json(higgs):
@@ -308,19 +332,8 @@ def higgs_to_json(higgs):
 
 
 def higgs_from_json(doc, path="/"):
-    require_tag(doc, "higgs_bundle", path)
-    bundle = _bundle_from_body(doc, path)
-    ring = bundle.curve.domain
-    theta = _charts_field(
-        doc, "theta", bundle.curve, ring, (bundle.rank, bundle.rank), path
-    )
-    higgs = HiggsBundle(bundle, theta)
-    try:
-        higgs.validate()
-    except Exception as err:
-        raise SchemaError(
-            "Higgs field fails validation: %s" % err, path.rstrip("/") + "/theta"
-        )
+    higgs = HiggsBundle(*_bundle_and_charts(doc, path, "higgs_bundle", "theta"))
+    _checked(higgs.validate, "Higgs field", _child(path, "theta"))
     return higgs
 
 
@@ -332,21 +345,25 @@ def flat_to_json(flat):
 
 
 def flat_from_json(doc, path="/"):
-    require_tag(doc, "flat_bundle", path)
-    bundle = _bundle_from_body(doc, path)
-    ring = bundle.curve.domain
-    A = _charts_field(
-        doc, "connection", bundle.curve, ring, (bundle.rank, bundle.rank), path
-    )
-    flat = FlatBundle(bundle, A)
-    try:
-        flat.validate()
-    except Exception as err:
-        raise SchemaError(
-            "connection fails validation: %s" % err,
-            path.rstrip("/") + "/connection",
-        )
+    flat = FlatBundle(*_bundle_and_charts(doc, path, "flat_bundle", "connection"))
+    _checked(flat.validate, "connection", _child(path, "connection"))
     return flat
+
+
+def cartier_input_from_json(doc):
+    """A bare Higgs document, or a wrapper that adds a Frobenius lifting
+    (null for the standard one): (higgs, lifting)."""
+    kind = require_tag(doc, None)
+    if kind == "higgs_bundle":
+        return higgs_from_json(doc), None
+    if kind != "cartier_input":
+        raise SchemaError(
+            "cartier apply expects a 'higgs_bundle' or 'cartier_input' document",
+            "/type",
+        )
+    H = higgs_from_json(_field(doc, "higgs", "/"), "/higgs")
+    raw = _field(doc, "lifting", "/")
+    return H, None if raw is None else lifting_from_json(raw, "/lifting")
 
 
 # ---------------------------------------------------------------------------
@@ -377,49 +394,64 @@ def graded_to_json(G):
 
 def graded_from_json(doc, path="/"):
     require_tag(doc, "graded_higgs", path)
-    ring, curve = _ring_and_curve(doc, path)
+    curve = _curve(doc, path)
     raw_pieces = _field(doc, "pieces", path, list)
     if not raw_pieces:
         raise SchemaError(
-            "a graded object needs at least one piece",
-            path.rstrip("/") + "/pieces",
+            "a graded object needs at least one piece", _child(path, "pieces")
         )
     pieces = []
     for k, body in enumerate(raw_pieces):
-        here = "%s/pieces/%d" % (path.rstrip("/"), k)
-        shell = dict(_typed(body, dict, here, "piece"))
-        shell["curve"] = doc.get("curve")
-        shell["p"] = doc.get("p")
-        shell["m"] = doc.get("m")
-        pieces.append(_bundle_from_body(shell, here))
+        here = _child(path, "pieces/%d" % k)
+        pieces.append(_bundle_from_body(_typed(body, dict, here, "piece"), here, curve))
     raw_maps = _field(doc, "maps", path, list)
     if len(raw_maps) != len(pieces) - 1:
         raise SchemaError(
-            "need one connecting map per adjacent grade pair",
-            path.rstrip("/") + "/maps",
+            "need one connecting map per adjacent grade pair", _child(path, "maps")
         )
     maps = []
     for k, per_chart in enumerate(raw_maps):
-        here = "%s/maps/%d" % (path.rstrip("/"), k)
-        _typed(per_chart, list, here, "per-chart maps")
-        if len(per_chart) != curve.ncharts:
-            raise SchemaError("need one matrix per chart", here)
-        shape = (pieces[k].rank, pieces[k + 1].rank)
-        maps.append(
-            tuple(
-                matrix_from_json(ring, M, "%s/%d" % (here, c), shape=shape)
-                for c, M in enumerate(per_chart)
+        here = _child(path, "maps/%d" % k)
+        shapes = ((pieces[k].rank, pieces[k + 1].rank),) * curve.ncharts
+        maps.append(_matrices(curve.domain, per_chart, here, shapes, "matrix per chart"))
+    G = GradedHiggsBundle(pieces, maps)
+    _checked(G.validate, "graded object", _child(path, "maps"))
+    return G
+
+
+class _SpanSpec:
+    def __init__(self, basis0):
+        self.basis = (basis0,)
+
+
+class _FiltrationSpec:
+    def __init__(self, spans):
+        self.steps = tuple(_SpanSpec(M) for M in spans)
+
+
+def flow_input_from_json(doc):
+    """A bare graded document, or a wrapper that adds one supplied
+    filtration per step as chart-0 span matrices: (graded, filtrations)."""
+    kind = require_tag(doc, None)
+    if kind == "graded_higgs":
+        return graded_from_json(doc), ()
+    if kind != "flow_input":
+        raise SchemaError(
+            "flow run expects a 'graded_higgs' or 'flow_input' document",
+            "/type",
+        )
+    G = graded_from_json(_field(doc, "graded", "/"), "/graded")
+    specs = []
+    for i, fil in enumerate(_field(doc, "filtrations", "/", list)):
+        here = "/filtrations/%d" % i
+        steps = _field(fil, "steps", here, list)
+        specs.append(
+            _FiltrationSpec(
+                matrix_from_json(G.domain, cols, "%s/steps/%d" % (here, j))
+                for j, cols in enumerate(steps)
             )
         )
-    G = GradedHiggsBundle(pieces, maps)
-    try:
-        G.validate()
-    except Exception as err:
-        raise SchemaError(
-            "graded object fails validation: %s" % err,
-            path.rstrip("/") + "/maps",
-        )
-    return G
+    return G, tuple(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +472,7 @@ def filtration_from_json(bundle, doc, path="/"):
     ring = bundle.curve.domain
     steps = []
     for i, cols in enumerate(raw):
-        here = "%s/steps/%d" % (path.rstrip("/"), i)
+        here = _child(path, "steps/%d" % i)
         M = matrix_from_json(ring, cols, here)
         if M.nrows != bundle.rank:
             raise SchemaError(
@@ -451,10 +483,7 @@ def filtration_from_json(bundle, doc, path="/"):
         except Exception as err:
             raise SchemaError("step does not span a subbundle: %s" % err, here)
     fil = HodgeFiltration(bundle, steps)
-    try:
-        fil.validate()
-    except Exception as err:
-        raise SchemaError("filtration fails validation: %s" % err, path)
+    _checked(fil.validate, "filtration", path)
     return fil
 
 
@@ -483,87 +512,55 @@ def witt_tuple_to_json(tup):
 
 def witt_tuple_from_json(doc, path="/"):
     require_tag(doc, "witt_tuple", path)
-    p = _int_field(doc, "p", path)
-    n = _int_field(doc, "m", path)
-    if p < 2:
-        raise SchemaError("p must be a prime >= 2", path.rstrip("/") + "/p")
-    if n < 1:
-        raise SchemaError("m must be positive", path.rstrip("/") + "/m")
-    ring = Zmod(p, n)
+    ring = _ring(doc, path)
+    n = ring.m
     down_m = _field(doc, "down_m", path)
     if n == 1:
         if down_m is not None:
             raise SchemaError(
-                "down_m must be null at modulus p^1", path.rstrip("/") + "/down_m"
+                "down_m must be null at modulus p^1", _child(path, "down_m")
             )
     elif down_m != n - 1:
-        raise SchemaError(
-            "down_m must equal m-1", path.rstrip("/") + "/down_m"
-        )
-    down = Zmod(p, n - 1) if n > 1 else None
+        raise SchemaError("down_m must equal m-1", _child(path, "down_m"))
+    down = Zmod(ring.p, n - 1) if n > 1 else None
     ranks = _field(doc, "ranks", path, list)
     for i, r in enumerate(ranks):
         if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-            raise SchemaError(
-                "ranks must be positive integers",
-                "%s/ranks/%d" % (path.rstrip("/"), i),
-            )
+            here = _child(path, "ranks/%d" % i)
+            raise SchemaError("ranks must be positive integers", here)
     ranks = tuple(ranks)
-    raw_theta = _field(doc, "theta", path, list)
-    if len(raw_theta) != max(len(ranks) - 1, 0):
-        raise SchemaError(
-            "need one grade-raising block per adjacent grade pair",
-            path.rstrip("/") + "/theta",
-        )
-    theta = tuple(
-        matrix_from_json(
-            ring,
-            M,
-            "%s/theta/%d" % (path.rstrip("/"), g),
-            shape=(ranks[g], ranks[g + 1]),
-        )
-        for g, M in enumerate(raw_theta)
+    theta = _matrices(
+        ring,
+        _field(doc, "theta", path),
+        _child(path, "theta"),
+        list(zip(ranks, ranks[1:])),
+        "grade-raising block per adjacent grade pair",
     )
     total = sum(ranks)
 
-    def down_square(key, raw):
+    def below(key, raw, shapes=None):
+        """Matrices one level down: one square of the total rank, or one
+        of each shape."""
         if raw is None:
             return None
-        where = path.rstrip("/") + "/" + key
+        where = _child(path, key)
         if down is None:
             raise SchemaError("%s must be null at modulus p^1" % key, where)
-        return matrix_from_json(down, raw, where, shape=(total, total))
+        if shapes is None:
+            return matrix_from_json(down, raw, where, shape=(total, total))
+        return _matrices(down, raw, where, shapes, "psibar block per grade")
 
     raw_abar = _field(doc, "abar", path)
     raw_psibar = _field(doc, "psibar", path)
-    abar = down_square("abar", raw_abar)
+    abar = below("abar", raw_abar)
     # optional: written only for tuples that carry a Frobenius frame
-    frob_frame = down_square("frob_frame", doc.get("frob_frame"))
-    psibar = None
-    if raw_psibar is not None:
-        if down is None:
-            raise SchemaError(
-                "psibar must be null at modulus p^1",
-                path.rstrip("/") + "/psibar",
-            )
-        _typed(raw_psibar, list, path.rstrip("/") + "/psibar", "psibar")
-        if len(raw_psibar) != len(ranks):
-            raise SchemaError(
-                "need one psibar block per grade", path.rstrip("/") + "/psibar"
-            )
-        psibar = tuple(
-            matrix_from_json(
-                down,
-                M,
-                "%s/psibar/%d" % (path.rstrip("/"), g),
-                shape=(ranks[g], ranks[g]),
-            )
-            for g, M in enumerate(raw_psibar)
-        )
-    try:
-        return LiftingInputTuple(ring, ranks, theta, abar, psibar, frob_frame)
-    except Exception as err:
-        raise SchemaError("tuple fails validation: %s" % err, path)
+    frob_frame = below("frob_frame", doc.get("frob_frame"))
+    psibar = below("psibar", raw_psibar, [(r, r) for r in ranks])
+    return _checked(
+        lambda: LiftingInputTuple(ring, ranks, theta, abar, psibar, frob_frame),
+        "tuple",
+        path,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +635,12 @@ def flow_trace_to_json(trace, certificates):
 
 
 _LOADERS = {
-    "frobenius_lifting": lambda doc: lifting_from_json(doc),
-    "bundle": lambda doc: bundle_from_json(doc),
-    "higgs_bundle": lambda doc: higgs_from_json(doc),
-    "flat_bundle": lambda doc: flat_from_json(doc),
-    "graded_higgs": lambda doc: graded_from_json(doc),
-    "witt_tuple": lambda doc: witt_tuple_from_json(doc),
+    "frobenius_lifting": lifting_from_json,
+    "bundle": bundle_from_json,
+    "higgs_bundle": higgs_from_json,
+    "flat_bundle": flat_from_json,
+    "graded_higgs": graded_from_json,
+    "witt_tuple": witt_tuple_from_json,
 }
 
 

@@ -789,7 +789,15 @@ def cn_inverse(tup, lifting=None):
 
 @dataclass
 class WittReductionCert:
-    """Exact comparison of the transform with its one-level-down shadow."""
+    """Exact comparison of the transform with its one-level-down shadow.
+
+    matches: the transform's connection matrix, reduced one level, equals
+    that of the reduced input's transform.  matrix: the frame change
+    between the two, which is the identity, as both are computed in the
+    standard frame; so invertible is always true, and horizontal (the
+    frame change carries one connection to the other) is matches again.
+    char_p_agrees: at the bottom level, the reduced transform equals the
+    level-one inverse Cartier transform; None above it."""
 
     matrix: RingMatrix
     matches: bool
@@ -817,17 +825,14 @@ def mod_reduction_check(tup):
     base = cn_inverse(rtup)
     reduced = full.A[0].reduce_to(down)
     matches = reduced.sub(base.A[0]).is_zero()
-    ident = RingMatrix.identity(down, tup.rank)
-    defect = ident.derivative().add(base.A[0].mul(ident)).sub(ident.mul(reduced))
-    horizontal = defect.is_zero()
-    invertible = ident.det().is_unit()
     char_p = None
     if down.m == 1:
         total = rtup.theta_total()
         higgs = HiggsBundle.from_chart0(Bundle(AffineLine(down), tup.rank), total)
         level_one = inverse_cartier_1(higgs)
         char_p = base.A[0].sub(level_one.A[0]).is_zero()
-    cert = WittReductionCert(ident, matches, horizontal, invertible, char_p)
+    ident = RingMatrix.identity(down, tup.rank)
+    cert = WittReductionCert(ident, matches, matches, True, char_p)
     if not cert.ok:
         raise CertificateFailed(
             "transform does not reduce to its one-level-down shadow",

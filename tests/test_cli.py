@@ -262,18 +262,19 @@ def test_filtration_compute_refuses_unstable(tmp_path):
     assert "NotNablaSemistable" in err["message"]
 
 
-def test_filtration_compute_env_budget(tmp_path, monkeypatch):
+def test_filtration_compute_ignores_the_search_budget(tmp_path, monkeypatch):
+    # a bundle the descent accepts is already semistable in its trivial
+    # grading, so the descent never searches and takes no budget
     ring = Zmod(3, 1)
     G = GradedHiggsBundle([Bundle.free(ProjectiveLine(ring), 2)], ())
     flat = inverse_cartier_1(G.total())
     path = write_doc(tmp_path, "flat.json", flat_to_json(flat))
     monkeypatch.setenv("HDF_BUDGET", "junk")
-    result = invoke(["filtration", "compute", "--input", path])
-    assert result.exit_code == 2
-    assert json.loads(result.output)["location"] == "env/HDF_BUDGET"
-    monkeypatch.setenv("HDF_BUDGET", "100000")
-    result = invoke(["filtration", "compute", "--input", path])
-    assert result.exit_code == 0
+    out = str(tmp_path / "fil.json")
+    result = invoke(["filtration", "compute", "--input", path, "--out", out])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert manifest["parameters"]["budget"] is None
 
 
 # -- witt subcommands --------------------------------------------------------
@@ -325,12 +326,33 @@ def test_witt_flow_step_reads_the_frobenius_frame(tmp_path):
     assert doc["periodic"] is True
 
 
+def test_witt_flow_step_exits_0_whatever_its_checks_say(tmp_path):
+    # the step reports its certificates; a failed one does not fail the run
+    tup = random_witt_tuple(random.Random(1), 3, 2, (1, 1))
+    path = write_doc(tmp_path, "tup.json", witt_tuple_to_json(tup))
+    out = str(tmp_path / "step.json")
+    result = invoke(["witt", "flow-step", "--input", path, "--out", out])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(open(out + ".manifest.json").read())
+    checks = {c["name"]: c["passed"] for c in manifest["checks"]}
+    assert checks["psi_residual"] is False
+
+
 def test_witt_flow_step_needs_level_two(tmp_path):
     tup = random_witt_tuple(random.Random(33), 3, 1, (1, 1))
     path = write_doc(tmp_path, "tup1.json", witt_tuple_to_json(tup))
     result = invoke(["witt", "flow-step", "--input", path])
     assert result.exit_code == 2
     assert json.loads(result.output)["location"] == "/m"
+
+
+@pytest.mark.parametrize("command", [["cartier", "apply"], ["witt", "lift"]])
+def test_unreadable_input_is_a_contract_error(command, tmp_path):
+    result = invoke(command + ["--input", str(tmp_path / "missing.json")])
+    assert result.exit_code == 2
+    err = json.loads(result.output)
+    assert err["code"] == "contract"
+    assert err["location"] == "args/input"
 
 
 # -- check -------------------------------------------------------------------
