@@ -9,7 +9,13 @@ appears in curves.py and in no other library module.
 import ast
 from pathlib import Path
 
+import pytest
+
 import hdflow
+from hdflow.bundles import Bundle, BundleMap, FlatBundle, HiggsBundle, chart1_form
+from hdflow.curves import AffineLine, ProjectiveLine
+from hdflow.graded import GradedHiggsBundle, GradedMap
+from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 
 PACKAGE = Path(hdflow.__file__).resolve().parent
 
@@ -43,3 +49,166 @@ def test_only_curves_substitutes_the_inverse_coordinate():
     }
     assert found.pop("curves.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _chart_rule_comparisons(path):
+    """Line numbers of comparisons with an operand that calls a chart rule
+    (a function whose name contains 'chart1', such as chart1_map)."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in [node.left] + node.comparators:
+            if not isinstance(operand, ast.Call):
+                continue
+            func = operand.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if "chart1" in name:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_check_per_chart_compares_chart_one_matrices():
+    # a stored chart-1 matrix is checked against its chart rule through
+    # bundles.check_per_chart, which compares whole per-chart tuples; no
+    # module compares the result of a chart rule by hand
+    found = {
+        path.name: _chart_rule_comparisons(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# -- every field on the line rejects poles and a wrong chart-1 matrix ---------
+
+F5 = Zmod(5)
+P1 = ProjectiveLine(F5)
+A1 = AffineLine(F5)
+
+
+def _line(curve, a):
+    return Bundle.line(curve, a) if curve.is_projective else Bundle.free(curve, 1)
+
+
+def _higgs(curve, a, mats):
+    return HiggsBundle(_line(curve, a), mats).validate()
+
+
+def _flat(curve, a, mats):
+    return FlatBundle(_line(curve, a), mats).validate()
+
+
+def _map(curve, a, mats):
+    E = _line(curve, a)
+    return BundleMap(E, E, mats).validate()
+
+
+def _graded(curve, a, mats):
+    """O(a+1) <- O(a) with the given connecting map."""
+    return GradedHiggsBundle((_line(curve, a + 1), _line(curve, a)), (mats,)).validate()
+
+
+def _graded_map(curve, a, mats):
+    G = GradedHiggsBundle((_line(curve, a),), ())
+    return GradedMap((mats,)).validate(G, G)
+
+
+BUILDERS = {
+    "higgs": _higgs,
+    "connection": _flat,
+    "map": _map,
+    "graded higgs": _graded,
+    "graded map": _graded_map,
+}
+
+# Rank-1 fields on P^1 over F_5 as (a, chart-0 entry, chart-1 entry), each
+# entry an {exponent: coefficient} dict.  A "pole on chart c" pair obeys the
+# chart rule, so the pole is its only fault; on O(a), ghat(s) = s^a:
+#   map:        M_1 = s^0 M_0(1/s) s^0 on O(0);
+#   Higgs form: M_1 = -s^-2 M_0(1/s) on O(0);
+#   connection: A_1 = -s^-2 A_0(1/s) - a s^-1 on O(a), so on O(1) the
+#               gauge term cancels the pole of A_0 = -t^-1;
+#   graded:     M_1 = -s^-1 M_0(1/s) for the map O(0) -> O(1) (x) forms.
+FIELDS = {
+    "higgs": {
+        "valid": (0, {}, {}),
+        "pole on chart 0": (0, {-2: 1}, {0: 4}),
+        "pole on chart 1": (0, {0: 1}, {-2: 4}),
+        "wrong chart 1": (0, {}, {0: 1}),
+    },
+    "connection": {
+        "valid": (0, {}, {}),
+        "pole on chart 0": (1, {-1: 4}, {}),
+        "pole on chart 1": (0, {0: 1}, {-2: 4}),
+        "wrong chart 1": (0, {}, {0: 1}),
+    },
+    "map": {
+        "valid": (0, {0: 1}, {0: 1}),
+        "pole on chart 0": (0, {-1: 1}, {1: 1}),
+        "pole on chart 1": (0, {1: 1}, {-1: 1}),
+        "wrong chart 1": (0, {0: 1}, {0: 2}),
+    },
+    "graded higgs": {
+        "valid": (0, {}, {}),
+        "pole on chart 0": (0, {-1: 1}, {0: 4}),
+        "pole on chart 1": (0, {0: 1}, {-1: 4}),
+        "wrong chart 1": (0, {}, {0: 1}),
+    },
+}
+FIELDS["graded map"] = FIELDS["map"]
+
+
+def _per_chart(curve, entries):
+    mats = tuple(RingMatrix(F5, [[LaurentPoly(F5, e)]]) for e in entries)
+    return mats[: curve.ncharts]
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_every_field_accepts_its_chart_rule(kind):
+    a, *entries = FIELDS[kind]["valid"]
+    BUILDERS[kind](P1, a, _per_chart(P1, entries))
+    BUILDERS[kind](A1, a, _per_chart(A1, entries))
+
+
+@pytest.mark.parametrize(
+    "fault", ["pole on chart 0", "pole on chart 1", "wrong chart 1"]
+)
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_every_field_rejects_a_pole_and_a_wrong_chart_one_matrix(kind, fault):
+    a, *entries = FIELDS[kind][fault]
+    with pytest.raises(ValueError):
+        BUILDERS[kind](P1, a, _per_chart(P1, entries))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_every_field_rejects_a_pole_on_the_affine_line(kind):
+    with pytest.raises(ValueError):
+        BUILDERS[kind](A1, 0, _per_chart(A1, [{-1: 1}]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda E, M0: HiggsBundle.from_chart0(E, M0),
+        lambda E, M0: FlatBundle.from_chart0(E, M0),
+        lambda E, M0: BundleMap.from_chart0(E, E, M0),
+    ],
+    ids=["higgs", "connection", "map"],
+)
+def test_from_chart0_rejects_a_chart_zero_pole_whatever_chart_one_gives(build):
+    # t^-2 on O(0) as a form or a connection, and t^-1 on O(0) as a map,
+    # have polynomial chart-1 images
+    E = Bundle.line(P1, 0)
+    for e in (-1, -2):
+        with pytest.raises(ValueError):
+            build(E, RingMatrix(F5, [[LaurentPoly.var(F5, e)]]))
+
+
+def test_higgs_from_chart0_rejects_a_pole_that_chart_one_clears():
+    # (1, 0) = t^-1 maps O(0) into O(4) (x) forms, where it reads -s^3
+    E = Bundle.sum_of_lines(P1, [0, 4])
+    zero = LaurentPoly.zero(F5)
+    theta0 = RingMatrix(F5, [[zero, zero], [LaurentPoly.var(F5, -1), zero]])
+    assert chart1_form(theta0, E, E).is_polynomial()
+    with pytest.raises(ValueError):
+        HiggsBundle.from_chart0(E, theta0)

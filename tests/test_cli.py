@@ -109,6 +109,28 @@ def test_flow_run_missing_field_located(tmp_path):
     assert json.loads(result.output)["location"] == "/pieces"
 
 
+@pytest.mark.parametrize("curve", ["A1", "P1"])
+def test_flow_run_rejects_a_connecting_map_with_a_pole(curve, tmp_path):
+    # t^-1 from O(0) to O(1) (x) forms reads -1 on chart 1 of P^1, so the
+    # pole on chart 0 is the document's only fault
+    ring = Zmod(3, 1)
+    t_inv = RingMatrix(ring, [[LaurentPoly.var(ring, -1)]])
+    if curve == "A1":
+        from hdflow.curves import AffineLine
+
+        line = AffineLine(ring)
+        pieces, maps = [Bundle.free(line, 1)] * 2, ((t_inv,),)
+    else:
+        line = ProjectiveLine(ring)
+        minus_one = RingMatrix.from_scalars(ring, [[2]])
+        pieces, maps = [Bundle.line(line, 1), Bundle.line(line, 0)], ((t_inv, minus_one),)
+    path = write_doc(tmp_path, "pole.json", graded_to_json(GradedHiggsBundle(pieces, maps)))
+    result = invoke(["flow", "run", "--input", path])
+    assert result.exit_code == 2
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("contract", "/maps")
+
+
 def test_flow_run_supplied_policy_needs_filtrations(tmp_path):
     path = write_doc(tmp_path, "triv.json", trivial_graded_doc())
     result = invoke(
@@ -217,6 +239,27 @@ def test_cartier_apply_with_explicit_lifting(tmp_path):
     result = invoke(["cartier", "apply", "--input", path])
     assert result.exit_code == 0
     assert json.loads(result.output)["validation"]["p_curvature_pullback"]
+
+
+def test_cartier_apply_rejects_a_lifting_with_a_pole(tmp_path):
+    from hdflow.serialize import lifting_to_json
+    from hdflow.curves import FrobeniusLifting
+
+    G = generate(CorpusParams(p=3, rank=2, weight=1, count=1, seed=6))[0]
+    H = G.total()
+    lifting = lifting_to_json(FrobeniusLifting.standard(H.bundle.curve))
+    lifting["liftings"][1]["h"] = [[-1, 1]]
+    doc = {
+        "schema": "hdf/1",
+        "type": "cartier_input",
+        "higgs": higgs_to_json(H),
+        "lifting": lifting,
+    }
+    path = write_doc(tmp_path, "ci.json", doc)
+    result = invoke(["cartier", "apply", "--input", path])
+    assert result.exit_code == 2
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("contract", "/lifting/liftings")
 
 
 def test_cartier_apply_rejects_non_nilpotent(tmp_path):

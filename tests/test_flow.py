@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from hdflow.bundles import Bundle, Subbundle
+from hdflow.cartier import inverse_cartier_1
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import (
     BadMinimalPolynomial,
+    CertificateFailed,
     NotNablaSemistable,
     NotPrimitive,
     PolicyFiltrationInvalid,
@@ -557,6 +559,52 @@ def test_relative_frobenius_conjugated_frames():
         rf = build_relative_frobenius(T)
         assert all(rf.certificates.values())
         assert rf.target.bundle.transition == H.bundle.transition
+
+
+def _with_phi(T, blocks):
+    """T with its period map replaced and its validated stages kept."""
+    return dataclasses.replace(T, phi=GradedMap(blocks))
+
+
+def test_relative_frobenius_part_1_rejects_a_singular_period_map():
+    d = Zmod(5, 1)
+    T = simple_tuple(p=5)
+    zero = RingMatrix.zeros(d, 2, 2)
+    with pytest.raises(CertificateFailed) as err:
+        build_relative_frobenius(_with_phi(T, ((zero, zero),)))
+    assert err.value.part == 1
+
+
+def test_relative_frobenius_part_2_rejects_a_non_horizontal_period_map():
+    # the grades of theta = 1 scaled by 1 and 2: unimodular, but the total
+    # map fails to commute with the transform connection, whose only entry
+    # is the pullback of theta
+    d = Zmod(3, 1)
+    curve = AffineLine(d)
+    G = weight1_graded(curve, LaurentPoly.one(d))
+    H = inverse_cartier_1(G.total())
+    assert not H.A[0].is_zero()
+    T = PeriodicTuple(
+        G,
+        (trivial_fil_spec(2, d),),
+        GradedMap(((const_matrix(d, [[1]]),), (const_matrix(d, [[2]]),))),
+        _stages=(G, G),
+        _flats=(H,),
+    )
+    with pytest.raises(CertificateFailed) as err:
+        build_relative_frobenius(T)
+    assert err.value.part == 2
+
+
+def test_relative_frobenius_part_3_rejects_a_chart_mismatched_period_map():
+    # chart 1 scaled by 2 stays unimodular and horizontal, but no longer
+    # is the chart-1 image of chart 0
+    d = Zmod(5, 1)
+    T = simple_tuple(p=5, phi_rows=[[1, 3], [0, 2]])
+    M0, M1 = T.phi.blocks[0]
+    with pytest.raises(CertificateFailed) as err:
+        build_relative_frobenius(_with_phi(T, ((M0, M1.scale_const(2)),)))
+    assert err.value.part == 3
 
 
 def test_relative_frobenius_needs_period_one():

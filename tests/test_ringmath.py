@@ -418,6 +418,22 @@ def test_matrix_inverse_rejects_nonunit_det():
         M.inverse()
 
 
+def test_is_unimodular_means_a_unit_constant_determinant():
+    F = Zmod(3, 2)
+    t = LaurentPoly.var(F)
+    one = LaurentPoly.one(F)
+    zero = LaurentPoly.zero(F)
+    assert RingMatrix.zeros(F, 0, 0).is_unimodular()
+    assert not RingMatrix.zeros(F, 2, 1).is_unimodular()
+    assert RingMatrix(F, [[one, t], [zero, LaurentPoly.const(F, 2)]]).is_unimodular()
+    assert not RingMatrix.from_scalars(F, [[3]]).is_unimodular()
+    for k in (-1, 1, 2):
+        assert not RingMatrix(F, [[LaurentPoly.var(F, k)]]).is_unimodular()
+    assert not RingMatrix(F, [[t, zero], [one, one]]).is_unimodular()
+    # 1 + 3t is a unit of (Z/9)[t], but not a constant
+    assert not RingMatrix(F, [[one.add(t.scale(3))]]).is_unimodular()
+
+
 def _const_matrix(F, rows):
     return RingMatrix.from_scalars(F, rows)
 
