@@ -11,13 +11,20 @@ Matrix-valued fields attach one matrix per chart, written in that chart's
 own coordinate.  The chart rule is written once: ProjectiveLine's
 to_other_chart is the one substitution t -> 1/s, Bundle.to_chart1 reads
 chart-0 columns in chart 1 as ghat(s) cols(1/s) with ghat(s) = g(1/s),
-chart1_map gives the chart-1 matrix of a map and chart1_form that of a
-matrix of 1-forms:
+chart1_map gives the chart-1 matrix of a map, chart1_form that of a
+matrix of 1-forms and chart1_connection that of a connection:
   * a map phi: E -> F has phi_1(s) = ghat_F(s) phi_0(1/s) ghat_E(s)^-1;
   * Higgs field theta = Theta(t) dt, O-linear, so
     Theta_1(s) = -s^-2 * ghat(s) Theta_0(1/s) ghat(s)^-1;
   * connection nabla = d + A(t) dt, with the gauge term
     A_1(s) = -s^-2 * ghat A_0(1/s) ghat^-1 + ghat * d(ghat^-1)/ds.
+
+per_chart turns a chart-0 matrix and one of these rules into the per-chart
+tuple and rejects a pole on any chart; check_per_chart asks that a stored
+tuple is exactly what per_chart gives.  The from_chart0 and validate of
+every field (Higgs, connection, map, graded connecting map, graded map) go
+through these two, and every isomorphism test through
+RingMatrix.is_unimodular (square, with a unit constant determinant).
 
 Frame changes by a polynomial-unimodular Q(t) act on coordinates as
 x' = Q x, on Higgs matrices by Q Theta Q^-1, and on connection matrices by
@@ -109,6 +116,36 @@ def chart1_form(M0, source, target):
     """The chart-1 matrix forced by the chart-0 matrix M0 of 1-forms with
     values in maps from source to target: chart1_map times dt/ds."""
     return chart1_map(M0, source, target).scale(target.curve.jacobian_factor())
+
+
+def chart1_connection(A0, source, target):
+    """The chart-1 matrix forced by the chart-0 matrix A0 of a connection on
+    source, which is also its target (the argument keeps the shape of the
+    other chart rules): the gauge transform of A0(1/s) dt/ds by ghat."""
+    curve = source.curve
+    a0_hat = curve.to_other_chart(A0).scale(curve.jacobian_factor())
+    ghat = source.chart1_transition()
+    return change_frame_connection(a0_hat, ghat, ghat.inverse())
+
+
+def per_chart(M0, rule, source, target, what):
+    """The per-chart matrices of a field with chart-0 matrix M0: (M0,) on
+    A^1, and on P^1 (M0, rule(M0, source, target)) with rule one of
+    chart1_map, chart1_form and chart1_connection.  A pole on any chart
+    raises ValueError."""
+    mats = (M0, rule(M0, source, target)) if source.curve.is_projective else (M0,)
+    if not M0.is_polynomial():
+        raise ValueError("%s matrix has a pole" % what)
+    if not mats[-1].is_polynomial():
+        raise ValueError("%s matrix fails to extend over infinity" % what)
+    return mats
+
+
+def check_per_chart(mats, rule, source, target, what):
+    """Raise ValueError unless the stored per-chart matrices are exactly
+    what per_chart makes of their chart-0 matrix."""
+    if per_chart(mats[0], rule, source, target, what) != tuple(mats):
+        raise ValueError("%s matrices disagree on the overlap" % what)
 
 
 def change_frame_higgs(theta, Q, Qinv):
@@ -242,13 +279,6 @@ class SplitFrames:
         self.Phat = bundle.curve.to_other_chart(fact.P)
 
 
-def _connection_chart1(bundle, a0):
-    curve = bundle.curve
-    a0_hat = curve.to_other_chart(a0).scale(curve.jacobian_factor())
-    ghat = bundle.chart1_transition()
-    return change_frame_connection(a0_hat, ghat, ghat.inverse())
-
-
 class HiggsBundle:
     """Bundle plus one Higgs matrix per chart (theta = Theta dt)."""
 
@@ -263,14 +293,9 @@ class HiggsBundle:
 
     @classmethod
     def from_chart0(cls, bundle, theta0):
-        """Build from the chart-0 matrix; on P^1 the chart-1 matrix is forced
-        and must come out polynomial in s."""
-        if not bundle.curve.is_projective:
-            return cls(bundle, (theta0,))
-        theta1 = chart1_form(theta0, bundle, bundle)
-        if not theta1.is_polynomial():
-            raise ValueError("Higgs matrix fails to extend over infinity")
-        return cls(bundle, (theta0, theta1))
+        """Build from the chart-0 matrix; on P^1 the chart-1 matrix is forced,
+        and both must be polynomial."""
+        return cls(bundle, per_chart(theta0, chart1_form, bundle, bundle, "Higgs"))
 
     @classmethod
     def zero(cls, bundle):
@@ -278,12 +303,7 @@ class HiggsBundle:
         return cls(bundle, tuple(z for _ in range(bundle.curve.ncharts)))
 
     def validate(self):
-        for T in self.theta:
-            if not T.is_polynomial():
-                raise ValueError("Higgs matrix has a pole")
-        if self.bundle.curve.is_projective:
-            if chart1_form(self.theta[0], self.bundle, self.bundle) != self.theta[1]:
-                raise ValueError("Higgs matrices disagree on the overlap")
+        check_per_chart(self.theta, chart1_form, self.bundle, self.bundle, "Higgs")
         return self
 
     def nilpotency_index(self):
@@ -317,21 +337,18 @@ class FlatBundle:
 
     @classmethod
     def from_chart0(cls, bundle, a0):
-        if not bundle.curve.is_projective:
-            return cls(bundle, (a0,))
-        a1 = _connection_chart1(bundle, a0)
-        if not a1.is_polynomial():
-            raise ValueError("connection matrix fails to extend over infinity")
-        return cls(bundle, (a0, a1))
+        A = per_chart(a0, chart1_connection, bundle, bundle, "connection")
+        return cls(bundle, A)
 
     def validate(self):
-        for M in self.A:
-            if not M.is_polynomial():
-                raise ValueError("connection matrix has a pole")
-        if self.bundle.curve.is_projective:
-            if _connection_chart1(self.bundle, self.A[0]) != self.A[1]:
-                raise ValueError("connection matrices disagree on the overlap")
+        E = self.bundle
+        check_per_chart(self.A, chart1_connection, E, E, "connection")
         return self
+
+    def covariant_derivative(self, cols, chart=0):
+        """nabla applied to the columns cols of a chart's sections against
+        its coordinate field: cols' + A cols."""
+        return cols.derivative().add(self.A[chart].mul(cols))
 
 
 class BundleMap:
@@ -349,20 +366,10 @@ class BundleMap:
 
     @classmethod
     def from_chart0(cls, source, target, phi0):
-        if not source.curve.is_projective:
-            return cls(source, target, (phi0,))
-        phi1 = chart1_map(phi0, source, target)
-        if not phi1.is_polynomial():
-            raise ValueError("map fails to extend over infinity")
-        return cls(source, target, (phi0, phi1))
+        return cls(source, target, per_chart(phi0, chart1_map, source, target, "map"))
 
     def validate(self):
-        for M in self.phi:
-            if not M.is_polynomial():
-                raise ValueError("map matrix has a pole")
-        if self.source.curve.is_projective:
-            if chart1_map(self.phi[0], self.source, self.target) != self.phi[1]:
-                raise ValueError("map matrices disagree on the overlap")
+        check_per_chart(self.phi, chart1_map, self.source, self.target, "map")
         return self
 
     def compose(self, earlier):
@@ -376,14 +383,7 @@ class BundleMap:
         )
 
     def is_isomorphism(self):
-        d = self.source.domain
-        if self.source.rank != self.target.rank:
-            return False
-        for M in self.phi:
-            det = M.det()
-            if not (det.is_constant() and d.is_unit(det.constant_term())):
-                return False
-        return True
+        return all(M.is_unimodular() for M in self.phi)
 
     def respects_higgs(self, higgs_source, higgs_target):
         """phi is a map of Higgs bundles: phi Theta_A = Theta_B phi chartwise."""
@@ -397,12 +397,8 @@ class BundleMap:
         """phi commutes with the connections:
         dphi/dt + A_B phi - phi A_A = 0 on every chart."""
         return all(
-            self.phi[c]
-            .derivative()
-            .add(flat_target.A[c].mul(self.phi[c]))
-            .sub(self.phi[c].mul(flat_source.A[c]))
-            .is_zero()
-            for c in range(len(self.phi))
+            flat_target.covariant_derivative(M, c).sub(M.mul(A)).is_zero()
+            for c, (M, A) in enumerate(zip(self.phi, flat_source.A))
         )
 
 

@@ -106,10 +106,10 @@ def p_curvature(flat):
         raise WrongModulus("p-curvature is a characteristic-p computation")
     p = d.p
     out = []
-    for A in flat.A:
+    for c in range(flat.bundle.curve.ncharts):
         B = RingMatrix.identity(d, flat.bundle.rank)
         for _ in range(p):
-            B = B.derivative().add(A.mul(B))
+            B = flat.covariant_derivative(B, c)
         out.append(B)
     return tuple(out)
 

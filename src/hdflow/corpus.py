@@ -10,7 +10,7 @@ and every emitted instance passes its own validate().
 import random
 from dataclasses import dataclass
 
-from .bundles import Bundle, HiggsBundle, chart1_form
+from .bundles import Bundle, HiggsBundle, chart1_form, per_chart
 from .curves import AffineLine, ProjectiveLine
 from .graded import GradedHiggsBundle
 from .ringmath import LaurentPoly, RingMatrix, Zmod, random_poly
@@ -117,10 +117,8 @@ def _graded_instance(rng, params, ring, curve):
                     row.append(random_poly(rng, ring, 2))
             rows.append(row)
         M0 = RingMatrix(ring, rows)
-        if curve.is_projective:
-            maps.append((M0, chart1_form(M0, pieces[k + 1], pieces[k])))
-        else:
-            maps.append((M0,))
+        source, target = pieces[k + 1], pieces[k]
+        maps.append(per_chart(M0, chart1_form, source, target, "connecting map"))
     return GradedHiggsBundle(pieces, maps).validate()
 
 

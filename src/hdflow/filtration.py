@@ -288,9 +288,7 @@ def max_destabilizer_graded(G, budget=DEFAULT_SEARCH_BUDGET):
 
 
 def _nabla_invariant(flat, sub):
-    B = sub.basis[0]
-    image = B.derivative().add(flat.A[0].mul(B))
-    return sub.contains_chart0(image)
+    return sub.contains_chart0(flat.covariant_derivative(sub.basis[0]))
 
 
 def is_nabla_semistable(flat):

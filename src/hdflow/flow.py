@@ -23,7 +23,6 @@ from .bundles import (
     Bundle,
     BundleMap,
     Subbundle,
-    chart1_map,
     frobenius_pullback_matrix,
 )
 from .cartier import inverse_cartier_1, inverse_cartier_1_on_map
@@ -777,39 +776,29 @@ class RelativeFrobenius:
 def build_relative_frobenius(T):
     """Per-chart relative Frobenius of a one-periodic tuple.
 
-    Certificates, all exact: (1) each chart matrix is invertible, (2) the
-    horizontality square against the two transform connections commutes,
-    (3) the chart matrices agree across the twisted gluing.  A failure
-    names the certificate that broke."""
+    Certificates, all exact, on the transform of the period map as a
+    BundleMap: (1) each chart matrix is invertible (is_isomorphism), (2)
+    the horizontality square against the two transform connections
+    commutes (is_horizontal), (3) the chart matrices agree across the
+    twisted gluing (validate).  A failure names the certificate that
+    broke."""
     if T.period != 1:
         raise ValueError("the relative Frobenius needs a one-periodic tuple")
     stages = T.stages()
     E0, E1 = stages[0], stages[1]
     H = T._flats[0]
     source = inverse_cartier_1(E1.total())
-    phi_tot = total_map(T.phi, E1, E0)
-    charts = tuple(frobenius_pullback_matrix(M) for M in phi_tot.phi)
-
-    for c, M in enumerate(charts):
-        det = M.det()
-        if det.is_zero() or det.degree() != 0 or not det.is_unit():
-            raise CertificateFailed(
-                "chart %d matrix is not invertible" % c, part=1
-            )
-    for c in range(len(charts)):
-        lhs = charts[c].derivative().add(H.A[c].mul(charts[c]))
-        rhs = charts[c].mul(source.A[c])
-        if lhs != rhs:
-            raise CertificateFailed(
-                "horizontality fails on chart %d" % c, part=2
-            )
-    if E0.curve.is_projective:
-        if chart1_map(charts[0], source.bundle, H.bundle) != charts[1]:
-            raise CertificateFailed(
-                "chart matrices disagree across the gluing", part=3
-            )
+    F = inverse_cartier_1_on_map(total_map(T.phi, E1, E0), source, H)
+    if not F.is_isomorphism():
+        raise CertificateFailed("a chart matrix is not invertible", part=1)
+    if not F.is_horizontal(source, H):
+        raise CertificateFailed("horizontality fails on a chart", part=2)
+    try:
+        F.validate()
+    except ValueError:
+        raise CertificateFailed("chart matrices disagree across the gluing", part=3)
     return RelativeFrobenius(
-        charts,
+        F.phi,
         source,
         H,
         {"invertible": True, "horizontal": True, "taylor": True},

@@ -23,7 +23,9 @@ from .bundles import (
     change_frame_connection,
     chart1_form,
     chart1_map,
+    check_per_chart,
     full_subbundle,
+    per_chart,
 )
 from .errors import SearchBudgetExceeded, TransversalityViolated
 from .ringmath import (
@@ -116,11 +118,8 @@ def transversality_offender(flat, filtration):
     """First index i with nabla(Fil^i) not inside Fil^{i-1} tensor forms,
     or None; the chart-0 check is exact because the steps are saturated."""
     for i in range(1, filtration.level + 1):
-        S = filtration.steps[i - 1]
-        B = S.basis[0]
-        image = B.derivative().add(flat.A[0].mul(B))
-        target = filtration.step(i - 1)
-        if not target.contains_chart0(image):
+        image = flat.covariant_derivative(filtration.steps[i - 1].basis[0])
+        if not filtration.step(i - 1).contains_chart0(image):
             return i
     return None
 
@@ -160,10 +159,10 @@ class GradedHiggsBundle:
         self.curve = self.pieces[0].curve
         if len(self.maps) != len(self.pieces) - 1:
             raise ValueError("one connecting map per adjacent grade pair")
-        for k, per_chart in enumerate(self.maps):
-            if len(per_chart) != self.curve.ncharts:
+        for k, mats in enumerate(self.maps):
+            if len(mats) != self.curve.ncharts:
                 raise ValueError("one matrix per chart required")
-            for M in per_chart:
+            for M in mats:
                 if (
                     M.nrows != self.pieces[k].rank
                     or M.ncols != self.pieces[k + 1].rank
@@ -189,17 +188,12 @@ class GradedHiggsBundle:
         return Fraction(self.degree(), self.rank)
 
     def validate(self):
-        p = self.domain.p
-        if self.weight > p - 2:
+        if self.weight > self.domain.p - 2:
             raise ValueError("grading weight exceeds p-2")
-        if not self.curve.is_projective:
-            return self
-        for k, per_chart in enumerate(self.maps):
+        for k, mats in enumerate(self.maps):
             source, target = self.pieces[k + 1], self.pieces[k]
-            if chart1_form(per_chart[0], source, target) != per_chart[1]:
-                raise ValueError(
-                    "grade-%d connecting map breaks the chart rule" % (k + 1)
-                )
+            what = "grade-%d connecting map" % (k + 1)
+            check_per_chart(mats, chart1_form, source, target, what)
         return self
 
     def total(self):
@@ -347,16 +341,12 @@ class GradedMap:
     def validate(self, A, B):
         if len(self.blocks) != len(A.pieces) or len(A.pieces) != len(B.pieces):
             raise ValueError("grade count mismatch")
-        for i, per_chart in enumerate(self.blocks):
-            for c, M in enumerate(per_chart):
+        for i, mats in enumerate(self.blocks):
+            for M in mats:
                 if M.nrows != B.pieces[i].rank or M.ncols != A.pieces[i].rank:
                     raise ValueError("block shape mismatch at grade %d" % i)
-                if not M.is_polynomial():
-                    raise ValueError("block has a pole at grade %d" % i)
-        if A.curve.is_projective:
-            for i, per_chart in enumerate(self.blocks):
-                if chart1_map(per_chart[0], A.pieces[i], B.pieces[i]) != per_chart[1]:
-                    raise ValueError("grade-%d block breaks the chart rule" % i)
+            what = "grade-%d block" % i
+            check_per_chart(mats, chart1_map, A.pieces[i], B.pieces[i], what)
         for k in range(len(A.maps)):
             for c in range(A.curve.ncharts):
                 left = self.blocks[k][c].mul(A.maps[k][c])
@@ -368,14 +358,7 @@ class GradedMap:
         return self
 
     def is_isomorphism(self):
-        for per_chart in self.blocks:
-            for M in per_chart:
-                if M.nrows != M.ncols:
-                    return False
-                det = M.det()
-                if M.nrows and (det.degree() != 0 or not det.is_unit()):
-                    return False
-        return True
+        return all(M.is_unimodular() for mats in self.blocks for M in mats)
 
 
 def _identity_graded_map(A):
@@ -461,26 +444,11 @@ def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
                 d.axpy(gen, v, coeffs)
         if coeffs:
             mats = system.matrices(coeffs)
-            if all(
-                M.nrows == 0
-                or ((det := M.det()).degree() == 0 and det.is_unit())
-                for M in mats
-            ):
+            if all(M.is_unimodular() for M in mats):
                 blocks = []
-                for i, M in enumerate(mats):
+                for i, (M, PA, PB) in enumerate(zip(mats, A.pieces, B.pieces)):
                     phi0 = from_split_B[i].mul(M).mul(to_split_A[i])
-                    per_chart = [phi0]
-                    if A.curve.is_projective:
-                        phi1 = chart1_map(phi0, A.pieces[i], B.pieces[i])
-                        per_chart.append(_expect_polynomial(phi1))
-                    blocks.append(tuple(per_chart))
-                out = GradedMap(tuple(blocks))
-                out.validate(A, B)
-                return out
+                    what = "grade-%d block" % i
+                    blocks.append(per_chart(phi0, chart1_map, PA, PB, what))
+                return GradedMap(tuple(blocks)).validate(A, B)
     return None
-
-
-def _expect_polynomial(M):
-    if not M.is_polynomial():
-        raise ValueError("chart-1 block unexpectedly has a pole")
-    return M

@@ -899,6 +899,14 @@ class RingMatrix:
 
         return self._trusted(self.domain, [[cofactor(i, j) for i in full] for j in full])
 
+    def is_unimodular(self):
+        """Square with a unit constant determinant (the 0 x 0 matrix
+        included)."""
+        if self.nrows != self.ncols:
+            return False
+        det = self.det()
+        return det.is_constant() and self.domain.is_unit(det.constant_term())
+
     def inverse(self):
         minor = self._minors()
         return self._inverse(minor(), minor)

@@ -261,9 +261,10 @@ def lifting_from_json(doc, path="/"):
             raise SchemaError("chart listed twice", here + "/chart")
         h = _field(entry, "h", here, list)
         hs[chart] = poly_from_json(curve.domain, h, here + "/h")
+    where = _child(path, "liftings")
     if None in hs:
-        raise SchemaError("every chart needs a lifting", _child(path, "liftings"))
-    return FrobeniusLifting(curve, tuple(hs))
+        raise SchemaError("every chart needs a lifting", where)
+    return _checked(lambda: FrobeniusLifting(curve, tuple(hs)), "lifting", where)
 
 
 # ---------------------------------------------------------------------------

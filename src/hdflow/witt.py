@@ -1143,9 +1143,6 @@ def horizontal_transport(flat, cols_a, cols_b):
     U = RingMatrix.identity(ring, rank).add(
         S.scale_const(ring.coerce(p ** (n - 1)))
     )
-    defect = (
-        U.derivative().add(flat.A[0].mul(U)).sub(U.mul(flat.A[0]))
-    )
-    if not defect.is_zero():
+    if not flat.covariant_derivative(U).sub(U.mul(flat.A[0])).is_zero():
         return None
     return U
