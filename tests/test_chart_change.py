@@ -3,7 +3,10 @@
 Every object on the projective line reads in chart 1 through
 ProjectiveLine.to_other_chart, so inverting the coordinate, whether by a
 LaurentPoly.var call with exponent -1 or by a rescale(-1) exponent map,
-appears in curves.py and in no other library module.
+appears in curves.py and in no other library module.  Likewise a stored
+chart-1 matrix is checked against its chart rule only by
+bundles.check_per_chart, and every field on the line rejects a pole on
+either chart and a chart-1 matrix its chart rule does not give.
 """
 
 import ast
