@@ -65,7 +65,7 @@ def _chart_rule_comparisons(path):
             if not isinstance(operand, ast.Call):
                 continue
             func = operand.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            name = getattr(func, "attr", None) or getattr(func, "id", "")
             if "chart1" in name:
                 lines.append(node.lineno)
     return lines

@@ -123,8 +123,10 @@ def test_flow_run_rejects_a_connecting_map_with_a_pole(curve, tmp_path):
     else:
         line = ProjectiveLine(ring)
         minus_one = RingMatrix.from_scalars(ring, [[2]])
-        pieces, maps = [Bundle.line(line, 1), Bundle.line(line, 0)], ((t_inv, minus_one),)
-    path = write_doc(tmp_path, "pole.json", graded_to_json(GradedHiggsBundle(pieces, maps)))
+        pieces = [Bundle.line(line, 1), Bundle.line(line, 0)]
+        maps = ((t_inv, minus_one),)
+    G = GradedHiggsBundle(pieces, maps)
+    path = write_doc(tmp_path, "pole.json", graded_to_json(G))
     result = invoke(["flow", "run", "--input", path])
     assert result.exit_code == 2
     err = json.loads(result.output)
