@@ -3,6 +3,7 @@ spec'd example behaviors, byte determinism, and the reparse property."""
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -164,17 +165,17 @@ def test_flow_run_writes_artifact_and_manifest(tmp_path):
     result = invoke(["flow", "run", "--input", path, "--out", out])
     assert result.exit_code == 0
     assert result.output == ""
-    trace = json.loads(open(out).read())
+    trace = json.loads(Path(out).read_text())
     assert trace["type"] == "flow_trace"
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["command"] == ["flow", "run"]
     assert manifest["parameters"]["p"] == 3
     assert manifest["parameters"]["policy"] == "canonical"
     assert manifest["outputs"] == [out]
     assert all(c["passed"] for c in manifest["checks"])
-    first = open(out, "rb").read(), open(out + ".manifest.json", "rb").read()
+    first = Path(out).read_bytes(), Path(out + ".manifest.json").read_bytes()
     invoke(["flow", "run", "--input", path, "--out", out])
-    second = open(out, "rb").read(), open(out + ".manifest.json", "rb").read()
+    second = Path(out).read_bytes(), Path(out + ".manifest.json").read_bytes()
     assert first == second
 
 
@@ -318,7 +319,7 @@ def test_filtration_compute_ignores_the_search_budget(tmp_path, monkeypatch):
     out = str(tmp_path / "fil.json")
     result = invoke(["filtration", "compute", "--input", path, "--out", out])
     assert result.exit_code == 0, result.output
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["parameters"]["budget"] is None
 
 
@@ -378,7 +379,7 @@ def test_witt_flow_step_exits_0_whatever_its_checks_say(tmp_path):
     out = str(tmp_path / "step.json")
     result = invoke(["witt", "flow-step", "--input", path, "--out", out])
     assert result.exit_code == 0, result.output
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     checks = {c["name"]: c["passed"] for c in manifest["checks"]}
     assert checks["psi_residual"] is False
 
@@ -456,6 +457,22 @@ def test_check_rejects_unsupported_prime():
     assert json.loads(result.output)["location"] == "args/p"
 
 
+@pytest.mark.parametrize("power", ["-1", "0"])
+def test_check_rejects_a_modulus_power_below_one(power, tmp_path):
+    out = tmp_path / "check.json"
+    result = invoke(
+        [
+            "check", "--suite", "gamma-relations",
+            "--modulus-power", power, "--out", str(out),
+        ]
+    )
+    assert result.exit_code == 2, result.output
+    err = json.loads(result.output)
+    assert err["code"] == "contract"
+    assert err["location"] == "args/modulus-power"
+    assert not out.exists()
+
+
 def test_check_deterministic_given_seed():
     a = invoke(["check", "--suite", "gamma-relations", "--seed", "12"])
     b = invoke(["check", "--suite", "gamma-relations", "--seed", "12"])
@@ -478,7 +495,7 @@ def test_check_ignores_the_search_budget(tmp_path, monkeypatch):
     out = str(tmp_path / "check.json")
     result = invoke(["check", "--suite", "p-curvature", "--out", out])
     assert result.exit_code == 0, result.output
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["parameters"]["budget"] is None
 
 

@@ -1,4 +1,4 @@
-"""Tests for semistability, destabilizers, and the filtration descent."""
+"""Tests for semistability, destabilizers, and Simpson's filtration."""
 
 import json
 import random
@@ -12,7 +12,6 @@ from hdflow.bundles import (
     FlatBundle,
     HiggsBundle,
     Subbundle,
-    full_subbundle,
     hn_filtration,
 )
 from hdflow.cartier import inverse_cartier_1
@@ -20,7 +19,6 @@ from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import (
     CertificateFailed,
-    IterationBudgetExceeded,
     NotNablaSemistable,
     SearchBudgetExceeded,
     SemistableInput,
@@ -29,7 +27,6 @@ from hdflow.errors import (
 from hdflow.filtration import (
     DEFAULT_SEARCH_BUDGET,
     DescentRecord,
-    DestabilizerReport,
     _Budget,
     _LinePool,
     check_window_descent,
@@ -37,12 +34,9 @@ from hdflow.filtration import (
     is_nabla_semistable,
     max_destabilizer_graded,
     simpson_filtration,
-    xi_step,
 )
 from hdflow.graded import (
-    DeRhamBundle,
     GradedHiggsBundle,
-    HodgeFiltration,
     grade,
 )
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
@@ -269,56 +263,6 @@ def test_destabilizer_deterministic():
     assert a.pieces[0].same_as(b.pieces[0])
 
 
-# -- the descent operator ----------------------------------------------------
-
-
-def test_xi_from_trivial_pushes_in_hn_max():
-    H = transform_36()
-    fil = HodgeFiltration.trivial(H.bundle)
-    new_fil = xi_step(DeRhamBundle(H, fil))
-    assert new_fil.level == 1
-    assert new_fil.steps[0].same_as(hn_filtration(H.bundle)[0])
-    assert new_fil.steps[0].degree() == 3
-
-
-def test_xi_full_shift_with_whole_grading():
-    H = transform_36()
-    fil = HodgeFiltration(
-        H.bundle,
-        [Subbundle.from_chart0_span(H.bundle, hn_filtration(H.bundle)[0].basis[0])],
-    )
-    g = grade(H, fil)
-    whole = DestabilizerReport(
-        tuple(full_subbundle(P) for P in g.graded.pieces),
-        g.graded.slope(),
-        g.graded.rank,
-    )
-    new_fil = xi_step(DeRhamBundle(H, fil), grading=g, report=whole)
-    assert new_fil.level == fil.level + 1
-    for i in range(fil.level + 1):
-        assert new_fil.rank_at(i + 1) == fil.rank_at(i)
-
-
-def test_xi_stationary_on_nabla_unstable_loop():
-    # the counterexample class: an invariant destabilizing line makes the
-    # descent loop stall instead of reaching a semistable grading
-    H = transform_36()
-    fil = HodgeFiltration.trivial(H.bundle)
-    f1 = xi_step(DeRhamBundle(H, fil))
-    from hdflow.graded import reduce_filtration
-
-    f2 = reduce_filtration(xi_step(DeRhamBundle(H, f1)))
-    assert f2.level == 1 and f2.steps[0].same_as(f1.steps[0])
-
-
-def test_xi_semistable_input_raises():
-    d = Zmod(3, 1)
-    curve = ProjectiveLine(d)
-    flat = FlatBundle.from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
-    with pytest.raises(SemistableInput):
-        xi_step(DeRhamBundle(flat, HodgeFiltration.trivial(flat.bundle)))
-
-
 # -- the canonical filtration ------------------------------------------------
 
 
@@ -387,20 +331,18 @@ def test_semistable_corpus_terminates_quickly():
     assert count >= 30
 
 
-def test_descent_stops_at_the_iteration_bound(monkeypatch):
+def test_simpson_refuses_a_destabilized_trivial_grading(monkeypatch):
     # a connection-semistable bundle on the line has a constant splitting
-    # type (or lives on A^1), so its trivial grading is already semistable;
-    # the step is forced by a scan that reports a real destabilizer of an
-    # unstable grading, and the bound is read when the descent runs
+    # type (or lives on A^1), so its trivial grading is semistable; a scan
+    # that reports a destabilizer anyway breaks that certificate
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
     report = max_destabilizer_graded(one_grade(Bundle.sum_of_lines(curve, (1, 0))))
     monkeypatch.setattr(filtration, "_destabilizer_scan", lambda *args, **kw: report)
-    monkeypatch.setattr(filtration, "DEFAULT_MAX_ITER", 0)
     flat = FlatBundle.from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
-    with pytest.raises(IterationBudgetExceeded) as err:
+    with pytest.raises(CertificateFailed) as err:
         simpson_filtration(flat)
-    assert "within 0 steps; log [('1', 1)]" in str(err.value)
+    assert err.value.part == "simpson-trivial"
 
 
 # -- window descent bookkeeping ----------------------------------------------

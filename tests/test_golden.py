@@ -24,7 +24,13 @@ import pytest
 from click.testing import CliRunner
 
 from hdflow.cli import main
-from hdflow.corpus import CorpusParams, generate, random_lifting, random_witt_tuple
+from hdflow.corpus import (
+    CorpusParams,
+    generate,
+    random_lifting,
+    random_nilpotent_higgs,
+    random_witt_tuple,
+)
 from hdflow.bundles import Bundle, HiggsBundle, Subbundle, chart1_map, hn_filtration
 from hdflow.cartier import inverse_cartier_1
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
@@ -47,6 +53,7 @@ from hdflow.ringmath import (
 )
 from hdflow.serialize import (
     canonical_bytes,
+    flat_to_json,
     graded_to_json,
     matrix_to_json,
     witt_tuple_to_json,
@@ -101,13 +108,24 @@ def _rank_two_a1():
     return graded_to_json(generate(params)[0])
 
 
-def _run_cli(tmp_path, monkeypatch, args, doc=None):
-    """Run one command writing artifact.json, return (artifact, manifest)."""
+def _nilpotent_transform(seed, p, curve):
+    """The inverse Cartier transform of a seeded rank-2 nilpotent field."""
+    H = random_nilpotent_higgs(random.Random(seed), p, 2, curve=curve)
+    return flat_to_json(inverse_cartier_1(H))
+
+
+def _invoke_cli(tmp_path, monkeypatch, args, doc=None):
+    """Run one command with --out artifact.json; return its result."""
     monkeypatch.chdir(tmp_path)
     if doc is not None:
         (tmp_path / "input.json").write_bytes(canonical_bytes(doc))
         args = args + ["--input", "input.json"]
-    result = CliRunner().invoke(main, args + ["--out", "artifact.json"])
+    return CliRunner().invoke(main, args + ["--out", "artifact.json"])
+
+
+def _run_cli(tmp_path, monkeypatch, args, doc=None):
+    """Run one command writing artifact.json, return (artifact, manifest)."""
+    result = _invoke_cli(tmp_path, monkeypatch, args, doc)
     assert result.exit_code == 0, result.output
     return (
         (tmp_path / "artifact.json").read_bytes(),
@@ -130,6 +148,14 @@ CLI_CASES = {
     "check-gamma-relations": (
         ["check", "--suite", "gamma-relations", "--seed", "7"],
         None,
+    ),
+    "filtration-compute-p1": (
+        ["filtration", "compute"],
+        lambda: _nilpotent_transform(302, 3, "P1"),
+    ),
+    "filtration-compute-a1": (
+        ["filtration", "compute"],
+        lambda: _nilpotent_transform(300, 3, "A1"),
     ),
 }
 
@@ -154,6 +180,14 @@ CLI_DIGESTS = {
         "2646841241a4efc6857c15f6647375976fb5e1b4c380545adf70fcd3ba85258b",
         "2ec6fb90517163396ee59f20aa7a38f57cc50949b37072d3782df54833beb2fc",
     ),
+    "filtration-compute-p1": (
+        "beddb5670b7960e81eeb719af4206559d67344299d6eb1dc451b124a104aac3a",
+        "a12aef83ce06c5c07cdca969a4923b5d1bb29db5de0e6151666e79454a0ece82",
+    ),
+    "filtration-compute-a1": (
+        "beddb5670b7960e81eeb719af4206559d67344299d6eb1dc451b124a104aac3a",
+        "50058fe1bdcd2fa76a59d3f78e0400c588e24790e85b9355e21940f1c3d0590b",
+    ),
 }
 
 
@@ -163,6 +197,18 @@ def test_cli_artifacts_are_byte_identical(name, tmp_path, monkeypatch):
     doc = None if make_doc is None else make_doc()
     artifact, manifest = _run_cli(tmp_path, monkeypatch, list(args), doc)
     assert (_digest(artifact), _digest(manifest)) == CLI_DIGESTS[name]
+
+
+def test_filtration_compute_refusal_is_byte_identical(tmp_path, monkeypatch):
+    # a connection-unstable input writes no artifact, so its error object
+    # is what gets pinned
+    doc = _nilpotent_transform(300, 3, "P1")
+    result = _invoke_cli(tmp_path, monkeypatch, ["filtration", "compute"], doc)
+    assert result.exit_code == 1
+    assert not (tmp_path / "artifact.json").exists()
+    assert _digest(result.output.encode("ascii")) == (
+        "4c9cd88fcbe00c7b5b45f2b52b901db28d9b8d2265b9810be802059961c0bdc2"
+    )
 
 
 def test_flow_step_emits_psi_on_multi_piece_tuples():

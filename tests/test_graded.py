@@ -421,20 +421,3 @@ def test_projective_transform_grading_degree_sum():
         g = grade(H, fil)
         assert sum(P.degree() for P in g.graded.pieces) == H.bundle.degree()
         assert sum(P.rank for P in g.graded.pieces) == 2
-
-
-def test_piece_to_ambient_lands_in_step():
-    d = Zmod(5, 1)
-    curve = AffineLine(d)
-    flat = upper_shift_flat(curve, 3)
-    fil = HodgeFiltration(
-        flat.bundle,
-        [col_span(flat.bundle, [1, 2]), col_span(flat.bundle, [2])],
-    )
-    g = grade(flat, fil)
-    for i in range(3):
-        piece = g.graded.pieces[i]
-        I = RingMatrix.identity(d, piece.rank)
-        amb = g.piece_to_ambient(i, I)
-        step = fil.step(i)
-        assert step.contains_chart0(amb)

@@ -213,6 +213,7 @@ def test_bundle_rejects_non_unit_transition():
     with pytest.raises(SchemaError) as err:
         bundle_from_json(doc)
     assert err.value.path == "/transition"
+    assert err.value.message == "transition determinant is not a unit"
 
 
 def test_bundle_affine_rejects_transition():
