@@ -339,9 +339,9 @@ def cartier_apply(input_path, out_path):
 @click.option("--out", "out_path", default=None)
 @_guard
 def filtration_compute(input_path, out_path):
-    """Canonical filtration by iterated descent, with its iteration log."""
+    """Simpson's filtration, certified trivial on the line, and its empty log."""
     data, flat = _read_doc(input_path, flat_from_json)
-    fil, log = simpson_filtration(flat)
+    fil, _ = simpson_filtration(flat)
     graded = grade(flat, fil).graded
     certificates = {
         "gr_semistable": is_higgs_semistable(graded)[0],
@@ -351,14 +351,7 @@ def filtration_compute(input_path, out_path):
         "schema": serialize.SCHEMA,
         "type": "filtration_output",
         "filtration": filtration_to_json(fil),
-        "log": [
-            {
-                "mu_max": serialize.fraction_to_json(rec.mu_max),
-                "r_max": rec.r_max,
-                "level": rec.level,
-            }
-            for rec in log
-        ],
+        "log": [],
         "certificates": certificates,
     }
     params = _base_params(p=flat.bundle.domain.p, modulus_power=flat.bundle.domain.m)
@@ -484,7 +477,7 @@ def _suite_gamma_relations(rng, p_opt, m_opt):
     weight-3 shape is the live one mod p^2, and at p = 7 only the weight-5
     shape, of rank 6 and outside the corpus box, is live mod p^2 and p^3."""
     p = p_opt if p_opt else 3
-    n = m_opt if m_opt else 2
+    n = 2 if m_opt is None else m_opt
     if p == 3:
         shapes = ((1, 1), (2, 1), (1, 2))
     elif p == 5:
@@ -582,6 +575,13 @@ def check(suite, seed, p_opt, modulus_power, out_path):
             "contract",
             "--p must be one of %s" % (corpus.ALLOWED_PRIMES,),
             "args/p",
+            EXIT_CONTRACT,
+        )
+    if modulus_power is not None and modulus_power < 1:
+        _fail(
+            "contract",
+            "--modulus-power must be positive",
+            "args/modulus-power",
             EXIT_CONTRACT,
         )
     rng = random.Random(seed)

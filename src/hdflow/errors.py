@@ -60,10 +60,6 @@ class NotNablaSemistable(HdflowError):
         self.witness = witness
 
 
-class IterationBudgetExceeded(HdflowError):
-    """Filtration improvement loop did not terminate within its budget."""
-
-
 class PolicyFiltrationInvalid(HdflowError):
     """Supplied filtration fails validity for the flow step that consumes it."""
 

@@ -1,8 +1,8 @@
 """Flow driver: iterate the inverse transform under a filtration policy.
 
 A flow step sends a graded Higgs bundle through the level-one inverse
-transform, picks a transversal filtration (the canonical one from the
-semistability descent, or one supplied by the caller), and reads off the
+transform, picks a transversal filtration (Simpson's canonical one, which
+is trivial on the line, or one supplied by the caller), and reads off the
 next graded Higgs bundle.  Degree multiplies by p at every step, so a
 periodic flow forces degree zero; periodicity is certified by an explicit
 graded isomorphism found within a declared search field and trace horizon.

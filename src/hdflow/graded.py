@@ -234,17 +234,6 @@ class Grading:
         self.frames = frames
         self.graded = graded
 
-    def block_cols(self, i):
-        return range(
-            self.filtration.rank_at(i + 1), self.filtration.rank_at(i)
-        )
-
-    def piece_to_ambient(self, i, cols):
-        """Carry chart-0 columns over a grade-i piece into the ambient bundle
-        (a choice of lift through the quotient)."""
-        block = self.frames[0].columns(self.block_cols(i))
-        return block.mul(cols)
-
 
 def _adapted_frame(filtration, chart):
     """Unimodular frame whose leading column blocks span the filtration

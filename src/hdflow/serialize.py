@@ -16,6 +16,7 @@ import tempfile
 
 from .bundles import Bundle, FlatBundle, HiggsBundle, Subbundle
 from .curves import AffineLine, FrobeniusLifting, ProjectiveLine
+from .errors import NonInvertible
 from .graded import GradedHiggsBundle, HodgeFiltration
 from .ringmath import LaurentPoly, RingMatrix, Zmod
 from .witt import LiftingInputTuple
@@ -296,9 +297,10 @@ def _bundle_from_body(doc, path, curve):
         if raw is None:
             raise SchemaError("projective bundles need a transition", tpath)
         g = matrix_from_json(curve.domain, raw, tpath, shape=(rank, rank))
-        if not g.det().is_unit():
+        try:
+            return Bundle(curve, rank, g)
+        except NonInvertible:
             raise SchemaError("transition determinant is not a unit", tpath)
-        return Bundle(curve, rank, g)
     if raw is not None:
         raise SchemaError("affine bundles are free: transition must be null", tpath)
     return Bundle(curve, rank)
