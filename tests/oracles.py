@@ -7,22 +7,17 @@ desk-sized inputs inside the test suite.
 
 import itertools
 from fractions import Fraction
+from math import ceil, floor
 
 from hdflow.bundles import Subbundle, change_frame_connection, hn_filtration
 from hdflow.errors import (
     CertificateFailed,
     NoSolution,
     NonInvertible,
+    SearchBudgetExceeded,
     TruncationBoundExceeded,
 )
-from hdflow.filtration import (
-    DestabilizerReport,
-    _Budget,
-    _invariant_chain,
-    _lex_gt,
-    _LinePool,
-    _min_degree_for,
-)
+from hdflow.filtration import DestabilizerReport, _invariant_chain, _lex_gt
 from hdflow.ringmath import (
     BirkhoffFactorization,
     LaurentPoly,
@@ -797,11 +792,39 @@ def conjugate_higgs_frames(rng, higgs, ops=3, max_deg=1):
     return HiggsBundle.from_chart0(E_new, theta0_new)
 
 
+class _Budget:
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, what):
+        self.used += 1
+        if self.used > self.limit:
+            raise SearchBudgetExceeded(
+                "%s enumeration passed %d candidates" % (what, self.limit)
+            )
+
+
+def _min_degree_for(target, total_rank, mu_floor):
+    """Smallest total degree that lex-beats `target` at this rank, while
+    still exceeding the ambient slope floor."""
+    need = floor(mu_floor * total_rank) + 1
+    if target is None:
+        return need
+    mu, r = target
+    if total_rank > r:
+        beat = ceil(mu * total_rank)
+    else:
+        beat = floor(mu * total_rank) + 1
+    return max(need, beat)
+
+
 class SaturatingLinePool:
-    """Reference for the destabilizer search's line pool: saturate every
-    enumerated vector with Smith forms and keep its line unless an earlier
-    line spans the same subsheaf.  Same constructor, vector order, budget
-    use and return value as the library pool."""
+    """Saturated line subbundles of one bundle, generated lazily in
+    descending degree for the reference scan: every enumerated coefficient
+    vector in split coordinates (leading entry one, degree caps b_j - d) is
+    saturated with Smith forms, and its line is kept unless an earlier line
+    spans the same subsheaf.  Each vector spends one budget unit."""
 
     def __init__(self, bundle, budget):
         self.bundle = bundle
@@ -836,10 +859,15 @@ class SaturatingLinePool:
 
 
 def saturating_destabilizer_scan(G, budget_limit, first_hit):
-    """Reference for the destabilizer scan: the same rank vectors, pool,
-    pick order and budget use, but every pick's bunch of lines, one-line
-    bunches included, is saturated afresh with from_chart0_span and its
-    degree solved for from the saturated charts."""
+    """Reference destabilizer search, a bounded exhaustive enumeration.
+
+    Rank vectors (one rank per graded piece) are tried in descending order
+    of their slope bound; for each, every pick of lines from the pieces'
+    saturating pools is saturated afresh with from_chart0_span, its degree
+    solved for, and kept if it is invariant under the connecting maps and
+    lex-beats (slope, rank) of the best so far.  Returns the first hit or
+    the lex-maximal DestabilizerReport, or None; raises
+    SearchBudgetExceeded past budget_limit lines and picks."""
     if not G.curve.is_projective:
         return None
     mu_G = G.slope()
@@ -879,8 +907,8 @@ def saturating_destabilizer_scan(G, budget_limit, first_hit):
                 continue
             low_i = max(global_low, need - (total_cap - min(tps[i][:r])))
             if i not in pools:
-                pools[i] = _LinePool(G.pieces[i], budget)
-            lines = [S for _, S in pools[i].ensure(low_i)]
+                pools[i] = SaturatingLinePool(G.pieces[i], budget)
+            lines = pools[i].ensure(low_i)
             if len(lines) < r:
                 feasible = False
                 break

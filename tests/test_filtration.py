@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,7 @@ from hdflow.errors import (
     WrongModulus,
 )
 from hdflow.filtration import (
-    DEFAULT_SEARCH_BUDGET,
     DescentRecord,
-    _Budget,
     _LinePool,
     check_window_descent,
     is_higgs_semistable,
@@ -44,6 +43,7 @@ from hdflow.serialize import matrix_to_json
 
 from oracles import (
     SaturatingLinePool,
+    _Budget,
     destabilizer_theta_closure,
     random_split_transition,
     random_unimodular_poly,
@@ -246,11 +246,18 @@ def test_affine_graded_always_semistable():
 
 
 def test_scan_budget_exhaustion():
+    # the reference enumeration spends a budget and runs out of it; the
+    # library reads the answer off the splitting type: the O(3) line
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
     G = one_grade(Bundle.sum_of_lines(curve, (3, -3)))
     with pytest.raises(SearchBudgetExceeded):
-        max_destabilizer_graded(G, budget=2)
+        saturating_destabilizer_scan(G, 2, first_hit=False)
+    best = max_destabilizer_graded(G)
+    assert (best.mu_max, best.r_max) == (3, 1)
+    assert best.pieces[0].degree() == 3
+    assert best.pieces[0].same_as(hn_filtration(G.pieces[0])[0])
+    assert _report_bytes(is_higgs_semistable(G)[1]) == _report_bytes(best)
 
 
 def test_destabilizer_deterministic():
@@ -436,35 +443,67 @@ def _corpus_cases(ranks_weights, count):
             yield from generate(CorpusParams(p, rank, weight, count, seed))
 
 
+def _box_cells(ranks=(1, 2, 3, 4)):
+    """(p, rank, weight) for every cell of the documented box."""
+    return [
+        (p, rank, weight)
+        for p in (3, 5, 7)
+        for rank in ranks
+        for weight in range(min(p - 2, rank - 1) + 1)
+    ]
+
+
+def _compare_with_oracle(G, budget):
+    """Match the library's decision, witness and maximal destabilizer with
+    the reference scan's; False when the reference runs out of budget."""
+    try:
+        want = saturating_destabilizer_scan(G, budget, first_hit=False)
+    except SearchBudgetExceeded:
+        return False
+    first = saturating_destabilizer_scan(G, budget, first_hit=True)
+    ok, witness = is_higgs_semistable(G, budget)
+    assert _report_bytes(witness) == _report_bytes(first)
+    assert ok == (first is None) == (want is None)
+    if want is None:
+        with pytest.raises(SemistableInput):
+            max_destabilizer_graded(G, budget)
+    else:
+        assert _report_bytes(max_destabilizer_graded(G, budget)) == _report_bytes(want)
+    return True
+
+
 def test_scan_matches_saturating_oracle():
     """The scan's reports equal the reference's, which saturates every pick,
     on seeded corpus instances (rank <= 2, weight <= 1), on the line-pool
-    bundles, and on rank-3 bundles whose scans pick pairs of lines."""
+    bundles, on rank-3 bundles whose scans pick pairs of lines, and on the
+    seeded rank-3/4 instances of every box cell (|a| <= 1) that the
+    reference finishes within a small budget."""
     curve = ProjectiveLine(Zmod(3, 1))
     twist = random_split_transition(random.Random(5), curve.domain, (1, 1, -2))
     rank_three = [Bundle.sum_of_lines(curve, (1, 1, -2)), Bundle(curve, 3, twist)]
     cases = list(_corpus_cases(((1, 0), (2, 0), (2, 1)), 4))
     cases += [one_grade(E) for E in list(_pool_bundles()) + rank_three]
-    budget = 10 ** 5
     unstable = 0
     for G in cases:
-        ok, witness = is_higgs_semistable(G, budget)
-        first = saturating_destabilizer_scan(G, budget, first_hit=True)
-        assert _report_bytes(witness) == _report_bytes(first)
-        assert ok == (first is None)
-        want = saturating_destabilizer_scan(G, budget, first_hit=False)
-        if want is None:
-            with pytest.raises(SemistableInput):
-                max_destabilizer_graded(G, budget)
-            continue
-        unstable += 1
-        assert _report_bytes(max_destabilizer_graded(G, budget)) == _report_bytes(want)
+        assert _compare_with_oracle(G, 10 ** 5)
+        unstable += not is_higgs_semistable(G)[0]
     assert unstable >= 20
+    high_rank = [
+        G
+        for p, rank, weight in _box_cells(ranks=(3, 4))
+        for G in generate(
+            CorpusParams(p, rank, weight, 3, 60 + 10 * p + 3 * rank + weight, max_exp=1)
+        )
+    ]
+    assert len(high_rank) == 54
+    compared = [G for G in high_rank if _compare_with_oracle(G, 40)]
+    assert len(compared) >= 35
+    assert sum(not is_higgs_semistable(G)[0] for G in compared) >= 30
     # the rank-3 cases reach bunches of two lines
     assert any(
         S is not None and S.rank == 2
         for E in rank_three
-        for S in max_destabilizer_graded(one_grade(E), budget).pieces
+        for S in max_destabilizer_graded(one_grade(E)).pieces
     )
 
 
@@ -483,5 +522,52 @@ def test_single_line_picks_saturate_nothing(monkeypatch):
         max_destabilizer_graded(G)
     assert len(unstable) >= 5
     assert calls == []
-    saturating_destabilizer_scan(unstable[0], DEFAULT_SEARCH_BUDGET, first_hit=False)
+    saturating_destabilizer_scan(unstable[0], 10 ** 5, first_hit=False)
     assert calls
+
+
+# -- the whole box, decided within a per-instance bound ----------------------
+
+# CPU seconds one decision (semistability test plus maximal destabilizer)
+# may take in the box sweep; the slowest seen is about 6 ms.
+DECISION_CPU_BOUND = 0.1
+
+
+def _check_destabilizer(G, rep):
+    """The report is invariant under the connecting maps, has the rank and
+    slope it reports, and destabilizes."""
+    for k, mats in enumerate(G.maps):
+        src = rep.pieces[k + 1]
+        if src is None:
+            continue
+        image = mats[0].mul(src.basis[0])
+        tgt = rep.pieces[k]
+        assert image.is_zero() if tgt is None else tgt.contains_chart0(image)
+    chosen = [S for S in rep.pieces if S is not None]
+    rank = sum(S.rank for S in chosen)
+    assert 0 < rank < G.rank and rank == rep.r_max
+    assert Fraction(sum(S.degree() for S in chosen), rank) == rep.mu_max
+    assert rep.mu_max > G.slope()
+
+
+def test_box_sweep_decides_every_instance_within_bound():
+    """Twenty seeded instances (|a| <= 6) of each of the 27 box cells are
+    decided, each within DECISION_CPU_BOUND, with verified witnesses."""
+    cells = _box_cells()
+    assert len(cells) == 27
+    unstable = 0
+    for p, rank, weight in cells:
+        for G in generate(CorpusParams(p, rank, weight, 20, 11, max_exp=6)):
+            start = time.process_time()
+            ok, witness = is_higgs_semistable(G)
+            best = None if ok else max_destabilizer_graded(G)
+            assert time.process_time() - start < DECISION_CPU_BOUND
+            types = [P.splitting_type() for P in G.pieces]
+            assert ok == (len({b for tp in types for b in tp}) == 1)
+            if ok:
+                continue
+            unstable += 1
+            _check_destabilizer(G, witness)
+            _check_destabilizer(G, best)
+            assert (best.mu_max, best.r_max) >= (witness.mu_max, witness.r_max)
+    assert unstable >= 400

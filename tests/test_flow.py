@@ -9,6 +9,7 @@ import pytest
 
 from hdflow.bundles import Bundle, Subbundle
 from hdflow.cartier import inverse_cartier_1
+from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import (
     BadMinimalPolynomial,
@@ -42,7 +43,7 @@ from hdflow.graded import (
 )
 from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 
-from oracles import random_laurent, random_unimodular_poly
+from oracles import random_laurent, random_split_transition, random_unimodular_poly
 
 
 def one_grade(bundle):
@@ -221,6 +222,53 @@ def test_policy_validation():
         FlowPolicy(max_steps=0)
     with pytest.raises(ValueError):
         FlowPolicy(field_degree=0)
+
+
+def _semistable_graded(rng, curve, rank, pieces):
+    """O(a)^rank cut into graded pieces in random split frames, with zero
+    connecting maps (the only ones a semistable object can carry)."""
+    d = curve.domain
+    a = rng.randint(-3, 3)
+    cuts = sorted(rng.sample(range(1, rank), pieces - 1))
+    ranks = [j - i for i, j in zip([0] + cuts, cuts + [rank])]
+    parts = [Bundle(curve, r, random_split_transition(rng, d, [a] * r)) for r in ranks]
+    maps = [
+        (RingMatrix.zeros(d, r0, r1),) * 2 for r0, r1 in zip(ranks, ranks[1:])
+    ]
+    return GradedHiggsBundle(parts, maps).validate()
+
+
+def test_canonical_step_refuses_unstable_and_flattens_semistable():
+    """On the standard atlas a canonical step refuses every unstable G (two
+    splitting degrees differ), and sends a semistable G of splitting type
+    O(a)^n to one piece O(pa)^n with zero Higgs field."""
+    rng = random.Random(23)
+    refused = stepped = 0
+    for p in (3, 5, 7):
+        curve = ProjectiveLine(Zmod(p, 1))
+        cases = [
+            G
+            for rank, weight in ((1, 0), (2, 1), (3, 1), (4, 1))
+            for G in generate(CorpusParams(p, rank, weight, 3, 30 + p, max_exp=2))
+        ]
+        cases += [
+            _semistable_graded(rng, curve, rank, rng.randint(1, min(rank, p - 1)))
+            for rank in (2, 3, 4)
+        ]
+        for G in cases:
+            degrees = {b for P in G.pieces for b in P.splitting_type()}
+            if len(degrees) > 1:
+                with pytest.raises(NotNablaSemistable):
+                    flow_step(G)
+                refused += 1
+                continue
+            (a,) = degrees
+            H, fil, nxt = flow_step(G)
+            assert fil.level == 0 and len(nxt.pieces) == 1 and nxt.maps == ()
+            assert nxt.pieces[0].splitting_type() == [p * a] * G.rank
+            assert all(M.is_zero() for M in nxt.total().theta)
+            stepped += 1
+    assert refused >= 15 and stepped >= 15
 
 
 # -- traces ------------------------------------------------------------------
