@@ -12,7 +12,6 @@ from hdflow.bundles import (
     Bundle,
     FlatBundle,
     HiggsBundle,
-    Subbundle,
     hn_filtration,
 )
 from hdflow.cartier import inverse_cartier_1
@@ -27,7 +26,6 @@ from hdflow.errors import (
 )
 from hdflow.filtration import (
     DescentRecord,
-    _LinePool,
     check_window_descent,
     is_higgs_semistable,
     is_nabla_semistable,
@@ -42,8 +40,6 @@ from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 from hdflow.serialize import matrix_to_json
 
 from oracles import (
-    SaturatingLinePool,
-    _Budget,
     destabilizer_theta_closure,
     random_split_transition,
     random_unimodular_poly,
@@ -345,7 +341,7 @@ def test_simpson_refuses_a_destabilized_trivial_grading(monkeypatch):
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
     report = max_destabilizer_graded(one_grade(Bundle.sum_of_lines(curve, (1, 0))))
-    monkeypatch.setattr(filtration, "_destabilizer_scan", lambda *args, **kw: report)
+    monkeypatch.setattr(filtration, "_top_destabilizer", lambda *args, **kw: report)
     flat = FlatBundle.from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
     with pytest.raises(CertificateFailed) as err:
         simpson_filtration(flat)
@@ -372,7 +368,7 @@ def test_window_descent_checks():
     check_window_descent([mk(3, 2, 3), mk(3, 2, 3)])
 
 
-# -- the line pool against the saturating reference --------------------------
+# -- the destabilizer scan against the saturating reference ------------------
 
 
 def _pool_bundles():
@@ -390,34 +386,6 @@ def _pool_bundles():
         curve = ProjectiveLine(Zmod(p, 1))
         yield Bundle.sum_of_lines(curve, exps)
         yield Bundle(curve, len(exps), random_split_transition(rng, curve.domain, exps))
-
-
-def test_line_pool_matches_saturating_oracle():
-    for E in _pool_bundles():
-        p = E.domain.p
-        tp = E.splitting_type()
-        # the reference saturates every vector: stop near 100 of them
-        lows = []
-        vectors = 0
-        for low in range(tp[0], tp[-1] - 4, -1):
-            slots = sum(max(0, b - low + 1) for b in tp)
-            vectors += (p ** slots - 1) // (p - 1)
-            if vectors > 100:
-                break
-            lows.append(low)
-        assert len(lows) >= 2
-        budget, ref_budget = _Budget(10 ** 6), _Budget(10 ** 6)
-        pool, ref = _LinePool(E, budget), SaturatingLinePool(E, ref_budget)
-        for low in lows + [lows[0], lows[-1]]:
-            pairs, want = pool.ensure(low), ref.ensure(low)
-            assert [S.basis for _, S in pairs] == [S.basis for S in want]
-            assert [S.degree() for _, S in pairs] == [S.degree() for S in want]
-            assert [deg for deg, _ in pairs] == [S.degree() for S in want]
-            assert budget.used == ref_budget.used
-        assert [deg for deg, _ in pool.lines] == [S.degree() for S in ref.lines]
-        # the scan uses a pool line as the saturation of its own chart-0 basis
-        for _, S in pool.lines:
-            assert Subbundle.from_chart0_span(E, S.basis[0]).basis == S.basis
 
 
 # -- the destabilizer scan against the saturating reference ------------------
@@ -473,11 +441,12 @@ def _compare_with_oracle(G, budget):
 
 
 def test_scan_matches_saturating_oracle():
-    """The scan's reports equal the reference's, which saturates every pick,
-    on seeded corpus instances (rank <= 2, weight <= 1), on the line-pool
-    bundles, on rank-3 bundles whose scans pick pairs of lines, and on the
-    seeded rank-3/4 instances of every box cell (|a| <= 1) that the
-    reference finishes within a small budget."""
+    """The closed form's reports equal the reference scan's, which
+    saturates every pick, on seeded corpus instances (rank <= 2, weight
+    <= 1), on split and frame-twisted bundles, on rank-3 bundles whose
+    reference scans pick pairs of lines, and on the seeded rank-3/4
+    instances of every box cell (|a| <= 1) that the reference finishes
+    within a small budget."""
     curve = ProjectiveLine(Zmod(3, 1))
     twist = random_split_transition(random.Random(5), curve.domain, (1, 1, -2))
     rank_three = [Bundle.sum_of_lines(curve, (1, 1, -2)), Bundle(curve, 3, twist)]
