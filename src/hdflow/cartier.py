@@ -73,8 +73,10 @@ def _atlas_data(higgs, lifting):
 def inverse_cartier_1(higgs, lifting=None):
     """The inverse transform at level one: a flat bundle whose degree is p
     times the input degree.  The atlas defaults to the standard lifting."""
-    check_nilpotency(higgs)
     d = higgs.bundle.domain
+    if getattr(d, "m", 1) != 1:
+        raise WrongModulus("the level-one transform needs coefficients mod p")
+    check_nilpotency(higgs)
     u, z_cross = _atlas_data(higgs, lifting)
     pulled = pullback_higgs_matrices(higgs)
     A = tuple(pulled[c].scale(u[c]) for c in range(len(pulled)))

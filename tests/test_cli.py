@@ -277,6 +277,19 @@ def test_cartier_apply_rejects_non_nilpotent(tmp_path):
     assert json.loads(result.output)["code"] == "invariant"
 
 
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_cartier_apply_rejects_a_modulus_above_p(tmp_path, m):
+    G = generate(CorpusParams(p=3, rank=2, weight=1, count=1, seed=6))[0]
+    doc = higgs_to_json(G.total())
+    doc["m"] = m
+    path = write_doc(tmp_path, "h.json", doc)
+    result = invoke(["cartier", "apply", "--input", path])
+    assert result.exit_code == 1
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("invariant", "/")
+    assert err["message"].startswith("WrongModulus: ")
+
+
 # -- filtration compute ------------------------------------------------------
 
 
