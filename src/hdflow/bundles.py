@@ -495,10 +495,6 @@ class Subbundle:
             and self.contains_chart0(other.basis[0])
         )
 
-    def contains(self, other):
-        """Subsheaf containment via chart-0 spans (same parent)."""
-        return self.parent == other.parent and self.contains_chart0(other.basis[0])
-
 
 def _clear_denominators(M):
     """Scale a Laurent column matrix by a power of t to make it polynomial."""

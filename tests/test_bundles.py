@@ -250,8 +250,8 @@ def test_subbundle_containment_and_equality():
     )
     assert S1.same_as(S2)
     full = full_subbundle(E)
-    assert full.contains(S1)
-    assert not S1.contains(full)
+    assert full.contains_chart0(S1.basis[0])
+    assert not S1.contains_chart0(full.basis[0])
 
 
 def test_hn_filtration_split_case():
@@ -260,7 +260,7 @@ def test_hn_filtration_split_case():
     steps = hn_filtration(E)
     assert [s.rank for s in steps] == [2, 3]
     assert [s.degree() for s in steps] == [2, 0]
-    assert steps[1].contains(steps[0])
+    assert steps[1].contains_chart0(steps[0].basis[0])
 
 
 def test_hn_filtration_twisted_frames():
@@ -276,7 +276,7 @@ def test_hn_filtration_twisted_frames():
         assert [s.rank for s in steps] == [1, 2, 3]
         assert [s.degree() for s in steps] == [2, 2, 1]
         for a, b in zip(steps, steps[1:]):
-            assert b.contains(a)
+            assert b.contains_chart0(a.basis[0])
         for s in steps:
             s.validate()
 
