@@ -6,6 +6,10 @@ is trivial on the line, or one supplied by the caller), and reads off the
 next graded Higgs bundle.  Degree multiplies by p at every step, so a
 periodic flow forces degree zero; periodicity is certified by an explicit
 graded isomorphism found within a declared search field and trace horizon.
+On P^1 with the standard atlas the transform has p times the splitting
+type of G, so a canonical step refuses every unstable G, and a semistable
+G (type O(a)^n, zero Higgs field) steps to one piece O(pa)^n with zero
+Higgs field.
 
 Periodic tuples of period f can be folded into one-periodic objects over
 F_{p^f} carrying a multiplication endomorphism (one scalar block per flow
