@@ -154,3 +154,37 @@ def test_every_field_is_read():
         if name not in loaded
     )
     assert unread == []
+
+
+def _imported_names(tree):
+    """(line, name) for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, (alias.asname or alias.name).split(".")[0]
+
+
+def _exported_names(tree):
+    """The string entries of a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+def test_every_import_is_used():
+    """A library module reads every name it imports, unless it re-exports
+    the name through __all__."""
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = _exported_names(tree)
+        unused += [
+            "%s:%d %s" % (path.name, line, name)
+            for line, name in _imported_names(tree)
+            if name not in read and name not in exported
+        ]
+    assert unused == []
