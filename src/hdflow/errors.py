@@ -40,7 +40,8 @@ class ExponentTooLarge(HdflowError):
 
 
 class SearchBudgetExceeded(HdflowError):
-    """Exhaustive subobject enumeration hit its budget; carries the bounds."""
+    """A bounded candidate search (graded isomorphisms, Witt intertwiners)
+    hit its budget; carries the bounds."""
 
     def __init__(self, message, bounds=None):
         super().__init__(message)
