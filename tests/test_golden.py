@@ -248,20 +248,23 @@ def _equivalence_bytes():
     return canonical_bytes(matrix_to_json(L))
 
 
-def _default_window_equivalence_bytes():
+def _bench_frame_change_bytes(p, ranks):
     """Intertwiner on equivalence_check's default window for a degree-1
-    unipotent flag-respecting frame change: p = 5, ranks (2, 2), n = 2,
-    drawn like the witt-lift benchmark's frame-change case at seed 1, whose
-    window system (397 equations, 240 unknowns) is that round's largest."""
-    rng = random.Random("witt-lift:1:5:2:(2, 2):0")
-    tup = random_witt_tuple(rng, 5, 2, (2, 2))
+    unipotent flag-respecting frame change at n = 2, drawn like the
+    witt-lift benchmark's frame-change case of that shape at seed 1.  At
+    p = 5, ranks (2, 2), the default window system (397 equations, 240
+    unknowns) is that round's largest."""
+    rng = random.Random("witt-lift:1:%d:2:%s:0" % (p, ranks))
+    tup = random_witt_tuple(rng, p, 2, ranks)
     ring = tup.ring
-    frame = RingMatrix.identity(ring, 4)
-    for i in (2, 3):
-        for j in (0, 1):
-            frame.rows[i][j] = LaurentPoly(
-                ring, {e: rng.randrange(ring.modulus) for e in (0, 1)}
-            )
+    grade_of = [g for g, r in enumerate(ranks) for _ in range(r)]
+    frame = RingMatrix.identity(ring, len(grade_of))
+    for i, gi in enumerate(grade_of):
+        for j, gj in enumerate(grade_of):
+            if gi > gj:
+                frame.rows[i][j] = LaurentPoly(
+                    ring, {e: rng.randrange(ring.modulus) for e in (0, 1)}
+                )
     L = equivalence_check(gn_construct(tup), gn_construct(tup, frame=frame))
     return canonical_bytes(matrix_to_json(L))
 
@@ -588,7 +591,8 @@ LIBRARY_CASES = {
     "kernel-bases": _kernel_basis_bytes,
     "pack-unpack-round-trip": _pack_round_trip_bytes,
     "equivalence-intertwiner": _equivalence_bytes,
-    "equivalence-default-window": _default_window_equivalence_bytes,
+    "equivalence-default-window": lambda: _bench_frame_change_bytes(5, (2, 2)),
+    "equivalence-frame-change-p3": lambda: _bench_frame_change_bytes(3, (3, 1)),
     "taylor-transition-p3": _taylor_transition_bytes,
     "taylor-cocycle-p5-n3": _taylor_cocycle_bytes,
     "witt-construct": _witt_construct_bytes,
@@ -604,6 +608,7 @@ LIBRARY_DIGESTS = {
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
     "equivalence-default-window": "fade237c52da0865d83e14f57ca60140381ef5bdd998455fb6862c88296c414f",
+    "equivalence-frame-change-p3": "f0b53f8ddb3dcd724c7f6a0a1a2b1807bc44bb5ad5d4b75407e9b6ddddd97f0d",
     "taylor-transition-p3": "1de60a3b47d4bf0736726c1ce433d0fdd7938c70246fb960c98102dacaa4b8cf",
     "taylor-cocycle-p5-n3": "75c04f75fc10af21a116afa33bc48312634efbdaeb171824e22f9cc5e0a016d4",
     "witt-construct": "804dd75cba5b3a0e90604881dec767e52639a46ad8d829002a9ace51371914a5",
