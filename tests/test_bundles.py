@@ -11,7 +11,6 @@ from hdflow.bundles import (
     HiggsBundle,
     Subbundle,
     change_frame_connection,
-    change_frame_higgs,
     chart1_form,
     full_subbundle,
     hn_filtration,

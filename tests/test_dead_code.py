@@ -175,10 +175,10 @@ def _exported_names(tree):
 
 
 def test_every_import_is_used():
-    """A library module reads every name it imports, unless it re-exports
-    the name through __all__."""
+    """A library or test module reads every name it imports, unless it
+    re-exports the name through __all__."""
     unused = []
-    for path in SOURCES:
+    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         exported = _exported_names(tree)

@@ -29,7 +29,7 @@ from hdflow.graded import (
     reduce_filtration,
     transversality_offender,
 )
-from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod, poly_solve
+from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 
 from oracles import conjugate_higgs_frames, random_graded_higgs, random_unimodular_poly
 

@@ -53,7 +53,6 @@ from hdflow.witt import (
 )
 
 from oracles import (
-    random_graded_higgs,
     random_poly,
     random_unimodular_poly,
     uncached_adapted_dr_matrix,
