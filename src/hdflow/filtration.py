@@ -36,23 +36,6 @@ class DestabilizerReport:
     r_max: int
 
 
-def _invariant_chain(G, chosen):
-    """Whether the per-grade subbundles are closed under the connecting
-    maps; chart-0 checks are exact because everything is saturated."""
-    for k in range(len(G.maps)):
-        src = chosen[k + 1]
-        if src is None:
-            continue
-        image = G.maps[k][0].mul(src.basis[0])
-        tgt = chosen[k]
-        if tgt is None:
-            if not image.is_zero():
-                return False
-        elif not tgt.contains_chart0(image):
-            return False
-    return True
-
-
 def _lex_gt(a, b):
     return a[0] > b[0] or (a[0] == b[0] and a[1] > b[1])
 

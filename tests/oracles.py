@@ -17,7 +17,7 @@ from hdflow.errors import (
     SearchBudgetExceeded,
     TruncationBoundExceeded,
 )
-from hdflow.filtration import DestabilizerReport, _invariant_chain, _lex_gt
+from hdflow.filtration import DestabilizerReport, _lex_gt
 from hdflow.ringmath import (
     BirkhoffFactorization,
     LaurentPoly,
@@ -856,6 +856,23 @@ class SaturatingLinePool:
                     if not any(S.same_as(L) for L in self.lines):
                         self.lines.append(S)
         return [L for L in self.lines if L.degree() >= low]
+
+
+def _invariant_chain(G, chosen):
+    """Whether the per-grade subbundles are closed under the connecting
+    maps; chart-0 checks are exact because everything is saturated."""
+    for k in range(len(G.maps)):
+        src = chosen[k + 1]
+        if src is None:
+            continue
+        image = G.maps[k][0].mul(src.basis[0])
+        tgt = chosen[k]
+        if tgt is None:
+            if not image.is_zero():
+                return False
+        elif not tgt.contains_chart0(image):
+            return False
+    return True
 
 
 def saturating_destabilizer_scan(G, budget_limit, first_hit):
