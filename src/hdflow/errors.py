@@ -15,7 +15,12 @@ class NonInvertible(HdflowError):
 
 
 class NoSolution(HdflowError):
-    """Linear system has no solution over the given ring."""
+    """Linear system has no solution over the given ring; an intertwiner
+    search carries its windows in the bounds."""
+
+    def __init__(self, message, bounds=None):
+        super().__init__(message)
+        self.bounds = bounds
 
 
 class NotDivisible(HdflowError):

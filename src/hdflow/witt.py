@@ -48,7 +48,8 @@ from .ringmath import (
 )
 
 # Kernel generators and random combinations tried for an invertible
-# intertwiner before equivalence_check gives up.
+# intertwiner on each window of equivalence_check's schedule before it
+# moves to the next window, or gives up on the last.
 EQUIVALENCE_BUDGET = 4000
 
 
@@ -493,38 +494,44 @@ def sharp_construct(tup):
     return TwistedFlatModule(ring, ranks, A, PConnectionModule(ring, tup.rank, B))
 
 
-def _monomial_span(matrices, pad):
-    lo, hi = 0, 0
-    for M in matrices:
-        for row in M.rows:
-            for e in row:
-                for exp in e.coeffs:
-                    lo = min(lo, exp)
-                    hi = max(hi, exp)
-    return lo - pad, hi + pad
-
-
 def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     """Explicit isomorphism intertwining two presentations of the twisted
     module: an invertible L with p dL + B_a L = L B_b, found by exact linear
-    algebra over Z/p^n on a monomial window.
+    algebra over Z/p^n on a monomial window.  The default window runs from
+    one below the exponents of B_a and B_b (0 included) to two above them.
+    Without a window, it tries -k..k for k = 1, 2, 4, ..., clamped to the
+    default one, and returns the first invertible L; the last window tried
+    is the default one.
 
-    Raises NoSolution when no L on the window solves the equation, and
+    Raises NoSolution when no L on the last window solves the equation, and
     SearchBudgetExceeded, with the stage, work and window in its bounds,
-    when EQUIVALENCE_BUDGET candidates give no invertible one."""
+    when EQUIVALENCE_BUDGET candidates on it give no invertible one; both
+    also list the windows tried."""
     if tw_a.ring != tw_b.ring or tw_a.ranks != tw_b.ranks:
         raise ValueError("presentations of different modules")
-    ring = tw_a.ring
-    rank = tw_a.rank
     Ba, Bb = tw_a.module.matrix, tw_b.module.matrix
-    ident = RingMatrix.identity(ring, rank)
     if Ba.sub(Bb).is_zero():
-        return ident
-    if min_exp is None or max_exp is None:
-        lo, hi = _monomial_span([Ba, Bb], 1)
-        min_exp = lo if min_exp is None else min_exp
-        max_exp = hi + 1 if max_exp is None else max_exp
-    system = WindowSystem.square(ring, [rank], range(min_exp, max_exp + 1))
+        return RingMatrix.identity(tw_a.ring, tw_a.rank)
+    exps = [e for M in (Ba, Bb) for row in M.rows for x in row for e in x.coeffs]
+    lo = min(exps + [0]) - 1 if min_exp is None else min_exp
+    hi = max(exps + [0]) + 2 if max_exp is None else max_exp
+    # a given bound starts the schedule at its end, so that window is the only one
+    windows, k = [], 1 if min_exp is None and max_exp is None else max(-lo, hi)
+    while not windows or windows[-1] != (lo, hi):
+        windows.append((max(-k, lo), min(k, hi)))
+        k *= 2
+    for window in windows:
+        try:
+            return _window_intertwiner(tw_a.ring, Ba, Bb, window)
+        except (NoSolution, SearchBudgetExceeded) as err:
+            if window == windows[-1]:
+                err.bounds["windows"] = windows
+                raise
+
+
+def _window_intertwiner(ring, Ba, Bb, window):
+    """equivalence_check on one monomial window."""
+    system = WindowSystem.square(ring, [Ba.nrows], range(window[0], window[1] + 1))
     p = ring.p
     system.add_derivative((), 0, p)
     system.add_product((), 0, left=Ba)
@@ -543,7 +550,8 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
 
     gens = list(sol.kernel)
     if not gens:
-        raise NoSolution("no intertwiner on the given monomial window")
+        raise NoSolution("no intertwiner on the given monomial window",
+                         bounds={"window": window})
     tried = 0
     for vec in gens[:EQUIVALENCE_BUDGET]:
         tried += 1
@@ -567,7 +575,7 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     raise SearchBudgetExceeded(
         "no invertible intertwiner within %d candidates" % tried,
         bounds={"stage": stage, "tried": tried, "kernel": len(gens),
-                "window": (min_exp, max_exp)},
+                "window": window},
     )
 
 

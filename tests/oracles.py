@@ -742,6 +742,22 @@ def random_split_transition(rng, domain, exponents, ops=4, max_deg=2):
     return P0.mul(D).mul(Q0)
 
 
+def random_flag_frame(rng, ring, ranks):
+    """Unipotent frame change that respects the flag of a graded shape:
+    identity diagonal blocks, and below them polynomials of degree <= 1,
+    drawn entry by entry in row order as the witt-lift benchmark draws its
+    frame changes."""
+    grade_of = [g for g, r in enumerate(ranks) for _ in range(r)]
+    frame = RingMatrix.identity(ring, len(grade_of))
+    for i, gi in enumerate(grade_of):
+        for j, gj in enumerate(grade_of):
+            if gi > gj:
+                frame.rows[i][j] = LaurentPoly(
+                    ring, {e: rng.randrange(ring.modulus) for e in (0, 1)}
+                )
+    return frame
+
+
 def random_graded_higgs(rng, curve, grade_ranks, base_exp=None, gap=2):
     """Nilpotent Higgs bundle on P^1 with a block-chain structure: grade g
     summands map into grade g+1 summands, whose line degrees sit `gap`

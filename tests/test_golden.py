@@ -72,6 +72,8 @@ from hdflow.witt import (
     w2_flow_step,
 )
 
+from oracles import random_flag_frame
+
 
 def _mat(ring, entries):
     """Rows of dicts {exponent: coefficient}; ints are constants."""
@@ -249,22 +251,16 @@ def _equivalence_bytes():
 
 
 def _bench_frame_change_bytes(p, ranks):
-    """Intertwiner on equivalence_check's default window for a degree-1
+    """Intertwiner equivalence_check returns without a window for a degree-1
     unipotent flag-respecting frame change at n = 2, drawn like the
-    witt-lift benchmark's frame-change case of that shape at seed 1.  At
-    p = 5, ranks (2, 2), the default window system (397 equations, 240
-    unknowns) is that round's largest."""
+    witt-lift benchmark's frame-change case of that shape at seed 1.  Both
+    pinned shapes find one on -1..1, the first window of the schedule.  At
+    p = 5, ranks (2, 2), the full default window (397 equations, 240
+    unknowns) gives the same bytes; at p = 3, ranks (3, 1), it gives other
+    ones."""
     rng = random.Random("witt-lift:1:%d:2:%s:0" % (p, ranks))
     tup = random_witt_tuple(rng, p, 2, ranks)
-    ring = tup.ring
-    grade_of = [g for g, r in enumerate(ranks) for _ in range(r)]
-    frame = RingMatrix.identity(ring, len(grade_of))
-    for i, gi in enumerate(grade_of):
-        for j, gj in enumerate(grade_of):
-            if gi > gj:
-                frame.rows[i][j] = LaurentPoly(
-                    ring, {e: rng.randrange(ring.modulus) for e in (0, 1)}
-                )
+    frame = random_flag_frame(rng, tup.ring, ranks)
     L = equivalence_check(gn_construct(tup), gn_construct(tup, frame=frame))
     return canonical_bytes(matrix_to_json(L))
 
@@ -608,7 +604,7 @@ LIBRARY_DIGESTS = {
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
     "equivalence-default-window": "fade237c52da0865d83e14f57ca60140381ef5bdd998455fb6862c88296c414f",
-    "equivalence-frame-change-p3": "f0b53f8ddb3dcd724c7f6a0a1a2b1807bc44bb5ad5d4b75407e9b6ddddd97f0d",
+    "equivalence-frame-change-p3": "cc7694add0a34c9a549226c81b694f84c5a84b259650e5e20f540ac2e8f5f72d",
     "taylor-transition-p3": "1de60a3b47d4bf0736726c1ce433d0fdd7938c70246fb960c98102dacaa4b8cf",
     "taylor-cocycle-p5-n3": "75c04f75fc10af21a116afa33bc48312634efbdaeb171824e22f9cc5e0a016d4",
     "witt-construct": "804dd75cba5b3a0e90604881dec767e52639a46ad8d829002a9ace51371914a5",

@@ -1,6 +1,7 @@
 """Tests for the full-precision stage: twisted modules, divided operators,
 Frobenius pullback with Taylor transitions, and the flow step mod p^n."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from hdflow.errors import (
     TruncationBoundExceeded,
     WrongModulus,
 )
-from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
+from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod, solve_linear_mod
 from hdflow import witt
 from hdflow.witt import (
     LiftingInputTuple,
@@ -53,6 +54,7 @@ from hdflow.witt import (
 )
 
 from oracles import (
+    random_flag_frame,
     random_poly,
     random_unimodular_poly,
     uncached_adapted_dr_matrix,
@@ -431,8 +433,9 @@ def test_equivalence_check_with_an_empty_kernel_has_no_solution():
     # p dL = L: the t^e equation reads c_e = p (e+1) c_{e+1}, so every
     # coefficient vanishes, from the top of the window down
     ring = Zmod(3, 2)
-    with pytest.raises(NoSolution):
+    with pytest.raises(NoSolution) as err:
         equivalence_check(_rank_one_twist(ring, 0), _rank_one_twist(ring, 1))
+    assert err.value.bounds == {"window": (-1, 2), "windows": [(-1, 1), (-1, 2)]}
 
 
 def test_equivalence_check_budget_error_names_stage_work_and_window(monkeypatch):
@@ -447,6 +450,7 @@ def test_equivalence_check_budget_error_names_stage_work_and_window(monkeypatch)
         "tried": witt.EQUIVALENCE_BUDGET,
         "kernel": 4,
         "window": (-1, 2),
+        "windows": [(-1, 1), (-1, 2)],
     }
     monkeypatch.setattr(witt, "EQUIVALENCE_BUDGET", 3)
     with pytest.raises(SearchBudgetExceeded) as err:
@@ -456,7 +460,93 @@ def test_equivalence_check_budget_error_names_stage_work_and_window(monkeypatch)
         "tried": 3,
         "kernel": 6,
         "window": (0, 5),
+        "windows": [(0, 5)],
     }
+
+
+def _solve_widths(monkeypatch):
+    """Spy on the solves of equivalence_check: the unknown count of each."""
+    widths = []
+
+    def spy(rows, d, ncols):
+        widths.append(ncols)
+        return solve_linear_mod(rows, d, ncols)
+
+    monkeypatch.setattr(witt, "solve_linear_mod", spy)
+    return widths
+
+
+def test_equivalence_check_widens_past_a_window_without_a_unit(monkeypatch):
+    # p dL = L B_b with B_b = -2p/t over Z/25: the t^(e-1) equation reads
+    # p (e+2) c_e = 0, so -1..1 holds only p-multiples and t^-2 needs the
+    # default window -2..2
+    ring = Zmod(5, 2)
+    tw_a, tw_b = _rank_one_twist(ring, 0), _rank_one_twist(ring, {-1: 15})
+    monkeypatch.setattr(witt, "EQUIVALENCE_BUDGET", 10)
+    widths = _solve_widths(monkeypatch)
+    assert equivalence_check(tw_a, tw_b) == mat(ring, [[{-2: 1}]])
+    assert widths == [3, 5]
+    # an explicit window is the only one tried
+    with pytest.raises(SearchBudgetExceeded) as err:
+        equivalence_check(tw_a, tw_b, min_exp=-1, max_exp=1)
+    assert err.value.bounds["windows"] == [(-1, 1)]
+
+
+def _multi_piece_shapes(p):
+    """Graded shapes of two or more pieces, weight <= p - 2 and total rank
+    <= 4: the shapes whose frame changes are not the identity."""
+    return [
+        ranks
+        for k in range(2, p)
+        for ranks in itertools.product(range(1, 4), repeat=k)
+        if sum(ranks) <= 4
+    ]
+
+
+def _frame_change_pair(rng, p, n, ranks):
+    tup = random_witt_tuple(rng, p, n, ranks)
+    frame = random_flag_frame(rng, tup.ring, ranks)
+    return gn_construct(tup), gn_construct(tup, frame=frame)
+
+
+def _assert_intertwines(tw_a, tw_b, L):
+    ring = tw_a.ring
+    defect = (
+        L.derivative().scale_const(ring.coerce(ring.p))
+        .add(tw_a.module.matrix.mul(L))
+        .sub(L.mul(tw_b.module.matrix))
+    )
+    assert defect.is_zero()
+    assert L.det().is_unit()
+
+
+def test_seed_one_frame_changes_solve_one_system_on_the_unit_window(monkeypatch):
+    # the witt-lift benchmark's frame-change cases at seed 1
+    pairs = [
+        _frame_change_pair(random.Random("witt-lift:1:%d:2:%s:0" % (p, ranks)), p, 2, ranks)
+        for p in (3, 5, 7)
+        for ranks in _multi_piece_shapes(p)
+    ]
+    assert len(pairs) == 28
+    widths = _solve_widths(monkeypatch)
+    for tw, framed in pairs:
+        del widths[:]
+        L = equivalence_check(tw, framed)
+        # one unknown per entry of L and exponent in -1..1; the frame change
+        # at p = 5, ranks (1, 1) leaves B as it was and needs no solve
+        unchanged = tw.module.matrix == framed.module.matrix
+        assert widths == ([] if unchanged else [3 * tw.rank ** 2])
+        assert all(-1 <= e <= 1 for row in L.rows for x in row for e in x.coeffs)
+        _assert_intertwines(tw, framed, L)
+
+
+def test_frame_change_intertwiners_are_invertible_across_the_box():
+    for p in (3, 5, 7):
+        for n in (2, 3):
+            rng = random.Random(100 * p + n)
+            for ranks in _multi_piece_shapes(p):
+                tw, framed = _frame_change_pair(rng, p, n, ranks)
+                _assert_intertwines(tw, framed, equivalence_check(tw, framed))
 
 
 # ---------------------------------------------------------------------------
