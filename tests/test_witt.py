@@ -388,6 +388,17 @@ def test_lifting_choice_is_invisible_after_twist():
     assert equivalence_check(tw, sharp_construct(tup)) == RingMatrix.identity(ring, 3)
 
 
+def _assert_intertwines(tw_a, tw_b, L):
+    ring = tw_a.ring
+    defect = (
+        L.derivative().scale_const(ring.coerce(ring.p))
+        .add(tw_a.module.matrix.mul(L))
+        .sub(L.mul(tw_b.module.matrix))
+    )
+    assert defect.is_zero()
+    assert L.det().is_unit()
+
+
 def test_equivalence_under_frame_change():
     rng = random.Random(19)
     ring = Zmod(3, 2)
@@ -399,15 +410,9 @@ def test_equivalence_under_frame_change():
     # the p-power-conjugated frame intertwines the frame-changed twist back
     lam = RingMatrix.identity(ring, 2)
     lam.rows[1][0] = Q.rows[1][0].scale(ring.coerce(3))
-    defect = (
-        lam.derivative().scale_const(ring.coerce(3))
-        .add(tw1.module.matrix.mul(lam))
-        .sub(lam.mul(tw2.module.matrix))
-    )
-    assert defect.is_zero()
-    assert lam.det().is_unit()
+    _assert_intertwines(tw1, tw2, lam)
     L = equivalence_check(tw1, tw2)
-    assert L.det().is_unit()
+    _assert_intertwines(tw1, tw2, L)
     assert equivalence_gamma_check(tw1, tw2, L, rng)
 
 
@@ -507,17 +512,6 @@ def _frame_change_pair(rng, p, n, ranks):
     tup = random_witt_tuple(rng, p, n, ranks)
     frame = random_flag_frame(rng, tup.ring, ranks)
     return gn_construct(tup), gn_construct(tup, frame=frame)
-
-
-def _assert_intertwines(tw_a, tw_b, L):
-    ring = tw_a.ring
-    defect = (
-        L.derivative().scale_const(ring.coerce(ring.p))
-        .add(tw_a.module.matrix.mul(L))
-        .sub(L.mul(tw_b.module.matrix))
-    )
-    assert defect.is_zero()
-    assert L.det().is_unit()
 
 
 def test_seed_one_frame_changes_solve_one_system_on_the_unit_window(monkeypatch):
