@@ -505,8 +505,9 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
 
     Raises NoSolution when no L on the last window solves the equation, and
     SearchBudgetExceeded, with the stage, work and window in its bounds,
-    when EQUIVALENCE_BUDGET candidates on it give no invertible one; both
-    also list the windows tried."""
+    when EQUIVALENCE_BUDGET candidates on it give no invertible one, or
+    the kernel alone when every generator vanishes mod p; both also list
+    the windows tried."""
     if tw_a.ring != tw_b.ring or tw_a.ranks != tw_b.ranks:
         raise ValueError("presentations of different modules")
     Ba, Bb = tw_a.module.matrix, tw_b.module.matrix
@@ -559,9 +560,11 @@ def _window_intertwiner(ring, Ba, Bb, window):
         if L is not None:
             return L
     # invertibility is a dense condition on the solution lattice, so random
-    # residue combinations of the generators find a unit quickly if one exists
+    # residue combinations of the generators find a unit quickly if one
+    # exists; when every generator vanishes mod p, every combination does too
     rng = random.Random(0)
-    while tried < EQUIVALENCE_BUDGET:
+    mod_p = any(c % p for g in gens for c in g.values())
+    while mod_p and tried < EQUIVALENCE_BUDGET:
         tried += 1
         vec = {}
         for g in gens:
@@ -571,7 +574,7 @@ def _window_intertwiner(ring, Ba, Bb, window):
         L = intertwiner(vec)
         if L is not None:
             return L
-    stage = "kernel" if len(gens) >= EQUIVALENCE_BUDGET else "random"
+    stage = "kernel" if tried <= len(gens) else "random"
     raise SearchBudgetExceeded(
         "no invertible intertwiner within %d candidates" % tried,
         bounds={"stage": stage, "tried": tried, "kernel": len(gens),
