@@ -758,6 +758,20 @@ def random_flag_frame(rng, ring, ranks):
     return frame
 
 
+def default_equivalence_window(tw_a, tw_b):
+    """equivalence_check's default monomial window for two presentations:
+    one below the exponents of both p-connection matrices (0 included) to
+    two above them."""
+    exps = [0] + [
+        e
+        for tw in (tw_a, tw_b)
+        for row in tw.module.matrix.rows
+        for x in row
+        for e in x.coeffs
+    ]
+    return min(exps) - 1, max(exps) + 2
+
+
 def random_graded_higgs(rng, curve, grade_ranks, base_exp=None, gap=2):
     """Nilpotent Higgs bundle on P^1 with a block-chain structure: grade g
     summands map into grade g+1 summands, whose line degrees sit `gap`

@@ -72,7 +72,7 @@ from hdflow.witt import (
     w2_flow_step,
 )
 
-from oracles import random_flag_frame
+from oracles import default_equivalence_window, random_flag_frame
 
 
 def _mat(ring, entries):
@@ -250,17 +250,30 @@ def _equivalence_bytes():
     return canonical_bytes(matrix_to_json(L))
 
 
-def _bench_frame_change_bytes(p, ranks):
-    """Intertwiner equivalence_check returns without a window for a degree-1
-    unipotent flag-respecting frame change at n = 2, drawn like the
-    witt-lift benchmark's frame-change case of that shape at seed 1.  Both
-    pinned shapes find one on -1..1, the first window of the schedule.  At
-    p = 5, ranks (2, 2), the full default window (397 equations, 240
-    unknowns) gives the same bytes; at p = 3, ranks (3, 1), it gives other
-    ones."""
-    rng = random.Random("witt-lift:1:%d:2:%s:0" % (p, ranks))
-    tup = random_witt_tuple(rng, p, 2, ranks)
-    frame = random_flag_frame(rng, tup.ring, ranks)
+def _default_window_equivalence_bytes():
+    """Intertwiner on equivalence_check's default window for a degree-1
+    unipotent flag-respecting frame change: p = 5, ranks (2, 2), n = 2,
+    drawn like the witt-lift benchmark's frame-change case at seed 1, whose
+    default-window system (397 equations, 240 unknowns) is that round's
+    largest.  The window is passed explicitly, as the last one of the
+    schedule a call without one tries."""
+    rng = random.Random("witt-lift:1:5:2:(2, 2):0")
+    tup = random_witt_tuple(rng, 5, 2, (2, 2))
+    tw = gn_construct(tup)
+    framed = gn_construct(tup, frame=random_flag_frame(rng, tup.ring, (2, 2)))
+    lo, hi = default_equivalence_window(tw, framed)
+    L = equivalence_check(tw, framed, min_exp=lo, max_exp=hi)
+    return canonical_bytes(matrix_to_json(L))
+
+
+def _frame_change_p3_bytes():
+    """Intertwiner equivalence_check returns without a window for the
+    witt-lift benchmark's frame-change case p = 3, ranks (3, 1), n = 2 at
+    seed 1: the one on -1..1, the first window of the schedule, which
+    differs from the one on the default window."""
+    rng = random.Random("witt-lift:1:3:2:(3, 1):0")
+    tup = random_witt_tuple(rng, 3, 2, (3, 1))
+    frame = random_flag_frame(rng, tup.ring, (3, 1))
     L = equivalence_check(gn_construct(tup), gn_construct(tup, frame=frame))
     return canonical_bytes(matrix_to_json(L))
 
@@ -587,8 +600,8 @@ LIBRARY_CASES = {
     "kernel-bases": _kernel_basis_bytes,
     "pack-unpack-round-trip": _pack_round_trip_bytes,
     "equivalence-intertwiner": _equivalence_bytes,
-    "equivalence-default-window": lambda: _bench_frame_change_bytes(5, (2, 2)),
-    "equivalence-frame-change-p3": lambda: _bench_frame_change_bytes(3, (3, 1)),
+    "equivalence-default-window": _default_window_equivalence_bytes,
+    "equivalence-frame-change-p3": _frame_change_p3_bytes,
     "taylor-transition-p3": _taylor_transition_bytes,
     "taylor-cocycle-p5-n3": _taylor_cocycle_bytes,
     "witt-construct": _witt_construct_bytes,

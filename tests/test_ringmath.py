@@ -839,8 +839,9 @@ def _matches_dense_oracle(rows, rhs, d, ncols):
 
 
 def _equivalence_window_systems(monkeypatch, p, n, seed):
-    """The window systems equivalence_check solves for a seeded tuple and a
-    unipotent flag-respecting frame change with degree-1 entries."""
+    """The system equivalence_check solves on its default window for a
+    seeded tuple and a unipotent flag-respecting frame change with degree-1
+    entries."""
     rng = random.Random(seed)
     tup = random_witt_tuple(rng, p, n, (1, 1))
     ring = tup.ring
@@ -852,10 +853,11 @@ def _equivalence_window_systems(monkeypatch, p, n, seed):
         systems.append((rows, d, ncols))
         return solve_linear_mod(rows, d, ncols)
 
+    tw, framed = witt.gn_construct(tup), witt.gn_construct(tup, frame=frame)
+    lo, hi = oracles.default_equivalence_window(tw, framed)
     with monkeypatch.context() as patched:
         patched.setattr(witt, "solve_linear_mod", record)
-        tw, framed = witt.gn_construct(tup), witt.gn_construct(tup, frame=frame)
-        witt.equivalence_check(tw, framed)
+        witt.equivalence_check(tw, framed, min_exp=lo, max_exp=hi)
     return systems
 
 
