@@ -148,11 +148,6 @@ def check_per_chart(mats, rule, source, target, what):
         raise ValueError("%s matrices disagree on the overlap" % what)
 
 
-def change_frame_higgs(theta, Q, Qinv):
-    """Q Theta Q^-1 for a frame change x' = Q x."""
-    return Q.mul(theta).mul(Qinv)
-
-
 def change_frame_connection(A, Q, Qinv):
     """Q A Q^-1 + Q dQ^-1/dt for a frame change x' = Q x."""
     return Q.mul(A).mul(Qinv).add(Q.mul(Qinv.derivative()))
@@ -185,11 +180,6 @@ class Bundle:
     @classmethod
     def free(cls, curve, rank):
         return cls(curve, rank)
-
-    @classmethod
-    def line(cls, curve, a):
-        d = curve.domain
-        return cls(curve, 1, RingMatrix(d, [[LaurentPoly.var(d, -a)]]))
 
     @classmethod
     def sum_of_lines(cls, curve, exponents):
@@ -242,11 +232,6 @@ class Bundle:
             self._split = SplitFrames(self, fact)
         return self._split
 
-    def is_trivial_type(self):
-        if not self.curve.is_projective:
-            return True
-        return all(a == 0 for a in self.splitting_type())
-
     def direct_sum(self, other):
         if self.curve != other.curve:
             raise ValueError("direct sum needs a shared curve")
@@ -256,13 +241,6 @@ class Bundle:
             self.domain, [self.transition, other.transition]
         )
         return Bundle(self.curve, self.rank + other.rank, g)
-
-    def twist(self, k):
-        """Tensor with the degree-k line bundle."""
-        if not self.curve.is_projective:
-            return self
-        tw = LaurentPoly.var(self.domain, -k)
-        return Bundle(self.curve, self.rank, self.transition.scale(tw))
 
 
 class SplitFrames:
@@ -384,14 +362,6 @@ class BundleMap:
 
     def is_isomorphism(self):
         return all(M.is_unimodular() for M in self.phi)
-
-    def respects_higgs(self, higgs_source, higgs_target):
-        """phi is a map of Higgs bundles: phi Theta_A = Theta_B phi chartwise."""
-        return all(
-            self.phi[c].mul(higgs_source.theta[c])
-            == higgs_target.theta[c].mul(self.phi[c])
-            for c in range(len(self.phi))
-        )
 
     def is_horizontal(self, flat_source, flat_target):
         """phi commutes with the connections:

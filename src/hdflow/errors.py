@@ -86,10 +86,6 @@ class CertificateFailed(HdflowError):
         self.part = part
 
 
-class NotFree(HdflowError):
-    """Chart module is not free; local constructions need a basis."""
-
-
 class LevelTooHigh(HdflowError):
     """Nilpotency/quasi-nilpotency level exceeds the construction's bound."""
 

@@ -109,9 +109,6 @@ class FlowTrace:
     def higgs_terms(self):
         return [st.higgs for st in self.stages]
 
-    def degrees(self):
-        return [st.degree for st in self.stages]
-
 
 def _adopt_filtration(flat, fil_spec):
     """Re-express a supplied filtration on the transform's own bundle and
@@ -326,55 +323,6 @@ def _transport_filtration(psi_graded, src_graded, tgt_graded, tgt_flat, fil):
     new_fil = HodgeFiltration(H_src.bundle, steps)
     DeRhamBundle(H_src, new_fil).validate()
     return H_src, new_fil
-
-
-def shift_tuple(T):
-    """Rotate a periodic tuple to start one flow step later; the missing
-    final filtration is the transport of Fil_0 through the period map."""
-    stages = T.stages()
-    fils = T.filtrations
-    flats = T._flats
-    f = T.period
-    H_last, fil_last = _transport_filtration(
-        T.phi, stages[f], stages[0], flats[0], fils[0]
-    )
-    nxt = grade(H_last, fil_last).graded
-    phi_new = graded_higgs_isomorphic(nxt, stages[1])
-    if phi_new is None:
-        raise HdflowError("no intertwiner found for the shifted tuple")
-    return PeriodicTuple(
-        stages[1], tuple(fils[1:]) + (fil_last,), phi_new
-    ).validate()
-
-
-def lengthen_tuple(T, l):
-    """Repeat the filtration data l times, transporting it along the
-    accumulated period isomorphism; the period map becomes the folded
-    composite."""
-    if l < 1:
-        raise ValueError("lengthening factor must be positive")
-    if l == 1:
-        return T
-    stages = T.stages()
-    fils = list(T.filtrations)
-    flats = T._flats
-    f = T.period
-    all_fils = list(fils)
-    psi = T.phi
-    cur = stages[f]
-    for _ in range(1, l):
-        for i in range(f):
-            H_cur, fil_cur = _transport_filtration(
-                psi, cur, stages[i], flats[i], fils[i]
-            )
-            all_fils.append(fil_cur)
-            nxt = grade(H_cur, fil_cur).graded
-            psi = graded_higgs_isomorphic(nxt, stages[i + 1])
-            if psi is None:
-                raise HdflowError("no intertwiner found while lengthening")
-            cur = nxt
-        psi = compose_graded_maps(T.phi, psi)
-    return PeriodicTuple(T.higgs, tuple(all_fils), psi).validate()
 
 
 def tuples_isomorphic(T1, T2):

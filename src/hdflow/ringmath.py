@@ -392,38 +392,8 @@ class GF:
                 k //= self.p
             yield tuple(coeffs)
 
-    def minimal_polynomial(self, a):
-        """Monic minimal polynomial of a over F_p as (c_0..c_{d-1}) plus an
-        implicit leading 1 of degree d."""
-        powers = [self.one]
-        for _ in range(self.f):
-            powers.append(self.mul(powers[-1], a))
-        for d in range(1, self.f + 1):
-            # coordinate rows of sum_i c_i a^i = -a^d, right side at column d
-            rows = []
-            for coord in range(self.f):
-                col = [powers[i][coord] for i in range(d)] + [-powers[d][coord] % self.p]
-                rows.append({i: c for i, c in enumerate(col) if c})
-            try:
-                sol = solve_linear_mod(rows, Zmod(self.p), d).particular
-            except NoSolution:
-                continue
-            return tuple(sol.get(i, 0) for i in range(d))
-        raise CertificateFailed("no minimal polynomial", part="minimal-polynomial")
-
-    def is_field_generator(self, a):
-        return len(self.minimal_polynomial(a)) == self.f
-
     def serialize(self, a):
         return list(a)
-
-
-def gf_conjugate(field, a, j):
-    """Apply the p-power Frobenius j times: a -> a^(p^j)."""
-    out = field.coerce(a)
-    for _ in range(j % field.f if field.f > 1 else 0):
-        out = field.frobenius(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +640,6 @@ class RingMatrix:
         out.domain, out.rows = domain, rows
         out.nrows, out.ncols = len(rows), len(rows[0]) if rows else 0
         return out
-
-    @classmethod
-    def from_scalars(cls, domain, rows):
-        return cls(
-            domain, [[LaurentPoly.const(domain, c) for c in row] for row in rows]
-        )
 
     @classmethod
     def identity(cls, domain, n):
@@ -950,15 +914,6 @@ def poly_divmod(a, b):
         q = q.add(term)
         r = r.sub(term.mul(b))
     return q, r
-
-
-def poly_gcd(a, b):
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.scale(a.domain.inv(a.coeffs[a.degree()]))
 
 
 class SmithForm:

@@ -30,7 +30,6 @@ from .errors import (
     NonInvertible,
     NoSolution,
     NotDivisible,
-    NotFree,
     SearchBudgetExceeded,
     TransversalityViolated,
     TruncationBoundExceeded,
@@ -107,31 +106,6 @@ class PConnectionModule:
         """nabla against the derivation h * d/dt."""
         p = self.ring.coerce(self.ring.p)
         return col.derivative().scale_const(p).add(self.matrix.mul(col)).scale(h)
-
-    def level_at_most(self, bound, hs_samples, cols):
-        """True when every (bound+1)-fold composite from the samples kills
-        every sample column."""
-        for hs in hs_samples:
-            if len(hs) != bound + 1:
-                raise ValueError("need bound+1 derivations per composite")
-            for col in cols:
-                v = col
-                for h in reversed(hs):
-                    v = self.apply(h, v)
-                if not v.is_zero():
-                    return False
-        return True
-
-    def leibniz_check(self, f, cols):
-        """nabla(f v) - f nabla(v) = p f' v, exactly, on the given columns."""
-        one = LaurentPoly.one(self.ring)
-        p = self.ring.coerce(self.ring.p)
-        for col in cols:
-            lhs = self.apply(one, col.scale(f)).sub(self.apply(one, col).scale(f))
-            rhs = col.scale(f.derivative()).scale_const(p)
-            if not lhs.sub(rhs).is_zero():
-                return False
-        return True
 
 
 def gamma_apply(A, ranks, m, hs, X):
@@ -367,17 +341,6 @@ class LiftingInputTuple:
         return theta_total_matrix(self.ring, self.ranks, self.theta)
 
 
-def tuple_from_graded(graded):
-    """Flatten a graded Higgs bundle on the affine line into chart-local
-    input data; projective inputs carry no global free presentation."""
-    curve = graded.curve
-    if curve.is_projective:
-        raise NotFree("truncated-Witt inputs need one global chart")
-    ranks = tuple(piece.rank for piece in graded.pieces)
-    theta = tuple(maps[0] for maps in graded.maps)
-    return LiftingInputTuple(curve.domain, ranks, theta)
-
-
 def reduce_tuple(tup):
     """The same input one level of precision down."""
     if tup.n == 1:
@@ -580,22 +543,6 @@ def _window_intertwiner(ring, Ba, Bb, window):
         bounds={"stage": stage, "tried": tried, "kernel": len(gens),
                 "window": window},
     )
-
-
-def equivalence_gamma_check(tw_a, tw_b, L, rng):
-    """The intertwiner also carries the divided operators across: checks
-    L gamma_b(v) = gamma_a(L v) on sampled derivations and sections."""
-    ring = tw_a.ring
-    p = ring.p
-    for _ in range(3):
-        for m in (0, 1):
-            hs = [random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
-            v = _random_col(rng, ring, tw_a.rank, 2)
-            lhs = L.mul(tw_b.gamma(m, hs, v))
-            rhs = tw_a.gamma(m, hs, L.mul(v))
-            if not lhs.sub(rhs).is_zero():
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1066,94 +1013,3 @@ def _solve_grading_comparison(tup, theta_next, base_blocks, certificates):
         blocks[0].sub(RingMatrix.identity(ring, ranks[0])).is_zero()
     )
     return tuple(blocks), True
-
-
-# ---------------------------------------------------------------------------
-# bounded uniqueness search for lifted filtrations
-
-
-def filtration_lift_candidates(tup, coefficients, exponents):
-    """Sweep one-parameter deformations of the coordinate flag by p^(n-1)
-    monomials, one flag direction and one ambient row at a time; the
-    deformed direction is changed in every step that contains it, so the
-    steps stay nested.  Returns (entry, steps, flow step or None) per
-    deformation, None when the flow step rejects the filtration."""
-    ring = tup.ring
-    ranks = tup.ranks
-    rank = sum(ranks)
-    starts = block_starts(ranks)
-    grade_of = []
-    for g, r in enumerate(ranks):
-        grade_of.extend([g] * r)
-    positions = [
-        (d, i)
-        for d in range(rank)
-        if grade_of[d] >= 1
-        for i in range(starts[grade_of[d]])
-    ]
-    entries = [()]
-    entries += [
-        ((d, i, c, e),)
-        for (d, i) in positions
-        for c in coefficients
-        for e in exponents
-    ]
-    out = []
-    for entry in entries:
-        deltas = []
-        for step in range(1, len(ranks)):
-            start = starts[step]
-            D = RingMatrix.zeros(ring, rank, rank - start)
-            for (d, i, c, e) in entry:
-                if d >= start:
-                    D.rows[i][d - start] = LaurentPoly.monomial(
-                        ring, ring.coerce(c), e
-                    )
-            deltas.append(D)
-        steps = filtration_steps_from_flag(ranks, ring, deltas)
-        try:
-            res = w2_flow_step(tup, steps)
-        except (NoLiftedFiltration, TransversalityViolated):
-            res = None
-        out.append((entry, steps, res))
-    return out
-
-
-def horizontal_transport(flat, cols_a, cols_b):
-    """Automorphism 1 + p^(n-1) S of a flat module, horizontal and carrying
-    the first filtration onto the second; None when S on the monomial window
-    t^-1..t^2 holds no such transport."""
-    ring = flat.bundle.domain
-    p, n = ring.p, ring.m
-    field = Zmod(p, 1)
-    rank = flat.bundle.rank
-    Abar = flat.A[0].reduce_to(field)
-    system = WindowSystem.square(field, [rank], range(-1, 3))
-    # horizontality: dS + Abar S - S Abar = 0 over the residue field
-    system.add_derivative(("h",), 0)
-    system.add_product(("h",), 0, left=Abar)
-    system.add_product(("h",), 0, right=Abar, coef=-1)
-    # transport: columns of a, plus p^(n-1) S a, must lie in the span of b;
-    # the difference (a - b) is p^(n-1) times a residue matrix
-    for ncol in range(cols_a.ncols):
-        col_a = cols_a.columns([ncol])
-        try:
-            diff = col_a.sub(cols_b.columns([ncol])).p_divide(n - 1, field)
-        except NotDivisible:
-            return None
-        system.add_rhs_matrix(("t", ncol), diff, -1)
-        system.add_product(("t", ncol), 0, right=col_a.reduce_to(field))
-    rows = system.rows()
-    if not rows:
-        return None
-    try:
-        sol = solve_linear_mod(rows, field, system.ncols)
-    except NoSolution:
-        return None
-    S = system.matrices(sol.particular)[0].lift_to(ring)
-    U = RingMatrix.identity(ring, rank).add(
-        S.scale_const(ring.coerce(p ** (n - 1)))
-    )
-    if not flat.covariant_derivative(U).sub(U.mul(flat.A[0])).is_zero():
-        return None
-    return U

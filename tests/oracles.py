@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: exhaustive enumeration, repeated
 multiplication, definitional identities.  Slow is fine; these only run on
-desk-sized inputs inside the test suite.
+desk-sized inputs inside the test suite.  The last section holds checks of
+library outputs against claims of the paper that the system itself never
+certifies, so only the tests call them.
 """
 
 import itertools
@@ -12,9 +14,12 @@ from math import ceil, floor
 from hdflow.bundles import Subbundle, change_frame_connection, hn_filtration
 from hdflow.errors import (
     CertificateFailed,
+    NoLiftedFiltration,
     NoSolution,
     NonInvertible,
+    NotDivisible,
     SearchBudgetExceeded,
+    TransversalityViolated,
     TruncationBoundExceeded,
 )
 from hdflow.filtration import DestabilizerReport, _lex_gt
@@ -23,11 +28,19 @@ from hdflow.ringmath import (
     LaurentPoly,
     LinearSolution,
     RingMatrix,
+    WindowSystem,
+    Zmod,
     block_starts,
     smith_form_poly,
     solve_linear_mod,
 )
-from hdflow.witt import taylor_coefficient, truncation_bound
+from hdflow.witt import (
+    _random_col,
+    filtration_steps_from_flag,
+    taylor_coefficient,
+    truncation_bound,
+    w2_flow_step,
+)
 
 
 def enumerate_solutions_mod(A, b, modulus, limit=10 ** 4):
@@ -466,6 +479,26 @@ def slow_conjugate(field, a, j):
     return slow_pow(field, a, field.p ** j)
 
 
+def minimal_polynomial(field, a):
+    """Monic minimal polynomial of a over F_p as (c_0..c_{d-1}) plus an
+    implicit leading 1 of degree d."""
+    powers = [field.one]
+    for _ in range(field.f):
+        powers.append(field.mul(powers[-1], a))
+    for d in range(1, field.f + 1):
+        # coordinate rows of sum_i c_i a^i = -a^d, right side at column d
+        rows = []
+        for coord in range(field.f):
+            col = [powers[i][coord] for i in range(d)] + [-powers[d][coord] % field.p]
+            rows.append({i: c for i, c in enumerate(col) if c})
+        try:
+            sol = solve_linear_mod(rows, Zmod(field.p), d).particular
+        except NoSolution:
+            continue
+        return tuple(sol.get(i, 0) for i in range(d))
+    raise CertificateFailed("no minimal polynomial", part="minimal-polynomial")
+
+
 def laurent_power(f, n):
     """f^n by binary powering, through the inverse unit when n < 0."""
     if n < 0:
@@ -486,23 +519,6 @@ def binary_power_substitute(f, image):
     for e, c in f.coeffs.items():
         out = out.add(laurent_power(image, e).scale(c))
     return out
-
-
-def poly_eval(poly, point, domain):
-    """Evaluate a Laurent polynomial at a unit point of the domain."""
-    acc = domain.zero
-    for e, c in poly.coeffs.items():
-        if e >= 0:
-            pe = domain.one
-            for _ in range(e):
-                pe = domain.mul(pe, point)
-        else:
-            inv = domain.inv(point)
-            pe = domain.one
-            for _ in range(-e):
-                pe = domain.mul(pe, inv)
-        acc = domain.add(acc, domain.mul(c, pe))
-    return acc
 
 
 def check_leibniz(f, g):
@@ -704,6 +720,12 @@ def random_poly(rng, domain, max_deg):
     return random_laurent(rng, domain, 0, max_deg)
 
 
+def const_matrix(d, rows):
+    return RingMatrix(
+        d, [[LaurentPoly.const(d, d.coerce(c)) for c in row] for row in rows]
+    )
+
+
 def random_unimodular_poly(rng, domain, n, ops=4, max_deg=2, inverse_var=False):
     """Random unimodular matrix over F[t] (or over F[1/t] with
     inverse_var=True) as a product of elementary operations."""
@@ -811,14 +833,14 @@ def random_graded_higgs(rng, curve, grade_ranks, base_exp=None, gap=2):
 def conjugate_higgs_frames(rng, higgs, ops=3, max_deg=1):
     """Re-express a Higgs bundle in random chart-0 frames (same object, a
     different-looking transition and Higgs matrix)."""
-    from hdflow.bundles import Bundle, HiggsBundle, change_frame_higgs
+    from hdflow.bundles import Bundle, HiggsBundle
 
     d = higgs.bundle.domain
     n = higgs.bundle.rank
     Q = random_unimodular_poly(rng, d, n, ops=ops, max_deg=max_deg)
     g_new = higgs.bundle.transition.mul(Q.inverse())
     E_new = Bundle(higgs.bundle.curve, n, g_new)
-    theta0_new = change_frame_higgs(higgs.theta[0], Q, Q.inverse())
+    theta0_new = Q.mul(higgs.theta[0]).mul(Q.inverse())
     return HiggsBundle.from_chart0(E_new, theta0_new)
 
 
@@ -1034,3 +1056,147 @@ def destabilizer_theta_closure(G):
     if mu <= G.slope():
         return None
     return DestabilizerReport(tuple(chosen), mu, ranks)
+
+
+# ---------------------------------------------------------------------------
+# cross-checks of library outputs against the paper's claims
+
+
+def respects_higgs(bundle_map, higgs_source, higgs_target):
+    """phi is a map of Higgs bundles: phi Theta_A = Theta_B phi chartwise."""
+    return all(
+        bundle_map.phi[c].mul(higgs_source.theta[c])
+        == higgs_target.theta[c].mul(bundle_map.phi[c])
+        for c in range(len(bundle_map.phi))
+    )
+
+
+def level_at_most(module, bound, hs_samples, cols):
+    """True when every (bound+1)-fold composite from the samples kills
+    every sample column."""
+    for hs in hs_samples:
+        if len(hs) != bound + 1:
+            raise ValueError("need bound+1 derivations per composite")
+        for col in cols:
+            v = col
+            for h in reversed(hs):
+                v = module.apply(h, v)
+            if not v.is_zero():
+                return False
+    return True
+
+
+def leibniz_check(module, f, cols):
+    """nabla(f v) - f nabla(v) = p f' v, exactly, on the given columns."""
+    one = LaurentPoly.one(module.ring)
+    p = module.ring.coerce(module.ring.p)
+    for col in cols:
+        lhs = module.apply(one, col.scale(f)).sub(module.apply(one, col).scale(f))
+        rhs = col.scale(f.derivative()).scale_const(p)
+        if not lhs.sub(rhs).is_zero():
+            return False
+    return True
+
+
+def equivalence_gamma_check(tw_a, tw_b, L, rng):
+    """The intertwiner also carries the divided operators across: checks
+    L gamma_b(v) = gamma_a(L v) on sampled derivations and sections."""
+    ring = tw_a.ring
+    p = ring.p
+    for _ in range(3):
+        for m in (0, 1):
+            hs = [random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
+            v = _random_col(rng, ring, tw_a.rank, 2)
+            lhs = L.mul(tw_b.gamma(m, hs, v))
+            rhs = tw_a.gamma(m, hs, L.mul(v))
+            if not lhs.sub(rhs).is_zero():
+                return False
+    return True
+
+
+
+def filtration_lift_candidates(tup, coefficients, exponents):
+    """Sweep one-parameter deformations of the coordinate flag by p^(n-1)
+    monomials, one flag direction and one ambient row at a time; the
+    deformed direction is changed in every step that contains it, so the
+    steps stay nested.  Returns (entry, steps, flow step or None) per
+    deformation, None when the flow step rejects the filtration."""
+    ring = tup.ring
+    ranks = tup.ranks
+    rank = sum(ranks)
+    starts = block_starts(ranks)
+    grade_of = []
+    for g, r in enumerate(ranks):
+        grade_of.extend([g] * r)
+    positions = [
+        (d, i)
+        for d in range(rank)
+        if grade_of[d] >= 1
+        for i in range(starts[grade_of[d]])
+    ]
+    entries = [()]
+    entries += [
+        ((d, i, c, e),)
+        for (d, i) in positions
+        for c in coefficients
+        for e in exponents
+    ]
+    out = []
+    for entry in entries:
+        deltas = []
+        for step in range(1, len(ranks)):
+            start = starts[step]
+            D = RingMatrix.zeros(ring, rank, rank - start)
+            for (d, i, c, e) in entry:
+                if d >= start:
+                    D.rows[i][d - start] = LaurentPoly.monomial(
+                        ring, ring.coerce(c), e
+                    )
+            deltas.append(D)
+        steps = filtration_steps_from_flag(ranks, ring, deltas)
+        try:
+            res = w2_flow_step(tup, steps)
+        except (NoLiftedFiltration, TransversalityViolated):
+            res = None
+        out.append((entry, steps, res))
+    return out
+
+
+def horizontal_transport(flat, cols_a, cols_b):
+    """Automorphism 1 + p^(n-1) S of a flat module, horizontal and carrying
+    the first filtration onto the second; None when S on the monomial window
+    t^-1..t^2 holds no such transport."""
+    ring = flat.bundle.domain
+    p, n = ring.p, ring.m
+    field = Zmod(p, 1)
+    rank = flat.bundle.rank
+    Abar = flat.A[0].reduce_to(field)
+    system = WindowSystem.square(field, [rank], range(-1, 3))
+    # horizontality: dS + Abar S - S Abar = 0 over the residue field
+    system.add_derivative(("h",), 0)
+    system.add_product(("h",), 0, left=Abar)
+    system.add_product(("h",), 0, right=Abar, coef=-1)
+    # transport: columns of a, plus p^(n-1) S a, must lie in the span of b;
+    # the difference (a - b) is p^(n-1) times a residue matrix
+    for ncol in range(cols_a.ncols):
+        col_a = cols_a.columns([ncol])
+        try:
+            diff = col_a.sub(cols_b.columns([ncol])).p_divide(n - 1, field)
+        except NotDivisible:
+            return None
+        system.add_rhs_matrix(("t", ncol), diff, -1)
+        system.add_product(("t", ncol), 0, right=col_a.reduce_to(field))
+    rows = system.rows()
+    if not rows:
+        return None
+    try:
+        sol = solve_linear_mod(rows, field, system.ncols)
+    except NoSolution:
+        return None
+    S = system.matrices(sol.particular)[0].lift_to(ring)
+    U = RingMatrix.identity(ring, rank).add(
+        S.scale_const(ring.coerce(p ** (n - 1)))
+    )
+    if not flat.covariant_derivative(U).sub(U.mul(flat.A[0])).is_zero():
+        return None
+    return U

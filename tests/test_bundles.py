@@ -32,19 +32,12 @@ def P1(p, m=1):
 def test_line_bundle_degree_and_type():
     X = P1(3)
     for a in (-3, -1, 0, 2):
-        L = Bundle.line(X, a)
+        L = Bundle.sum_of_lines(X, (a,))
         assert L.degree() == a
         assert L.splitting_type() == [a]
     E = Bundle.sum_of_lines(X, [2, 0, -1])
     assert E.degree() == 1
     assert E.splitting_type() == [2, 0, -1]
-
-
-def test_twist_shifts_degree():
-    X = P1(5)
-    E = Bundle.sum_of_lines(X, [1, -1])
-    assert E.twist(2).degree() == E.degree() + 2 * E.rank
-    assert E.twist(2).splitting_type() == [3, 1]
 
 
 def test_splitting_type_invariant_under_frame_twists():
@@ -64,7 +57,7 @@ def test_splitting_type_invariant_under_frame_twists():
 def test_direct_sum_degree_adds():
     X = P1(3)
     E = Bundle.sum_of_lines(X, [1, 0])
-    F = Bundle.line(X, -2)
+    F = Bundle.sum_of_lines(X, (-2,))
     S = E.direct_sum(F)
     assert S.rank == 3
     assert S.degree() == -1
@@ -123,7 +116,7 @@ def test_flat_trivial_bundle_only_zero_connection_extends():
     zero_mat = RingMatrix.zeros(d, 2, 2)
     F = FlatBundle.from_chart0(E, zero_mat).validate()
     assert F.A[1].is_zero()
-    const = RingMatrix.from_scalars(d, [[0, 1], [0, 0]])
+    const = oracles.const_matrix(d, [[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         FlatBundle.from_chart0(E, const)
 
@@ -149,8 +142,8 @@ def test_bundle_map_hom_of_lines():
     # Hom(O(d), O(a)) is spanned by t^k for 0 <= k <= a - d
     X = P1(3)
     d = X.domain
-    src = Bundle.line(X, 1)
-    dst = Bundle.line(X, 2)
+    src = Bundle.sum_of_lines(X, (1,))
+    dst = Bundle.sum_of_lines(X, (2,))
     for k in (0, 1):
         phi0 = RingMatrix(d, [[LaurentPoly.var(d, k)]])
         m = BundleMap.from_chart0(src, dst, phi0).validate()
@@ -177,7 +170,7 @@ def test_bundle_map_composition_and_iso():
     mm = m.compose(m)
     assert mm.phi[0] == Q.mul(Q)
     not_iso = BundleMap.from_chart0(
-        E, E, RingMatrix.from_scalars(d, [[1, 0], [0, 0]])
+        E, E, oracles.const_matrix(d, [[1, 0], [0, 0]])
     )
     assert not not_iso.is_isomorphism()
 
@@ -190,12 +183,12 @@ def test_map_respects_higgs_and_horizontal():
     c = LaurentPoly.const(d, 1)
     H = HiggsBundle.from_chart0(E, RingMatrix(d, [[zero, c], [zero, zero]]))
     idm = BundleMap.from_chart0(E, E, RingMatrix.identity(d, 2)).validate()
-    assert idm.respects_higgs(H, H)
+    assert oracles.respects_higgs(idm, H, H)
     scale = BundleMap.from_chart0(
-        E, E, RingMatrix.from_scalars(d, [[1, 0], [0, 2]])
+        E, E, oracles.const_matrix(d, [[1, 0], [0, 2]])
     )
     # diag(1,2) conjugates the upper-right entry nontrivially
-    assert not scale.respects_higgs(H, H)
+    assert not oracles.respects_higgs(scale, H, H)
     T = Bundle.free(X, 2)
     Fz = FlatBundle.from_chart0(T, RingMatrix.zeros(d, 2, 2))
     assert BundleMap.from_chart0(T, T, RingMatrix.identity(d, 2)).is_horizontal(
@@ -298,7 +291,7 @@ def test_nilpotent_matrix_exp_frozen():
 def test_nilpotent_matrix_exp_index_p_boundary():
     d = Zmod(3)
     # full Jordan block of size 3: index 3 = p works (needs 1/2 only)
-    M = RingMatrix.from_scalars(d, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    M = oracles.const_matrix(d, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     E = nilpotent_matrix_exp(M)
     half = d.inv(d.coerce(2))
     expect = (
@@ -308,7 +301,7 @@ def test_nilpotent_matrix_exp_index_p_boundary():
     )
     assert E == expect
     # size 4: index 4 > p, the factorial 1/3 does not exist
-    M4 = RingMatrix.from_scalars(
+    M4 = oracles.const_matrix(
         d, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
     )
     with pytest.raises(ExponentTooLarge):
@@ -319,7 +312,7 @@ def test_nilpotent_exp_multiplicative_for_commuting():
     # exp((z1+z2) M) = exp(z1 M) exp(z2 M) for nilpotent M
     d = Zmod(5)
     rng = random.Random(73)
-    N = RingMatrix.from_scalars(d, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    N = oracles.const_matrix(d, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     for _ in range(10):
         z1 = oracles.random_poly(rng, d, 2)
         z2 = oracles.random_poly(rng, d, 2)
@@ -388,7 +381,7 @@ def test_affine_line_bundles_are_free():
     E = Bundle.free(Y, 2)
     assert E.degree() == 0
     d = Y.domain
-    th = RingMatrix.from_scalars(d, [[0, 1], [0, 0]])
+    th = oracles.const_matrix(d, [[0, 1], [0, 0]])
     H = HiggsBundle.from_chart0(E, th).validate()
     assert len(H.theta) == 1
 

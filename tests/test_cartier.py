@@ -21,7 +21,12 @@ from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.errors import ExponentTooLarge, WrongModulus
 from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 
-from oracles import conjugate_higgs_frames, random_graded_higgs, random_laurent
+from oracles import (
+    conjugate_higgs_frames,
+    random_graded_higgs,
+    random_laurent,
+    respects_higgs,
+)
 
 
 def upper_shift(domain, rank, value=None):
@@ -325,7 +330,7 @@ def test_transform_on_maps_is_horizontal():
         higgs.theta[0].scale_const(b)
     )
     phi = BundleMap.from_chart0(higgs.bundle, higgs.bundle, phi0)
-    assert phi.respects_higgs(higgs, higgs)
+    assert respects_higgs(phi, higgs, higgs)
     lift = FrobeniusLifting(
         higgs.bundle.curve,
         (LaurentPoly.var(d), LaurentPoly.zero(d)),

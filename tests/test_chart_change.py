@@ -90,7 +90,7 @@ A1 = AffineLine(F5)
 
 
 def _line(curve, a):
-    return Bundle.line(curve, a) if curve.is_projective else Bundle.free(curve, 1)
+    return Bundle.sum_of_lines(curve, (a,)) if curve.is_projective else Bundle.free(curve, 1)
 
 
 def _higgs(curve, a, mats):
@@ -201,7 +201,7 @@ def test_every_field_rejects_a_pole_on_the_affine_line(kind):
 def test_from_chart0_rejects_a_chart_zero_pole_whatever_chart_one_gives(build):
     # t^-2 on O(0) as a form or a connection, and t^-1 on O(0) as a map,
     # have polynomial chart-1 images
-    E = Bundle.line(P1, 0)
+    E = Bundle.sum_of_lines(P1, (0,))
     for e in (-1, -2):
         with pytest.raises(ValueError):
             build(E, RingMatrix(F5, [[LaurentPoly.var(F5, e)]]))

@@ -27,6 +27,7 @@ from hdflow.serialize import (
     witt_tuple_to_json,
 )
 
+from oracles import const_matrix
 from test_witt import framed_unit_tuple, one_periodic_unit_tuple
 
 
@@ -52,7 +53,7 @@ def trivial_graded_doc(p=3, rank=2):
 def line_graded_doc(p=3, a=1):
     ring = Zmod(p, 1)
     curve = ProjectiveLine(ring)
-    return graded_to_json(GradedHiggsBundle([Bundle.line(curve, a)], ()))
+    return graded_to_json(GradedHiggsBundle([Bundle.sum_of_lines(curve, (a,))], ()))
 
 
 # -- flow run ----------------------------------------------------------------
@@ -123,8 +124,8 @@ def test_flow_run_rejects_a_connecting_map_with_a_pole(curve, tmp_path):
         pieces, maps = [Bundle.free(line, 1)] * 2, ((t_inv,),)
     else:
         line = ProjectiveLine(ring)
-        minus_one = RingMatrix.from_scalars(ring, [[2]])
-        pieces = [Bundle.line(line, 1), Bundle.line(line, 0)]
+        minus_one = const_matrix(ring, [[2]])
+        pieces = [Bundle.sum_of_lines(line, (1,)), Bundle.sum_of_lines(line, (0,))]
         maps = ((t_inv, minus_one),)
     G = GradedHiggsBundle(pieces, maps)
     path = write_doc(tmp_path, "pole.json", graded_to_json(G))

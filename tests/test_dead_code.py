@@ -1,12 +1,21 @@
-"""Every library function has a use, and every stored field is read.
+"""Every library function has a caller in the system, every stored field
+is read, every import is used, and every oracle serves a test.
 
-A function whose name appears nowhere but in its own definitions is dead:
-nothing in the library, its tests or the benchmark calls it, so it is
-untested code that only looks like a feature.  A method is reached only as
-an attribute (obj.name), so it counts as used only where some searched file
-accesses it that way; its name as a local variable, in a comment or in a
-string does not count.  Dunders and the command-line entry points (called
-by click, not by name) are exempt.
+A library function is used only when the system calls it: code in
+src/hdflow or bench/ refers to it.  Tests do not count as callers, so a
+function that only tests call is flagged; it gets a caller in the system,
+moves to tests/oracles.py if it only cross-checks the library, or goes.  A
+function counts as referred to where its name appears as a word in those
+trees, beyond its own definitions.  A method is reached only as an
+attribute (obj.name), so it counts only where some file there accesses it
+that way; its name as a local variable, in a comment or in a string does
+not count.  Exempt are dunders, the command-line entry points (called by
+click, not by name) and the public entry points in ENTRY_POINTS, each with
+its reason.
+
+Stored fields and imports are checked against tests too: a field that only
+a test reads (an error payload such as CertificateFailed.part) is still
+part of what the library reports.
 """
 
 import ast
@@ -18,7 +27,18 @@ import hdflow
 PACKAGE = Path(hdflow.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parents[1]
+TESTS = ROOT / "tests"
 SEARCHED = ("src", "tests", "bench")
+CALLERS = ("src", "bench")
+
+# Public entry points that nothing in the system calls, each the other half
+# of a document format whose first half the command line uses.
+ENTRY_POINTS = {
+    "bundle_to_json": "writes the 'bundle' documents that load_document reads",
+    "lifting_to_json": "writes the Frobenius liftings that 'cartier apply' reads",
+    "witt_tuple_to_json": "writes the inputs of 'witt lift' and 'witt flow-step'",
+    "filtration_from_json": "reads the filtrations that 'filtration compute' writes",
+}
 
 
 def _is_click_command(node):
@@ -29,14 +49,14 @@ def _is_click_command(node):
     return False
 
 
-def _searched_files():
-    for top in SEARCHED:
+def _searched_files(tops=SEARCHED):
+    for top in tops:
         yield from sorted((ROOT / top).rglob("*.py"))
 
 
 def _word_counts():
     counts = {}
-    for path in _searched_files():
+    for path in _searched_files(CALLERS):
         for word in re.findall(r"\w+", path.read_text()):
             counts[word] = counts.get(word, 0) + 1
     return counts
@@ -44,7 +64,7 @@ def _word_counts():
 
 def _attribute_names():
     names = set()
-    for path in _searched_files():
+    for path in _searched_files(CALLERS):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -80,12 +100,13 @@ def test_every_function_is_used():
     defs = {}
     for _, node, _ in _library_functions():
         defs[node.name] = defs.get(node.name, 0) + 1
+    assert sorted(set(ENTRY_POINTS) - defs.keys()) == []
     unused = []
     for path, node, is_method in _library_functions():
         name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
-        if _is_click_command(node):
+        if _is_click_command(node) or name in ENTRY_POINTS:
             continue
         if name not in attributes if is_method else counts.get(name, 0) <= defs[name]:
             unused.append("%s:%d %s" % (path.name, node.lineno, name))
@@ -188,3 +209,39 @@ def test_every_import_is_used():
             if name not in read and name not in exported
         ]
     assert unused == []
+
+
+def _names_read(tree):
+    """Every name a module reads: bare, as an attribute, or imported from
+    the oracles module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "oracles":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_oracle_is_used():
+    """Every top-level definition in tests/oracles.py is used by another test
+    module, directly or through oracles that are, so code moved there out of
+    the library cannot rot unseen."""
+    oracles = TESTS / "oracles.py"
+    uses = {
+        node.name: _names_read(node)
+        for node in ast.parse(oracles.read_text()).body
+        if isinstance(node, FUNCTION_NODES + (ast.ClassDef,))
+    }
+    reached = set()
+    for path in sorted(TESTS.rglob("*.py")):
+        if path != oracles:
+            reached |= _names_read(ast.parse(path.read_text())) & uses.keys()
+    todo = list(reached)
+    while todo:
+        new = uses[todo.pop()] & uses.keys() - reached
+        reached |= new
+        todo += new
+    assert sorted(uses.keys() - reached) == []

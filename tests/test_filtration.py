@@ -153,7 +153,7 @@ def test_two_grade_line_destabilizer():
     curve = ProjectiveLine(d)
     zero_map = RingMatrix.zeros(d, 1, 1)
     G = GradedHiggsBundle(
-        (Bundle.line(curve, 1), Bundle.line(curve, -1)),
+        (Bundle.sum_of_lines(curve, (1,)), Bundle.sum_of_lines(curve, (-1,))),
         ((zero_map, zero_map),),
     )
     ok, report = is_higgs_semistable(G)
@@ -180,7 +180,7 @@ def test_invariance_constrains_candidates():
     d = Zmod(5, 1)
     curve = ProjectiveLine(d)
     G = GradedHiggsBundle(
-        (Bundle.line(curve, 2), Bundle.line(curve, -2)),
+        (Bundle.sum_of_lines(curve, (2,)), Bundle.sum_of_lines(curve, (-2,))),
         (
             (
                 RingMatrix(d, [[LaurentPoly.const(d, d.one)]]),
@@ -201,7 +201,7 @@ def test_lex_maximum_prefers_rank_at_equal_slope():
     curve = ProjectiveLine(d)
     zero_map = RingMatrix.zeros(d, 2, 1)
     G = GradedHiggsBundle(
-        (Bundle.sum_of_lines(curve, (2, -4)), Bundle.line(curve, 2)),
+        (Bundle.sum_of_lines(curve, (2, -4)), Bundle.sum_of_lines(curve, (2,))),
         ((zero_map, zero_map),),
     )
     best = max_destabilizer_graded(G)
@@ -220,7 +220,7 @@ def test_heuristic_agrees_on_unstable_samples():
         one_grade(Bundle.sum_of_lines(curve, (1, -1))),
         one_grade(Bundle.sum_of_lines(curve, (3, -3))),
         GradedHiggsBundle(
-            (Bundle.line(curve, 1), Bundle.line(curve, -1)),
+            (Bundle.sum_of_lines(curve, (1,)), Bundle.sum_of_lines(curve, (-1,))),
             ((RingMatrix.zeros(d, 1, 1), RingMatrix.zeros(d, 1, 1)),),
         ),
     ]

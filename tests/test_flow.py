@@ -27,10 +27,8 @@ from hdflow.flow import (
     direct_sum_graded,
     extend_graded,
     flow_step,
-    lengthen_tuple,
     pack_endostructure,
     run_flow,
-    shift_tuple,
     tuples_isomorphic,
     unpack_endostructure,
 )
@@ -43,7 +41,12 @@ from hdflow.graded import (
 )
 from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 
-from oracles import random_laurent, random_split_transition, random_unimodular_poly
+from oracles import (
+    const_matrix,
+    random_laurent,
+    random_split_transition,
+    random_unimodular_poly,
+)
 
 
 def one_grade(bundle):
@@ -52,12 +55,6 @@ def one_grade(bundle):
 
 def trivial_graded(curve, rank):
     return one_grade(Bundle.free(curve, rank))
-
-
-def const_matrix(d, rows):
-    return RingMatrix(
-        d, [[LaurentPoly.const(d, d.coerce(c)) for c in row] for row in rows]
-    )
 
 
 def const_graded_map(domain, ncharts, rows):
@@ -279,7 +276,7 @@ def test_run_flow_constant_trace():
     curve = ProjectiveLine(d)
     trace = run_flow(trivial_graded(curve, 2), FlowPolicy(max_steps=5))
     assert len(trace.stages) == 6
-    assert trace.degrees() == [0] * 6
+    assert [st.degree for st in trace.stages] == [0] * 6
     assert trace.periodicity is not None
     assert (trace.periodicity.preperiod, trace.periodicity.period) == (0, 1)
 
@@ -287,8 +284,8 @@ def test_run_flow_constant_trace():
 def test_run_flow_degree_growth_no_period():
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
-    trace = run_flow(one_grade(Bundle.line(curve, 1)), FlowPolicy(max_steps=3))
-    assert trace.degrees() == [1, 3, 9, 27]
+    trace = run_flow(one_grade(Bundle.sum_of_lines(curve, (1,))), FlowPolicy(max_steps=3))
+    assert [st.degree for st in trace.stages] == [1, 3, 9, 27]
     assert trace.periodicity is None
 
 
@@ -416,23 +413,6 @@ def test_nontrivial_filtration_one_periodic():
     assert (trace.periodicity.preperiod, trace.periodicity.period) == (0, 1)
     T = PeriodicTuple(G, (fil,), _identity_graded_map(G)).validate()
     assert T.filtrations[0].level == 1
-
-
-def test_shift_and_lengthen_roundtrip():
-    T = simple_tuple(phi_rows=[[1, 1], [0, 1]])
-    S = shift_tuple(T)
-    assert tuples_isomorphic(S, T) is not None
-
-    assert lengthen_tuple(T, 1) is T
-    L2 = lengthen_tuple(T, 2)
-    assert L2.period == 2
-    L3 = lengthen_tuple(T, 3)
-    assert L3.period == 3
-
-    T2 = simple_tuple(periods=2, phi_rows=[[0, 1], [1, 0]])
-    S1 = shift_tuple(T2)
-    S2 = shift_tuple(S1)
-    assert tuples_isomorphic(S2, T2) is not None
 
 
 # -- endomorphism packing ----------------------------------------------------

@@ -63,7 +63,6 @@ from hdflow.witt import (
     equivalence_check,
     filtration_steps_from_flag,
     gn_construct,
-    horizontal_transport,
     local_filtered_lifting,
     mod_reduction_check,
     ptwist_matrix,
@@ -72,7 +71,7 @@ from hdflow.witt import (
     w2_flow_step,
 )
 
-from oracles import default_equivalence_window, random_flag_frame
+from oracles import default_equivalence_window, horizontal_transport, random_flag_frame
 
 
 def _mat(ring, entries):

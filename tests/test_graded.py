@@ -68,7 +68,7 @@ def single_map_graded(curve, exps, entry):
     """Two-grade graded object with rank-1 pieces and connecting map [[entry]]."""
     d = curve.domain
     if curve.is_projective:
-        pieces = (Bundle.line(curve, exps[0]), Bundle.line(curve, exps[1]))
+        pieces = tuple(Bundle.sum_of_lines(curve, (a,)) for a in exps[:2])
     else:
         pieces = (Bundle.free(curve, 1), Bundle.free(curve, 1))
     m0 = RingMatrix(d, [[entry]])

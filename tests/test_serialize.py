@@ -71,7 +71,7 @@ def test_sha256_frozen():
 
 def test_bundle_document_frozen():
     ring = Zmod(3, 1)
-    doc = bundle_to_json(Bundle.line(ProjectiveLine(ring), 1))
+    doc = bundle_to_json(Bundle.sum_of_lines(ProjectiveLine(ring), (1,)))
     assert canonical_bytes(doc) == (
         b'{"curve":"P1","m":1,"p":3,"rank":1,"schema":"hdf/1",'
         b'"transition":[[[[-1,1]]]],"type":"bundle"}\n'

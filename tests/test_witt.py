@@ -10,15 +10,13 @@ import pytest
 from hdflow.bundles import Bundle, HiggsBundle, change_frame_connection
 from hdflow.cartier import inverse_cartier_1, taylor_gluing_matrix
 from hdflow.corpus import random_lifting, random_witt_tuple
-from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
-from hdflow.graded import GradedHiggsBundle
+from hdflow.curves import AffineLine, FrobeniusLifting
 from hdflow.errors import (
     CertificateFailed,
     LevelTooHigh,
     NoLiftedFiltration,
     NoSolution,
     NonInvertible,
-    NotFree,
     SearchBudgetExceeded,
     TransversalityViolated,
     TruncationBoundExceeded,
@@ -33,14 +31,11 @@ from hdflow.witt import (
     adapted_dr_matrix,
     cn_inverse,
     equivalence_check,
-    equivalence_gamma_check,
-    filtration_lift_candidates,
     filtration_steps_from_flag,
     fn_apply,
     gamma_apply,
     gamma_relations_check,
     gn_construct,
-    horizontal_transport,
     local_filtered_lifting,
     mod_reduction_check,
     ptwist_matrix,
@@ -50,11 +45,15 @@ from hdflow.witt import (
     taylor_transition,
     theta_total_matrix,
     truncation_bound,
-    tuple_from_graded,
     w2_flow_step,
 )
 
 from oracles import (
+    equivalence_gamma_check,
+    filtration_lift_candidates,
+    horizontal_transport,
+    leibniz_check,
+    level_at_most,
     random_flag_frame,
     random_poly,
     random_unimodular_poly,
@@ -226,29 +225,6 @@ def test_input_tuple_rejects_two_step_drop():
     psibar = (mat(down, [[1]]), mat(down, [[{4: 1}]]), mat(down, [[{8: 1}]]))
     with pytest.raises(TransversalityViolated):
         LiftingInputTuple(ring, (1, 1, 1), (one, one), abar, psibar)
-
-
-def test_projective_input_has_no_global_chart():
-    d = Zmod(3, 1)
-    curve = ProjectiveLine(d)
-    pieces = (Bundle.sum_of_lines(curve, [0]), Bundle.sum_of_lines(curve, [-2]))
-    theta = (RingMatrix.zeros(d, 1, 1), RingMatrix.zeros(d, 1, 1))
-    graded = GradedHiggsBundle(pieces, (theta,))
-    with pytest.raises(NotFree):
-        tuple_from_graded(graded)
-
-
-def test_affine_graded_input_flattens():
-    rng = random.Random(5)
-    d = Zmod(3, 1)
-    curve = AffineLine(d)
-    pieces = (Bundle.free(curve, 1), Bundle.free(curve, 2))
-    theta = (random_poly_matrix(rng, d, 1, 2),)
-    graded = GradedHiggsBundle(pieces, (theta,))
-    tup = tuple_from_graded(graded)
-    assert tup.ranks == (1, 2)
-    assert tup.n == 1
-    assert tup.theta[0] == graded.maps[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +691,8 @@ def test_level_bound_of_twisted_module():
     )
     one = LaurentPoly.one(ring)
     cols = [basis_col(ring, 2, k) for k in range(2)]
-    assert not tw.module.level_at_most(1, [[one, one]], cols)
-    assert tw.module.level_at_most(2, [[one, one, one]], cols)
+    assert not level_at_most(tw.module, 1, [[one, one]], cols)
+    assert level_at_most(tw.module, 2, [[one, one, one]], cols)
 
 
 def test_pconnection_leibniz():
@@ -726,7 +702,7 @@ def test_pconnection_leibniz():
     tw = sharp_construct(tup)
     f = random_poly(rng, ring, 2)
     cols = [basis_col(ring, 3, k) for k in range(3)]
-    assert tw.module.leibniz_check(f, cols)
+    assert leibniz_check(tw.module, f, cols)
 
 
 # ---------------------------------------------------------------------------
