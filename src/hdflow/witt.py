@@ -752,23 +752,19 @@ class WittReductionCert:
     matches: the transform's connection matrix, reduced one level, equals
     that of the reduced input's transform.  matrix: the frame change
     between the two, which is the identity, as both are computed in the
-    standard frame; so invertible is always true, and horizontal (the
-    frame change carries one connection to the other) is matches again.
-    char_p_agrees: at the bottom level, the reduced transform equals the
-    level-one inverse Cartier transform; None above it."""
+    standard frame.  char_p_agrees: at the bottom level, the reduced
+    transform equals the level-one inverse Cartier transform; None above
+    it."""
 
     matrix: RingMatrix
     matches: bool
-    horizontal: bool
-    invertible: bool
     char_p_agrees: object
 
     @property
     def ok(self):
-        base = self.matches and self.horizontal and self.invertible
         if self.char_p_agrees is None:
-            return base
-        return base and self.char_p_agrees
+            return self.matches
+        return self.matches and self.char_p_agrees
 
 
 def mod_reduction_check(tup):
@@ -790,7 +786,7 @@ def mod_reduction_check(tup):
         level_one = inverse_cartier_1(higgs)
         char_p = base.A[0].sub(level_one.A[0]).is_zero()
     ident = RingMatrix.identity(down, tup.rank)
-    cert = WittReductionCert(ident, matches, matches, True, char_p)
+    cert = WittReductionCert(ident, matches, char_p)
     if not cert.ok:
         raise CertificateFailed(
             "transform does not reduce to its one-level-down shadow",

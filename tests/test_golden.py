@@ -321,8 +321,6 @@ def _witt_construct_bytes():
                 "reduction": [
                     matrix_to_json(cert.matrix),
                     cert.matches,
-                    cert.horizontal,
-                    cert.invertible,
                     cert.char_p_agrees,
                 ],
             }
@@ -619,7 +617,7 @@ LIBRARY_DIGESTS = {
     "equivalence-frame-change-p3": "cc7694add0a34c9a549226c81b694f84c5a84b259650e5e20f540ac2e8f5f72d",
     "taylor-transition-p3": "1de60a3b47d4bf0736726c1ce433d0fdd7938c70246fb960c98102dacaa4b8cf",
     "taylor-cocycle-p5-n3": "75c04f75fc10af21a116afa33bc48312634efbdaeb171824e22f9cc5e0a016d4",
-    "witt-construct": "804dd75cba5b3a0e90604881dec767e52639a46ad8d829002a9ace51371914a5",
+    "witt-construct": "9464288ecc6800fb6efb9e035194adfcd3d63ccd6ed7c52b5e6b6c3e5c7119f8",
     "horizontal-transport": "5e4608b5b225b4ecd83aa37c5ee0996a09fed5910cb9978a3a3342d7718785cd",
 }
 
