@@ -167,7 +167,6 @@ class OvSignReport:
 
     gluing_matches: bool
     connection_matches: bool
-    checked_charts: int
 
     @property
     def passed(self):
@@ -213,4 +212,4 @@ def ov_sign_check(higgs, lifting=None):
         if ours != theirs:
             connection_ok = False
 
-    return OvSignReport(gluing_ok, connection_ok, ncharts)
+    return OvSignReport(gluing_ok, connection_ok)
