@@ -1,6 +1,7 @@
 """Tests for the command line: exit-code contract, located error objects,
 spec'd example behaviors, byte determinism, and the reparse property."""
 
+import copy
 import json
 import random
 from pathlib import Path
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 from hdflow import witt
 from hdflow.cli import main
-from hdflow.corpus import CorpusParams, generate, random_witt_tuple
+from hdflow.corpus import CorpusParams, generate, random_lifting, random_witt_tuple
 from hdflow.cartier import inverse_cartier_1
 from hdflow.bundles import Bundle, HiggsBundle
 from hdflow.curves import ProjectiveLine
@@ -22,6 +23,7 @@ from hdflow.serialize import (
     graded_from_json,
     graded_to_json,
     higgs_to_json,
+    lifting_to_json,
     load_document,
     parse_bytes,
     witt_tuple_to_json,
@@ -597,3 +599,88 @@ def test_emitted_documents_reparse(tmp_path):
         elif doc["type"] == "corpus":
             for inst in doc["instances"]:
                 graded_from_json(inst).validate()
+
+
+# -- mutated documents -------------------------------------------------------
+
+# Values of the wrong type or out of range for most fields of a document.
+WRONG_VALUES = (None, True, 0, -1, 7, 1.5, "x", [], {}, [[-1, 1]], [[0, 1]], [[1, 2]])
+DELETED = object()
+MUTANTS_PER_INPUT = 200
+
+
+def _mutants(doc):
+    """(path, value) for each dict field and each of the first two items of
+    each list in doc, paired with DELETED and with every wrong value."""
+    out = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            slots = list(node)
+        elif isinstance(node, list):
+            slots = range(min(2, len(node)))
+        else:
+            return
+        for key in slots:
+            out.extend((path + (key,), value) for value in (DELETED,) + WRONG_VALUES)
+            walk(node[key], path + (key,))
+
+    walk(doc, ())
+    return out
+
+
+def _mutate(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def _sweep_inputs():
+    """One valid document per command, two for flow run: one it steps and
+    one it refuses."""
+    graded = [
+        generate(CorpusParams(p=3, rank=2, weight=1, count=1, seed=4, curve=curve))[0]
+        for curve in ("A1", "P1")
+    ]
+    H = graded[1].total()
+    cartier_input = {
+        "schema": "hdf/1",
+        "type": "cartier_input",
+        "higgs": higgs_to_json(H),
+        "lifting": lifting_to_json(random_lifting(random.Random(2), H.bundle.curve)),
+    }
+    tup = random_witt_tuple(random.Random(31), 3, 2, (1, 1))
+    return [
+        (["flow", "run"], graded_to_json(graded[0])),
+        (["flow", "run"], graded_to_json(graded[1])),
+        (["cartier", "apply"], cartier_input),
+        (["filtration", "compute"], flat_to_json(inverse_cartier_1(H))),
+        (["witt", "lift"], witt_tuple_to_json(tup)),
+        (["witt", "flow-step"], witt_tuple_to_json(one_periodic_unit_tuple(Zmod(3, 2)))),
+    ]
+
+
+def test_mutated_documents_end_in_an_exit_code_not_a_traceback(tmp_path):
+    """Fields deleted or replaced by wrong values, a seeded sample per
+    command: every run exits 0, 1 or 2 without an uncaught exception, and a
+    failing run prints an error object."""
+    rng = random.Random(0)
+    path = tmp_path / "mutant.json"
+    for command, doc in _sweep_inputs():
+        mutants = _mutants(doc)
+        for where, value in rng.sample(mutants, MUTANTS_PER_INPUT):
+            path.write_bytes(canonical_bytes(_mutate(doc, where, value)))
+            result = invoke(command + ["--input", str(path)])
+            case = (command, where, "deleted" if value is DELETED else value)
+            assert result.exception is None or isinstance(
+                result.exception, SystemExit
+            ), case
+            assert result.exit_code in (0, 1, 2), case
+            if result.exit_code:
+                assert json.loads(result.output)["type"] == "error", case
