@@ -31,10 +31,10 @@ TESTS = ROOT / "tests"
 SEARCHED = ("src", "tests", "bench")
 CALLERS = ("src", "bench")
 
-# Public entry points that nothing in the system calls, each the other half
-# of a document format whose first half the command line uses.
+# Public entry points that nothing in the system calls: halves of the
+# document format whose other halves the command line uses.
 ENTRY_POINTS = {
-    "bundle_to_json": "writes the 'bundle' documents that load_document reads",
+    "bundle_to_json": "writes the bundle body that Higgs and flat documents embed",
     "lifting_to_json": "writes the Frobenius liftings that 'cartier apply' reads",
     "witt_tuple_to_json": "writes the inputs of 'witt lift' and 'witt flow-step'",
     "filtration_from_json": "reads the filtrations that 'filtration compute' writes",
