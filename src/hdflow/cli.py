@@ -6,13 +6,10 @@ produce identical output bytes.  Exit codes are 0 when every asserted
 invariant holds, 1 when a mathematical invariant fails on well-formed
 input, and 2 for malformed documents or unusable flags; contract
 failures are reported as machine-readable error objects carrying a
-location path.  Only `flow run` searches, so only it takes --budget; the
-HDF_BUDGET environment variable supplies its budget when --budget is
-absent.
+location path.  Only `flow run` searches, so only it takes --budget.
 """
 
 import functools
-import os
 import random
 
 import click
@@ -85,23 +82,6 @@ def _read_doc(path, loader):
         return data, loader(parse_bytes(data))
     except SchemaError as err:
         _fail("contract", err.message, err.path, EXIT_CONTRACT)
-
-
-def _resolve_budget(budget):
-    if budget is not None:
-        return budget
-    env = os.environ.get("HDF_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            _fail(
-                "contract",
-                "HDF_BUDGET must be an integer, found %r" % env,
-                "env/HDF_BUDGET",
-                EXIT_CONTRACT,
-            )
-    return None
 
 
 def _base_params(**updates):
@@ -272,7 +252,6 @@ def flow_run(input_path, steps, policy, field_degree, budget, out_path):
         field_degree=field_degree,
         filtrations=fil_specs,
     )
-    budget = _resolve_budget(budget)
     trace = run_flow(G, policy_obj, DEFAULT_ISO_BUDGET if budget is None else budget)
     certs = _trace_certificates(trace, policy)
     doc = flow_trace_to_json(trace, certs)

@@ -223,13 +223,11 @@ def _nonzero_matrix(rng, ring, nr, nc):
             return M
 
 
-def random_lifting(rng, curve, max_deg=2):
-    """A coordinate-power lifting perturbed by random polynomial h on
-    every chart, in that chart's own coordinate."""
+def random_lifting(rng, curve):
+    """A coordinate-power lifting perturbed by a random polynomial h of
+    degree at most 2 on every chart, in that chart's own coordinate."""
     from .curves import FrobeniusLifting
 
     ring = curve.domain
-    hs = tuple(
-        random_poly(rng, ring, max_deg) for _ in range(curve.ncharts)
-    )
+    hs = tuple(random_poly(rng, ring, 2) for _ in range(curve.ncharts))
     return FrobeniusLifting(curve, hs)

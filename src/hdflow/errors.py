@@ -90,9 +90,5 @@ class LevelTooHigh(HdflowError):
     """Nilpotency/quasi-nilpotency level exceeds the construction's bound."""
 
 
-class TruncationBoundExceeded(HdflowError):
-    """Taylor gluing needed terms beyond the static truncation bound."""
-
-
 class NoLiftedFiltration(HdflowError):
     """No filtration lifting the given one exists among the searched data."""

@@ -104,7 +104,7 @@ class PeriodReport:
 @dataclass
 class FlowTrace:
     stages: tuple
-    periodicity: object = None
+    periodicity: object
 
     def higgs_terms(self):
         return [st.higgs for st in self.stages]
@@ -174,9 +174,8 @@ def run_flow(G0, policy=None, budget=DEFAULT_ISO_BUDGET):
         stages.append(FlowStage(cur, H, fil, cur.degree(), cur.slope()))
         cur = nxt
     stages.append(FlowStage(cur, None, None, cur.degree(), cur.slope()))
-    trace = FlowTrace(tuple(stages))
-    trace.periodicity = detect_period(trace, policy.field_degree, budget)
-    return trace
+    terms = [st.higgs for st in stages]
+    return FlowTrace(tuple(stages), detect_period(terms, policy.field_degree, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +208,10 @@ def extend_graded_map(phi, K):
 # periodicity
 
 
-def detect_period(trace, f_search=1, budget=DEFAULT_ISO_BUDGET):
-    """Smallest (preperiod, period) whose graded terms are isomorphic over
-    the degree-f_search extension, with the certifying map; None when no
-    pair inside the trace matches."""
-    terms = trace.higgs_terms()
+def detect_period(terms, f_search=1, budget=DEFAULT_ISO_BUDGET):
+    """Smallest (preperiod, period) among the graded terms of a flow that
+    are isomorphic over the degree-f_search extension, with the certifying
+    map; None when no pair matches."""
     if len(terms) < 2:
         raise ValueError("periodicity needs a trace of length at least two")
     d = terms[0].domain
@@ -248,8 +246,8 @@ class PeriodicTuple:
     higgs: GradedHiggsBundle
     filtrations: tuple
     phi: GradedMap
-    _stages: tuple = dataclass_field(default=None, repr=False, compare=False)
-    _flats: tuple = dataclass_field(default=None, repr=False, compare=False)
+    _stages: tuple = dataclass_field(default=None, init=False, repr=False, compare=False)
+    _flats: tuple = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def period(self):

@@ -270,21 +270,16 @@ def _prime_factors(n):
 class GF:
     """The field F_{p^f} presented as F_p[x]/(x^f + m_{f-1}x^{f-1}+...+m_0).
 
-    modulus stores (m_0..m_{f-1}); the default is the lexicographically least
-    irreducible monic polynomial (top coefficients compared first).  Elements
-    are tuples (a_0..a_{f-1}) meaning sum a_i x^i.
+    modulus stores (m_0..m_{f-1}) of the lexicographically least irreducible
+    monic polynomial (top coefficients compared first).  Elements are tuples
+    (a_0..a_{f-1}) meaning sum a_i x^i.
     """
 
-    def __init__(self, p, f, modulus=None):
+    def __init__(self, p, f):
         self.p = p
         self.f = f
         self.m = 1
-        if modulus is None:
-            modulus = _find_irreducible(p, f)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != f:
-            raise ValueError("modulus must list f coefficients")
-        self.modulus = modulus
+        self.modulus = _find_irreducible(p, f)
         self.zero = tuple(0 for _ in range(f))
         self.one = tuple(1 if i == 0 else 0 for i in range(f))
         self.gen = tuple(1 if i == 1 else 0 for i in range(f)) if f > 1 else (1,)
@@ -598,12 +593,10 @@ def _substitute(polys, image):
     ]
 
 
-def random_poly(rng, ring, max_deg, min_deg=0):
-    """Uniform residues mod ring.modulus as the coefficients of t^min_deg up
-    to t^max_deg, drawn lowest exponent first."""
-    return LaurentPoly(
-        ring, {e: rng.randrange(ring.modulus) for e in range(min_deg, max_deg + 1)}
-    )
+def random_poly(rng, ring, max_deg):
+    """Uniform residues mod ring.modulus as the coefficients of 1 up to
+    t^max_deg, drawn lowest exponent first."""
+    return LaurentPoly(ring, {e: rng.randrange(ring.modulus) for e in range(max_deg + 1)})
 
 
 # ---------------------------------------------------------------------------

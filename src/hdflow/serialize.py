@@ -11,6 +11,7 @@ location path so malformed input can be reported at the offending field.
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -18,7 +19,7 @@ from .bundles import Bundle, FlatBundle, HiggsBundle, Subbundle
 from .curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from .errors import NonInvertible
 from .graded import GradedHiggsBundle, HodgeFiltration
-from .ringmath import LaurentPoly, RingMatrix, Zmod
+from .ringmath import GF, LaurentPoly, RingMatrix, Zmod
 from .witt import LiftingInputTuple
 
 SCHEMA = "hdf/1"
@@ -152,9 +153,20 @@ def poly_from_json(ring, data, path):
         e, c = pair
         if isinstance(e, bool) or not isinstance(e, int):
             raise SchemaError("exponent must be an integer", here)
-        if isinstance(c, bool) or not isinstance(c, int):
+        if isinstance(ring, GF):
+            # an element of F_{p^f} is the list of its f coordinates
+            if not isinstance(c, list) or len(c) != ring.f or not all(
+                type(x) is int and 0 <= x < ring.p for x in c
+            ):
+                raise SchemaError(
+                    "coefficient must list %d least nonnegative residues mod %d"
+                    % (ring.f, ring.p),
+                    here,
+                )
+            c = tuple(c)
+        elif isinstance(c, bool) or not isinstance(c, int):
             raise SchemaError("coefficient must be an integer", here)
-        if not 0 <= c < ring.modulus:
+        elif not 0 <= c < ring.modulus:
             raise SchemaError(
                 "coefficient %d is not a least nonnegative residue mod %d"
                 % (c, ring.modulus),
@@ -162,7 +174,7 @@ def poly_from_json(ring, data, path):
             )
         if e in coeffs:
             raise SchemaError("repeated exponent %d" % e, here)
-        if c:
+        if c != ring.coerce(0):
             coeffs[e] = ring.coerce(c)
     return LaurentPoly(ring, coeffs)
 
@@ -222,6 +234,27 @@ def _ring(doc, path):
     if m < 1:
         raise SchemaError("m must be positive", _child(path, "m"))
     return Zmod(p, m)
+
+
+# F_{p^f} is built by a search over monic polynomials of degree f, so a
+# document may name only a small field
+MAX_FIELD_SIZE = 1 << 16
+
+
+def _extension_field(doc, path, ring):
+    """F_{p^f} in place of the ring Z/p of a graded document that carries
+    the key f."""
+    if ring.m != 1:
+        raise SchemaError("a document over F_{p^f} needs m = 1", _child(path, "m"))
+    f, p = _int_field(doc, "f", path), ring.p
+    # p >= 2, so f <= 16 follows from the size bound and keeps p ** f cheap
+    if not 1 <= f <= 16 or p ** f > MAX_FIELD_SIZE:
+        raise SchemaError(
+            "f must be positive with p^f at most %d" % MAX_FIELD_SIZE, _child(path, "f")
+        )
+    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise SchemaError("p must be a prime", _child(path, "p"))
+    return GF(p, f)
 
 
 def _curve(doc, path):
@@ -374,6 +407,8 @@ def cartier_input_from_json(doc):
 
 
 def graded_to_json(G):
+    """Graded document; over F_{p^f} it also carries f, and each coefficient
+    is the list of its f coordinates."""
     ring = G.domain
     doc = {
         "schema": SCHEMA,
@@ -392,12 +427,16 @@ def graded_to_json(G):
         ],
         "maps": [[matrix_to_json(M) for M in per_chart] for per_chart in G.maps],
     }
+    if isinstance(ring, GF):
+        doc["f"] = ring.f
     return doc
 
 
 def graded_from_json(doc, path="/"):
     require_tag(doc, "graded_higgs", path)
     curve = _curve(doc, path)
+    if "f" in doc:
+        curve = type(curve)(_extension_field(doc, path, curve.domain))
     raw_pieces = _field(doc, "pieces", path, list)
     if not raw_pieces:
         raise SchemaError(
@@ -635,22 +674,3 @@ def flow_trace_to_json(trace, certificates):
         "stages": stages,
         "period": period,
     }
-
-
-_LOADERS = {
-    "frobenius_lifting": lifting_from_json,
-    "bundle": bundle_from_json,
-    "higgs_bundle": higgs_from_json,
-    "flat_bundle": flat_from_json,
-    "graded_higgs": graded_from_json,
-    "witt_tuple": witt_tuple_from_json,
-}
-
-
-def load_document(doc, expected_type=None):
-    """Dispatch a parsed document to its typed loader; report-style
-    documents (traces, manifests, corpora) validate tag only."""
-    kind = require_tag(doc, expected_type)
-    if kind in _LOADERS:
-        return _LOADERS[kind](doc)
-    return doc

@@ -32,7 +32,6 @@ from .errors import (
     NotDivisible,
     SearchBudgetExceeded,
     TransversalityViolated,
-    TruncationBoundExceeded,
     WrongModulus,
 )
 from .ringmath import (
@@ -400,25 +399,12 @@ def local_filtered_lifting(tup):
     return RingMatrix.from_blocks(ring, ranks, ranks, blocks)
 
 
-def gn_construct(tup, perturbation=None, frame=None):
-    """Twisted module from a chosen filtered lifting.
-
-    perturbation adds p^(n-1) times the given matrix to the diagonal-and-
-    below blocks (an alternative lifting of the same data); frame rewrites
-    the lifting in another flag-respecting basis.
-    """
+def gn_construct(tup, frame=None):
+    """Twisted module from the filtered lifting of local_filtered_lifting;
+    frame rewrites the lifting in another flag-respecting basis.  Any other
+    lifting of the same data gives the same p-connection matrix."""
     ring = tup.ring
     A = local_filtered_lifting(tup)
-    if perturbation is not None:
-        if tup.n == 1:
-            raise ValueError("one-level inputs admit no lifting choices")
-        if perturbation.domain != ring:
-            raise WrongModulus("perturbation over the wrong ring")
-        if not perturbation.is_block_lower(tup.ranks, 0):
-            raise ValueError(
-                "lifting choices differ only on diagonal-and-below blocks"
-            )
-        A = A.add(perturbation.scale_const(ring.coerce(ring.p ** (tup.n - 1))))
     if frame is not None:
         if frame.domain != ring:
             raise WrongModulus("frame over the wrong ring")
@@ -457,14 +443,13 @@ def sharp_construct(tup):
     return TwistedFlatModule(ring, ranks, A, PConnectionModule(ring, tup.rank, B))
 
 
-def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
+def equivalence_check(tw_a, tw_b):
     """Explicit isomorphism intertwining two presentations of the twisted
     module: an invertible L with p dL + B_a L = L B_b, found by exact linear
-    algebra over Z/p^n on a monomial window.  The default window runs from
-    one below the exponents of B_a and B_b (0 included) to two above them.
-    Without a window, it tries -k..k for k = 1, 2, 4, ..., clamped to the
-    default one, and returns the first invertible L; the last window tried
-    is the default one.
+    algebra over Z/p^n on a monomial window.  It tries -k..k for k = 1, 2,
+    4, ..., clamped to the default window, and returns the first invertible
+    L; the default window runs from one below the exponents of B_a and B_b
+    (0 included) to two above them, and is the last one tried.
 
     Raises NoSolution when no L on the last window solves the equation, and
     SearchBudgetExceeded, with the stage, work and window in its bounds,
@@ -477,10 +462,8 @@ def equivalence_check(tw_a, tw_b, min_exp=None, max_exp=None):
     if Ba.sub(Bb).is_zero():
         return RingMatrix.identity(tw_a.ring, tw_a.rank)
     exps = [e for M in (Ba, Bb) for row in M.rows for x in row for e in x.coeffs]
-    lo = min(exps + [0]) - 1 if min_exp is None else min_exp
-    hi = max(exps + [0]) + 2 if max_exp is None else max_exp
-    # a given bound starts the schedule at its end, so that window is the only one
-    windows, k = [], 1 if min_exp is None and max_exp is None else max(-lo, hi)
+    lo, hi = min(exps + [0]) - 1, max(exps + [0]) + 2
+    windows, k = [], 1
     while not windows or windows[-1] != (lo, hi):
         windows.append((max(-k, lo), min(k, hi)))
         k *= 2
@@ -699,33 +682,23 @@ def fn_apply(tw, lifting=None):
     return FlatBundle(Bundle(curve, tw.rank), (A,))
 
 
-def taylor_transition(tw, lift_target, lift_source, jmax=None):
+def taylor_transition(tw, lift_target, lift_source):
     """Transition between the Frobenius pullbacks under two liftings: the
     divided Taylor series in z = (F_source - F_target)/p, with the terms of
-    degree >= p carried by the divided operators.  The terms are per module,
-    built once and shared by every transition; the liftings enter only
-    through z and the substituted image.  Truncation stops at the static
-    bound; a smaller requested bound must be certified by the vanishing of
-    every dropped term."""
+    degree >= p carried by the divided operators, truncated at the static
+    bound.  The terms are per module, built once and shared by every
+    transition; the liftings enter only through z and the substituted
+    image."""
     ring = tw.ring
     bound = truncation_bound(ring.p, ring.m)
     z = lift_source.z_same_chart(lift_target, 0, ring)
     image = lift_target.frobenius_image(0, ring)
-    top = bound - 1 if jmax is None else jmax
     kept, zpow = [], LaurentPoly.one(ring)
-    # terms past top, up to the static bound, must vanish
-    for j, term in enumerate(tw._taylor_terms(max(top, bound - 1) + 1)):
+    for j, term in enumerate(tw._taylor_terms(bound)):
         if j:
             zpow = zpow.mul(z)
-        if term is None:
-            continue
-        if j > top:
-            if not term.scale(zpow).is_zero():
-                raise TruncationBoundExceeded(
-                    "terms past the requested bound do not vanish"
-                )
-            continue
-        kept.append((term, zpow))
+        if term is not None:
+            kept.append((term, zpow))
     # one table of image powers for every entry of every kept term
     flat = [e for term, _ in kept for row in term.rows for e in row]
     entries = iter(_substitute(flat, image))
@@ -739,10 +712,11 @@ def taylor_transition(tw, lift_target, lift_source, jmax=None):
 # the composite transform and its reduction certificate
 
 
-def cn_inverse(tup, lifting=None):
+def cn_inverse(tup):
     """Full-precision inverse transform: glue the transversal pieces into
-    the twisted module, then pull back through the lifted Frobenius."""
-    return fn_apply(sharp_construct(tup), lifting)
+    the twisted module, then pull back through the standard lifted
+    Frobenius."""
+    return fn_apply(sharp_construct(tup))
 
 
 @dataclass
@@ -830,10 +804,9 @@ def _adapted_frame(cols_list, ranks, ring):
     return Q
 
 
-def filtration_steps_from_flag(tup_or_ranks, ring, deformation=None):
-    """Column matrices of the coordinate flag, optionally deformed by
-    p^(n-1) times the given per-step matrices."""
-    ranks = tup_or_ranks if isinstance(tup_or_ranks, tuple) else tup_or_ranks.ranks
+def filtration_steps_from_flag(tup, ring):
+    """Column matrices over ring of the coordinate flag of tup's grading."""
+    ranks = tup.ranks
     rank = sum(ranks)
     starts = block_starts(ranks)
     out = []
@@ -842,12 +815,6 @@ def filtration_steps_from_flag(tup_or_ranks, ring, deformation=None):
         S = RingMatrix.zeros(ring, rank, rank - start)
         for j in range(rank - start):
             S.rows[start + j][j] = LaurentPoly.one(ring)
-        if deformation is not None and deformation[step - 1] is not None:
-            S = S.add(
-                deformation[step - 1].scale_const(
-                    ring.coerce(ring.p ** (ring.m - 1))
-                )
-            )
         out.append(S)
     return tuple(out)
 

@@ -20,7 +20,6 @@ from hdflow.errors import (
     NotDivisible,
     SearchBudgetExceeded,
     TransversalityViolated,
-    TruncationBoundExceeded,
 )
 from hdflow.filtration import DestabilizerReport, _lex_gt
 from hdflow.ringmath import (
@@ -35,8 +34,12 @@ from hdflow.ringmath import (
     solve_linear_mod,
 )
 from hdflow.witt import (
+    PConnectionModule,
+    TwistedFlatModule,
     _random_col,
     filtration_steps_from_flag,
+    local_filtered_lifting,
+    ptwist_matrix,
     taylor_coefficient,
     truncation_bound,
     w2_flow_step,
@@ -418,7 +421,7 @@ def unpruned_gamma_apply(A, ranks, m, hs, col):
     return out
 
 
-def uncached_taylor_transition(tw, lift_target, lift_source, jmax=None):
+def uncached_taylor_transition(tw, lift_target, lift_source):
     """The Taylor transition with every term rebuilt on each call: the nabla
     chain and each divided operator are recomputed, and each kept term is
     substituted on its own, with its own table of image powers."""
@@ -427,16 +430,14 @@ def uncached_taylor_transition(tw, lift_target, lift_source, jmax=None):
     bound = truncation_bound(p, n)
     z = lift_source.z_same_chart(lift_target, 0, ring)
     image = lift_target.frobenius_image(0, ring)
-    top = bound - 1 if jmax is None else jmax
     one = LaurentPoly.one(ring)
     rank = tw.rank
     G = RingMatrix.zeros(ring, rank, rank)
     zpow = LaurentPoly.one(ring)
     ident = current = RingMatrix.identity(ring, rank)
     fact = 1
-    # terms up to top are summed; terms past it, up to the static bound,
-    # must vanish; the nabla chain feeds only the terms below p
-    for j in range(max(top, bound - 1) + 1):
+    # the nabla chain feeds only the terms below p
+    for j in range(bound):
         if j:
             zpow = zpow.mul(z)
         if j < p:
@@ -449,12 +450,6 @@ def uncached_taylor_transition(tw, lift_target, lift_source, jmax=None):
             if c == 0:
                 continue
             term = tw.gamma(j + 1 - p, [one] * j, ident).scale_const(c)
-        if j > top:
-            if not term.scale(zpow).is_zero():
-                raise TruncationBoundExceeded(
-                    "terms past the requested bound do not vanish"
-                )
-            continue
         G = G.add(term.substitute(image).scale(zpow))
     return G
 
@@ -464,6 +459,19 @@ def uncached_adapted_dr_matrix(tup):
     whole block-diagonal comparison inverted by det plus adjugate."""
     Psi = RingMatrix.block_diagonal(tup.down_ring, tup.psibar)
     return change_frame_connection(tup.abar, Psi, Psi.inverse())
+
+
+def perturbed_construct(tup, perturbation, frame=None):
+    """The twisted module of another filtered lifting of the same data:
+    local_filtered_lifting plus p^(n-1) times the perturbation, rewritten in
+    the frame when one is given, then twisted."""
+    ring = tup.ring
+    scale = ring.coerce(ring.p ** (tup.n - 1))
+    A = local_filtered_lifting(tup).add(perturbation.scale_const(scale))
+    if frame is not None:
+        A = change_frame_connection(A, frame.inverse(), frame)
+    B = ptwist_matrix(A, tup.ranks)
+    return TwistedFlatModule(ring, tup.ranks, A, PConnectionModule(ring, tup.rank, B))
 
 
 def slow_pow(field, a, e):
@@ -1153,7 +1161,11 @@ def filtration_lift_candidates(tup, coefficients, exponents):
                         ring, ring.coerce(c), e
                     )
             deltas.append(D)
-        steps = filtration_steps_from_flag(ranks, ring, deltas)
+        scale = ring.coerce(ring.p ** (ring.m - 1))
+        steps = tuple(
+            S.add(D.scale_const(scale))
+            for S, D in zip(filtration_steps_from_flag(tup, ring), deltas)
+        )
         try:
             res = w2_flow_step(tup, steps)
         except (NoLiftedFiltration, TransversalityViolated):

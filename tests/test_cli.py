@@ -19,12 +19,12 @@ from hdflow.graded import GradedHiggsBundle
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 from hdflow.serialize import (
     canonical_bytes,
+    flat_from_json,
     flat_to_json,
     graded_from_json,
     graded_to_json,
     higgs_to_json,
     lifting_to_json,
-    load_document,
     parse_bytes,
     witt_tuple_to_json,
 )
@@ -202,9 +202,9 @@ def test_flow_run_budget_reaches_the_one_period_search(tmp_path, monkeypatch):
     budgets = []
     real = flow.detect_period
 
-    def spy(trace, f_search=1, budget=flow.DEFAULT_ISO_BUDGET):
+    def spy(terms, f_search=1, budget=flow.DEFAULT_ISO_BUDGET):
         budgets.append(budget)
-        return real(trace, f_search, budget)
+        return real(terms, f_search, budget)
 
     monkeypatch.setattr(flow, "detect_period", spy)
     result = invoke(["flow", "run", "--input", path, "--steps", "2", "--budget", "1"])
@@ -225,7 +225,7 @@ def test_cartier_apply_validates_transform(tmp_path):
     assert doc["validation"]["degree_scaling"] is True
     assert doc["validation"]["p_curvature_pullback"] is True
     assert doc["validation"]["degree"] == 3 * G.degree()
-    assert load_document(doc["flat"]).bundle.rank == 2
+    assert flat_from_json(doc["flat"]).bundle.rank == 2
 
 
 def test_cartier_apply_with_explicit_lifting(tmp_path):
@@ -324,14 +324,13 @@ def test_filtration_compute_refuses_unstable(tmp_path):
     assert "NotNablaSemistable" in err["message"]
 
 
-def test_filtration_compute_ignores_the_search_budget(tmp_path, monkeypatch):
+def test_filtration_compute_ignores_the_search_budget(tmp_path):
     # a bundle the descent accepts is already semistable in its trivial
-    # grading, so the descent never searches and takes no budget
+    # grading, so the descent never searches and records no budget
     ring = Zmod(3, 1)
     G = GradedHiggsBundle([Bundle.free(ProjectiveLine(ring), 2)], ())
     flat = inverse_cartier_1(G.total())
     path = write_doc(tmp_path, "flat.json", flat_to_json(flat))
-    monkeypatch.setenv("HDF_BUDGET", "junk")
     out = str(tmp_path / "fil.json")
     result = invoke(["filtration", "compute", "--input", path, "--out", out])
     assert result.exit_code == 0, result.output
@@ -505,9 +504,8 @@ def test_check_prime_restriction_applies():
     assert doc["counts"]["failed"] == 0
 
 
-def test_check_ignores_the_search_budget(tmp_path, monkeypatch):
-    # no suite searches, so a malformed budget cannot stop one
-    monkeypatch.setenv("HDF_BUDGET", "junk")
+def test_check_ignores_the_search_budget(tmp_path):
+    # no suite searches, so the manifest records no budget
     out = str(tmp_path / "check.json")
     result = invoke(["check", "--suite", "p-curvature", "--out", out])
     assert result.exit_code == 0, result.output
@@ -593,9 +591,9 @@ def test_emitted_documents_reparse(tmp_path):
                 G2 = graded_from_json(stage["higgs"])
                 G2.validate()
                 if stage["transform"] is not None:
-                    load_document(stage["transform"])
+                    flat_from_json(stage["transform"])
         elif doc["type"] == "cartier_output":
-            load_document(doc["flat"])
+            flat_from_json(doc["flat"])
         elif doc["type"] == "corpus":
             for inst in doc["instances"]:
                 graded_from_json(inst).validate()

@@ -1,17 +1,27 @@
-"""Every library function has a caller in the system, every stored field
-is read, every import is used, and every oracle serves a test.
+"""Every library function has a caller in the system, every defaulted
+parameter is set by one, every stored field is read, every import is used,
+and every oracle serves a test.
 
 A library function is used only when the system calls it: code in
 src/hdflow or bench/ refers to it.  Tests do not count as callers, so a
 function that only tests call is flagged; it gets a caller in the system,
 moves to tests/oracles.py if it only cross-checks the library, or goes.  A
-function counts as referred to where its name appears as a word in those
-trees, beyond its own definitions.  A method is reached only as an
-attribute (obj.name), so it counts only where some file there accesses it
-that way; its name as a local variable, in a comment or in a string does
-not count.  Exempt are dunders, the command-line entry points (called by
-click, not by name) and the public entry points in ENTRY_POINTS, each with
-its reason.
+function counts as referred to where its name appears in those trees as a
+name, an attribute or an imported name; a word in a comment or a string
+does not count.  A method is reached only as an attribute (obj.name), so
+it counts only where some file there accesses it that way.  Exempt are
+dunders, the command-line entry points (called by click, not by name) and
+the public entry points in ENTRY_POINTS, each with its reason.
+
+The same rule holds for parameters: a defaulted parameter of a library
+function, method or constructor is set only when some call in src/hdflow
+or bench/ passes it, by keyword or by position; a value that only tests
+set gives the entry point a second code path that the system never takes.
+A constructor is called by its class name, and every dataclass field with
+a default counts as one of its parameters.  A function that the system
+passes as a value, rather than calls, and the entry points in ENTRY_POINTS
+are called from outside the scan, so all of their parameters count as set.
+Exempt are the parameters in SET_BY_TESTS, each with its reason.
 
 Stored fields and imports are checked against tests too: a field that only
 a test reads (an error payload such as CertificateFailed.part) is still
@@ -19,7 +29,6 @@ part of what the library reports.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import hdflow
@@ -32,12 +41,20 @@ SEARCHED = ("src", "tests", "bench")
 CALLERS = ("src", "bench")
 
 # Public entry points that nothing in the system calls: halves of the
-# document format whose other halves the command line uses.
+# document format whose other halves the command line uses, or that read a
+# document type README lists.
 ENTRY_POINTS = {
-    "bundle_to_json": "writes the bundle body that Higgs and flat documents embed",
+    "bundle_to_json": "writes the 'bundle' document that bundle_from_json reads",
+    "bundle_from_json": "reads the 'bundle' document type that README lists",
     "lifting_to_json": "writes the Frobenius liftings that 'cartier apply' reads",
     "witt_tuple_to_json": "writes the inputs of 'witt lift' and 'witt flow-step'",
     "filtration_from_json": "reads the filtrations that 'filtration compute' writes",
+}
+
+# Defaulted parameters, as (function, parameter), that only tests set.
+SET_BY_TESTS = {
+    ("fn_apply", "lifting"): "tests certify the Taylor transitions between the "
+    "pullbacks under two liftings against the pullbacks themselves",
 }
 
 
@@ -54,21 +71,23 @@ def _searched_files(tops=SEARCHED):
         yield from sorted((ROOT / top).rglob("*.py"))
 
 
-def _word_counts():
-    counts = {}
-    for path in _searched_files(CALLERS):
-        for word in re.findall(r"\w+", path.read_text()):
-            counts[word] = counts.get(word, 0) + 1
-    return counts
+def _caller_trees():
+    return [ast.parse(path.read_text(), filename=str(path)) for path in _searched_files(CALLERS)]
 
 
-def _attribute_names():
-    names = set()
-    for path in _searched_files(CALLERS):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+def _references(trees):
+    """(names, attributes): every name, imported name and attribute that
+    the given modules mention."""
+    names, attributes = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+    return names, attributes
 
 
 def test_searched_trees_are_found():
@@ -95,12 +114,9 @@ def _library_functions():
 
 
 def test_every_function_is_used():
-    counts = _word_counts()
-    attributes = _attribute_names()
-    defs = {}
-    for _, node, _ in _library_functions():
-        defs[node.name] = defs.get(node.name, 0) + 1
-    assert sorted(set(ENTRY_POINTS) - defs.keys()) == []
+    names, attributes = _references(_caller_trees())
+    defined = {node.name for _, node, _ in _library_functions()}
+    assert sorted(set(ENTRY_POINTS) - defined) == []
     unused = []
     for path, node, is_method in _library_functions():
         name = node.name
@@ -108,9 +124,123 @@ def test_every_function_is_used():
             continue
         if _is_click_command(node) or name in ENTRY_POINTS:
             continue
-        if name not in attributes if is_method else counts.get(name, 0) <= defs[name]:
+        if name not in attributes if is_method else name not in names | attributes:
             unused.append("%s:%d %s" % (path.name, node.lineno, name))
     assert unused == []
+
+
+def _is_init_false(value):
+    """A dataclass field(...) declared with init=False."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords
+    )
+
+
+def _signatures():
+    """(path, label, callee, names, defaulted) for every library callable:
+    the name a call uses, its parameters in positional order and the
+    defaulted ones among them, as (name, line)."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            owner.update((id(fn), cls) for fn in cls.body if isinstance(fn, FUNCTION_NODES))
+            if _is_dataclass(cls):
+                fields = [
+                    node
+                    for node in cls.body
+                    if isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)
+                    and not _is_init_false(node.value)
+                ]
+                names = [node.target.id for node in fields]
+                defaulted = [(node.target.id, node.lineno) for node in fields if node.value]
+                yield path, cls.name, cls.name, names, defaulted
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCTION_NODES):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            cls = owner.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            if cls is not None and not static:
+                positional = positional[1:]
+            names = [a.arg for a in positional + args.kwonlyargs]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            if cls is not None and fn.name == "__init__":
+                callee = label = cls.name
+            else:
+                callee = fn.name
+                label = fn.name if cls is None else "%s.%s" % (cls.name, fn.name)
+            yield path, label, callee, names, [(a.arg, a.lineno) for a in defaulted]
+
+
+def _passed_arguments(trees):
+    """{callee: (most positional arguments, keywords)} over every call the
+    given modules make, and every name they read other than as the function
+    of a call, which is how a function is passed as a value; a call that
+    unpacks *args or **kwargs passes everything."""
+    passed, values, funcs = {}, set(), set()
+    everything = float("inf")
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            funcs.add(id(node.func))
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            count, keywords = passed.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = max(count, everything if starred else len(node.args))
+            keywords = keywords | {k.arg for k in node.keywords}
+            passed[name] = (count, keywords)
+        for node in ast.walk(tree):
+            if id(node) in funcs or not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                values.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                values.add(node.attr)
+    return passed, values
+
+
+def _environment_reads(tree):
+    """Lines where a module reads an environment variable."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield node.lineno
+
+
+def test_every_parameter_is_set():
+    """Every defaulted parameter has a caller in the system that sets it,
+    and no setting comes from the environment instead."""
+    passed, values = _passed_arguments(_caller_trees())
+    classes = {
+        node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    defined = {(label, name) for _, label, _, _, params in _signatures() for name, _ in params}
+    assert sorted(SET_BY_TESTS.keys() - defined) == []
+    unset = []
+    for path, label, callee, names, defaulted in _signatures():
+        if callee in ENTRY_POINTS or callee in values and callee not in classes:
+            continue
+        count, keywords = passed.get(callee, (0, set()))
+        if None in keywords:
+            continue
+        for name, line in defaulted:
+            if names.index(name) < count or name in keywords:
+                continue
+            if (label, name) not in SET_BY_TESTS:
+                unset.append("%s:%d %s(%s)" % (path.name, line, label, name))
+    for path in SOURCES:
+        for line in _environment_reads(ast.parse(path.read_text())):
+            unset.append("%s:%d environment" % (path.name, line))
+    assert unset == []
 
 
 def _is_dataclass(cls):

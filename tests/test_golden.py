@@ -23,6 +23,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
+from hdflow import witt
 from hdflow.cli import main
 from hdflow.corpus import (
     CorpusParams,
@@ -71,7 +72,12 @@ from hdflow.witt import (
     w2_flow_step,
 )
 
-from oracles import default_equivalence_window, horizontal_transport, random_flag_frame
+from oracles import (
+    default_equivalence_window,
+    horizontal_transport,
+    perturbed_construct,
+    random_flag_frame,
+)
 
 
 def _mat(ring, entries):
@@ -243,9 +249,9 @@ def _equivalence_bytes():
     ring = Zmod(3, 2)
     tup = _tuple_p3()
     frame = _mat(ring, [[1, 0, 0], [2, 1, 0], [1, 4, 1]])
-    L = equivalence_check(
-        gn_construct(tup), gn_construct(tup, frame=frame), min_exp=-1, max_exp=1
-    )
+    Ba = gn_construct(tup).module.matrix
+    Bb = gn_construct(tup, frame=frame).module.matrix
+    L = witt._window_intertwiner(ring, Ba, Bb, (-1, 1))
     return canonical_bytes(matrix_to_json(L))
 
 
@@ -254,14 +260,14 @@ def _default_window_equivalence_bytes():
     unipotent flag-respecting frame change: p = 5, ranks (2, 2), n = 2,
     drawn like the witt-lift benchmark's frame-change case at seed 1, whose
     default-window system (397 equations, 240 unknowns) is that round's
-    largest.  The window is passed explicitly, as the last one of the
-    schedule a call without one tries."""
+    largest.  It is solved on that window alone, the last one of
+    equivalence_check's schedule."""
     rng = random.Random("witt-lift:1:5:2:(2, 2):0")
     tup = random_witt_tuple(rng, 5, 2, (2, 2))
     tw = gn_construct(tup)
     framed = gn_construct(tup, frame=random_flag_frame(rng, tup.ring, (2, 2)))
     lo, hi = default_equivalence_window(tw, framed)
-    L = equivalence_check(tw, framed, min_exp=lo, max_exp=hi)
+    L = witt._window_intertwiner(tup.ring, tw.module.matrix, framed.module.matrix, (lo, hi))
     return canonical_bytes(matrix_to_json(L))
 
 
@@ -383,14 +389,14 @@ def _block_layout_bytes():
     instance, and a seeded lifting input."""
     ring3, ring5 = Zmod(3, 2), Zmod(5, 2)
     cases = [
-        gn_construct(
+        perturbed_construct(
             _tuple_p3(),
-            perturbation=_mat(ring3, [[1, {1: 2}, 0], [0, 2, 0], [{-1: 1}, 1, 2]]),
+            _mat(ring3, [[1, {1: 2}, 0], [0, 2, 0], [{-1: 1}, 1, 2]]),
             frame=_mat(ring3, [[1, 0, 0], [2, 1, 0], [1, {1: 4}, 1]]),
         ),
-        gn_construct(
+        perturbed_construct(
             _tuple_p5(),
-            perturbation=_mat(ring5, [[2, 0, 0], [{1: 1}, 3, 0], [1, {2: 4}, 1]]),
+            _mat(ring5, [[2, 0, 0], [{1: 1}, 3, 0], [1, {2: 4}, 1]]),
             frame=_mat(ring5, [[1, 0, 0], [{1: 3}, 1, 0], [2, 1, 1]]),
         ),
         sharp_construct(_tuple_p3()),

@@ -850,7 +850,7 @@ def _equivalence_window_systems(monkeypatch, p, n, seed):
     lo, hi = oracles.default_equivalence_window(tw, framed)
     with monkeypatch.context() as patched:
         patched.setattr(witt, "solve_linear_mod", record)
-        witt.equivalence_check(tw, framed, min_exp=lo, max_exp=hi)
+        witt._window_intertwiner(ring, tw.module.matrix, framed.module.matrix, (lo, hi))
     return systems
 
 
@@ -1143,10 +1143,10 @@ def test_window_system_keys_sort_by_entry_then_exponent():
 def test_random_poly_draws_lowest_exponent_first():
     R = Zmod(3, 2)
     draws = random.Random(4)
-    want = {e: draws.randrange(9) for e in range(-1, 3)}
-    assert random_poly(random.Random(4), R, 2, -1) == LaurentPoly(R, want)
+    want = {e: draws.randrange(9) for e in range(3)}
+    assert random_poly(random.Random(4), R, 2) == LaurentPoly(R, want)
     rng = random.Random(4)
-    assert random_poly(rng, R, 0, 1).is_zero()
+    assert random_poly(rng, R, -1).is_zero()
     assert rng.random() == random.Random(4).random()
 
 

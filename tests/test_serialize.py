@@ -7,11 +7,12 @@ import random
 
 import pytest
 
-from hdflow.bundles import Bundle, FlatBundle, HiggsBundle
+from hdflow.bundles import Bundle
 from hdflow.cartier import inverse_cartier_1
 from hdflow.corpus import CorpusParams, generate, random_witt_tuple
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.filtration import simpson_filtration
+from hdflow.flow import extend_graded
 from hdflow.graded import GradedHiggsBundle
 from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 from hdflow.serialize import (
@@ -31,7 +32,6 @@ from hdflow.serialize import (
     higgs_to_json,
     lifting_from_json,
     lifting_to_json,
-    load_document,
     matrix_from_json,
     matrix_to_json,
     parse_bytes,
@@ -292,6 +292,42 @@ def test_graded_roundtrip_all_params():
             )
 
 
+def test_graded_roundtrip_over_extension_field():
+    G = generate(CorpusParams(p=3, rank=3, weight=1, count=1, seed=0))[0]
+    assert "f" not in graded_to_json(G)
+    K = GF(3, 2)
+    lifted = extend_graded(G, K)
+    # the maps times the generator x have coefficients off the prime field
+    maps = tuple(tuple(M.scale_const(K.gen) for M in per) for per in lifted.maps)
+    GK = GradedHiggsBundle(lifted.pieces, maps)
+    doc = graded_to_json(GK)
+    assert (doc["p"], doc["m"], doc["f"]) == (3, 1, 2)
+    assert doc["maps"][0][0][0][0][0] == [0, [0, 1]]
+    back = graded_from_json(doc)
+    assert back.domain == K
+    assert back == GK
+    assert canonical_bytes(graded_to_json(back)) == canonical_bytes(doc)
+    for bad in (1, [1], [1, 3], [1, True], "1"):
+        mutated = json.loads(json.dumps(doc))
+        mutated["maps"][0][0][0][0][0][1] = bad
+        with pytest.raises(SchemaError, match="2 least nonnegative residues mod 3") as err:
+            graded_from_json(mutated)
+        assert err.value.path == "/maps/0/0/0/0/0"
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [("f", 0, "/f"), ("f", 11, "/f"), ("f", "2", "/f"), ("m", 2, "/m"), ("p", 9, "/p")],
+)
+def test_graded_rejects_a_bad_extension_field(key, value, where):
+    G = generate(CorpusParams(p=3, rank=2, weight=1, count=1, seed=2))[0]
+    doc = graded_to_json(extend_graded(G, GF(3, 2)))
+    doc[key] = value
+    with pytest.raises(SchemaError) as err:
+        graded_from_json(doc)
+    assert err.value.path == where
+
+
 def test_graded_rejects_map_count_mismatch():
     params = CorpusParams(p=3, rank=2, weight=1, count=1, seed=5)
     doc = graded_to_json(generate(params)[0])
@@ -443,21 +479,6 @@ def test_run_manifest_shape_and_determinism():
         [("a", True, None), ("b", False, {"trial": 1})],
     )
     assert canonical_bytes(doc) == canonical_bytes(again)
-
-
-def test_load_document_dispatch():
-    ring = Zmod(3, 1)
-    E = Bundle.free(AffineLine(ring), 2)
-    out = load_document(bundle_to_json(E))
-    assert isinstance(out, Bundle)
-    H = HiggsBundle.zero(E)
-    assert isinstance(load_document(higgs_to_json(H)), HiggsBundle)
-    flat = FlatBundle(E, (RingMatrix.zeros(ring, 2, 2),))
-    assert isinstance(load_document(flat_to_json(flat)), FlatBundle)
-    report = {"schema": SCHEMA, "type": "check_report"}
-    assert load_document(report) is report
-    with pytest.raises(SchemaError):
-        load_document(bundle_to_json(E), expected_type="higgs_bundle")
 
 
 def test_write_atomic_replaces_and_leaves_no_temp(tmp_path):

@@ -19,7 +19,6 @@ from hdflow.errors import (
     NonInvertible,
     SearchBudgetExceeded,
     TransversalityViolated,
-    TruncationBoundExceeded,
     WrongModulus,
 )
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod, solve_linear_mod
@@ -54,6 +53,7 @@ from oracles import (
     horizontal_transport,
     leibniz_check,
     level_at_most,
+    perturbed_construct,
     random_flag_frame,
     random_poly,
     random_unimodular_poly,
@@ -360,7 +360,8 @@ def test_lifting_choice_is_invisible_after_twist():
     paste_block(pert, 0, 0, random_poly_matrix(rng, ring, 2, 2))
     paste_block(pert, 2, 0, random_poly_matrix(rng, ring, 1, 2))
     paste_block(pert, 2, 2, random_poly_matrix(rng, ring, 1, 1))
-    tw = gn_construct(tup, perturbation=pert)
+    tw = perturbed_construct(tup, pert)
+    assert not tw.lift.sub(gn_construct(tup).lift).is_zero()
     assert tw.module.matrix == gn_construct(tup).module.matrix
     assert equivalence_check(tw, sharp_construct(tup)) == RingMatrix.identity(ring, 3)
 
@@ -436,15 +437,10 @@ def test_equivalence_check_budget_error_names_stage_work_and_window(monkeypatch)
         "windows": [(-1, 1), (-1, 2)],
     }
     monkeypatch.setattr(witt, "EQUIVALENCE_BUDGET", 3)
+    Ba, Bb = tw_a.module.matrix, tw_b.module.matrix
     with pytest.raises(SearchBudgetExceeded) as err:
-        equivalence_check(tw_a, tw_b, min_exp=0, max_exp=5)
-    assert err.value.bounds == {
-        "stage": "kernel",
-        "tried": 3,
-        "kernel": 6,
-        "window": (0, 5),
-        "windows": [(0, 5)],
-    }
+        witt._window_intertwiner(ring, Ba, Bb, (0, 5))
+    assert err.value.bounds == {"stage": "kernel", "tried": 3, "kernel": 6, "window": (0, 5)}
     # p dL = L N with N nilpotent: the first column of L is p dL_12 and
     # p dL_22, a p-multiple, while the second column may be a unit, so the
     # random stage runs and spends the budget
@@ -495,16 +491,11 @@ def test_equivalence_check_widens_past_a_window_without_a_unit(monkeypatch):
     assert widths == [3, 5]
     # -1..1 costs its three kernel generators, and no random combination
     assert draws == []
-    # an explicit window is the only one tried
+    # on -1..1 alone the search ends in its kernel stage
+    Ba, Bb = tw_a.module.matrix, tw_b.module.matrix
     with pytest.raises(SearchBudgetExceeded) as err:
-        equivalence_check(tw_a, tw_b, min_exp=-1, max_exp=1)
-    assert err.value.bounds == {
-        "stage": "kernel",
-        "tried": 3,
-        "kernel": 3,
-        "window": (-1, 1),
-        "windows": [(-1, 1)],
-    }
+        witt._window_intertwiner(ring, Ba, Bb, (-1, 1))
+    assert err.value.bounds == {"stage": "kernel", "tried": 3, "kernel": 3, "window": (-1, 1)}
 
 
 def _multi_piece_shapes(p):
@@ -783,20 +774,6 @@ def test_taylor_cocycle_full_precision():
             assert g31 == g21.mul(g32)
 
 
-def test_taylor_truncation_stable_past_bound():
-    rng = random.Random(43)
-    ring = Zmod(3, 2)
-    curve = AffineLine(ring)
-    tup = random_input_tuple(rng, ring, (1, 1))
-    tw = sharp_construct(tup)
-    l0 = FrobeniusLifting.standard(curve)
-    l1 = FrobeniusLifting(curve, (lp(ring, {1: 1}),))
-    base = taylor_transition(tw, l0, l1)
-    assert taylor_transition(tw, l0, l1, jmax=truncation_bound(3, 2) + 3) == base
-    with pytest.raises(TruncationBoundExceeded):
-        taylor_transition(tw, l0, l1, jmax=1)
-
-
 # one low-weight shape and one of weight >= p - n per (p, n): on the second
 # the divided-operator terms of the Taylor series need not vanish
 TAYLOR_SHAPES = {
@@ -821,17 +798,9 @@ def _live_gamma_terms(tw):
     ]
 
 
-def _transition_or_raise(fn, tw, target, source, jmax):
-    try:
-        return fn(tw, target, source, jmax=jmax)
-    except TruncationBoundExceeded:
-        return TruncationBoundExceeded
-
-
 def test_taylor_transition_matches_uncached_oracle():
     live = 0
     for (p, n), shapes in TAYLOR_SHAPES.items():
-        bound = truncation_bound(p, n)
         for ranks in shapes:
             rng = random.Random("taylor:%d:%d:%s" % (p, n, ranks))
             tup = random_witt_tuple(rng, p, n, ranks)
@@ -840,26 +809,30 @@ def test_taylor_transition_matches_uncached_oracle():
             lifts += [random_lifting(rng, line) for _ in range(2)]
             # one module serves every call, in a shuffled order
             tw = sharp_construct(tup)
-            calls = [
-                (a, b, jmax)
-                for a in range(3)
-                for b in range(3)
-                if a != b
-                for jmax in (None, bound + 3, 1)
-            ]
+            calls = [(a, b) for a in range(3) for b in range(3) if a != b]
             rng.shuffle(calls)
-            for a, b, jmax in calls:
-                args = (tw, lifts[a], lifts[b], jmax)
-                got = _transition_or_raise(taylor_transition, *args)
-                want = _transition_or_raise(uncached_taylor_transition, *args)
-                assert got == want, (p, n, ranks, a, b, jmax)
-                z = lifts[b].z_same_chart(lifts[a], 0, tup.ring)
-                if jmax == 1 and any(c % p for c in z.coeffs.values()):
-                    # a z that is not divisible by p leaves a nonzero term
-                    # past degree 1 on every seeded module here
-                    assert got is TruncationBoundExceeded, (p, n, ranks, a, b)
+            for a, b in calls:
+                got = taylor_transition(tw, lifts[a], lifts[b])
+                want = uncached_taylor_transition(tw, lifts[a], lifts[b])
+                assert got == want, (p, n, ranks, a, b)
             live += bool(_live_gamma_terms(tw))
     assert live > 0
+
+
+def test_taylor_transition_is_horizontal_between_the_pullbacks():
+    # G carries the pullback under the source lifting to the one under the
+    # target: dG + A_target G - G A_source = 0, and not the other way round
+    for (p, n), shapes in TAYLOR_SHAPES.items():
+        for ranks in shapes:
+            rng = random.Random("horizontal:%d:%d:%s" % (p, n, ranks))
+            tup = random_witt_tuple(rng, p, n, ranks)
+            line = AffineLine(tup.ring)
+            target, source = random_lifting(rng, line), random_lifting(rng, line)
+            tw = sharp_construct(tup)
+            G = taylor_transition(tw, target, source)
+            At, As = fn_apply(tw, target).A[0], fn_apply(tw, source).A[0]
+            assert G.derivative().add(At.mul(G)).sub(G.mul(As)).is_zero(), (p, n, ranks)
+            assert not G.derivative().add(As.mul(G)).sub(G.mul(At)).is_zero(), (p, n, ranks)
 
 
 def test_taylor_transition_output_does_not_alias_the_module_terms():
@@ -938,7 +911,7 @@ def test_level_one_transform_matches_char_p():
                 total = theta_total_matrix(ring, ranks, theta)
                 higgs = HiggsBundle.from_chart0(Bundle(curve, sum(ranks)), total)
                 assert (
-                    cn_inverse(tup, lift).A[0]
+                    fn_apply(sharp_construct(tup), lift).A[0]
                     == inverse_cartier_1(higgs, lift).A[0]
                 )
 
