@@ -175,7 +175,7 @@ def poly_from_json(ring, data, path):
         if e in coeffs:
             raise SchemaError("repeated exponent %d" % e, here)
         if c != ring.coerce(0):
-            coeffs[e] = ring.coerce(c)
+            coeffs[e] = c
     return LaurentPoly(ring, coeffs)
 
 
