@@ -318,6 +318,23 @@ def test_lifting_change_transport_random():
                 )
 
 
+
+def test_lifting_change_transport_error_order():
+    # the liftings are compared first, then the Higgs field's nilpotency,
+    # then the modulus of the level-one transform
+    d = Zmod(3, 2)
+    curve = AffineLine(d)
+    std = FrobeniusLifting.standard(curve)
+    wild = HiggsBundle(Bundle.free(curve, 2), (RingMatrix.identity(d, 2),))
+    with pytest.raises(ValueError, match="different curves"):
+        lifting_change_transport(wild, std, FrobeniusLifting.standard(ProjectiveLine(d)))
+    with pytest.raises(ExponentTooLarge):
+        lifting_change_transport(wild, std, std)
+    higgs = frozen_projective_higgs(d)
+    std = FrobeniusLifting.standard(higgs.bundle.curve)
+    with pytest.raises(WrongModulus):
+        lifting_change_transport(higgs, std, std)
+
 # -- functoriality -----------------------------------------------------------
 
 
