@@ -21,9 +21,10 @@ matrix of 1-forms and chart1_connection that of a connection:
 
 per_chart turns a chart-0 matrix and one of these rules into the per-chart
 tuple and rejects a pole on any chart; check_per_chart asks that a stored
-tuple is exactly what per_chart gives.  The from_chart0 and validate of
-every field (Higgs, connection, map, graded connecting map, graded map) go
-through these two, and every isomorphism test through
+tuple is exactly what per_chart gives, with the rule multiplied through by
+ghat_source, so that a passing check inverts nothing.  The from_chart0
+and validate of every field (Higgs, connection, map, graded connecting
+map, graded map) go through these two, and every isomorphism test through
 RingMatrix.is_unimodular (square, with a unit constant determinant).
 
 Frame changes by a polynomial-unimodular Q(t) act on coordinates as
@@ -143,7 +144,22 @@ def per_chart(M0, rule, source, target, what):
 
 def check_per_chart(mats, rule, source, target, what):
     """Raise ValueError unless the stored per-chart matrices are exactly
-    what per_chart makes of their chart-0 matrix."""
+    what per_chart makes of their chart-0 matrix.  On P^1 the rule is
+    multiplied through by ghat_source, a unit as Bundle certifies det g:
+    polynomial (M0, M1) pass iff M1 ghat_source equals ghat_target M0(1/s)
+    for chart1_map, that times dt/ds for chart1_form, and that minus ghat'
+    for chart1_connection (ghat d(ghat^-1)/ds ghat = -ghat').  per_chart,
+    which inverts ghat_source, words the error."""
+    if source.curve.is_projective:
+        M0, M1 = mats
+        ghat = source.chart1_transition()
+        want = target.to_chart1(M0)
+        if rule is not chart1_map:
+            want = want.scale(target.curve.jacobian_factor())
+        if rule is chart1_connection:
+            want = want.sub(ghat.derivative())
+        if M0.is_polynomial() and M1.is_polynomial() and M1.mul(ghat) == want:
+            return
     if per_chart(mats[0], rule, source, target, what) != tuple(mats):
         raise ValueError("%s matrices disagree on the overlap" % what)
 

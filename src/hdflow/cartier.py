@@ -46,6 +46,11 @@ def check_nilpotency(higgs):
     return idx
 
 
+def _check_mod_p(higgs):
+    if getattr(higgs.bundle.domain, "m", 1) != 1:
+        raise WrongModulus("the level-one transform needs coefficients mod p")
+
+
 def pullback_higgs_matrices(higgs):
     """Per-chart pullback of the Higgs matrices (no dF factor)."""
     return tuple(frobenius_pullback_matrix(T) for T in higgs.theta)
@@ -73,22 +78,23 @@ def _atlas_data(higgs, lifting):
 def inverse_cartier_1(higgs, lifting=None):
     """The inverse transform at level one: a flat bundle whose degree is p
     times the input degree.  The atlas defaults to the standard lifting."""
-    d = higgs.bundle.domain
-    if getattr(d, "m", 1) != 1:
-        raise WrongModulus("the level-one transform needs coefficients mod p")
+    _check_mod_p(higgs)
     check_nilpotency(higgs)
+    return _transform(higgs, pullback_higgs_matrices(higgs), lifting)
+
+
+def _transform(higgs, pulled, lifting):
+    """The level-one transform of a checked Higgs bundle from its pulled
+    Higgs matrices, validated on P^1."""
     u, z_cross = _atlas_data(higgs, lifting)
-    pulled = pullback_higgs_matrices(higgs)
     A = tuple(pulled[c].scale(u[c]) for c in range(len(pulled)))
     curve = higgs.bundle.curve
     if not curve.is_projective:
-        H = Bundle(curve, higgs.bundle.rank)
-        return FlatBundle(H, A)
+        return FlatBundle(Bundle(curve, higgs.bundle.rank), A)
     tau = frobenius_pullback_matrix(higgs.bundle.transition)
     if z_cross is not None and not z_cross.is_zero():
         tau = tau.mul(nilpotent_matrix_exp(pulled[0].scale(z_cross)))
-    H = Bundle(curve, higgs.bundle.rank, tau)
-    return FlatBundle(H, A).validate()
+    return FlatBundle(Bundle(curve, higgs.bundle.rank, tau), A).validate()
 
 
 def inverse_cartier_1_on_map(phi, transformed_source, transformed_target):
@@ -122,25 +128,20 @@ def p_curvature_prediction(higgs):
     return tuple(M.neg() for M in pullback_higgs_matrices(higgs))
 
 
-def taylor_gluing_matrix(higgs, chart, z):
-    """The Taylor transport exp(z * pullback of Theta) on one chart."""
-    check_nilpotency(higgs)
-    N = frobenius_pullback_matrix(higgs.theta[chart])
-    return nilpotent_matrix_exp(N.scale(z))
-
-
 def lifting_change_transport(higgs, lift_from, lift_to):
     """The isomorphism between the transforms for two atlases: chartwise
-    exp(z * pullback of Theta) with z = (F_from - F_to)/p."""
+    exp(z * pullback of Theta) with z = (F_from - F_to)/p.  The Higgs field
+    is checked and pulled back once, and the map and both transforms share
+    the pulled matrices."""
     d = higgs.bundle.domain
-    ncharts = higgs.bundle.curve.ncharts
-    mats = []
-    for c in range(ncharts):
-        z = lift_from.z_same_chart(lift_to, c, d)
-        mats.append(taylor_gluing_matrix(higgs, c, z))
-    src = inverse_cartier_1(higgs, lift_from)
-    dst = inverse_cartier_1(higgs, lift_to)
-    return BundleMap(src.bundle, dst.bundle, tuple(mats)), src, dst
+    zs = [lift_from.z_same_chart(lift_to, c, d) for c in range(len(higgs.theta))]
+    check_nilpotency(higgs)
+    _check_mod_p(higgs)
+    pulled = pullback_higgs_matrices(higgs)
+    mats = tuple(nilpotent_matrix_exp(N.scale(z)) for N, z in zip(pulled, zs))
+    src = _transform(higgs, pulled, lift_from)
+    dst = _transform(higgs, pulled, lift_to)
+    return BundleMap(src.bundle, dst.bundle, mats), src, dst
 
 
 def _exp_second_path(M, domain):

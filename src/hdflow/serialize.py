@@ -229,7 +229,7 @@ def _matrices(ring, raw, path, shapes, each):
 def _ring(doc, path):
     p = _int_field(doc, "p", path)
     m = _int_field(doc, "m", path)
-    if p < 2:
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise SchemaError("p must be a prime >= 2", _child(path, "p"))
     if m < 1:
         raise SchemaError("m must be positive", _child(path, "m"))
@@ -252,8 +252,6 @@ def _extension_field(doc, path, ring):
         raise SchemaError(
             "f must be positive with p^f at most %d" % MAX_FIELD_SIZE, _child(path, "f")
         )
-    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise SchemaError("p must be a prime", _child(path, "p"))
     return GF(p, f)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hdflow import cartier
 from hdflow.bundles import Bundle, BundleMap, FlatBundle, HiggsBundle, nilpotent_matrix_exp
 from hdflow.cartier import (
     check_nilpotency,
@@ -15,7 +16,6 @@ from hdflow.cartier import (
     p_curvature,
     p_curvature_prediction,
     pullback_higgs_matrices,
-    taylor_gluing_matrix,
 )
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.errors import ExponentTooLarge, WrongModulus
@@ -255,6 +255,11 @@ def test_non_nilpotent_rejected():
 # -- Taylor cocycle across lifting changes -----------------------------------
 
 
+def taylor(higgs, lift_from, lift_to):
+    """The chart-0 Taylor matrix exp(z * pullback of Theta), z = (F_from - F_to)/p."""
+    return lifting_change_transport(higgs, lift_from, lift_to)[0].phi[0]
+
+
 def test_taylor_cocycle_for_three_liftings():
     rng = random.Random(41)
     cases = 0
@@ -270,9 +275,9 @@ def test_taylor_cocycle_for_three_liftings():
             z32 = lifts[2].z_same_chart(lifts[1], 0, d)
             z31 = lifts[2].z_same_chart(lifts[0], 0, d)
             assert z31 == z21.add(z32)
-            g21 = taylor_gluing_matrix(higgs, 0, z21)
-            g32 = taylor_gluing_matrix(higgs, 0, z32)
-            g31 = taylor_gluing_matrix(higgs, 0, z31)
+            g21 = taylor(higgs, lifts[1], lifts[0])
+            g32 = taylor(higgs, lifts[2], lifts[1])
+            g31 = taylor(higgs, lifts[2], lifts[0])
             assert g31 == g21.mul(g32)
             cases += 1
     assert cases == 16
@@ -334,6 +339,44 @@ def test_lifting_change_transport_error_order():
     std = FrobeniusLifting.standard(higgs.bundle.curve)
     with pytest.raises(WrongModulus):
         lifting_change_transport(higgs, std, std)
+
+
+def test_lifting_change_transport_work(monkeypatch):
+    # one nilpotency check and one pullback per Higgs matrix serve the map
+    # and both transforms, and no chart-1 transition is inverted
+    rng = random.Random(53)
+    d = Zmod(5, 1)
+    curve = ProjectiveLine(d)
+    higgs = conjugate_higgs_frames(rng, random_graded_higgs(rng, curve, (1, 1, 1)))
+    assert higgs.bundle.rank == 3 and check_nilpotency(higgs) == 3
+    la, lb = random_lifting(rng, curve), random_lifting(rng, curve)
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append((name, args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(RingMatrix, "inverse")
+    spy(HiggsBundle, "nilpotency_index")
+    spy(cartier, "frobenius_pullback_matrix")
+    iso, src, dst = lifting_change_transport(higgs, la, lb)
+    monkeypatch.undo()
+    assert [name for name, _ in calls if name != "frobenius_pullback_matrix"] == [
+        "nilpotency_index"
+    ]
+    pulled = [
+        id(arg)
+        for name, arg in calls
+        if name == "frobenius_pullback_matrix" and any(arg is T for T in higgs.theta)
+    ]
+    assert pulled == [id(T) for T in higgs.theta]
+    iso.validate()
+    assert iso.is_isomorphism() and iso.is_horizontal(src, dst)
 
 # -- functoriality -----------------------------------------------------------
 

@@ -10,15 +10,30 @@ either chart and a chart-1 matrix its chart rule does not give.
 """
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
 
 import hdflow
-from hdflow.bundles import Bundle, BundleMap, FlatBundle, HiggsBundle, chart1_form
+from hdflow.bundles import (
+    Bundle,
+    BundleMap,
+    FlatBundle,
+    HiggsBundle,
+    chart1_connection,
+    chart1_form,
+    chart1_map,
+    check_per_chart,
+    per_chart,
+)
+from hdflow.cartier import inverse_cartier_1
+from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.graded import GradedHiggsBundle, GradedMap
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
+
+from oracles import conjugate_higgs_frames, random_graded_higgs, random_unit
 
 PACKAGE = Path(hdflow.__file__).resolve().parent
 
@@ -215,3 +230,86 @@ def test_higgs_from_chart0_rejects_a_pole_that_chart_one_clears():
     assert chart1_form(theta0, E, E).is_polynomial()
     with pytest.raises(ValueError):
         HiggsBundle.from_chart0(E, theta0)
+
+
+# -- the multiplied-through check gives per_chart's verdict -------------------
+
+
+def _fields(rng, p):
+    """(rule, source, target, (M0, M1)) for valid fields on P^1 over F_p:
+    Higgs forms in twisted frames, connecting maps between graded pieces,
+    polynomials in a Higgs matrix as maps, and the connections of their
+    level-one transforms."""
+    curve = ProjectiveLine(Zmod(p))
+    for ranks in ((1, 1), (2, 1), (1, 2)):
+        H = conjugate_higgs_frames(rng, random_graded_higgs(rng, curve, ranks))
+        E, (theta0, _) = H.bundle, H.theta
+        yield chart1_form, E, E, H.theta
+        unit = RingMatrix.identity(E.domain, E.rank).scale_const(random_unit(rng, E.domain))
+        M0 = theta0.add(unit)
+        yield chart1_map, E, E, per_chart(M0, chart1_map, E, E, "map")
+        flat = inverse_cartier_1(H)
+        yield chart1_connection, flat.bundle, flat.bundle, flat.A
+    G = generate(CorpusParams(p=p, rank=3, weight=1, count=1, seed=p))[0]
+    for k, mats in enumerate(G.maps):
+        yield chart1_form, G.pieces[k + 1], G.pieces[k], mats
+
+
+def _mutants(rng, mats):
+    """The pair itself, one coefficient changed on each chart, a pole added
+    on each chart, and the charts swapped."""
+    out = [mats, (mats[1], mats[0])]
+    d = mats[0].domain
+    for c in range(2):
+        i, j = rng.randrange(mats[c].nrows), rng.randrange(mats[c].ncols)
+        for e in (rng.randrange(3), -1):
+            M = mats[c].copy()
+            M.rows[i][j] = M.rows[i][j].add(LaurentPoly(d, {e: random_unit(rng, d)}))
+            out.append(tuple(M if k == c else mats[k] for k in range(2)))
+    return out
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _per_chart_equality(mats, rule, source, target, what):
+    """The check as per_chart equality, inverting ghat_source."""
+    if per_chart(mats[0], rule, source, target, what) != tuple(mats):
+        raise ValueError("%s matrices disagree on the overlap" % what)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_multiplied_through_check_matches_per_chart_equality(p, monkeypatch):
+    # same verdict and message as per_chart equality; a passing check
+    # inverts no transition
+    rng = random.Random(p)
+    inverted = []
+    inverse = RingMatrix.inverse
+
+    def counted(M):
+        inverted.append(M)
+        return inverse(M)
+
+    monkeypatch.setattr(RingMatrix, "inverse", counted)
+    seen = set()
+    for rule, source, target, valid in _fields(rng, p):
+        for mats in _mutants(rng, valid):
+            args = (mats, rule, source, target, "field")
+            want = _verdict(_per_chart_equality, *args)
+            del inverted[:]
+            assert _verdict(check_per_chart, *args) == want
+            assert want is not None or inverted == []
+            seen.add((rule.__name__, want))
+    verdicts = {
+        None,
+        "field matrix has a pole",
+        "field matrix fails to extend over infinity",
+        "field matrices disagree on the overlap",
+    }
+    for rule in (chart1_map, chart1_form, chart1_connection):
+        assert {want for name, want in seen if name == rule.__name__} == verdicts

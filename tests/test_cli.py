@@ -104,6 +104,20 @@ def test_flow_run_wrong_document_type(tmp_path):
     assert json.loads(result.output)["location"] == "/type"
 
 
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_flow_run_composite_p_located(p, tmp_path):
+    # Z/p^m with a composite p is no coefficient ring the library supports
+    params = CorpusParams(p=3, rank=2, weight=1, count=1, seed=4, curve="A1")
+    doc = graded_to_json(generate(params)[0])
+    doc["p"] = p
+    path = write_doc(tmp_path, "composite.json", doc)
+    result = invoke(["flow", "run", "--input", path, "--steps", "1"])
+    assert result.exit_code == 2
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("contract", "/p")
+    assert "prime" in err["message"]
+
+
 def test_flow_run_missing_field_located(tmp_path):
     doc = trivial_graded_doc()
     del doc["pieces"]

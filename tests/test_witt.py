@@ -8,7 +8,7 @@ import types
 import pytest
 
 from hdflow.bundles import Bundle, HiggsBundle, change_frame_connection
-from hdflow.cartier import inverse_cartier_1, taylor_gluing_matrix
+from hdflow.cartier import inverse_cartier_1, lifting_change_transport
 from hdflow.corpus import random_lifting, random_witt_tuple
 from hdflow.curves import AffineLine, FrobeniusLifting
 from hdflow.errors import (
@@ -753,8 +753,8 @@ def test_taylor_transition_level_one_matches_exponential():
         higgs = HiggsBundle.from_chart0(
             Bundle(curve, 2), theta_total_matrix(ring, (1, 1), theta)
         )
-        z = l1.z_same_chart(l0, 0, ring)
-        assert G == taylor_gluing_matrix(higgs, 0, z)
+        # exp(z * pullback of Theta) with z = (F_1 - F_0)/p
+        assert G == lifting_change_transport(higgs, l1, l0)[0].phi[0]
 
 
 def test_taylor_cocycle_full_precision():
