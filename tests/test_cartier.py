@@ -332,7 +332,8 @@ def test_lifting_change_transport_error_order():
     std = FrobeniusLifting.standard(curve)
     wild = HiggsBundle(Bundle.free(curve, 2), (RingMatrix.identity(d, 2),))
     with pytest.raises(ValueError, match="different curves"):
-        lifting_change_transport(wild, std, FrobeniusLifting.standard(ProjectiveLine(d)))
+        elsewhere = FrobeniusLifting.standard(ProjectiveLine(d))
+        lifting_change_transport(wild, std, elsewhere)
     with pytest.raises(ExponentTooLarge):
         lifting_change_transport(wild, std, std)
     higgs = frozen_projective_higgs(d)

@@ -28,7 +28,7 @@ from hdflow.bundles import (
     per_chart,
 )
 from hdflow.cartier import inverse_cartier_1
-from hdflow.corpus import CorpusParams, generate
+from hdflow.corpus import CorpusParams, generate, random_lifting
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.graded import GradedHiggsBundle, GradedMap
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
@@ -239,25 +239,28 @@ def _fields(rng, p):
     """(rule, source, target, (M0, M1)) for valid fields on P^1 over F_p:
     Higgs forms in twisted frames, connecting maps between graded pieces,
     polynomials in a Higgs matrix as maps, and the connections of their
-    level-one transforms."""
+    level-one transforms, whose transitions have a nonzero derivative only
+    under a non-standard lifting."""
     curve = ProjectiveLine(Zmod(p))
     for ranks in ((1, 1), (2, 1), (1, 2)):
         H = conjugate_higgs_frames(rng, random_graded_higgs(rng, curve, ranks))
         E, (theta0, _) = H.bundle, H.theta
         yield chart1_form, E, E, H.theta
-        unit = RingMatrix.identity(E.domain, E.rank).scale_const(random_unit(rng, E.domain))
-        M0 = theta0.add(unit)
+        unit = random_unit(rng, E.domain)
+        M0 = theta0.add(RingMatrix.identity(E.domain, E.rank).scale_const(unit))
         yield chart1_map, E, E, per_chart(M0, chart1_map, E, E, "map")
-        flat = inverse_cartier_1(H)
-        yield chart1_connection, flat.bundle, flat.bundle, flat.A
+        for lifting in (None, random_lifting(rng, curve)):
+            flat = inverse_cartier_1(H, lifting)
+            yield chart1_connection, flat.bundle, flat.bundle, flat.A
     G = generate(CorpusParams(p=p, rank=3, weight=1, count=1, seed=p))[0]
     for k, mats in enumerate(G.maps):
         yield chart1_form, G.pieces[k + 1], G.pieces[k], mats
 
 
-def _mutants(rng, mats):
+def _mutants(rng, rule, source, target, mats):
     """The pair itself, one coefficient changed on each chart, a pole added
-    on each chart, and the charts swapped."""
+    on each chart, the charts swapped, and each changed chart-0 matrix with
+    the chart-1 matrix its rule gives, pole or not."""
     out = [mats, (mats[1], mats[0])]
     d = mats[0].domain
     for c in range(2):
@@ -266,6 +269,8 @@ def _mutants(rng, mats):
             M = mats[c].copy()
             M.rows[i][j] = M.rows[i][j].add(LaurentPoly(d, {e: random_unit(rng, d)}))
             out.append(tuple(M if k == c else mats[k] for k in range(2)))
+            if c == 0:
+                out.append((M, rule(M, source, target)))
     return out
 
 
@@ -298,7 +303,7 @@ def test_multiplied_through_check_matches_per_chart_equality(p, monkeypatch):
     monkeypatch.setattr(RingMatrix, "inverse", counted)
     seen = set()
     for rule, source, target, valid in _fields(rng, p):
-        for mats in _mutants(rng, valid):
+        for mats in _mutants(rng, rule, source, target, valid):
             args = (mats, rule, source, target, "field")
             want = _verdict(_per_chart_equality, *args)
             del inverted[:]
