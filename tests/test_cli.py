@@ -4,6 +4,7 @@ spec'd example behaviors, byte determinism, and the reparse property."""
 import copy
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from hdflow.serialize import (
 )
 
 from oracles import const_matrix
+from test_graded import _unipotent_trivial
 from test_witt import framed_unit_tuple, one_periodic_unit_tuple
 
 
@@ -116,6 +118,19 @@ def test_flow_run_composite_p_located(p, tmp_path):
     err = json.loads(result.output)
     assert (err["code"], err["location"]) == ("contract", "/p")
     assert "prime" in err["message"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_flow_run_unipotent_trivial_rank_four(p, tmp_path):
+    # O^4 written with t on the superdiagonal of its transition: its first
+    # step is O^4 in the standard frame, so the period search must find an
+    # isomorphism in End(O^4) = M_4(F_p)
+    path = write_doc(tmp_path, "unipotent.json", graded_to_json(_unipotent_trivial(p)))
+    start = time.process_time()
+    result = invoke(["flow", "run", "--input", path, "--steps", "1"])
+    assert time.process_time() - start < 1.0
+    assert result.exit_code == 0
+    assert json.loads(result.output)["period"] == {"period": 1, "preperiod": 0}
 
 
 def test_flow_run_missing_field_located(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for Hodge filtrations, gradings, and graded isomorphism search."""
 
 import random
+import time
 
 import pytest
 
@@ -9,10 +10,13 @@ from hdflow.bundles import (
     FlatBundle,
     HiggsBundle,
     Subbundle,
+    chart1_form,
     frobenius_pullback,
     full_subbundle,
+    per_chart,
 )
 from hdflow.cartier import inverse_cartier_1
+from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import (
     SearchBudgetExceeded,
@@ -31,7 +35,13 @@ from hdflow.graded import (
 )
 from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 
-from oracles import conjugate_higgs_frames, random_graded_higgs, random_unimodular_poly
+from oracles import (
+    const_matrix,
+    conjugate_higgs_frames,
+    random_graded_higgs,
+    random_unimodular_poly,
+)
+from test_filtration import _box_cells
 
 
 def col_span(bundle, cols):
@@ -421,3 +431,117 @@ def test_projective_transform_grading_degree_sum():
         g = grade(H, fil)
         assert sum(P.degree() for P in g.graded.pieces) == H.bundle.degree()
         assert sum(P.rank for P in g.graded.pieces) == 2
+
+
+# -- box sweep of the isomorphism decision ----------------------------------
+
+# CPU seconds one isomorphism decision may take in the box sweep.
+ISO_CPU_BOUND = 0.1
+
+
+def _timed_iso(A, B):
+    start = time.process_time()
+    cert = graded_higgs_isomorphic(A, B)
+    assert time.process_time() - start < ISO_CPU_BOUND
+    return cert
+
+
+def _reframed(rng, G):
+    """G in random chart-0 frames, one per piece (constant on A^1, where
+    the search looks for constant isomorphisms only), with the frames."""
+    d, curve = G.domain, G.curve
+    max_deg = 1 if curve.is_projective else 0
+    frames = [random_unimodular_poly(rng, d, P.rank, ops=3, max_deg=max_deg) for P in G.pieces]
+    inverses = [Q.inverse() for Q in frames]
+    pieces = [
+        Bundle(curve, P.rank, P.transition.mul(Qinv) if curve.is_projective else None)
+        for P, Qinv in zip(G.pieces, inverses)
+    ]
+    maps = [
+        per_chart(
+            frames[k].mul(mats[0]).mul(inverses[k + 1]),
+            chart1_form, pieces[k + 1], pieces[k], "reframed",
+        )
+        for k, mats in enumerate(G.maps)
+    ]
+    return GradedHiggsBundle(pieces, maps).validate()
+
+
+def _scaled_map(rng, G):
+    """G with one connecting map scaled by a random element, zero included;
+    G itself when it has no map."""
+    if not G.maps:
+        return G
+    k = rng.randrange(len(G.maps))
+    c = rng.choice(list(G.domain.elements()))
+    maps = [
+        tuple(M.scale_const(c) for M in mats) if i == k else mats
+        for i, mats in enumerate(G.maps)
+    ]
+    return GradedHiggsBundle(G.pieces, maps).validate()
+
+
+def test_graded_iso_box_sweep_decides_within_bound():
+    """Three seeded instances of each of the 27 box cells, on P^1 and on
+    A^1, against a frame-changed copy (an isomorphism that validates) and
+    against that copy with one connecting map scaled (None or a validating
+    isomorphism), each decision within ISO_CPU_BOUND."""
+    rng = random.Random(26)
+    cells = _box_cells()
+    assert len(cells) == 27
+    decided = {"iso": 0, "none": 0}
+    for p, rank, weight in cells:
+        for curve in ("P1", "A1"):
+            for G in generate(CorpusParams(p, rank, weight, 3, 7 + rank, curve=curve)):
+                framed = _reframed(rng, G)
+                cert = _timed_iso(G, framed)
+                assert cert is not None and cert.is_isomorphism()
+                cert.validate(G, framed)
+                decided["iso"] += 1
+                perturbed = _scaled_map(rng, framed)
+                cert = _timed_iso(G, perturbed)
+                if cert is None:
+                    decided["none"] += 1
+                else:
+                    assert cert.is_isomorphism()
+                    cert.validate(G, perturbed)
+    assert decided["iso"] == 27 * 2 * 3
+    assert decided["none"] >= 10
+
+
+def _unipotent_trivial(p, rank=4):
+    """O^rank with theta = 0, written with the unipotent transition that
+    has t on the superdiagonal."""
+    d = Zmod(p, 1)
+    g = RingMatrix.identity(d, rank)
+    for i in range(rank - 1):
+        g.rows[i][i + 1] = LaurentPoly.var(d)
+    return GradedHiggsBundle((Bundle(ProjectiveLine(d), rank, g),), ()).validate()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_graded_iso_unipotent_trivial_rank_four(p):
+    G = _unipotent_trivial(p)
+    free = GradedHiggsBundle((Bundle.free(G.curve, 4),), ())
+    for A, B in ((G, free), (free, G)):
+        cert = _timed_iso(A, B)
+        assert cert is not None and cert.is_isomorphism()
+        cert.validate(A, B)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_graded_iso_rejects_by_dimension(p):
+    # pieces O(2) and O^3: dim Hom(A, B) = 9, dim End(A) = 7, dim End(B) = 10
+    d = Zmod(p, 1)
+    curve = ProjectiveLine(d)
+    pieces = (Bundle.sum_of_lines(curve, (2,)), Bundle.free(curve, 3))
+    A, B = (
+        GradedHiggsBundle(
+            pieces, (per_chart(const_matrix(d, [row]), chart1_form, pieces[1], pieces[0], "theta"),)
+        ).validate()
+        for row in ([1, 0, 0], [0, 0, 0])
+    )
+    for X, Y in ((A, B), (B, A)):
+        start = time.process_time()
+        assert graded_higgs_isomorphic(X, Y) is None
+        assert time.process_time() - start < 0.05
