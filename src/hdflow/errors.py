@@ -15,8 +15,9 @@ class NonInvertible(HdflowError):
 
 
 class NoSolution(HdflowError):
-    """Linear system has no solution over the given ring; an intertwiner
-    search carries its windows in the bounds."""
+    """Linear system has no solution over the given ring, or unit_search
+    proved that no kernel combination is a unit (its bounds as for
+    SearchBudgetExceeded); an intertwiner search adds its windows."""
 
     def __init__(self, message, bounds=None):
         super().__init__(message)
@@ -45,8 +46,9 @@ class ExponentTooLarge(HdflowError):
 
 
 class SearchBudgetExceeded(HdflowError):
-    """A bounded candidate search (graded isomorphisms, Witt intertwiners)
-    hit its budget; carries the bounds."""
+    """A candidate search (unit_search) spent its budget; its bounds name
+    the stage, the candidates tried and the kernel size.  equivalence_check
+    adds the window, and raises it also for a window proved to hold no unit."""
 
     def __init__(self, message, bounds=None):
         super().__init__(message)

@@ -12,7 +12,6 @@ The induced maps are O-linear and satisfy the Higgs-type chart rule with
 the piece transitions, which is re-verified exactly on construction.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,17 +26,18 @@ from .bundles import (
     full_subbundle,
     per_chart,
 )
-from .errors import SearchBudgetExceeded, TransversalityViolated
+from .errors import NoSolution, TransversalityViolated
 from .ringmath import (
     RingMatrix,
     WindowSystem,
     poly_solve,
     solve_linear_mod,
     unimodular_completion,
+    unit_search,
 )
 
-# Candidates tried by graded_higgs_isomorphic, the one isomorphism search
-# behind period detection and the periodic-tuple operations.
+# Candidates unit_search may try for graded_higgs_isomorphic, the one
+# isomorphism decision behind period detection and the periodic tuples.
 DEFAULT_ISO_BUDGET = 200000
 
 
@@ -363,16 +363,27 @@ def _identity_graded_map(A):
     )
 
 
-def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
-    """Search for a grade-preserving isomorphism intertwining the maps.
+def _split_frames(G):
+    """Per grade the splitting type, the chart-0 frame onto the split frame
+    and its inverse, and the connecting maps in the split frames; on A^1,
+    zero types and identity frames."""
+    if not G.curve.is_projective:
+        Q = [RingMatrix.identity(G.domain, P.rank) for P in G.pieces]
+        return [[0] * P.rank for P in G.pieces], Q, Q, [m[0] for m in G.maps]
+    sd = [P.split_data() for P in G.pieces]
+    maps = [sd[k].Q.mul(m[0]).mul(sd[k + 1].Qinv) for k, m in enumerate(G.maps)]
+    return [list(s.exponents) for s in sd], [s.Q for s in sd], [s.Qinv for s in sd], maps
 
-    The unknowns are the split-frame entries of each grade block, with
-    degrees bounded by the splitting gaps; the intertwining relations are a
-    linear system over the coefficient field, and candidates from the
-    solution space are tried in a fixed element order, so the returned
-    certificate is the first valid one in that order.  None means no
-    isomorphism exists with coefficients in the instance's field.
-    """
+
+def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
+    """A grade-preserving isomorphism intertwining the maps, or None.
+
+    Hom(A, B) is the kernel of a linear system in the split-frame entries
+    of the grade blocks, of degrees up to the splitting gaps (constants on
+    A^1).  An isomorphism phi makes Hom(A, B) = phi End(A) = End(B) phi.
+    None comes only with a proof: the grade counts, piece ranks, splitting
+    types or kernel dimensions differ, or unit_search proves that no
+    combination is a unit; what it finds, GradedMap.validate certifies."""
     if len(A.pieces) != len(B.pieces):
         return None
     if A == B:
@@ -383,61 +394,29 @@ def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
             return None
         if A.curve.is_projective and PA.splitting_type() != PB.splitting_type():
             return None
-    if not A.curve.is_projective:
-        types = [[0] * P.rank for P in A.pieces]
-        to_split_A = [RingMatrix.identity(d, P.rank) for P in A.pieces]
-        from_split_B = list(to_split_A)
-        maps_A = [m[0] for m in A.maps]
-        maps_B = [m[0] for m in B.maps]
-    else:
-        types = [P.splitting_type() for P in A.pieces]
-        sd_A = [P.split_data() for P in A.pieces]
-        sd_B = [P.split_data() for P in B.pieces]
-        to_split_A = [sd.Q for sd in sd_A]
-        from_split_B = [sd.Qinv for sd in sd_B]
-        maps_A = [
-            sd_A[k].Q.mul(A.maps[k][0]).mul(sd_A[k + 1].Qinv)
-            for k in range(len(A.maps))
-        ]
-        maps_B = [
-            sd_B[k].Q.mul(B.maps[k][0]).mul(sd_B[k + 1].Qinv)
-            for k in range(len(B.maps))
-        ]
+    types, to_split_A, _, maps_A = _split_frames(A)
+    _, _, from_split_B, maps_B = _split_frames(B)
 
-    # unknowns: per grade, per split-frame entry, the monomials up to the
-    # splitting gap
-    system = WindowSystem(
-        d,
-        [[[range(a - b + 1) for b in tp] for a in tp] for tp in types],
-    )
+    def hom(maps_X, maps_Y):
+        # equation (k, r, c, e): the t^e coefficient of entry (r, c) of
+        # phi^{k} theta_X^{k+1} - theta_Y^{k+1} phi^{k+1}
+        windows = [[[range(a - b + 1) for b in tp] for a in tp] for tp in types]
+        system = WindowSystem(d, windows)
+        for k in range(len(maps_X)):
+            system.add_product((k,), k, right=maps_X[k])
+            system.add_product((k,), k + 1, left=maps_Y[k], coef=-1)
+        return system, solve_linear_mod(system.rows(), d, system.ncols).kernel
 
-    # linear equations (k, r, c, e): the t^e coefficient of entry (r, c) of
-    # phi^{k} theta_A^{k+1} - theta_B^{k+1} phi^{k+1}
-    for k in range(len(maps_A)):
-        system.add_product((k,), k, right=maps_A[k])
-        system.add_product((k,), k + 1, left=maps_B[k], coef=-1)
-    kernel = solve_linear_mod(system.rows(), d, system.ncols).kernel
-    if not kernel:
+    system, kernel = hom(maps_A, maps_B)
+    if any(len(hom(m, m)[1]) != len(kernel) for m in (maps_A, maps_B)):
         return None
-
-    tried = 0
-    for combo in itertools.product(d.elements(), repeat=len(kernel)):
-        tried += 1
-        if tried > budget:
-            raise SearchBudgetExceeded(
-                "isomorphism search exceeded %d candidates" % budget
-            )
-        coeffs = {}
-        for v, gen in zip(combo, kernel):
-            if v != d.zero:
-                d.axpy(gen, v, coeffs)
-        if coeffs:
-            mats = system.matrices(coeffs)
-            if all(M.is_unimodular() for M in mats):
-                blocks = []
-                for i, (M, PA, PB) in enumerate(zip(mats, A.pieces, B.pieces)):
-                    phi0 = from_split_B[i].mul(M).mul(to_split_A[i])
-                    what = "grade-%d block" % i
-                    blocks.append(per_chart(phi0, chart1_map, PA, PB, what))
-                return GradedMap(tuple(blocks)).validate(A, B)
-    return None
+    units = lambda vec: all(M.is_unimodular() for M in system.matrices(vec))
+    try:
+        vec = unit_search(d, kernel, units, budget)
+    except NoSolution:
+        return None
+    blocks = []
+    for i, (M, PA, PB) in enumerate(zip(system.matrices(vec), A.pieces, B.pieces)):
+        phi0 = from_split_B[i].mul(M).mul(to_split_A[i])
+        blocks.append(per_chart(phi0, chart1_map, PA, PB, "grade-%d block" % i))
+    return GradedMap(tuple(blocks)).validate(A, B)

@@ -28,7 +28,12 @@ Conventions fixed here and relied on everywhere else:
     type of the transition matrix G and sum(a) = -(exponent of det G).
 """
 
-from .errors import CertificateFailed, NoSolution, NonInvertible, NotDivisible
+import itertools
+import random
+
+from .errors import (
+    CertificateFailed, NoSolution, NonInvertible, NotDivisible, SearchBudgetExceeded,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1343,6 +1348,48 @@ def solve_linear_mod(rows, domain, ncols):
     if any(m in M[i] for i in range(len(diag), n)):
         raise NoSolution("no solution: inconsistent zero row")
     return LinearSolution(particular, kernel + C[len(diag) :])
+
+
+def unit_search(domain, kernel, check, budget):
+    """The first combination of the kernel vectors that check accepts; check
+    accepts units only, and a unit stays one modulo the nilradical, so a
+    vector of nilpotent entries is never checked and the coefficients are
+    residues: 0..p-1 over Z/p^m, every element of a field.  Each generator
+    is tried in order.  Then NoSolution proves that none passes when every
+    generator is nilpotent, or after every residue combination when they
+    fit in the budget left (zero last); otherwise random.Random(0) draws
+    one residue per generator until the budget is spent, and it raises
+    SearchBudgetExceeded.  Both errors' bounds name the stage, the
+    candidates tried and the kernel size."""
+    d, k = domain, len(kernel)
+    residues = list(d.elements()) if d.is_field else list(range(d.p))
+    if all(d.is_nilpotent(c) for vec in kernel for c in vec.values()):
+        combos, stage = (), "kernel"
+    elif len(residues) ** k <= budget - k:
+        combos, stage = itertools.product(residues[1:] + residues[:1], repeat=k), "enumerate"
+    else:
+        rng = random.Random(0)
+        draw = lambda: [residues[rng.randrange(len(residues))] for _ in kernel]
+        combos, stage = iter(draw, None), "random"
+
+    def combine(combo):
+        vec = {}
+        for g, c in zip(kernel, combo):
+            d.axpy(g, c, vec)
+        return vec
+
+    tried = 0
+    for vec in itertools.chain(kernel, map(combine, combos)):
+        if tried == budget:
+            error = SearchBudgetExceeded
+            break
+        tried += 1
+        if not all(d.is_nilpotent(c) for c in vec.values()) and check(vec):
+            return vec
+    else:
+        error = NoSolution
+    bounds = {"stage": stage if tried > k else "kernel", "tried": tried, "kernel": k}
+    raise error("no unit among %d candidates" % tried, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

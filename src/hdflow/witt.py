@@ -43,11 +43,12 @@ from .ringmath import (
     block_starts,
     random_poly,
     solve_linear_mod,
+    unit_search,
 )
 
-# Kernel generators and random combinations tried for an invertible
-# intertwiner on each window of equivalence_check's schedule before it
-# moves to the next window, or gives up on the last.
+# Candidates unit_search may try for an invertible intertwiner on each
+# window of equivalence_check's schedule before it moves to the next
+# window, or gives up on the last.
 EQUIVALENCE_BUDGET = 4000
 
 
@@ -452,10 +453,10 @@ def equivalence_check(tw_a, tw_b):
     (0 included) to two above them, and is the last one tried.
 
     Raises NoSolution when no L on the last window solves the equation, and
-    SearchBudgetExceeded, with the stage, work and window in its bounds,
-    when EQUIVALENCE_BUDGET candidates on it give no invertible one, or
-    the kernel alone when every generator vanishes mod p; both also list
-    the windows tried."""
+    SearchBudgetExceeded, with unit_search's stage, work and kernel size
+    and the window in its bounds, when unit_search proves that none there
+    is invertible or spends EQUIVALENCE_BUDGET candidates without finding
+    one; both also list the windows tried."""
     if tw_a.ring != tw_b.ring or tw_a.ranks != tw_b.ranks:
         raise ValueError("presentations of different modules")
     Ba, Bb = tw_a.module.matrix, tw_b.module.matrix
@@ -483,49 +484,20 @@ def _window_intertwiner(ring, Ba, Bb, window):
     system.add_derivative((), 0, p)
     system.add_product((), 0, left=Ba)
     system.add_product((), 0, right=Bb, coef=-1)
-    sol = solve_linear_mod(system.rows(), ring, system.ncols)
-
-    def intertwiner(vec):
-        # a vector that vanishes mod p gives det L = 0 mod p, not a unit
-        if not any(c % p for c in vec.values()):
-            return None
-        L = system.matrices(vec)[0]
-        defect = (
-            L.derivative().scale_const(ring.coerce(p)).add(Ba.mul(L)).sub(L.mul(Bb))
-        )
-        return L if defect.is_zero() and L.det().is_unit() else None
-
-    gens = list(sol.kernel)
+    gens = solve_linear_mod(system.rows(), ring, system.ncols).kernel
     if not gens:
         raise NoSolution("no intertwiner on the given monomial window",
                          bounds={"window": window})
-    tried = 0
-    for vec in gens[:EQUIVALENCE_BUDGET]:
-        tried += 1
-        L = intertwiner(vec)
-        if L is not None:
-            return L
-    # invertibility is a dense condition on the solution lattice, so random
-    # residue combinations of the generators find a unit quickly if one
-    # exists; when every generator vanishes mod p, every combination does too
-    rng = random.Random(0)
-    mod_p = any(c % p for g in gens for c in g.values())
-    while mod_p and tried < EQUIVALENCE_BUDGET:
-        tried += 1
-        vec = {}
-        for g in gens:
-            c = rng.randrange(p)
-            if c:
-                ring.axpy(g, c, vec)
-        L = intertwiner(vec)
-        if L is not None:
-            return L
-    stage = "kernel" if tried <= len(gens) else "random"
-    raise SearchBudgetExceeded(
-        "no invertible intertwiner within %d candidates" % tried,
-        bounds={"stage": stage, "tried": tried, "kernel": len(gens),
-                "window": window},
-    )
+    unit = lambda vec: system.matrices(vec)[0].det().is_unit()
+    try:
+        L = system.matrices(unit_search(ring, gens, unit, EQUIVALENCE_BUDGET))[0]
+    except (NoSolution, SearchBudgetExceeded) as err:
+        bounds = dict(err.bounds, window=window)
+        raise SearchBudgetExceeded(str(err), bounds=bounds) from None
+    defect = L.derivative().scale_const(ring.coerce(p)).add(Ba.mul(L)).sub(L.mul(Bb))
+    if not defect.is_zero():
+        raise CertificateFailed("intertwiner fails p dL + B_a L = L B_b", part="intertwiner")
+    return L
 
 
 # ---------------------------------------------------------------------------

@@ -359,14 +359,17 @@ def test_graded_iso_rejects_mismatches():
 
 
 def test_graded_iso_budget_exhaustion():
-    d = Zmod(3, 1)
-    curve = AffineLine(d)
-    one = LaurentPoly.const(d, d.one)
-    two = LaurentPoly.const(d, d.coerce(2))
-    A = single_map_graded(curve, None, one)
-    B = single_map_graded(curve, None, two)
-    with pytest.raises(SearchBudgetExceeded):
-        graded_higgs_isomorphic(A, B, budget=1)
+    # End(O^2) is M_2(F_7): its kernel generators are the four matrix units,
+    # all singular, and 7^4 combinations exceed any budget below, so the
+    # search runs out in the kernel stage, then after one random draw
+    A = _unipotent_trivial(7, rank=2)
+    B = GradedHiggsBundle((Bundle.free(A.curve, 2),), ())
+    for budget, stage in ((4, "kernel"), (5, "random")):
+        with pytest.raises(SearchBudgetExceeded) as err:
+            graded_higgs_isomorphic(A, B, budget=budget)
+        assert err.value.bounds == {"stage": stage, "tried": budget, "kernel": 4}
+    cert = graded_higgs_isomorphic(A, B, budget=6)
+    assert cert is not None and cert.is_isomorphism()
 
 
 def test_graded_iso_is_transitive_on_scalings():

@@ -10,7 +10,7 @@ from hdflow import witt
 from hdflow.bundles import Bundle
 from hdflow.corpus import random_witt_tuple
 from hdflow.curves import ProjectiveLine
-from hdflow.errors import NoSolution, NonInvertible, NotDivisible
+from hdflow.errors import NoSolution, NonInvertible, NotDivisible, SearchBudgetExceeded
 from hdflow.ringmath import (
     GF,
     LaurentPoly,
@@ -28,6 +28,7 @@ from hdflow.ringmath import (
     smith_form_poly,
     solve_linear_mod,
     unimodular_completion,
+    unit_search,
 )
 
 import oracles
@@ -1156,6 +1157,60 @@ def test_matrix_p_divide_lands_in_the_target():
     assert M.p_divide(1, F) == RingMatrix(F, [[LaurentPoly(F, {0: 1, 2: 2})]])
     with pytest.raises(NotDivisible):
         RingMatrix(R, [[LaurentPoly(R, {0: 4})]]).p_divide(1, F)
+
+
+# ---------------------------------------------------------------------------
+# unit search
+
+
+def test_unit_search_proves_a_nilpotent_kernel_holds_no_unit():
+    d = Zmod(3, 2)
+    kernel = [{0: 3}, {1: 6}, {0: 3, 1: 3}]
+    checked = []
+    with pytest.raises(NoSolution) as err:
+        unit_search(d, kernel, checked.append, 100)
+    assert err.value.bounds == {"stage": "kernel", "tried": 3, "kernel": 3}
+    assert checked == []
+    # a budget below the kernel size runs out among the generators
+    with pytest.raises(SearchBudgetExceeded) as err:
+        unit_search(d, kernel, checked.append, 2)
+    assert err.value.bounds == {"stage": "kernel", "tried": 2, "kernel": 3}
+
+
+@pytest.mark.parametrize("d", [Zmod(3, 2), Zmod(5, 1), GF(3, 2)])
+def test_unit_search_enumerates_every_residue_combination(d):
+    residues = list(d.elements()) if d.is_field else list(range(d.p))
+    q = len(residues)
+    kernel = [{0: d.one}, {1: d.one}]
+    checked = []
+    with pytest.raises(NoSolution) as err:
+        unit_search(d, kernel, lambda v: checked.append(dict(v)), 2 + q * q)
+    assert err.value.bounds == {"stage": "enumerate", "tried": 2 + q * q, "kernel": 2}
+    combos = [(v.get(0, d.zero), v.get(1, d.zero)) for v in checked[2:]]
+    # zero comes last, so the first combination uses both generators
+    assert combos[0] == (residues[1], residues[1])
+    assert sorted(combos) == sorted(
+        (a, b) for a in residues for b in residues if (a, b) != (d.zero, d.zero)
+    )
+    # one candidate less sends the search to random draws
+    with pytest.raises(SearchBudgetExceeded) as err:
+        unit_search(d, kernel, lambda v: False, 1 + q * q)
+    assert err.value.bounds == {"stage": "random", "tried": 1 + q * q, "kernel": 2}
+
+
+def test_unit_search_draws_one_residue_per_generator():
+    # the draws of the random stage: randrange(p) per generator, in order
+    d = Zmod(5, 2)
+    kernel = [{0: 1}, {1: 1}, {2: 1}]
+    checked = []
+    with pytest.raises(SearchBudgetExceeded) as err:
+        unit_search(d, kernel, checked.append, 3 + 6)
+    assert err.value.bounds == {"stage": "random", "tried": 9, "kernel": 3}
+    rng = random.Random(0)
+    draws = [{j: c for j in range(3) if (c := rng.randrange(5))} for _ in range(6)]
+    assert checked == kernel + [v for v in draws if v]
+    accept = draws[2]
+    assert unit_search(d, kernel, lambda v: v == accept, 100) == accept
 
 
 # ---------------------------------------------------------------------------

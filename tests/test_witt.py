@@ -22,7 +22,7 @@ from hdflow.errors import (
     WrongModulus,
 )
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod, solve_linear_mod
-from hdflow import witt
+from hdflow import ringmath, witt
 from hdflow.witt import (
     LiftingInputTuple,
     PConnectionModule,
@@ -486,7 +486,7 @@ def test_equivalence_check_widens_past_a_window_without_a_unit(monkeypatch):
             draws.append(args)
             return super().randrange(*args)
 
-    monkeypatch.setattr(witt, "random", types.SimpleNamespace(Random=Random))
+    monkeypatch.setattr(ringmath, "random", types.SimpleNamespace(Random=Random))
     assert equivalence_check(tw_a, tw_b) == mat(ring, [[{-2: 1}]])
     assert widths == [3, 5]
     # -1..1 costs its three kernel generators, and no random combination
