@@ -616,7 +616,7 @@ LIBRARY_DIGESTS = {
     "inverse-layer": "723c87e036bd46017f4456222c0cd8892bffbb32c7daea3de4c07b34d69ab949",
     "smith-layer": "fa225450363ce1c0531598af69dbfeeb62f48de58d46240392c15478e274b5f8",
     "block-layout": "7420d281d84246bf321618d4a8e7e0740ae21049b5a41d285eb6c303fc4b0165",
-    "kernel-bases": "24f529b68afc1968d4b6dcdffe7aa372b4af21c574cb76f654a73f838b121f72",
+    "kernel-bases": "8997e74e14056cd6ad22aa9824d4378d44a3a77c6791a667b860851ba37dcb06",
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
     "equivalence-default-window": "fade237c52da0865d83e14f57ca60140381ef5bdd998455fb6862c88296c414f",
