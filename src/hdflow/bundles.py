@@ -32,7 +32,7 @@ x' = Q x, on Higgs matrices by Q Theta Q^-1, and on connection matrices by
 Q A Q^-1 + Q dQ^-1/dt.
 """
 
-from .errors import ExponentTooLarge, NonInvertible, WrongModulus, ZeroSubsheaf
+from .errors import ExponentTooLarge, NonInvertible, ZeroSubsheaf
 from .ringmath import (
     LaurentPoly,
     RingMatrix,
@@ -79,32 +79,6 @@ def frobenius_pullback_matrix(M):
     """Coefficients through the domain Frobenius, coordinate to the p-th
     power."""
     return M.coeff_frobenius().rescale(M.domain.p)
-
-
-def frobenius_pullback(obj):
-    """Pullback along the p-power map of the base: t -> t^p in transitions
-    and matrices, coefficients through the Frobenius.  Characteristic p only.
-    Higgs and connection matrices carry no dF factor here, so the pulled
-    matrices satisfy the chart rule only up to the factor the level-one
-    transform later restores."""
-    d = (obj.bundle if hasattr(obj, "bundle") else obj).domain
-    if getattr(d, "m", 1) != 1:
-        raise WrongModulus("Frobenius pullback is a characteristic-p operation")
-    if isinstance(obj, Bundle):
-        if not obj.curve.is_projective:
-            return Bundle(obj.curve, obj.rank)
-        return Bundle(obj.curve, obj.rank, frobenius_pullback_matrix(obj.transition))
-    if isinstance(obj, HiggsBundle):
-        return HiggsBundle(
-            frobenius_pullback(obj.bundle),
-            tuple(frobenius_pullback_matrix(T) for T in obj.theta),
-        )
-    if isinstance(obj, FlatBundle):
-        return FlatBundle(
-            frobenius_pullback(obj.bundle),
-            tuple(frobenius_pullback_matrix(A) for A in obj.A),
-        )
-    raise TypeError("no Frobenius pullback for %r" % (obj,))
 
 
 def chart1_map(M0, source, target):
@@ -312,9 +286,6 @@ class HiggsBundle:
         if power.is_zero():
             return self.bundle.rank + 1
         return None
-
-    def is_nilpotent(self):
-        return self.nilpotency_index() is not None
 
 
 class FlatBundle:

@@ -11,7 +11,15 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor
 
-from hdflow.bundles import Subbundle, change_frame_connection, hn_filtration
+from hdflow.bundles import (
+    Bundle,
+    FlatBundle,
+    HiggsBundle,
+    Subbundle,
+    change_frame_connection,
+    frobenius_pullback_matrix,
+    hn_filtration,
+)
 from hdflow.errors import (
     CertificateFailed,
     NoLiftedFiltration,
@@ -20,6 +28,7 @@ from hdflow.errors import (
     NotDivisible,
     SearchBudgetExceeded,
     TransversalityViolated,
+    WrongModulus,
 )
 from hdflow.filtration import DestabilizerReport, _lex_gt
 from hdflow.ringmath import (
@@ -809,8 +818,6 @@ def random_graded_higgs(rng, curve, grade_ranks, base_exp=None, gap=2):
     Nilpotency index is at most the number of grades.  Returns the
     HiggsBundle built on the split transition; grades are listed in order.
     """
-    from hdflow.bundles import Bundle, HiggsBundle
-
     domain = curve.domain
     k = len(grade_ranks)
     if base_exp is None:
@@ -841,8 +848,6 @@ def random_graded_higgs(rng, curve, grade_ranks, base_exp=None, gap=2):
 def conjugate_higgs_frames(rng, higgs, ops=3, max_deg=1):
     """Re-express a Higgs bundle in random chart-0 frames (same object, a
     different-looking transition and Higgs matrix)."""
-    from hdflow.bundles import Bundle, HiggsBundle
-
     d = higgs.bundle.domain
     n = higgs.bundle.rank
     Q = random_unimodular_poly(rng, d, n, ops=ops, max_deg=max_deg)
@@ -1064,6 +1069,32 @@ def destabilizer_theta_closure(G):
     if mu <= G.slope():
         return None
     return DestabilizerReport(tuple(chosen), mu, ranks)
+
+
+def frobenius_pullback(obj):
+    """Pullback along the p-power map of the base: t -> t^p in transitions
+    and matrices, coefficients through the Frobenius.  Characteristic p only.
+    Higgs and connection matrices carry no dF factor here, so the pulled
+    matrices satisfy the chart rule only up to the factor the level-one
+    transform later restores."""
+    d = (obj.bundle if hasattr(obj, "bundle") else obj).domain
+    if getattr(d, "m", 1) != 1:
+        raise WrongModulus("Frobenius pullback is a characteristic-p operation")
+    if isinstance(obj, Bundle):
+        if not obj.curve.is_projective:
+            return Bundle(obj.curve, obj.rank)
+        return Bundle(obj.curve, obj.rank, frobenius_pullback_matrix(obj.transition))
+    if isinstance(obj, HiggsBundle):
+        return HiggsBundle(
+            frobenius_pullback(obj.bundle),
+            tuple(frobenius_pullback_matrix(T) for T in obj.theta),
+        )
+    if isinstance(obj, FlatBundle):
+        return FlatBundle(
+            frobenius_pullback(obj.bundle),
+            tuple(frobenius_pullback_matrix(A) for A in obj.A),
+        )
+    raise TypeError("no Frobenius pullback for %r" % (obj,))
 
 
 # ---------------------------------------------------------------------------

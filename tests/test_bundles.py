@@ -104,7 +104,7 @@ def test_higgs_nilpotency_index():
     one = LaurentPoly.one(d)
     H = HiggsBundle.from_chart0(E, RingMatrix(d, [[zero, one], [zero, zero]]))
     assert H.nilpotency_index() == 2
-    assert H.is_nilpotent()
+    assert H.nilpotency_index() is not None
     Z = HiggsBundle.zero(E)
     assert Z.nilpotency_index() == 1
 

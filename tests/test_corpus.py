@@ -80,7 +80,7 @@ def test_generate_rank4_nilpotency_bounded():
         params = CorpusParams(p=5, rank=4, weight=weight, count=4, seed=11)
         for G in generate(params):
             H = G.total()
-            assert H.is_nilpotent()
+            assert H.nilpotency_index() is not None
             assert H.nilpotency_index() <= 4
 
 
@@ -118,7 +118,7 @@ def test_random_nilpotent_higgs_valid():
     for p, rank, kind in [(3, 2, "P1"), (5, 3, "A1"), (7, 3, "P1")]:
         H = random_nilpotent_higgs(rng, p, rank, curve=kind)
         H.validate()
-        assert H.is_nilpotent()
+        assert H.nilpotency_index() is not None
         assert H.bundle.rank == rank
         assert H.bundle.curve.is_projective == (kind == "P1")
 

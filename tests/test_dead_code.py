@@ -7,8 +7,8 @@ src/hdflow or bench/ refers to it.  Tests do not count as callers, so a
 function that only tests call is flagged; it gets a caller in the system,
 moves to tests/oracles.py if it only cross-checks the library, or goes.  A
 function counts as referred to where its name appears in those trees as a
-name, an attribute or an imported name; a word in a comment or a string
-does not count.  A method is reached only as an attribute (obj.name), so
+name, an attribute or an imported name outside its own body, so that
+recursion is no use; a word in a comment or a string does not count.  A method is reached only as an attribute (obj.name), so
 it counts only where some file there accesses it that way.  Exempt are
 dunders, the command-line entry points (called by click, not by name) and
 the public entry points in ENTRY_POINTS, each with its reason.
@@ -75,18 +75,27 @@ def _caller_trees():
     return [ast.parse(path.read_text(), filename=str(path)) for path in _searched_files(CALLERS)]
 
 
-def _references(trees):
-    """(names, attributes): every name, imported name and attribute that
-    the given modules mention."""
-    names, attributes = set(), set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name for alias in node.names)
+def _references():
+    """(names, attributes): for every name, imported name and attribute
+    that the system mentions, one entry per mention, the set of the
+    (file, line) of every definition whose body holds it."""
+    names, attributes = {}, {}
+
+    def visit(node, path, homes):
+        if isinstance(node, FUNCTION_NODES):
+            homes = homes | {(path, node.lineno)}
+        if isinstance(node, ast.Name):
+            names.setdefault(node.id, []).append(homes)
+        elif isinstance(node, ast.Attribute):
+            attributes.setdefault(node.attr, []).append(homes)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.setdefault(alias.name, []).append(homes)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, homes)
+
+    for path in _searched_files(CALLERS):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.resolve(), frozenset())
     return names, attributes
 
 
@@ -114,7 +123,7 @@ def _library_functions():
 
 
 def test_every_function_is_used():
-    names, attributes = _references(_caller_trees())
+    names, attributes = _references()
     defined = {node.name for _, node, _ in _library_functions()}
     assert sorted(set(ENTRY_POINTS) - defined) == []
     unused = []
@@ -124,7 +133,8 @@ def test_every_function_is_used():
             continue
         if _is_click_command(node) or name in ENTRY_POINTS:
             continue
-        if name not in attributes if is_method else name not in names | attributes:
+        mentions = attributes.get(name, []) + ([] if is_method else names.get(name, []))
+        if all((path, node.lineno) in homes for homes in mentions):
             unused.append("%s:%d %s" % (path.name, node.lineno, name))
     assert unused == []
 

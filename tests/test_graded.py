@@ -11,7 +11,6 @@ from hdflow.bundles import (
     HiggsBundle,
     Subbundle,
     chart1_form,
-    frobenius_pullback,
     full_subbundle,
     per_chart,
 )
@@ -38,6 +37,7 @@ from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 from oracles import (
     const_matrix,
     conjugate_higgs_frames,
+    frobenius_pullback,
     random_graded_higgs,
     random_unimodular_poly,
 )
