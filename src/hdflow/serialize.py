@@ -226,19 +226,22 @@ def _matrices(ring, raw, path, shapes, each):
 # curves and Frobenius liftings
 
 
+# F_{p^f} is built by a search over monic polynomials of degree f, so a
+# document may name only a small field; F_p is one, which keeps the trial
+# division that checks p short.  Z/p^m holds residues below MAX_MODULUS.
+MAX_FIELD_SIZE = 1 << 16
+MAX_MODULUS = 1 << 64
+
+
 def _ring(doc, path):
     p = _int_field(doc, "p", path)
     m = _int_field(doc, "m", path)
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise SchemaError("p must be a prime >= 2", _child(path, "p"))
-    if m < 1:
-        raise SchemaError("m must be positive", _child(path, "m"))
+    if not 2 <= p <= MAX_FIELD_SIZE or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise SchemaError("p must be a prime at most %d" % MAX_FIELD_SIZE, _child(path, "p"))
+    # p >= 2, so m <= 64 follows from the size bound and keeps p ** m cheap
+    if not 1 <= m <= 64 or p ** m > MAX_MODULUS:
+        raise SchemaError("m must be positive with p^m at most 2^64", _child(path, "m"))
     return Zmod(p, m)
-
-
-# F_{p^f} is built by a search over monic polynomials of degree f, so a
-# document may name only a small field
-MAX_FIELD_SIZE = 1 << 16
 
 
 def _extension_field(doc, path, ring):

@@ -120,6 +120,22 @@ def test_flow_run_composite_p_located(p, tmp_path):
     assert "prime" in err["message"]
 
 
+@pytest.mark.parametrize("key, value", [("p", 10 ** 14 + 31), ("m", 10 ** 7), ("p", 65537)])
+def test_flow_run_oversized_ring_located(key, value, tmp_path):
+    # a prime p past MAX_FIELD_SIZE is refused before its trial division,
+    # and an m with p^m past MAX_MODULUS before p ** m is computed
+    params = CorpusParams(p=3, rank=2, weight=1, count=1, seed=4, curve="A1")
+    doc = graded_to_json(generate(params)[0])
+    doc[key] = value
+    path = write_doc(tmp_path, "oversized.json", doc)
+    start = time.process_time()
+    result = invoke(["flow", "run", "--input", path, "--steps", "1"])
+    assert time.process_time() - start < 0.1
+    assert result.exit_code == 2
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("contract", "/" + key)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_flow_run_unipotent_trivial_rank_four(p, tmp_path):
     # O^4 written with t on the superdiagonal of its transition: its first
