@@ -7,9 +7,10 @@ src/hdflow or bench/ refers to it.  Tests do not count as callers, so a
 function that only tests call is flagged; it gets a caller in the system,
 moves to tests/oracles.py if it only cross-checks the library, or goes.  A
 function counts as referred to where its name appears in those trees as a
-name, an attribute or an imported name outside its own body, so that
-recursion is no use; a word in a comment or a string does not count.  A method is reached only as an attribute (obj.name), so
-it counts only where some file there accesses it that way.  Exempt are
+name, an attribute or an imported name outside its own body, so recursion
+keeps nothing alive; a word in a comment or a string does not count.  A
+method is reached only as an attribute (obj.name), so it counts only where
+some file there accesses it that way.  Exempt are
 dunders, the command-line entry points (called by click, not by name) and
 the public entry points in ENTRY_POINTS, each with its reason.
 

@@ -451,7 +451,7 @@ def _timed_iso(A, B):
 
 def _reframed(rng, G):
     """G in random chart-0 frames, one per piece (constant on A^1, where
-    the search looks for constant isomorphisms only), with the frames."""
+    the search looks for constant isomorphisms only)."""
     d, curve = G.domain, G.curve
     max_deg = 1 if curve.is_projective else 0
     frames = [random_unimodular_poly(rng, d, P.rank, ops=3, max_deg=max_deg) for P in G.pieces]
