@@ -51,6 +51,7 @@ from hdflow.ringmath import (
     Zmod,
     birkhoff_factorize,
     poly_kernel,
+    random_poly,
 )
 from hdflow.serialize import (
     canonical_bytes,
@@ -63,6 +64,7 @@ from hdflow.witt import (
     LiftingInputTuple,
     equivalence_check,
     filtration_steps_from_flag,
+    gamma_apply,
     gn_construct,
     local_filtered_lifting,
     mod_reduction_check,
@@ -110,6 +112,10 @@ def _tuple_p5():
     return LiftingInputTuple(ring, (1, 1, 1), theta, abar, psibar)
 
 
+def _seeded_witt_tuple(seed, p, n, ranks):
+    return witt_tuple_to_json(random_witt_tuple(random.Random(seed), p, n, ranks))
+
+
 def _rank_two_a1():
     params = CorpusParams(p=3, rank=2, weight=1, count=1, seed=1, curve="A1")
     return graded_to_json(generate(params)[0])
@@ -147,6 +153,11 @@ def _digest(data):
 CLI_CASES = {
     "witt-flow-step-p3": (["witt", "flow-step"], lambda: witt_tuple_to_json(_tuple_p3())),
     "witt-flow-step-p5": (["witt", "flow-step"], lambda: witt_tuple_to_json(_tuple_p5())),
+    "witt-lift-p3-n2": (["witt", "lift"], lambda: _seeded_witt_tuple(21, 3, 2, (2, 1))),
+    "witt-lift-p7-n3": (
+        ["witt", "lift"],
+        lambda: _seeded_witt_tuple(22, 7, 3, (1, 2, 1, 1)),
+    ),
     "flow-run-rank2-a1": (
         ["flow", "run", "--steps", "2", "--field-degree", "2"],
         _rank_two_a1,
@@ -174,6 +185,14 @@ CLI_DIGESTS = {
     "witt-flow-step-p5": (
         "27c4dc4e5917416ec9e2a1a7f3d83d5fba1feb2f4813b85c5cca7dcaafc41083",
         "dcf0f1c9990e533087a6d7253e61922dc2bb802b1b52610550e46b3da18ad5b3",
+    ),
+    "witt-lift-p3-n2": (
+        "6aac8bb5979b0bfde0194985c0cf3d687f0b80ec719e7d5b81b8a32ac3e5467a",
+        "b5ccf18d2aceb7c7682846cf93ef4bfc84eca1d18d0553b46d25a8ba5d75958b",
+    ),
+    "witt-lift-p7-n3": (
+        "50826812d36178311d3cf989bd7565c5580b021114a3156a08fd89e366a74571",
+        "26a9af7441a9e3fff6f5897de21e420b1610e6fe9260f937a567d4b28e698bcd",
     ),
     "flow-run-rank2-a1": (
         "35a1ca6a76bbe14aa3bc29af37e351a13447466341189325a9c3da115da7029a",
@@ -307,6 +326,41 @@ def _taylor_cocycle_bytes():
     tw = sharp_construct(tup)
     pairs = ((l0, l1), (l1, l2), (l0, l2))
     return canonical_bytes([matrix_to_json(taylor_transition(tw, a, b)) for a, b in pairs])
+
+
+def _taylor_transitions_p7_bytes():
+    """The three Taylor transitions among three random liftings, at p = 7
+    and p^3, on one glued module of a seeded ranks (1, 1, 1, 1, 1) tuple
+    over Z/343: weight 4 reaches p - n, so the degree-7 divided-operator term
+    is nonzero, and the last kept term (degree 9) lies far below the
+    truncation bound 27."""
+    rng = random.Random(7)
+    tup = random_witt_tuple(rng, 7, 3, (1, 1, 1, 1, 1))
+    line = AffineLine(tup.ring)
+    l0, l1, l2 = (random_lifting(rng, line) for _ in range(3))
+    tw = sharp_construct(tup)
+    pairs = ((l0, l1), (l1, l2), (l0, l2))
+    return canonical_bytes([matrix_to_json(taylor_transition(tw, a, b)) for a, b in pairs])
+
+
+def _gamma_apply_bytes():
+    """Divided operators of weight 1 and weight p on two columns of
+    seeded sections, on the glued lifting of a p = 5, n = 3, ranks (1, 2, 1)
+    tuple and of a p = 7, n = 3, ranks (1, 1, 1, 1, 1) tuple: the top grade
+    reaches p - n, so every output is nonzero."""
+    doc = []
+    for p, n, ranks in ((5, 3, (1, 2, 1)), (7, 3, (1, 1, 1, 1, 1))):
+        rng = random.Random(0)
+        tup = random_witt_tuple(rng, p, n, ranks)
+        ring = tup.ring
+        tw = sharp_construct(tup)
+        X = RingMatrix(
+            ring, [[random_poly(rng, ring, 2) for _ in range(2)] for _ in range(tw.rank)]
+        )
+        for m in (1, p):
+            hs = [random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
+            doc.append(matrix_to_json(gamma_apply(tw.lift, ranks, m, hs, X)))
+    return canonical_bytes(doc)
 
 
 def _witt_construct_bytes():
@@ -607,6 +661,8 @@ LIBRARY_CASES = {
     "equivalence-frame-change-p3": _frame_change_p3_bytes,
     "taylor-transition-p3": _taylor_transition_bytes,
     "taylor-cocycle-p5-n3": _taylor_cocycle_bytes,
+    "taylor-transitions-p7-n3": _taylor_transitions_p7_bytes,
+    "gamma-apply-weights": _gamma_apply_bytes,
     "witt-construct": _witt_construct_bytes,
     "horizontal-transport": _transport_bytes,
 }
@@ -623,6 +679,8 @@ LIBRARY_DIGESTS = {
     "equivalence-frame-change-p3": "cc7694add0a34c9a549226c81b694f84c5a84b259650e5e20f540ac2e8f5f72d",
     "taylor-transition-p3": "1de60a3b47d4bf0736726c1ce433d0fdd7938c70246fb960c98102dacaa4b8cf",
     "taylor-cocycle-p5-n3": "75c04f75fc10af21a116afa33bc48312634efbdaeb171824e22f9cc5e0a016d4",
+    "taylor-transitions-p7-n3": "eea968ebf15b7f303859ca0e1b775e8fffe40706287b1a48312ba8bff3ead4e7",
+    "gamma-apply-weights": "9d74b14e3a44209574ac08baa3cb8c518b9a73157a27c2f9727486e7173f6d76",
     "witt-construct": "9464288ecc6800fb6efb9e035194adfcd3d63ccd6ed7c52b5e6b6c3e5c7119f8",
     "horizontal-transport": "5e4608b5b225b4ecd83aa37c5ee0996a09fed5910cb9978a3a3342d7718785cd",
 }
