@@ -430,6 +430,58 @@ def unpruned_gamma_apply(A, ranks, m, hs, col):
     return out
 
 
+def unfused_gamma_apply(A, ranks, m, hs, X):
+    """The divided operator with each step taken as four matrix passes,
+    h (dX/dt + A X): derivative, product, sum and scaling, each reducing
+    every entry it makes."""
+    ring = A.domain
+    p, n = ring.p, ring.m
+    if len(hs) != p - 1 + m:
+        raise ValueError("divided operator of weight m needs p-1+m derivations")
+    starts = block_starts(ranks)
+    slices = list(zip(starts, starts[1:]))
+    rank, k = sum(ranks), X.ncols
+    zero_row = [LaurentPoly.zero(ring)] * k
+    state = {}
+    for g, (a, b) in enumerate(slices):
+        if g < p - n:
+            continue
+        if any(not e.is_zero() for row in X.rows[a:b] for e in row):
+            state[g] = RingMatrix(
+                ring, [X.rows[i] if a <= i < b else zero_row for i in range(rank)]
+            )
+    for r in range(p - 1 + m, 0, -1):
+        h = hs[r - 1]
+        shift = 1 if r > m else 0
+        new_state = {}
+        for s, comp in state.items():
+            img = comp.derivative().add(A.mul(comp)).scale(h)
+            key = s - shift
+            if key in new_state:
+                new_state[key] = new_state[key].add(img)
+            else:
+                new_state[key] = img
+        state = new_state
+    out = RingMatrix.zeros(ring, rank, k)
+    for s, comp in state.items():
+        rows = [zero_row] * rank
+        for g, (a, b) in enumerate(slices):
+            e = g - s
+            if e >= n:
+                continue
+            if e < 0:
+                if any(not x.is_zero() for row in comp.rows[a:b] for x in row):
+                    raise CertificateFailed(
+                        "divided-operator state escaped its slot", part="gamma"
+                    )
+                continue
+            c = ring.coerce(p ** e)
+            for i in range(a, b):
+                rows[i] = [x.scale(c) for x in comp.rows[i]]
+        out = out.add(RingMatrix(ring, rows))
+    return out
+
+
 def uncached_taylor_transition(tw, lift_target, lift_source):
     """The Taylor transition with every term rebuilt on each call: the nabla
     chain and each divided operator are recomputed, and each kept term is

@@ -51,6 +51,7 @@ from oracles import (
     equivalence_gamma_check,
     filtration_lift_candidates,
     horizontal_transport,
+    laurent_power,
     leibniz_check,
     level_at_most,
     perturbed_construct,
@@ -59,6 +60,7 @@ from oracles import (
     random_unimodular_poly,
     uncached_adapted_dr_matrix,
     uncached_taylor_transition,
+    unfused_gamma_apply,
     unpruned_gamma_apply,
 )
 
@@ -660,6 +662,47 @@ def test_pruned_divided_operator_matches_unpruned_oracle():
     assert live > 0
 
 
+def _gamma_outcome(apply, A, ranks, m, hs, X):
+    """The operator's output, or the part of the certificate it failed."""
+    try:
+        return apply(A, ranks, m, hs, X)
+    except CertificateFailed as err:
+        return err.part
+
+
+def test_fused_divided_operator_matches_unfused_oracle():
+    rng = random.Random(61)
+    below = escaped = 0
+    for p in (3, 5, 7):
+        for n in (2, 3):
+            ring = Zmod(p, n)
+            # the second shape reaches p - n, so its lower grades are parts
+            # below p - n; the third has weight p, so a part may escape
+            for ranks in ((2, 1), (1,) * (p - n) + (2,), (1,) * (p + 1)):
+                rank = sum(ranks)
+                A = _random_one_step_lower(rng, ring, ranks)
+                X = RingMatrix(
+                    ring, [[random_poly(rng, ring, 1)] for _ in range(rank)]
+                ).hstack(RingMatrix.identity(ring, rank))
+                for m in (0, 1, 2):
+                    hs = [random_poly(rng, ring, 1) for _ in range(p - 1 + m)]
+                    want = _gamma_outcome(unfused_gamma_apply, A, ranks, m, hs, X)
+                    got = _gamma_outcome(gamma_apply, A, ranks, m, hs, X)
+                    assert got == want, (p, n, m, ranks)
+                    if want == "gamma":
+                        escaped += 1
+                    elif len(ranks) > p - n > 0 and not want.is_zero():
+                        below += 1
+    # the shift matrix carries the top grade of a weight-p shape below its
+    # slot: both raise, with the same part
+    ring = Zmod(3, 2)
+    A = mat(ring, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    args = (A, (1, 1, 1, 1), 1, [LaurentPoly.one(ring)] * 3, basis_col(ring, 4, 3))
+    assert _gamma_outcome(gamma_apply, *args) == "gamma"
+    assert _gamma_outcome(unfused_gamma_apply, *args) == "gamma"
+    assert below > 0 and escaped > 0
+
+
 def test_escaped_slot_certificate_fires_with_and_without_pruning():
     # weight p: the top grade ends one slot up, and three one-step drops of
     # the shift matrix carry it to grade zero, below its slot
@@ -882,6 +925,36 @@ def test_taylor_terms_are_built_once_per_module(monkeypatch):
         j for j in range(p, truncation_bound(p, n)) if taylor_coefficient(tup.ring, j)
     ]
     assert calls == {"gamma": len(nonzero), "nabla": p - 1, "substitute": 3}
+
+
+def test_taylor_transition_stops_z_powers_at_the_last_kept_term(monkeypatch):
+    # at p = 7, n = 3 the bound is 27 but the coefficients vanish from
+    # degree 10 on, so z^9 is the last power any kept term needs
+    rng = random.Random(59)
+    tup = random_witt_tuple(rng, 7, 3, (1, 1, 1, 1, 1))
+    ring = tup.ring
+    line = AffineLine(ring)
+    target, source = random_lifting(rng, line), random_lifting(rng, line)
+    tw = sharp_construct(tup)
+    terms = tw._taylor_terms(truncation_bound(7, 3))
+    kept = [j for j, term in enumerate(terms) if term is not None]
+    assert (len(terms), len(kept), kept[-1]) == (27, 10, 9)
+    z = source.z_same_chart(target, 0, ring)
+    with_z = []
+    mul = LaurentPoly.mul
+
+    def spy(self, other):
+        out = mul(self, other)
+        if z in (self, other):
+            with_z.append(out)
+        return out
+
+    monkeypatch.setattr(LaurentPoly, "mul", spy)
+    G = taylor_transition(tw, target, source)
+    monkeypatch.undo()
+    past = [laurent_power(z, j) for j in range(kept[-1] + 1, len(terms))]
+    assert len(with_z) <= kept[-1] and not any(out in past for out in with_z)
+    assert G == uncached_taylor_transition(tw, target, source)
 
 
 # ---------------------------------------------------------------------------
