@@ -130,19 +130,20 @@ def _emit(doc, out_path, command, input_bytes, parameters, checks, exit_code=Non
 
 
 def _guard(fn):
-    """Map mathematical failures on well-formed input to exit code 1."""
+    """Map mathematical failures on well-formed input to exit code 1; the
+    error object carries the failure's part and bounds when it has them."""
 
     @functools.wraps(fn)
     def inner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except HdflowError as err:
-            _fail(
-                "invariant",
-                "%s: %s" % (type(err).__name__, err),
-                "/",
-                EXIT_INVARIANT,
-            )
+            doc = error_object("invariant", "%s: %s" % (type(err).__name__, err))
+            for key in ("part", "bounds"):
+                if getattr(err, key, None) is not None:
+                    doc[key] = getattr(err, key)
+            _print_doc(doc)
+            raise SystemExit(EXIT_INVARIANT)
 
     return inner
 

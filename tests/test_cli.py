@@ -2,6 +2,7 @@
 spec'd example behaviors, byte determinism, and the reparse property."""
 
 import copy
+import dataclasses
 import json
 import random
 import time
@@ -255,6 +256,33 @@ def test_flow_run_budget_reaches_the_one_period_search(tmp_path, monkeypatch):
     result = invoke(["flow", "run", "--input", path, "--steps", "2", "--budget", "1"])
     assert result.exit_code == 0, result.output
     assert budgets == [1]
+
+
+def test_flow_run_budget_error_reports_stage_tried_and_kernel(tmp_path):
+    # End(O^2) at p = 7 has four singular generators, so the period search
+    # spends a budget of 4 in its kernel stage
+    doc = graded_to_json(_unipotent_trivial(7, rank=2))
+    path = write_doc(tmp_path, "unipotent.json", doc)
+    result = invoke(["flow", "run", "--input", path, "--steps", "1", "--budget", "4"])
+    assert result.exit_code == 1
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("invariant", "/")
+    assert err["message"].startswith("SearchBudgetExceeded: ")
+    assert err["bounds"] == {"stage": "kernel", "tried": 4, "kernel": 4}
+    assert "part" not in err
+
+
+def test_witt_flow_step_certificate_error_reports_its_part(tmp_path):
+    # a stored frame that does not carry the canonical matrix to the de
+    # Rham side fails the frame certificate
+    tup = framed_unit_tuple()
+    tup = dataclasses.replace(tup, frob_frame=const_matrix(tup.down_ring, [[1, 0], [0, 1]]))
+    path = write_doc(tmp_path, "framed.json", witt_tuple_to_json(tup))
+    result = invoke(["witt", "flow-step", "--input", path])
+    assert result.exit_code == 1
+    err = json.loads(result.output)
+    assert err["message"].startswith("CertificateFailed: ")
+    assert err["part"] == "frame" and "bounds" not in err
 
 
 # -- cartier apply -----------------------------------------------------------
