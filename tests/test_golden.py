@@ -14,7 +14,10 @@ The inputs were chosen so the pinned bytes depend on solver details:
     Birkhoff factors are built from a left null vector, both returned by
     solve_linear_mod; on these inputs Gauss-Jordan returns the same
     vectors, so those digests pin the search and the factorization, not
-    the pivot order.
+    the pivot order;
+  * the monomial transitions (one nonzero c t^e in every row and column)
+    already split, so their Birkhoff data depends only on the order of
+    equal exponents and on where each coefficient and its inverse land.
 """
 
 import hashlib
@@ -649,7 +652,37 @@ def _inverse_layer_bytes():
     return canonical_bytes({"split": split, "inverse": inverses})
 
 
+def _monomial_split_bytes():
+    """Birkhoff data of monomial transitions (one nonzero c t^e in every row
+    and column): the split frames (exponents, Q, Q^-1, Phat) and the left
+    factor P of sums of lines with unsorted and repeated exponents, of an
+    anti-diagonal, of a permuted rank-4 matrix with coefficients other than
+    one, and of one matrix over F_9."""
+    cases = []
+    for p, exps in ((3, (1,)), (3, (2, -1, 2)), (5, (0, 0)), (5, (-3, 4, 4, -3)),
+                    (7, (3, -2, 3)), (7, (-1, 2, -1, 0))):
+        cases.append(Bundle.sum_of_lines(ProjectiveLine(Zmod(p)), exps).transition)
+    d5, d7, d9 = Zmod(5), Zmod(7), GF(3, 2)
+    cases.append(_mat(d5, [[0, {-1: 2}], [{3: 3}, 0]]))
+    cases.append(
+        _mat(d7, [[0, 0, {2: 3}, 0], [{-1: 5}, 0, 0, 0], [0, 0, 0, 2], [0, {-3: 6}, 0, 0]])
+    )
+    u, v = (0, 1), (2, 1)
+    cases.append(RingMatrix(d9, [
+        [LaurentPoly.zero(d9), LaurentPoly.monomial(d9, u, 1), LaurentPoly.zero(d9)],
+        [LaurentPoly.zero(d9), LaurentPoly.zero(d9), LaurentPoly.monomial(d9, v, -2)],
+        [LaurentPoly.monomial(d9, u, 1), LaurentPoly.zero(d9), LaurentPoly.zero(d9)],
+    ]))
+    doc = []
+    for G in cases:
+        sd = Bundle(ProjectiveLine(G.domain), G.nrows, G).split_data()
+        frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, sd.Phat)]
+        doc.append([sd.exponents] + frames + [matrix_to_json(birkhoff_factorize(G).P)])
+    return canonical_bytes(doc)
+
+
 LIBRARY_CASES = {
+    "monomial-split": _monomial_split_bytes,
     "semistability-decisions": _semistability_decisions_bytes,
     "inverse-layer": _inverse_layer_bytes,
     "smith-layer": _smith_layer_bytes,
@@ -668,6 +701,7 @@ LIBRARY_CASES = {
 }
 
 LIBRARY_DIGESTS = {
+    "monomial-split": "e331e2b0186cbffba0d0b9d579270658f3cff01a8ded4981200052247ec9fdfc",
     "semistability-decisions": "61770d6ac73ddebf94c3c405822c11818e97da734c297a4d82b911f07d7401d5",
     "inverse-layer": "723c87e036bd46017f4456222c0cd8892bffbb32c7daea3de4c07b34d69ab949",
     "smith-layer": "fa225450363ce1c0531598af69dbfeeb62f48de58d46240392c15478e274b5f8",
