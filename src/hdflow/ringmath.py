@@ -25,7 +25,11 @@ Conventions fixed here and relied on everywhere else:
   * birkhoff_factorize(G) returns P, a, Q, Q^-1 with G = P*diag(t^-a_1..t^-a_r)*Q
     and a_1 >= ... >= a_r, where P is unimodular over polynomials in 1/t and
     Q is unimodular over polynomials in t.  The exponent list is the splitting
-    type of the transition matrix G and sum(a) = -(exponent of det G).
+    type of the transition matrix G and sum(a) = -(exponent of det G).  A
+    monomial G (one nonzero c t^e in every row and column) is already split:
+    its factors are read off without elimination, Q^-1 is the transposed
+    pattern of inverses certified by Q Q^-1 = I, and every other
+    certificate still runs.
 """
 
 import itertools
@@ -1419,6 +1423,17 @@ def _is_poly_in_inverse(M):
     return all(e.is_zero() or e.degree() <= 0 for row in M.rows for e in row)
 
 
+def _is_monomial(M):
+    """Every row and every column holds exactly one nonzero entry, c t^e."""
+    cols = set()
+    for row in M.rows:
+        entries = [(j, e) for j, e in enumerate(row) if e.coeffs]
+        if len(entries) != 1 or len(entries[0][1].coeffs) != 1:
+            return False
+        cols.add(entries[0][0])
+    return len(cols) == M.ncols
+
+
 def birkhoff_factorize(G):
     """Factor an invertible Laurent matrix over a field; exact and verified by
     re-multiplication before returning.  Raises NonInvertible unless det(G)
@@ -1432,6 +1447,14 @@ def birkhoff_factorize(G):
     above by the exponent of det(G), so this terminates.  P comes from the
     same elimination, each row operation's inverse applied as column
     operations; Qinv from the minor table that certifies Q unimodular.
+
+    A monomial G (every row and column holds one nonzero entry c t^e) is
+    already split and skips the elimination: a = -e, ordered by (-a, row),
+    P is the permutation with P[order[c]][c] = 1, row r of Q is the
+    constant c of row order[r] in its entry's column, and Qinv is the
+    transposed pattern of the inverses, certified by Q Qinv = I.  Both paths
+    check det(G) first and P D Q = G, P over F[1/t], Q over F[t] and det P
+    a unit constant before returning.
     """
     d = G.domain
     if not d.is_field:
@@ -1443,6 +1466,7 @@ def birkhoff_factorize(G):
     if len(det.coeffs) != 1:
         raise NonInvertible("determinant %r is not a unit monomial" % det)
 
+    monomial = _is_monomial(G)
     M = G.copy()
     Pcols = RingMatrix.identity(d, n).rows   # columns of P0: G = P0 * M, P0 over F[1/t]
 
@@ -1458,6 +1482,8 @@ def birkhoff_factorize(G):
     init_sum = sum(row_valuations())
     guard_max = det.degree() - init_sum + n + 2
     for _ in range(max(guard_max, 2)):
+        if monomial:  # already split: no row operation to make
+            break
         vals = row_valuations()
         # left null vector of the constant terms of the stripped rows: the
         # nullspace of the transpose, whose row j holds column j's terms
@@ -1502,10 +1528,19 @@ def birkhoff_factorize(G):
         raise NonInvertible("left factor escaped polynomials in 1/t")
     if not Q.is_polynomial():
         raise NonInvertible("right factor escaped polynomials in t")
+    if not P.is_unimodular():
+        raise NonInvertible("factor is not unimodular")
+    if monomial:
+        fact.Qinv = RingMatrix(d, [
+            [LaurentPoly.const(d, d.inv(e.constant_term())) if e.coeffs else e for e in col]
+            for col in zip(*Q.rows)
+        ])
+        if Q.mul(fact.Qinv) != RingMatrix.identity(d, n):
+            raise NonInvertible("factor is not unimodular")
+        return fact
     minor = Q._minors()
     detq = minor()
-    for dt in (P.det(), detq):
-        if not (dt.is_constant() and d.is_unit(dt.constant_term())):
-            raise NonInvertible("factor is not unimodular")
+    if not (detq.is_constant() and d.is_unit(detq.constant_term())):
+        raise NonInvertible("factor is not unimodular")
     fact.Qinv = Q._inverse(detq, minor)
     return fact

@@ -6,13 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdflow import witt
+from hdflow import ringmath, witt
 from hdflow.bundles import Bundle
 from hdflow.corpus import random_witt_tuple
 from hdflow.curves import ProjectiveLine
 from hdflow.errors import NoSolution, NonInvertible, NotDivisible, SearchBudgetExceeded
 from hdflow.ringmath import (
     GF,
+    BirkhoffFactorization,
     LaurentPoly,
     RingMatrix,
     Zmod,
@@ -1300,7 +1301,39 @@ def test_birkhoff_over_gf9():
         assert fact.exponents == exps
 
 
-def test_birkhoff_factors_match_inverting_oracle():
+def _random_monomial(rng, F, n):
+    """A seeded monomial matrix: one unit coefficient times t^e in every row
+    and column, on a random permutation, exponents in -6..6 with repeats;
+    returns it with the exponent e of each row."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pool = [rng.randrange(-6, 7) for _ in range(max(n - 1, 1))]
+    exps = [rng.choice(pool) for _ in range(n)]
+    rows = [[LaurentPoly.zero(F) for _ in range(n)] for _ in range(n)]
+    for i, (j, e) in enumerate(zip(perm, exps)):
+        rows[i][j] = LaurentPoly.monomial(F, oracles.random_unit(rng, F), e)
+    return RingMatrix(F, rows), exps, perm
+
+
+def _birkhoff_work(monkeypatch):
+    """Spy on the elimination's solves and the minor-table inverse."""
+    calls = {"solve": 0, "adjugate": 0}
+    solve, adjugate = ringmath.solve_linear_mod, RingMatrix._adjugate
+
+    def spy_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    def spy_adjugate(self, minor):
+        calls["adjugate"] += 1
+        return adjugate(self, minor)
+
+    monkeypatch.setattr(ringmath, "solve_linear_mod", spy_solve)
+    monkeypatch.setattr(RingMatrix, "_adjugate", spy_adjugate)
+    return calls
+
+
+def test_birkhoff_factors_match_inverting_oracle(monkeypatch):
     rng = random.Random(59)
     for F in (Zmod(3), Zmod(5), GF(3, 2)):
         for n in (2, 3, 4):
@@ -1311,6 +1344,71 @@ def test_birkhoff_factors_match_inverting_oracle():
                 expect = oracles.inverting_birkhoff_factorize(G)
                 assert fact.exponents == expect.exponents == exps
                 assert (fact.P, fact.Q, fact.Qinv) == (expect.P, expect.Q, expect.Qinv)
+    # monomial matrices split in closed form; one extra entry off the
+    # permutation (two terms, or one: a row with two monomials) leaves the
+    # determinant alone and sends the matrix through the elimination
+    calls = _birkhoff_work(monkeypatch)
+    for F in (Zmod(3), Zmod(5), GF(3, 2)):
+        for n in (1, 2, 3, 4):
+            for k in range(8):
+                G, exps, perm = _random_monomial(rng, F, n)
+                near = n > 1 and k % 2 == 0
+                if near:
+                    i = rng.randrange(n)
+                    j = rng.choice([c for c in range(n) if c != perm[i]])
+                    e = exps[i] + rng.choice((-1, 1))
+                    extra = {e: oracles.random_unit(rng, F)}
+                    if k % 4 == 0:
+                        extra[e + 2] = oracles.random_unit(rng, F)
+                    G.rows[i][j] = LaurentPoly(F, extra)
+                solves = calls["solve"]
+                fact = birkhoff_factorize(G)
+                assert (calls["solve"] > solves) == near
+                expect = oracles.inverting_birkhoff_factorize(G)
+                assert fact.exponents == expect.exponents
+                assert (fact.P, fact.Q, fact.Qinv) == (expect.P, expect.Q, expect.Qinv)
+                if not near:
+                    assert fact.exponents == sorted((-e for e in exps), reverse=True)
+
+
+def test_monomial_birkhoff_skips_elimination_and_minor_inverse(monkeypatch):
+    calls = _birkhoff_work(monkeypatch)
+    F = Zmod(7)
+    G = RingMatrix(F, [[LaurentPoly.zero(F)] * 4 for _ in range(4)])
+    for i, j, c, e in ((0, 2, 3, 2), (1, 0, 5, -1), (2, 3, 2, 0), (3, 1, 6, -3)):
+        G.rows[i][j] = LaurentPoly.monomial(F, c, e)
+    fact = birkhoff_factorize(G)
+    Bundle(ProjectiveLine(F), 4, G).split_data()
+    assert calls == {"solve": 0, "adjugate": 0}
+    assert fact.exponents == [3, 1, 0, -2]
+    assert oracles.check_birkhoff(fact, G)
+    birkhoff_factorize(oracles.random_split_transition(random.Random(67), F, [2, 0, -1]))
+    assert calls["solve"] >= 1
+
+
+def test_monomial_birkhoff_keeps_its_certificates(monkeypatch):
+    calls = _birkhoff_work(monkeypatch)
+    F = Zmod(5)
+    G = RingMatrix(F, [
+        [LaurentPoly.zero(F), LaurentPoly.monomial(F, 2, -1)],
+        [LaurentPoly.monomial(F, 3, 3), LaurentPoly.zero(F)],
+    ])
+    with monkeypatch.context() as m:
+        m.setattr(BirkhoffFactorization, "verify", lambda self, G: False)
+        with pytest.raises(NonInvertible):
+            birkhoff_factorize(G)
+    # a wrong inverse of the coefficients breaks Q Qinv = I
+    with monkeypatch.context() as m:
+        m.setattr(F, "inv", lambda a: a)
+        with pytest.raises(NonInvertible):
+            birkhoff_factorize(G)
+    assert calls == {"solve": 0, "adjugate": 0}
+    fact = birkhoff_factorize(G)
+    assert fact.exponents == [1, -3]
+    assert fact.Qinv == RingMatrix(F, [
+        [LaurentPoly.zero(F), LaurentPoly.const(F, 2)],
+        [LaurentPoly.const(F, 3), LaurentPoly.zero(F)],
+    ])
 
 
 def test_eliminations_make_no_inverse_call(monkeypatch):
