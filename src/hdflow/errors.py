@@ -48,9 +48,9 @@ class ExponentTooLarge(HdflowError):
 class SearchBudgetExceeded(HdflowError):
     """A candidate search (unit_search) spent its budget; its bounds name
     the stage, the candidates tried and the kernel size.  equivalence_check
-    adds the window, and raises it also for a window proved to hold no unit."""
+    adds its windows."""
 
-    def __init__(self, message, bounds=None):
+    def __init__(self, message, bounds):
         super().__init__(message)
         self.bounds = bounds
 

@@ -465,11 +465,12 @@ def equivalence_check(tw_a, tw_b):
     L; the default window runs from one below the exponents of B_a and B_b
     (0 included) to two above them, and is the last one tried.
 
-    Raises NoSolution when no L on the last window solves the equation, and
-    SearchBudgetExceeded, with unit_search's stage, work and kernel size
-    and the window in its bounds, when unit_search proves that none there
-    is invertible or spends EQUIVALENCE_BUDGET candidates without finding
-    one; both also list the windows tried."""
+    Raises NoSolution when no L on the last window solves the equation or
+    unit_search proves that none there is invertible, and
+    SearchBudgetExceeded when unit_search spends EQUIVALENCE_BUDGET
+    candidates without finding one; unit_search's errors carry its stage,
+    work and kernel size and the window in their bounds, and every error
+    also lists the windows tried."""
     if tw_a.ring != tw_b.ring or tw_a.ranks != tw_b.ranks:
         raise ValueError("presentations of different modules")
     Ba, Bb = tw_a.module.matrix, tw_b.module.matrix
@@ -505,8 +506,8 @@ def _window_intertwiner(ring, Ba, Bb, window):
     try:
         L = system.matrices(unit_search(ring, gens, unit, EQUIVALENCE_BUDGET))[0]
     except (NoSolution, SearchBudgetExceeded) as err:
-        bounds = dict(err.bounds, window=window)
-        raise SearchBudgetExceeded(str(err), bounds=bounds) from None
+        err.bounds["window"] = window
+        raise
     defect = L.derivative().scale_const(ring.coerce(p)).add(Ba.mul(L)).sub(L.mul(Bb))
     if not defect.is_zero():
         raise CertificateFailed("intertwiner fails p dL + B_a L = L B_b", part="intertwiner")

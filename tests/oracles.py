@@ -918,7 +918,8 @@ class _Budget:
         self.used += 1
         if self.used > self.limit:
             raise SearchBudgetExceeded(
-                "%s enumeration passed %d candidates" % (what, self.limit)
+                "%s enumeration passed %d candidates" % (what, self.limit),
+                bounds={"stage": what, "tried": self.limit},
             )
 
 

@@ -426,10 +426,10 @@ def test_equivalence_check_with_an_empty_kernel_has_no_solution():
 def test_equivalence_check_budget_error_names_stage_work_and_window(monkeypatch):
     # p dL = p L forces L = 0 mod p: the kernel on the default window
     # [-1, 2] is four p-multiples, so no combination of them is invertible
-    # and the search stops after the kernel stage
+    # and the search stops after the kernel stage with a proof
     ring = Zmod(3, 2)
     tw_a, tw_b = _rank_one_twist(ring, 0), _rank_one_twist(ring, 3)
-    with pytest.raises(SearchBudgetExceeded) as err:
+    with pytest.raises(NoSolution) as err:
         equivalence_check(tw_a, tw_b)
     assert err.value.bounds == {
         "stage": "kernel",
@@ -493,9 +493,9 @@ def test_equivalence_check_widens_past_a_window_without_a_unit(monkeypatch):
     assert widths == [3, 5]
     # -1..1 costs its three kernel generators, and no random combination
     assert draws == []
-    # on -1..1 alone the search ends in its kernel stage
+    # on -1..1 alone the search ends in its kernel stage with a proof
     Ba, Bb = tw_a.module.matrix, tw_b.module.matrix
-    with pytest.raises(SearchBudgetExceeded) as err:
+    with pytest.raises(NoSolution) as err:
         witt._window_intertwiner(ring, Ba, Bb, (-1, 1))
     assert err.value.bounds == {"stage": "kernel", "tried": 3, "kernel": 3, "window": (-1, 1)}
 
