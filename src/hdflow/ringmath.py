@@ -26,10 +26,7 @@ Conventions fixed here and relied on everywhere else:
     and a_1 >= ... >= a_r, where P is unimodular over polynomials in 1/t and
     Q is unimodular over polynomials in t.  The exponent list is the splitting
     type of the transition matrix G and sum(a) = -(exponent of det G).  A
-    monomial G (one nonzero c t^e in every row and column) is already split:
-    its factors are read off without elimination, Q^-1 is the transposed
-    pattern of inverses certified by Q Q^-1 = I, and every other
-    certificate still runs.
+    monomial G splits in closed form, with Q^-1 certified by Q Q^-1 = I.
 """
 
 import itertools
@@ -1423,50 +1420,30 @@ def _is_poly_in_inverse(M):
     return all(e.is_zero() or e.degree() <= 0 for row in M.rows for e in row)
 
 
-def _is_monomial(M):
-    """Every row and every column holds exactly one nonzero entry, c t^e."""
-    cols = set()
-    for row in M.rows:
-        entries = [(j, e) for j, e in enumerate(row) if e.coeffs]
-        if len(entries) != 1 or len(entries[0][1].coeffs) != 1:
-            return False
-        cols.add(entries[0][0])
-    return len(cols) == M.ncols
+def _monomial_split(G):
+    """For G with one nonzero entry in every row: the columns of P0 (the
+    identity), each row's valuation e and its row stripped of t^e; None for
+    any other G.  As det G is a unit monomial, every entry is then c t^e and
+    no two share a column."""
+    d, n = G.domain, G.nrows
+    zero = LaurentPoly.zero(d)
+    vals, Qrows = [], []
+    for row in G.rows:
+        entries = [(j, e.coeffs) for j, e in enumerate(row) if e.coeffs]
+        if len(entries) != 1:
+            return None
+        (j, coeffs), = entries
+        (v, c), = coeffs.items()
+        vals.append(v)
+        Qrows.append([LaurentPoly._trusted(d, {0: c}) if k == j else zero for k in range(n)])
+    return RingMatrix.identity(d, n).rows, vals, Qrows
 
 
-def birkhoff_factorize(G):
-    """Factor an invertible Laurent matrix over a field; exact and verified by
-    re-multiplication before returning.  Raises NonInvertible unless det(G)
-    is a unit monomial.
-
-    Method: strip each row's t-valuation; if the matrix of constant terms of
-    the stripped rows is invertible over F we are done.  Otherwise a left
-    null vector of that constant matrix yields a row operation with
-    coefficients in F[1/t] (combining into the row of minimal valuation)
-    that strictly raises that row's valuation.  The valuation sum is bounded
-    above by the exponent of det(G), so this terminates.  P comes from the
-    same elimination, each row operation's inverse applied as column
-    operations; Qinv from the minor table that certifies Q unimodular.
-
-    A monomial G (every row and column holds one nonzero entry c t^e) is
-    already split and skips the elimination: a = -e, ordered by (-a, row),
-    P is the permutation with P[order[c]][c] = 1, row r of Q is the
-    constant c of row order[r] in its entry's column, and Qinv is the
-    transposed pattern of the inverses, certified by Q Qinv = I.  Both paths
-    check det(G) first and P D Q = G, P over F[1/t], Q over F[t] and det P
-    a unit constant before returning.
-    """
-    d = G.domain
-    if not d.is_field:
-        raise NonInvertible("birkhoff factorization requires field coefficients")
-    n = G.nrows
-    if n != G.ncols:
-        raise NonInvertible("matrix is not square")
-    det = G.det()
-    if len(det.coeffs) != 1:
-        raise NonInvertible("determinant %r is not a unit monomial" % det)
-
-    monomial = _is_monomial(G)
+def _eliminate(G, det):
+    """Row operations over F[1/t] until the constant terms of the stripped
+    rows are invertible: the columns of P0 with G = P0 M, the row
+    valuations of M and its rows stripped of them."""
+    d, n = G.domain, G.nrows
     M = G.copy()
     Pcols = RingMatrix.identity(d, n).rows   # columns of P0: G = P0 * M, P0 over F[1/t]
 
@@ -1482,8 +1459,6 @@ def birkhoff_factorize(G):
     init_sum = sum(row_valuations())
     guard_max = det.degree() - init_sum + n + 2
     for _ in range(max(guard_max, 2)):
-        if monomial:  # already split: no row operation to make
-            break
         vals = row_valuations()
         # left null vector of the constant terms of the stripped rows: the
         # nullspace of the transpose, whose row j holds column j's terms
@@ -1513,12 +1488,44 @@ def birkhoff_factorize(G):
         raise NonInvertible("birkhoff reduction failed to terminate")
 
     vals = row_valuations()
-    exps = [-v for v in vals]
-    Qrows = [[M.rows[i][j].shift(-vals[i]) for j in range(n)] for i in range(n)]
+    return Pcols, vals, [[e.shift(-v) for e in row] for row, v in zip(M.rows, vals)]
 
+
+def birkhoff_factorize(G):
+    """Factor an invertible Laurent matrix over a field; exact and verified by
+    re-multiplication before returning.  Raises NonInvertible unless det(G)
+    is a unit monomial.
+
+    Method: strip each row's t-valuation; if the matrix of constant terms of
+    the stripped rows is invertible over F we are done.  Otherwise a left
+    null vector of that constant matrix yields a row operation with
+    coefficients in F[1/t] (combining into the row of minimal valuation)
+    that strictly raises that row's valuation.  The valuation sum is bounded
+    above by the exponent of det(G), so this terminates.  P comes from the
+    same elimination, each row operation's inverse applied as column
+    operations; Qinv from the minor table that certifies Q unimodular.
+
+    A monomial G (one nonzero c t^e in every row and column) is already
+    split: a = -e, P a permutation, Q constant and Qinv its transposed
+    pattern of inverses, certified by Q Qinv = I instead of the minor table.
+    Every other certificate runs on both paths.
+    """
+    d = G.domain
+    if not d.is_field:
+        raise NonInvertible("birkhoff factorization requires field coefficients")
+    n = G.nrows
+    if n != G.ncols:
+        raise NonInvertible("matrix is not square")
+    det = G.det()
+    if len(det.coeffs) != 1:
+        raise NonInvertible("determinant %r is not a unit monomial" % det)
+
+    split = _monomial_split(G)
+    Pcols, vals, Qrows = split or _eliminate(G, det)
+    exps = [-v for v in vals]
     order = sorted(range(n), key=lambda i: (-exps[i], i))
-    P = RingMatrix(d, [[Pcols[order[c]][r] for c in range(n)] for r in range(n)])
-    Q = RingMatrix(d, [Qrows[order[r]] for r in range(n)])
+    P = RingMatrix._trusted(d, [[Pcols[order[c]][r] for c in range(n)] for r in range(n)])
+    Q = RingMatrix._trusted(d, [Qrows[order[r]] for r in range(n)])
     exponents = [exps[i] for i in order]
 
     fact = BirkhoffFactorization(P, exponents, Q, None, d)
@@ -1530,9 +1537,9 @@ def birkhoff_factorize(G):
         raise NonInvertible("right factor escaped polynomials in t")
     if not P.is_unimodular():
         raise NonInvertible("factor is not unimodular")
-    if monomial:
-        fact.Qinv = RingMatrix(d, [
-            [LaurentPoly.const(d, d.inv(e.constant_term())) if e.coeffs else e for e in col]
+    if split:
+        fact.Qinv = RingMatrix._trusted(d, [
+            [LaurentPoly._trusted(d, {0: d.inv(e.coeffs[0])}) if e.coeffs else e for e in col]
             for col in zip(*Q.rows)
         ])
         if Q.mul(fact.Qinv) != RingMatrix.identity(d, n):
