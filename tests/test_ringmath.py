@@ -1304,7 +1304,7 @@ def test_birkhoff_over_gf9():
 def _random_monomial(rng, F, n):
     """A seeded monomial matrix: one unit coefficient times t^e in every row
     and column, on a random permutation, exponents in -6..6 with repeats;
-    returns it with the exponent e of each row."""
+    returns it, each row's exponent e and the permutation."""
     perm = list(range(n))
     rng.shuffle(perm)
     pool = [rng.randrange(-6, 7) for _ in range(max(n - 1, 1))]
