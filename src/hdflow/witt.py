@@ -126,53 +126,44 @@ def _divided_step(A, h, X):
     return RingMatrix._trusted(d, out)
 
 
-def gamma_apply(A, ranks, m, hs, X):
-    """Divided operator of order (p - 1 + m) on the columns of X, each a
-    section of the twisted module, evaluated without ever dividing by p.
-
-    A section's grade-g part starts in slot g; the first p - 1 + m - m
-    steps apply h (d/dt + A) and drop one slot, the last m steps apply the
-    same expression without the slot drop (these are the steps already
-    divided by p), and the final slot deficit is paid back as explicit
-    p-powers on each graded coordinate.
-
-    Exactly p - 1 steps drop a slot, so the grade-g0 part ends in slot
-    g0 - (p - 1) and its row-grade-g coordinates are scaled by
-    p^(g - g0 + p - 1).  A part with g0 < p - n therefore vanishes mod p^n
-    in every row and is never propagated; when the top grade is below
-    p - n the operator is zero.  Such a part cannot fail the slot
-    certificate either, since its exponent is at least n on every row
-    grade; the certificate still runs on every propagated part, and only
-    coordinates whose exponent reaches n are skipped in the pay-back.
-
-    Every part drops slots at the same steps, so no two parts ever share
-    a slot.  Each step is _divided_step: one poly_dot and one reduction
-    per entry for the sum, then one product with h.
-    """
-    ring = A.domain
-    p, n = ring.p, ring.m
-    if len(hs) != p - 1 + m:
-        raise ValueError("divided operator of weight m needs p-1+m derivations")
+def _live_parts(ranks, X):
+    """The grade parts of X that a divided operator propagates: part g keeps
+    the grade-g rows of X and zeros elsewhere, for each grade g >= p - n
+    whose rows are not all zero."""
+    ring = X.domain
     starts = block_starts(ranks)
-    slices = list(zip(starts, starts[1:]))
-    rank, k = sum(ranks), X.ncols
-    zero_row = [LaurentPoly.zero(ring)] * k
-    state = {}
-    for g, (a, b) in enumerate(slices):
-        if g < p - n:
-            continue
-        if any(not e.is_zero() for row in X.rows[a:b] for e in row):
-            state[g] = RingMatrix(
-                ring, [X.rows[i] if a <= i < b else zero_row for i in range(rank)]
+    zero_row = [LaurentPoly.zero(ring)] * X.ncols
+    parts = {}
+    for g, (a, b) in enumerate(zip(starts, starts[1:])):
+        if g >= ring.p - ring.m and any(not e.is_zero() for row in X.rows[a:b] for e in row):
+            parts[g] = RingMatrix(
+                ring, [X.rows[i] if a <= i < b else zero_row for i in range(starts[-1])]
             )
-    for r in range(p - 1 + m, 0, -1):
-        shift = 1 if r > m else 0
-        state = {s - shift: _divided_step(A, hs[r - 1], comp) for s, comp in state.items()}
-    out = RingMatrix.zeros(ring, rank, k)
-    for s, comp in state.items():
-        rows = [zero_row] * rank
-        for g, (a, b) in enumerate(slices):
-            e = g - s
+    return parts
+
+
+def _fold(A, hs, parts):
+    """h (d/dt + A) on every part for each h in hs, the last first, so that
+    _fold(A, hs, parts) == _fold(A, hs[:k], _fold(A, hs[k:], parts))."""
+    for h in reversed(hs):
+        parts = {g: _divided_step(A, h, comp) for g, comp in parts.items()}
+    return parts
+
+
+def _pay_back(ring, ranks, parts, k):
+    """Sum of the folded parts, as a rank x k matrix, each paid back its
+    slot deficit: the part that started at grade g0 ends in slot
+    g0 - (p - 1), so its row-grade-g coordinates are scaled by
+    p^(g - g0 + p - 1).  Coordinates whose exponent reaches n are skipped,
+    and a nonzero coordinate below the slot fails the certificate."""
+    p, n = ring.p, ring.m
+    starts = block_starts(ranks)
+    zero_row = [LaurentPoly.zero(ring)] * k
+    out = RingMatrix.zeros(ring, starts[-1], k)
+    for g0, comp in parts.items():
+        rows = [zero_row] * starts[-1]
+        for g, (a, b) in enumerate(zip(starts, starts[1:])):
+            e = g - g0 + p - 1
             if e >= n:
                 continue
             if e < 0:
@@ -186,6 +177,30 @@ def gamma_apply(A, ranks, m, hs, X):
                 rows[i] = [x.scale(c) for x in comp.rows[i]]
         out = out.add(RingMatrix(ring, rows))
     return out
+
+
+def gamma_apply(A, ranks, m, hs, X):
+    """Divided operator of order (p - 1 + m) on the columns of X, each a
+    section of the twisted module, evaluated without ever dividing by p.
+
+    A section's grade-g part starts in slot g; the first p - 1 steps apply
+    h (d/dt + A) and drop one slot, the last m apply the same expression
+    without the drop (these are the steps already divided by p), and the
+    final slot deficit is paid back as explicit p-powers.  As exactly p - 1
+    steps drop a slot, the pay-back does not depend on m: the operator is
+    _pay_back of _fold over hs of _live_parts(X), and a chain folded over
+    hs[k:] resumes over hs[:k] at any weight, which is how the Taylor terms
+    and gamma_relations_check share their chains.  A part with g0 < p - n
+    vanishes mod p^n in every row and is never propagated (nor could it
+    fail the slot certificate, its exponent being at least n on every row
+    grade); when the top grade is below p - n the operator is zero.  Each
+    step is _divided_step: one poly_dot and one reduction per entry for the
+    sum, then one product with h.
+    """
+    ring = A.domain
+    if len(hs) != ring.p - 1 + m:
+        raise ValueError("divided operator of weight m needs p-1+m derivations")
+    return _pay_back(ring, ranks, _fold(A, hs, _live_parts(ranks, X)), X.ncols)
 
 
 @dataclass
@@ -224,22 +239,26 @@ class TwistedFlatModule:
     def _taylor_terms(self, count):
         """Divided Taylor terms T_j, j < count, built once: nabla^j/j! below p,
         then p^(j+1-p)/j! times the weight j+1-p divided operator (None where
-        that coefficient vanishes mod p^n), all on the identity."""
+        that coefficient vanishes mod p^n), all on the identity.  Every
+        divided term comes from one h = 1 chain on the live parts of the
+        identity: T_j is the coefficient times the pay-back of the state
+        after j steps, and the chain stops at the last nonzero coefficient."""
         ring, p, one = self.ring, self.p, LaurentPoly.one(self.ring)
-        if self._taylor is None:
+        if self._taylor is None or len(self._taylor) < count:
             current = RingMatrix.identity(ring, self.rank)
             terms, fact = [current], 1
             for j in range(1, p):
                 fact *= j
                 current = self.nabla(one, current)
                 terms.append(current.scale_const(ring.inv(ring.coerce(fact))))
+            state, steps = _live_parts(self.ranks, terms[0]), 0
+            for j in range(p, count):
+                c, term = taylor_coefficient(ring, j), None
+                if c:
+                    state, steps = _fold(self.lift, [one] * (j - steps), state), j
+                    term = _pay_back(ring, self.ranks, state, self.rank).scale_const(c)
+                terms.append(term)
             self._taylor = terms
-        ident = self._taylor[0]
-        for j in range(len(self._taylor), count):
-            c = taylor_coefficient(ring, j)
-            self._taylor.append(
-                self.gamma(j + 1 - p, [one] * j, ident).scale_const(c) if c else None
-            )
         return self._taylor[:count]
 
 
@@ -526,10 +545,16 @@ def gamma_relations_check(tw, rng=None, samples=2, m=1):
     """Evaluate both sides of the six defining relations of the divided
     operators on sampled derivations and sections; every comparison is an
     exact identity mod p^n.  Returns a dict of booleans, one per relation.
+
+    The pay-back does not depend on the weight, so sides share chains: hs
+    is folded once, keeping the state after each suffix hs[k:], from which
+    linearity's, function's and swap's other chains resume; merge's long
+    chain resumes from inner's state and shift's right side from mid's.
+    Every compared value equals a separate evaluation of its side.
     """
     if rng is None:
         rng = random.Random(0)
-    ring = tw.ring
+    ring, ranks = tw.ring, tw.ranks
     p = ring.p
     if m < 1:
         raise ValueError("the function and swap relations need m >= 1")
@@ -547,70 +572,66 @@ def gamma_relations_check(tw, rng=None, samples=2, m=1):
             v = tw.nabla(h, v)
         return v
 
+    def resume(hs, state):
+        return _pay_back(ring, ranks, _fold(tw.lift, hs, state), 1)
+
     for _ in range(samples):
         v = _random_col(rng, ring, tw.rank, 2)
         f = random_poly(rng, ring, 2)
 
         hs = [random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
-        lhs = tw.gamma(m, hs, v).scale_const(ring.coerce(p ** m))
-        if lhs != nab_chain(hs, v):
+        # suffix[k]: the live parts of v after hs[k:]
+        live = _live_parts(ranks, v)
+        suffix = [live]
+        for h in reversed(hs):
+            suffix.insert(0, _fold(tw.lift, [h], suffix[0]))
+        gam = resume([], suffix[0])
+        if gam.scale_const(ring.coerce(p ** m)) != nab_chain(hs, v):
             report["scaling"] = False
 
         a = ring.coerce(rng.randrange(ring.modulus))
         b = ring.coerce(rng.randrange(ring.modulus))
         extra = random_poly(rng, ring, 2)
         slot = rng.randrange(p - 1 + m)
-        mixed = list(hs)
-        mixed[slot] = hs[slot].scale(a).add(extra.scale(b))
-        lhs = tw.gamma(m, mixed, v)
-        first = list(hs)
-        second = list(hs)
-        second[slot] = extra
-        rhs = tw.gamma(m, first, v).scale_const(a).add(
-            tw.gamma(m, second, v).scale_const(b)
-        )
-        if lhs != rhs:
+        mixed = hs[slot].scale(a).add(extra.scale(b))
+        lhs = resume(hs[:slot] + [mixed], suffix[slot + 1])
+        second = resume(hs[:slot] + [extra], suffix[slot + 1])
+        if lhs != gam.scale_const(a).add(second.scale_const(b)):
             report["linearity"] = False
 
         lhs = tw.gamma(m, hs, v.scale(f))
-        rhs = tw.gamma(m, hs, v).scale(f)
+        rhs = gam.scale(f)
         for i in range(1, p - 1 + m):
-            merged = (
-                hs[: i - 1]
-                + [hs[i - 1].mul(f.derivative()).mul(hs[i])]
-                + hs[i + 1 :]
-            )
-            rhs = rhs.add(tw.gamma(m - 1, merged, v))
+            merged = hs[: i - 1] + [hs[i - 1].mul(f.derivative()).mul(hs[i])]
+            rhs = rhs.add(resume(merged, suffix[i + 1]))
         tail = hs[-1].mul(f.derivative())
         rhs = rhs.add(tw.gamma(m - 1, hs[:-1], v.scale(tail)))
         if lhs != rhs:
             report["function"] = False
 
         i = rng.randrange(p - 2 + m)
-        swapped = list(hs)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
         bracket = hs[i].mul(hs[i + 1].derivative()).sub(
             hs[i + 1].mul(hs[i].derivative())
         )
-        merged = hs[:i] + [bracket] + hs[i + 2 :]
-        rhs = tw.gamma(m, swapped, v).add(tw.gamma(m - 1, merged, v))
-        if tw.gamma(m, hs, v) != rhs:
+        rhs = resume(hs[:i] + [hs[i + 1], hs[i]], suffix[i + 2]).add(
+            resume(hs[:i] + [bracket], suffix[i + 2])
+        )
+        if gam != rhs:
             report["swap"] = False
 
         m1, m2 = 0, m
         both = [random_poly(rng, ring, 2) for _ in range(2 * p - 2 + m1 + m2)]
-        inner = tw.gamma(m2, both[p - 1 + m1 :], v)
-        lhs = tw.gamma(m1, both[: p - 1 + m1], inner)
-        rhs = tw.gamma(p - 1 + m1 + m2, both, v).scale_const(
-            ring.coerce(p ** (p - 1))
-        )
+        inner = _fold(tw.lift, both[p - 1 + m1 :], live)
+        lhs = tw.gamma(m1, both[: p - 1 + m1], resume([], inner))
+        rhs = resume(both[: p - 1 + m1], inner).scale_const(ring.coerce(p ** (p - 1)))
         if lhs != rhs:
             report["merge"] = False
 
         long_hs = [random_poly(rng, ring, 2) for _ in range(p + m)]
         left = tw.gamma(m, long_hs[:-1], tw.nabla(long_hs[-1], v))
-        mid = tw.nabla(long_hs[0], tw.gamma(m, long_hs[1:], v))
-        right = tw.gamma(m + 1, long_hs, v).scale_const(ring.coerce(p))
+        state = _fold(tw.lift, long_hs[1:], live)
+        mid = tw.nabla(long_hs[0], resume([], state))
+        right = resume(long_hs[:1], state).scale_const(ring.coerce(p))
         if left != mid or left != right:
             report["shift"] = False
 

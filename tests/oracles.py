@@ -8,9 +8,11 @@ certifies, so only the tests call them.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import ceil, floor
 
+from hdflow import ringmath
 from hdflow.bundles import (
     Bundle,
     FlatBundle,
@@ -513,6 +515,123 @@ def uncached_taylor_transition(tw, lift_target, lift_source):
             term = tw.gamma(j + 1 - p, [one] * j, ident).scale_const(c)
         G = G.add(term.substitute(image).scale(zpow))
     return G
+
+
+def unshared_gamma_relations_check(tw, rng=None, samples=2, m=1):
+    """Evaluate both sides of the six defining relations of the divided
+    operators on sampled derivations and sections; every comparison is an
+    exact identity mod p^n.  Returns a dict of booleans, one per relation.
+
+    Every gamma on every side runs its own chain from the section, and the
+    rng is drawn in the library's order, so both return the same report.
+    """
+    if rng is None:
+        rng = random.Random(0)
+    ring = tw.ring
+    p = ring.p
+    if m < 1:
+        raise ValueError("the function and swap relations need m >= 1")
+    report = {
+        "scaling": True,
+        "linearity": True,
+        "function": True,
+        "swap": True,
+        "merge": True,
+        "shift": True,
+    }
+
+    def nab_chain(hs, v):
+        for h in reversed(hs):
+            v = tw.nabla(h, v)
+        return v
+
+    for _ in range(samples):
+        v = _random_col(rng, ring, tw.rank, 2)
+        f = ringmath.random_poly(rng, ring, 2)
+
+        hs = [ringmath.random_poly(rng, ring, 2) for _ in range(p - 1 + m)]
+        lhs = tw.gamma(m, hs, v).scale_const(ring.coerce(p ** m))
+        if lhs != nab_chain(hs, v):
+            report["scaling"] = False
+
+        a = ring.coerce(rng.randrange(ring.modulus))
+        b = ring.coerce(rng.randrange(ring.modulus))
+        extra = ringmath.random_poly(rng, ring, 2)
+        slot = rng.randrange(p - 1 + m)
+        mixed = list(hs)
+        mixed[slot] = hs[slot].scale(a).add(extra.scale(b))
+        lhs = tw.gamma(m, mixed, v)
+        first = list(hs)
+        second = list(hs)
+        second[slot] = extra
+        rhs = tw.gamma(m, first, v).scale_const(a).add(
+            tw.gamma(m, second, v).scale_const(b)
+        )
+        if lhs != rhs:
+            report["linearity"] = False
+
+        lhs = tw.gamma(m, hs, v.scale(f))
+        rhs = tw.gamma(m, hs, v).scale(f)
+        for i in range(1, p - 1 + m):
+            merged = (
+                hs[: i - 1]
+                + [hs[i - 1].mul(f.derivative()).mul(hs[i])]
+                + hs[i + 1 :]
+            )
+            rhs = rhs.add(tw.gamma(m - 1, merged, v))
+        tail = hs[-1].mul(f.derivative())
+        rhs = rhs.add(tw.gamma(m - 1, hs[:-1], v.scale(tail)))
+        if lhs != rhs:
+            report["function"] = False
+
+        i = rng.randrange(p - 2 + m)
+        swapped = list(hs)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        bracket = hs[i].mul(hs[i + 1].derivative()).sub(
+            hs[i + 1].mul(hs[i].derivative())
+        )
+        merged = hs[:i] + [bracket] + hs[i + 2 :]
+        rhs = tw.gamma(m, swapped, v).add(tw.gamma(m - 1, merged, v))
+        if tw.gamma(m, hs, v) != rhs:
+            report["swap"] = False
+
+        m1, m2 = 0, m
+        both = [ringmath.random_poly(rng, ring, 2) for _ in range(2 * p - 2 + m1 + m2)]
+        inner = tw.gamma(m2, both[p - 1 + m1 :], v)
+        lhs = tw.gamma(m1, both[: p - 1 + m1], inner)
+        rhs = tw.gamma(p - 1 + m1 + m2, both, v).scale_const(
+            ring.coerce(p ** (p - 1))
+        )
+        if lhs != rhs:
+            report["merge"] = False
+
+        long_hs = [ringmath.random_poly(rng, ring, 2) for _ in range(p + m)]
+        left = tw.gamma(m, long_hs[:-1], tw.nabla(long_hs[-1], v))
+        mid = tw.nabla(long_hs[0], tw.gamma(m, long_hs[1:], v))
+        right = tw.gamma(m + 1, long_hs, v).scale_const(ring.coerce(p))
+        if left != mid or left != right:
+            report["shift"] = False
+
+    return report
+
+
+def unshared_taylor_terms(tw, count):
+    """The divided Taylor terms T_j, j < count, each divided term from its
+    own gamma chain on the identity: nabla^j/j! below p, then p^(j+1-p)/j!
+    times the weight j+1-p divided operator, None where that coefficient
+    vanishes mod p^n."""
+    ring, p, one = tw.ring, tw.p, LaurentPoly.one(tw.ring)
+    current = RingMatrix.identity(ring, tw.rank)
+    terms, fact = [current], 1
+    for j in range(1, p):
+        fact *= j
+        current = tw.nabla(one, current)
+        terms.append(current.scale_const(ring.inv(ring.coerce(fact))))
+    ident = terms[0]
+    for j in range(len(terms), count):
+        c = taylor_coefficient(ring, j)
+        terms.append(tw.gamma(j + 1 - p, [one] * j, ident).scale_const(c) if c else None)
+    return terms[:count]
 
 
 def uncached_adapted_dr_matrix(tup):

@@ -513,16 +513,17 @@ def test_check_suites_pass():
 @pytest.mark.parametrize("power", ["2", "3"])
 def test_check_gamma_relations_p7_compares_nonzero_outputs(power, monkeypatch):
     # a p = 7 operator is nonzero mod p^n only on grades >= 7 - n, so the
-    # suite is live only if it draws the weight-5 shape
+    # suite is live only if it draws the weight-5 shape; every divided
+    # operator output, shared chain or not, is a pay-back
     outputs = []
-    real = witt.gamma_apply
+    real = witt._pay_back
 
     def spy(*args):
         out = real(*args)
         outputs.append(out)
         return out
 
-    monkeypatch.setattr(witt, "gamma_apply", spy)
+    monkeypatch.setattr(witt, "_pay_back", spy)
     result = invoke(
         ["check", "--suite", "gamma-relations", "--p", "7", "--modulus-power", power]
     )

@@ -1258,6 +1258,30 @@ def test_birkhoff_rejects_non_monomial_det():
         birkhoff_factorize(M)
 
 
+def test_birkhoff_raises_when_the_left_factor_is_not_unimodular(monkeypatch):
+    # P is a permutation in closed form and a product of invertible column
+    # operations after elimination, so no input reaches this certificate;
+    # a forced verdict shows that both paths still run it
+    F = Zmod(5)
+    t, one, zero = LaurentPoly.var(F), LaurentPoly.one(F), LaurentPoly.zero(F)
+    monomial = RingMatrix(F, [[zero, t], [one.scale(F.coerce(2)), zero]])
+    eliminated = RingMatrix(F, [[LaurentPoly.var(F, -1), one], [zero, t]])
+    eliminations = []
+    eliminate = ringmath._eliminate
+
+    def spy(G, det):
+        eliminations.append(G)
+        return eliminate(G, det)
+
+    monkeypatch.setattr(ringmath, "_eliminate", spy)
+    monkeypatch.setattr(RingMatrix, "is_unimodular", lambda self: False)
+    for G, eliminates in ((monomial, False), (eliminated, True)):
+        del eliminations[:]
+        with pytest.raises(NonInvertible, match="factor is not unimodular"):
+            birkhoff_factorize(G)
+        assert bool(eliminations) == eliminates
+
+
 def test_birkhoff_random_known_type():
     rng = random.Random(43)
     cases = 0

@@ -62,6 +62,8 @@ from oracles import (
     uncached_taylor_transition,
     unfused_gamma_apply,
     unpruned_gamma_apply,
+    unshared_gamma_relations_check,
+    unshared_taylor_terms,
 )
 
 
@@ -905,7 +907,7 @@ def test_taylor_terms_are_built_once_per_module(monkeypatch):
     l0, l1, l2 = (random_lifting(rng, line) for _ in range(3))
     tw = sharp_construct(tup)
     assert _live_gamma_terms(tw)
-    calls = {"gamma": 0, "nabla": 0, "substitute": 0}
+    calls = {"step": 0, "nabla": 0, "substitute": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -914,7 +916,7 @@ def test_taylor_terms_are_built_once_per_module(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(witt, "gamma_apply", counted("gamma", witt.gamma_apply))
+    monkeypatch.setattr(witt, "_divided_step", counted("step", witt._divided_step))
     monkeypatch.setattr(
         PConnectionModule, "apply", counted("nabla", PConnectionModule.apply)
     )
@@ -924,7 +926,70 @@ def test_taylor_terms_are_built_once_per_module(monkeypatch):
     nonzero = [
         j for j in range(p, truncation_bound(p, n)) if taylor_coefficient(tup.ring, j)
     ]
-    assert calls == {"gamma": len(nonzero), "nabla": p - 1, "substitute": 3}
+    # one h = 1 chain up to the last kept term, on the one live grade (2)
+    assert calls == {"step": nonzero[-1], "nabla": p - 1, "substitute": 3}
+
+
+def test_shared_relation_check_matches_unshared_oracle():
+    rng = random.Random(67)
+    reports = []
+    for p in (3, 5, 7):
+        for n in (2, 3):
+            # the second shape reaches p - n, so its operator is live
+            for ranks in ((2, 1), (1,) * (p - 1)):
+                tw = sharp_construct(random_witt_tuple(rng, p, n, ranks))
+                for m in (1, 2):
+                    seed = rng.randrange(2 ** 31)
+                    report = gamma_relations_check(tw, random.Random(seed), samples=2, m=m)
+                    want = unshared_gamma_relations_check(
+                        tw, random.Random(seed), samples=2, m=m
+                    )
+                    assert report == want, (p, n, m, ranks)
+                    assert all(report.values()), (p, n, m, ranks)
+                bound = truncation_bound(p, n)
+                assert tw._taylor_terms(bound) == unshared_taylor_terms(tw, bound)
+            # one entry of the p-connection perturbed after construction: the
+            # nabla sides move and gamma's do not
+            B = tw.module.matrix
+            rows = [list(row) for row in B.rows]
+            rows[0][0] = rows[0][0].add(LaurentPoly.one(tw.ring))
+            tw.module.matrix = RingMatrix(tw.ring, rows)
+            seed = rng.randrange(2 ** 31)
+            report = gamma_relations_check(tw, random.Random(seed), samples=2, m=1)
+            assert report == unshared_gamma_relations_check(
+                tw, random.Random(seed), samples=2, m=1
+            ), (p, n)
+            reports.append(report)
+    assert any(not report["scaling"] or not report["shift"] for report in reports)
+
+
+def test_divided_step_counts_of_the_shared_chains(monkeypatch):
+    rng = random.Random(71)
+    p, n = 5, 3
+    tw = sharp_construct(random_witt_tuple(rng, p, n, (1, 2, 1)))
+    steps = [0]
+    step = witt._divided_step
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(witt, "_divided_step", counted)
+    bound = truncation_bound(p, n)
+    terms = tw._taylor_terms(bound)
+    kept = [j for j in range(p, bound) if terms[j] is not None]
+    # (last kept j) x (live parts of the identity: grade 2 only)
+    assert (kept, steps[0]) == ([5, 6, 7], 7 * 1)
+    steps[0] = 0
+    assert unshared_taylor_terms(tw, bound) == terms
+    assert steps[0] == 5 + 6 + 7
+    steps[0] = 0
+    report = gamma_relations_check(tw, random.Random(5), samples=1, m=1)
+    shared = steps[0]
+    steps[0] = 0
+    assert report == unshared_gamma_relations_check(tw, random.Random(5), samples=1, m=1)
+    assert all(report.values())
+    assert (shared, steps[0]) == (59, 94) and shared < steps[0]
 
 
 def test_taylor_transition_stops_z_powers_at_the_last_kept_term(monkeypatch):
