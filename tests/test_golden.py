@@ -124,6 +124,14 @@ def _rank_two_a1():
     return graded_to_json(generate(params)[0])
 
 
+def _rank_two_p1():
+    """The first seed whose rank-2, weight-1 instance at p = 5 is
+    semistable (pieces O(-5), O(-5), zero map): seed 1's is O(3) + O(6),
+    which the canonical flow refuses."""
+    params = CorpusParams(p=5, rank=2, weight=1, count=1, seed=2)
+    return generate(params)[0]
+
+
 def _nilpotent_transform(seed, p, curve):
     """The inverse Cartier transform of a seeded rank-2 nilpotent field."""
     H = random_nilpotent_higgs(random.Random(seed), p, 2, curve=curve)
@@ -165,6 +173,10 @@ CLI_CASES = {
         ["flow", "run", "--steps", "2", "--field-degree", "2"],
         _rank_two_a1,
     ),
+    "flow-run-rank2-p1": (
+        ["flow", "run", "--steps", "3"],
+        lambda: graded_to_json(_rank_two_p1()),
+    ),
     "check-cocycle": (["check", "--suite", "cocycle", "--seed", "7"], None),
     "check-gamma-relations": (
         ["check", "--suite", "gamma-relations", "--seed", "7"],
@@ -177,6 +189,10 @@ CLI_CASES = {
     "filtration-compute-a1": (
         ["filtration", "compute"],
         lambda: _nilpotent_transform(300, 3, "A1"),
+    ),
+    "filtration-compute-p1-graded": (
+        ["filtration", "compute"],
+        lambda: flat_to_json(inverse_cartier_1(_rank_two_p1().total())),
     ),
 }
 
@@ -201,6 +217,10 @@ CLI_DIGESTS = {
         "35a1ca6a76bbe14aa3bc29af37e351a13447466341189325a9c3da115da7029a",
         "29d747ed00814b8f3b9fef68327c2834cb664555db13d178f211f10f9129c4e2",
     ),
+    "flow-run-rank2-p1": (
+        "5f6d574683337d4175dbe8ee61d599b1f471ccfb3008804af6824016c5aaf4a3",
+        "45c68463c017ffdb4cd5ac0b09889165c8c0ed0e5a81c7dbe394c3fe7d76f2a6",
+    ),
     "check-cocycle": (
         "c45bc88755c1b8219aa5fd29c8d8679c04868c6ccadc939e4f52ca280b4b2282",
         "1909a4738f3f7f847f6669c73bc146a0676457a543487c7f1afe211b1a111fe2",
@@ -216,6 +236,10 @@ CLI_DIGESTS = {
     "filtration-compute-a1": (
         "beddb5670b7960e81eeb719af4206559d67344299d6eb1dc451b124a104aac3a",
         "50058fe1bdcd2fa76a59d3f78e0400c588e24790e85b9355e21940f1c3d0590b",
+    ),
+    "filtration-compute-p1-graded": (
+        "beddb5670b7960e81eeb719af4206559d67344299d6eb1dc451b124a104aac3a",
+        "57b49f63f9bf466a10478373af8e8e61342a3433662c16c8184af38ec2434e92",
     ),
 }
 
