@@ -23,9 +23,9 @@ from .cartier import (
     p_curvature_prediction,
 )
 from .errors import HdflowError
-from .filtration import is_higgs_semistable, simpson_filtration
+from .filtration import _simpson, is_higgs_semistable
 from .flow import FlowPolicy, run_flow
-from .graded import DEFAULT_ISO_BUDGET, grade, is_transversal
+from .graded import DEFAULT_ISO_BUDGET, is_transversal
 from .serialize import (
     SchemaError,
     canonical_bytes,
@@ -183,7 +183,8 @@ def witt():
 
 def _trace_certificates(trace, rule):
     """Per-step invariant recomputation, independent of the flow engine's
-    own in-line certificates."""
+    own in-line certificates; graded_semistable reads the decision stored
+    on each graded term."""
     p = trace.stages[0].higgs.domain.p
     certs = []
     for i, stage in enumerate(trace.stages):
@@ -321,8 +322,7 @@ def cartier_apply(input_path, out_path):
 def filtration_compute(input_path, out_path):
     """Simpson's filtration, certified trivial on the line, and its empty log."""
     data, flat = _read_doc(input_path, flat_from_json)
-    fil, _ = simpson_filtration(flat)
-    graded = grade(flat, fil).graded
+    fil, graded = _simpson(flat)
     certificates = {
         "gr_semistable": is_higgs_semistable(graded)[0],
         "filtration_transversal": is_transversal(flat, fil),

@@ -10,6 +10,7 @@ both the first witness and the (slope, rank)-maximal destabilizer.  For a
 flat bundle the top split summand is invariant under every connection, so
 connection-semistable means a constant splitting type, and Simpson's
 filtration on the line is the trivial one.  On A^1 every slope is zero.
+Each graded object is decided once and keeps its report (None if semistable).
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .errors import (
     SemistableInput,
     WrongModulus,
 )
-from .graded import HodgeFiltration, grade
+from .graded import HodgeFiltration, _Undecided, grade
 from .ringmath import RingMatrix
 
 
@@ -80,12 +81,18 @@ def _top_destabilizer(G):
     )
 
 
+def _decision(G):
+    """G's _top_destabilizer report, decided on first use and stored on G."""
+    if G._destabilizer is _Undecided:
+        G._destabilizer = _top_destabilizer(G)
+    return G._destabilizer
+
+
 def is_higgs_semistable(G, budget=None):
-    """Semistability of a graded Higgs bundle, with the maximal
-    destabilizer as witness when it fails.  budget is accepted and unused,
-    as in max_destabilizer_graded and simpson_filtration: the benchmark
-    still passes it."""
-    report = _top_destabilizer(G)
+    """Semistability of a graded Higgs bundle, decided once per G, with the
+    maximal destabilizer as witness when it fails.  budget is unused, as in
+    max_destabilizer_graded and simpson_filtration: the benchmark passes it."""
+    report = _decision(G)
     if report is None:
         return True, None
     return False, report
@@ -93,8 +100,9 @@ def is_higgs_semistable(G, budget=None):
 
 def max_destabilizer_graded(G, budget=None):
     """The (slope, rank)-lexicographically maximal graded invariant
-    saturated subobject of an unstable graded Higgs bundle."""
-    report = _top_destabilizer(G)
+    saturated subobject of an unstable graded Higgs bundle: the report
+    is_higgs_semistable returns as witness, decided once per G."""
+    report = _decision(G)
     if report is None:
         raise SemistableInput("no destabilizing subobject exists")
     return report
@@ -168,7 +176,12 @@ def simpson_filtration(flat, budget=None):
     """Simpson's filtration of a connection-semistable flat bundle, the
     trivial one, and its empty descent log; a connection-unstable bundle is
     refused.  A destabilizer of the trivial grading raises CertificateFailed
-    "simpson-trivial"."""
+    "simpson-trivial"; _simpson also returns the graded object it decides."""
+    return _simpson(flat)[0], ()
+
+
+def _simpson(flat):
+    """Simpson's filtration and its graded object, decided semistable."""
     ok, witness = is_nabla_semistable(flat)
     if not ok:
         raise NotNablaSemistable(
@@ -177,9 +190,9 @@ def simpson_filtration(flat, budget=None):
         )
     fil = HodgeFiltration.trivial(flat.bundle)
     graded = grade(flat, fil).graded
-    if _top_destabilizer(graded) is not None:
+    if _decision(graded) is not None:
         raise CertificateFailed(
             "the trivial grading of a connection-semistable bundle is unstable",
             part="simpson-trivial",
         )
-    return fil, ()
+    return fil, graded

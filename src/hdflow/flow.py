@@ -37,7 +37,7 @@ from .errors import (
     NotPrimitive,
     PolicyFiltrationInvalid,
 )
-from .filtration import is_higgs_semistable, simpson_filtration
+from .filtration import _simpson, is_higgs_semistable
 from .graded import (
     DEFAULT_ISO_BUDGET,
     DeRhamBundle,
@@ -130,20 +130,21 @@ def _adopt_filtration(flat, fil_spec):
 def flow_step(G, policy=None, step_index=0):
     """One step: transform, filter per policy, take the graded object.
 
-    Degree scaling by p is certified."""
+    A canonical step keeps the graded object its Simpson filtration built
+    and decided.  Degree scaling by p is certified."""
     if policy is None:
         policy = FlowPolicy()
     G.validate()
     H = inverse_cartier_1(G.total())
     if policy.rule == "canonical":
-        fil, _ = simpson_filtration(H)
+        fil, nxt = _simpson(H)
     else:
         if step_index >= len(policy.filtrations):
             raise PolicyFiltrationInvalid(
                 "no filtration supplied for step %d" % step_index
             )
         fil = _adopt_filtration(H, policy.filtrations[step_index])
-    nxt = grade(H, fil).graded
+        nxt = grade(H, fil).graded
     if nxt.degree() != G.domain.p * G.degree():
         raise CertificateFailed(
             "step %d sends degree %d to %d" % (step_index, G.degree(), nxt.degree()),

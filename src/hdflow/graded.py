@@ -147,13 +147,22 @@ class DeRhamBundle:
         return self
 
 
+class _Undecided:
+    """Marks an undecided graded object; a class, so that copies keep it."""
+
+
 class GradedHiggsBundle:
     """Graded pieces E^0..E^w with grade-lowering maps theta^i: E^i ->
-    E^{i-1} tensor forms; maps[k] holds theta^{k+1} per chart."""
+    E^{i-1} tensor forms; maps[k] holds theta^{k+1} per chart.
+
+    A value: do not reassign or mutate its pieces or maps after
+    construction.  _destabilizer holds the filtration module's report,
+    decided once (None when semistable)."""
 
     def __init__(self, pieces, maps):
         self.pieces = tuple(pieces)
         self.maps = tuple(tuple(m) for m in maps)
+        self._destabilizer = _Undecided
         if not self.pieces:
             raise ValueError("a graded object needs at least one piece")
         self.curve = self.pieces[0].curve

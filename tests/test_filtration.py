@@ -1,5 +1,6 @@
 """Tests for semistability, destabilizers, and Simpson's filtration."""
 
+import copy
 import json
 import random
 import time
@@ -259,11 +260,37 @@ def test_scan_budget_exhaustion():
 def test_destabilizer_deterministic():
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
-    G = one_grade(Bundle.sum_of_lines(curve, (1, -1)))
-    a = max_destabilizer_graded(G)
-    b = max_destabilizer_graded(G)
+    # two equal objects built apart: one object's second call reads the
+    # report its first call stored
+    a, b = (
+        max_destabilizer_graded(one_grade(Bundle.sum_of_lines(curve, (1, -1))))
+        for _ in range(2)
+    )
+    assert a is not b
     assert a.mu_max == b.mu_max and a.r_max == b.r_max
     assert a.pieces[0].same_as(b.pieces[0])
+
+
+def test_each_graded_object_is_decided_once(monkeypatch):
+    """is_higgs_semistable and max_destabilizer_graded share one decision
+    per graded object; a copy taken before the decision decides afresh."""
+    calls = []
+    top = filtration._top_destabilizer
+    monkeypatch.setattr(filtration, "_top_destabilizer", lambda G: calls.append(G) or top(G))
+    curve = ProjectiveLine(Zmod(3, 1))
+    G = one_grade(Bundle.sum_of_lines(curve, (1, -1)))
+    twin = copy.deepcopy(G)
+    ok, witness = is_higgs_semistable(G)
+    assert not ok and max_destabilizer_graded(G) is witness
+    assert len(calls) == 1 and calls[0] is G
+    assert _report_bytes(max_destabilizer_graded(twin)) == _report_bytes(witness)
+    assert len(calls) == 2 and calls[1] is twin
+    # a semistable object stores None, not the undecided mark
+    S = one_grade(Bundle.free(curve, 2))
+    assert is_higgs_semistable(S) == is_higgs_semistable(S) == (True, None)
+    with pytest.raises(SemistableInput):
+        max_destabilizer_graded(S)
+    assert len(calls) == 3
 
 
 # -- the canonical filtration ------------------------------------------------
@@ -521,16 +548,21 @@ def _check_destabilizer(G, rep):
 
 def test_box_sweep_decides_every_instance_within_bound():
     """Twenty seeded instances (|a| <= 6) of each of the 27 box cells are
-    decided, each within DECISION_CPU_BOUND, with verified witnesses."""
+    decided, each within DECISION_CPU_BOUND, with verified witnesses and
+    stored reports equal to fresh ones."""
     cells = _box_cells()
     assert len(cells) == 27
     unstable = 0
     for p, rank, weight in cells:
         for G in generate(CorpusParams(p, rank, weight, 20, 11, max_exp=6)):
+            fresh = copy.deepcopy(G)
             start = time.process_time()
             ok, witness = is_higgs_semistable(G)
             best = None if ok else max_destabilizer_graded(G)
             assert time.process_time() - start < DECISION_CPU_BOUND
+            # the stored report is the one a direct run makes afresh
+            stored = _report_bytes(G._destabilizer)
+            assert stored == _report_bytes(filtration._top_destabilizer(fresh))
             types = [P.splitting_type() for P in G.pieces]
             assert ok == (len({b for tp in types for b in tp}) == 1)
             if ok:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hdflow import filtration, flow, graded
 from hdflow.bundles import Bundle, Subbundle
 from hdflow.cartier import inverse_cartier_1
 from hdflow.corpus import CorpusParams, generate
@@ -300,6 +301,24 @@ def test_run_flow_preperiodic_weight_drop():
     for G in cases:
         trace = run_flow(G, FlowPolicy(max_steps=3))
         assert (trace.periodicity.preperiod, trace.periodicity.period) == (1, 1)
+
+
+def test_canonical_flow_grades_and_decides_each_term_once(monkeypatch):
+    """A canonical run of N steps on P^1 grades N times, since each step
+    keeps the graded object its Simpson filtration built, and decides
+    N + 1 times: the start, then each term as its filtration is built."""
+    fils, decided = [], []
+    grade, top = graded.grade, filtration._top_destabilizer
+    grade_spy = lambda flat, fil: fils.append(fil) or grade(flat, fil)
+    monkeypatch.setattr(flow, "grade", grade_spy)
+    monkeypatch.setattr(filtration, "grade", grade_spy)
+    monkeypatch.setattr(filtration, "_top_destabilizer", lambda G: decided.append(G) or top(G))
+    G = generate(CorpusParams(5, 2, 1, 1, 2))[0]
+    trace = run_flow(G, FlowPolicy(max_steps=3))
+    assert [st.degree for st in trace.stages] == [-10, -50, -250, -1250]
+    assert all(is_higgs_semistable(st.higgs)[0] for st in trace.stages)
+    assert len(fils) == 3 and len(decided) == 4
+    assert [st.higgs for st in trace.stages] == decided
 
 
 def test_run_flow_semistable_stages():

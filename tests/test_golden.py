@@ -26,7 +26,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from hdflow import witt
+from hdflow import filtration, witt
 from hdflow.cli import main
 from hdflow.corpus import (
     CorpusParams,
@@ -250,6 +250,19 @@ def test_cli_artifacts_are_byte_identical(name, tmp_path, monkeypatch):
     doc = None if make_doc is None else make_doc()
     artifact, manifest = _run_cli(tmp_path, monkeypatch, list(args), doc)
     assert (_digest(artifact), _digest(manifest)) == CLI_DIGESTS[name]
+
+
+def test_flow_run_decides_each_term_once(tmp_path, monkeypatch):
+    """A three-step canonical flow run decides its start and each later
+    term once: the run's semistability checks and the per-step
+    certificates read the stored decisions."""
+    calls = []
+    top = filtration._top_destabilizer
+    monkeypatch.setattr(filtration, "_top_destabilizer", lambda G: calls.append(G) or top(G))
+    args, make_doc = CLI_CASES["flow-run-rank2-p1"]
+    artifact, manifest = _run_cli(tmp_path, monkeypatch, list(args), make_doc())
+    assert len(calls) == 4
+    assert (_digest(artifact), _digest(manifest)) == CLI_DIGESTS["flow-run-rank2-p1"]
 
 
 def test_filtration_compute_refusal_is_byte_identical(tmp_path, monkeypatch):
