@@ -32,7 +32,7 @@ x' = Q x, on Higgs matrices by Q Theta Q^-1, and on connection matrices by
 Q A Q^-1 + Q dQ^-1/dt.
 """
 
-from .errors import ExponentTooLarge, NonInvertible, ZeroSubsheaf
+from .errors import NonInvertible, ZeroSubsheaf
 from .ringmath import (
     LaurentPoly,
     RingMatrix,
@@ -50,29 +50,6 @@ def laurent_unit_exponent(poly):
     if len(slots) != 1:
         raise NonInvertible("%r is not a Laurent unit" % poly)
     return slots[0]
-
-
-def nilpotent_matrix_exp(M):
-    """exp(M) for a nilpotent matrix; the nilpotency index must stay below p
-    so every factorial in the series is invertible."""
-    d = M.domain
-    p = d.p
-    acc = RingMatrix.identity(d, M.nrows)
-    term = RingMatrix.identity(d, M.nrows)
-    k = 0
-    while True:
-        term = term.mul(M)
-        if term.is_zero():
-            return acc
-        k += 1
-        if k >= p:
-            raise ExponentTooLarge(
-                "matrix is not nilpotent of index below p=%d" % p
-            )
-        inv_fact = d.coerce(1)
-        for i in range(2, k + 1):
-            inv_fact = d.mul(inv_fact, d.coerce(i))
-        acc = acc.add(term.scale_const(d.inv(inv_fact)))
 
 
 def frobenius_pullback_matrix(M):
@@ -248,11 +225,16 @@ class SplitFrames:
 
 
 class HiggsBundle:
-    """Bundle plus one Higgs matrix per chart (theta = Theta dt)."""
+    """Bundle plus one Higgs matrix per chart (theta = Theta dt).
+
+    A value: do not reassign its bundle or Higgs matrices after
+    construction.  _level_one is the state the inverse transform fills on
+    first use (cartier._state)."""
 
     def __init__(self, bundle, theta):
         self.bundle = bundle
         self.theta = tuple(theta)
+        self._level_one = None
         if len(self.theta) != bundle.curve.ncharts:
             raise ValueError("one Higgs matrix per chart required")
         for T in self.theta:
@@ -273,19 +255,6 @@ class HiggsBundle:
     def validate(self):
         check_per_chart(self.theta, chart1_form, self.bundle, self.bundle, "Higgs")
         return self
-
-    def nilpotency_index(self):
-        """Least k with Theta^k = 0, or None if not nilpotent."""
-        d = self.bundle.domain
-        M = self.theta[0]
-        power = RingMatrix.identity(d, self.bundle.rank)
-        for k in range(self.bundle.rank + 1):
-            if power.is_zero():
-                return k
-            power = power.mul(M)
-        if power.is_zero():
-            return self.bundle.rank + 1
-        return None
 
 
 class FlatBundle:

@@ -8,6 +8,12 @@ transitions are corrected by the Taylor matrix exp(z * pullback of Theta),
 with z the p-divided difference of the liftings on the overlap; the whole sum
 is finite because Theta is nilpotent of index below p.
 
+Each Higgs bundle keeps one level-one state, filled by its nilpotency
+certificate: per chart the Frobenius pullbacks N, N^2, ... of the nonzero
+powers of its Higgs matrix, and its transforms by atlas.  Every Taylor
+matrix exp(z N) is read off that table as I + sum (z^k/k!) N^k, and each
+atlas's transform is built and validated once per bundle and then shared.
+
 Everything returned is validated structurally; the p-curvature law and the
 transform's degree scaling by p are checked in the test suite and exposed
 here as predicted values.
@@ -28,7 +34,6 @@ from .bundles import (
     FlatBundle,
     HiggsBundle,
     frobenius_pullback_matrix,
-    nilpotent_matrix_exp,
 )
 from .curves import FrobeniusLifting
 from .errors import ExponentTooLarge, WrongModulus
@@ -37,13 +42,59 @@ from .ringmath import LaurentPoly, RingMatrix, Zmod
 
 def check_nilpotency(higgs):
     """Nilpotency index of the Higgs matrix; must stay below p."""
-    idx = higgs.nilpotency_index()
-    p = higgs.bundle.domain.p
-    if idx is None or idx > p - 1:
-        raise ExponentTooLarge(
-            "Higgs field must be nilpotent of index at most p-1"
-        )
-    return idx
+    return _state(higgs).index
+
+
+class _LevelOne:
+    """A Higgs bundle's level-one state: the Frobenius pullback N of each
+    chart's Higgs matrix, the runs [N, ..., N^(index-1)] of its nonzero
+    powers, and the validated transforms by atlas (None or a lifting).
+
+    Building it is the nilpotency certificate: chart 0's powers must vanish
+    by the index min(rank + 1, p - 1).  The other charts' runs are raised on
+    first use, so a one-shot transform multiplies no more than the
+    certificate."""
+
+    def __init__(self, higgs):
+        self.pulled = pullback_higgs_matrices(higgs)
+        bound = min(higgs.bundle.rank + 1, higgs.bundle.domain.p - 1)
+        run = [self.pulled[0]]
+        while not run[-1].is_zero():
+            if len(run) >= bound:
+                raise ExponentTooLarge(
+                    "Higgs field must be nilpotent of index at most p-1"
+                )
+            run.append(run[-1].mul(run[0]))
+        run.pop()
+        self.index = len(run) + 1
+        self.runs = [run] + [[N] if run else [] for N in self.pulled[1:]]
+        self.transforms = {}
+
+    def powers(self, chart):
+        """chart's run [N, ..., N^(index-1)], raised on first use."""
+        run = self.runs[chart]
+        while len(run) < self.index - 1:
+            run.append(run[-1].mul(run[0]))
+        return run
+
+    def exp(self, chart, z):
+        """exp(z N) = I + sum (z^k/k!) N^k for chart's pulled matrix N:
+        scalings of the stored powers, no matrix product."""
+        d = z.domain
+        acc = RingMatrix.identity(d, self.pulled[chart].nrows)
+        zk, fact = LaurentPoly.one(d), 1
+        for k, P in enumerate(self.powers(chart), 1):
+            zk, fact = zk.mul(z), fact * k
+            acc = acc.add(P.scale(zk.scale(d.inv(d.coerce(fact)))))
+        return acc
+
+
+def _state(higgs):
+    """The bundle's level-one state, filled on first use; a failing
+    certificate stores nothing."""
+    if higgs._level_one is None:
+        higgs._level_one = _LevelOne(higgs)
+    return higgs._level_one
 
 
 def _check_mod_p(higgs):
@@ -80,21 +131,28 @@ def inverse_cartier_1(higgs, lifting=None):
     times the input degree.  The atlas defaults to the standard lifting."""
     _check_mod_p(higgs)
     check_nilpotency(higgs)
-    return _transform(higgs, pullback_higgs_matrices(higgs), lifting)
+    return _transform(higgs, lifting)
 
 
-def _transform(higgs, pulled, lifting):
-    """The level-one transform of a checked Higgs bundle from its pulled
-    Higgs matrices, validated on P^1."""
+def _transform(higgs, lifting):
+    """The level-one transform of a checked Higgs bundle for an atlas, read
+    off its state; built, and validated on P^1, once per atlas."""
+    state = _state(higgs)
+    flat = state.transforms.get(lifting)
+    if flat is not None:
+        return flat
     u, z_cross = _atlas_data(higgs, lifting)
-    A = tuple(pulled[c].scale(u[c]) for c in range(len(pulled)))
+    A = tuple(N.scale(u[c]) for c, N in enumerate(state.pulled))
     curve = higgs.bundle.curve
     if not curve.is_projective:
-        return FlatBundle(Bundle(curve, higgs.bundle.rank), A)
-    tau = frobenius_pullback_matrix(higgs.bundle.transition)
-    if z_cross is not None and not z_cross.is_zero():
-        tau = tau.mul(nilpotent_matrix_exp(pulled[0].scale(z_cross)))
-    return FlatBundle(Bundle(curve, higgs.bundle.rank, tau), A).validate()
+        flat = FlatBundle(Bundle(curve, higgs.bundle.rank), A)
+    else:
+        tau = frobenius_pullback_matrix(higgs.bundle.transition)
+        if z_cross is not None and not z_cross.is_zero():
+            tau = tau.mul(state.exp(0, z_cross))
+        flat = FlatBundle(Bundle(curve, higgs.bundle.rank, tau), A).validate()
+    state.transforms[lifting] = flat
+    return flat
 
 
 def inverse_cartier_1_on_map(phi, transformed_source, transformed_target):
@@ -131,16 +189,16 @@ def p_curvature_prediction(higgs):
 def lifting_change_transport(higgs, lift_from, lift_to):
     """The isomorphism between the transforms for two atlases: chartwise
     exp(z * pullback of Theta) with z = (F_from - F_to)/p.  The Higgs field
-    is checked and pulled back once, and the map and both transforms share
-    the pulled matrices."""
+    is checked and pulled back once per bundle, the map's exponentials are
+    read off its power table, and both transforms are the bundle's shared
+    ones for their atlases."""
     d = higgs.bundle.domain
     zs = [lift_from.z_same_chart(lift_to, c, d) for c in range(len(higgs.theta))]
     check_nilpotency(higgs)
     _check_mod_p(higgs)
-    pulled = pullback_higgs_matrices(higgs)
-    mats = tuple(nilpotent_matrix_exp(N.scale(z)) for N, z in zip(pulled, zs))
-    src = _transform(higgs, pulled, lift_from)
-    dst = _transform(higgs, pulled, lift_to)
+    mats = tuple(_state(higgs).exp(c, z) for c, z in enumerate(zs))
+    src = _transform(higgs, lift_from)
+    dst = _transform(higgs, lift_to)
     return BundleMap(src.bundle, dst.bundle, mats), src, dst
 
 
@@ -177,13 +235,13 @@ class OvSignReport:
 def ov_sign_check(higgs, lifting=None):
     """Verify that the opposite sign convention is this construction at
     -theta: the gluing exp(-z * pullback of (-Theta)) equals our Taylor
-    matrix (evaluated through a second code path), and the connection
-    'canonical minus (dF/p) pullback of (-Theta)' equals our connection."""
-    check_nilpotency(higgs)
+    matrix (ours read off the bundle's power table, theirs through a
+    second code path), and the connection 'canonical minus (dF/p) pullback
+    of (-Theta)' equals our connection."""
+    state = _state(higgs)
     d = higgs.bundle.domain
     u, z_cross = _atlas_data(higgs, lifting)
     neg = HiggsBundle(higgs.bundle, tuple(T.neg() for T in higgs.theta))
-    pulled = pullback_higgs_matrices(higgs)
     pulled_neg = pullback_higgs_matrices(neg)
 
     zs = []
@@ -199,14 +257,14 @@ def ov_sign_check(higgs, lifting=None):
 
     gluing_ok = True
     for chart, z in zs:
-        ours = nilpotent_matrix_exp(pulled[chart].scale(z))
+        ours = state.exp(chart, z)
         theirs = _exp_second_path(pulled_neg[chart].scale(z.neg()), d)
         if ours != theirs:
             gluing_ok = False
 
     connection_ok = True
     for c in range(ncharts):
-        ours = pulled[c].scale(u[c])
+        ours = state.pulled[c].scale(u[c])
         theirs = RingMatrix.zeros(d, higgs.bundle.rank, higgs.bundle.rank).sub(
             pulled_neg[c].scale(u[c])
         )

@@ -15,6 +15,7 @@ from math import ceil, floor
 from hdflow import ringmath
 from hdflow.bundles import (
     Bundle,
+    BundleMap,
     FlatBundle,
     HiggsBundle,
     Subbundle,
@@ -22,8 +23,10 @@ from hdflow.bundles import (
     frobenius_pullback_matrix,
     hn_filtration,
 )
+from hdflow.cartier import _atlas_data, _check_mod_p, pullback_higgs_matrices
 from hdflow.errors import (
     CertificateFailed,
+    ExponentTooLarge,
     NoLiftedFiltration,
     NoSolution,
     NonInvertible,
@@ -1267,6 +1270,98 @@ def frobenius_pullback(obj):
             tuple(frobenius_pullback_matrix(A) for A in obj.A),
         )
     raise TypeError("no Frobenius pullback for %r" % (obj,))
+
+
+# ---------------------------------------------------------------------------
+# the level-one transform without shared state: every call checks the Higgs
+# field, pulls it back, multiplies out its exponentials and builds and
+# validates its transforms afresh
+
+
+def nilpotent_matrix_exp(M):
+    """exp(M) for a nilpotent matrix; the nilpotency index must stay below p
+    so every factorial in the series is invertible."""
+    d = M.domain
+    p = d.p
+    acc = RingMatrix.identity(d, M.nrows)
+    term = RingMatrix.identity(d, M.nrows)
+    k = 0
+    while True:
+        term = term.mul(M)
+        if term.is_zero():
+            return acc
+        k += 1
+        if k >= p:
+            raise ExponentTooLarge(
+                "matrix is not nilpotent of index below p=%d" % p
+            )
+        inv_fact = d.coerce(1)
+        for i in range(2, k + 1):
+            inv_fact = d.mul(inv_fact, d.coerce(i))
+        acc = acc.add(term.scale_const(d.inv(inv_fact)))
+
+
+def nilpotency_index(higgs):
+    """Least k with Theta^k = 0, or None if not nilpotent."""
+    d = higgs.bundle.domain
+    M = higgs.theta[0]
+    power = RingMatrix.identity(d, higgs.bundle.rank)
+    for k in range(higgs.bundle.rank + 1):
+        if power.is_zero():
+            return k
+        power = power.mul(M)
+    if power.is_zero():
+        return higgs.bundle.rank + 1
+    return None
+
+
+def unshared_check_nilpotency(higgs):
+    """Nilpotency index of the Higgs matrix; must stay below p."""
+    idx = nilpotency_index(higgs)
+    p = higgs.bundle.domain.p
+    if idx is None or idx > p - 1:
+        raise ExponentTooLarge(
+            "Higgs field must be nilpotent of index at most p-1"
+        )
+    return idx
+
+
+def unshared_inverse_cartier_1(higgs, lifting=None):
+    """The inverse transform at level one: a flat bundle whose degree is p
+    times the input degree.  The atlas defaults to the standard lifting."""
+    _check_mod_p(higgs)
+    unshared_check_nilpotency(higgs)
+    return unshared_transform(higgs, pullback_higgs_matrices(higgs), lifting)
+
+
+def unshared_transform(higgs, pulled, lifting):
+    """The level-one transform of a checked Higgs bundle from its pulled
+    Higgs matrices, validated on P^1."""
+    u, z_cross = _atlas_data(higgs, lifting)
+    A = tuple(pulled[c].scale(u[c]) for c in range(len(pulled)))
+    curve = higgs.bundle.curve
+    if not curve.is_projective:
+        return FlatBundle(Bundle(curve, higgs.bundle.rank), A)
+    tau = frobenius_pullback_matrix(higgs.bundle.transition)
+    if z_cross is not None and not z_cross.is_zero():
+        tau = tau.mul(nilpotent_matrix_exp(pulled[0].scale(z_cross)))
+    return FlatBundle(Bundle(curve, higgs.bundle.rank, tau), A).validate()
+
+
+def unshared_lifting_change_transport(higgs, lift_from, lift_to):
+    """The isomorphism between the transforms for two atlases: chartwise
+    exp(z * pullback of Theta) with z = (F_from - F_to)/p.  The Higgs field
+    is checked and pulled back once, and the map and both transforms share
+    the pulled matrices."""
+    d = higgs.bundle.domain
+    zs = [lift_from.z_same_chart(lift_to, c, d) for c in range(len(higgs.theta))]
+    unshared_check_nilpotency(higgs)
+    _check_mod_p(higgs)
+    pulled = pullback_higgs_matrices(higgs)
+    mats = tuple(nilpotent_matrix_exp(N.scale(z)) for N, z in zip(pulled, zs))
+    src = unshared_transform(higgs, pulled, lift_from)
+    dst = unshared_transform(higgs, pulled, lift_to)
+    return BundleMap(src.bundle, dst.bundle, mats), src, dst
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Tests for the characteristic-p inverse transform and its p-curvature."""
 
+import copy
+import itertools
 import random
 
 import pytest
 
 from hdflow import cartier
-from hdflow.bundles import Bundle, BundleMap, FlatBundle, HiggsBundle, nilpotent_matrix_exp
+from hdflow.bundles import Bundle, BundleMap, FlatBundle, HiggsBundle
 from hdflow.cartier import (
     check_nilpotency,
     frobenius_pullback_matrix,
@@ -17,15 +19,20 @@ from hdflow.cartier import (
     p_curvature_prediction,
     pullback_higgs_matrices,
 )
+from hdflow.corpus import random_nilpotent_higgs
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.errors import ExponentTooLarge, WrongModulus
 from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 
 from oracles import (
     conjugate_higgs_frames,
+    nilpotency_index,
+    nilpotent_matrix_exp,
     random_graded_higgs,
     random_laurent,
     respects_higgs,
+    unshared_inverse_cartier_1,
+    unshared_lifting_change_transport,
 )
 
 
@@ -326,7 +333,9 @@ def test_lifting_change_transport_random():
 
 def test_lifting_change_transport_error_order():
     # the liftings are compared first, then the Higgs field's nilpotency,
-    # then the modulus of the level-one transform
+    # then the modulus of the level-one transform; inverse_cartier_1 asks
+    # for the modulus first.  A failing nilpotency certificate stores no
+    # state, so asking again raises the same error.
     d = Zmod(3, 2)
     curve = AffineLine(d)
     std = FrobeniusLifting.standard(curve)
@@ -334,50 +343,141 @@ def test_lifting_change_transport_error_order():
     with pytest.raises(ValueError, match="different curves"):
         elsewhere = FrobeniusLifting.standard(ProjectiveLine(d))
         lifting_change_transport(wild, std, elsewhere)
-    with pytest.raises(ExponentTooLarge):
-        lifting_change_transport(wild, std, std)
+    for _ in range(2):
+        with pytest.raises(ExponentTooLarge):
+            lifting_change_transport(wild, std, std)
+        assert wild._level_one is None
+        with pytest.raises(WrongModulus):
+            inverse_cartier_1(wild)
     higgs = frozen_projective_higgs(d)
     std = FrobeniusLifting.standard(higgs.bundle.curve)
-    with pytest.raises(WrongModulus):
-        lifting_change_transport(higgs, std, std)
+    for _ in range(2):
+        with pytest.raises(WrongModulus):
+            lifting_change_transport(higgs, std, std)
+        with pytest.raises(WrongModulus):
+            inverse_cartier_1(higgs, std)
+    field = Zmod(3, 1)
+    wild = HiggsBundle(Bundle.free(AffineLine(field), 2), (RingMatrix.identity(field, 2),))
+    for _ in range(2):
+        with pytest.raises(ExponentTooLarge):
+            inverse_cartier_1(wild)
+        assert wild._level_one is None
 
 
 def test_lifting_change_transport_work(monkeypatch):
-    # one nilpotency check and one pullback per Higgs matrix serve the map
-    # and both transforms, and no chart-1 transition is inverted
+    # one three-lifting cocycle on one bundle: one nilpotency certificate
+    # and one pullback per Higgs matrix serve every map and transform, each
+    # atlas's transform is built and validated once and then shared, the
+    # exponentials only scale the stored powers, and no chart-1 transition
+    # is inverted; a deep copy, as the benchmark takes of every op input,
+    # keeps the shared state
     rng = random.Random(53)
     d = Zmod(5, 1)
     curve = ProjectiveLine(d)
     higgs = conjugate_higgs_frames(rng, random_graded_higgs(rng, curve, (1, 1, 1)))
-    assert higgs.bundle.rank == 3 and check_nilpotency(higgs) == 3
-    la, lb = random_lifting(rng, curve), random_lifting(rng, curve)
-    calls = []
+    assert higgs.bundle.rank == 3 and nilpotency_index(higgs) == 3
+    l0, l1, l2 = (random_lifting(rng, curve) for _ in range(3))
+    calls, stack = [], ["transport"]
 
     def spy(owner, name):
         original = getattr(owner, name)
 
         def counted(*args):
-            calls.append((name, args[0]))
-            return original(*args)
+            calls.append((name, stack[-1], args))
+            stack.append(name)
+            try:
+                return original(*args)
+            finally:
+                stack.pop()
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(RingMatrix, "inverse")
-    spy(HiggsBundle, "nilpotency_index")
-    spy(cartier, "frobenius_pullback_matrix")
-    iso, src, dst = lifting_change_transport(higgs, la, lb)
+    def spy_all():
+        calls.clear()
+        for owner, name in (
+            (RingMatrix, "inverse"),
+            (RingMatrix, "mul"),
+            (FlatBundle, "validate"),
+            (cartier, "frobenius_pullback_matrix"),
+            (cartier._LevelOne, "__init__"),
+            (cartier._LevelOne, "exp"),
+            (cartier._LevelOne, "powers"),
+        ):
+            spy(owner, name)
+
+    def named(name):
+        return [(where, args) for what, where, args in calls if what == name]
+
+    spy_all()
+    t01, src0, dst1 = lifting_change_transport(higgs, l0, l1)
+    t12, src1, dst2 = lifting_change_transport(higgs, l1, l2)
+    t02, src0_again, dst2_again = lifting_change_transport(higgs, l0, l2)
     monkeypatch.undo()
-    assert [name for name, _ in calls if name != "frobenius_pullback_matrix"] == [
-        "nilpotency_index"
-    ]
+    assert len(named("__init__")) == 1 and named("inverse") == []
     pulled = [
-        id(arg)
-        for name, arg in calls
-        if name == "frobenius_pullback_matrix" and any(arg is T for T in higgs.theta)
+        id(args[0])
+        for _, args in named("frobenius_pullback_matrix")
+        if any(args[0] is T for T in higgs.theta)
     ]
     assert pulled == [id(T) for T in higgs.theta]
-    iso.validate()
-    assert iso.is_isomorphism() and iso.is_horizontal(src, dst)
+    assert len(named("validate")) == 3
+    assert len(named("exp")) == 2 * 3 + 3
+    products = [where for where, _ in named("mul")]
+    assert "exp" not in products
+    # the certificate raises chart 0's powers to N^3 = 0 and chart 1's run
+    # is raised to N^2 once
+    assert products.count("__init__") == 2 and products.count("powers") == 1
+    assert dst1 is src1 and src0_again is src0 and dst2_again is dst2
+    assert t12.compose(t01).phi == t02.phi
+    for iso, src, dst in ((t01, src0, dst1), (t12, src1, dst2), (t02, src0, dst2)):
+        iso.validate()
+        assert iso.is_isomorphism() and iso.is_horizontal(src, dst)
+
+    twin = copy.deepcopy(higgs)
+    spy_all()
+    a = lifting_change_transport(twin, l0, l1)
+    b = lifting_change_transport(twin, l1, l2)
+    monkeypatch.undo()
+    assert named("__init__") == [] and named("validate") == []
+    assert [where for where, _ in named("mul")] == []
+    assert a[2] is b[1] and a[1] is not src0
+    assert (a[0].phi, a[1].A, a[2].bundle) == (t01.phi, src0.A, dst1.bundle)
+
+
+def test_shared_transforms_match_unshared_oracle():
+    # p in {3, 5, 7}, P^1 and A^1, ranks 1-3, each bundle of the largest
+    # nilpotency index its rank and p allow; atlases None, the standard
+    # lifting and two random ones; every transform and every ordered pair
+    # of liftings, called in shuffled order on one bundle, against the
+    # oracle that checks, pulls back and builds afresh on every call
+    rng = random.Random(67)
+    cases = 0
+    for p in (3, 5, 7):
+        for kind in ("P1", "A1"):
+            for rank in (1, 2, 3):
+                higgs = random_nilpotent_higgs(rng, p, rank, curve=kind)
+                while nilpotency_index(higgs) < min(rank, p - 1):
+                    higgs = random_nilpotent_higgs(rng, p, rank, curve=kind)
+                curve = higgs.bundle.curve
+                lifts = [FrobeniusLifting.standard(curve)]
+                lifts += [random_lifting(rng, curve) for _ in range(2)]
+                jobs = [(atlas,) for atlas in [None] + lifts]
+                jobs += list(itertools.product(lifts, repeat=2))
+                rng.shuffle(jobs)
+                for job in jobs:
+                    if len(job) == 1:
+                        got = inverse_cartier_1(higgs, job[0])
+                        want = unshared_inverse_cartier_1(higgs, job[0])
+                        assert (got.bundle, got.A) == (want.bundle, want.A)
+                        continue
+                    got = lifting_change_transport(higgs, *job)
+                    want = unshared_lifting_change_transport(higgs, *job)
+                    assert got[0].phi == want[0].phi
+                    for flat, ref in zip(got[1:], want[1:]):
+                        assert (flat.bundle, flat.A) == (ref.bundle, ref.A)
+                    cases += 1
+    assert cases == 18 * 9
+
 
 # -- functoriality -----------------------------------------------------------
 

@@ -31,7 +31,7 @@ from hdflow.serialize import (
     witt_tuple_to_json,
 )
 
-from oracles import const_matrix
+from oracles import const_matrix, nilpotency_index
 from test_graded import _unipotent_trivial
 from test_witt import framed_unit_tuple, one_periodic_unit_tuple
 
@@ -619,7 +619,7 @@ def test_gen_corpus_rank4_nilpotency():
     assert result.exit_code == 0
     for inst in json.loads(result.output)["instances"]:
         H = graded_from_json(inst).total()
-        assert H.nilpotency_index() <= 4
+        assert nilpotency_index(H) <= 4
 
 
 def test_gen_corpus_rejects_excess_weight():

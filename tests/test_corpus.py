@@ -21,6 +21,8 @@ from hdflow.ringmath import Zmod
 from hdflow.serialize import canonical_bytes, graded_to_json
 from hdflow.witt import gn_construct
 
+from oracles import nilpotency_index
+
 
 # -- parameter box -----------------------------------------------------------
 
@@ -80,8 +82,8 @@ def test_generate_rank4_nilpotency_bounded():
         params = CorpusParams(p=5, rank=4, weight=weight, count=4, seed=11)
         for G in generate(params):
             H = G.total()
-            assert H.nilpotency_index() is not None
-            assert H.nilpotency_index() <= 4
+            assert nilpotency_index(H) is not None
+            assert nilpotency_index(H) <= 4
 
 
 def test_generate_affine_instances():
@@ -118,7 +120,7 @@ def test_random_nilpotent_higgs_valid():
     for p, rank, kind in [(3, 2, "P1"), (5, 3, "A1"), (7, 3, "P1")]:
         H = random_nilpotent_higgs(rng, p, rank, curve=kind)
         H.validate()
-        assert H.nilpotency_index() is not None
+        assert nilpotency_index(H) is not None
         assert H.bundle.rank == rank
         assert H.bundle.curve.is_projective == (kind == "P1")
 

@@ -305,8 +305,9 @@ def test_run_flow_preperiodic_weight_drop():
 
 def test_canonical_flow_grades_and_decides_each_term_once(monkeypatch):
     """A canonical run of N steps on P^1 grades N times, since each step
-    keeps the graded object its Simpson filtration built, and decides
-    N + 1 times: the start, then each term as its filtration is built."""
+    keeps the graded object its Simpson filtration built, and decides N
+    times: each later term as its filtration is built.  The start is
+    decided only when the test asks about it."""
     fils, decided = [], []
     grade, top = graded.grade, filtration._top_destabilizer
     grade_spy = lambda flat, fil: fils.append(fil) or grade(flat, fil)
@@ -316,9 +317,10 @@ def test_canonical_flow_grades_and_decides_each_term_once(monkeypatch):
     G = generate(CorpusParams(5, 2, 1, 1, 2))[0]
     trace = run_flow(G, FlowPolicy(max_steps=3))
     assert [st.degree for st in trace.stages] == [-10, -50, -250, -1250]
+    assert len(fils) == 3 and len(decided) == 3
+    assert [st.higgs for st in trace.stages[1:]] == decided
     assert all(is_higgs_semistable(st.higgs)[0] for st in trace.stages)
-    assert len(fils) == 3 and len(decided) == 4
-    assert [st.higgs for st in trace.stages] == decided
+    assert len(decided) == 4 and decided[3] == trace.stages[0].higgs
 
 
 def test_run_flow_semistable_stages():

@@ -253,15 +253,15 @@ def test_cli_artifacts_are_byte_identical(name, tmp_path, monkeypatch):
 
 
 def test_flow_run_decides_each_term_once(tmp_path, monkeypatch):
-    """A three-step canonical flow run decides its start and each later
-    term once: the run's semistability checks and the per-step
-    certificates read the stored decisions."""
+    """A three-step canonical flow run decides each later term once: the
+    per-step certificates read the decisions its Simpson filtrations
+    stored, and nothing decides the start."""
     calls = []
     top = filtration._top_destabilizer
     monkeypatch.setattr(filtration, "_top_destabilizer", lambda G: calls.append(G) or top(G))
     args, make_doc = CLI_CASES["flow-run-rank2-p1"]
     artifact, manifest = _run_cli(tmp_path, monkeypatch, list(args), make_doc())
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert (_digest(artifact), _digest(manifest)) == CLI_DIGESTS["flow-run-rank2-p1"]
 
 
