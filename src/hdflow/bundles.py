@@ -5,7 +5,9 @@ matrix g, stored as a Laurent matrix in the chart-0 coordinate t; sections
 satisfy x_1(s) = [g(t) x_0(t)] at t = 1/s.  A bundle on the affine line is
 free and carries no transition.  The line bundle of degree a has transition
 t^-a, so deg(E) = -(t-exponent of det g), and the splitting type is the
-descending exponent list of the two-sided monomial factorization of g.
+descending exponent list of the two-sided monomial factorization of g.  A
+bundle keeps the det g it certifies a unit, so degree expands no second one;
+a line bundle over a field is O(deg), so its splitting type factors nothing.
 
 Matrix-valued fields attach one matrix per chart, written in that chart's
 own coordinate.  The chart rule is written once: ProjectiveLine's
@@ -121,13 +123,15 @@ def change_frame_connection(A, Q, Qinv):
 
 
 class Bundle:
-    """A vector bundle on the line (transition in t; None means free)."""
+    """A vector bundle on the line (transition in t; None means free).  A
+    value: do not reassign its transition; on P^1, _det is its certified det."""
 
     def __init__(self, curve, rank, transition=None):
         self.curve = curve
         self.rank = rank
         self.transition = transition
         self._split = None
+        self._det = None
         if curve.is_projective:
             if transition is None:
                 self.transition = RingMatrix.identity(curve.domain, rank)
@@ -136,7 +140,8 @@ class Bundle:
                 raise ValueError("transition shape does not match rank")
             if g.domain != curve.domain:
                 raise ValueError("transition over the wrong coefficient domain")
-            if not g.det().is_unit():
+            self._det = g.det()
+            if not self._det.is_unit():
                 raise NonInvertible("transition determinant is not a unit")
         else:
             if transition is not None:
@@ -183,11 +188,15 @@ class Bundle:
         return self.chart1_transition().mul(self.curve.to_other_chart(cols))
 
     def degree(self):
+        """-(t-exponent of the stored det g); 0 on A^1."""
         if not self.curve.is_projective:
             return 0
-        return -laurent_unit_exponent(self.transition.det())
+        return -laurent_unit_exponent(self._det)
 
     def splitting_type(self):
+        """split_data's descending exponents; a field's line bundle is O(degree)."""
+        if self.rank == 1 and self.curve.is_projective and self.domain.is_field:
+            return [self.degree()]
         return list(self.split_data().exponents)
 
     def split_data(self):

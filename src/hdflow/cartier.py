@@ -10,9 +10,10 @@ is finite because Theta is nilpotent of index below p.
 
 Each Higgs bundle keeps one level-one state, filled by its nilpotency
 certificate: per chart the Frobenius pullbacks N, N^2, ... of the nonzero
-powers of its Higgs matrix, and its transforms by atlas.  Every Taylor
-matrix exp(z N) is read off that table as I + sum (z^k/k!) N^k, and each
-atlas's transform is built and validated once per bundle and then shared.
+powers of its Higgs matrix, its pulled transition and its transforms by
+atlas.  Every Taylor matrix exp(z N) is read off that table as
+I + sum (z^k/k!) N^k, and each atlas's transform is built and validated
+once per bundle and then shared.
 
 Everything returned is validated structurally; the p-curvature law and the
 transform's degree scaling by p are checked in the test suite and exposed
@@ -48,7 +49,8 @@ def check_nilpotency(higgs):
 class _LevelOne:
     """A Higgs bundle's level-one state: the Frobenius pullback N of each
     chart's Higgs matrix, the runs [N, ..., N^(index-1)] of its nonzero
-    powers, and the validated transforms by atlas (None or a lifting).
+    powers, the validated transforms by atlas (None or a lifting) and on
+    P^1 their shared pulled transition tau, filled by the first transform.
 
     Building it is the nilpotency certificate: chart 0's powers must vanish
     by the index min(rank + 1, p - 1).  The other charts' runs are raised on
@@ -69,6 +71,7 @@ class _LevelOne:
         self.index = len(run) + 1
         self.runs = [run] + [[N] if run else [] for N in self.pulled[1:]]
         self.transforms = {}
+        self.tau = None
 
     def powers(self, chart):
         """chart's run [N, ..., N^(index-1)], raised on first use."""
@@ -147,7 +150,9 @@ def _transform(higgs, lifting):
     if not curve.is_projective:
         flat = FlatBundle(Bundle(curve, higgs.bundle.rank), A)
     else:
-        tau = frobenius_pullback_matrix(higgs.bundle.transition)
+        if state.tau is None:
+            state.tau = frobenius_pullback_matrix(higgs.bundle.transition)
+        tau = state.tau
         if z_cross is not None and not z_cross.is_zero():
             tau = tau.mul(state.exp(0, z_cross))
         flat = FlatBundle(Bundle(curve, higgs.bundle.rank, tau), A).validate()

@@ -10,6 +10,8 @@ both the first witness and the (slope, rank)-maximal destabilizer.  For a
 flat bundle the top split summand is invariant under every connection, so
 connection-semistable means a constant splitting type, and Simpson's
 filtration on the line is the trivial one.  On A^1 every slope is zero.
+Line-bundle pieces are read off their degree: a piece of rank one is
+factored only when _top_part reads its frame.
 Each graded object is decided once and keeps its report (None if semistable).
 """
 

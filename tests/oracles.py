@@ -22,6 +22,7 @@ from hdflow.bundles import (
     change_frame_connection,
     frobenius_pullback_matrix,
     hn_filtration,
+    laurent_unit_exponent,
 )
 from hdflow.cartier import _atlas_data, _check_mod_p, pullback_higgs_matrices
 from hdflow.errors import (
@@ -1362,6 +1363,18 @@ def unshared_lifting_change_transport(higgs, lift_from, lift_to):
     src = unshared_transform(higgs, pulled, lift_from)
     dst = unshared_transform(higgs, pulled, lift_to)
     return BundleMap(src.bundle, dst.bundle, mats), src, dst
+
+
+def factored_splitting_type(bundle):
+    """Bundle.splitting_type when every rank went through split_data."""
+    return list(bundle.split_data().exponents)
+
+
+def expanded_degree(bundle):
+    """Bundle.degree when it expanded the transition's determinant."""
+    if not bundle.curve.is_projective:
+        return 0
+    return -laurent_unit_exponent(bundle.transition.det())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hdflow.bundles import (
     hn_filtration,
     laurent_unit_exponent,
 )
-from hdflow.corpus import CorpusParams, generate
+from hdflow.corpus import CorpusParams, _random_unimodular, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import ExponentTooLarge, NonInvertible
 from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
@@ -401,3 +401,64 @@ def test_bundle_over_gf_field():
     E = Bundle.sum_of_lines(X, [1, 0])
     assert E.degree() == 1
     assert E.splitting_type() == [1, 0]
+
+
+def _prime_field_image(U, d):
+    """A unimodular matrix over Z/p read over the field d of characteristic p."""
+    return RingMatrix(
+        d,
+        [
+            [LaurentPoly(d, {e: d.coerce(c) for e, c in x.coeffs.items()}) for x in row]
+            for row in U.rows
+        ],
+    )
+
+
+def test_splitting_type_and_degree_match_the_factoring_oracle():
+    # line bundles c t^e, sums of lines and framed bundles g U: the stored
+    # determinant and the rank-1 rule give what factoring and expanding gave
+    rng = random.Random(32)
+    for d in [Zmod(p, 1) for p in (3, 5, 7)] + [GF(p, 2) for p in (3, 5, 7)]:
+        X = ProjectiveLine(d)
+        # _random_unimodular reads an integer modulus, so it draws U over
+        # Z/p and GF(p, 2) reads it through its prime field
+        Fp = Zmod(d.p, 1)
+        cases = []
+        for e in range(-6, 7):
+            c = oracles.random_unit(rng, d)
+            g = RingMatrix(d, [[LaurentPoly(d, {e: c})]])
+            cases.append((1, g))
+        for rank in (2, 3, 4):
+            exps = [rng.randint(-6, 6) for _ in range(rank)]
+            cases.append((rank, Bundle.sum_of_lines(X, exps).transition))
+        for rank in (1, 2, 3, 4):
+            exps = [rng.randint(-6, 6) for _ in range(rank)]
+            g = Bundle.sum_of_lines(X, exps).transition
+            U = _prime_field_image(_random_unimodular(rng, Fp, rank), d)
+            cases.append((rank, g.mul(U)))
+        for rank, g in cases:
+            E, twin = Bundle(X, rank, g), Bundle(X, rank, g)
+            assert E.degree() == oracles.expanded_degree(twin)
+            assert E.splitting_type() == oracles.factored_splitting_type(twin)
+
+
+def test_line_bundle_splitting_type_keeps_its_errors():
+    cases = (
+        (
+            Bundle.free(AffineLine(Zmod(3)), 1),
+            ValueError,
+            "splitting data only exists on the projective line",
+        ),
+        (
+            Bundle.free(P1(3, 2), 1),
+            NonInvertible,
+            "birkhoff factorization requires field coefficients",
+        ),
+    )
+    for line, kind, message in cases:
+        for read in (Bundle.splitting_type, oracles.factored_splitting_type):
+            with pytest.raises(kind) as err:
+                read(line)
+            assert type(err.value) is kind and str(err.value) == message
+    affine = Bundle.free(AffineLine(Zmod(5)), 1)
+    assert affine.degree() == oracles.expanded_degree(affine) == 0

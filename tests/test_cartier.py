@@ -365,12 +365,12 @@ def test_lifting_change_transport_error_order():
 
 
 def test_lifting_change_transport_work(monkeypatch):
-    # one three-lifting cocycle on one bundle: one nilpotency certificate
-    # and one pullback per Higgs matrix serve every map and transform, each
-    # atlas's transform is built and validated once and then shared, the
-    # exponentials only scale the stored powers, and no chart-1 transition
-    # is inverted; a deep copy, as the benchmark takes of every op input,
-    # keeps the shared state
+    # one three-lifting cocycle on one bundle: one nilpotency certificate,
+    # one pullback per Higgs matrix and one of the transition serve every
+    # map and transform, each atlas's transform is built and validated once
+    # and then shared, the exponentials only scale the stored powers, and
+    # no chart-1 transition is inverted; a deep copy, as the benchmark
+    # takes of every op input, keeps the shared state
     rng = random.Random(53)
     d = Zmod(5, 1)
     curve = ProjectiveLine(d)
@@ -420,6 +420,12 @@ def test_lifting_change_transport_work(monkeypatch):
         if any(args[0] is T for T in higgs.theta)
     ]
     assert pulled == [id(T) for T in higgs.theta]
+    transitions = [
+        args
+        for _, args in named("frobenius_pullback_matrix")
+        if args[0] is higgs.bundle.transition
+    ]
+    assert len(transitions) == 1
     assert len(named("validate")) == 3
     assert len(named("exp")) == 2 * 3 + 3
     products = [where for where, _ in named("mul")]

@@ -293,6 +293,52 @@ def test_each_graded_object_is_decided_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_line_pieces_are_read_off_their_degree(monkeypatch):
+    """Two line-bundle pieces at p = 3: a semistable pair factors nothing,
+    an unstable one factors only the top piece whose frame _top_part reads,
+    and no Bundle.degree expands a determinant."""
+    semistable, unstable = (
+        generate(CorpusParams(p=3, rank=2, weight=1, count=1, seed=seed))[0]
+        for seed in (2, 4)
+    )
+    assert [P.rank for P in semistable.pieces + unstable.pieces] == [1, 1, 1, 1]
+    calls, stack = [], ["decide"]
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append((name, stack[-1], args))
+            stack.append(name)
+            try:
+                return original(*args)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in (
+        (bundles, "birkhoff_factorize"),
+        (RingMatrix, "det"),
+        (Bundle, "degree"),
+    ):
+        spy(owner, name)
+
+    def named(name):
+        return [(where, args) for what, where, args in calls if what == name]
+
+    assert is_higgs_semistable(semistable) == (True, None)
+    assert named("birkhoff_factorize") == [] and named("det") == []
+    ok, report = is_higgs_semistable(unstable)
+    monkeypatch.undo()
+    assert not ok and report.pieces[1] is None
+    top = unstable.pieces[0]
+    factored = [args[0] for _, args in named("birkhoff_factorize")]
+    assert len(factored) == 1 and factored[0] is top.transition
+    assert named("degree") and all(where != "degree" for where, _ in named("det"))
+    assert top._split is not None and unstable.pieces[1]._split is None
+
+
 # -- the canonical filtration ------------------------------------------------
 
 

@@ -132,6 +132,13 @@ def _rank_two_p1():
     return generate(params)[0]
 
 
+def _line_p1():
+    """gen-corpus --p 3 --rank 1 --weight 0 --count 1 --seed 2's instance:
+    one line-bundle piece, decided semistable at every stage of a flow."""
+    params = CorpusParams(p=3, rank=1, weight=0, count=1, seed=2)
+    return graded_to_json(generate(params)[0])
+
+
 def _nilpotent_transform(seed, p, curve):
     """The inverse Cartier transform of a seeded rank-2 nilpotent field."""
     H = random_nilpotent_higgs(random.Random(seed), p, 2, curve=curve)
@@ -177,6 +184,7 @@ CLI_CASES = {
         ["flow", "run", "--steps", "3"],
         lambda: graded_to_json(_rank_two_p1()),
     ),
+    "flow-run-line-p1": (["flow", "run", "--steps", "2"], _line_p1),
     "check-cocycle": (["check", "--suite", "cocycle", "--seed", "7"], None),
     "check-gamma-relations": (
         ["check", "--suite", "gamma-relations", "--seed", "7"],
@@ -220,6 +228,10 @@ CLI_DIGESTS = {
     "flow-run-rank2-p1": (
         "5f6d574683337d4175dbe8ee61d599b1f471ccfb3008804af6824016c5aaf4a3",
         "45c68463c017ffdb4cd5ac0b09889165c8c0ed0e5a81c7dbe394c3fe7d76f2a6",
+    ),
+    "flow-run-line-p1": (
+        "c754f7698a63273abd34c97251abef548b850456f70a8785529272957038b4ca",
+        "368c9e11a1d485842d4fbe1fea4de541ad4987e18088c48ca0369dc1fd056d92",
     ),
     "check-cocycle": (
         "c45bc88755c1b8219aa5fd29c8d8679c04868c6ccadc939e4f52ca280b4b2282",
