@@ -39,7 +39,12 @@ from hdflow.bundles import Bundle, HiggsBundle, Subbundle, chart1_map, hn_filtra
 from hdflow.cartier import inverse_cartier_1
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.filtration import is_higgs_semistable, max_destabilizer_graded
-from hdflow.flow import PeriodicTuple, pack_endostructure, unpack_endostructure
+from hdflow.flow import (
+    PeriodicTuple,
+    extend_graded,
+    pack_endostructure,
+    unpack_endostructure,
+)
 from hdflow.graded import (
     GradedHiggsBundle,
     GradedMap,
@@ -139,6 +144,31 @@ def _line_p1():
     return graded_to_json(generate(params)[0])
 
 
+def _supplied_a1():
+    """Two free line pieces on A^1 at p = 3 with theta = [[1]], and
+    Fil^1 = span(e_2) supplied at each of two steps: theta steps to t^2,
+    then to t^8."""
+    d = Zmod(3, 1)
+    line = AffineLine(d)
+    G = GradedHiggsBundle(
+        (Bundle.free(line, 1), Bundle.free(line, 1)), ((_mat(d, [[1]]),),)
+    )
+    e2 = matrix_to_json(_mat(d, [[0], [1]]))
+    return {
+        "schema": "hdf/1",
+        "type": "flow_input",
+        "graded": graded_to_json(G),
+        "filtrations": [{"steps": [e2]}, {"steps": [e2]}],
+    }
+
+
+def _rank_two_f9():
+    """gen-corpus --p 3 --rank 2 --weight 1 --seed 2's instance, written
+    over F_9."""
+    params = CorpusParams(p=3, rank=2, weight=1, count=1, seed=2)
+    return graded_to_json(extend_graded(generate(params)[0], GF(3, 2)))
+
+
 def _nilpotent_transform(seed, p, curve):
     """The inverse Cartier transform of a seeded rank-2 nilpotent field."""
     H = random_nilpotent_higgs(random.Random(seed), p, 2, curve=curve)
@@ -185,6 +215,11 @@ CLI_CASES = {
         lambda: graded_to_json(_rank_two_p1()),
     ),
     "flow-run-line-p1": (["flow", "run", "--steps", "2"], _line_p1),
+    "flow-run-supplied-a1": (
+        ["flow", "run", "--policy", "supplied", "--steps", "2"],
+        _supplied_a1,
+    ),
+    "flow-run-rank2-f9": (["flow", "run", "--steps", "2"], _rank_two_f9),
     "check-cocycle": (["check", "--suite", "cocycle", "--seed", "7"], None),
     "check-gamma-relations": (
         ["check", "--suite", "gamma-relations", "--seed", "7"],
@@ -232,6 +267,14 @@ CLI_DIGESTS = {
     "flow-run-line-p1": (
         "c754f7698a63273abd34c97251abef548b850456f70a8785529272957038b4ca",
         "368c9e11a1d485842d4fbe1fea4de541ad4987e18088c48ca0369dc1fd056d92",
+    ),
+    "flow-run-supplied-a1": (
+        "02d43204eb1dd0b9c1012f94622130aa5aab38ac887fdb45c12b1141bb112d81",
+        "7a9635f56aae436dd89c5e0d8974ff8f05ea20840f7fc488d279a92f8b72b6b0",
+    ),
+    "flow-run-rank2-f9": (
+        "bebcac7573a56b35674fe0c9aa7eda6861b46f1db645eda3d6783925879eb326",
+        "9d174c8e44124e5349c6c168f2294e0af88f718b43723c25ed88e54c15159183",
     ),
     "check-cocycle": (
         "c45bc88755c1b8219aa5fd29c8d8679c04868c6ccadc939e4f52ca280b4b2282",
