@@ -24,10 +24,11 @@ matrix of 1-forms and chart1_connection that of a connection:
 per_chart turns a chart-0 matrix and one of these rules into the per-chart
 tuple and rejects a pole on any chart; check_per_chart asks that a stored
 tuple is exactly what per_chart gives, with the rule multiplied through by
-ghat_source, so that a passing check inverts nothing.  The from_chart0
-and validate of every field (Higgs, connection, map, graded connecting
-map, graded map) go through these two, and every isomorphism test through
-RingMatrix.is_unimodular (square, with a unit constant determinant).
+ghat_source, so that a passing check inverts nothing.
+HiggsBundle.from_chart0 and the validate of every field (Higgs,
+connection, map, graded connecting map, graded map) go through these two,
+and every isomorphism test through RingMatrix.is_unimodular (square, with
+a unit constant determinant).
 
 Frame changes by a polynomial-unimodular Q(t) act on coordinates as
 x' = Q x, on Higgs matrices by Q Theta Q^-1, and on connection matrices by
@@ -278,11 +279,6 @@ class FlatBundle:
             if M.nrows != bundle.rank or M.ncols != bundle.rank:
                 raise ValueError("connection matrix shape mismatch")
 
-    @classmethod
-    def from_chart0(cls, bundle, a0):
-        A = per_chart(a0, chart1_connection, bundle, bundle, "connection")
-        return cls(bundle, A)
-
     def validate(self):
         E = self.bundle
         check_per_chart(self.A, chart1_connection, E, E, "connection")
@@ -306,10 +302,6 @@ class BundleMap:
         for M in self.phi:
             if M.nrows != target.rank or M.ncols != source.rank:
                 raise ValueError("map shape mismatch")
-
-    @classmethod
-    def from_chart0(cls, source, target, phi0):
-        return cls(source, target, per_chart(phi0, chart1_map, source, target, "map"))
 
     def validate(self):
         check_per_chart(self.phi, chart1_map, self.source, self.target, "map")
@@ -420,14 +412,6 @@ class Subbundle:
                 self.basis[0], _clear_denominators(columns), laurent_denominators=True
             )
             is not None
-        )
-
-    def same_as(self, other):
-        return (
-            self.rank == other.rank
-            and self.parent == other.parent
-            and other.contains_chart0(self.basis[0])
-            and self.contains_chart0(other.basis[0])
         )
 
 

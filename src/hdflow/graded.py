@@ -88,17 +88,6 @@ class HodgeFiltration:
         ranks = [self.parent.rank] + [S.rank for S in self.steps]
         return all(a > b for a, b in zip(ranks, ranks[1:]))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HodgeFiltration)
-            and self.parent == other.parent
-            and self.level == other.level
-            and all(
-                a.rank == b.rank and a.same_as(b)
-                for a, b in zip(self.steps, other.steps)
-            )
-        )
-
 
 def reduce_filtration(filtration):
     """Drop redundant steps (equal to the previous one or to the whole

@@ -883,9 +883,6 @@ class RingMatrix:
     def is_polynomial(self):
         return all(e.is_polynomial() for row in self.rows for e in row)
 
-    def is_constant(self):
-        return all(e.is_constant() for row in self.rows for e in row)
-
     def min_valuation(self):
         vals = [e.valuation() for row in self.rows for e in row if not e.is_zero()]
         return min(vals) if vals else None

@@ -490,7 +490,7 @@ def flow_input_from_json(doc):
         steps = _field(fil, "steps", here, list)
         specs.append(
             _FiltrationSpec(
-                matrix_from_json(G.domain, cols, "%s/steps/%d" % (here, j))
+                _step_span(G.domain, G.rank, cols, "%s/steps/%d" % (here, j))
                 for j, cols in enumerate(steps)
             )
         )
@@ -509,18 +509,21 @@ def filtration_to_json(fil):
     }
 
 
+def _step_span(ring, rank, cols, path):
+    """A filtration step's chart-0 span matrix in a rank-`rank` bundle."""
+    M = matrix_from_json(ring, cols, path)
+    if M.nrows != rank:
+        raise SchemaError("step spans live in a rank-%d bundle" % rank, path)
+    return M
+
+
 def filtration_from_json(bundle, doc, path="/"):
     require_tag(doc, "filtration", path)
     raw = _field(doc, "steps", path, list)
-    ring = bundle.curve.domain
     steps = []
     for i, cols in enumerate(raw):
         here = _child(path, "steps/%d" % i)
-        M = matrix_from_json(ring, cols, here)
-        if M.nrows != bundle.rank:
-            raise SchemaError(
-                "step spans live in a rank-%d bundle" % bundle.rank, here
-            )
+        M = _step_span(bundle.curve.domain, bundle.rank, cols, here)
         try:
             steps.append(Subbundle.from_chart0_span(bundle, M))
         except Exception as err:

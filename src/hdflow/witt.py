@@ -219,16 +219,8 @@ class TwistedFlatModule:
         return self.ring.p
 
     @property
-    def n(self):
-        return self.ring.m
-
-    @property
     def rank(self):
         return sum(self.ranks)
-
-    @property
-    def weight(self):
-        return len(self.ranks) - 1
 
     def nabla(self, h, col):
         return self.module.apply(h, col)

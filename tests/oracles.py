@@ -20,9 +20,12 @@ from hdflow.bundles import (
     HiggsBundle,
     Subbundle,
     change_frame_connection,
+    chart1_connection,
+    chart1_map,
     frobenius_pullback_matrix,
     hn_filtration,
     laurent_unit_exponent,
+    per_chart,
 )
 from hdflow.cartier import _atlas_data, _check_mod_p, pullback_higgs_matrices
 from hdflow.errors import (
@@ -37,6 +40,7 @@ from hdflow.errors import (
     WrongModulus,
 )
 from hdflow.filtration import DestabilizerReport, _lex_gt
+from hdflow.graded import HodgeFiltration
 from hdflow.ringmath import (
     BirkhoffFactorization,
     LaurentPoly,
@@ -1094,7 +1098,7 @@ class SaturatingLinePool:
                             comps[j][e] = c
                     col = RingMatrix(d, [[LaurentPoly(d, c)] for c in comps])
                     S = Subbundle.from_chart0_span(self.bundle, self.sd.Qinv.mul(col))
-                    if not any(S.same_as(L) for L in self.lines):
+                    if not any(same_as(S, L) for L in self.lines):
                         self.lines.append(S)
         return [L for L in self.lines if L.degree() >= low]
 
@@ -1375,6 +1379,46 @@ def expanded_degree(bundle):
     if not bundle.curve.is_projective:
         return 0
     return -laurent_unit_exponent(bundle.transition.det())
+
+
+# ---------------------------------------------------------------------------
+# constructors and comparisons that only the tests use: the library's
+# FlatBundle.from_chart0, BundleMap.from_chart0, Subbundle.same_as,
+# HodgeFiltration.__eq__ and TwistedFlatModule.n, as functions
+
+
+def flat_from_chart0(bundle, a0):
+    A = per_chart(a0, chart1_connection, bundle, bundle, "connection")
+    return FlatBundle(bundle, A)
+
+
+def map_from_chart0(source, target, phi0):
+    return BundleMap(source, target, per_chart(phi0, chart1_map, source, target, "map"))
+
+
+def same_as(sub, other):
+    return (
+        sub.rank == other.rank
+        and sub.parent == other.parent
+        and other.contains_chart0(sub.basis[0])
+        and sub.contains_chart0(other.basis[0])
+    )
+
+
+def filtrations_equal(fil, other):
+    return (
+        isinstance(other, HodgeFiltration)
+        and fil.parent == other.parent
+        and fil.level == other.level
+        and all(
+            a.rank == b.rank and same_as(a, b)
+            for a, b in zip(fil.steps, other.steps)
+        )
+    )
+
+
+def modulus_power(tw):
+    return tw.ring.m
 
 
 # ---------------------------------------------------------------------------

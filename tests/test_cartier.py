@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hdflow import cartier
-from hdflow.bundles import Bundle, BundleMap, FlatBundle, HiggsBundle
+from hdflow.bundles import Bundle, FlatBundle, HiggsBundle
 from hdflow.cartier import (
     check_nilpotency,
     frobenius_pullback_matrix,
@@ -26,6 +26,7 @@ from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 
 from oracles import (
     conjugate_higgs_frames,
+    map_from_chart0,
     nilpotency_index,
     nilpotent_matrix_exp,
     random_graded_higgs,
@@ -496,7 +497,7 @@ def test_transform_on_maps_is_horizontal():
     phi0 = RingMatrix.identity(d, 2).scale_const(a).add(
         higgs.theta[0].scale_const(b)
     )
-    phi = BundleMap.from_chart0(higgs.bundle, higgs.bundle, phi0)
+    phi = map_from_chart0(higgs.bundle, higgs.bundle, phi0)
     assert respects_higgs(phi, higgs, higgs)
     lift = FrobeniusLifting(
         higgs.bundle.curve,

@@ -33,7 +33,13 @@ from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.graded import GradedHiggsBundle, GradedMap
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 
-from oracles import conjugate_higgs_frames, random_graded_higgs, random_unit
+from oracles import (
+    conjugate_higgs_frames,
+    flat_from_chart0,
+    map_from_chart0,
+    random_graded_higgs,
+    random_unit,
+)
 
 PACKAGE = Path(hdflow.__file__).resolve().parent
 
@@ -208,8 +214,8 @@ def test_every_field_rejects_a_pole_on_the_affine_line(kind):
     "build",
     [
         lambda E, M0: HiggsBundle.from_chart0(E, M0),
-        lambda E, M0: FlatBundle.from_chart0(E, M0),
-        lambda E, M0: BundleMap.from_chart0(E, E, M0),
+        lambda E, M0: flat_from_chart0(E, M0),
+        lambda E, M0: map_from_chart0(E, E, M0),
     ],
     ids=["higgs", "connection", "map"],
 )

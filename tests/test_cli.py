@@ -208,6 +208,25 @@ def test_flow_run_supplied_trivial_filtration(tmp_path):
     assert [s["degree"] for s in out["stages"]] == [0, 0]
 
 
+def test_flow_run_rejects_a_step_span_of_the_wrong_rank(tmp_path):
+    # three rows for a rank-2 object: a malformed document, located at the
+    # step as filtration_from_json locates it
+    doc = {
+        "schema": "hdf/1",
+        "type": "flow_input",
+        "graded": trivial_graded_doc(),
+        "filtrations": [{"steps": [[[[[0, 1]]], [[]], [[]]]]}],
+    }
+    path = write_doc(tmp_path, "supplied.json", doc)
+    result = invoke(
+        ["flow", "run", "--input", path, "--policy", "supplied", "--steps", "1"]
+    )
+    assert result.exit_code == 2
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("contract", "/filtrations/0/steps/0")
+    assert err["message"] == "step spans live in a rank-2 bundle"
+
+
 def test_flow_run_writes_artifact_and_manifest(tmp_path):
     path = write_doc(tmp_path, "triv.json", trivial_graded_doc())
     out = str(tmp_path / "trace.json")

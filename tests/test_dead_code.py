@@ -1,18 +1,21 @@
-"""Every library function has a caller in the system, every defaulted
-parameter is set by one, every stored field is read, every import is used,
+"""Every library function is entered by the system, every defaulted
+parameter is set by it, every stored field is read, every import is used,
 and every oracle serves a test.
 
-A library function is used only when the system calls it: code in
-src/hdflow or bench/ refers to it.  Tests do not count as callers, so a
-function that only tests call is flagged; it gets a caller in the system,
-moves to tests/oracles.py if it only cross-checks the library, or goes.  A
-function counts as referred to where its name appears in those trees as a
-name, an attribute or an imported name outside its own body, so recursion
-keeps nothing alive; a word in a comment or a string does not count.  A
-method is reached only as an attribute (obj.name), so it counts only where
-some file there accesses it that way.  Exempt are
-dunders, the command-line entry points (called by click, not by name) and
-the public entry points in ENTRY_POINTS, each with its reason.
+A library function is used only when a system path enters it: the command
+line or the benchmark.  A census runs a fixed sample of both under
+sys.setprofile and records every code object of src/hdflow that starts a
+frame: every command on fixed inputs (each flow policy, an F_{p^f} graded
+object, located contract failures, each check suite at p = 3, gen-corpus),
+then each benchmark workload's set-up at seed 1 and the first and last op
+of each op kind with its check (the smallest and the largest case of the
+kind).  Code objects are keyed by (file, co_firstlineno) and named through
+the AST, nested functions included; Python 3.10 has no co_qualname.  Tests
+are not part of the sample, so a function that only tests call is flagged;
+it gets a caller in the system, moves to tests/oracles.py if it only
+cross-checks the library, or goes.  Exempt are dunders and the definitions
+in NOT_ENTERED, each with its reason; a named one that the sample enters
+fails the census too, so the list only shrinks.
 
 The same rule holds for parameters: a defaulted parameter of a library
 function, method or constructor is set only when some call in src/hdflow
@@ -20,7 +23,7 @@ or bench/ passes it, by keyword or by position; a value that only tests
 set gives the entry point a second code path that the system never takes.
 A constructor is called by its class name, and every dataclass field with
 a default counts as one of its parameters.  A function that the system
-passes as a value, rather than calls, and the entry points in ENTRY_POINTS
+passes as a value, rather than calls, and the definitions in NOT_ENTERED
 are called from outside the scan, so all of their parameters count as set.
 Exempt are the parameters in SET_BY_TESTS, each with its reason.
 
@@ -30,6 +33,13 @@ part of what the library reports.
 """
 
 import ast
+import contextlib
+import copy
+import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import hdflow
@@ -41,15 +51,33 @@ TESTS = ROOT / "tests"
 SEARCHED = ("src", "tests", "bench")
 CALLERS = ("src", "bench")
 
-# Public entry points that nothing in the system calls: halves of the
-# document format whose other halves the command line uses, or that read a
-# document type README lists.
-ENTRY_POINTS = {
-    "bundle_to_json": "writes the 'bundle' document that bundle_from_json reads",
-    "bundle_from_json": "reads the 'bundle' document type that README lists",
-    "lifting_to_json": "writes the Frobenius liftings that 'cartier apply' reads",
-    "witt_tuple_to_json": "writes the inputs of 'witt lift' and 'witt flow-step'",
-    "filtration_from_json": "reads the filtrations that 'filtration compute' writes",
+# Definitions that no path of the system sample enters, by qualified name
+# ("module.Class.method", "module.function.nested"), each with its reason.
+# ROADMAP items name the inputs that will reach them.
+NOT_ENTERED = {
+    # halves of the document format whose other halves the command line uses
+    "serialize.bundle_to_json": "writes the 'bundle' document that bundle_from_json reads",
+    "serialize.bundle_from_json": "reads the 'bundle' document type that README lists",
+    "serialize.lifting_to_json": "writes the Frobenius liftings that 'cartier apply' reads",
+    "serialize.witt_tuple_to_json": "writes the inputs of 'witt lift' and 'witt flow-step'",
+    "serialize.filtration_from_json": "reads the filtrations that 'filtration compute' writes",
+    # the coefficient protocol (item 5)
+    "ringmath.GF.axpy": "no sampled path combines coefficient vectors over F_{p^f}",
+    "ringmath.GF.is_nilpotent": "no sampled unit search or unit test runs over F_{p^f}",
+    "ringmath.GF.elements": "no sampled unit search enumerates F_{p^f}",
+    "ringmath.Zmod.add": "generic code adds coefficients only over F_{p^f}; the oracles call it",
+    "ringmath.Zmod.sub": "generic code subtracts only over F_{p^f}; the oracles call it",
+    # supplied P^1 filtrations with non-trivial steps (items 5 and 8)
+    "ringmath.smith_form_poly.row_combine": "no sampled span needs a row reduction",
+    "ringmath.smith_form_poly.col_combine": "no sampled span needs a column reduction",
+    "ringmath.smith_form_poly.col_swap": "no sampled span needs a column swap",
+    "ringmath.RingMatrix.shift_all": "clears a chart-1 span's pole, which no sampled span has",
+    "ringmath.poly_kernel": "only _span_intersection_coords asks for a kernel",
+    "flow._span_intersection_coords": "cuts filtration steps; sampled packings have none",
+    "flow._restrict_map": "restricts connecting maps; sampled packings have one grade",
+    # the benchmark's descent check, on logs that are empty on the line (item 4)
+    "filtration.DescentRecord.key": "orders the records of a descent log",
+    "filtration._lex_gt": "compares the records of a descent log",
 }
 
 # Defaulted parameters, as (function, parameter), that only tests set.
@@ -57,14 +85,6 @@ SET_BY_TESTS = {
     ("fn_apply", "lifting"): "tests certify the Taylor transitions between the "
     "pullbacks under two liftings against the pullbacks themselves",
 }
-
-
-def _is_click_command(node):
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
-            return True
-    return False
 
 
 def _searched_files(tops=SEARCHED):
@@ -76,30 +96,6 @@ def _caller_trees():
     return [ast.parse(path.read_text(), filename=str(path)) for path in _searched_files(CALLERS)]
 
 
-def _references():
-    """(names, attributes): for every name, imported name and attribute
-    that the system mentions, one entry per mention, the set of the
-    (file, line) of every definition whose body holds it."""
-    names, attributes = {}, {}
-
-    def visit(node, path, homes):
-        if isinstance(node, FUNCTION_NODES):
-            homes = homes | {(path, node.lineno)}
-        if isinstance(node, ast.Name):
-            names.setdefault(node.id, []).append(homes)
-        elif isinstance(node, ast.Attribute):
-            attributes.setdefault(node.attr, []).append(homes)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names.setdefault(alias.name, []).append(homes)
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, homes)
-
-    for path in _searched_files(CALLERS):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.resolve(), frozenset())
-    return names, attributes
-
-
 def test_searched_trees_are_found():
     assert all((ROOT / top).is_dir() for top in SEARCHED)
 
@@ -107,37 +103,237 @@ def test_searched_trees_are_found():
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _library_functions():
-    """(path, node, is_method) for every function defined in the library."""
+def _definitions():
+    """{(path, first line, name): qualified name} for every function, method
+    and nested function in the library.  The first line is the one its code
+    object reports as co_firstlineno: its first decorator's, or its def's."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTION_NODES + (ast.ClassDef,)):
+                if isinstance(child, FUNCTION_NODES):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), first, child.name)] = prefix + child.name
+                visit(child, path, prefix + child.name + ".")
+            else:
+                visit(child, path, prefix)
+
     for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        methods = {
-            id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef)
-            for node in cls.body
-            if isinstance(node, FUNCTION_NODES)
+        visit(ast.parse(path.read_text(), filename=str(path)), path, path.stem + ".")
+    return found
+
+
+def _cli_sample():
+    """(arguments, input document or None, exit code) of every command on
+    fixed inputs.  Building the inputs is not part of the sample."""
+    from hdflow.cartier import inverse_cartier_1
+    from hdflow.bundles import Bundle
+    from hdflow.cli import SUITES
+    from hdflow.corpus import (
+        CorpusParams,
+        generate,
+        random_lifting,
+        random_nilpotent_higgs,
+        random_witt_tuple,
+    )
+    from hdflow.curves import AffineLine, ProjectiveLine
+    from hdflow.flow import extend_graded
+    from hdflow.graded import GradedHiggsBundle
+    from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
+    from hdflow.serialize import (
+        flat_to_json,
+        graded_to_json,
+        higgs_to_json,
+        lifting_to_json,
+        witt_tuple_to_json,
+    )
+    from hdflow.witt import LiftingInputTuple
+
+    def nilpotent_transform(seed):
+        higgs = random_nilpotent_higgs(random.Random(seed), 3, 2, curve="P1")
+        return flat_to_json(inverse_cartier_1(higgs))
+
+    def instance(p, rank, weight, seed, curve="P1"):
+        params = CorpusParams(p=p, rank=rank, weight=weight, count=1, seed=seed, curve=curve)
+        return generate(params)[0]
+
+    def mat(ring, rows):
+        """Rows of {exponent: coefficient} dicts."""
+        return RingMatrix(ring, [[LaurentPoly(ring, e) for e in row] for row in rows])
+
+    d = Zmod(3, 1)
+    line = AffineLine(d)
+    unipotent = GradedHiggsBundle(
+        (Bundle.free(line, 1), Bundle.free(line, 1)), ((mat(d, [[{0: 1}]]),),)
+    )
+
+    def supplied(step):
+        """Two steps of the A^1 unipotent object, each filtered by step."""
+        return {
+            "schema": "hdf/1",
+            "type": "flow_input",
+            "graded": graded_to_json(unipotent),
+            "filtrations": [{"steps": [step]}, {"steps": [step]}],
         }
-        for node in ast.walk(tree):
-            if isinstance(node, FUNCTION_NODES):
-                yield path, node, id(node) in methods
+
+    # O^4 written with t on the superdiagonal of its transition
+    g = RingMatrix.identity(d, 4)
+    for i in range(3):
+        g.rows[i][i + 1] = LaurentPoly.var(d)
+    unipotent_o4 = GradedHiggsBundle((Bundle(ProjectiveLine(d), 4, g),), ())
+    # ranks (2, 1) over Z/9 with a nonzero grading-comparison defect
+    ring, down = Zmod(3, 2), Zmod(3, 1)
+    comparison = LiftingInputTuple(
+        ring,
+        (2, 1),
+        (mat(ring, [[{-1: 6, 0: 1}], [{-1: 6, 0: 4}]]),),
+        mat(down, [[{}, {}, {2: 1}], [{}, {}, {2: 1}], [{}, {}, {}]]),
+        (mat(down, [[{0: 1}, {}], [{}, {0: 1}]]), mat(down, [[{2: 1}]])),
+    )
+    rng = random.Random(1)
+    higgs = random_nilpotent_higgs(rng, 3, 2, curve="P1")
+    semistable = instance(5, 2, 1, 2)
+    transform = flat_to_json(inverse_cartier_1(semistable.total()))
+    # a chart-1 connection that chart 0 does not force
+    disagreeing = copy.deepcopy(transform)
+    disagreeing["connection"][1][0][0] = [[0, 1]]
+    supplied_flow = ["flow", "run", "--policy", "supplied", "--steps", "2"]
+    runs = [
+        (["gen-corpus", "--p", "3", "--rank", "2", "--weight", "1", "--seed", "2"], None, 0),
+        (["gen-corpus", "--p", "3", "--rank", "1", "--weight", "0", "--curve", "A1"], None, 0),
+        (["flow", "run", "--steps", "3"], graded_to_json(semistable), 0),
+        (["flow", "run", "--steps", "2"], graded_to_json(instance(3, 1, 0, 2)), 0),
+        (
+            ["flow", "run", "--steps", "2", "--field-degree", "2"],
+            graded_to_json(instance(3, 2, 1, 1, "A1")),
+            0,
+        ),
+        (
+            ["flow", "run", "--steps", "2"],
+            graded_to_json(extend_graded(instance(3, 2, 1, 2), GF(3, 2))),
+            0,
+        ),
+        # the period search tries units of End(O^4)
+        (["flow", "run", "--steps", "1"], graded_to_json(unipotent_o4), 0),
+        (supplied_flow, supplied([[[]], [[[0, 1]]]]), 0),
+        # the same line spanned by 2 e_2, whose Smith form divides its lead
+        (supplied_flow, supplied([[[]], [[[0, 2]]]]), 0),
+        # three rows for a rank-2 object
+        (supplied_flow, supplied([[[]], [[[0, 1]]], [[]]]), 2),
+        (["cartier", "apply"], higgs_to_json(higgs), 0),
+        (
+            ["cartier", "apply"],
+            {
+                "schema": "hdf/1",
+                "type": "cartier_input",
+                "higgs": higgs_to_json(higgs),
+                "lifting": lifting_to_json(random_lifting(rng, higgs.bundle.curve)),
+            },
+            0,
+        ),
+        (["filtration", "compute"], transform, 0),
+        (["filtration", "compute"], disagreeing, 2),
+        # a transition that is not monomial, and a connection-unstable one
+        (["filtration", "compute"], nilpotent_transform(302), 0),
+        (["filtration", "compute"], nilpotent_transform(300), 1),
+        (["witt", "lift"], witt_tuple_to_json(random_witt_tuple(rng, 7, 3, (1, 2, 1, 1))), 0),
+        (["witt", "flow-step"], witt_tuple_to_json(comparison), 0),
+    ]
+    runs += [(["check", "--suite", suite, "--p", "3", "--seed", "1"], None, 0) for suite in SUITES]
+    return runs
 
 
-def test_every_function_is_used():
-    names, attributes = _references()
-    defined = {node.name for _, node, _ in _library_functions()}
-    assert sorted(set(ENTRY_POINTS) - defined) == []
-    unused = []
-    for path, node, is_method in _library_functions():
-        name = node.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        if _is_click_command(node) or name in ENTRY_POINTS:
-            continue
-        mentions = attributes.get(name, []) + ([] if is_method else names.get(name, []))
-        if all((path, node.lineno) in homes for homes in mentions):
-            unused.append("%s:%d %s" % (path.name, node.lineno, name))
-    assert unused == []
+def _system_sample():
+    """Run the system sample: every command of _cli_sample, then each
+    benchmark workload's set-up at seed 1 and the first and the last op of
+    each op kind with its check, as the benchmark's warm-up runs an op.
+    Returns the (path, first line, name) of every library code object it
+    entered.  The commands write their files into the working directory.
+
+    Runs in a fresh interpreter (see test_every_function_is_entered), so no
+    cache filled by an earlier test hides an entry, and bench/oracles.py is
+    imported under its own name, which tests/oracles.py also has.  The
+    library is imported here, not at the top of this file, because what its
+    import runs (decorators such as cli._guard) is part of the sample."""
+    from click.testing import CliRunner
+
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    @contextlib.contextmanager
+    def recording():
+        sys.setprofile(record)
+        try:
+            yield
+        finally:
+            sys.setprofile(None)
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    with recording():
+        from hdflow.cli import main
+        import workloads
+    from hdflow.errors import SearchBudgetExceeded
+    from hdflow.serialize import canonical_bytes
+
+    runs = _cli_sample()
+    with recording():
+        for args, doc, code in runs:
+            if doc is not None:
+                with open("input.json", "wb") as handle:
+                    handle.write(canonical_bytes(doc))
+                args = args + ["--input", "input.json"]
+            result = CliRunner().invoke(main, args + ["--out", "out.json"])
+            if result.exit_code != code:
+                raise AssertionError("%s exited %d: %s" % (args, result.exit_code, result.output))
+        for setup in workloads.WORKLOADS.values():
+            kinds = {}
+            for op in setup(1):
+                kinds.setdefault(op.kind, []).append(op)
+            for ops in kinds.values():
+                for op in ops[:1] + ops[1:][-1:]:
+                    try:
+                        op.check(op.fn(op.fresh_input()), True)
+                    except SearchBudgetExceeded:
+                        pass
+    sources = {str(path) for path in SOURCES}
+    return sorted(
+        (os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name)
+        for c in entered
+        if os.path.realpath(c.co_filename) in sources
+    )
+
+
+def test_every_function_is_entered(tmp_path):
+    """Every library function, method and nested function is entered by
+    the system sample, unless NOT_ENTERED names it; a named one that the
+    sample enters has to leave the list."""
+    env = dict(os.environ)
+    paths = [str(PACKAGE.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    proc = subprocess.run(
+        [sys.executable, __file__],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    definitions = _definitions()
+    entered = {definitions.get(tuple(key)) for key in json.loads(proc.stdout)}
+    names = set(definitions.values())
+    assert sorted(set(NOT_ENTERED) - names) == []
+    assert sorted(set(NOT_ENTERED) & entered) == []
+    missed = sorted(
+        name
+        for name in names - entered - set(NOT_ENTERED)
+        if not (name.rsplit(".", 1)[-1].startswith("__") and name.endswith("__"))
+    )
+    assert missed == []
 
 
 def _is_init_false(value):
@@ -238,7 +434,9 @@ def test_every_parameter_is_set():
     assert sorted(SET_BY_TESTS.keys() - defined) == []
     unset = []
     for path, label, callee, names, defaulted in _signatures():
-        if callee in ENTRY_POINTS or callee in values and callee not in classes:
+        if "%s.%s" % (path.stem, label) in NOT_ENTERED:
+            continue
+        if callee in values and callee not in classes:
             continue
         count, keywords = passed.get(callee, (0, set()))
         if None in keywords:
@@ -386,3 +584,7 @@ def test_every_oracle_is_used():
         reached |= new
         todo += new
     assert sorted(uses.keys() - reached) == []
+
+
+if __name__ == "__main__":
+    print(json.dumps(_system_sample()))

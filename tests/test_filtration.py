@@ -9,12 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hdflow import bundles, filtration
-from hdflow.bundles import (
-    Bundle,
-    FlatBundle,
-    HiggsBundle,
-    hn_filtration,
-)
+from hdflow.bundles import Bundle, HiggsBundle, hn_filtration
 from hdflow.cartier import inverse_cartier_1
 from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
@@ -42,8 +37,10 @@ from hdflow.serialize import matrix_to_json
 
 from oracles import (
     destabilizer_theta_closure,
+    flat_from_chart0,
     random_split_transition,
     random_unimodular_poly,
+    same_as,
     saturating_destabilizer_scan,
 )
 
@@ -78,14 +75,14 @@ def conjugated_trivial_flat(rng, curve, rank):
     """A trivial-type flat bundle presented in a random unimodular frame."""
     d = curve.domain
     E = Bundle.free(curve, rank)
-    flat = FlatBundle.from_chart0(E, RingMatrix.zeros(d, rank, rank))
+    flat = flat_from_chart0(E, RingMatrix.zeros(d, rank, rank))
     if not curve.is_projective:
         return flat
     Q = random_unimodular_poly(rng, d, rank, ops=3, max_deg=1)
     Qinv = Q.inverse()
     g_new = E.transition.mul(Q)
     A_new = Qinv.mul(flat.A[0]).mul(Q).add(Qinv.mul(Q.derivative()))
-    return FlatBundle.from_chart0(Bundle(curve, rank, g_new), A_new)
+    return flat_from_chart0(Bundle(curve, rank, g_new), A_new)
 
 
 # -- connection semistability ------------------------------------------------
@@ -94,7 +91,7 @@ def conjugated_trivial_flat(rng, curve, rank):
 def test_nabla_semistable_trivial():
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
-    flat = FlatBundle.from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
+    flat = flat_from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
     ok, witness = is_nabla_semistable(flat)
     assert ok and witness is None
 
@@ -103,7 +100,7 @@ def test_nabla_unstable_mixed_type_with_witness():
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
     V = Bundle.sum_of_lines(curve, (3, 0))
-    flat = FlatBundle.from_chart0(V, RingMatrix.zeros(d, 2, 2))
+    flat = flat_from_chart0(V, RingMatrix.zeros(d, 2, 2))
     ok, witness = is_nabla_semistable(flat)
     assert not ok
     assert witness.rank == 1 and witness.degree() == 3
@@ -123,14 +120,14 @@ def test_nabla_semistability_of_transforms():
 
 def test_nabla_semistable_affine_and_modulus_guard():
     d = Zmod(5, 1)
-    flat = FlatBundle.from_chart0(
+    flat = flat_from_chart0(
         Bundle.free(AffineLine(d), 2), RingMatrix.zeros(d, 2, 2)
     )
     ok, witness = is_nabla_semistable(flat)
     assert ok and witness is None
 
     W = Zmod(5, 2)
-    flatW = FlatBundle.from_chart0(
+    flatW = flat_from_chart0(
         Bundle.free(ProjectiveLine(W), 2), RingMatrix.zeros(W, 2, 2)
     )
     with pytest.raises(WrongModulus):
@@ -172,7 +169,7 @@ def test_single_grade_split_destabilizer():
     best = max_destabilizer_graded(G)
     assert best.mu_max == Fraction(1) and best.r_max == 1
     hn_top = hn_filtration(G.pieces[0])[0]
-    assert best.pieces[0].same_as(hn_top)
+    assert same_as(best.pieces[0], hn_top)
 
 
 def test_invariance_constrains_candidates():
@@ -253,7 +250,7 @@ def test_scan_budget_exhaustion():
     best = max_destabilizer_graded(G)
     assert (best.mu_max, best.r_max) == (3, 1)
     assert best.pieces[0].degree() == 3
-    assert best.pieces[0].same_as(hn_filtration(G.pieces[0])[0])
+    assert same_as(best.pieces[0], hn_filtration(G.pieces[0])[0])
     assert _report_bytes(is_higgs_semistable(G)[1]) == _report_bytes(best)
 
 
@@ -268,7 +265,7 @@ def test_destabilizer_deterministic():
     )
     assert a is not b
     assert a.mu_max == b.mu_max and a.r_max == b.r_max
-    assert a.pieces[0].same_as(b.pieces[0])
+    assert same_as(a.pieces[0], b.pieces[0])
 
 
 def test_each_graded_object_is_decided_once(monkeypatch):
@@ -345,7 +342,7 @@ def test_line_pieces_are_read_off_their_degree(monkeypatch):
 def test_simpson_trivial_on_semistable_bundle():
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
-    flat = FlatBundle.from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
+    flat = flat_from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
     fil, log = simpson_filtration(flat)
     assert fil.level == 0 and log == ()
     ok, _ = is_higgs_semistable(grade(flat, fil).graded)
@@ -356,7 +353,7 @@ def test_simpson_refuses_mixed_type_with_witness():
     d = Zmod(3, 1)
     curve = ProjectiveLine(d)
     V = Bundle.sum_of_lines(curve, (0, 3))
-    flat = FlatBundle.from_chart0(V, RingMatrix.zeros(d, 2, 2))
+    flat = flat_from_chart0(V, RingMatrix.zeros(d, 2, 2))
     with pytest.raises(NotNablaSemistable) as err:
         simpson_filtration(flat)
     assert err.value.witness is not None
@@ -381,7 +378,7 @@ def test_simpson_on_transform_of_semistable_input():
 
 def test_simpson_affine():
     d = Zmod(5, 1)
-    flat = FlatBundle.from_chart0(
+    flat = flat_from_chart0(
         Bundle.free(AffineLine(d), 2), RingMatrix.zeros(d, 2, 2)
     )
     fil, log = simpson_filtration(flat)
@@ -415,7 +412,7 @@ def test_simpson_refuses_a_destabilized_trivial_grading(monkeypatch):
     curve = ProjectiveLine(d)
     report = max_destabilizer_graded(one_grade(Bundle.sum_of_lines(curve, (1, 0))))
     monkeypatch.setattr(filtration, "_top_destabilizer", lambda *args, **kw: report)
-    flat = FlatBundle.from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
+    flat = flat_from_chart0(Bundle.free(curve, 2), RingMatrix.zeros(d, 2, 2))
     with pytest.raises(CertificateFailed) as err:
         simpson_filtration(flat)
     assert err.value.part == "simpson-trivial"

@@ -45,7 +45,7 @@ from hdflow.serialize import (
 )
 from hdflow.witt import LiftingInputTuple
 
-from oracles import random_laurent, random_split_transition
+from oracles import filtrations_equal, random_laurent, random_split_transition
 
 
 # -- canonical encoding, frozen by hand --------------------------------------
@@ -360,7 +360,7 @@ def test_filtration_roundtrip_on_transform():
     fil, _ = simpson_filtration(flat)
     doc = filtration_to_json(fil)
     back = filtration_from_json(flat.bundle, doc)
-    assert back == fil
+    assert filtrations_equal(back, fil)
 
 
 def test_filtration_rejects_wrong_ambient_rank():

@@ -54,6 +54,7 @@ from oracles import (
     laurent_power,
     leibniz_check,
     level_at_most,
+    modulus_power,
     perturbed_construct,
     random_flag_frame,
     random_poly,
@@ -837,7 +838,7 @@ def _live_gamma_terms(tw):
     one, ident = LaurentPoly.one(ring), RingMatrix.identity(ring, tw.rank)
     return [
         j
-        for j in range(p, truncation_bound(p, tw.n))
+        for j in range(p, truncation_bound(p, modulus_power(tw)))
         if taylor_coefficient(ring, j)
         and not tw.gamma(j + 1 - p, [one] * j, ident).is_zero()
     ]
