@@ -126,7 +126,9 @@ def _definitions():
 
 def _cli_sample():
     """(arguments, input document or None, exit code) of every command on
-    fixed inputs.  Building the inputs is not part of the sample."""
+    fixed inputs.  Building the inputs is not part of the sample.  They are
+    built here, not taken from the other test modules, because those import
+    tests/oracles.py, whose module name bench/oracles.py shares."""
     from hdflow.cartier import inverse_cartier_1
     from hdflow.bundles import Bundle
     from hdflow.cli import SUITES
