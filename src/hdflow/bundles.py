@@ -205,7 +205,7 @@ class Bundle:
         if self._split is None:
             if not self.curve.is_projective:
                 raise ValueError("splitting data only exists on the projective line")
-            fact = birkhoff_factorize(self.transition)
+            fact = birkhoff_factorize(self.transition, self._det)
             self._split = SplitFrames(self, fact)
         return self._split
 

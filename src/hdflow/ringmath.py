@@ -13,8 +13,9 @@ Conventions fixed here and relied on everywhere else:
     coefficient is reduced (a least residue for Z/p^m).  LaurentPoly's
     constructor enforces this; LaurentPoly._trusted skips the check.  Its
     callers (LaurentPoly add, mul, neg, shift and derivative, and
-    RingMatrix.mul) build only reduced nonzero coefficients: the domains'
-    poly_add and poly_dot reduce every sum they store and drop zeros.
+    _products) build only reduced nonzero coefficients: the domains'
+    poly_add and poly_dot, and _products' unpacking, reduce every sum they
+    store and drop zeros.  Nothing reads the order of a coefficient dict.
   * A unit of Z/p^m[t, 1/t] is (unit coefficient) * t^e plus p-nilpotent
     junk; inversion uses the finite geometric series.
   * A constant linear system is a list of sparse rows {column: entry} of
@@ -27,10 +28,29 @@ Conventions fixed here and relied on everywhere else:
     Q is unimodular over polynomials in t.  The exponent list is the splitting
     type of the transition matrix G and sum(a) = -(exponent of det G).  A
     monomial G splits in closed form, with Q^-1 certified by Q Q^-1 = I.
+  * RingMatrix.mul, witt's divided step and _substitute's composites are
+    _products.  Over Z/p^m, when operands of ta and tb terms in all give
+    ta tb >= PACK_PAIRS n k m (an n x k by k x m product), it multiplies by
+    Kronecker substitution: each operand entry is packed once, through
+    array in sys.byteorder, into an int of w-bit slots (w = 32 or 64),
+    coefficient e in slot e - (lowest exponent); an output entry is the sum
+    of its packed products shifted to its lowest exponent, times h when
+    given, unpacked once and reduced mod p^m, zeros dropped, ascending.
+    Slot bound, N = p^m: slot s of an entry sums f_u g_v, u + v = s, over
+    its k pairs (f, g) of residues in [0, N-1].  In one pair u fixes v, so
+    at most min(|f|, |g|) products land there, over all pairs at most
+    min(ta, tb), each at most (N-1)^2: the slot holds at most
+    B = (N-1)^2 min(ta, tb), and h multiplies B by at most |h| (N-1).  The
+    divided step's derivative is the pair (1, dX/dt), counted in ta and tb.
+    When B < 2^w no slot carries into the next, so the slots are the exact
+    coefficients; B >= 2^64 (p^m may reach 2^64) takes poly_dot, as does
+    F_{p^f}.
 """
 
 import itertools
 import random
+import sys
+from array import array
 
 from .errors import (
     CertificateFailed, NoSolution, NonInvertible, NotDivisible, SearchBudgetExceeded,
@@ -578,10 +598,82 @@ class LaurentPoly:
         return LaurentPoly(target, dict(self.coeffs))
 
 
+# packing gate: coefficient pairs per output entry, on average (see above)
+PACK_PAIRS = 64
+_SLOT_CODES = {array(code).itemsize: code for code in "QLI"}
+_BIG_ENDIAN = sys.byteorder == "big"
+_chain = itertools.chain.from_iterable
+
+
+def _pack(f, code):
+    """(lowest exponent e0, int) of a nonzero coefficient dict, coefficient
+    e in slot e - e0, slots the width of the array typecode."""
+    if len(f) == 1:
+        (term,) = f.items()
+        return term
+    lo = min(f)
+    dense = [0] * (max(f) - lo + 1)
+    for e, c in f.items():
+        dense[e - lo] = c
+    dense = array(code, dense)
+    if _BIG_ENDIAN:
+        dense.byteswap()
+    return lo, int.from_bytes(dense.tobytes(), "little")
+
+
+def _products(d, rows, cols, h=None):
+    """Rows of the Laurent polynomials h * sum_k f_k g_k (h = 1 when None)
+    of each sparse row [(k, f_k)], f_k nonzero, against each column
+    [g_0, g_1, ...] of coefficient dicts: on packed slots when the module
+    docstring's gate and slot bound allow, else one poly_dot an entry."""
+    zero, trusted = LaurentPoly._trusted(d, {}), LaurentPoly._trusted
+    size = 0
+    if cols and isinstance(d, Zmod) and h != {}:
+        ta = sum([len(f) for row in rows for _, f in row])
+        tb = sum(map(len, _chain(cols)))
+        if ta * tb >= PACK_PAIRS * len(rows) * len(cols) * len(cols[0]):
+            bound = (d.modulus - 1) ** 2 * min(ta, tb)
+            if h is not None:
+                bound *= (d.modulus - 1) * len(h)
+            size = 4 if bound >> 32 == 0 else 8 if bound >> 64 == 0 else 0
+    if not size:
+        dot, out = d.poly_dot, []
+        for row in rows:
+            new = []
+            for col in cols:
+                pairs = [(f, col[k]) for k, f in row if col[k]]
+                if h is not None:
+                    pairs = ((dot(pairs), h),)
+                new.append(trusted(d, dot(pairs)) if pairs else zero)
+            out.append(new)
+        return out
+    code, bits, mod = _SLOT_CODES[size], 8 * size, d.modulus
+    lh, ph = _pack(h, code) if h else (0, 1)
+    cols = [[_pack(g, code) if g else None for g in col] for col in cols]
+    out = []
+    for row in rows:
+        row = [(k, _pack(f, code)) for k, f in row]
+        new = []
+        for col in cols:
+            terms = [(la + col[k][0], pa * col[k][1]) for k, (la, pa) in row if col[k]]
+            if not terms:
+                new.append(zero)
+                continue
+            lo = min(e for e, _ in terms)
+            acc = sum([p << bits * (e - lo) for e, p in terms]) * ph
+            slots = array(code, acc.to_bytes(-(-acc.bit_length() // bits) * size, "little"))
+            if _BIG_ENDIAN:
+                slots.byteswap()
+            new.append(trusted(d, {e: c % mod for e, c in enumerate(slots, lo + lh) if c % mod}))
+        out.append(new)
+    return out
+
+
 def _substitute(polys, image):
     """Compose each polynomial with image through one table of the powers
     image^e, built by repeated multiplication out to the extreme exponents
-    (by the inverse unit for negative e); each composite is one poly_dot."""
+    (by the inverse unit for negative e); the composites sum_e c_e image^e
+    are one _products of the coefficient rows against the table."""
     d = image.domain
     exps = [e for f in polys for e in f.coeffs]
     table = {0: {0: d.one}}
@@ -591,12 +683,10 @@ def _substitute(polys, image):
             power = table[0]
             for e in range(1, top + 1):
                 power = table[sign * e] = d.poly_dot(((power, step),))
-    return [
-        LaurentPoly._trusted(
-            d, d.poly_dot([({0: c}, table[e]) for e, c in f.coeffs.items()])
-        )
-        for f in polys
-    ]
+    low = min(table)
+    rows = [[(e - low, {0: c}) for e, c in f.coeffs.items()] for f in polys]
+    column = [table[e] for e in range(low, max(table) + 1)]
+    return [new[0] for new in _products(d, rows, [column])]
 
 
 def random_poly(rng, ring, max_deg):
@@ -758,18 +848,9 @@ class RingMatrix:
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %r * %r" % (self, other))
-        d = self.domain
-        zero, trusted = LaurentPoly.zero(d), LaurentPoly._trusted
+        rows = [[(k, a.coeffs) for k, a in enumerate(row) if a.coeffs] for row in self.rows]
         cols = [[e.coeffs for e in col] for col in zip(*other.rows)]
-        out = []
-        for row in self.rows:
-            row = [(k, a.coeffs) for k, a in enumerate(row) if a.coeffs]
-            new = []
-            for col in cols:
-                pairs = [(a, col[k]) for k, a in row if col[k]]
-                new.append(trusted(d, d.poly_dot(pairs)) if pairs else zero)
-            out.append(new)
-        return RingMatrix._trusted(d, out)
+        return RingMatrix._trusted(self.domain, _products(self.domain, rows, cols))
 
     def scale(self, poly):
         return self.map_entries(lambda e: e.mul(poly))
@@ -1488,10 +1569,11 @@ def _eliminate(G, det):
     return Pcols, vals, [[e.shift(-v) for e in row] for row, v in zip(M.rows, vals)]
 
 
-def birkhoff_factorize(G):
+def birkhoff_factorize(G, det=None):
     """Factor an invertible Laurent matrix over a field; exact and verified by
     re-multiplication before returning.  Raises NonInvertible unless det(G)
-    is a unit monomial.
+    is a unit monomial.  det is G's determinant when the caller already
+    holds it (a Bundle keeps its transition's); None expands it.
 
     Method: strip each row's t-valuation; if the matrix of constant terms of
     the stripped rows is invertible over F we are done.  Otherwise a left
@@ -1513,7 +1595,8 @@ def birkhoff_factorize(G):
     n = G.nrows
     if n != G.ncols:
         raise NonInvertible("matrix is not square")
-    det = G.det()
+    if det is None:
+        det = G.det()
     if len(det.coeffs) != 1:
         raise NonInvertible("determinant %r is not a unit monomial" % det)
 

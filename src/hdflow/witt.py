@@ -39,6 +39,7 @@ from .ringmath import (
     RingMatrix,
     WindowSystem,
     Zmod,
+    _products,
     _substitute,
     block_starts,
     random_poly,
@@ -109,21 +110,14 @@ class PConnectionModule:
 
 
 def _divided_step(A, h, X):
-    """h (dX/dt + A X): for each entry, the pairs of A X and the pair
-    (1, d/dt of the entry) summed in one poly_dot, then one product with h."""
-    d = A.domain
-    one, h = {0: d.one}, h.coeffs
-    cols = [[e.coeffs for e in col] for col in zip(*X.rows)]
-    out = []
-    for arow, xrow in zip(A.rows, X.rows):
-        arow = [(k, a.coeffs) for k, a in enumerate(arow) if a.coeffs]
-        new = []
-        for col, x in zip(cols, xrow):
-            pairs = [(a, col[k]) for k, a in arow if col[k]]
-            pairs.append((one, d.poly_derivative(x.coeffs)))
-            new.append(LaurentPoly._trusted(d, d.poly_dot(((d.poly_dot(pairs), h),))))
-        out.append(new)
-    return RingMatrix._trusted(d, out)
+    """h (dX/dt + A X): one _products of the rows of [A | I] against the
+    columns of [X; dX/dt], each entry times h."""
+    d, k, one = A.domain, A.ncols, {0: A.domain.one}
+    rows = [[(j, a.coeffs) for j, a in enumerate(arow) if a.coeffs] + [(k + i, one)]
+            for i, arow in enumerate(A.rows)]
+    cols = [[e.coeffs for e in col] + [d.poly_derivative(e.coeffs) for e in col]
+            for col in zip(*X.rows)]
+    return RingMatrix._trusted(d, _products(d, rows, cols, h.coeffs))
 
 
 def _live_parts(ranks, X):
@@ -194,8 +188,8 @@ def gamma_apply(A, ranks, m, hs, X):
     vanishes mod p^n in every row and is never propagated (nor could it
     fail the slot certificate, its exponent being at least n on every row
     grade); when the top grade is below p - n the operator is zero.  Each
-    step is _divided_step: one poly_dot and one reduction per entry for the
-    sum, then one product with h.
+    step is _divided_step: one _products of [A | I] against [X; dX/dt],
+    times h, reduced once per entry.
     """
     ring = A.domain
     if len(hs) != ring.p - 1 + m:

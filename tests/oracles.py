@@ -7,8 +7,11 @@ library outputs against claims of the paper that the system itself never
 certifies, so only the tests call them.
 """
 
+import collections
 import itertools
 import random
+import sys
+from array import array
 from fractions import Fraction
 from math import ceil, floor
 
@@ -1567,3 +1570,21 @@ def horizontal_transport(flat, cols_a, cols_b):
     if not flat.covariant_derivative(U).sub(U.mul(flat.A[0])).is_zero():
         return None
     return U
+
+
+def spy_packed_products(monkeypatch):
+    """Count, by slot width in bytes, the operands each caller of
+    ringmath._products packs: {(caller name, width): operands}.  A caller
+    absent from the counts multiplied every product pair by pair."""
+    packed = collections.Counter()
+    pack = ringmath._pack
+
+    def spy(f, code):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "_products":
+            frame = frame.f_back
+        packed[frame.f_back.f_code.co_name, array(code).itemsize] += 1
+        return pack(f, code)
+
+    monkeypatch.setattr(ringmath, "_pack", spy)
+    return packed

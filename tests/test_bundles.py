@@ -17,7 +17,7 @@ from hdflow.bundles import (
 from hdflow.corpus import CorpusParams, _random_unimodular, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import ExponentTooLarge, NonInvertible
-from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
+from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod, birkhoff_factorize
 
 import oracles
 
@@ -438,6 +438,29 @@ def test_splitting_type_and_degree_match_the_factoring_oracle():
             E, twin = Bundle(X, rank, g), Bundle(X, rank, g)
             assert E.degree() == oracles.expanded_degree(twin)
             assert E.splitting_type() == oracles.factored_splitting_type(twin)
+
+
+def test_split_data_expands_no_determinant_of_the_transition(monkeypatch):
+    # split_data hands birkhoff_factorize the determinant the bundle keeps,
+    # so factoring a sum of lines (closed form) or a framed g U (eliminated)
+    # expands no det of the transition; the det calls left are the
+    # certificate det P.  birkhoff_factorize(G) alone still expands det G.
+    rng = random.Random(34)
+    d = Zmod(5, 1)
+    X = ProjectiveLine(d)
+    bundles = []
+    for rank in (2, 3):
+        g = Bundle.sum_of_lines(X, [rng.randint(-6, 6) for _ in range(rank)]).transition
+        bundles += [Bundle(X, rank, g), Bundle(X, rank, g.mul(_random_unimodular(rng, d, rank)))]
+    expanded = []
+    det = RingMatrix.det
+    monkeypatch.setattr(RingMatrix, "det", lambda M: expanded.append(M) or det(M))
+    split = [E.split_data() for E in bundles]
+    assert len(expanded) == len(bundles)
+    assert not any(M is E.transition for M in expanded for E in bundles)
+    for E, frames in zip(bundles, split):
+        assert birkhoff_factorize(E.transition).exponents == frames.exponents
+    assert sum(M is E.transition for M in expanded for E in bundles) == len(bundles)
 
 
 def test_line_bundle_splitting_type_keeps_its_errors():

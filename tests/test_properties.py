@@ -104,12 +104,14 @@ def test_mul_and_add_match_the_schoolbook_loop(data):
 
 @settings(deadline=None, max_examples=40)
 @given(
-    wide_polys(36, max_terms=8, rings=WITT_RINGS + FIELDS),
+    wide_polys(36, max_terms=40, rings=WITT_RINGS + FIELDS),
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=3),
 )
 def test_matrix_product_entries_match_the_schoolbook_loop(data, n, k, m):
+    # up to 40 terms an entry: products land on both sides of the packing
+    # gate, and over Z/p^m the large ones multiply on packed slots
     ring, *polys = data
     A = RingMatrix(ring, [polys[i * k : (i + 1) * k] for i in range(n)])
     B = RingMatrix(ring, [polys[18 + j * m : 18 + (j + 1) * m] for j in range(k)])

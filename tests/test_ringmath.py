@@ -280,17 +280,22 @@ def _substitution_images(rng, d):
     return images
 
 
-def test_substitute_matches_binary_power_oracle():
+def test_substitute_matches_binary_power_oracle(monkeypatch):
     # entries with negative exponents and gaps, the zero matrix, and every
     # image kind of the library: Frobenius lifts, the chart change t -> 1/t
-    # and Laurent units
+    # and Laurent units; entries on -3..4 stay below the packing gate, and
+    # entries on -6..8 over Z/p^m pass it
+    packed = oracles.spy_packed_products(monkeypatch)
     rng = random.Random(61)
-    for d in (Zmod(3, 2), Zmod(5, 3), Zmod(7, 1), GF(3, 2)):
+    cases = [(d, -3, 4) for d in (Zmod(3, 2), Zmod(5, 3), Zmod(7, 1), GF(3, 2))]
+    cases += [(Zmod(5, 3), -6, 8), (Zmod(7, 2), -6, 8)]
+    for d, lo, hi in cases:
+        assert hi == 8 or not packed
         for image in _substitution_images(rng, d):
             M = RingMatrix(
                 d,
                 [
-                    [oracles.random_laurent(rng, d, -3, 4) for _ in range(3)]
+                    [oracles.random_laurent(rng, d, lo, hi) for _ in range(3)]
                     for _ in range(2)
                 ],
             )
@@ -303,6 +308,60 @@ def test_substitute_matches_binary_power_oracle():
                     assert _substitute([e], image)[0] == w
             Z = RingMatrix.zeros(d, 2, 3)
             assert Z.substitute(image) == Z
+    assert packed["_substitute", 4]
+
+
+def _schoolbook_product(A, B):
+    rows = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            want = LaurentPoly.zero(A.domain)
+            for k in range(A.ncols):
+                term = oracles.schoolbook_mul(A.rows[i][k], B.rows[k][j])
+                want = oracles.schoolbook_add(want, term)
+            row.append(want)
+        rows.append(row)
+    return rows
+
+
+def test_packed_products_at_the_slot_edges(monkeypatch):
+    # Z/5^3 packs 4-byte slots; over Z/65521 one product of residues needs
+    # 32 bits, so it packs 8-byte ones; p^m = 65521^4 is near 2^64 and
+    # multiplies pair by pair.  Entries run from t^-20, some are zero, and
+    # entry (0, 0) cancels to zero: f0 f1 + f1 (-f0).
+    packed = oracles.spy_packed_products(monkeypatch)
+    rng = random.Random(34)
+    for d, width in ((Zmod(5, 3), 4), (Zmod(65521, 1), 8), (Zmod(65521, 4), None)):
+        packed.clear()
+        zero, top = LaurentPoly.zero(d), d.modulus - 1
+        f = [oracles.random_laurent(rng, d, -20, 10) for _ in range(5)]
+        f[4] = LaurentPoly(d, {e: top for e in range(-20, 11)})
+        A = RingMatrix(d, [[f[0], f[1], zero], [f[2], f[3], f[4]]])
+        B = RingMatrix(d, [[f[1], f[4]], [f[0].neg(), f[3]], [f[2], f[4]]])
+        C = A.mul(B)
+        assert C.rows[0][0].is_zero() and not C.rows[1][0].is_zero()
+        for got_row, want_row in zip(C.rows, _schoolbook_product(A, B)):
+            for got, want in zip(got_row, want_row):
+                assert got.coeffs == want.coeffs
+                assert list(got.coeffs) == sorted(got.coeffs) or width is None
+        # the divided step h (dX/dt + A X), with h starting at t^-3
+        h = LaurentPoly(d, {-3: top, -1: 2, 4: top})
+        A2 = A.submatrix([0, 1], [0, 1])
+        X = B.submatrix([0, 1], [0, 1])
+        got = witt._divided_step(A2, h, X)
+        for i in range(2):
+            for j in range(2):
+                want = oracles.schoolbook_add(
+                    oracles.schoolbook_mul(A2.rows[i][0], X.rows[0][j]),
+                    oracles.schoolbook_mul(A2.rows[i][1], X.rows[1][j]),
+                )
+                want = oracles.schoolbook_add(want, oracles.schoolbook_derivative(X.rows[i][j]))
+                assert got.rows[i][j].coeffs == oracles.schoolbook_mul(h, want).coeffs
+        if width is None:
+            assert not packed
+        else:
+            assert set(packed) == {("mul", width), ("_divided_step", width)}
 
 
 def test_laurent_lift_and_reduce_roundtrip():

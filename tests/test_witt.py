@@ -59,6 +59,7 @@ from oracles import (
     random_flag_frame,
     random_poly,
     random_unimodular_poly,
+    spy_packed_products,
     uncached_adapted_dr_matrix,
     uncached_taylor_transition,
     unfused_gamma_apply,
@@ -618,14 +619,14 @@ def _graded_shapes(max_rank, max_weight):
     return out
 
 
-def _random_one_step_lower(rng, ring, ranks):
+def _random_one_step_lower(rng, ring, ranks, degree=1):
     """Random connection matrix whose blocks drop at most one grade."""
     grade = [g for g, r in enumerate(ranks) for _ in range(r)]
     return RingMatrix(
         ring,
         [
             [
-                random_poly(rng, ring, 1) if gi >= gj - 1 else LaurentPoly.zero(ring)
+                random_poly(rng, ring, degree) if gi >= gj - 1 else LaurentPoly.zero(ring)
                 for gj in grade
             ]
             for gi in grade
@@ -673,7 +674,8 @@ def _gamma_outcome(apply, A, ranks, m, hs, X):
         return err.part
 
 
-def test_fused_divided_operator_matches_unfused_oracle():
+def test_fused_divided_operator_matches_unfused_oracle(monkeypatch):
+    packed = spy_packed_products(monkeypatch)
     rng = random.Random(61)
     below = escaped = 0
     for p in (3, 5, 7):
@@ -704,6 +706,17 @@ def test_fused_divided_operator_matches_unfused_oracle():
     assert _gamma_outcome(gamma_apply, *args) == "gamma"
     assert _gamma_outcome(unfused_gamma_apply, *args) == "gamma"
     assert below > 0 and escaped > 0
+    assert not packed
+    # dense entries of degree 6 at n = 3: the steps multiply on packed slots
+    for p in (5, 7):
+        ring = Zmod(p, 3)
+        ranks = (1,) * (p - 3) + (2,)
+        A = _random_one_step_lower(rng, ring, ranks, degree=6)
+        X = RingMatrix(ring, [[random_poly(rng, ring, 6)] for _ in range(sum(ranks))])
+        hs = [random_poly(rng, ring, 2) for _ in range(p)]
+        got = gamma_apply(A, ranks, 1, hs, X)
+        assert got == unfused_gamma_apply(A, ranks, 1, hs, X) and not got.is_zero()
+    assert packed["_divided_step", 4]
 
 
 def test_escaped_slot_certificate_fires_with_and_without_pruning():
@@ -844,7 +857,8 @@ def _live_gamma_terms(tw):
     ]
 
 
-def test_taylor_transition_matches_uncached_oracle():
+def test_taylor_transition_matches_uncached_oracle(monkeypatch):
+    packed = spy_packed_products(monkeypatch)
     live = 0
     for (p, n), shapes in TAYLOR_SHAPES.items():
         for ranks in shapes:
@@ -862,7 +876,7 @@ def test_taylor_transition_matches_uncached_oracle():
                 want = uncached_taylor_transition(tw, lifts[a], lifts[b])
                 assert got == want, (p, n, ranks, a, b)
             live += bool(_live_gamma_terms(tw))
-    assert live > 0
+    assert live > 0 and packed["_divided_step", 4]
 
 
 def test_taylor_transition_is_horizontal_between_the_pullbacks():
