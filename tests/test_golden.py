@@ -35,7 +35,14 @@ from hdflow.corpus import (
     random_nilpotent_higgs,
     random_witt_tuple,
 )
-from hdflow.bundles import Bundle, HiggsBundle, Subbundle, chart1_map, hn_filtration
+from hdflow.bundles import (
+    Bundle,
+    HiggsBundle,
+    Subbundle,
+    chart1_form,
+    chart1_map,
+    hn_filtration,
+)
 from hdflow.cartier import inverse_cartier_1
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.filtration import is_higgs_semistable, max_destabilizer_graded
@@ -87,6 +94,8 @@ from oracles import (
     horizontal_transport,
     perturbed_construct,
     random_flag_frame,
+    random_laurent,
+    random_split_transition,
 )
 
 
@@ -773,7 +782,51 @@ def _monomial_split_bytes():
     return canonical_bytes(doc)
 
 
+def _destabilizer_frames_bytes():
+    """Maximal destabilizers (both chart bases of every piece, slope and
+    rank) of unstable graded objects at p = 5, 7 and over F_9 whose top
+    piece is a line bundle c t^-a with c != 1 (under a nonzero connecting
+    map), a rank-2 piece of type (a, b) in seeded non-monomial frames
+    beside such a line, or a rank-3 piece of type (a, a, b); and the split
+    frames of one line bundle over F_9."""
+    rng = random.Random(35)
+    doc = []
+    for F, c, (a, b), (a2, b2), (a3, b3) in (
+        (Zmod(5), 2, (2, -2), (3, -1), (1, -2)),
+        (Zmod(7), 3, (3, -1), (2, 0), (0, -3)),
+        (GF(3, 2), (2, 1), (1, -3), (1, -2), (2, 0)),
+    ):
+        X = ProjectiveLine(F)
+
+        def line(deg, coeff=c):
+            return Bundle(X, 1, RingMatrix(F, [[LaurentPoly.monomial(F, coeff, -deg)]]))
+
+        top, low = line(a), Bundle.sum_of_lines(X, (b,))
+        M0 = RingMatrix(F, [[random_laurent(rng, F, 0, a - b - 2)]])
+        E2 = Bundle(X, 2, random_split_transition(rng, F, [a2, b2]))
+        E3 = Bundle(X, 3, random_split_transition(rng, F, [a3, a3, b3]))
+        objects = [
+            GradedHiggsBundle((top, low), ((M0, chart1_form(M0, low, top)),)),
+            GradedHiggsBundle((E2, line(a2)), ((RingMatrix.zeros(F, 2, 1),) * 2,)),
+            GradedHiggsBundle((E3, line(b3)), ((RingMatrix.zeros(F, 3, 1),) * 2,)),
+        ]
+        for G in objects:
+            rep = max_destabilizer_graded(G.validate())
+            pieces = [
+                None if S is None else [matrix_to_json(B) for B in S.basis]
+                for S in rep.pieces
+            ]
+            doc.append([pieces, str(rep.mu_max), rep.r_max])
+    d9 = GF(3, 2)
+    G = RingMatrix(d9, [[LaurentPoly.monomial(d9, (2, 1), 2)]])
+    sd = Bundle(ProjectiveLine(d9), 1, G).split_data()
+    frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, sd.Phat)]
+    doc.append([sd.exponents] + frames + [matrix_to_json(birkhoff_factorize(G).P)])
+    return canonical_bytes(doc)
+
+
 LIBRARY_CASES = {
+    "destabilizer-frames": _destabilizer_frames_bytes,
     "monomial-split": _monomial_split_bytes,
     "semistability-decisions": _semistability_decisions_bytes,
     "inverse-layer": _inverse_layer_bytes,
@@ -793,6 +846,7 @@ LIBRARY_CASES = {
 }
 
 LIBRARY_DIGESTS = {
+    "destabilizer-frames": "51c042104b866a9499c32150241b187b3437e2f46304e0040702b34c4bf3a6e9",
     "monomial-split": "e331e2b0186cbffba0d0b9d579270658f3cff01a8ded4981200052247ec9fdfc",
     "semistability-decisions": "61770d6ac73ddebf94c3c405822c11818e97da734c297a4d82b911f07d7401d5",
     "inverse-layer": "723c87e036bd46017f4456222c0cd8892bffbb32c7daea3de4c07b34d69ab949",
