@@ -432,7 +432,8 @@ def full_subbundle(bundle):
 def hn_filtration(bundle):
     """Harder-Narasimhan filtration of a plain bundle on P^1, computed from
     the splitting frames: 0 < E_1 < ... < E_k = E with strictly decreasing
-    slopes, each step a sum of equal-degree line bundles."""
+    slopes, each step a sum of equal-degree line bundles, saturated from
+    the leading columns of Qinv and Phat as read."""
     sd = bundle.split_data()
     exps = sd.exponents
     steps = []
@@ -444,8 +445,7 @@ def hn_filtration(bundle):
         if cut == len(exps):
             steps.append(full_subbundle(bundle))
             break
-        sel = RingMatrix.identity(bundle.domain, bundle.rank).columns(range(cut))
-        B0 = saturation_basis(_clear_denominators(sd.Qinv.mul(sel)))
-        B1 = saturation_basis(_clear_denominators(sd.Phat.mul(sel)))
+        B0 = saturation_basis(_clear_denominators(sd.Qinv.columns(range(cut))))
+        B1 = saturation_basis(_clear_denominators(sd.Phat.columns(range(cut))))
         steps.append(Subbundle(bundle, (B0, B1)))
     return steps

@@ -11,7 +11,8 @@ flat bundle the top split summand is invariant under every connection, so
 connection-semistable means a constant splitting type, and Simpson's
 filtration on the line is the trivial one.  On A^1 every slope is zero.
 Line-bundle pieces are read off their degree: a piece of rank one is
-factored only when _top_part reads its frame.
+split only when _top_part reads its frame, and then in closed form.  Top
+parts are the leading columns of the split frames, read, not multiplied out.
 Each graded object is decided once and keeps its report (None if semistable).
 """
 
@@ -26,7 +27,6 @@ from .errors import (
     WrongModulus,
 )
 from .graded import HodgeFiltration, _Undecided, grade
-from .ringmath import RingMatrix
 
 
 @dataclass
@@ -53,8 +53,7 @@ def _top_part(P, tp, a):
     if k > 1:
         return hn_filtration(P)[0]
     sd = P.split_data()
-    e0 = RingMatrix.identity(P.domain, P.rank).columns(range(1))
-    return Subbundle(P, (sd.Qinv.mul(e0), sd.Phat.mul(e0)))
+    return Subbundle(P, (sd.Qinv.columns(range(1)), sd.Phat.columns(range(1))))
 
 
 def _top_destabilizer(G):

@@ -27,7 +27,8 @@ Conventions fixed here and relied on everywhere else:
     and a_1 >= ... >= a_r, where P is unimodular over polynomials in 1/t and
     Q is unimodular over polynomials in t.  The exponent list is the splitting
     type of the transition matrix G and sum(a) = -(exponent of det G).  A
-    monomial G splits in closed form, with Q^-1 certified by Q Q^-1 = I.
+    monomial G splits in closed form, with Q^-1 certified by Q Q^-1 = I; a
+    1 x 1 G = c t^e is its own split, certified by two scalar identities.
   * RingMatrix.mul, witt's divided step and _substitute's composites are
     _products.  Over Z/p^m, when operands of ta and tb terms in all give
     ta tb >= PACK_PAIRS n k m (an n x k by k x m product), it multiplies by
@@ -1587,7 +1588,10 @@ def birkhoff_factorize(G, det=None):
     A monomial G (one nonzero c t^e in every row and column) is already
     split: a = -e, P a permutation, Q constant and Qinv its transposed
     pattern of inverses, certified by Q Qinv = I instead of the minor table.
-    Every other certificate runs on both paths.
+    Every other certificate runs on both paths.  A 1 x 1 G = c t^e returns
+    these values directly: P = [1] and Q = [c] are polynomials in 1/t and
+    in t with unit determinants as written, so only the entry = c t^e (the
+    re-multiplication) and c c^-1 = 1 (Q Qinv = I) are checked, as scalars.
     """
     d = G.domain
     if not d.is_field:
@@ -1599,6 +1603,17 @@ def birkhoff_factorize(G, det=None):
         det = G.det()
     if len(det.coeffs) != 1:
         raise NonInvertible("determinant %r is not a unit monomial" % det)
+    if n == 1:
+        (e, c), = det.coeffs.items()
+        if G.rows[0][0].coeffs != {e: c}:
+            raise NonInvertible("birkhoff re-multiplication check failed")
+        cinv = d.inv(c)
+        if d.mul(c, cinv) != d.one:
+            raise NonInvertible("factor is not unimodular")
+        P, Q, Qinv = (
+            RingMatrix._trusted(d, [[LaurentPoly._trusted(d, {0: x})]]) for x in (d.one, c, cinv)
+        )
+        return BirkhoffFactorization(P, [-e], Q, Qinv, d)
 
     split = _monomial_split(G)
     Pcols, vals, Qrows = split or _eliminate(G, det)

@@ -32,7 +32,14 @@ from hdflow.graded import (
     GradedHiggsBundle,
     grade,
 )
-from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
+from hdflow.ringmath import (
+    GF,
+    BirkhoffFactorization,
+    LaurentPoly,
+    RingMatrix,
+    Zmod,
+    saturation_basis,
+)
 from hdflow.serialize import matrix_to_json
 
 from oracles import (
@@ -40,6 +47,7 @@ from oracles import (
     flat_from_chart0,
     random_split_transition,
     random_unimodular_poly,
+    random_unit,
     same_as,
     saturating_destabilizer_scan,
 )
@@ -290,6 +298,25 @@ def test_each_graded_object_is_decided_once(monkeypatch):
     assert len(calls) == 3
 
 
+def _record_calls(monkeypatch, targets):
+    """Spy on each (owner, name) or (owner, name, wrap): the list returned
+    gets (name, innermost spied caller or "decide", args) per call."""
+    calls, stack = [], ["decide"]
+    for owner, name, *wrap in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append((name, stack[-1], args))
+            stack.append(name)
+            try:
+                return original(*args)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(owner, name, wrap[0](counted) if wrap else counted)
+    return calls
+
+
 def test_line_pieces_are_read_off_their_degree(monkeypatch):
     """Two line-bundle pieces at p = 3: a semistable pair factors nothing,
     an unstable one factors only the top piece whose frame _top_part reads,
@@ -299,27 +326,11 @@ def test_line_pieces_are_read_off_their_degree(monkeypatch):
         for seed in (2, 4)
     )
     assert [P.rank for P in semistable.pieces + unstable.pieces] == [1, 1, 1, 1]
-    calls, stack = [], ["decide"]
-
-    def spy(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args):
-            calls.append((name, stack[-1], args))
-            stack.append(name)
-            try:
-                return original(*args)
-            finally:
-                stack.pop()
-
-        monkeypatch.setattr(owner, name, counted)
-
-    for owner, name in (
+    calls = _record_calls(monkeypatch, (
         (bundles, "birkhoff_factorize"),
         (RingMatrix, "det"),
         (Bundle, "degree"),
-    ):
-        spy(owner, name)
+    ))
 
     def named(name):
         return [(where, args) for what, where, args in calls if what == name]
@@ -334,6 +345,86 @@ def test_line_pieces_are_read_off_their_degree(monkeypatch):
     assert len(factored) == 1 and factored[0] is top.transition
     assert named("degree") and all(where != "degree" for where, _ in named("det"))
     assert top._split is not None and unstable.pieces[1]._split is None
+
+
+def _monomial_transition(rng, F, exps):
+    """A sum of lines c_i t^-a_i, unit c_i, its rows permuted."""
+    rows = RingMatrix.diagonal(
+        F, [LaurentPoly.monomial(F, random_unit(rng, F), -a) for a in exps]
+    ).rows
+    rng.shuffle(rows)
+    return RingMatrix(F, rows)
+
+
+def test_split_frame_columns_are_the_selector_products():
+    """Top parts and Harder-Narasimhan steps read the leading columns of
+    Qinv and Phat; each read equals the product by the identity selector
+    it replaced, on lines and on monomial and eliminated transitions of
+    rank 2 to 4."""
+    rng = random.Random(35)
+    for F in (Zmod(3), Zmod(5), Zmod(7), GF(3, 2), GF(5, 2)):
+        X = ProjectiveLine(F)
+        for n in (1, 2, 3, 4):
+            for monomial in (True, False):
+                exps = sorted((rng.randrange(-3, 4) for _ in range(n)), reverse=True)
+                if n > 1 and rng.randrange(2):
+                    exps[1] = exps[0]
+                if monomial:
+                    g = _monomial_transition(rng, F, exps)
+                else:
+                    g = random_split_transition(rng, F, exps)
+                E = Bundle(X, n, g)
+                sd = E.split_data()
+                assert sd.exponents == exps
+                selected = []
+                for cut in range(1, n + 1):
+                    sel = RingMatrix.identity(F, n).columns(range(cut))
+                    read = (sd.Qinv.columns(range(cut)), sd.Phat.columns(range(cut)))
+                    assert read == (sd.Qinv.mul(sel), sd.Phat.mul(sel))
+                    if cut < n and exps[cut] < exps[cut - 1]:
+                        selected.append(tuple(
+                            saturation_basis(bundles._clear_denominators(M)) for M in read
+                        ))
+                assert [S.basis for S in hn_filtration(E)[:-1]] == selected
+                if exps.count(exps[0]) == 1:
+                    top = filtration._top_part(E, exps, exps[0])
+                    e0 = RingMatrix.identity(F, n).columns(range(1))
+                    assert top.basis == (sd.Qinv.mul(e0), sd.Phat.mul(e0))
+
+
+def test_deciding_reads_frames_without_products(monkeypatch):
+    """An unstable object whose top pieces are a rank-2 bundle of type
+    (2, -1) in non-monomial frames and a line 3 t^-2: deciding it multiplies
+    matrices only inside the rank-2 factorization and for the top-invariant
+    certificate, and runs no factorization certificate, determinant or
+    identity on a 1 x 1 matrix."""
+    F = Zmod(5)
+    X = ProjectiveLine(F)
+    E = Bundle(X, 2, random_split_transition(random.Random(36), F, [2, -1]))
+    L = Bundle(X, 1, RingMatrix(F, [[LaurentPoly.monomial(F, 3, -2)]]))
+    zero = RingMatrix.zeros(F, 2, 1)
+    G = GradedHiggsBundle((E, L), ((zero, zero),)).validate()
+    calls = _record_calls(monkeypatch, (
+        (bundles, "birkhoff_factorize"),
+        (BirkhoffFactorization, "verify"),
+        (RingMatrix, "mul"),
+        (RingMatrix, "det"),
+        (RingMatrix, "identity", staticmethod),
+    ))
+    ok, report = is_higgs_semistable(G)
+    monkeypatch.undo()
+    assert not ok and report.r_max == 2 and report.mu_max == 2
+    factored = [args[0] for what, _, args in calls if what == "birkhoff_factorize"]
+    assert factored == [E.transition, L.transition]
+    outside = [args for what, where, args in calls if what == "mul" and where == "decide"]
+    assert outside == [(G.maps[0][0], report.pieces[1].basis[0])]
+    shapes = [
+        args[1] if what == "identity" else args[-1].nrows
+        for what, _, args in calls
+        if what in ("verify", "det", "identity")
+    ]
+    assert shapes and 1 not in shapes
+    assert L.split_data().Q == RingMatrix(F, [[LaurentPoly.const(F, 3)]])
 
 
 # -- the canonical filtration ------------------------------------------------

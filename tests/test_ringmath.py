@@ -1494,6 +1494,36 @@ def test_monomial_birkhoff_keeps_its_certificates(monkeypatch):
     ])
 
 
+def test_line_birkhoff_is_its_own_split(monkeypatch):
+    # a 1 x 1 G = c t^e returns P = [1], a = [-e], Q = [c], Qinv = [c^-1],
+    # as the inverting oracle does, with or without the determinant; its two
+    # scalar certificates refuse a determinant that is not the entry and a
+    # coefficient inverse that is not one
+    calls = _birkhoff_work(monkeypatch)
+    rng = random.Random(35)
+    for F in (Zmod(3), Zmod(5), Zmod(7), GF(3, 2), GF(5, 2)):
+        for _ in range(6):
+            G, (e,), _ = _random_monomial(rng, F, 1)
+            expect = oracles.inverting_birkhoff_factorize(G)
+            for fact in (birkhoff_factorize(G), birkhoff_factorize(G, G.det())):
+                assert fact.exponents == expect.exponents == [-e]
+                assert (fact.P, fact.Q, fact.Qinv) == (expect.P, expect.Q, expect.Qinv)
+                assert oracles.check_birkhoff(fact, G)
+            c = G.rows[0][0].coeffs[e]
+            for det in (LaurentPoly.monomial(F, c, e + 1), LaurentPoly.monomial(F, F.one, e)):
+                if det.coeffs != G.rows[0][0].coeffs:
+                    with pytest.raises(NonInvertible, match="re-multiplication"):
+                        birkhoff_factorize(G, det)
+    assert calls == {"solve": 0, "adjugate": 0}
+    F = Zmod(5)
+    G = RingMatrix(F, [[LaurentPoly.monomial(F, 2, -3)]])
+    with monkeypatch.context() as m:
+        m.setattr(F, "inv", lambda a: a)
+        with pytest.raises(NonInvertible, match="not unimodular"):
+            birkhoff_factorize(G)
+    assert birkhoff_factorize(G).Qinv == RingMatrix(F, [[LaurentPoly.const(F, 3)]])
+
+
 def test_eliminations_make_no_inverse_call(monkeypatch):
     calls = []
     inverse = RingMatrix.inverse
