@@ -96,6 +96,7 @@ from oracles import (
     random_flag_frame,
     random_laurent,
     random_split_transition,
+    random_unit,
 )
 
 
@@ -825,9 +826,39 @@ def _destabilizer_frames_bytes():
     return canonical_bytes(doc)
 
 
+def _monomial_splits_bytes():
+    """Split frames (exponents, Q, Q^-1, Phat) and the left factor P, with
+    and without the determinant, of seeded monomial transitions of rank 1 to
+    4 over Z/5, Z/7 and F_9: coefficients other than one, exponents in
+    -6..6 with repeats, and for rank >= 2 a column pattern other than the
+    identity."""
+    rng = random.Random(36)
+    doc = []
+    for F in (Zmod(5), Zmod(7), GF(3, 2)):
+        X = ProjectiveLine(F)
+        for n in (1, 2, 3, 4):
+            for _ in range(3):
+                perm = list(range(n))
+                while n > 1 and perm == sorted(perm):
+                    rng.shuffle(perm)
+                pool = [rng.randrange(-6, 7) for _ in range(n)]
+                G = RingMatrix(F, [[LaurentPoly.zero(F)] * n for _ in range(n)])
+                for i, j in enumerate(perm):
+                    c = random_unit(rng, F)
+                    while c == F.one:
+                        c = random_unit(rng, F)
+                    G.rows[i][j] = LaurentPoly.monomial(F, c, rng.choice(pool))
+                sd = Bundle(X, n, G).split_data()
+                frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, sd.Phat)]
+                lefts = [matrix_to_json(birkhoff_factorize(G, det).P) for det in (None, G.det())]
+                doc.append([sd.exponents] + frames + lefts)
+    return canonical_bytes(doc)
+
+
 LIBRARY_CASES = {
     "destabilizer-frames": _destabilizer_frames_bytes,
     "monomial-split": _monomial_split_bytes,
+    "monomial-splits": _monomial_splits_bytes,
     "semistability-decisions": _semistability_decisions_bytes,
     "inverse-layer": _inverse_layer_bytes,
     "smith-layer": _smith_layer_bytes,
@@ -848,6 +879,7 @@ LIBRARY_CASES = {
 LIBRARY_DIGESTS = {
     "destabilizer-frames": "51c042104b866a9499c32150241b187b3437e2f46304e0040702b34c4bf3a6e9",
     "monomial-split": "e331e2b0186cbffba0d0b9d579270658f3cff01a8ded4981200052247ec9fdfc",
+    "monomial-splits": "8191c1ca1787a228feef779b26a1553aab6aaea1d5d4ed634e8ff8c2f7d978dd",
     "semistability-decisions": "61770d6ac73ddebf94c3c405822c11818e97da734c297a4d82b911f07d7401d5",
     "inverse-layer": "723c87e036bd46017f4456222c0cd8892bffbb32c7daea3de4c07b34d69ab949",
     "smith-layer": "fa225450363ce1c0531598af69dbfeeb62f48de58d46240392c15478e274b5f8",
