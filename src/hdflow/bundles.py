@@ -125,7 +125,7 @@ def change_frame_connection(A, Q, Qinv):
 
 class Bundle:
     """A vector bundle on the line (transition in t; None means free).  A
-    value: do not reassign its transition; on P^1, _det is its certified det."""
+    value: do not reassign its transition; on P^1, _det and _degree are certified."""
 
     def __init__(self, curve, rank, transition=None):
         self.curve = curve
@@ -133,6 +133,7 @@ class Bundle:
         self.transition = transition
         self._split = None
         self._det = None
+        self._degree = 0
         if curve.is_projective:
             if transition is None:
                 self.transition = RingMatrix.identity(curve.domain, rank)
@@ -144,6 +145,7 @@ class Bundle:
             self._det = g.det()
             if not self._det.is_unit():
                 raise NonInvertible("transition determinant is not a unit")
+            self._degree = -laurent_unit_exponent(self._det)
         else:
             if transition is not None:
                 raise ValueError("affine-line bundles are free: no transition")
@@ -190,9 +192,7 @@ class Bundle:
 
     def degree(self):
         """-(t-exponent of the stored det g); 0 on A^1."""
-        if not self.curve.is_projective:
-            return 0
-        return -laurent_unit_exponent(self._det)
+        return self._degree
 
     def splitting_type(self):
         """split_data's descending exponents; a field's line bundle is O(degree)."""

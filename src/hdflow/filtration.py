@@ -73,7 +73,7 @@ def _top_destabilizer(G):
             raise CertificateFailed(
                 "a connecting map does not kill the top summands", part="top-invariant"
             )
-    if a <= G.slope():
+    if a * G.rank <= G.degree():
         raise CertificateFailed(
             "the top summands do not destabilize", part="top-slope"
         )

@@ -27,8 +27,8 @@ Conventions fixed here and relied on everywhere else:
     and a_1 >= ... >= a_r, where P is unimodular over polynomials in 1/t and
     Q is unimodular over polynomials in t.  The exponent list is the splitting
     type of the transition matrix G and sum(a) = -(exponent of det G).  A
-    monomial G splits in closed form, with Q^-1 certified by Q Q^-1 = I; a
-    1 x 1 G = c t^e is its own split, certified by two scalar identities.
+    monomial G (one nonzero c t^e per row, any rank) splits in closed form,
+    every certificate checked entry by entry, det against sgn * prod c t^e.
   * RingMatrix.mul, witt's divided step and _substitute's composites are
     _products.  Over Z/p^m, when operands of ta and tb terms in all give
     ta tb >= PACK_PAIRS n k m (an n x k by k x m product), it multiplies by
@@ -1500,22 +1500,52 @@ def _is_poly_in_inverse(M):
 
 
 def _monomial_split(G):
-    """For G with one nonzero entry in every row: the columns of P0 (the
-    identity), each row's valuation e and its row stripped of t^e; None for
-    any other G.  As det G is a unit monomial, every entry is then c t^e and
-    no two share a column."""
-    d, n = G.domain, G.nrows
-    zero = LaurentPoly.zero(d)
-    vals, Qrows = [], []
+    """For G with one nonzero entry in every row: the column of each row's
+    entry, and the rows in the order of P's columns (ascending valuation,
+    ties in row order); None for any other G."""
+    cols, vals = [], []
     for row in G.rows:
-        entries = [(j, e.coeffs) for j, e in enumerate(row) if e.coeffs]
-        if len(entries) != 1:
+        hit = [j for j, e in enumerate(row) if e.coeffs]
+        if len(hit) != 1:
             return None
-        (j, coeffs), = entries
-        (v, c), = coeffs.items()
-        vals.append(v)
-        Qrows.append([LaurentPoly._trusted(d, {0: c}) if k == j else zero for k in range(n)])
-    return RingMatrix.identity(d, n).rows, vals, Qrows
+        cols += hit
+        vals.append(min(row[hit[0]].coeffs))
+    return cols, sorted(range(len(cols)), key=vals.__getitem__)
+
+
+def _closed_form(G, det, cols, order):
+    """The split of a monomial G read off _monomial_split's cols and order,
+    P_ik = 1 where i = order[k], certified on scalars: order and cols are
+    permutations, so P is a permutation matrix (over F[1/t], det +-1) and
+    G's columns form a permutation pi; row i of G is its entry c t^e alone,
+    so it is t^e times row k of Q (G = P D Q); Q's entry c is constant with
+    c c^-1 = 1 (Q Qinv = I); det is sgn(pi) prod c t^(sum e)."""
+    d, n, r = G.domain, G.nrows, list(range(G.nrows))
+    if sorted(order) != r or sorted(cols) != r:
+        raise NonInvertible("factor is not unimodular")
+    zero, one = LaurentPoly.zero(d), LaurentPoly.one(d)
+    P, Q, Qinv = [[zero] * n for _ in r], [[zero] * n for _ in r], [[zero] * n for _ in r]
+    c, s, exponents = d.one, 0, []
+    for k, i in enumerate(order):
+        row, j = G.rows[i], cols[i]
+        if [e for e in row if e.coeffs] != [row[j]]:
+            raise NonInvertible("birkhoff re-multiplication check failed")
+        if len(row[j].coeffs) != 1:
+            raise NonInvertible("right factor escaped polynomials in t")
+        (e, x), = row[j].coeffs.items()
+        y = d.inv(x)
+        if d.mul(x, y) != d.one:
+            raise NonInvertible("factor is not unimodular")
+        P[i][k] = one
+        Q[k][j], Qinv[j][k] = LaurentPoly._trusted(d, {0: x}), LaurentPoly._trusted(d, {0: y})
+        c, s = d.mul(c, x), s + e
+        exponents.append(-e)
+    if n > 1 and sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2:
+        c = d.neg(c)
+    if det.coeffs != {s: c}:
+        raise NonInvertible("birkhoff re-multiplication check failed")
+    P, Q, Qinv = RingMatrix._trusted(d, P), RingMatrix._trusted(d, Q), RingMatrix._trusted(d, Qinv)
+    return BirkhoffFactorization(P, exponents, Q, Qinv, d)
 
 
 def _eliminate(G, det):
@@ -1585,13 +1615,11 @@ def birkhoff_factorize(G, det=None):
     same elimination, each row operation's inverse applied as column
     operations; Qinv from the minor table that certifies Q unimodular.
 
-    A monomial G (one nonzero c t^e in every row and column) is already
+    A monomial G (one nonzero c t^e in every row), of any rank, is already
     split: a = -e, P a permutation, Q constant and Qinv its transposed
-    pattern of inverses, certified by Q Qinv = I instead of the minor table.
-    Every other certificate runs on both paths.  A 1 x 1 G = c t^e returns
-    these values directly: P = [1] and Q = [c] are polynomials in 1/t and
-    in t with unit determinants as written, so only the entry = c t^e (the
-    re-multiplication) and c c^-1 = 1 (Q Qinv = I) are checked, as scalars.
+    pattern of inverses.  _closed_form reads them off and checks each
+    certificate on scalars, with no matrix product, minor table or
+    identity; it also checks det against G's entries.
     """
     d = G.domain
     if not d.is_field:
@@ -1603,20 +1631,10 @@ def birkhoff_factorize(G, det=None):
         det = G.det()
     if len(det.coeffs) != 1:
         raise NonInvertible("determinant %r is not a unit monomial" % det)
-    if n == 1:
-        (e, c), = det.coeffs.items()
-        if G.rows[0][0].coeffs != {e: c}:
-            raise NonInvertible("birkhoff re-multiplication check failed")
-        cinv = d.inv(c)
-        if d.mul(c, cinv) != d.one:
-            raise NonInvertible("factor is not unimodular")
-        P, Q, Qinv = (
-            RingMatrix._trusted(d, [[LaurentPoly._trusted(d, {0: x})]]) for x in (d.one, c, cinv)
-        )
-        return BirkhoffFactorization(P, [-e], Q, Qinv, d)
-
     split = _monomial_split(G)
-    Pcols, vals, Qrows = split or _eliminate(G, det)
+    if split:
+        return _closed_form(G, det, *split)
+    Pcols, vals, Qrows = _eliminate(G, det)
     exps = [-v for v in vals]
     order = sorted(range(n), key=lambda i: (-exps[i], i))
     P = RingMatrix._trusted(d, [[Pcols[order[c]][r] for c in range(n)] for r in range(n)])
@@ -1632,14 +1650,6 @@ def birkhoff_factorize(G, det=None):
         raise NonInvertible("right factor escaped polynomials in t")
     if not P.is_unimodular():
         raise NonInvertible("factor is not unimodular")
-    if split:
-        fact.Qinv = RingMatrix._trusted(d, [
-            [LaurentPoly._trusted(d, {0: d.inv(e.coeffs[0])}) if e.coeffs else e for e in col]
-            for col in zip(*Q.rows)
-        ])
-        if Q.mul(fact.Qinv) != RingMatrix.identity(d, n):
-            raise NonInvertible("factor is not unimodular")
-        return fact
     minor = Q._minors()
     detq = minor()
     if not (detq.is_constant() and d.is_unit(detq.constant_term())):

@@ -442,9 +442,9 @@ def test_splitting_type_and_degree_match_the_factoring_oracle():
 
 def test_split_data_expands_no_determinant_of_the_transition(monkeypatch):
     # split_data hands birkhoff_factorize the determinant the bundle keeps,
-    # so factoring a sum of lines (closed form) or a framed g U (eliminated)
-    # expands no det of the transition; the det calls left are the
-    # certificate det P.  birkhoff_factorize(G) alone still expands det G.
+    # so factoring a sum of lines (closed form) expands no det at all and a
+    # framed g U (eliminated) expands one, the certificate det P.
+    # birkhoff_factorize(G) alone still expands det G.
     rng = random.Random(34)
     d = Zmod(5, 1)
     X = ProjectiveLine(d)
@@ -456,8 +456,7 @@ def test_split_data_expands_no_determinant_of_the_transition(monkeypatch):
     det = RingMatrix.det
     monkeypatch.setattr(RingMatrix, "det", lambda M: expanded.append(M) or det(M))
     split = [E.split_data() for E in bundles]
-    assert len(expanded) == len(bundles)
-    assert not any(M is E.transition for M in expanded for E in bundles)
+    assert expanded == [X.to_other_chart(frames.Phat) for frames in split[1::2]]
     for E, frames in zip(bundles, split):
         assert birkhoff_factorize(E.transition).exponents == frames.exponents
     assert sum(M is E.transition for M in expanded for E in bundles) == len(bundles)

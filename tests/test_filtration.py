@@ -397,7 +397,9 @@ def test_deciding_reads_frames_without_products(monkeypatch):
     (2, -1) in non-monomial frames and a line 3 t^-2: deciding it multiplies
     matrices only inside the rank-2 factorization and for the top-invariant
     certificate, and runs no factorization certificate, determinant or
-    identity on a 1 x 1 matrix."""
+    identity on a 1 x 1 matrix.  An unstable object of monomial pieces of
+    rank 2, 3 and 4 on permuted rows runs none of them at all, and
+    multiplies only for the top-invariant certificate."""
     F = Zmod(5)
     X = ProjectiveLine(F)
     E = Bundle(X, 2, random_split_transition(random.Random(36), F, [2, -1]))
@@ -425,6 +427,59 @@ def test_deciding_reads_frames_without_products(monkeypatch):
     ]
     assert shapes and 1 not in shapes
     assert L.split_data().Q == RingMatrix(F, [[LaurentPoly.const(F, 3)]])
+
+    F = Zmod(7)
+    X = ProjectiveLine(F)
+    rng = random.Random(36)
+    pieces = tuple(
+        Bundle(X, len(exps), _monomial_transition(rng, F, exps))
+        for exps in ((3, -1), (1, 0, -2), (3, 0, 0, -4))
+    )
+    maps = tuple(
+        (RingMatrix.zeros(F, P.rank, Q.rank),) * 2 for P, Q in zip(pieces, pieces[1:])
+    )
+    G = GradedHiggsBundle(pieces, maps).validate()
+    calls = _record_calls(monkeypatch, (
+        (bundles, "birkhoff_factorize"),
+        (BirkhoffFactorization, "verify"),
+        (RingMatrix, "mul"),
+        (RingMatrix, "det"),
+        (RingMatrix, "is_unimodular"),
+        (RingMatrix, "identity", staticmethod),
+    ))
+    ok, report = is_higgs_semistable(G)
+    monkeypatch.undo()
+    assert not ok and report.r_max == 2 and report.mu_max == 3
+    assert [args[0] for what, _, args in calls if what == "birkhoff_factorize"] == [
+        P.transition for P in pieces
+    ]
+    assert [(what, where, args) for what, where, args in calls if what != "birkhoff_factorize"] == [
+        ("mul", "decide", (G.maps[1][0], report.pieces[2].basis[0]))
+    ]
+
+
+def test_top_slope_certificate_compares_against_the_exact_slope(monkeypatch):
+    """The top summands of degree a destabilize only when a exceeds the
+    slope of the whole object: a degree forced to a times the rank (slope
+    a) is refused as "top-slope", one less (slope just below a) decides."""
+    F = Zmod(5)
+    X = ProjectiveLine(F)
+
+    def unstable():
+        E = Bundle(X, 2, random_split_transition(random.Random(36), F, [2, -1]))
+        L = Bundle(X, 1, RingMatrix(F, [[LaurentPoly.monomial(F, 3, -2)]]))
+        zero = RingMatrix.zeros(F, 2, 1)
+        return GradedHiggsBundle((E, L), ((zero, zero),)).validate()
+
+    for degree, refused in ((6, True), (5, False)):
+        G = unstable()
+        monkeypatch.setattr(GradedHiggsBundle, "degree", lambda self: degree)
+        if refused:
+            with pytest.raises(CertificateFailed) as err:
+                is_higgs_semistable(G)
+            assert err.value.part == "top-slope"
+        else:
+            assert is_higgs_semistable(G)[1].mu_max == 2
 
 
 # -- the canonical filtration ------------------------------------------------

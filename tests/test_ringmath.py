@@ -13,7 +13,6 @@ from hdflow.curves import ProjectiveLine
 from hdflow.errors import NoSolution, NonInvertible, NotDivisible, SearchBudgetExceeded
 from hdflow.ringmath import (
     GF,
-    BirkhoffFactorization,
     LaurentPoly,
     RingMatrix,
     Zmod,
@@ -1320,25 +1319,29 @@ def test_birkhoff_rejects_non_monomial_det():
 def test_birkhoff_raises_when_the_left_factor_is_not_unimodular(monkeypatch):
     # P is a permutation in closed form and a product of invertible column
     # operations after elimination, so no input reaches this certificate;
-    # a forced verdict shows that both paths still run it
+    # forced verdicts show that both paths still run it: a closed form whose
+    # P repeats a column, and a minor table that calls P singular
     F = Zmod(5)
     t, one, zero = LaurentPoly.var(F), LaurentPoly.one(F), LaurentPoly.zero(F)
     monomial = RingMatrix(F, [[zero, t], [one.scale(F.coerce(2)), zero]])
     eliminated = RingMatrix(F, [[LaurentPoly.var(F, -1), one], [zero, t]])
     eliminations = []
-    eliminate = ringmath._eliminate
+    eliminate, split = ringmath._eliminate, ringmath._monomial_split
 
     def spy(G, det):
         eliminations.append(G)
         return eliminate(G, det)
 
     monkeypatch.setattr(ringmath, "_eliminate", spy)
-    monkeypatch.setattr(RingMatrix, "is_unimodular", lambda self: False)
-    for G, eliminates in ((monomial, False), (eliminated, True)):
-        del eliminations[:]
+    with monkeypatch.context() as m:
+        m.setattr(ringmath, "_monomial_split", lambda G: (split(G)[0], [0] * G.nrows))
         with pytest.raises(NonInvertible, match="factor is not unimodular"):
-            birkhoff_factorize(G)
-        assert bool(eliminations) == eliminates
+            birkhoff_factorize(monomial)
+    assert eliminations == []
+    monkeypatch.setattr(RingMatrix, "is_unimodular", lambda self: False)
+    with pytest.raises(NonInvertible, match="factor is not unimodular"):
+        birkhoff_factorize(eliminated)
+    assert eliminations == [eliminated]
 
 
 def test_birkhoff_random_known_type():
@@ -1470,21 +1473,41 @@ def test_monomial_birkhoff_skips_elimination_and_minor_inverse(monkeypatch):
 
 
 def test_monomial_birkhoff_keeps_its_certificates(monkeypatch):
+    # each scalar certificate of the closed form, forced in turn, refuses
+    # with the message of the matrix certificate it stands for
     calls = _birkhoff_work(monkeypatch)
     F = Zmod(5)
-    G = RingMatrix(F, [
-        [LaurentPoly.zero(F), LaurentPoly.monomial(F, 2, -1)],
-        [LaurentPoly.monomial(F, 3, 3), LaurentPoly.zero(F)],
-    ])
-    with monkeypatch.context() as m:
-        m.setattr(BirkhoffFactorization, "verify", lambda self, G: False)
-        with pytest.raises(NonInvertible):
-            birkhoff_factorize(G)
+    zero, mono = LaurentPoly.zero(F), lambda c, e: LaurentPoly.monomial(F, c, e)
+    G = RingMatrix(F, [[zero, mono(2, -1)], [mono(3, 3), zero]])
+    split = ringmath._monomial_split
+    forced = (
+        # P repeats a column: not a permutation matrix
+        (lambda G: (split(G)[0], [0] * G.nrows), "factor is not unimodular"),
+        # the rows read at the wrong columns: G != P D Q
+        (lambda G: (split(G)[0][::-1], split(G)[1]), "re-multiplication"),
+    )
+    for patch, message in forced:
+        with monkeypatch.context() as m:
+            m.setattr(ringmath, "_monomial_split", patch)
+            with pytest.raises(NonInvertible, match=message):
+                birkhoff_factorize(G)
     # a wrong inverse of the coefficients breaks Q Qinv = I
     with monkeypatch.context() as m:
         m.setattr(F, "inv", lambda a: a)
-        with pytest.raises(NonInvertible):
+        with pytest.raises(NonInvertible, match="factor is not unimodular"):
             birkhoff_factorize(G)
+    # inputs whose determinant is given as a unit monomial that it is not:
+    # a row entry 1 + t leaves a non-constant entry in Q, two rows on one
+    # column leave Q singular, and a wrong det is not G's
+    t1 = LaurentPoly(F, {0: 1, 1: 1})
+    refused = (
+        (RingMatrix(F, [[t1, zero], [zero, mono(1, 1)]]), mono(1, 1), "escaped polynomials in t"),
+        (RingMatrix(F, [[mono(1, 1), zero], [mono(2, 2), zero]]), mono(2, 3), "not unimodular"),
+        (G, mono(2, 2), "re-multiplication"),
+    )
+    for M, det, message in refused:
+        with pytest.raises(NonInvertible, match=message):
+            birkhoff_factorize(M, det)
     assert calls == {"solve": 0, "adjugate": 0}
     fact = birkhoff_factorize(G)
     assert fact.exponents == [1, -3]
@@ -1522,6 +1545,64 @@ def test_line_birkhoff_is_its_own_split(monkeypatch):
         with pytest.raises(NonInvertible, match="not unimodular"):
             birkhoff_factorize(G)
     assert birkhoff_factorize(G).Qinv == RingMatrix(F, [[LaurentPoly.const(F, 3)]])
+
+
+def test_closed_form_matches_the_inverting_oracle(monkeypatch):
+    # monomial transitions of rank 1 to 4 on random permutations split in
+    # closed form, with or without the determinant, into the oracle's
+    # factors; transitions of rank >= 2 in random frames still eliminate,
+    # and agree too
+    rng = random.Random(36)
+    eliminated = []
+    eliminate = ringmath._eliminate
+    monkeypatch.setattr(
+        ringmath, "_eliminate", lambda G, det: eliminated.append(G) or eliminate(G, det)
+    )
+    for F in (Zmod(3), Zmod(5), Zmod(7), GF(3, 2), GF(5, 2)):
+        for n in (1, 2, 3, 4):
+            for monomial in (True, True, False)[:3 if n > 1 else 2]:
+                if monomial:
+                    G, exps, _ = _random_monomial(rng, F, n)
+                    exps = sorted((-e for e in exps), reverse=True)
+                else:
+                    exps = sorted((rng.randrange(-3, 4) for _ in range(n)), reverse=True)
+                    G = oracles.random_split_transition(rng, F, exps)
+                expect = oracles.inverting_birkhoff_factorize(G)
+                for det in (None, G.det()):
+                    del eliminated[:]
+                    fact = birkhoff_factorize(G, det)
+                    assert eliminated == ([] if monomial else [G])
+                    assert fact.exponents == expect.exponents == exps
+                    assert (fact.P, fact.Q, fact.Qinv) == (expect.P, expect.Q, expect.Qinv)
+                    assert oracles.check_birkhoff(fact, G)
+
+
+def test_closed_form_refuses_a_determinant_that_is_not_g_s():
+    # a monomial G of rank 2 to 4 with a det that is a unit monomial but not
+    # sgn(pi) prod c t^(sum e): a wrong exponent, a wrong coefficient, and
+    # the product without the sign of an odd permutation
+    F = Zmod(5)
+    t = LaurentPoly.var(F)
+    for det in (LaurentPoly.var(F, 7), LaurentPoly.monomial(F, 3, 2)):
+        with pytest.raises(NonInvertible, match="re-multiplication"):
+            birkhoff_factorize(RingMatrix.diagonal(F, [t, t]), det)
+    rng = random.Random(37)
+    for F in (Zmod(5), Zmod(7), GF(3, 2)):
+        for n in (2, 3, 4):
+            G, exps, perm = _random_monomial(rng, F, n)
+            while sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 == 0:
+                G, exps, perm = _random_monomial(rng, F, n)
+            c = F.one
+            for i, j in enumerate(perm):
+                c = F.mul(c, G.rows[i][j].coeffs[exps[i]])
+            s = sum(exps)
+            assert G.det().coeffs == {s: F.neg(c)}
+            two = F.add(F.one, F.one)
+            for det in ((s + 1, F.neg(c)), (s, F.mul(two, F.neg(c))), (s, c)):
+                with pytest.raises(NonInvertible, match="re-multiplication"):
+                    birkhoff_factorize(G, LaurentPoly(F, {det[0]: det[1]}))
+            fact = birkhoff_factorize(G, G.det())
+            assert fact.exponents == sorted((-e for e in exps), reverse=True)
 
 
 def test_eliminations_make_no_inverse_call(monkeypatch):
