@@ -102,3 +102,37 @@ def test_lifting_requires_zmod_and_polynomial_h():
     R = Zmod(3)
     with pytest.raises(ValueError):
         FrobeniusLifting(AffineLine(R), (LaurentPoly(R, {-1: 1}),))
+
+
+def test_curve_dependent_errors_keep_their_messages():
+    from hdflow.bundles import Bundle
+    from hdflow.corpus import CorpusParamError, CorpusParams
+    from hdflow.serialize import SchemaError, bundle_from_json
+
+    R = Zmod(3)
+    one = RingMatrix.identity(R, 1)
+    cases = (
+        (lambda: Bundle(AffineLine(R), 1, one), ValueError,
+         "affine-line bundles are free: no transition"),
+        (lambda: FrobeniusLifting.standard(AffineLine(R)).z_cross_chart(R), ValueError,
+         "cross-chart difference needs two charts"),
+        (lambda: FrobeniusLifting(ProjectiveLine(R), (LaurentPoly.zero(R),)), ValueError,
+         "one h polynomial per chart required"),
+        (lambda: CorpusParams(p=3, rank=1, weight=0, count=1, seed=0, curve="p1"),
+         CorpusParamError, "curve must be 'P1' or 'A1'"),
+    )
+    for build, kind, message in cases:
+        with pytest.raises(kind) as err:
+            build()
+        assert type(err.value) is kind and str(err.value) == message
+    documents = (
+        ("p1", None, "/curve", "curve must be 'P1' or 'A1'"),
+        ("P1", None, "/transition", "projective bundles need a transition"),
+        ("A1", [[[[0, 1]]]], "/transition", "affine bundles are free: transition must be null"),
+    )
+    for curve, transition, path, message in documents:
+        doc = {"schema": "hdf/1", "type": "bundle", "curve": curve, "p": 3, "m": 1,
+               "rank": 1, "transition": transition}
+        with pytest.raises(SchemaError) as err:
+            bundle_from_json(doc)
+        assert (err.value.message, err.value.path) == (message, path)
