@@ -1,13 +1,13 @@
 """Vector bundles on the line, with Higgs fields, connections, and maps.
 
-Data model: a bundle on the projective line is its rank plus one transition
-matrix g, stored as a Laurent matrix in the chart-0 coordinate t; sections
-satisfy x_1(s) = [g(t) x_0(t)] at t = 1/s.  A bundle on the affine line is
-free and carries no transition.  The line bundle of degree a has transition
-t^-a, so deg(E) = -(t-exponent of det g), and the splitting type is the
-descending exponent list of the two-sided monomial factorization of g.  A
-bundle keeps the det g it certifies a unit, so degree expands no second one;
-a line bundle over a field is O(deg), so its splitting type factors nothing.
+Data model: a bundle is its rank plus the transition its curve validates
+(curves.py says which curves glue charts and which have free bundles only),
+a Laurent matrix g in the chart-0 coordinate t with sections satisfying
+x_1(s) = [g(t) x_0(t)] at t = 1/s.  The line bundle of degree a has
+transition t^-a, and the splitting type is the descending exponent list of
+the two-sided monomial factorization of g.  A bundle keeps the det g its
+curve certifies a unit, so degree expands no second one; a line bundle over
+a field is O(deg), so its splitting type factors nothing.
 
 Matrix-valued fields attach one matrix per chart, written in that chart's
 own coordinate.  The chart rule is written once: ProjectiveLine's
@@ -35,7 +35,8 @@ x' = Q x, on Higgs matrices by Q Theta Q^-1, and on connection matrices by
 Q A Q^-1 + Q dQ^-1/dt.
 """
 
-from .errors import NonInvertible, ZeroSubsheaf
+from .curves import laurent_unit_exponent
+from .errors import ZeroSubsheaf
 from .ringmath import (
     LaurentPoly,
     RingMatrix,
@@ -46,19 +47,15 @@ from .ringmath import (
 )
 
 
-def laurent_unit_exponent(poly):
-    """The exponent of the unique unit-coefficient slot of a Laurent unit."""
-    d = poly.domain
-    slots = [e for e, c in poly.coeffs.items() if d.is_unit(c)]
-    if len(slots) != 1:
-        raise NonInvertible("%r is not a Laurent unit" % poly)
-    return slots[0]
-
-
 def frobenius_pullback_matrix(M):
     """Coefficients through the domain Frobenius, coordinate to the p-th
     power."""
     return M.coeff_frobenius().rescale(M.domain.p)
+
+
+def lines_transition(domain, exponents):
+    """The transition diag(t^-a) of the sum of the lines O(a)."""
+    return RingMatrix.diagonal(domain, [LaurentPoly.var(domain, -a) for a in exponents])
 
 
 def chart1_map(M0, source, target):
@@ -84,11 +81,11 @@ def chart1_connection(A0, source, target):
 
 
 def per_chart(M0, rule, source, target, what):
-    """The per-chart matrices of a field with chart-0 matrix M0: (M0,) on
-    A^1, and on P^1 (M0, rule(M0, source, target)) with rule one of
-    chart1_map, chart1_form and chart1_connection.  A pole on any chart
-    raises ValueError."""
-    mats = (M0, rule(M0, source, target)) if source.curve.is_projective else (M0,)
+    """The per-chart matrices of a field with chart-0 matrix M0, as the
+    curve spreads it over its charts with rule one of chart1_map,
+    chart1_form and chart1_connection.  A pole on any chart raises
+    ValueError."""
+    mats = source.curve.over_charts(M0, rule, source, target)
     if not M0.is_polynomial():
         raise ValueError("%s matrix has a pole" % what)
     if not mats[-1].is_polynomial():
@@ -98,24 +95,28 @@ def per_chart(M0, rule, source, target, what):
 
 def check_per_chart(mats, rule, source, target, what):
     """Raise ValueError unless the stored per-chart matrices are exactly
-    what per_chart makes of their chart-0 matrix.  On P^1 the rule is
-    multiplied through by ghat_source, a unit as Bundle certifies det g:
-    polynomial (M0, M1) pass iff M1 ghat_source equals ghat_target M0(1/s)
-    for chart1_map, that times dt/ds for chart1_form, and that minus ghat'
-    for chart1_connection (ghat d(ghat^-1)/ds ghat = -ghat').  per_chart,
-    which inverts ghat_source, words the error."""
-    if source.curve.is_projective:
-        M0, M1 = mats
-        ghat = source.chart1_transition()
-        want = target.to_chart1(M0)
-        if rule is not chart1_map:
-            want = want.scale(target.curve.jacobian_factor())
-        if rule is chart1_connection:
-            want = want.sub(ghat.derivative())
-        if M0.is_polynomial() and M1.is_polynomial() and M1.mul(ghat) == want:
-            return
+    what per_chart makes of their chart-0 matrix.  A pass of
+    _glued_charts_agree inverts nothing; per_chart words the error."""
+    if source.curve.glued(_glued_charts_agree, mats, rule, source, target):
+        return
     if per_chart(mats[0], rule, source, target, what) != tuple(mats):
         raise ValueError("%s matrices disagree on the overlap" % what)
+
+
+def _glued_charts_agree(mats, rule, source, target):
+    """The chart rule multiplied through by ghat_source, a unit as Bundle
+    certifies det g: polynomial (M0, M1) agree iff M1 ghat_source equals
+    ghat_target M0(1/s) for chart1_map, that times dt/ds for chart1_form,
+    and that minus ghat' for chart1_connection (ghat d(ghat^-1)/ds ghat =
+    -ghat')."""
+    M0, M1 = mats
+    ghat = source.chart1_transition()
+    want = target.to_chart1(M0)
+    if rule is not chart1_map:
+        want = want.scale(target.curve.jacobian_factor())
+    if rule is chart1_connection:
+        want = want.sub(ghat.derivative())
+    return M0.is_polynomial() and M1.is_polynomial() and M1.mul(ghat) == want
 
 
 def change_frame_connection(A, Q, Qinv):
@@ -124,31 +125,15 @@ def change_frame_connection(A, Q, Qinv):
 
 
 class Bundle:
-    """A vector bundle on the line (transition in t; None means free).  A
-    value: do not reassign its transition; on P^1, _det and _degree are certified."""
+    """A vector bundle on the line, with the transition in t that its curve
+    validates (None where bundles are free).  A value: do not reassign its
+    transition; _det and _degree are the curve's certified reading of it."""
 
     def __init__(self, curve, rank, transition=None):
         self.curve = curve
         self.rank = rank
-        self.transition = transition
         self._split = None
-        self._det = None
-        self._degree = 0
-        if curve.is_projective:
-            if transition is None:
-                self.transition = RingMatrix.identity(curve.domain, rank)
-            g = self.transition
-            if g.nrows != rank or g.ncols != rank:
-                raise ValueError("transition shape does not match rank")
-            if g.domain != curve.domain:
-                raise ValueError("transition over the wrong coefficient domain")
-            self._det = g.det()
-            if not self._det.is_unit():
-                raise NonInvertible("transition determinant is not a unit")
-            self._degree = -laurent_unit_exponent(self._det)
-        else:
-            if transition is not None:
-                raise ValueError("affine-line bundles are free: no transition")
+        self.transition, self._det, self._degree = curve.bundle_transition(rank, transition)
 
     # -- constructors -------------------------------------------------------
 
@@ -158,12 +143,7 @@ class Bundle:
 
     @classmethod
     def sum_of_lines(cls, curve, exponents):
-        d = curve.domain
-        return cls(
-            curve,
-            len(exponents),
-            RingMatrix.diagonal(d, [LaurentPoly.var(d, -a) for a in exponents]),
-        )
+        return cls(curve, len(exponents), lines_transition(curve.domain, exponents))
 
     # -- structure ----------------------------------------------------------
 
@@ -191,7 +171,7 @@ class Bundle:
         return self.chart1_transition().mul(self.curve.to_other_chart(cols))
 
     def degree(self):
-        """-(t-exponent of the stored det g); 0 on A^1."""
+        """-(t-exponent of the stored det g); 0 where bundles are free."""
         return self._degree
 
     def splitting_type(self):
@@ -209,15 +189,14 @@ class Bundle:
             self._split = SplitFrames(self, fact)
         return self._split
 
-    def direct_sum(self, other):
-        if self.curve != other.curve:
+    def direct_sum(self, *others):
+        """The direct sum of self and others, blocks in that order."""
+        if any(E.curve != self.curve for E in others):
             raise ValueError("direct sum needs a shared curve")
-        if not self.curve.is_projective:
-            return Bundle(self.curve, self.rank + other.rank)
-        g = RingMatrix.block_diagonal(
-            self.domain, [self.transition, other.transition]
-        )
-        return Bundle(self.curve, self.rank + other.rank, g)
+        summands = (self,) + others
+        blocks = [E.transition for E in summands]
+        g = self.curve.glued(RingMatrix.block_diagonal, self.domain, blocks)
+        return Bundle(self.curve, sum(E.rank for E in summands), g)
 
 
 class SplitFrames:
@@ -245,11 +224,8 @@ class HiggsBundle:
         self.bundle = bundle
         self.theta = tuple(theta)
         self._level_one = None
-        if len(self.theta) != bundle.curve.ncharts:
-            raise ValueError("one Higgs matrix per chart required")
-        for T in self.theta:
-            if T.nrows != bundle.rank or T.ncols != bundle.rank:
-                raise ValueError("Higgs matrix shape mismatch")
+        r = bundle.rank
+        bundle.curve.check_charts(self.theta, r, r, "Higgs matrix", "Higgs matrix")
 
     @classmethod
     def from_chart0(cls, bundle, theta0):
@@ -273,11 +249,8 @@ class FlatBundle:
     def __init__(self, bundle, A):
         self.bundle = bundle
         self.A = tuple(A)
-        if len(self.A) != bundle.curve.ncharts:
-            raise ValueError("one connection matrix per chart required")
-        for M in self.A:
-            if M.nrows != bundle.rank or M.ncols != bundle.rank:
-                raise ValueError("connection matrix shape mismatch")
+        r = bundle.rank
+        bundle.curve.check_charts(self.A, r, r, "connection matrix", "connection matrix")
 
     def validate(self):
         E = self.bundle
@@ -297,11 +270,7 @@ class BundleMap:
         self.source = source
         self.target = target
         self.phi = tuple(phi)
-        if len(self.phi) != source.curve.ncharts:
-            raise ValueError("one matrix per chart required")
-        for M in self.phi:
-            if M.nrows != target.rank or M.ncols != source.rank:
-                raise ValueError("map shape mismatch")
+        source.curve.check_charts(self.phi, target.rank, source.rank, "matrix", "map")
 
     def validate(self):
         check_per_chart(self.phi, chart1_map, self.source, self.target, "map")
@@ -333,8 +302,8 @@ class Subbundle:
     """Saturated subbundle, as a polynomial basis per chart.
 
     basis[c] is a (parent rank) x r polynomial matrix whose columns span the
-    subsheaf's sections over chart c; on P^1 the two spans must match on the
-    overlap and each basis must be saturated.
+    subsheaf's sections over chart c; each basis must be saturated, and
+    where charts are glued the spans must match on the overlap.
     """
 
     def __init__(self, parent, basis):
@@ -356,12 +325,7 @@ class Subbundle:
         B0 = saturation_basis(_clear_denominators(columns))
         if B0.ncols == 0:
             raise ZeroSubsheaf("generators span the zero subsheaf")
-        if not parent.curve.is_projective:
-            return cls(parent, (B0,))
-        B1 = saturation_basis(_clear_denominators(parent.to_chart1(B0)))
-        if B1.ncols != B0.ncols:
-            raise ZeroSubsheaf("chart spans have different ranks")
-        return cls(parent, (B0, B1))
+        return cls(parent, parent.curve.over_charts(B0, _chart1_span, parent))
 
     def validate(self):
         for B in self.basis:
@@ -373,18 +337,7 @@ class Subbundle:
                 f.is_zero() or f.degree() != 0 for f in factors
             ):
                 raise ValueError("subbundle basis is not saturated")
-        parent = self.parent
-        if parent.curve.is_projective:
-            w = _clear_denominators(parent.to_chart1(self.basis[0]))
-            if poly_solve(self.basis[1], w, laurent_denominators=True) is None:
-                raise ValueError("chart-0 span escapes the chart-1 span")
-            back = _clear_denominators(
-                parent.transition.inverse().mul(
-                    parent.curve.to_other_chart(self.basis[1])
-                )
-            )
-            if poly_solve(self.basis[0], back, laurent_denominators=True) is None:
-                raise ValueError("chart-1 span escapes the chart-0 span")
+        self.parent.curve.glued(_check_spans_glue, self)
         return self
 
     def induced_transition(self):
@@ -396,9 +349,8 @@ class Subbundle:
         return h
 
     def degree(self):
-        if not self.parent.curve.is_projective:
-            return 0
-        return laurent_unit_exponent(self.induced_transition().det())
+        """The degree of the induced transition; 0 where bundles are free."""
+        return self.parent.curve.glued(_glued_degree, self) or 0
 
     def slope(self):
         from fractions import Fraction
@@ -413,6 +365,31 @@ class Subbundle:
             )
             is not None
         )
+
+
+def _chart1_span(B0, parent):
+    """The saturated chart-1 span of the chart-0 basis B0, of its rank."""
+    B1 = saturation_basis(_clear_denominators(parent.to_chart1(B0)))
+    if B1.ncols != B0.ncols:
+        raise ZeroSubsheaf("chart spans have different ranks")
+    return B1
+
+
+def _check_spans_glue(sub):
+    """Raise ValueError unless each chart's span lies in the other's."""
+    parent, B0, B1 = sub.parent, sub.basis[0], sub.basis[1]
+    w = _clear_denominators(parent.to_chart1(B0))
+    if poly_solve(B1, w, laurent_denominators=True) is None:
+        raise ValueError("chart-0 span escapes the chart-1 span")
+    back = _clear_denominators(
+        parent.transition.inverse().mul(parent.curve.to_other_chart(B1))
+    )
+    if poly_solve(B0, back, laurent_denominators=True) is None:
+        raise ValueError("chart-1 span escapes the chart-0 span")
+
+
+def _glued_degree(sub):
+    return laurent_unit_exponent(sub.induced_transition().det())
 
 
 def _clear_denominators(M):

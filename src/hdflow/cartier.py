@@ -49,8 +49,8 @@ def check_nilpotency(higgs):
 class _LevelOne:
     """A Higgs bundle's level-one state: the Frobenius pullback N of each
     chart's Higgs matrix, the runs [N, ..., N^(index-1)] of its nonzero
-    powers, the validated transforms by atlas (None or a lifting) and on
-    P^1 their shared pulled transition tau, filled by the first transform.
+    powers, the validated transforms by atlas (None or a lifting) and the
+    pulled transition tau they share, filled by the first transform.
 
     Building it is the nilpotency certificate: chart 0's powers must vanish
     by the index min(rank + 1, p - 1).  The other charts' runs are raised on
@@ -91,6 +91,13 @@ class _LevelOne:
             acc = acc.add(P.scale(zk.scale(d.inv(d.coerce(fact)))))
         return acc
 
+    def transition(self, bundle, z):
+        """A transform's transition: the pulled transition of bundle, kept
+        as tau, times the Taylor matrix exp(z N) of chart 0 unless z is 0."""
+        if self.tau is None:
+            self.tau = frobenius_pullback_matrix(bundle.transition)
+        return self.tau if z.is_zero() else self.tau.mul(self.exp(0, z))
+
 
 def _state(higgs):
     """The bundle's level-one state, filled on first use; a failing
@@ -111,22 +118,20 @@ def pullback_higgs_matrices(higgs):
 
 
 def _atlas_data(higgs, lifting):
-    """Per-chart (dF/p, z-to-standard) and the cross-chart z, resolved from
-    the atlas; a missing atlas means the standard one (h = 0)."""
+    """Per-chart (dF/p, z-to-standard) and the cross-chart z (None unless
+    charts are glued) of the atlas, the standard one (h = 0) if missing."""
     d = higgs.bundle.domain
-    ncharts = higgs.bundle.curve.ncharts
+    curve = higgs.bundle.curve
     p = d.p
     if lifting is None:
-        u = tuple(LaurentPoly.var(d, p - 1) for _ in range(ncharts))
-        z_cross = LaurentPoly.zero(d) if ncharts == 2 else None
-        return u, z_cross
+        u = tuple(LaurentPoly.var(d, p - 1) for _ in range(curve.ncharts))
+        return u, curve.glued(LaurentPoly.zero, d)
     if not isinstance(d, Zmod):
         raise WrongModulus("explicit atlases need a Z/p^m coefficient domain")
     if lifting.curve.domain != d:
         raise WrongModulus("atlas stored at a different precision than the input")
-    u = tuple(lifting.derivative_quotient(c, d) for c in range(ncharts))
-    z_cross = lifting.z_cross_chart(d) if ncharts == 2 else None
-    return u, z_cross
+    u = tuple(lifting.derivative_quotient(c, d) for c in range(curve.ncharts))
+    return u, curve.glued(lifting.z_cross_chart, d)
 
 
 def inverse_cartier_1(higgs, lifting=None):
@@ -139,23 +144,16 @@ def inverse_cartier_1(higgs, lifting=None):
 
 def _transform(higgs, lifting):
     """The level-one transform of a checked Higgs bundle for an atlas, read
-    off its state; built, and validated on P^1, once per atlas."""
+    off its state; built and validated once per atlas."""
     state = _state(higgs)
     flat = state.transforms.get(lifting)
     if flat is not None:
         return flat
     u, z_cross = _atlas_data(higgs, lifting)
     A = tuple(N.scale(u[c]) for c, N in enumerate(state.pulled))
-    curve = higgs.bundle.curve
-    if not curve.is_projective:
-        flat = FlatBundle(Bundle(curve, higgs.bundle.rank), A)
-    else:
-        if state.tau is None:
-            state.tau = frobenius_pullback_matrix(higgs.bundle.transition)
-        tau = state.tau
-        if z_cross is not None and not z_cross.is_zero():
-            tau = tau.mul(state.exp(0, z_cross))
-        flat = FlatBundle(Bundle(curve, higgs.bundle.rank, tau), A).validate()
+    E = higgs.bundle
+    tau = E.curve.glued(state.transition, E, z_cross)
+    flat = FlatBundle(Bundle(E.curve, E.rank, tau), A).validate()
     state.transforms[lifting] = flat
     return flat
 

@@ -22,6 +22,7 @@ from .cartier import (
     p_curvature,
     p_curvature_prediction,
 )
+from .curves import CURVES, ProjectiveLine
 from .errors import HdflowError
 from .filtration import _simpson, is_higgs_semistable
 from .flow import FlowPolicy, run_flow
@@ -438,7 +439,7 @@ def _suite_cocycle(rng, p_opt, m_opt):
 
     def trial(p, i):
         rank = rng.randint(2, 3)
-        kind = ("P1", "A1")[i % 2]
+        kind = tuple(CURVES)[i % 2]
         H = corpus.random_nilpotent_higgs(rng, p, rank, curve=kind)
         lifts = [corpus.random_lifting(rng, H.bundle.curve) for _ in range(3)]
         t12, _, _ = lifting_change_transport(H, lifts[0], lifts[1])
@@ -487,7 +488,7 @@ def _suite_p_curvature(rng, p_opt, m_opt):
 
     def trial(p, i):
         rank = rng.randint(1, 3)
-        kind = ("P1", "A1")[i % 2]
+        kind = tuple(CURVES)[i % 2]
         H = corpus.random_nilpotent_higgs(rng, p, rank, curve=kind)
         flat = inverse_cartier_1(H)
         return p_curvature(flat) == p_curvature_prediction(H), {"curve": kind}
@@ -516,7 +517,7 @@ def _suite_ov_sign(rng, p_opt, m_opt):
 
     def trial(p, i):
         rank = rng.randint(1, 3)
-        kind = ("P1", "A1")[i % 2]
+        kind = tuple(CURVES)[i % 2]
         H = corpus.random_nilpotent_higgs(rng, p, rank, curve=kind)
         lifting = corpus.random_lifting(rng, H.bundle.curve) if i % 3 else None
         return ov_sign_check(H, lifting=lifting).passed, {"curve": kind}
@@ -593,7 +594,7 @@ def check(suite, seed, p_opt, modulus_power, out_path):
 @click.option("--count", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
-    "--curve", type=click.Choice(["P1", "A1"]), default="P1", show_default=True
+    "--curve", type=click.Choice(list(CURVES)), default=ProjectiveLine.tag, show_default=True
 )
 @click.option("--out", "out_path", default=None)
 @_guard

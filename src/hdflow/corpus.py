@@ -10,8 +10,8 @@ and every emitted instance passes its own validate().
 import random
 from dataclasses import dataclass
 
-from .bundles import Bundle, HiggsBundle, chart1_form, per_chart
-from .curves import AffineLine, ProjectiveLine
+from .bundles import Bundle, HiggsBundle, chart1_form, lines_transition, per_chart
+from .curves import CURVES, UNKNOWN_CURVE, FrobeniusLifting, ProjectiveLine
 from .graded import GradedHiggsBundle
 from .ringmath import LaurentPoly, RingMatrix, Zmod, random_poly
 from .witt import LiftingInputTuple
@@ -34,7 +34,7 @@ class CorpusParams:
     weight: int
     count: int
     seed: int
-    curve: str = "P1"
+    curve: str = ProjectiveLine.tag
     max_exp: int = MAX_EXPONENT
 
     def __post_init__(self):
@@ -50,8 +50,8 @@ class CorpusParams:
             raise CorpusParamError("need rank >= weight + 1 for positive pieces")
         if self.count < 1:
             raise CorpusParamError("count must be positive")
-        if self.curve not in ("P1", "A1"):
-            raise CorpusParamError("curve must be 'P1' or 'A1'")
+        if self.curve not in CURVES:
+            raise CorpusParamError(UNKNOWN_CURVE)
         if not 0 <= self.max_exp <= MAX_EXPONENT:
             raise CorpusParamError(
                 "splitting exponents are capped at %d" % MAX_EXPONENT
@@ -100,21 +100,15 @@ def _graded_instance(rng, params, ring, curve):
         [rng.randint(-params.max_exp, params.max_exp) for _ in range(r)]
         for r in ranks
     ]
-    if curve.is_projective:
-        pieces = [Bundle.sum_of_lines(curve, tuple(e)) for e in exps]
-    else:
-        pieces = [Bundle.free(curve, r) for r in ranks]
+    pieces = [Bundle(curve, len(e), curve.glued(lines_transition, ring, e)) for e in exps]
     maps = []
     for k in range(params.weight):
         rows = []
         for i in range(ranks[k]):
             row = []
             for j in range(ranks[k + 1]):
-                if curve.is_projective:
-                    dmax = exps[k][i] - exps[k + 1][j] - 2
-                    row.append(random_poly(rng, ring, dmax))
-                else:
-                    row.append(random_poly(rng, ring, 2))
+                dmax = exps[k][i] - exps[k + 1][j] - 2 if curve.is_projective else 2
+                row.append(random_poly(rng, ring, dmax))
             rows.append(row)
         M0 = RingMatrix(ring, rows)
         source, target = pieces[k + 1], pieces[k]
@@ -126,7 +120,7 @@ def generate(params):
     """The corpus for one parameter box: count validated instances."""
     rng = random.Random(params.seed)
     ring = Zmod(params.p, 1)
-    curve = ProjectiveLine(ring) if params.curve == "P1" else AffineLine(ring)
+    curve = CURVES[params.curve](ring)
     return [_graded_instance(rng, params, ring, curve) for _ in range(params.count)]
 
 
@@ -149,7 +143,7 @@ def one_periodic_instances(p):
 # plain Higgs bundles (nilpotent by construction)
 
 
-def random_nilpotent_higgs(rng, p, rank, curve="P1"):
+def random_nilpotent_higgs(rng, p, rank, curve=ProjectiveLine.tag):
     """A nilpotent Higgs bundle: the total object of a random graded
     instance with splitting exponents bounded by 3, frame-twisted on the
     affine line where frames are free."""
@@ -165,7 +159,7 @@ def random_nilpotent_higgs(rng, p, rank, curve="P1"):
     )
     inner = random.Random(params.seed)
     ring = Zmod(p, 1)
-    crv = ProjectiveLine(ring) if curve == "P1" else AffineLine(ring)
+    crv = CURVES[curve](ring)
     H = _graded_instance(inner, params, ring, crv).total()
     if not crv.is_projective:
         Q = _random_unimodular(rng, ring, rank)
@@ -226,8 +220,6 @@ def _nonzero_matrix(rng, ring, nr, nc):
 def random_lifting(rng, curve):
     """A coordinate-power lifting perturbed by a random polynomial h of
     degree at most 2 on every chart, in that chart's own coordinate."""
-    from .curves import FrobeniusLifting
-
     ring = curve.domain
     hs = tuple(random_poly(rng, ring, 2) for _ in range(curve.ncharts))
     return FrobeniusLifting(curve, hs)

@@ -1,9 +1,26 @@
-"""Charts, coordinate changes, and Frobenius liftings for the line.
+"""Curves, their charts, and Frobenius liftings of the line.
+
+ProjectiveLine and AffineLine own every fact that depends on the curve;
+other modules ask the curve and never test its kind.  A curve kind supplies:
+  * tag, its documents' 'curve' field (CURVES maps tags to classes);
+  * ncharts and check_charts: a field keeps one matrix per chart;
+  * over_charts(M0, rule, *args): a field's per-chart matrices from its
+    chart-0 matrix M0, with rule(M0, *args) giving chart 1;
+  * bundle_transition(rank, g): a bundle's transition, validated, with its
+    determinant and degree;
+  * glued(make, *args): make(*args) where two charts are glued, so that
+    bundles carry transitions; None where every bundle is free;
+  * document_transition_error(raw): why a document's transition entry does
+    not fit, or None;
+  * is_projective: properness, so that degree and splitting type exist;
+    tests/test_curves.py lists its few readers outside this module.
 
 The projective line carries two charts with coordinates t and s = 1/t;
 sections transform by v_1(s) = [g(t) v_0(t)] at t = 1/s, and the 1-form basis
-transforms by dt = -s^{-2} ds (symmetrically ds = -t^{-2} dt).  The affine
-line has a single chart with coordinate t.
+transforms by dt = -s^{-2} ds (symmetrically ds = -t^{-2} dt).  A bundle's
+transition g is the identity unless given, and its determinant must be a
+Laurent unit c t^-d, where d is the degree.  The affine line has a single
+chart with coordinate t, and every bundle on it is free.
 
 A Frobenius lifting assigns to each chart a polynomial h with
 F(t) = t^p + p*h(t); h is stored over the working ring Z/p^m and determines
@@ -13,27 +30,51 @@ two liftings) are exact and land back in Z/p^m.
 
 from dataclasses import dataclass, field
 
-from .errors import WrongModulus
-from .ringmath import LaurentPoly, Zmod
+from .errors import NonInvertible, WrongModulus
+from .ringmath import LaurentPoly, RingMatrix, Zmod
 
 
-class ProjectiveLine:
-    """P^1 over a coefficient domain, as two glued affine charts."""
+def laurent_unit_exponent(poly):
+    """The exponent of the unique unit-coefficient slot of a Laurent unit."""
+    d = poly.domain
+    slots = [e for e, c in poly.coeffs.items() if d.is_unit(c)]
+    if len(slots) != 1:
+        raise NonInvertible("%r is not a Laurent unit" % poly)
+    return slots[0]
 
-    ncharts = 2
-    is_projective = True
+
+class _Line:
+    """A curve over a coefficient domain; equal when kind and domain agree."""
 
     def __init__(self, domain):
         self.domain = domain
 
     def __eq__(self, other):
-        return isinstance(other, ProjectiveLine) and self.domain == other.domain
+        return type(other) is type(self) and self.domain == other.domain
 
     def __hash__(self):
-        return hash(("P1", self.domain))
+        return hash((self.tag, self.domain))
 
     def __repr__(self):
-        return "ProjectiveLine(%r)" % (self.domain,)
+        return "%s(%r)" % (type(self).__name__, self.domain)
+
+    def check_charts(self, mats, nrows, ncols, noun, what):
+        """Raise ValueError unless mats holds one nrows x ncols matrix per
+        chart; noun names the matrices in the count error, what in the shape
+        error."""
+        if len(mats) != self.ncharts:
+            raise ValueError("one %s per chart required" % noun)
+        for M in mats:
+            if M.nrows != nrows or M.ncols != ncols:
+                raise ValueError("%s shape mismatch" % what)
+
+
+class ProjectiveLine(_Line):
+    """P^1 over a coefficient domain, as two glued affine charts."""
+
+    tag = "P1"
+    ncharts = 2
+    is_projective = True
 
     def to_other_chart(self, obj):
         """Rewrite a Laurent polynomial or matrix in the other chart's
@@ -47,24 +88,52 @@ class ProjectiveLine:
         d = self.domain
         return LaurentPoly(d, {-2: d.neg(d.one)})
 
+    def over_charts(self, M0, rule, *args):
+        return (M0, rule(M0, *args))
 
-class AffineLine:
+    def glued(self, make, *args):
+        return make(*args)
+
+    def bundle_transition(self, rank, g):
+        if g is None:
+            g = RingMatrix.identity(self.domain, rank)
+        if g.nrows != rank or g.ncols != rank:
+            raise ValueError("transition shape does not match rank")
+        if g.domain != self.domain:
+            raise ValueError("transition over the wrong coefficient domain")
+        det = g.det()
+        if not det.is_unit():
+            raise NonInvertible("transition determinant is not a unit")
+        return g, det, -laurent_unit_exponent(det)
+
+    def document_transition_error(self, raw):
+        return "projective bundles need a transition" if raw is None else None
+
+
+class AffineLine(_Line):
     """A^1 over a coefficient domain: one chart, coordinate t."""
 
+    tag = "A1"
     ncharts = 1
     is_projective = False
 
-    def __init__(self, domain):
-        self.domain = domain
+    def over_charts(self, M0, rule, *args):
+        return (M0,)
 
-    def __eq__(self, other):
-        return isinstance(other, AffineLine) and self.domain == other.domain
+    def glued(self, make, *args):
+        return None
 
-    def __hash__(self):
-        return hash(("A1", self.domain))
+    def bundle_transition(self, rank, g):
+        if g is not None:
+            raise ValueError("affine-line bundles are free: no transition")
+        return None, None, 0
 
-    def __repr__(self):
-        return "AffineLine(%r)" % (self.domain,)
+    def document_transition_error(self, raw):
+        return None if raw is None else "affine bundles are free: transition must be null"
+
+
+CURVES = {kind.tag: kind for kind in (ProjectiveLine, AffineLine)}
+UNKNOWN_CURVE = "curve must be %s" % " or ".join(map(repr, CURVES))
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,6 @@ def _top_destabilizer(G):
     """F as G's maximal destabilizer, or None when G is semistable.
     Certified: the maps kill F's chart-0 basis ("top-invariant"), and F's
     slope a exceeds that of G ("top-slope")."""
-    if not G.curve.is_projective:
-        return None
     tps = [P.splitting_type() for P in G.pieces]
     a = max(tp[0] for tp in tps)
     if all(tp[-1] == a for tp in tps):
@@ -83,9 +81,10 @@ def _top_destabilizer(G):
 
 
 def _decision(G):
-    """G's _top_destabilizer report, decided on first use and stored on G."""
+    """G's _top_destabilizer report, decided on first use and stored on G;
+    None where bundles are free, as every slope is zero."""
     if G._destabilizer is _Undecided:
-        G._destabilizer = _top_destabilizer(G)
+        G._destabilizer = G.curve.glued(_top_destabilizer, G)
     return G._destabilizer
 
 
@@ -123,11 +122,17 @@ def is_nabla_semistable(flat):
     bundle = flat.bundle
     if getattr(bundle.domain, "m", 1) != 1:
         raise WrongModulus("semistability is a characteristic-p question")
-    if not bundle.curve.is_projective:
-        return True, None
+    W = bundle.curve.glued(_top_summand, flat)
+    return W is None, W
+
+
+def _top_summand(flat):
+    """The top split summand of a non-constant splitting type, certified
+    connection-invariant and destabilizing; None for a constant type."""
+    bundle = flat.bundle
     tp = bundle.splitting_type()
     if tp[0] == tp[-1]:
-        return True, None
+        return None
     W = hn_filtration(bundle)[0]
     if not _nabla_invariant(flat, W):
         raise CertificateFailed(
@@ -137,7 +142,7 @@ def is_nabla_semistable(flat):
         raise CertificateFailed(
             "top split summand does not destabilize", part="destabilizing-slope"
         )
-    return False, W
+    return W
 
 
 # ---------------------------------------------------------------------------

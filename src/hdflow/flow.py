@@ -186,12 +186,10 @@ def extend_graded(G, K):
     if K.p != G.domain.p:
         raise ValueError("scalar extension must preserve the characteristic")
     curve = type(G.curve)(K)
-    pieces = []
-    for P in G.pieces:
-        if curve.is_projective:
-            pieces.append(Bundle(curve, P.rank, P.transition.lift_to(K)))
-        else:
-            pieces.append(Bundle(curve, P.rank))
+    pieces = [
+        Bundle(curve, P.rank, curve.glued(RingMatrix.lift_to, P.transition, K))
+        for P in G.pieces
+    ]
     maps = tuple(tuple(M.lift_to(K) for M in per) for per in G.maps)
     return GradedHiggsBundle(pieces, maps)
 
@@ -381,12 +379,10 @@ def direct_sum_graded(summands):
     w = summands[0].weight
     if any(G.weight != w for G in summands):
         raise ValueError("direct sum needs summands of equal weight")
-    pieces = []
-    for j in range(w + 1):
-        P = summands[0].pieces[j]
-        for G in summands[1:]:
-            P = P.direct_sum(G.pieces[j])
-        pieces.append(P)
+    pieces = [
+        summands[0].pieces[j].direct_sum(*(G.pieces[j] for G in summands[1:]))
+        for j in range(w + 1)
+    ]
     d = summands[0].domain
     maps = tuple(
         tuple(
@@ -425,10 +421,7 @@ def pack_endostructure(T, xi, K):
 
     ncharts = big.curve.ncharts
     s_blocks = tuple(
-        tuple(
-            _scalar_block(K, scalars, [piece_ranks[i][j] for i in range(f)])
-            for _ in range(ncharts)
-        )
+        (_scalar_block(K, scalars, [piece_ranks[i][j] for i in range(f)]),) * ncharts
         for j in range(w + 1)
     )
     s = GradedMap(s_blocks)
@@ -457,14 +450,8 @@ def pack_endostructure(T, xi, K):
     # exact commutation identity: rot . (flow image of s) == s . rot
     flow_scalars = [K.frobenius(c) for c in scalars]
     s_flow_blocks = tuple(
-        tuple(
-            _scalar_block(
-                K,
-                flow_scalars,
-                [stages[i + 1].pieces[j].rank for i in range(f)],
-            )
-            for _ in range(ncharts)
-        )
+        (_scalar_block(K, flow_scalars, [E.pieces[j].rank for E in stages[1 : f + 1]]),)
+        * ncharts
         for j in range(w + 1)
     )
     s_flow = GradedMap(s_flow_blocks)
@@ -628,12 +615,8 @@ def unpack_endostructure(packed):
                 )
             V = Subbundle.from_chart0_span(big.pieces[j], cols)
             subs.append(V)
-            if big.curve.is_projective:
-                pieces.append(
-                    Bundle(big.curve, V.rank, V.induced_transition())
-                )
-            else:
-                pieces.append(Bundle(big.curve, V.rank))
+            g = big.curve.glued(V.induced_transition)
+            pieces.append(Bundle(big.curve, V.rank, g))
         maps = []
         for k in range(w):
             per_chart = []

@@ -158,14 +158,8 @@ class GradedHiggsBundle:
         if len(self.maps) != len(self.pieces) - 1:
             raise ValueError("one connecting map per adjacent grade pair")
         for k, mats in enumerate(self.maps):
-            if len(mats) != self.curve.ncharts:
-                raise ValueError("one matrix per chart required")
-            for M in mats:
-                if (
-                    M.nrows != self.pieces[k].rank
-                    or M.ncols != self.pieces[k + 1].rank
-                ):
-                    raise ValueError("connecting map shape mismatch")
+            shape = self.pieces[k].rank, self.pieces[k + 1].rank
+            self.curve.check_charts(mats, *shape, "matrix", "connecting map")
 
     @property
     def weight(self):
@@ -205,10 +199,7 @@ class GradedHiggsBundle:
             )
             for c in range(self.curve.ncharts)
         )
-        g = None
-        if self.curve.is_projective:
-            g = RingMatrix.block_diagonal(d, [P.transition for P in self.pieces])
-        return HiggsBundle(Bundle(self.curve, self.rank, g), thetas)
+        return HiggsBundle(self.pieces[0].direct_sum(*self.pieces[1:]), thetas)
 
     def __eq__(self, other):
         return (
@@ -281,27 +272,12 @@ def grade(flat, filtration):
                         "nabla(Fil^%d) escapes Fil^%d" % (b, b - 1)
                     )
 
-    if bundle.curve.is_projective:
-        gprime_hat = inverses[1].mul(bundle.to_chart1(frames[0]))
-        for b in range(n + 1):
-            for a in range(b):
-                chunk = gprime_hat.submatrix(blocks[a], blocks[b])
-                if not chunk.is_zero():
-                    raise ValueError("filtration charts do not glue")
-        pieces = tuple(
-            Bundle(
-                bundle.curve,
-                len(blocks[i]),
-                bundle.curve.to_other_chart(
-                    gprime_hat.submatrix(blocks[i], blocks[i])
-                ),
-            )
-            for i in range(n + 1)
-        )
-    else:
-        pieces = tuple(
-            Bundle(bundle.curve, len(blocks[i])) for i in range(n + 1)
-        )
+    transitions = bundle.curve.glued(
+        _piece_transitions, bundle, frames, inverses, blocks
+    ) or [None] * len(blocks)
+    pieces = tuple(
+        Bundle(bundle.curve, len(b), g) for b, g in zip(blocks, transitions)
+    )
 
     maps = tuple(
         tuple(
@@ -312,6 +288,19 @@ def grade(flat, filtration):
     )
     graded = GradedHiggsBundle(pieces, maps).validate()
     return Grading(flat, filtration, frames, graded)
+
+
+def _piece_transitions(bundle, frames, inverses, blocks):
+    """The graded pieces' transitions: the diagonal blocks of the transition
+    in the adapted frames, which must be block upper triangular."""
+    gprime_hat = inverses[1].mul(bundle.to_chart1(frames[0]))
+    for b in range(len(blocks)):
+        for a in range(b):
+            if not gprime_hat.submatrix(blocks[a], blocks[b]).is_zero():
+                raise ValueError("filtration charts do not glue")
+    return [
+        bundle.curve.to_other_chart(gprime_hat.submatrix(b, b)) for b in blocks
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +338,23 @@ class GradedMap:
 
 
 def _identity_graded_map(A):
-    d = A.domain
-    return GradedMap(
-        tuple(
-            tuple(
-                RingMatrix.identity(d, P.rank)
-                for _ in range(A.curve.ncharts)
-            )
-            for P in A.pieces
-        )
-    )
+    n = A.curve.ncharts
+    return GradedMap(tuple((RingMatrix.identity(A.domain, P.rank),) * n for P in A.pieces))
 
 
 def _split_frames(G):
     """Per grade the splitting type, the chart-0 frame onto the split frame
-    and its inverse, and the connecting maps in the split frames; on A^1,
-    zero types and identity frames."""
-    if not G.curve.is_projective:
-        Q = [RingMatrix.identity(G.domain, P.rank) for P in G.pieces]
-        return [[0] * P.rank for P in G.pieces], Q, Q, [m[0] for m in G.maps]
+    and its inverse, and the connecting maps in the split frames; where
+    bundles are free, zero types and identity frames."""
+    return G.curve.glued(_factored_frames, G) or _free_frames(G)
+
+
+def _free_frames(G):
+    Q = [RingMatrix.identity(G.domain, P.rank) for P in G.pieces]
+    return [[0] * P.rank for P in G.pieces], Q, Q, [m[0] for m in G.maps]
+
+
+def _factored_frames(G):
     sd = [P.split_data() for P in G.pieces]
     maps = [sd[k].Q.mul(m[0]).mul(sd[k + 1].Qinv) for k, m in enumerate(G.maps)]
     return [list(s.exponents) for s in sd], [s.Q for s in sd], [s.Qinv for s in sd], maps
@@ -387,13 +374,12 @@ def graded_higgs_isomorphic(A, B, budget=DEFAULT_ISO_BUDGET):
     if A == B:
         return _identity_graded_map(A)
     d = A.domain
-    for PA, PB in zip(A.pieces, B.pieces):
-        if PA.rank != PB.rank:
-            return None
-        if A.curve.is_projective and PA.splitting_type() != PB.splitting_type():
-            return None
+    if any(PA.rank != PB.rank for PA, PB in zip(A.pieces, B.pieces)):
+        return None
     types, to_split_A, _, maps_A = _split_frames(A)
-    _, _, from_split_B, maps_B = _split_frames(B)
+    types_B, _, from_split_B, maps_B = _split_frames(B)
+    if types != types_B:
+        return None
 
     def hom(maps_X, maps_Y):
         # equation (k, r, c, e): the t^e coefficient of entry (r, c) of

@@ -16,7 +16,7 @@ import os
 import tempfile
 
 from .bundles import Bundle, FlatBundle, HiggsBundle, Subbundle
-from .curves import AffineLine, FrobeniusLifting, ProjectiveLine
+from .curves import CURVES, UNKNOWN_CURVE, FrobeniusLifting
 from .errors import NonInvertible
 from .graded import GradedHiggsBundle, HodgeFiltration
 from .ringmath import GF, LaurentPoly, RingMatrix, Zmod
@@ -261,11 +261,9 @@ def _extension_field(doc, path, ring):
 def _curve(doc, path):
     ring = _ring(doc, path)
     kind = _field(doc, "curve", path, str)
-    if kind == "P1":
-        return ProjectiveLine(ring)
-    if kind == "A1":
-        return AffineLine(ring)
-    raise SchemaError("curve must be 'P1' or 'A1'", _child(path, "curve"))
+    if kind not in CURVES:
+        raise SchemaError(UNKNOWN_CURVE, _child(path, "curve"))
+    return CURVES[kind](ring)
 
 
 def lifting_to_json(lifting):
@@ -273,7 +271,7 @@ def lifting_to_json(lifting):
     return {
         "schema": SCHEMA,
         "type": "frobenius_lifting",
-        "curve": "P1" if lifting.curve.is_projective else "A1",
+        "curve": lifting.curve.tag,
         "p": ring.p,
         "m": ring.m,
         "liftings": [
@@ -307,17 +305,14 @@ def lifting_from_json(doc, path="/"):
 
 
 def _bundle_body(bundle):
-    ring = bundle.curve.domain
-    body = {
-        "curve": "P1" if bundle.curve.is_projective else "A1",
-        "p": ring.p,
-        "m": ring.m,
+    curve = bundle.curve
+    return {
+        "curve": curve.tag,
+        "p": curve.domain.p,
+        "m": curve.domain.m,
         "rank": bundle.rank,
-        "transition": matrix_to_json(bundle.transition)
-        if bundle.curve.is_projective
-        else None,
+        "transition": curve.glued(matrix_to_json, bundle.transition),
     }
-    return body
 
 
 def _bundle_from_body(doc, path, curve):
@@ -327,17 +322,14 @@ def _bundle_from_body(doc, path, curve):
         raise SchemaError("rank must be positive", _child(path, "rank"))
     raw = _field(doc, "transition", path)
     tpath = _child(path, "transition")
-    if curve.is_projective:
-        if raw is None:
-            raise SchemaError("projective bundles need a transition", tpath)
-        g = matrix_from_json(curve.domain, raw, tpath, shape=(rank, rank))
-        try:
-            return Bundle(curve, rank, g)
-        except NonInvertible:
-            raise SchemaError("transition determinant is not a unit", tpath)
-    if raw is not None:
-        raise SchemaError("affine bundles are free: transition must be null", tpath)
-    return Bundle(curve, rank)
+    wrong = curve.document_transition_error(raw)
+    if wrong is not None:
+        raise SchemaError(wrong, tpath)
+    g = curve.glued(matrix_from_json, curve.domain, raw, tpath, (rank, rank))
+    try:
+        return Bundle(curve, rank, g)
+    except NonInvertible:
+        raise SchemaError("transition determinant is not a unit", tpath)
 
 
 def bundle_to_json(bundle):
@@ -414,16 +406,11 @@ def graded_to_json(G):
     doc = {
         "schema": SCHEMA,
         "type": "graded_higgs",
-        "curve": "P1" if G.curve.is_projective else "A1",
+        "curve": G.curve.tag,
         "p": ring.p,
         "m": ring.m,
         "pieces": [
-            {
-                "rank": P.rank,
-                "transition": matrix_to_json(P.transition)
-                if G.curve.is_projective
-                else None,
-            }
+            {"rank": P.rank, "transition": G.curve.glued(matrix_to_json, P.transition)}
             for P in G.pieces
         ],
         "maps": [[matrix_to_json(M) for M in per_chart] for per_chart in G.maps],

@@ -1,7 +1,12 @@
-"""Charts, coordinate changes, Frobenius liftings, and exact p-divisions."""
+"""Charts, coordinate changes, Frobenius liftings, and exact p-divisions;
+and that no module but curves.py tests which curve it is on."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import hdflow
 from hdflow.curves import AffineLine, FrobeniusLifting, ProjectiveLine
 from hdflow.errors import WrongModulus
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
@@ -136,3 +141,133 @@ def test_curve_dependent_errors_keep_their_messages():
         with pytest.raises(SchemaError) as err:
             bundle_from_json(doc)
         assert (err.value.message, err.value.path) == (message, path)
+
+
+CURVE_CLASSES = {"ProjectiveLine", "AffineLine"}
+
+# The properness reads that stay outside curves.py: qualified function,
+# number of is_projective reads in it, and why it must know whether degrees
+# and splitting types exist.
+PROPERNESS_READS = {
+    "bundles.Bundle.splitting_type": (
+        1,
+        "a line bundle over a field is O(degree) only on a proper curve; "
+        "elsewhere the read raises as split_data does",
+    ),
+    "bundles.Bundle.split_data": (
+        1,
+        "split frames exist only on a proper curve; elsewhere it raises",
+    ),
+    "cli._trace_certificates": (
+        1,
+        "a flow step certifies degree scaling only where degrees exist",
+    ),
+    "cli.cartier_apply": (
+        1,
+        "a transform certifies degree scaling only where degrees exist",
+    ),
+    "corpus._graded_instance": (
+        1,
+        "map entries are drawn up to the splitting gap on a proper curve and "
+        "of degree 2 elsewhere; golden digests pin the draws",
+    ),
+    "corpus.random_nilpotent_higgs": (
+        1,
+        "the random frame twist, and its draws, happen only where frames are "
+        "free; golden digests pin the draws",
+    ),
+}
+
+
+def _names(node):
+    """The names a node spells as a bare name or an attribute, through tuples."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def _curve_test(node):
+    """What a syntax node tests about the curve's kind, or None: a read of
+    is_projective, a curve tag, an isinstance or comparison against a curve
+    class, or ncharts compared with a number.  A count of per-chart matrices
+    compared with ncharts asks for one matrix per chart, not for a kind."""
+    if isinstance(node, ast.Attribute) and node.attr == "is_projective":
+        return "is_projective"
+    if isinstance(node, ast.Constant) and node.value in ("P1", "A1"):
+        return "tag %r" % node.value
+    if isinstance(node, ast.Call) and _names(node.func) == {"isinstance"}:
+        if _names(node.args[-1]) & CURVE_CLASSES:
+            return "isinstance"
+    if isinstance(node, ast.Compare):
+        operands = [node.left] + node.comparators
+        if any(_names(x) & CURVE_CLASSES for x in operands):
+            return "curve class compared"
+        for a, b in zip(operands, operands[1:]):
+            pair = _names(a) | _names(b)
+            numbers = [x for x in (a, b) if isinstance(x, ast.Constant)]
+            if "ncharts" in pair and numbers:
+                return "ncharts compared with a number"
+    return None
+
+
+def _curve_tests(path):
+    """(qualified function, what, line) for each curve-kind test in a module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            what = _curve_test(child)
+            if what is not None:
+                found.append((".".join(inner), what, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    return found
+
+
+def test_only_curves_tests_the_curve_kind():
+    """Outside curves.py the library asks its curve instead of testing which
+    curve it is; the properness reads in PROPERNESS_READS are the only
+    exception, each counted."""
+    package = Path(hdflow.__file__).resolve().parent
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "curves.py"]
+    assert {"bundles.py", "serialize.py", "cli.py"} <= {path.name for path in sources}
+    reads, others = {}, []
+    for path in sources:
+        for where, what, line in _curve_tests(path):
+            if what == "is_projective":
+                reads[where] = reads.get(where, 0) + 1
+            else:
+                others.append("%s:%d %s in %s" % (path.name, line, what, where))
+    assert others == []
+    assert reads == {where: count for where, (count, _) in PROPERNESS_READS.items()}
+    assert sum(reads.values()) <= 8
+
+
+def test_curve_test_finds_each_kind_of_test():
+    source = (
+        "def f(curve, other):\n"
+        "    a = curve.is_projective\n"
+        "    b = 'A1'\n"
+        "    c = isinstance(curve, (AffineLine, int))\n"
+        "    d = curve.ncharts == 2\n"
+        "    e = type(curve) is ProjectiveLine\n"
+        "    f = len(other) != curve.ncharts\n"
+    )
+    found = [
+        _curve_test(node) for node in ast.walk(ast.parse(source)) if _curve_test(node)
+    ]
+    assert sorted(found) == sorted(
+        [
+            "is_projective",
+            "tag 'A1'",
+            "isinstance",
+            "ncharts compared with a number",
+            "curve class compared",
+        ]
+    )

@@ -170,12 +170,13 @@ def _cli_sample():
         (Bundle.free(line, 1), Bundle.free(line, 1)), ((mat(d, [[{0: 1}]]),),)
     )
 
-    def supplied(step):
-        """Two steps of the A^1 unipotent object, each filtered by step."""
+    def supplied(step, graded=unipotent):
+        """Two steps of graded, by default the A^1 unipotent object, each
+        filtered by step."""
         return {
             "schema": "hdf/1",
             "type": "flow_input",
-            "graded": graded_to_json(unipotent),
+            "graded": graded_to_json(graded),
             "filtrations": [{"steps": [step]}, {"steps": [step]}],
         }
 
@@ -184,6 +185,7 @@ def _cli_sample():
     for i in range(3):
         g.rows[i][i + 1] = LaurentPoly.var(d)
     unipotent_o4 = GradedHiggsBundle((Bundle(ProjectiveLine(d), 4, g),), ())
+    o2_on_p1 = GradedHiggsBundle((Bundle.free(ProjectiveLine(d), 2),), ())
     # ranks (2, 1) over Z/9 with a nonzero grading-comparison defect
     ring, down = Zmod(3, 2), Zmod(3, 1)
     comparison = LiftingInputTuple(
@@ -221,6 +223,8 @@ def _cli_sample():
         (supplied_flow, supplied([[[]], [[[0, 1]]]]), 0),
         # the same line spanned by 2 e_2, whose Smith form divides its lead
         (supplied_flow, supplied([[[]], [[[0, 2]]]]), 0),
+        # the line of e_2 in O^2 on P^1, whose chart spans must glue
+        (supplied_flow, supplied([[[]], [[[0, 1]]]], o2_on_p1), 0),
         # three rows for a rank-2 object
         (supplied_flow, supplied([[[]], [[[0, 1]]], [[]]]), 2),
         (["cartier", "apply"], higgs_to_json(higgs), 0),
