@@ -104,11 +104,10 @@ def check_per_chart(mats, rule, source, target, what):
 
 
 def _glued_charts_agree(mats, rule, source, target):
-    """The chart rule multiplied through by ghat_source, a unit as Bundle
-    certifies det g: polynomial (M0, M1) agree iff M1 ghat_source equals
-    ghat_target M0(1/s) for chart1_map, that times dt/ds for chart1_form,
-    and that minus ghat' for chart1_connection (ghat d(ghat^-1)/ds ghat =
-    -ghat')."""
+    """The chart rule times ghat_source, a certified unit: polynomial (M0, M1)
+    agree iff M1 ghat_source is ghat_target M0(1/s) for chart1_map, that
+    times dt/ds for chart1_form, and that minus ghat' for chart1_connection
+    (ghat d(ghat^-1)/ds ghat = -ghat')."""
     M0, M1 = mats
     ghat = source.chart1_transition()
     want = target.to_chart1(M0)

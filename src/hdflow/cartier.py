@@ -144,7 +144,7 @@ def inverse_cartier_1(higgs, lifting=None):
 
 def _transform(higgs, lifting):
     """The level-one transform of a checked Higgs bundle for an atlas, read
-    off its state; built and validated once per atlas."""
+    off its state; built once per atlas, and validated where charts glue."""
     state = _state(higgs)
     flat = state.transforms.get(lifting)
     if flat is not None:
@@ -153,7 +153,8 @@ def _transform(higgs, lifting):
     A = tuple(N.scale(u[c]) for c, N in enumerate(state.pulled))
     E = higgs.bundle
     tau = E.curve.glued(state.transition, E, z_cross)
-    flat = FlatBundle(Bundle(E.curve, E.rank, tau), A).validate()
+    flat = FlatBundle(Bundle(E.curve, E.rank, tau), A)
+    E.curve.glued(flat.validate)
     state.transforms[lifting] = flat
     return flat
 

@@ -18,9 +18,8 @@ other modules ask the curve and never test its kind.  A curve kind supplies:
 The projective line carries two charts with coordinates t and s = 1/t;
 sections transform by v_1(s) = [g(t) v_0(t)] at t = 1/s, and the 1-form basis
 transforms by dt = -s^{-2} ds (symmetrically ds = -t^{-2} dt).  A bundle's
-transition g is the identity unless given, and its determinant must be a
-Laurent unit c t^-d, where d is the degree.  The affine line has a single
-chart with coordinate t, and every bundle on it is free.
+transition is the identity unless given, with det a Laurent unit c t^-deg.
+The affine line has one chart, coordinate t, and every bundle on it is free.
 
 A Frobenius lifting assigns to each chart a polynomial h with
 F(t) = t^p + p*h(t); h is stored over the working ring Z/p^m and determines
@@ -60,8 +59,7 @@ class _Line:
 
     def check_charts(self, mats, nrows, ncols, noun, what):
         """Raise ValueError unless mats holds one nrows x ncols matrix per
-        chart; noun names the matrices in the count error, what in the shape
-        error."""
+        chart; noun and what name the matrices in the two errors."""
         if len(mats) != self.ncharts:
             raise ValueError("one %s per chart required" % noun)
         for M in mats:

@@ -199,7 +199,9 @@ class GradedHiggsBundle:
             )
             for c in range(self.curve.ncharts)
         )
-        return HiggsBundle(self.pieces[0].direct_sum(*self.pieces[1:]), thetas)
+        blocks = [P.transition for P in self.pieces]
+        g = self.curve.glued(RingMatrix.block_diagonal, d, blocks)
+        return HiggsBundle(Bundle(self.curve, self.rank, g), thetas)
 
     def __eq__(self, other):
         return (
