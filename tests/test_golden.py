@@ -368,6 +368,35 @@ def _pack_round_trip_bytes():
     return canonical_bytes(doc)
 
 
+def _filtered_pack_round_trip_bytes():
+    """Pack then unpack with Fil^1 = span(e_1) at both steps: A^1 over
+    Z/3, weight 1 with theta = 0, folded over GF(3, 2).  Pins the recovered
+    graded object and period map and the chart-0 spans of the packed and
+    recovered filtrations."""
+    d = Zmod(3, 1)
+    curve = AffineLine(d)
+    zero = RingMatrix.zeros(d, 1, 1)
+    G = GradedHiggsBundle((Bundle.free(curve, 1), Bundle.free(curve, 1)), ((zero,),))
+    E = Bundle.free(curve, 2)
+    fil = HodgeFiltration(E, [Subbundle.from_chart0_span(E, _mat(d, [[1], [0]]))])
+    identity = GradedMap(tuple((RingMatrix.identity(d, 1),) for _ in G.pieces))
+    T = PeriodicTuple(G, (fil, fil), identity).validate()
+    K = GF(3, 2)
+    packed = pack_endostructure(T, K.gen, K)
+    back = unpack_endostructure(packed)
+
+    def spans(fils):
+        return [[matrix_to_json(S.basis[0]) for S in F.steps] for F in fils]
+
+    doc = {
+        "higgs": graded_to_json(back.higgs),
+        "phi": [[matrix_to_json(B) for B in per] for per in back.phi.blocks],
+        "filtrations": spans(back.filtrations),
+        "packed": spans(packed.carrier.filtrations),
+    }
+    return canonical_bytes(doc)
+
+
 def _equivalence_bytes():
     """Intertwiner for a constant flag-respecting frame change at p^2."""
     ring = Zmod(3, 2)
@@ -865,6 +894,7 @@ LIBRARY_CASES = {
     "block-layout": _block_layout_bytes,
     "kernel-bases": _kernel_basis_bytes,
     "pack-unpack-round-trip": _pack_round_trip_bytes,
+    "pack-unpack-filtered": _filtered_pack_round_trip_bytes,
     "equivalence-intertwiner": _equivalence_bytes,
     "equivalence-default-window": _default_window_equivalence_bytes,
     "equivalence-frame-change-p3": _frame_change_p3_bytes,
@@ -886,6 +916,7 @@ LIBRARY_DIGESTS = {
     "block-layout": "7420d281d84246bf321618d4a8e7e0740ae21049b5a41d285eb6c303fc4b0165",
     "kernel-bases": "8997e74e14056cd6ad22aa9824d4378d44a3a77c6791a667b860851ba37dcb06",
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
+    "pack-unpack-filtered": "a06526f4759bda80b1d8714107d5a23affd94aed9c9d21405b27c67bf7d56819",
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
     "equivalence-default-window": "fade237c52da0865d83e14f57ca60140381ef5bdd998455fb6862c88296c414f",
     "equivalence-frame-change-p3": "cc7694add0a34c9a549226c81b694f84c5a84b259650e5e20f540ac2e8f5f72d",
