@@ -340,12 +340,13 @@ class Subbundle:
         return self
 
     def induced_transition(self):
-        """ghat_S(s) with x_1 = ghat_S(s) x_0(1/s) in subbundle coordinates."""
+        """The transition g_S(t) in subbundle coordinates, read in t like
+        a Bundle's: x_1 = ghat_S(s) x_0(1/s) with ghat_S(s) = g_S(1/s)."""
         w = self.parent.to_chart1(self.basis[0])
         h = poly_solve(self.basis[1], w, laurent_denominators=True)
         if h is None:
             raise ValueError("subbundle charts do not glue")
-        return h
+        return self.parent.curve.to_other_chart(h)
 
     def degree(self):
         """The degree of the induced transition; 0 where bundles are free."""
@@ -388,7 +389,7 @@ def _check_spans_glue(sub):
 
 
 def _glued_degree(sub):
-    return laurent_unit_exponent(sub.induced_transition().det())
+    return -laurent_unit_exponent(sub.induced_transition().det())
 
 
 def _clear_denominators(M):

@@ -381,7 +381,8 @@ def flat_from_json(doc, path="/"):
 
 def cartier_input_from_json(doc):
     """A bare Higgs document, or a wrapper that adds a Frobenius lifting
-    (null for the standard one): (higgs, lifting)."""
+    (null for the standard one) of the Higgs bundle's curve: (higgs,
+    lifting)."""
     kind = require_tag(doc, None)
     if kind == "higgs_bundle":
         return higgs_from_json(doc), None
@@ -392,7 +393,12 @@ def cartier_input_from_json(doc):
         )
     H = higgs_from_json(_field(doc, "higgs", "/"), "/higgs")
     raw = _field(doc, "lifting", "/")
-    return H, None if raw is None else lifting_from_json(raw, "/lifting")
+    if raw is None:
+        return H, None
+    lifting = lifting_from_json(raw, "/lifting")
+    if lifting.curve.tag != H.bundle.curve.tag:
+        raise SchemaError("the lifting must be on the Higgs bundle's curve", "/lifting/curve")
+    return H, lifting
 
 
 # ---------------------------------------------------------------------------

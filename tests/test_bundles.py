@@ -204,6 +204,22 @@ def test_subbundle_coordinate_line():
     assert S.slope() == 1
 
 
+def test_induced_transition_is_read_in_t_like_a_bundle_transition():
+    # the line of e_1 in O(1) + O(0): the bundle built on its induced
+    # transition has its degree, so the transition is the chart-0 g_S(t)
+    X = P1(3)
+    d = X.domain
+    E = Bundle.sum_of_lines(X, [1, 0])
+    col = RingMatrix(d, [[LaurentPoly.one(d)], [LaurentPoly.zero(d)]])
+    V = Subbundle.from_chart0_span(E, col).validate()
+    assert V.degree() == 1
+    assert Bundle(X, 1, V.induced_transition()).degree() == 1
+    # the tautological line (1, t) in O^2 has degree -1 both ways
+    col = RingMatrix(d, [[LaurentPoly.one(d)], [LaurentPoly.var(d)]])
+    V = Subbundle.from_chart0_span(Bundle.free(X, 2), col)
+    assert Bundle(X, 1, V.induced_transition()).degree() == V.degree() == -1
+
+
 def test_subbundle_tautological_line_in_rank_two():
     # the line generated by (1, t) inside the trivial rank-2 bundle is the
     # degree -1 subbundle

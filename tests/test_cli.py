@@ -13,10 +13,16 @@ from click.testing import CliRunner
 
 from hdflow import witt
 from hdflow.cli import main
-from hdflow.corpus import CorpusParams, generate, random_lifting, random_witt_tuple
+from hdflow.corpus import (
+    CorpusParams,
+    generate,
+    random_lifting,
+    random_nilpotent_higgs,
+    random_witt_tuple,
+)
 from hdflow.cartier import inverse_cartier_1
 from hdflow.bundles import Bundle, HiggsBundle
-from hdflow.curves import ProjectiveLine
+from hdflow.curves import CURVES, ProjectiveLine
 from hdflow.graded import GradedHiggsBundle
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 from hdflow.serialize import (
@@ -358,6 +364,24 @@ def test_cartier_apply_rejects_a_lifting_with_a_pole(tmp_path):
     assert result.exit_code == 2
     err = json.loads(result.output)
     assert (err["code"], err["location"]) == ("contract", "/lifting/liftings")
+
+
+@pytest.mark.parametrize("higgs_curve, lifting_curve", [("P1", "A1"), ("A1", "P1")])
+def test_cartier_apply_rejects_a_lifting_on_another_curve(tmp_path, higgs_curve, lifting_curve):
+    # same p and m: only the curve differs, in either direction
+    H = random_nilpotent_higgs(random.Random(4), 5, 2, higgs_curve)
+    other = CURVES[lifting_curve](H.bundle.domain)
+    doc = {
+        "schema": "hdf/1",
+        "type": "cartier_input",
+        "higgs": higgs_to_json(H),
+        "lifting": lifting_to_json(random_lifting(random.Random(2), other)),
+    }
+    path = write_doc(tmp_path, "ci.json", doc)
+    result = invoke(["cartier", "apply", "--input", path])
+    assert result.exit_code == 2, result.output
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("contract", "/lifting/curve")
 
 
 def test_cartier_apply_rejects_non_nilpotent(tmp_path):
