@@ -2,8 +2,9 @@
 
 A flow step sends a graded Higgs bundle through the level-one inverse
 transform, picks a transversal filtration (Simpson's canonical one, which
-is trivial on the line, or one supplied by the caller), and reads off the
-next graded Higgs bundle.  Degree multiplies by p at every step, so a
+is trivial on the line, or one supplied as chart-0 span matrices, which
+only _adopt_filtration turns into a filtration), and reads off the next
+graded Higgs bundle.  Degree multiplies by p at every step, so a
 periodic flow forces degree zero; periodicity is certified by an explicit
 graded isomorphism found within a declared search field and trace horizon.
 On P^1 with the standard atlas the transform has p times the splitting
@@ -14,14 +15,16 @@ Higgs field.
 Periodic tuples of period f can be folded into one-periodic objects over
 F_{p^f} carrying a multiplication endomorphism (one scalar block per flow
 stage, rotated by the period isomorphism); unfolding recovers the stages as
-eigenspaces.  One-periodic tuples yield a per-chart relative Frobenius with
-three exact certificates: invertibility, horizontality against the two
-transform connections, and cross-chart compatibility through the twisted
-gluing.
+eigenspaces.  A tuple keeps the stages it was closed on: validate steps
+once, and packing and unpacking close theirs on the stages they stepped.
+One-periodic tuples yield a per-chart relative Frobenius with three exact
+certificates: invertibility, horizontality against the two transform
+connections, and cross-chart compatibility through the twisted gluing.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import reduce
 
 from .bundles import (
     Bundle,
@@ -44,7 +47,6 @@ from .graded import (
     GradedHiggsBundle,
     GradedMap,
     HodgeFiltration,
-    _identity_graded_map,
     grade,
     graded_higgs_isomorphic,
     reduce_filtration,
@@ -66,7 +68,12 @@ from .ringmath import (
 @dataclass(frozen=True)
 class FlowPolicy:
     """How each step chooses its filtration, how long to run, and the field
-    degree used when searching for period isomorphisms."""
+    degree used when searching for period isomorphisms.
+
+    Under the supplied rule filtrations[i] drives step i.  An entry needs
+    only steps, Fil^1, Fil^2, ..., each with basis[0], a matrix whose
+    columns span that step on chart 0 of the transform (as a
+    HodgeFiltration's do)."""
 
     rule: str = "canonical"
     max_steps: int = 1
@@ -110,14 +117,17 @@ class FlowTrace:
         return [st.higgs for st in self.stages]
 
 
-def _adopt_filtration(flat, fil_spec):
-    """Re-express a supplied filtration on the transform's own bundle and
-    check nesting plus transversality."""
+def _spans(fil):
+    """The chart-0 span matrices of a filtration or policy entry's steps."""
+    return [S.basis[0] for S in fil.steps]
+
+
+def _adopt_filtration(flat, spans):
+    """The filtration of a supplied step: the saturated spans of chart-0
+    span matrices on the transform's own bundle, checked nested and
+    transversal, with redundant steps dropped."""
     try:
-        steps = [
-            Subbundle.from_chart0_span(flat.bundle, S.basis[0])
-            for S in fil_spec.steps
-        ]
+        steps = [Subbundle.from_chart0_span(flat.bundle, B) for B in spans]
         fil = HodgeFiltration(flat.bundle, steps)
         fil.validate()
         fil = reduce_filtration(fil)
@@ -143,7 +153,7 @@ def flow_step(G, policy=None, step_index=0):
             raise PolicyFiltrationInvalid(
                 "no filtration supplied for step %d" % step_index
             )
-        fil = _adopt_filtration(H, policy.filtrations[step_index])
+        fil = _adopt_filtration(H, _spans(policy.filtrations[step_index]))
         nxt = grade(H, fil).graded
     if nxt.degree() != G.domain.p * G.degree():
         raise CertificateFailed(
@@ -248,19 +258,21 @@ class PeriodicTuple:
         return len(self.filtrations)
 
     def validate(self):
+        """Step once through the supplied filtrations, then close."""
         if self.period < 1:
             raise ValueError("a periodic tuple needs at least one filtration")
-        stages = [self.higgs]
-        flats = []
-        fils = []
-        cur = self.higgs
-        for i in range(self.period):
-            H = inverse_cartier_1(cur.total())
-            fil = _adopt_filtration(H, self.filtrations[i])
+        stages, flats, fils = [self.higgs], [], []
+        for entry in self.filtrations:
+            H = inverse_cartier_1(stages[-1].total())
+            fils.append(_adopt_filtration(H, _spans(entry)))
             flats.append(H)
-            fils.append(fil)
-            cur = grade(H, fil).graded
-            stages.append(cur)
+            stages.append(grade(H, fils[-1]).graded)
+        return self._close(stages, flats, fils)
+
+    def _close(self, stages, flats, fils):
+        """Certify phi on the stages stepped from higgs through the
+        transforms flats and filtrations fils: a valid isomorphism from the
+        last stage to the first, on degree 0.  Keep all three."""
         self.phi.validate(stages[-1], stages[0])
         if not self.phi.is_isomorphism():
             raise ValueError("the period map fails to be an isomorphism")
@@ -269,8 +281,7 @@ class PeriodicTuple:
                 "periodic tuple of degree %d" % self.higgs.degree(),
                 part="period-degree",
             )
-        self._stages = tuple(stages)
-        self._flats = tuple(flats)
+        self._stages, self._flats = tuple(stages), tuple(flats)
         self.filtrations = tuple(fils)
         return self
 
@@ -300,40 +311,18 @@ def total_map(phi, A, B):
     return BundleMap(A.total().bundle, B.total().bundle, mats)
 
 
-def _transport_filtration(psi_graded, src_graded, tgt_graded, tgt_flat, fil):
-    """Pull a filtration on the transform of tgt_graded back to the
-    transform of src_graded along the transform of a graded isomorphism."""
-    H_src = inverse_cartier_1(src_graded.total())
-    Psi = inverse_cartier_1_on_map(
-        total_map(psi_graded, src_graded, tgt_graded), H_src, tgt_flat
-    )
-    inv0 = Psi.phi[0].inverse()
-    steps = [
-        Subbundle.from_chart0_span(H_src.bundle, inv0.mul(S.basis[0]))
-        for S in fil.steps
-    ]
-    new_fil = HodgeFiltration(H_src.bundle, steps)
-    DeRhamBundle(H_src, new_fil).validate()
-    return H_src, new_fil
-
-
 def tuples_isomorphic(T1, T2):
     """Bounded tuple-isomorphism certificate: equal periods, matching
     filtration rank profiles, and an isomorphism of the starting graded
     objects; returns the certifying map or None."""
-    if T1.period != T2.period:
-        return None
-    T1.stages()
-    T2.stages()
-    prof1 = [
-        [fil.rank_at(i) for i in range(1, fil.level + 1)] for fil in T1.filtrations
-    ]
-    prof2 = [
-        [fil.rank_at(i) for i in range(1, fil.level + 1)] for fil in T2.filtrations
-    ]
-    if prof1 != prof2:
+    if T1.period != T2.period or _rank_profile(T1) != _rank_profile(T2):
         return None
     return graded_higgs_isomorphic(T1.higgs, T2.higgs)
+
+
+def _rank_profile(T):
+    T.stages()
+    return [[S.rank for S in fil.steps] for fil in T.filtrations]
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +355,25 @@ def _frobenius_orbit(K, xi):
     return orbit
 
 
-def _scalar_block(K, scalars, ranks):
-    """Block-diagonal constant matrix with scalars[i] on a rank-ranks[i]
-    identity block."""
-    return RingMatrix.diagonal(
-        K, [LaurentPoly.const(K, c) for c, r in zip(scalars, ranks) for _ in range(r)]
+def _scalar_map(K, scalars, summands):
+    """The graded endomorphism of the direct sum of summands that is
+    scalars[i] on summand i, one constant matrix on every chart."""
+    ncharts = summands[0].curve.ncharts
+    return GradedMap(
+        tuple(
+            (
+                RingMatrix.diagonal(
+                    K,
+                    [
+                        LaurentPoly.const(K, c)
+                        for c, E in zip(scalars, summands)
+                        for _ in range(E.pieces[j].rank)
+                    ],
+                ),
+            )
+            * ncharts
+            for j in range(summands[0].weight + 1)
+        )
     )
 
 
@@ -412,19 +415,13 @@ def pack_endostructure(T, xi, K):
     stages = [extend_graded(E, K) for E in stages0]
     phi_K = extend_graded_map(T.phi, K)
     w = stages[0].weight
-    if any(E.weight != w for E in stages[:f]):
-        raise ValueError("stages must share a weight to pack")
     big = direct_sum_graded(stages[:f])
     piece_ranks = [
         [stages[i].pieces[j].rank for j in range(w + 1)] for i in range(f)
     ]
 
     ncharts = big.curve.ncharts
-    s_blocks = tuple(
-        (_scalar_block(K, scalars, [piece_ranks[i][j] for i in range(f)]),) * ncharts
-        for j in range(w + 1)
-    )
-    s = GradedMap(s_blocks)
+    s = _scalar_map(K, scalars, stages[:f])
     s.validate(big, big)
 
     # block rotation from the flow output (summand i carries stage i+1)
@@ -448,13 +445,7 @@ def pack_endostructure(T, xi, K):
         raise HdflowError("the block rotation fails to be an isomorphism")
 
     # exact commutation identity: rot . (flow image of s) == s . rot
-    flow_scalars = [K.frobenius(c) for c in scalars]
-    s_flow_blocks = tuple(
-        (_scalar_block(K, flow_scalars, [E.pieces[j].rank for E in stages[1 : f + 1]]),)
-        * ncharts
-        for j in range(w + 1)
-    )
-    s_flow = GradedMap(s_flow_blocks)
+    s_flow = _scalar_map(K, [K.frobenius(c) for c in scalars], stages[1 : f + 1])
     s_flow.validate(rot_src, rot_src)
     lhs = compose_graded_maps(rot, s_flow)
     rhs = compose_graded_maps(s, rot)
@@ -463,7 +454,6 @@ def pack_endostructure(T, xi, K):
 
     # block filtration on the transform of the sum
     H_big = inverse_cartier_1(big.total())
-    level = max(fil.level for fil in T.filtrations)
     # summand i's total coordinates inside the grade-major layout of the sum
     grade_major = [piece_ranks[i][j] for j in range(w + 1) for i in range(f)]
     embeds = [
@@ -478,27 +468,22 @@ def pack_endostructure(T, xi, K):
         )
         for i in range(f)
     ]
-    steps = []
-    for k in range(1, level + 1):
-        cols = None
-        for i in range(f):
-            S = T.filtrations[i].step(k)
-            if S is None:
-                continue
-            part = embeds[i].mul(S.basis[0].lift_to(K))
-            cols = part if cols is None else cols.hstack(part)
-        if cols is None:
-            break
-        steps.append(Subbundle.from_chart0_span(H_big.bundle, cols))
-    fil_big = HodgeFiltration(H_big.bundle, steps)
-    DeRhamBundle(H_big, fil_big).validate()
+    spans = []
+    for k in range(1, max(fil.level for fil in T.filtrations) + 1):
+        parts = [
+            embeds[i].mul(fil.steps[k - 1].basis[0].lift_to(K))
+            for i, fil in enumerate(T.filtrations)
+            if fil.level >= k
+        ]
+        spans.append(reduce(RingMatrix.hstack, parts))
+    fil_big = _adopt_filtration(H_big, spans)
 
     out = grade(H_big, fil_big).graded
     chi = graded_higgs_isomorphic(out, rot_src)
     if chi is None:
         raise HdflowError("no identification of the packed flow output")
-    phi_packed = compose_graded_maps(rot, chi)
-    carrier = PeriodicTuple(big, (fil_big,), phi_packed).validate()
+    carrier = PeriodicTuple(big, (fil_big,), compose_graded_maps(rot, chi))
+    carrier._close([big, out], [H_big], [fil_big])
     return PackedEndostructure(carrier, s, xi, K)
 
 
@@ -511,8 +496,6 @@ def _span_intersection_coords(B1, B2):
     coordinates; None when the intersection is zero."""
     combined = B1.hstack(B2.neg())
     ker = poly_kernel(combined)
-    if ker.ncols == 0:
-        return None
     u = ker.submatrix(
         range(B1.ncols, B1.ncols + B2.ncols), range(ker.ncols)
     )
@@ -579,7 +562,10 @@ def unpack_endostructure(packed):
     big = carrier.higgs
     s = packed.endo
     s.validate(big, big)
-    orbit = _frobenius_orbit_checked(K, packed.xi)
+    try:
+        orbit = _frobenius_orbit(K, packed.xi)
+    except NotPrimitive as err:
+        raise BadMinimalPolynomial(str(err))
 
     w = big.weight
     ncharts = big.curve.ncharts
@@ -636,55 +622,39 @@ def unpack_endostructure(packed):
             RingMatrix.block_diagonal(K, [V.basis[0] for V in subs])
         )
 
-    # filtrations: cut the packed filtration along the transformed
-    # eigenspaces (eigenvalue orbit advances by one Frobenius twist)
-    fil_big = carrier.filtrations[0]
-    fils = []
-    flats = []
+    # walk the stages.  Stage i's filtration is the packed one cut along
+    # the transformed eigenspace of summand i (the eigenvalue orbit
+    # advances by one Frobenius twist), pulled back from i > 0 to the
+    # actual flow presentation along the transform of a certified
+    # identification chi, whose chart-0 matrix is chi's pulled back
+    stages, flats, fils = [summands[0]], [], []
     for i in range(f):
+        cur = stages[-1]
         H_i = inverse_cartier_1(summands[i].total())
-        flats.append(H_i)
         Q_i = frobenius_pullback_matrix(embeds_total[i])
-        steps = []
-        for k in range(1, fil_big.level + 1):
-            B = fil_big.step(k).basis[0]
+        spans = []
+        for B in _spans(carrier.filtrations[0]):
             u = _span_intersection_coords(B, Q_i)
             if u is None:
                 break
-            steps.append(Subbundle.from_chart0_span(H_i.bundle, u))
-        fil_i = HodgeFiltration(H_i.bundle, steps)
-        DeRhamBundle(H_i, fil_i).validate()
-        fils.append(fil_i)
-
-    # walk the stages: transport each recovered filtration to the actual
-    # flow presentation along a certified stage identification
-    cur = summands[0]
-    out_fils = []
-    for i in range(f):
-        if i == 0:
-            chi = _identity_graded_map(cur)
-        else:
+            spans.append(u)
+        H, spans = H_i, _spans(_adopt_filtration(H_i, spans))
+        if i:
             chi = graded_higgs_isomorphic(cur, summands[i])
             if chi is None:
                 raise BadMinimalPolynomial(
                     "stage %d fails to match its eigenspace" % i
                 )
-        H_cur, fil_cur = _transport_filtration(
-            chi, cur, summands[i], flats[i], fils[i]
-        )
-        out_fils.append(fil_cur)
-        cur = grade(H_cur, fil_cur).graded
-    phi = graded_higgs_isomorphic(cur, summands[0])
+            chi0 = RingMatrix.block_diagonal(K, [per[0] for per in chi.blocks])
+            inv0 = frobenius_pullback_matrix(chi0).inverse()
+            H, spans = inverse_cartier_1(cur.total()), [inv0.mul(B) for B in spans]
+        fils.append(_adopt_filtration(H, spans))
+        flats.append(H)
+        stages.append(grade(H, fils[-1]).graded)
+    phi = graded_higgs_isomorphic(stages[-1], summands[0])
     if phi is None:
         raise BadMinimalPolynomial("the recovered tuple fails to close up")
-    return PeriodicTuple(summands[0], tuple(out_fils), phi).validate()
-
-
-def _frobenius_orbit_checked(K, xi):
-    try:
-        return _frobenius_orbit(K, xi)
-    except NotPrimitive as err:
-        raise BadMinimalPolynomial(str(err))
+    return PeriodicTuple(summands[0], tuple(fils), phi)._close(stages, flats, fils)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hdflow import filtration, flow, graded
+from hdflow import cartier, filtration, flow, graded
 from hdflow.bundles import Bundle, Subbundle
 from hdflow.cartier import inverse_cartier_1
 from hdflow.corpus import CorpusParams, generate
@@ -505,6 +505,45 @@ def test_pack_unpack_with_filtration():
     assert back.period == 2
     assert [fil.level for fil in back.filtrations] == [1, 1]
     assert graded_higgs_isomorphic(back.higgs, extend_graded(G, K)) is not None
+
+
+def test_tuples_keep_the_stages_they_stepped(monkeypatch):
+    # validate builds one level-one state per period step; packing and
+    # unpacking close their tuples on the stages they stepped, so the
+    # benchmark's p = 3, f = 2 sequence builds 8 states (12 when each
+    # packed and unpacked tuple was validated again) and validates no
+    # tuple but the two it is handed
+    built, validated = [], []
+    init, validate = cartier._LevelOne.__init__, PeriodicTuple.validate
+    monkeypatch.setattr(
+        cartier._LevelOne, "__init__", lambda self, H: built.append(H) or init(self, H)
+    )
+    monkeypatch.setattr(
+        PeriodicTuple, "validate", lambda T: validated.append(T) or validate(T)
+    )
+    for periods in (1, 2, 3):
+        del built[:]
+        simple_tuple(periods=periods, phi_rows=[[1, 1], [0, 1]])
+        assert len(built) == periods
+
+    K, d = GF(3, 2), Zmod(3, 1)
+    G = trivial_graded(ProjectiveLine(d), 2)
+    phi = const_graded_map(d, 2, [[1, 1], [0, 1]])
+    del built[:], validated[:]
+    T = PeriodicTuple(G, (trivial_fil_spec(2, d),) * 2, phi).validate()
+    counts = [len(built)]
+    packed = pack_endostructure(T, K.gen, K)
+    counts.append(len(built) - sum(counts))
+    back = unpack_endostructure(packed)
+    counts.append(len(built) - sum(counts))
+    GK = extend_graded(G, K)
+    reference = PeriodicTuple(
+        GK, (trivial_fil_spec(2, K),) * 2, _identity_graded_map(GK)
+    ).validate()
+    counts.append(len(built) - sum(counts))
+    assert tuples_isomorphic(back, reference) is not None
+    assert counts == [2, 1, 3, 2]
+    assert validated == [T, reference]
 
 
 def test_unpack_rejects_small_orbit():
