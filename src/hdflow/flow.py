@@ -358,23 +358,15 @@ def _frobenius_orbit(K, xi):
 def _scalar_map(K, scalars, summands):
     """The graded endomorphism of the direct sum of summands that is
     scalars[i] on summand i, one constant matrix on every chart."""
-    ncharts = summands[0].curve.ncharts
-    return GradedMap(
-        tuple(
-            (
-                RingMatrix.diagonal(
-                    K,
-                    [
-                        LaurentPoly.const(K, c)
-                        for c, E in zip(scalars, summands)
-                        for _ in range(E.pieces[j].rank)
-                    ],
-                ),
-            )
-            * ncharts
-            for j in range(summands[0].weight + 1)
-        )
-    )
+    blocks = []
+    for j in range(summands[0].weight + 1):
+        diag = [
+            LaurentPoly.const(K, c)
+            for c, E in zip(scalars, summands)
+            for _ in range(E.pieces[j].rank)
+        ]
+        blocks.append((RingMatrix.diagonal(K, diag),) * summands[0].curve.ncharts)
+    return GradedMap(tuple(blocks))
 
 
 def direct_sum_graded(summands):
@@ -622,11 +614,11 @@ def unpack_endostructure(packed):
             RingMatrix.block_diagonal(K, [V.basis[0] for V in subs])
         )
 
-    # walk the stages.  Stage i's filtration is the packed one cut along
-    # the transformed eigenspace of summand i (the eigenvalue orbit
-    # advances by one Frobenius twist), pulled back from i > 0 to the
-    # actual flow presentation along the transform of a certified
-    # identification chi, whose chart-0 matrix is chi's pulled back
+    # walk the stages.  Stage i's filtration is the packed one cut along the
+    # transformed eigenspace of summand i (the eigenvalue orbit advances by
+    # one Frobenius twist); for i > 0 its spans are pulled back to the
+    # walk's stage along the transform of a certified identification chi,
+    # whose chart-0 matrix is the Frobenius pullback of chi's
     stages, flats, fils = [summands[0]], [], []
     for i in range(f):
         cur = stages[-1]
@@ -638,7 +630,8 @@ def unpack_endostructure(packed):
             if u is None:
                 break
             spans.append(u)
-        H, spans = H_i, _spans(_adopt_filtration(H_i, spans))
+        recovered = _adopt_filtration(H_i, spans)
+        H, spans = H_i, _spans(recovered)
         if i:
             chi = graded_higgs_isomorphic(cur, summands[i])
             if chi is None:

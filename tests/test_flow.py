@@ -510,9 +510,10 @@ def test_pack_unpack_with_filtration():
 def test_tuples_keep_the_stages_they_stepped(monkeypatch):
     # validate builds one level-one state per period step; packing and
     # unpacking close their tuples on the stages they stepped, so the
-    # benchmark's p = 3, f = 2 sequence builds 8 states (12 when each
-    # packed and unpacked tuple was validated again) and validates no
-    # tuple but the two it is handed
+    # benchmark's p = 3, f = 2 sequence builds 2 states to validate T, 1
+    # for the packed sum, 3 to unpack (one per summand and one per later
+    # walk stage) and 2 for the reference, and validates only T and the
+    # reference
     built, validated = [], []
     init, validate = cartier._LevelOne.__init__, PeriodicTuple.validate
     monkeypatch.setattr(
