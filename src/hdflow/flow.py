@@ -321,6 +321,7 @@ def tuples_isomorphic(T1, T2):
 
 
 def _rank_profile(T):
+    """The step ranks of T's adopted filtrations, stepping T if need be."""
     T.stages()
     return [[S.rank for S in fil.steps] for fil in T.filtrations]
 
