@@ -3,14 +3,14 @@
 A flow step sends a graded Higgs bundle through the level-one inverse
 transform, picks a transversal filtration (Simpson's canonical one, which
 is trivial on the line, or one supplied as chart-0 span matrices, which
-only _adopt_filtration turns into a filtration), and reads off the next
-graded Higgs bundle.  Degree multiplies by p at every step, so a
-periodic flow forces degree zero; periodicity is certified by an explicit
-graded isomorphism found within a declared search field and trace horizon.
-On P^1 with the standard atlas the transform has p times the splitting
-type of G, so a canonical step refuses every unstable G, and a semistable
-G (type O(a)^n, zero Higgs field) steps to one piece O(pa)^n with zero
-Higgs field.
+only _adopt_filtration turns into a filtration and certifies, once, as it
+grades it), and reads off the next graded Higgs bundle.  Degree multiplies
+by p at every step, so a periodic flow forces degree zero; periodicity is
+certified by an explicit graded isomorphism found within a declared search
+field and trace horizon.  On P^1 with the standard atlas the transform has
+p times the splitting type of G, so a canonical step refuses every
+unstable G, and a semistable G (type O(a)^n, zero Higgs field) steps to
+one piece O(pa)^n with zero Higgs field.
 
 Periodic tuples of period f can be folded into one-periodic objects over
 F_{p^f} carrying a multiplication endomorphism (one scalar block per flow
@@ -43,7 +43,6 @@ from .errors import (
 from .filtration import _simpson
 from .graded import (
     DEFAULT_ISO_BUDGET,
-    DeRhamBundle,
     GradedHiggsBundle,
     GradedMap,
     HodgeFiltration,
@@ -123,18 +122,17 @@ def _spans(fil):
 
 
 def _adopt_filtration(flat, spans):
-    """The filtration of a supplied step: the saturated spans of chart-0
-    span matrices on the transform's own bundle, checked nested and
-    transversal, with redundant steps dropped."""
+    """The filtration of a supplied step and its graded object: the
+    saturated spans of chart-0 span matrices on the transform's own bundle,
+    checked nested before redundant steps are dropped (two different lines
+    of equal rank reduce to a valid filtration), then graded, which
+    certifies transversality, gluing and the weight cap."""
     try:
         steps = [Subbundle.from_chart0_span(flat.bundle, B) for B in spans]
-        fil = HodgeFiltration(flat.bundle, steps)
-        fil.validate()
-        fil = reduce_filtration(fil)
-        DeRhamBundle(flat, fil).validate()
+        fil = reduce_filtration(HodgeFiltration(flat.bundle, steps).validate())
+        return fil, grade(flat, fil).graded
     except (HdflowError, ValueError) as err:
         raise PolicyFiltrationInvalid(str(err))
-    return fil
 
 
 def flow_step(G, policy=None, step_index=0):
@@ -153,8 +151,7 @@ def flow_step(G, policy=None, step_index=0):
             raise PolicyFiltrationInvalid(
                 "no filtration supplied for step %d" % step_index
             )
-        fil = _adopt_filtration(H, _spans(policy.filtrations[step_index]))
-        nxt = grade(H, fil).graded
+        fil, nxt = _adopt_filtration(H, _spans(policy.filtrations[step_index]))
     if nxt.degree() != G.domain.p * G.degree():
         raise CertificateFailed(
             "step %d sends degree %d to %d" % (step_index, G.degree(), nxt.degree()),
@@ -264,9 +261,10 @@ class PeriodicTuple:
         stages, flats, fils = [self.higgs], [], []
         for entry in self.filtrations:
             H = inverse_cartier_1(stages[-1].total())
-            fils.append(_adopt_filtration(H, _spans(entry)))
+            fil, nxt = _adopt_filtration(H, _spans(entry))
             flats.append(H)
-            stages.append(grade(H, fils[-1]).graded)
+            fils.append(fil)
+            stages.append(nxt)
         return self._close(stages, flats, fils)
 
     def _close(self, stages, flats, fils):
@@ -469,9 +467,7 @@ def pack_endostructure(T, xi, K):
             if fil.level >= k
         ]
         spans.append(reduce(RingMatrix.hstack, parts))
-    fil_big = _adopt_filtration(H_big, spans)
-
-    out = grade(H_big, fil_big).graded
+    fil_big, out = _adopt_filtration(H_big, spans)
     chi = graded_higgs_isomorphic(out, rot_src)
     if chi is None:
         raise HdflowError("no identification of the packed flow output")
@@ -631,7 +627,7 @@ def unpack_endostructure(packed):
             if u is None:
                 break
             spans.append(u)
-        recovered = _adopt_filtration(H_i, spans)
+        recovered, _ = _adopt_filtration(H_i, spans)
         H, spans = H_i, _spans(recovered)
         if i:
             chi = graded_higgs_isomorphic(cur, summands[i])
@@ -642,9 +638,10 @@ def unpack_endostructure(packed):
             chi0 = RingMatrix.block_diagonal(K, [per[0] for per in chi.blocks])
             inv0 = frobenius_pullback_matrix(chi0).inverse()
             H, spans = inverse_cartier_1(cur.total()), [inv0.mul(B) for B in spans]
-        fils.append(_adopt_filtration(H, spans))
+        fil, nxt = _adopt_filtration(H, spans)
         flats.append(H)
-        stages.append(grade(H, fils[-1]).graded)
+        fils.append(fil)
+        stages.append(nxt)
     phi = graded_higgs_isomorphic(stages[-1], summands[0])
     if phi is None:
         raise BadMinimalPolynomial("the recovered tuple fails to close up")

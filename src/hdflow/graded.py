@@ -1,12 +1,12 @@
 """Hodge filtrations, their gradings, and graded Higgs bundles.
 
 A filtration is a descending chain of saturated subbundles
-Fil^0 = V > Fil^1 > ... > Fil^n > 0 stored by its proper steps.  Grading a
-flat bundle along a transversal filtration is done in adapted frames: per
-chart, a unimodular frame whose column blocks run through the filtration
-from the deepest step outward, so that the transition becomes block
-triangular and the connection block subdiagonal; the graded pieces and the
-induced grade-lowering maps are read off as blocks.
+Fil^0 = V > Fil^1 > ... > Fil^n > 0 stored by its proper steps.  grade,
+a filtration's transversality and gluing certificate, works in adapted
+frames: per chart, a unimodular frame whose column blocks run through the
+filtration from the deepest step outward, in which the transition must be
+block triangular and the connection block subdiagonal; the graded pieces and
+the induced grade-lowering maps are read off as blocks.
 
 The induced maps are O-linear and satisfy the Higgs-type chart rule with
 the piece transitions, which is re-verified exactly on construction.
@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .bundles import (
     Bundle,
-    FlatBundle,
     HiggsBundle,
     change_frame_connection,
     chart1_form,
@@ -115,25 +114,6 @@ def transversality_offender(flat, filtration):
 
 def is_transversal(flat, filtration):
     return transversality_offender(flat, filtration) is None
-
-
-@dataclass
-class DeRhamBundle:
-    """Flat bundle with a transversal Hodge filtration."""
-
-    flat: FlatBundle
-    filtration: HodgeFiltration
-
-    def validate(self):
-        if self.filtration.parent != self.flat.bundle:
-            raise ValueError("filtration belongs to a different bundle")
-        self.filtration.validate()
-        bad = transversality_offender(self.flat, self.filtration)
-        if bad is not None:
-            raise TransversalityViolated(
-                "nabla(Fil^%d) escapes Fil^%d" % (bad, bad - 1)
-            )
-        return self
 
 
 class _Undecided:
@@ -245,8 +225,8 @@ def _adapted_frame(filtration, chart):
 
 
 def grade(flat, filtration):
-    """Graded Higgs bundle of a transversal filtration, with the adapted
-    frames exposed for later lifting of graded data."""
+    """Graded Higgs bundle of a transversal filtration, which it certifies,
+    with the adapted frames exposed for later lifting of graded data."""
     bundle = flat.bundle
     if not filtration.is_strict():
         raise ValueError("grade needs a strictly decreasing filtration")
@@ -265,14 +245,13 @@ def grade(flat, filtration):
         list(range(filtration.rank_at(i + 1), filtration.rank_at(i)))
         for i in range(n + 1)
     ]
-    for c in range(bundle.curve.ncharts):
-        for b in range(n + 1):
-            for a in range(b - 1):
-                chunk = aprime[c].submatrix(blocks[a], blocks[b])
-                if not chunk.is_zero():
-                    raise TransversalityViolated(
-                        "nabla(Fil^%d) escapes Fil^%d" % (b, b - 1)
-                    )
+    # the least a with a nonzero block (a, b), b > a + 1, names offender a + 2
+    for a in range(n - 1):
+        for b in range(a + 2, n + 1):
+            if any(not A.submatrix(blocks[a], blocks[b]).is_zero() for A in aprime):
+                raise TransversalityViolated(
+                    "nabla(Fil^%d) escapes Fil^%d" % (a + 2, a + 1)
+                )
 
     transitions = bundle.curve.glued(
         _piece_transitions, bundle, frames, inverses, blocks

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hdflow import witt
+from hdflow import bundles, ringmath, witt
 from hdflow.cli import main
 from hdflow.corpus import (
     CorpusParams,
@@ -23,7 +23,7 @@ from hdflow.corpus import (
 from hdflow.cartier import inverse_cartier_1
 from hdflow.bundles import Bundle, HiggsBundle
 from hdflow.curves import CURVES, ProjectiveLine
-from hdflow.graded import GradedHiggsBundle
+from hdflow.graded import GradedHiggsBundle, HodgeFiltration
 from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
 from hdflow.serialize import (
     canonical_bytes,
@@ -231,6 +231,64 @@ def test_flow_run_rejects_a_step_span_of_the_wrong_rank(tmp_path):
     err = json.loads(result.output)
     assert (err["code"], err["location"]) == ("contract", "/filtrations/0/steps/0")
     assert err["message"] == "step spans live in a rank-2 bundle"
+
+
+@pytest.mark.parametrize("curve", sorted(CURVES))
+def test_flow_run_refuses_a_supplied_filtration_above_the_weight_cap(tmp_path, curve):
+    # span(e_1, e_2) > span(e_2) grades O^3 in weight 2 > p - 2 = 1
+    one, zero = [[0, 1]], []
+    doc = {
+        "schema": "hdf/1",
+        "type": "flow_input",
+        "graded": graded_to_json(
+            GradedHiggsBundle([Bundle.free(CURVES[curve](Zmod(3, 1)), 3)], ())
+        ),
+        "filtrations": [
+            {"steps": [[[zero, zero], [one, zero], [zero, one]], [[zero], [zero], [one]]]}
+        ],
+    }
+    path = write_doc(tmp_path, "supplied.json", doc)
+    result = invoke(
+        ["flow", "run", "--input", path, "--policy", "supplied", "--steps", "1"]
+    )
+    assert result.exit_code == 1
+    err = json.loads(result.output)
+    assert err["code"] == "invariant"
+    assert err["message"] == "PolicyFiltrationInvalid: grading weight exceeds p-2"
+
+
+def test_flow_run_validates_each_supplied_filtration_once(tmp_path, monkeypatch):
+    # the line of e_1 in O^2 on P^1 at both steps: one HodgeFiltration.validate
+    # per step, and no second nesting or transversality solve
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        key = "%s.%s" % (module.__name__, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(key) or real(*a, **k))
+
+    spy(HodgeFiltration, "validate")
+    spy(ringmath, "smith_form_poly")
+    spy(bundles, "smith_form_poly")
+    spy(bundles, "poly_solve")
+    e1 = [[[]], [[[0, 1]]]]
+    doc = {
+        "schema": "hdf/1",
+        "type": "flow_input",
+        "graded": trivial_graded_doc(),
+        "filtrations": [{"steps": [e1]}, {"steps": [e1]}],
+    }
+    path = write_doc(tmp_path, "supplied.json", doc)
+    result = invoke(
+        ["flow", "run", "--input", path, "--policy", "supplied", "--steps", "2"]
+    )
+    assert result.exit_code == 0, result.output
+    assert {key: calls.count(key) for key in calls} == {
+        "HodgeFiltration.validate": 2,
+        "hdflow.ringmath.smith_form_poly": 16,
+        "hdflow.bundles.smith_form_poly": 4,
+        "hdflow.bundles.poly_solve": 8,
+    }
 
 
 def test_flow_run_writes_artifact_and_manifest(tmp_path):

@@ -415,6 +415,18 @@ def test_periodic_tuple_rejects_bad_phi():
         PeriodicTuple(G, (trivial_fil_spec(2, d),), bad).validate()
 
 
+def test_periodic_tuple_refuses_a_filtration_above_the_weight_cap():
+    # span(e_1, e_2) > span(e_2) grades O^3 in weight 2 > p - 2 = 1
+    d = Zmod(3, 1)
+    steps = [fil_spec_span(3, d, cols).steps[0] for cols in ([1, 2], [2])]
+    spec = HodgeFiltration(steps[0].parent, steps)
+    for curve in (AffineLine(d), ProjectiveLine(d)):
+        G = trivial_graded(curve, 3)
+        T = PeriodicTuple(G, (spec,), _identity_graded_map(G))
+        with pytest.raises(PolicyFiltrationInvalid, match="^grading weight exceeds p-2$"):
+            T.validate()
+
+
 def test_nontrivial_filtration_one_periodic():
     d = Zmod(3, 1)
     curve = AffineLine(d)

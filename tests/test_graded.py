@@ -17,12 +17,13 @@ from hdflow.cartier import inverse_cartier_1
 from hdflow.corpus import CorpusParams, generate
 from hdflow.curves import AffineLine, ProjectiveLine
 from hdflow.errors import (
+    PolicyFiltrationInvalid,
     SearchBudgetExceeded,
     TransversalityViolated,
     WrongModulus,
 )
+from hdflow.flow import _adopt_filtration
 from hdflow.graded import (
-    DeRhamBundle,
     GradedHiggsBundle,
     HodgeFiltration,
     grade,
@@ -121,7 +122,8 @@ def test_affine_rank2_frozen_grading():
     curve = AffineLine(d)
     flat = upper_shift_flat(curve, 2)
     fil = HodgeFiltration(flat.bundle, [col_span(flat.bundle, [1])])
-    DeRhamBundle(flat, fil).validate()
+    fil.validate()
+    assert is_transversal(flat, fil)
     g = grade(flat, fil)
     G = g.graded
     assert G.weight == 1
@@ -175,7 +177,8 @@ def test_rank3_two_level_grading():
         flat.bundle,
         [col_span(flat.bundle, [1, 2]), col_span(flat.bundle, [2])],
     )
-    DeRhamBundle(flat, fil).validate()
+    fil.validate()
+    assert is_transversal(flat, fil)
     g = grade(flat, fil)
     G = g.graded
     assert G.weight == 2
@@ -208,10 +211,26 @@ def test_transversality_violation_detected():
     )
     assert transversality_offender(flat, fil) == 2
     assert not is_transversal(flat, fil)
-    with pytest.raises(TransversalityViolated):
-        DeRhamBundle(flat, fil).validate()
+    fil.validate()
     with pytest.raises(TransversalityViolated):
         grade(flat, fil)
+
+
+def test_grade_names_the_first_offending_step():
+    # nabla(e_3) = e_0 dt: the deepest step's image escapes Fil^2 and Fil^1,
+    # and the first offender is Fil^2, whose image leaves Fil^1
+    d = Zmod(7, 1)
+    rows = [[LaurentPoly.zero(d)] * 4 for _ in range(4)]
+    rows[0][3] = LaurentPoly.one(d)
+    flat = flat_from_chart0(Bundle.free(AffineLine(d), 4), RingMatrix(d, rows))
+    steps = [col_span(flat.bundle, cols) for cols in ([1, 2, 3], [2, 3], [3])]
+    fil = HodgeFiltration(flat.bundle, steps).validate()
+    assert transversality_offender(flat, fil) == 2
+    message = r"^nabla\(Fil\^2\) escapes Fil\^1$"
+    with pytest.raises(TransversalityViolated, match=message):
+        grade(flat, fil)
+    with pytest.raises(PolicyFiltrationInvalid, match=message):
+        _adopt_filtration(flat, [S.basis[0] for S in steps])
 
 
 def test_level_one_filtrations_always_transversal():
@@ -409,8 +428,8 @@ def test_grading_invariant_under_frame_conjugation():
             steps.append(
                 Subbundle.from_chart0_span(flat2.bundle, Qinv.mul(S.basis[0]))
             )
-        fil2 = HodgeFiltration(flat2.bundle, steps)
-        DeRhamBundle(flat2, fil2).validate()
+        fil2 = HodgeFiltration(flat2.bundle, steps).validate()
+        assert is_transversal(flat2, fil2)
         G2 = grade(flat2, fil2).graded
         assert [P.rank for P in G2.pieces] == [P.rank for P in G1.pieces]
         cert = graded_higgs_isomorphic(G1, G2)
