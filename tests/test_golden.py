@@ -397,6 +397,46 @@ def _filtered_pack_round_trip_bytes():
     return canonical_bytes(doc)
 
 
+def _two_column_pack_round_trip_bytes():
+    """Pack then unpack on P^1 over Z/5: pieces O^2 and O^2 with theta = 0,
+    period 3, a different constant two-column Fil^1 at each step, folded
+    over GF(5, 3).  Every cut span unpacking takes is moved by its
+    saturation (a saturated line is its own saturation, so the one-column
+    case cannot show this).  Pins the recovered graded object, period map
+    and stages, and both charts' spans of the packed and recovered
+    filtrations."""
+    d = Zmod(5, 1)
+    curve = ProjectiveLine(d)
+    zero = RingMatrix.zeros(d, 2, 2)
+    G = GradedHiggsBundle((Bundle.free(curve, 2), Bundle.free(curve, 2)), ((zero, zero),))
+    E = Bundle.free(curve, 4)
+    fils = tuple(
+        HodgeFiltration(E, [Subbundle.from_chart0_span(E, _mat(d, rows))])
+        for rows in (
+            [[1, 0], [0, 1], [2, 3], [4, 1]],
+            [[1, 2], [3, 1], [0, 4], [2, 2]],
+            [[0, 1], [1, 0], [1, 1], [3, 4]],
+        )
+    )
+    identity = GradedMap(tuple((RingMatrix.identity(d, 2),) * 2 for _ in G.pieces))
+    T = PeriodicTuple(G, fils, identity).validate()
+    K = GF(5, 3)
+    packed = pack_endostructure(T, K.gen, K)
+    back = unpack_endostructure(packed)
+
+    def spans(fils):
+        return [[[matrix_to_json(B) for B in S.basis] for S in F.steps] for F in fils]
+
+    doc = {
+        "higgs": graded_to_json(back.higgs),
+        "phi": [[matrix_to_json(B) for B in per] for per in back.phi.blocks],
+        "stages": [graded_to_json(S) for S in back.stages()],
+        "filtrations": spans(back.filtrations),
+        "packed": spans(packed.carrier.filtrations),
+    }
+    return canonical_bytes(doc)
+
+
 def _equivalence_bytes():
     """Intertwiner for a constant flag-respecting frame change at p^2."""
     ring = Zmod(3, 2)
@@ -895,6 +935,7 @@ LIBRARY_CASES = {
     "kernel-bases": _kernel_basis_bytes,
     "pack-unpack-round-trip": _pack_round_trip_bytes,
     "pack-unpack-filtered": _filtered_pack_round_trip_bytes,
+    "pack-unpack-two-column": _two_column_pack_round_trip_bytes,
     "equivalence-intertwiner": _equivalence_bytes,
     "equivalence-default-window": _default_window_equivalence_bytes,
     "equivalence-frame-change-p3": _frame_change_p3_bytes,
@@ -917,6 +958,7 @@ LIBRARY_DIGESTS = {
     "kernel-bases": "8997e74e14056cd6ad22aa9824d4378d44a3a77c6791a667b860851ba37dcb06",
     "pack-unpack-round-trip": "b9da2046f027c4aa48f2bdfa3aeb24270a15b047950d71c610e1e126084ab5c4",
     "pack-unpack-filtered": "a06526f4759bda80b1d8714107d5a23affd94aed9c9d21405b27c67bf7d56819",
+    "pack-unpack-two-column": "60be4aae59287042edb5fd284510b0f9ff0f697f096542d0c2cca2b3594b5791",
     "equivalence-intertwiner": "31d91814a0c158dc10491a341aed16206413964ea36c2fffef5a3983ce7a8ff8",
     "equivalence-default-window": "fade237c52da0865d83e14f57ca60140381ef5bdd998455fb6862c88296c414f",
     "equivalence-frame-change-p3": "cc7694add0a34c9a549226c81b694f84c5a84b259650e5e20f540ac2e8f5f72d",
