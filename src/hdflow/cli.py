@@ -240,6 +240,8 @@ def flow_run(input_path, steps, policy, field_degree, budget, out_path):
             "args/field-degree",
             EXIT_CONTRACT,
         )
+    if budget is not None and budget < 0:
+        _fail("contract", "--budget must be non-negative", "args/budget", EXIT_CONTRACT)
     data, (G, fil_specs) = _read_doc(input_path, flow_input_from_json)
     if policy == "supplied" and len(fil_specs) < steps:
         _fail(

@@ -15,8 +15,9 @@ one piece O(pa)^n with zero Higgs field.
 Periodic tuples of period f can be folded into one-periodic objects over
 F_{p^f} carrying a multiplication endomorphism (one scalar block per flow
 stage, rotated by the period isomorphism); unfolding recovers the stages as
-eigenspaces.  A tuple keeps the stages it was closed on: validate steps
-once, and packing and unpacking close theirs on the stages they stepped.
+eigenspaces, each stepped once on the packed filtration cut to it.  A
+tuple keeps the stages it was closed on: validate steps once, and packing
+and unpacking close theirs on the stages they stepped.
 One-periodic tuples yield a per-chart relative Frobenius with three exact
 certificates: invertibility, horizontality against the two transform
 connections, and cross-chart compatibility through the twisted gluing.
@@ -539,7 +540,9 @@ def _restrict_map(basis_tgt, basis_src, M):
 
 def unpack_endostructure(packed):
     """Decompose a packed one-periodic tuple into eigenspaces of its
-    endomorphism, recovering a tuple whose period is the field degree.
+    endomorphism, recovering a tuple whose period is the field degree: each
+    stage adopts, once, the packed filtration cut in its summand's
+    coordinates and carried to it.
 
     The endomorphism must act with the full Frobenius orbit of xi as
     spectrum — equivalently its minimal polynomial is the irreducible
@@ -578,7 +581,7 @@ def unpack_endostructure(packed):
 
     # stage 0..f-1 graded objects from the eigen-bases
     summands = []
-    embeds_total = []
+    cut_frames = []
     for i in range(f):
         pieces = []
         subs = []
@@ -592,43 +595,32 @@ def unpack_endostructure(packed):
             subs.append(V)
             g = big.curve.glued(V.induced_transition)
             pieces.append(Bundle(big.curve, V.rank, g))
-        maps = []
-        for k in range(w):
-            per_chart = []
-            for c in range(ncharts):
-                per_chart.append(
-                    _restrict_map(
-                        subs[k].basis[c],
-                        subs[k + 1].basis[c],
-                        big.maps[k][c],
-                    )
-                )
-            maps.append(tuple(per_chart))
-        G_i = GradedHiggsBundle(pieces, tuple(maps)).validate()
-        summands.append(G_i)
-        # total-coordinate embedding of the summand into big
-        embeds_total.append(
-            RingMatrix.block_diagonal(K, [V.basis[0] for V in subs])
+        maps = tuple(
+            tuple(
+                _restrict_map(subs[k].basis[c], subs[k + 1].basis[c], big.maps[k][c])
+                for c in range(ncharts)
+            )
+            for k in range(w)
         )
+        summands.append(GradedHiggsBundle(pieces, maps).validate())
+        # chart-0 total coordinates of the summand's transform in big's
+        embed = RingMatrix.block_diagonal(K, [V.basis[0] for V in subs])
+        cut_frames.append(frobenius_pullback_matrix(embed))
 
-    # walk the stages.  Stage i's filtration is the packed one cut along the
-    # transformed eigenspace of summand i (the eigenvalue orbit advances by
-    # one Frobenius twist); for i > 0 its spans are pulled back to the
-    # walk's stage along the transform of a certified identification chi,
-    # whose chart-0 matrix is the Frobenius pullback of chi's
+    # walk the stages: cut the packed filtration along summand i's
+    # transformed eigenspace, in the summand's coordinates (the eigenvalue
+    # orbit advances by one Frobenius twist); for i > 0 carry the cut to the
+    # walk's stage by the Frobenius pullback of a certified identification
+    # chi's chart-0 matrix; adopt it once, on the stage's own transform
     stages, flats, fils = [summands[0]], [], []
     for i in range(f):
         cur = stages[-1]
-        H_i = inverse_cartier_1(summands[i].total())
-        Q_i = frobenius_pullback_matrix(embeds_total[i])
         spans = []
         for B in _spans(carrier.filtrations[0]):
-            u = _span_intersection_coords(B, Q_i)
+            u = _span_intersection_coords(B, cut_frames[i])
             if u is None:
                 break
             spans.append(u)
-        recovered, _ = _adopt_filtration(H_i, spans)
-        H, spans = H_i, _spans(recovered)
         if i:
             chi = graded_higgs_isomorphic(cur, summands[i])
             if chi is None:
@@ -637,7 +629,8 @@ def unpack_endostructure(packed):
                 )
             chi0 = RingMatrix.block_diagonal(K, [per[0] for per in chi.blocks])
             inv0 = frobenius_pullback_matrix(chi0).inverse()
-            H, spans = inverse_cartier_1(cur.total()), [inv0.mul(B) for B in spans]
+            spans = [inv0.mul(u) for u in spans]
+        H = inverse_cartier_1(cur.total())
         fil, nxt = _adopt_filtration(H, spans)
         flats.append(H)
         fils.append(fil)

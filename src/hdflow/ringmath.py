@@ -1440,7 +1440,9 @@ def unit_search(domain, kernel, check, budget):
     fit in the budget left (zero last); otherwise random.Random(0) draws
     one residue per generator until the budget is spent, and it raises
     SearchBudgetExceeded.  Both errors' bounds name the stage, the
-    candidates tried and the kernel size."""
+    candidates tried and the kernel size; a negative budget is refused."""
+    if budget < 0:
+        raise ValueError("a search budget must be non-negative")
     d, k = domain, len(kernel)
     residues = list(d.elements()) if d.is_field else list(range(d.p))
     if all(d.is_nilpotent(c) for vec in kernel for c in vec.values()):

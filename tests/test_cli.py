@@ -355,6 +355,19 @@ def test_flow_run_budget_error_reports_stage_tried_and_kernel(tmp_path):
     assert "part" not in err
 
 
+def test_flow_run_refuses_a_negative_budget(tmp_path):
+    # a search stops when it has tried budget candidates, which a negative
+    # count never reaches
+    path = write_doc(tmp_path, "graded.json", trivial_graded_doc())
+    out = tmp_path / "flow.json"
+    result = invoke(["flow", "run", "--input", path, "--budget", "-1", "--out", str(out)])
+    assert result.exit_code == 2
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("contract", "args/budget")
+    assert err["message"] == "--budget must be non-negative"
+    assert not out.exists()
+
+
 def test_witt_flow_step_certificate_error_reports_its_part(tmp_path):
     # a stored frame that does not carry the canonical matrix to the de
     # Rham side fails the frame certificate

@@ -523,14 +523,15 @@ def test_tuples_keep_the_stages_they_stepped(monkeypatch):
     # validate builds one level-one state per period step; packing and
     # unpacking close their tuples on the stages they stepped, so the
     # benchmark's p = 3, f = 2 sequence builds 2 states to validate T, 1
-    # for the packed sum, 3 to unpack (one per summand and one per later
-    # walk stage) and 2 for the reference, and validates only T and the
-    # reference
-    built, validated = [], []
+    # for the packed sum, 2 to unpack (one per walk stage) and 2 for the
+    # reference, grades as often, and validates only T and the reference
+    built, gradings, validated = [], [], []
     init, validate = cartier._LevelOne.__init__, PeriodicTuple.validate
+    grade = flow.grade
     monkeypatch.setattr(
         cartier._LevelOne, "__init__", lambda self, H: built.append(H) or init(self, H)
     )
+    monkeypatch.setattr(flow, "grade", lambda H, fil: gradings.append(fil) or grade(H, fil))
     monkeypatch.setattr(
         PeriodicTuple, "validate", lambda T: validated.append(T) or validate(T)
     )
@@ -542,20 +543,27 @@ def test_tuples_keep_the_stages_they_stepped(monkeypatch):
     K, d = GF(3, 2), Zmod(3, 1)
     G = trivial_graded(ProjectiveLine(d), 2)
     phi = const_graded_map(d, 2, [[1, 1], [0, 1]])
-    del built[:], validated[:]
+    del built[:], gradings[:], validated[:]
+    counts, grades = [], []
+
+    def phase():
+        counts.append(len(built) - sum(counts))
+        grades.append(len(gradings) - sum(grades))
+
     T = PeriodicTuple(G, (trivial_fil_spec(2, d),) * 2, phi).validate()
-    counts = [len(built)]
+    phase()
     packed = pack_endostructure(T, K.gen, K)
-    counts.append(len(built) - sum(counts))
+    phase()
     back = unpack_endostructure(packed)
-    counts.append(len(built) - sum(counts))
+    phase()
     GK = extend_graded(G, K)
     reference = PeriodicTuple(
         GK, (trivial_fil_spec(2, K),) * 2, _identity_graded_map(GK)
     ).validate()
-    counts.append(len(built) - sum(counts))
+    phase()
     assert tuples_isomorphic(back, reference) is not None
-    assert counts == [2, 1, 3, 2]
+    assert counts == [2, 1, 2, 2]
+    assert grades == [2, 1, 2, 2]
     assert validated == [T, reference]
 
 

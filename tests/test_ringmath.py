@@ -1272,6 +1272,16 @@ def test_unit_search_draws_one_residue_per_generator():
     assert unit_search(d, kernel, lambda v: v == accept, 100) == accept
 
 
+def test_unit_search_refuses_a_negative_budget():
+    # the search stops when it has tried budget candidates, which a negative
+    # count never reaches; no candidate is tried
+    def check(vec):
+        raise AssertionError("a candidate was tried")
+
+    with pytest.raises(ValueError, match="non-negative"):
+        unit_search(Zmod(3), [{0: 1}], check, -1)
+
+
 # ---------------------------------------------------------------------------
 # Birkhoff factorization
 
