@@ -91,11 +91,13 @@ from hdflow.witt import (
 
 from oracles import (
     default_equivalence_window,
+    flat_from_chart0,
     horizontal_transport,
     perturbed_construct,
     random_flag_frame,
     random_laurent,
     random_split_transition,
+    random_unimodular_poly,
     random_unit,
 )
 
@@ -924,6 +926,46 @@ def _monomial_splits_bytes():
     return canonical_bytes(doc)
 
 
+def _induced_transitions_bytes():
+    """Subbundles of nonzero degree spanned by seeded Laurent columns in
+    twisted frames on P^1 over Z/5 and F_9, each with a pole in its chart-1
+    read ghat(s) B_0(1/s): both chart bases, the induced transition and the
+    degree; and the adapted frames of two-step filtrations of a twisted
+    trivial flat bundle at p = 5 and 7, Fil^2 the line (1, t, t^2) and
+    Fil^1 that line with its derivative (0, 1, 2t)."""
+    rng = random.Random(41)
+    doc = []
+    for F in (Zmod(5), GF(3, 2)):
+        X = ProjectiveLine(F)
+        kept = 0
+        while kept < 6:
+            n = rng.choice((2, 3, 4))
+            r = rng.randrange(1, n)
+            exps = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+            E = Bundle(X, n, random_split_transition(rng, F, exps))
+            cols = RingMatrix(
+                F, [[random_laurent(rng, F, -1, 1) for _ in range(r)] for _ in range(n)]
+            )
+            S = Subbundle.from_chart0_span(E, cols)
+            if S.degree() == 0 or E.to_chart1(S.basis[0]).min_valuation() >= 0:
+                continue
+            kept += 1
+            bases = [matrix_to_json(B) for B in S.basis]
+            doc.append([bases, matrix_to_json(S.induced_transition()), S.degree()])
+    for p in (5, 7):
+        F = Zmod(p)
+        Q = random_unimodular_poly(rng, F, 3, ops=4, max_deg=1)
+        L = random_unimodular_poly(rng, F, 3, ops=4, max_deg=1, inverse_var=True)
+        Qinv = Q.inverse()
+        E = Bundle(ProjectiveLine(F), 3, L.mul(Qinv))
+        flat = flat_from_chart0(E, Q.mul(Qinv.derivative()))
+        cols = Q.mul(_mat(F, [[1, 0], [{1: 1}, 1], [{2: 1}, {1: 2}]]))
+        steps = [Subbundle.from_chart0_span(E, cols.columns(c)) for c in ([0, 1], [0])]
+        frames = grade(flat, HodgeFiltration(E, steps).validate()).frames
+        doc.append([matrix_to_json(T) for T in frames])
+    return canonical_bytes(doc)
+
+
 LIBRARY_CASES = {
     "destabilizer-frames": _destabilizer_frames_bytes,
     "monomial-split": _monomial_split_bytes,
@@ -945,6 +987,7 @@ LIBRARY_CASES = {
     "gamma-apply-weights": _gamma_apply_bytes,
     "witt-construct": _witt_construct_bytes,
     "horizontal-transport": _transport_bytes,
+    "induced-transitions": _induced_transitions_bytes,
 }
 
 LIBRARY_DIGESTS = {
@@ -968,6 +1011,7 @@ LIBRARY_DIGESTS = {
     "gamma-apply-weights": "9d74b14e3a44209574ac08baa3cb8c518b9a73157a27c2f9727486e7173f6d76",
     "witt-construct": "9464288ecc6800fb6efb9e035194adfcd3d63ccd6ed7c52b5e6b6c3e5c7119f8",
     "horizontal-transport": "5e4608b5b225b4ecd83aa37c5ee0996a09fed5910cb9978a3a3342d7718785cd",
+    "induced-transitions": "f9ddabded2c2e8f77176550460e9eaf3df5d33c80e5af016f86cd621ac762af8",
 }
 
 
