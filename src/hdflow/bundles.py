@@ -180,12 +180,13 @@ class Bundle:
         return list(self.split_data().exponents)
 
     def split_data(self):
-        """Birkhoff data diagonalizing the transition (field domains only)."""
+        """The Birkhoff factorization g = P diag(t^-a_i) Q of the transition,
+        a_i descending (field domains only): new coordinates x0' = Q x0 and
+        x1' = P(1/s)^-1 x1 split the bundle into the lines O(a_i)."""
         if self._split is None:
             if not self.curve.is_projective:
                 raise ValueError("splitting data only exists on the projective line")
-            fact = birkhoff_factorize(self.transition, self._det)
-            self._split = SplitFrames(self, fact)
+            self._split = birkhoff_factorize(self.transition, self._det)
         return self._split
 
     def direct_sum(self, *others):
@@ -196,20 +197,6 @@ class Bundle:
         blocks = [E.transition for E in summands]
         g = self.curve.glued(RingMatrix.block_diagonal, self.domain, blocks)
         return Bundle(self.curve, sum(E.rank for E in summands), g)
-
-
-class SplitFrames:
-    """Frame change splitting a bundle into a sum of line bundles.
-
-    New coordinates x0' = Q x0 and x1' = Phat^-1 x1 turn the transition into
-    diag(t^-a_i) with descending a_i.
-    """
-
-    def __init__(self, bundle, fact):
-        self.exponents = list(fact.exponents)
-        self.Q = fact.Q
-        self.Qinv = fact.Qinv
-        self.Phat = bundle.curve.to_other_chart(fact.P)
 
 
 class HiggsBundle:
@@ -341,12 +328,15 @@ class Subbundle:
 
     def induced_transition(self):
         """The transition g_S(t) in subbundle coordinates, read in t like
-        a Bundle's: x_1 = ghat_S(s) x_0(1/s) with ghat_S(s) = g_S(1/s)."""
+        a Bundle's: x_1 = ghat_S(s) x_0(1/s) with ghat_S(s) = g_S(1/s).
+        The chart-1 read of basis 0, with a pole of order k at s = 0, is
+        solved over F[s] times s^k and the answer shifted back by k."""
         w = self.parent.to_chart1(self.basis[0])
-        h = poly_solve(self.basis[1], w, laurent_denominators=True)
+        k = -min(w.min_valuation(), 0)
+        h = poly_solve(self.basis[1], w.shift_all(k))
         if h is None:
             raise ValueError("subbundle charts do not glue")
-        return self.parent.curve.to_other_chart(h)
+        return self.parent.curve.to_other_chart(h.shift_all(-k))
 
     def degree(self):
         """The degree of the induced transition; 0 where bundles are free."""
@@ -359,12 +349,7 @@ class Subbundle:
 
     def contains_chart0(self, columns):
         """Do the given Laurent chart-0 columns lie in the subsheaf span?"""
-        return (
-            poly_solve(
-                self.basis[0], _clear_denominators(columns), laurent_denominators=True
-            )
-            is not None
-        )
+        return poly_solve(self.basis[0], _clear_denominators(columns)) is not None
 
 
 def _chart1_span(B0, parent):
@@ -379,12 +364,12 @@ def _check_spans_glue(sub):
     """Raise ValueError unless each chart's span lies in the other's."""
     parent, B0, B1 = sub.parent, sub.basis[0], sub.basis[1]
     w = _clear_denominators(parent.to_chart1(B0))
-    if poly_solve(B1, w, laurent_denominators=True) is None:
+    if poly_solve(B1, w) is None:
         raise ValueError("chart-0 span escapes the chart-1 span")
     back = _clear_denominators(
         parent.transition.inverse().mul(parent.curve.to_other_chart(B1))
     )
-    if poly_solve(B0, back, laurent_denominators=True) is None:
+    if poly_solve(B0, back) is None:
         raise ValueError("chart-1 span escapes the chart-0 span")
 
 
@@ -408,9 +393,10 @@ def full_subbundle(bundle):
 
 def hn_filtration(bundle):
     """Harder-Narasimhan filtration of a plain bundle on P^1, computed from
-    the splitting frames: 0 < E_1 < ... < E_k = E with strictly decreasing
-    slopes, each step a sum of equal-degree line bundles, saturated from
-    the leading columns of Qinv and Phat as read."""
+    its Birkhoff factorization: 0 < E_1 < ... < E_k = E with strictly
+    decreasing slopes, each step a sum of equal-degree line bundles,
+    saturated from the leading columns of Q^-1 (polynomial in t) and of P
+    read in chart 1 (polynomial in s)."""
     sd = bundle.split_data()
     exps = sd.exponents
     steps = []
@@ -422,7 +408,7 @@ def hn_filtration(bundle):
         if cut == len(exps):
             steps.append(full_subbundle(bundle))
             break
-        B0 = saturation_basis(_clear_denominators(sd.Qinv.columns(range(cut))))
-        B1 = saturation_basis(_clear_denominators(sd.Phat.columns(range(cut))))
+        B0 = saturation_basis(sd.Qinv.columns(range(cut)))
+        B1 = saturation_basis(bundle.curve.to_other_chart(sd.P.columns(range(cut))))
         steps.append(Subbundle(bundle, (B0, B1)))
     return steps

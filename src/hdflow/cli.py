@@ -243,6 +243,10 @@ def flow_run(input_path, steps, policy, field_degree, budget, out_path):
     if budget is not None and budget < 0:
         _fail("contract", "--budget must be non-negative", "args/budget", EXIT_CONTRACT)
     data, (G, fil_specs) = _read_doc(input_path, flow_input_from_json)
+    f = getattr(G.domain, "f", 1)
+    if f > 1 and field_degree not in (1, f):
+        message = "--field-degree on an F_{p^%d} document must be 1 or %d" % (f, f)
+        _fail("contract", message, "args/field-degree", EXIT_CONTRACT)
     if policy == "supplied" and len(fil_specs) < steps:
         _fail(
             "contract",

@@ -12,7 +12,8 @@ connection-semistable means a constant splitting type, and Simpson's
 filtration on the line is the trivial one.  On A^1 every slope is zero.
 Line-bundle pieces are read off their degree: a piece of rank one is
 split only when _top_part reads its frame, and then in closed form.  Top
-parts are the leading columns of the split frames, read, not multiplied out.
+parts are the leading columns of the Birkhoff factors, read, not multiplied
+out: Q^-1 in chart 0 and P in chart 1.
 Each graded object is decided once and keeps its report (None if semistable).
 """
 
@@ -53,7 +54,8 @@ def _top_part(P, tp, a):
     if k > 1:
         return hn_filtration(P)[0]
     sd = P.split_data()
-    return Subbundle(P, (sd.Qinv.columns(range(1)), sd.Phat.columns(range(1))))
+    B1 = P.curve.to_other_chart(sd.P.columns(range(1)))
+    return Subbundle(P, (sd.Qinv.columns(range(1)), B1))
 
 
 def _top_destabilizer(G):

@@ -217,8 +217,8 @@ def _adapted_frame(filtration, chart):
     ad = filtration.steps[n - 1].basis[chart]
     for i in range(n - 1, 0, -1):
         B = filtration.steps[i - 1].basis[chart]
-        coords = poly_solve(B, ad, laurent_denominators=True)
-        if coords is None or not coords.is_polynomial():
+        coords = poly_solve(B, ad)
+        if coords is None:
             raise ValueError("filtration steps are not nested")
         ad = B.mul(unimodular_completion(coords))
     return unimodular_completion(ad)

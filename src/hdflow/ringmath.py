@@ -1131,9 +1131,10 @@ def smith_form_poly(M):
     return SmithForm(Lacc, Linv, A, Racc, rank)
 
 
-def poly_solve(M, v, laurent_denominators=False):
+def poly_solve(M, v):
     """Solve M x = v over F[t] (v a matrix of columns); None if unsolvable.
-    With laurent_denominators=True the solution may live in F[t, 1/t]."""
+    A saturated M has constant invariant factors, so its solve over
+    F[t, 1/t] of a v with poles is this solve of t^k v, shifted back by k."""
     sf = smith_form_poly(M)
     w = sf.L.mul(v)
     d = M.domain
@@ -1149,34 +1150,11 @@ def poly_solve(M, v, laurent_denominators=False):
                 continue
             if wi.is_zero():
                 continue
-            if laurent_denominators:
-                q = _laurent_exact_div(wi, di)
-                if q is None:
-                    return None
-            else:
-                q, r = poly_divmod(wi, di)
-                if not r.is_zero():
-                    return None
-            if i < M.ncols:
-                y.rows[i][j] = q
-            else:
+            q, r = poly_divmod(wi, di)
+            if not r.is_zero():
                 return None
+            y.rows[i][j] = q
     return sf.R.mul(y)
-
-
-def _laurent_exact_div(w, di):
-    """w / di allowing t-power denominators; None if not exactly divisible."""
-    d = w.domain
-    if w.is_zero():
-        return LaurentPoly.zero(d)
-    val = di.valuation()
-    stripped = di.shift(-val)
-    wval = w.valuation()
-    wpoly = w.shift(-wval)
-    q, r = poly_divmod(wpoly, stripped)
-    if not r.is_zero():
-        return None
-    return q.shift(wval - val)
 
 
 def poly_kernel(M):

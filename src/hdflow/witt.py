@@ -780,7 +780,7 @@ def _flag_reduction_ok(cols_list, ranks, down_ring):
                 if not Sbar.rows[i][j].is_zero():
                     return False
         block = Sbar.submatrix(range(cut, Sbar.nrows), range(Sbar.ncols))
-        if block.nrows != block.ncols or not block.det().is_unit():
+        if not block.det().is_unit():
             return False
     return True
 

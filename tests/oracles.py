@@ -830,6 +830,31 @@ def inverting_unimodular_completion(B):
     return B.hstack(extra)
 
 
+def laurent_poly_solve(M, v):
+    """Solve M x = v over F[t, 1/t] (v a matrix of columns); None if
+    unsolvable.  The Smith form's quotients are divided with t-power
+    denominators allowed.  For a saturated M every invariant factor is a
+    constant, so this is poly_solve up to the shift that clears v's poles."""
+    d = M.domain
+    sf = smith_form_poly(M)
+    w = sf.L.mul(v)
+    y = RingMatrix.zeros(d, M.ncols, v.ncols)
+    for i in range(M.nrows):
+        di = sf.D.rows[i][i] if i < min(M.nrows, M.ncols) else LaurentPoly.zero(d)
+        for j in range(v.ncols):
+            wi = w.rows[i][j]
+            if di.is_zero() or wi.is_zero():
+                if not wi.is_zero():
+                    return None
+                continue
+            val, wval = di.valuation(), wi.valuation()
+            q, r = ringmath.poly_divmod(wi.shift(-wval), di.shift(-val))
+            if not r.is_zero():
+                return None
+            y.rows[i][j] = q.shift(wval - val)
+    return sf.R.mul(y)
+
+
 def inverting_birkhoff_factorize(G):
     """Birkhoff factorization that accumulates P^-1 over the elimination and
     inverts it at the end, then inverts Q for Qinv, both by det plus

@@ -220,6 +220,38 @@ def test_induced_transition_is_read_in_t_like_a_bundle_transition():
     assert Bundle(X, 1, V.induced_transition()).degree() == V.degree() == -1
 
 
+def test_saturated_solves_agree_with_laurent_division():
+    # a saturated basis has constant invariant factors, so a solve over F[t]
+    # of the pole-cleared columns is the solve over F[t, 1/t]: the induced
+    # transition and span membership agree with the Laurent-division
+    # reference on subbundles in twisted frames whose chart-1 reads have poles
+    rng = random.Random(41)
+    poles, answers = 0, set()
+    for F in (Zmod(3), Zmod(5), Zmod(7), GF(3, 2)):
+        X = ProjectiveLine(F)
+        for _ in range(6):
+            n = rng.choice((2, 3, 4))
+            r = rng.randrange(1, n)
+            exps = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+            E = Bundle(X, n, oracles.random_split_transition(rng, F, exps))
+
+            def laurent_cols(rows, k):
+                entries = [oracles.random_laurent(rng, F, -2, 1) for _ in range(rows * k)]
+                return RingMatrix(F, [entries[i * k:(i + 1) * k] for i in range(rows)])
+
+            cols = laurent_cols(n, r)
+            S = Subbundle.from_chart0_span(E, cols).validate()
+            w = E.to_chart1(S.basis[0])
+            poles += w.min_valuation() < 0
+            h = oracles.laurent_poly_solve(S.basis[1], w)
+            assert S.induced_transition() == X.to_other_chart(h)
+            for probe in (cols, S.basis[0].mul(laurent_cols(r, 1)), laurent_cols(n, 1)):
+                answer = S.contains_chart0(probe)
+                assert answer == (oracles.laurent_poly_solve(S.basis[0], probe) is not None)
+                answers.add(answer)
+    assert poles > 12 and answers == {True, False}
+
+
 def test_subbundle_tautological_line_in_rank_two():
     # the line generated by (1, t) inside the trivial rank-2 bundle is the
     # degree -1 subbundle
@@ -472,7 +504,7 @@ def test_split_data_expands_no_determinant_of_the_transition(monkeypatch):
     det = RingMatrix.det
     monkeypatch.setattr(RingMatrix, "det", lambda M: expanded.append(M) or det(M))
     split = [E.split_data() for E in bundles]
-    assert expanded == [X.to_other_chart(frames.Phat) for frames in split[1::2]]
+    assert expanded == [frames.P for frames in split[1::2]]
     for E, frames in zip(bundles, split):
         assert birkhoff_factorize(E.transition).exponents == frames.exponents
     assert sum(M is E.transition for M in expanded for E in bundles) == len(bundles)

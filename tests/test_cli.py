@@ -24,7 +24,7 @@ from hdflow.cartier import inverse_cartier_1
 from hdflow.bundles import Bundle, HiggsBundle
 from hdflow.curves import CURVES, ProjectiveLine
 from hdflow.graded import GradedHiggsBundle, HodgeFiltration
-from hdflow.ringmath import LaurentPoly, RingMatrix, Zmod
+from hdflow.ringmath import GF, LaurentPoly, RingMatrix, Zmod
 from hdflow.serialize import (
     canonical_bytes,
     flat_from_json,
@@ -365,6 +365,28 @@ def test_flow_run_refuses_a_negative_budget(tmp_path):
     err = json.loads(result.output)
     assert (err["code"], err["location"]) == ("contract", "args/budget")
     assert err["message"] == "--budget must be non-negative"
+    assert not out.exists()
+
+
+def test_flow_run_searches_an_f9_document_over_f9_only(tmp_path):
+    # the period search lifts each term's coefficients into F_{p^k}, which
+    # takes F_p into every such field but F_{p^f} into itself only, so an
+    # F_9 document searches at --field-degree 1 or 2 and refuses 3
+    from hdflow.flow import extend_graded
+
+    G = generate(CorpusParams(p=3, rank=2, weight=1, count=1, seed=2))[0]
+    doc = graded_to_json(extend_graded(G, GF(3, 2)))
+    path = write_doc(tmp_path, "graded-f9.json", doc)
+    run = ["flow", "run", "--input", path, "--steps", "2", "--field-degree"]
+    for degree in ("1", "2"):
+        result = invoke(run + [degree])
+        assert result.exit_code == 0, result.output
+    out = tmp_path / "flow.json"
+    result = invoke(run + ["3", "--out", str(out)])
+    assert result.exit_code == 2
+    err = json.loads(result.output)
+    assert (err["code"], err["location"]) == ("contract", "args/field-degree")
+    assert err["message"] == "--field-degree on an F_{p^2} document must be 1 or 2"
     assert not out.exists()
 
 

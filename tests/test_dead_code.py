@@ -71,7 +71,6 @@ NOT_ENTERED = {
     "ringmath.smith_form_poly.row_combine": "no sampled span needs a row reduction",
     "ringmath.smith_form_poly.col_combine": "no sampled span needs a column reduction",
     "ringmath.smith_form_poly.col_swap": "no sampled span needs a column swap",
-    "ringmath.RingMatrix.shift_all": "clears a chart-1 span's pole, which no sampled span has",
     "ringmath.poly_kernel": "only _span_intersection_coords asks for a kernel",
     "flow._span_intersection_coords": "cuts filtration steps; sampled packings have none",
     "flow._restrict_map": "restricts connecting maps; sampled packings have one grade",

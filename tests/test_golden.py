@@ -807,7 +807,8 @@ def _inverse_layer_bytes():
         right = right.mul(_unitriangular(rng, d, n, 1, True))
         lines = Bundle.sum_of_lines(ProjectiveLine(d), exps)
         sd = Bundle(lines.curve, n, left.mul(lines.transition).mul(right)).split_data()
-        frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, sd.Phat)]
+        Phat = lines.curve.to_other_chart(sd.P)
+        frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, Phat)]
         split.append([sd.exponents] + frames)
     inverses = []
     for p in (3, 5):
@@ -848,8 +849,9 @@ def _monomial_split_bytes():
     ]))
     doc = []
     for G in cases:
-        sd = Bundle(ProjectiveLine(G.domain), G.nrows, G).split_data()
-        frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, sd.Phat)]
+        X = ProjectiveLine(G.domain)
+        sd = Bundle(X, G.nrows, G).split_data()
+        frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, X.to_other_chart(sd.P))]
         doc.append([sd.exponents] + frames + [matrix_to_json(birkhoff_factorize(G).P)])
     return canonical_bytes(doc)
 
@@ -891,8 +893,9 @@ def _destabilizer_frames_bytes():
             doc.append([pieces, str(rep.mu_max), rep.r_max])
     d9 = GF(3, 2)
     G = RingMatrix(d9, [[LaurentPoly.monomial(d9, (2, 1), 2)]])
-    sd = Bundle(ProjectiveLine(d9), 1, G).split_data()
-    frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, sd.Phat)]
+    X = ProjectiveLine(d9)
+    sd = Bundle(X, 1, G).split_data()
+    frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, X.to_other_chart(sd.P))]
     doc.append([sd.exponents] + frames + [matrix_to_json(birkhoff_factorize(G).P)])
     return canonical_bytes(doc)
 
@@ -920,7 +923,7 @@ def _monomial_splits_bytes():
                         c = random_unit(rng, F)
                     G.rows[i][j] = LaurentPoly.monomial(F, c, rng.choice(pool))
                 sd = Bundle(X, n, G).split_data()
-                frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, sd.Phat)]
+                frames = [matrix_to_json(T) for T in (sd.Q, sd.Qinv, X.to_other_chart(sd.P))]
                 lefts = [matrix_to_json(birkhoff_factorize(G, det).P) for det in (None, G.det())]
                 doc.append([sd.exponents] + frames + lefts)
     return canonical_bytes(doc)

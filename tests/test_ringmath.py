@@ -672,9 +672,6 @@ def test_poly_solve_constructed_and_unsolvable():
     M = RingMatrix(F, [[t]])
     v = RingMatrix(F, [[LaurentPoly.one(F)]])
     assert poly_solve(M, v) is None
-    x = poly_solve(M, v, laurent_denominators=True)
-    assert x is not None and M.mul(x) == v
-    assert x.rows[0][0] == LaurentPoly.var(F, -1)
 
 
 def test_poly_kernel_annihilates():
