@@ -220,6 +220,11 @@ def test_induced_transition_is_read_in_t_like_a_bundle_transition():
     assert Bundle(X, 1, V.induced_transition()).degree() == V.degree() == -1
 
 
+def _laurent_cols(rng, F, rows, k):
+    entries = [oracles.random_laurent(rng, F, -2, 1) for _ in range(rows * k)]
+    return RingMatrix(F, [entries[i * k:(i + 1) * k] for i in range(rows)])
+
+
 def test_saturated_solves_agree_with_laurent_division():
     # a saturated basis has constant invariant factors, so a solve over F[t]
     # of the pole-cleared columns is the solve over F[t, 1/t]: the induced
@@ -234,18 +239,14 @@ def test_saturated_solves_agree_with_laurent_division():
             r = rng.randrange(1, n)
             exps = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
             E = Bundle(X, n, oracles.random_split_transition(rng, F, exps))
-
-            def laurent_cols(rows, k):
-                entries = [oracles.random_laurent(rng, F, -2, 1) for _ in range(rows * k)]
-                return RingMatrix(F, [entries[i * k:(i + 1) * k] for i in range(rows)])
-
-            cols = laurent_cols(n, r)
+            cols = _laurent_cols(rng, F, n, r)
             S = Subbundle.from_chart0_span(E, cols).validate()
             w = E.to_chart1(S.basis[0])
             poles += w.min_valuation() < 0
             h = oracles.laurent_poly_solve(S.basis[1], w)
             assert S.induced_transition() == X.to_other_chart(h)
-            for probe in (cols, S.basis[0].mul(laurent_cols(r, 1)), laurent_cols(n, 1)):
+            inside = S.basis[0].mul(_laurent_cols(rng, F, r, 1))
+            for probe in (cols, inside, _laurent_cols(rng, F, n, 1)):
                 answer = S.contains_chart0(probe)
                 assert answer == (oracles.laurent_poly_solve(S.basis[0], probe) is not None)
                 answers.add(answer)
